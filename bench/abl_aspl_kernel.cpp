@@ -1,15 +1,16 @@
 // Ablation (google-benchmark) — scalar BFS vs bit-parallel h-ASPL kernels.
 //
-// The annealer evaluates h-ASPL on every candidate, so the metric kernel
-// dominates search throughput. This microbenchmark measures both kernels
-// (serial and thread-pooled) across graph sizes; tests already assert they
-// agree bit-for-bit.
+// From-scratch h-ASPL evaluation drives the annealer's calibration and every
+// fault-sweep trial. This microbenchmark measures the bit-parallel kernel
+// (serial and thread-pooled) against the one-BFS-per-source test oracle
+// across graph sizes; tests already assert they agree bit-for-bit.
 
 #include <benchmark/benchmark.h>
 
 #include "common/prng.hpp"
 #include "common/thread_pool.hpp"
 #include "hsg/metrics.hpp"
+#include "oracle/metrics_scalar.hpp"
 #include "search/random_init.hpp"
 
 namespace {
@@ -25,7 +26,7 @@ HostSwitchGraph graph_for(std::int64_t m) {
 void BM_ScalarBfs(benchmark::State& state) {
   const auto g = graph_for(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(detail::compute_host_metrics_scalar(g));
+    benchmark::DoNotOptimize(compute_host_metrics_scalar(g));
   }
 }
 BENCHMARK(BM_ScalarBfs)->Arg(64)->Arg(194)->Arg(512);
@@ -33,7 +34,7 @@ BENCHMARK(BM_ScalarBfs)->Arg(64)->Arg(194)->Arg(512);
 void BM_BitParallel(benchmark::State& state) {
   const auto g = graph_for(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(compute_host_metrics(g, AsplKernel::kBitParallel));
+    benchmark::DoNotOptimize(compute_host_metrics(g));
   }
 }
 BENCHMARK(BM_BitParallel)->Arg(64)->Arg(194)->Arg(512);
@@ -42,8 +43,7 @@ void BM_BitParallelPooled(benchmark::State& state) {
   const auto g = graph_for(state.range(0));
   ThreadPool& pool = ThreadPool::global();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        compute_host_metrics(g, AsplKernel::kBitParallel, &pool));
+    benchmark::DoNotOptimize(compute_host_metrics(g, &pool));
   }
 }
 BENCHMARK(BM_BitParallelPooled)->Arg(194)->Arg(512);
@@ -51,7 +51,7 @@ BENCHMARK(BM_BitParallelPooled)->Arg(194)->Arg(512);
 void BM_SwitchMetrics(benchmark::State& state) {
   const auto g = graph_for(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(compute_switch_metrics(g, AsplKernel::kAuto));
+    benchmark::DoNotOptimize(compute_switch_metrics(g));
   }
 }
 BENCHMARK(BM_SwitchMetrics)->Arg(194);

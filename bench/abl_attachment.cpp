@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   options.iteration_fraction = sim_fraction();
   Table table({"mapping", "MG Mop/s", "CG Mop/s", "FT Mop/s"});
   for (const auto& mapping : mappings) {
-    Machine machine(proposed.graph, cli_sim_params(), mapping.map);
+    Machine machine(proposed.graph, SimParams{}, mapping.map);
     table.row().add(mapping.name);
     for (const NasKernel kernel : {NasKernel::kMG, NasKernel::kCG, NasKernel::kFT}) {
       table.add(run_nas_kernel(machine, kernel, options).mops_per_second, 1);

@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
   Table sim_table({"topology", "healthy ms", "degraded ms", "slowdown%",
                    "events", "rebuilds", "retried", "failed"});
   for (const auto& candidate : candidates) {
-    Machine healthy(candidate.graph, cli_sim_params(), dfs_host_order(candidate.graph));
+    Machine healthy(candidate.graph, SimParams{}, dfs_host_order(candidate.graph));
     const double t_healthy = healthy.alltoall(4096);
 
     FaultSpec spec;
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
     const auto events =
         schedule_fault_events(faults, 0.0, t_healthy, bench_seed());
 
-    Machine degraded(candidate.graph, cli_sim_params(), dfs_host_order(candidate.graph));
+    Machine degraded(candidate.graph, SimParams{}, dfs_host_order(candidate.graph));
     degraded.inject_faults(events);
     const double t_degraded = degraded.alltoall(4096);
     const FaultStats& stats = degraded.fault_stats();

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   print_header("Ablation: fluid vs packet engine, n=" + std::to_string(n));
   Table table({"topology", "pattern", "bytes", "fluid s", "packet s", "packet/fluid"});
   for (const auto& candidate : candidates) {
-    Machine fluid(candidate.graph, cli_sim_params());
+    Machine fluid(candidate.graph);
     PacketSimParams pkt;
     PacketMachine packets(candidate.graph, pkt);
     for (const TrafficPattern pattern :

@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
       options.iterations = iterations;
       options.seed = seed * 1000 + static_cast<std::uint64_t>(mode);
       options.mode = mode;
-      options.eval = cli_eval_strategy();
       table.add(anneal(initial, options).best_metrics.h_aspl);
     }
   }

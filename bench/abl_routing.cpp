@@ -50,10 +50,9 @@ int main(int argc, char** argv) {
                std::to_string(bytes) + " B per rank");
   Table table({"topology", "pattern", "deterministic GB/s", "ECMP GB/s", "ECMP gain%"});
   for (const auto& candidate : candidates) {
-    SimParams det_params = cli_sim_params();
-    SimParams ecmp_params = cli_sim_params();
+    SimParams ecmp_params;
     ecmp_params.routing = RoutingPolicy::kEcmp;
-    Machine det(candidate.graph, det_params);
+    Machine det(candidate.graph);
     Machine ecmp(candidate.graph, ecmp_params);
     for (const TrafficPattern pattern :
          {TrafficPattern::kPermutation, TrafficPattern::kTranspose,

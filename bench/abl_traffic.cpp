@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   for (const TrafficPattern pattern : all_traffic_patterns()) {
     table.row().add(traffic_pattern_name(pattern));
     for (const auto& candidate : candidates) {
-      Machine machine(candidate.graph, cli_sim_params());
+      Machine machine(candidate.graph);
       Xoshiro256 rng(bench_seed());
       const auto result = run_traffic(machine, pattern, bytes, rng);
       table.add(format_double(result.aggregate_bandwidth / 1e9, 1) + " | " +

@@ -9,6 +9,7 @@
 //   ORP_BENCH_SEED  — root seed (default 1)
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <stdexcept>
@@ -39,14 +40,6 @@ inline std::uint64_t bench_seed() {
   return static_cast<std::uint64_t>(env_int("ORP_BENCH_SEED", 1));
 }
 
-/// The --eval strategy parsed by parse_cli_with_obs (delta unless the
-/// binary was invoked with --eval full). Benches that run SA read this into
-/// their SolveOptions / AnnealOptions.
-inline EvalStrategy& cli_eval_strategy() {
-  static EvalStrategy strategy = EvalStrategy::kDelta;
-  return strategy;
-}
-
 /// The --search-backend parsed by parse_cli_with_obs (serial unless the
 /// binary was invoked with --search-backend pool).
 inline SearchBackend& cli_search_backend() {
@@ -66,26 +59,10 @@ inline std::uint64_t& cli_swap_interval() {
   return interval;
 }
 
-/// The --fluid-solver parsed by parse_cli_with_obs (fast unless the
-/// binary was invoked with --fluid-solver reference).
-inline FluidSolver& cli_fluid_solver() {
-  static FluidSolver solver = FluidSolver::kFast;
-  return solver;
-}
-
-/// Default SimParams honoring the shared --fluid-solver selection; bench
-/// binaries build their Machines from this instead of SimParams{}.
-inline SimParams cli_sim_params() {
-  SimParams params;
-  params.fluid_solver = cli_fluid_solver();
-  return params;
-}
-
-/// Copies the shared search CLI selections (--eval, --search-backend,
-/// --replicas, --swap-interval) into `options`, attaching the global thread
-/// pool when the pool backend is requested.
+/// Copies the shared search CLI selections (--search-backend, --replicas,
+/// --swap-interval) into `options`, attaching the global thread pool when
+/// the pool backend is requested.
 inline void apply_cli_search_options(SolveOptions& options) {
-  options.eval = cli_eval_strategy();
   options.backend = cli_search_backend();
   options.replicas = cli_replicas();
   options.swap_interval = cli_swap_interval();
@@ -110,9 +87,9 @@ inline SolveResult build_proposed(std::uint32_t n, std::uint32_t r,
 }
 
 /// Machine for a proposed topology: ranks follow the paper's depth-first
-/// host order (§6.2.1). Honors --fluid-solver unless params are given.
+/// host order (§6.2.1).
 inline Machine proposed_machine(const HostSwitchGraph& graph,
-                                const SimParams& params = cli_sim_params()) {
+                                const SimParams& params = {}) {
   return Machine(graph, params, dfs_host_order(graph));
 }
 
@@ -123,15 +100,13 @@ inline void print_header(const std::string& title) {
 /// Registers the shared telemetry options (--obs-out / --obs-summary) and
 /// parses argv, then installs the requested sink. Every fig/abl binary
 /// funnels through this so the options exist uniformly. Returns false on
-/// --help (caller exits 0); throws std::invalid_argument like cli.parse.
-inline bool parse_cli_with_obs(CliParser& cli, int argc, const char* const* argv) {
+/// --help (caller exits 0); on a bad command line (unknown option, invalid
+/// value) prints the reason and exits with status 2.
+inline bool parse_cli_with_obs(CliParser& cli, int argc, const char* const* argv) try {
   // Ctrl-C / SIGTERM wind the SA search down gracefully (best-so-far is
   // kept) instead of killing the bench mid-run.
   install_shutdown_handlers();
   obs::add_cli_options(cli);
-  cli.option("eval", "delta",
-             "h-ASPL evaluation in SA: delta (incremental) or full "
-             "(from-scratch per move)");
   cli.option("search-backend", "serial",
              "SA engine: serial (one chain) or pool (replica-exchange "
              "tempering on the thread pool; see docs/search.md)");
@@ -142,9 +117,6 @@ inline bool parse_cli_with_obs(CliParser& cli, int argc, const char* const* argv
   cli.option("net-telemetry", "",
              "network telemetry spec: off, on, default, or knob=value list "
              "(e.g. flow_sample=4,link_steps=64 — see docs/telemetry.md)");
-  cli.option("fluid-solver", "fast",
-             "fluid max-min allocator: fast (aggregated, warm-started) or "
-             "reference (from-scratch oracle — see docs/sim.md)");
   if (!cli.parse(argc, argv)) return false;
   obs::apply_cli(cli);
   if (const std::string spec = cli.get("net-telemetry"); !spec.empty()) {
@@ -155,7 +127,6 @@ inline bool parse_cli_with_obs(CliParser& cli, int argc, const char* const* argv
   // Start the run-ledger clock and remember argv; finish_obs appends the
   // record, so every bench invocation lands in $ORP_RUN_LEDGER.
   obs::ledger_capture_argv(argc, argv);
-  cli_eval_strategy() = parse_eval_strategy(cli.get("eval"));
   cli_search_backend() = parse_search_backend(cli.get("search-backend"));
   const std::int64_t replicas = cli.get_int("replicas");
   if (replicas < 1) throw std::invalid_argument("--replicas must be >= 1");
@@ -163,14 +134,10 @@ inline bool parse_cli_with_obs(CliParser& cli, int argc, const char* const* argv
   const std::int64_t interval = cli.get_int("swap-interval");
   if (interval < 1) throw std::invalid_argument("--swap-interval must be >= 1");
   cli_swap_interval() = static_cast<std::uint64_t>(interval);
-  if (const std::string solver = cli.get("fluid-solver"); solver == "fast") {
-    cli_fluid_solver() = FluidSolver::kFast;
-  } else if (solver == "reference") {
-    cli_fluid_solver() = FluidSolver::kReference;
-  } else {
-    throw std::invalid_argument("--fluid-solver must be fast or reference");
-  }
   return true;
+} catch (const std::invalid_argument& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  std::exit(2);
 }
 
 /// End-of-run counterpart: prints the metrics table when --obs-summary was

@@ -57,7 +57,7 @@ void run_comparison(const ComparisonConfig& config) {
   // ---- (a) performance --------------------------------------------------
   std::cout << "\n(a) NAS performance (flow-level simulation, "
             << format_double(fraction * 100, 0) << "% of class iterations)\n";
-  Machine base_machine(baseline, cli_sim_params());
+  Machine base_machine(baseline);
   Machine prop_machine = proposed_machine(proposed.graph);
   NasOptions nas_options;
   nas_options.iteration_fraction = fraction;

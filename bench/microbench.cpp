@@ -5,8 +5,8 @@
 //   aspl       — h-ASPL kernels, scalar BFS vs bit-parallel 64-source
 //   annealer   — full SA move + evaluate + accept/rollback cycles per
 //                neighborhood mode (ns/op covers a fixed 64-iteration run)
-//   search     — delta (incremental) vs full h-ASPL evaluation inside the
-//                annealer at the headline n=256/r=12 config, plus the raw
+//   search     — the annealer with its delta (incremental) h-ASPL evaluator
+//                at the headline n=256/r=12 config, plus the raw
 //                evaluator apply+revert cycle, plus replica-exchange
 //                scaling (search.parallel.anneal_k{1,4,8}, fixed total
 //                move budget split across the ladder)
@@ -31,6 +31,7 @@
 #include "fault/model.hpp"
 #include "hsg/bounds.hpp"
 #include "obs/bench/microbench.hpp"
+#include "oracle/metrics_scalar.hpp"
 #include "partition/coarsen.hpp"
 #include "partition/fm.hpp"
 #include "partition/partition.hpp"
@@ -68,8 +69,8 @@ std::uint32_t regular_switch_count(std::uint32_t n, std::uint32_t r) {
 }
 
 void register_aspl(BenchRegistry& registry) {
-  // scalar_bfs measures the detail:: reference kernel (unreachable from
-  // production call sites) so the bit-parallel speedup stays quantified.
+  // scalar_bfs measures the one-BFS-per-source test oracle (orp_oracle) so
+  // the bit-parallel speedup stays quantified.
   struct Config {
     std::uint32_t n, r;
     bool scalar;
@@ -90,8 +91,8 @@ void register_aspl(BenchRegistry& registry) {
           auto graph = std::make_shared<HostSwitchGraph>(setup_graph(c.n, c.r));
           return [graph, scalar = c.scalar] {
             const HostMetrics m =
-                scalar ? detail::compute_host_metrics_scalar(*graph)
-                       : compute_host_metrics(*graph, AsplKernel::kBitParallel);
+                scalar ? compute_host_metrics_scalar(*graph)
+                       : compute_host_metrics(*graph);
             do_not_optimize(m.total_length);
           };
         },
@@ -147,39 +148,26 @@ void register_annealer(BenchRegistry& registry) {
 }
 
 void register_search_delta(BenchRegistry& registry) {
-  // The tentpole claim: >= 5x annealer move-eval throughput at n=256/r=12
-  // versus the committed baseline, whose annealer evaluated every move with
-  // a from-scratch scalar BFS (series aspl.scalar_bfs.n256_r12, the pre-
-  // delta per-move cost). swap_cycle below is the new per-move cost; the
-  // anneal_full/anneal_delta pair isolates what the delta evaluator adds on
-  // top of the (also new) always-bit-parallel kernel routing, on otherwise
-  // identical 64-iteration runs (and the determinism test asserts both walk
-  // the exact same trajectory).
+  // Annealer move-eval throughput at n=256/r=12: one op is a 64-iteration
+  // anneal() whose moves go through the delta evaluator (the pre-delta
+  // per-move cost is a from-scratch evaluation, aspl.bit_parallel.*).
+  // swap_cycle below is the evaluator's own per-move cost.
   constexpr std::uint64_t kIters = 64;
   struct Config {
     std::uint32_t n, r;
-    EvalStrategy eval;
-    const char* variant;
     bool quick;
   };
-  for (const Config& c : {
-           Config{256, 12, EvalStrategy::kFull, "anneal_full", true},
-           Config{256, 12, EvalStrategy::kDelta, "anneal_delta", true},
-           Config{512, 12, EvalStrategy::kFull, "anneal_full", false},
-           Config{512, 12, EvalStrategy::kDelta, "anneal_delta", false},
-       }) {
+  for (const Config& c : {Config{256, 12, true}, Config{512, 12, false}}) {
     registry.add({
-        "search.delta_eval." + std::string(c.variant) + ".n" +
-            std::to_string(c.n) + "_r" + std::to_string(c.r) + "_it" +
-            std::to_string(kIters),
+        "search.delta_eval.anneal_delta.n" + std::to_string(c.n) + "_r" +
+            std::to_string(c.r) + "_it" + std::to_string(kIters),
         "search",
         [c]() -> BenchOp {
           auto graph = std::make_shared<HostSwitchGraph>(setup_graph(c.n, c.r));
-          return [graph, eval = c.eval] {
+          return [graph] {
             AnnealOptions options;
             options.iterations = kIters;
             options.mode = MoveMode::kTwoNeighborSwing;
-            options.eval = eval;
             options.seed = kSetupSeed;
             options.initial_temperature = 0.05;
             options.final_temperature = 0.005;
@@ -277,31 +265,20 @@ void register_sim(BenchRegistry& registry) {
     std::uint32_t n, r;
     const char* collective;
     bool quick;
-    bool pin_reference;
   };
-  // The plain sim.* series honor --fluid-solver (fast by default); the
-  // sim.reference.* series pin the oracle so tools/bench_diff can show
-  // the fast solver's speedup side by side. The reference series live
-  // under their own prefix so CI's "sim.alltoall.n256" telemetry-overhead
-  // filter keeps matching only the production solver.
   for (const Config& c : {
-           Config{64, 12, "alltoall", true, false},
-           Config{64, 12, "allreduce", true, false},
-           Config{256, 12, "allreduce", false, false},
-           Config{256, 12, "alltoall", false, false},
-           Config{64, 12, "alltoall", true, true},
-           Config{256, 12, "alltoall", false, true},
+           Config{64, 12, "alltoall", true},
+           Config{64, 12, "allreduce", true},
+           Config{256, 12, "allreduce", false},
+           Config{256, 12, "alltoall", false},
        }) {
     registry.add({
-        std::string("sim.") + (c.pin_reference ? "reference." : "") +
-            c.collective + ".n" + std::to_string(c.n) + "_r" +
+        std::string("sim.") + c.collective + ".n" + std::to_string(c.n) + "_r" +
             std::to_string(c.r),
         "sim",
         [c]() -> BenchOp {
           auto graph = std::make_shared<HostSwitchGraph>(setup_graph(c.n, c.r));
-          SimParams params = orp::bench::cli_sim_params();
-          if (c.pin_reference) params.fluid_solver = FluidSolver::kReference;
-          auto machine = std::make_shared<Machine>(*graph, params,
+          auto machine = std::make_shared<Machine>(*graph, SimParams{},
                                                    dfs_host_order(*graph));
           const bool alltoall = std::string_view(c.collective) == "alltoall";
           return [machine, alltoall] {

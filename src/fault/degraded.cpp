@@ -54,7 +54,7 @@ ResilienceReport evaluate_degraded(const HostSwitchGraph& g,
 
   const DegradedGraph degraded = apply_faults(g, faults);
   const HostMetrics metrics =
-      compute_live_host_metrics(degraded.graph, AsplKernel::kAuto, pool);
+      compute_live_host_metrics(degraded.graph, pool);
 
   ResilienceReport report;
   report.live_hosts = degraded.live_hosts;

@@ -32,7 +32,7 @@ ResilienceCurvePoint sweep_point(const HostSwitchGraph& g,
                                  const FaultSpec& spec, std::uint32_t trials,
                                  ThreadPool* pool) {
   ORP_REQUIRE(trials > 0, "sweep needs at least one trial");
-  const HostMetrics healthy = compute_host_metrics(g, AsplKernel::kAuto, pool);
+  const HostMetrics healthy = compute_host_metrics(g, pool);
   ORP_REQUIRE(healthy.connected, "resilience sweep needs a connected baseline");
 
   ResilienceCurvePoint point;

@@ -1,7 +1,6 @@
 #include "hsg/metrics.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <mutex>
 #include <vector>
 
@@ -11,23 +10,18 @@
 namespace orp {
 namespace {
 
-// Per-variant call counters and wall-clock histograms: kAuto resolves to a
-// concrete kernel per call, so these make its choice (and each variant's
-// cost on this workload) auditable from the metrics snapshot.
+// Call counter and wall-clock histogram of the APSP kernel.
 struct KernelInstruments {
   obs::Counter& calls;
   obs::Histogram& latency_ns;
-};
 
-KernelInstruments& kernel_instruments(bool use_bits) {
-  static KernelInstruments scalar{
-      obs::Registry::global().counter("aspl.kernel.scalar.calls"),
-      obs::Registry::global().histogram("aspl.kernel.scalar.ns")};
-  static KernelInstruments bitparallel{
-      obs::Registry::global().counter("aspl.kernel.bitparallel.calls"),
-      obs::Registry::global().histogram("aspl.kernel.bitparallel.ns")};
-  return use_bits ? bitparallel : scalar;
-}
+  static KernelInstruments& get() {
+    static KernelInstruments instance{
+        obs::Registry::global().counter("aspl.kernel.bitparallel.calls"),
+        obs::Registry::global().histogram("aspl.kernel.bitparallel.ns")};
+    return instance;
+  }
+};
 
 // Weighted APSP accumulation shared by both public entry points.
 //
@@ -37,9 +31,9 @@ KernelInstruments& kernel_instruments(bool use_bits) {
 //
 // Output per run: ordered_sum = sum over sources s of w_s * sum_v w_v d(s,v)
 // over the *reached* targets, max_dist = max d(s,v) over sources s and
-// reached weighted (or all) targets v, and unreached_ordered = sum over
-// sources s of w_s * (W - reached_weight(s)) — the weighted ordered pair
-// count with no path (0 on a connected graph).
+// reached weighted targets v, and unreached_ordered = sum over sources s
+// of w_s * (W - reached_weight(s)) — the weighted ordered pair count with
+// no path (0 on a connected graph).
 struct ApspResult {
   std::uint64_t ordered_sum = 0;
   std::uint32_t max_dist = 0;
@@ -51,68 +45,20 @@ struct ApspInput {
   std::vector<std::uint32_t> weights;   // per switch
   std::vector<SwitchId> sources;
   std::uint64_t total_weight = 0;       // sum of weights
-  bool targets_weighted_only = false;   // diameter over weighted targets only
 };
-
-// ---- scalar reference kernel -------------------------------------------
-
-ApspResult scalar_block(const ApspInput& in, std::size_t begin, std::size_t end,
-                        std::vector<std::uint32_t>& dist,
-                        std::vector<SwitchId>& queue) {
-  const HostSwitchGraph& g = *in.g;
-  const std::uint32_t m = g.num_switches();
-  constexpr std::uint32_t kInf = HostMetrics::kUnreachable;
-  ApspResult out;
-  for (std::size_t i = begin; i < end; ++i) {
-    const SwitchId src = in.sources[i];
-    dist.assign(m, kInf);
-    queue.clear();
-    queue.push_back(src);
-    dist[src] = 0;
-    std::uint64_t sum = 0;
-    std::uint64_t reached_weight = in.weights[src];
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const SwitchId v = queue[head];
-      const std::uint32_t dv = dist[v];
-      for (SwitchId u : g.neighbors(v)) {
-        if (dist[u] != kInf) continue;
-        dist[u] = dv + 1;
-        queue.push_back(u);
-        const std::uint32_t wu = in.weights[u];
-        if (wu > 0) {
-          sum += static_cast<std::uint64_t>(wu) * (dv + 1);
-          reached_weight += wu;
-          out.max_dist = std::max(out.max_dist, dv + 1);
-        } else if (!in.targets_weighted_only) {
-          out.max_dist = std::max(out.max_dist, dv + 1);
-        }
-      }
-    }
-    out.ordered_sum += static_cast<std::uint64_t>(in.weights[src]) * sum;
-    out.unreached_ordered += static_cast<std::uint64_t>(in.weights[src]) *
-                             (in.total_weight - reached_weight);
-  }
-  return out;
-}
-
-// ---- bit-parallel kernel --------------------------------------------
 
 // Runs up to 64 BFS sources simultaneously: frontier[v] / reached[v] hold a
 // bit per source. One level-synchronous round ORs each vertex's neighbor
 // frontiers; newly set bits give the distance of that (source, vertex)
 // pair. Total newly-set bits across all rounds is |block| * m, so the
 // per-bit accumulation is linear in output size.
-ApspResult bitparallel_block(const ApspInput& in, std::size_t begin, std::size_t end,
-                             std::vector<std::uint64_t>& frontier,
-                             std::vector<std::uint64_t>& next,
-                             std::vector<std::uint64_t>& reached) {
+ApspResult bitparallel_block(const ApspInput& in, std::size_t begin, std::size_t end) {
   const HostSwitchGraph& g = *in.g;
   const std::uint32_t m = g.num_switches();
   const std::size_t block = end - begin;
   ApspResult out;
 
-  frontier.assign(m, 0);
-  reached.assign(m, 0);
+  std::vector<std::uint64_t> frontier(m, 0), next, reached(m, 0);
   std::vector<std::uint64_t> dist_sum(block, 0);
   std::vector<std::uint64_t> reached_weight(block, 0);
   for (std::size_t j = 0; j < block; ++j) {
@@ -134,10 +80,8 @@ ApspResult bitparallel_block(const ApspInput& in, std::size_t begin, std::size_t
       next[v] = fresh;
       reached[v] |= fresh;
       const std::uint32_t wv = in.weights[v];
-      if (wv > 0 || !in.targets_weighted_only) {
-        out.max_dist = std::max(out.max_dist, round);
-      }
       if (wv > 0) {
+        out.max_dist = std::max(out.max_dist, round);
         std::uint64_t bits = fresh;
         while (bits) {
           const int j = __builtin_ctzll(bits);
@@ -158,19 +102,15 @@ ApspResult bitparallel_block(const ApspInput& in, std::size_t begin, std::size_t
     out.unreached_ordered += static_cast<std::uint64_t>(in.weights[src]) *
                              (in.total_weight - reached_weight[j]);
   }
-  // The bit-parallel kernel tracks max_dist only over weighted targets; for
-  // unweighted-target diameters (switch metrics) every weight is 1, so the
-  // distinction never bites there.
   return out;
 }
 
-ApspResult run_apsp(const ApspInput& in, bool use_bits, ThreadPool* pool) {
-  const std::uint32_t m = in.g->num_switches();
-  KernelInstruments& instruments = kernel_instruments(use_bits);
+ApspResult run_apsp(const ApspInput& in, ThreadPool* pool) {
+  KernelInstruments& instruments = KernelInstruments::get();
   instruments.calls.inc();
   obs::ScopedTimer timer(instruments.latency_ns);
 
-  const std::size_t block_size = use_bits ? 64 : 256;
+  constexpr std::size_t block_size = 64;  // one source per bit of a word
   const std::size_t blocks = (in.sources.size() + block_size - 1) / block_size;
 
   std::mutex merge_mutex;
@@ -178,16 +118,7 @@ ApspResult run_apsp(const ApspInput& in, bool use_bits, ThreadPool* pool) {
   auto body = [&](std::size_t b) {
     const std::size_t begin = b * block_size;
     const std::size_t end = std::min(in.sources.size(), begin + block_size);
-    ApspResult part;
-    if (use_bits) {
-      std::vector<std::uint64_t> frontier, next, reached;
-      part = bitparallel_block(in, begin, end, frontier, next, reached);
-    } else {
-      std::vector<std::uint32_t> dist;
-      std::vector<SwitchId> queue;
-      queue.reserve(m);
-      part = scalar_block(in, begin, end, dist, queue);
-    }
+    const ApspResult part = bitparallel_block(in, begin, end);
     std::lock_guard lock(merge_mutex);
     total.ordered_sum += part.ordered_sum;
     total.max_dist = std::max(total.max_dist, part.max_dist);
@@ -202,8 +133,8 @@ ApspResult run_apsp(const ApspInput& in, bool use_bits, ThreadPool* pool) {
   return total;
 }
 
-HostMetrics host_metrics_impl(const HostSwitchGraph& g, bool use_bits,
-                              ThreadPool* pool, bool require_fully_attached) {
+HostMetrics host_metrics_impl(const HostSwitchGraph& g, ThreadPool* pool,
+                              bool require_fully_attached) {
   if (require_fully_attached) {
     ORP_REQUIRE(g.fully_attached(), "metrics need every host attached to a switch");
   }
@@ -211,7 +142,6 @@ HostMetrics host_metrics_impl(const HostSwitchGraph& g, bool use_bits,
 
   ApspInput in;
   in.g = &g;
-  in.targets_weighted_only = true;
   in.weights.resize(g.num_switches());
   std::uint64_t n = 0;
   for (SwitchId s = 0; s < g.num_switches(); ++s) {
@@ -222,7 +152,7 @@ HostMetrics host_metrics_impl(const HostSwitchGraph& g, bool use_bits,
   if (n < 2) return result;
   in.total_weight = n;
 
-  const ApspResult apsp = run_apsp(in, use_bits, pool);
+  const ApspResult apsp = run_apsp(in, pool);
   const std::uint64_t pairs = n * (n - 1) / 2;
   result.unreachable_pairs = apsp.unreached_ordered / 2;
   result.connected_pairs = pairs - result.unreachable_pairs;
@@ -239,21 +169,19 @@ HostMetrics host_metrics_impl(const HostSwitchGraph& g, bool use_bits,
   return result;
 }
 
-SwitchMetrics switch_metrics_impl(const HostSwitchGraph& g, bool use_bits,
-                                  ThreadPool* pool) {
+SwitchMetrics switch_metrics_impl(const HostSwitchGraph& g, ThreadPool* pool) {
   const std::uint64_t m = g.num_switches();
   SwitchMetrics result;
   if (m < 2) return result;
 
   ApspInput in;
   in.g = &g;
-  in.targets_weighted_only = false;
   in.weights.assign(g.num_switches(), 1);
   in.sources.resize(g.num_switches());
   for (SwitchId s = 0; s < g.num_switches(); ++s) in.sources[s] = s;
   in.total_weight = m;
 
-  const ApspResult apsp = run_apsp(in, use_bits, pool);
+  const ApspResult apsp = run_apsp(in, pool);
   const std::uint64_t pairs = m * (m - 1) / 2;
   result.unreachable_pairs = apsp.unreached_ordered / 2;
   result.connected_pairs = pairs - result.unreachable_pairs;
@@ -272,38 +200,16 @@ SwitchMetrics switch_metrics_impl(const HostSwitchGraph& g, bool use_bits,
 
 }  // namespace
 
-// Both public kernel choices resolve to the bit-parallel path; the scalar
-// reference is only reachable through detail:: (test suite + microbench).
-HostMetrics compute_host_metrics(const HostSwitchGraph& g, AsplKernel /*kernel*/,
-                                 ThreadPool* pool) {
-  return host_metrics_impl(g, /*use_bits=*/true, pool,
-                           /*require_fully_attached=*/true);
+HostMetrics compute_host_metrics(const HostSwitchGraph& g, ThreadPool* pool) {
+  return host_metrics_impl(g, pool, /*require_fully_attached=*/true);
 }
 
-HostMetrics compute_live_host_metrics(const HostSwitchGraph& g,
-                                      AsplKernel /*kernel*/, ThreadPool* pool) {
-  return host_metrics_impl(g, /*use_bits=*/true, pool,
-                           /*require_fully_attached=*/false);
+HostMetrics compute_live_host_metrics(const HostSwitchGraph& g, ThreadPool* pool) {
+  return host_metrics_impl(g, pool, /*require_fully_attached=*/false);
 }
 
-SwitchMetrics compute_switch_metrics(const HostSwitchGraph& g,
-                                     AsplKernel /*kernel*/, ThreadPool* pool) {
-  return switch_metrics_impl(g, /*use_bits=*/true, pool);
+SwitchMetrics compute_switch_metrics(const HostSwitchGraph& g, ThreadPool* pool) {
+  return switch_metrics_impl(g, pool);
 }
-
-namespace detail {
-
-HostMetrics compute_host_metrics_scalar(const HostSwitchGraph& g,
-                                        ThreadPool* pool) {
-  return host_metrics_impl(g, /*use_bits=*/false, pool,
-                           /*require_fully_attached=*/true);
-}
-
-SwitchMetrics compute_switch_metrics_scalar(const HostSwitchGraph& g,
-                                            ThreadPool* pool) {
-  return switch_metrics_impl(g, /*use_bits=*/false, pool);
-}
-
-}  // namespace detail
 
 }  // namespace orp

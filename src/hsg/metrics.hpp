@@ -13,10 +13,8 @@
 // The weighted APSP runs on the bit-parallel kernel: 64 BFS sources per
 // machine word (frontier/visited are bitmasks per vertex), the standard
 // Graph-Golf trick, parallelized over source blocks with the shared thread
-// pool. A scalar one-BFS-per-source reference survives as
-// detail::compute_*_metrics_scalar, reachable only by the test suite
-// (tests/hsg_metrics_test.cpp cross-checks the kernels bit for bit);
-// every production consumer goes through the bit-parallel path.
+// pool. tests/hsg_metrics_test.cpp cross-checks it bit for bit against a
+// one-BFS-per-source oracle (tests/oracle/metrics_scalar.hpp).
 
 #include <cstdint>
 #include <limits>
@@ -26,11 +24,6 @@
 namespace orp {
 
 class ThreadPool;
-
-enum class AsplKernel {
-  kAuto,        ///< resolves to bit-parallel (kept for call-site stability)
-  kBitParallel  ///< 64-sources-per-word level-synchronous BFS
-};
 
 /// Result of a host-to-host metric evaluation.
 ///
@@ -76,9 +69,7 @@ struct SwitchMetrics {
 
 /// Computes h-ASPL / host diameter. Requires every host to be attached.
 /// `pool` may be null (serial); pass &ThreadPool::global() to parallelize.
-HostMetrics compute_host_metrics(const HostSwitchGraph& g,
-                                 AsplKernel kernel = AsplKernel::kAuto,
-                                 ThreadPool* pool = nullptr);
+HostMetrics compute_host_metrics(const HostSwitchGraph& g, ThreadPool* pool = nullptr);
 
 /// Degraded-operation variant: computes the same metrics over the
 /// *attached* hosts only, tolerating detached ones (the fault layer
@@ -86,25 +77,10 @@ HostMetrics compute_host_metrics(const HostSwitchGraph& g,
 /// host set; a graph with fewer than two attached hosts yields the
 /// default-constructed result.
 HostMetrics compute_live_host_metrics(const HostSwitchGraph& g,
-                                      AsplKernel kernel = AsplKernel::kAuto,
                                       ThreadPool* pool = nullptr);
 
 /// Computes the switch subgraph's ASPL / diameter.
 SwitchMetrics compute_switch_metrics(const HostSwitchGraph& g,
-                                     AsplKernel kernel = AsplKernel::kAuto,
                                      ThreadPool* pool = nullptr);
-
-namespace detail {
-
-/// Scalar reference kernels (one plain BFS per source), kept ONLY so the
-/// test suite can cross-check the bit-parallel kernel and the microbench
-/// can quantify its speedup. Deliberately unreachable via AsplKernel: no
-/// production consumer may select the scalar path.
-HostMetrics compute_host_metrics_scalar(const HostSwitchGraph& g,
-                                        ThreadPool* pool = nullptr);
-SwitchMetrics compute_switch_metrics_scalar(const HostSwitchGraph& g,
-                                            ThreadPool* pool = nullptr);
-
-}  // namespace detail
 
 }  // namespace orp

@@ -1,20 +1,10 @@
 #include "search/annealer.hpp"
 
-#include <stdexcept>
-#include <string>
-
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "search/annealer_core.hpp"
 
 namespace orp {
-
-EvalStrategy parse_eval_strategy(std::string_view name) {
-  if (name == "full") return EvalStrategy::kFull;
-  if (name == "delta") return EvalStrategy::kDelta;
-  throw std::invalid_argument("unknown eval strategy '" + std::string(name) +
-                              "' (expected full or delta)");
-}
 
 // One SaChain driven start to finish. The chain owns the whole §5 move
 // machinery (search/annealer_core.cpp); this wrapper contributes the span,
@@ -34,7 +24,7 @@ AnnealResult anneal(const HostSwitchGraph& initial, const AnnealOptions& options
   HostMetrics initial_metrics;
   {
     obs::ScopedTimer timer(obs::Registry::global().histogram("annealer.eval_ns"));
-    initial_metrics = compute_host_metrics(initial, options.kernel, options.pool);
+    initial_metrics = compute_host_metrics(initial, options.pool);
   }
   ORP_REQUIRE(initial_metrics.connected, "anneal needs a connected initial solution");
 

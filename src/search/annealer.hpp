@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string_view>
 #include <vector>
 
 #include "common/prng.hpp"
@@ -25,16 +24,6 @@ namespace orp {
 class ThreadPool;
 
 enum class MoveMode { kSwap, kSwing, kTwoNeighborSwing };
-
-/// How candidate moves are evaluated.
-///   kFull  — from-scratch compute_host_metrics per candidate.
-///   kDelta — incremental DeltaHasplEvaluator (exact, so trajectories are
-///            bit-identical to kFull; guarded by Annealer.FullAndDeltaAgree).
-enum class EvalStrategy { kFull, kDelta };
-
-/// Parses "full" / "delta" (as accepted by the benches' --eval flag);
-/// throws std::invalid_argument on anything else.
-EvalStrategy parse_eval_strategy(std::string_view name);
 
 /// What the annealer minimizes.
 enum class AnnealObjective {
@@ -53,8 +42,8 @@ struct AnnealOptions {
   double final_temperature = 0.0;
   std::uint64_t seed = 1;
   MoveMode mode = MoveMode::kTwoNeighborSwing;
-  EvalStrategy eval = EvalStrategy::kDelta;
-  AsplKernel kernel = AsplKernel::kAuto;
+  /// Parallelizes the from-scratch metric evaluations (the initial one and
+  /// the schedule calibration probes); moves use the incremental evaluator.
   ThreadPool* pool = nullptr;
   /// If nonzero, record a convergence sample every `trace_every` iterations.
   std::uint64_t trace_every = 0;

@@ -101,13 +101,13 @@ TemperatureSchedule calibrate_schedule(const HostSwitchGraph& initial,
         const auto move = propose_swap(probe_graph, edges, probe_rng);
         if (!move) break;
         apply_swap(probe_graph, *move);
-        probe = compute_host_metrics(probe_graph, options.kernel, options.pool);
+        probe = compute_host_metrics(probe_graph, options.pool);
         apply_swap(probe_graph, move->inverse());
       } else {
         const auto move = propose_swing(probe_graph, edges, probe_rng);
         if (!move) break;
         apply_swing(probe_graph, *move);
-        probe = compute_host_metrics(probe_graph, options.kernel, options.pool);
+        probe = compute_host_metrics(probe_graph, options.pool);
         apply_swing(probe_graph, move->inverse());
       }
       if (probe.connected) {
@@ -137,6 +137,7 @@ SaChain::SaChain(const HostSwitchGraph& initial, const HostMetrics& initial_metr
       current_(initial),
       edges_(collect_edges(initial)),
       current_metrics_(initial_metrics),
+      delta_eval_(initial),
       rng_(options.seed),
       best_(initial),
       best_metrics_(initial_metrics) {
@@ -144,7 +145,6 @@ SaChain::SaChain(const HostSwitchGraph& initial, const HostMetrics& initial_metr
   ORP_REQUIRE(options.iterations > 0, "need at least one iteration");
   ORP_REQUIRE(initial_metrics.connected,
               "anneal needs a connected initial solution");
-  if (options_.eval == EvalStrategy::kDelta) delta_eval_.emplace(current_);
 
   pairs_ = static_cast<std::uint64_t>(current_.num_hosts()) *
            (current_.num_hosts() - 1) / 2;
@@ -195,21 +195,19 @@ void SaChain::commit(const HostMetrics& cand) {
   }
 }
 
-// Incremental h-ASPL evaluation (the default): the evaluator mirrors
-// `current_` and repairs its distance state per move. It is exact, so the
-// search trajectory is bit-identical to --eval full.
+// Incremental h-ASPL evaluation: the evaluator mirrors `current_` and
+// repairs its distance state per move. It is exact — every candidate's
+// metrics equal a from-scratch compute_host_metrics (pinned by
+// tests/hsg_delta_metrics_test.cpp).
 HostMetrics SaChain::evaluate_move(const GraphDelta& delta) {
   obs::ScopedTimer timer(AnnealerInstruments::get().eval_ns);
-  if (delta_eval_) return delta_eval_->apply(delta);
-  return compute_host_metrics(current_, options_.kernel, options_.pool);
+  return delta_eval_.apply(delta);
 }
 
 // Called after `current_` has been restored: rejecting a move replays the
 // evaluator's undo log (revert_last), which is much cheaper than an
 // inverse repair. Frames nest, covering the 2-neighbor completion chain.
-void SaChain::revert_move() {
-  if (delta_eval_) delta_eval_->revert_last(current_);
-}
+void SaChain::revert_move() { delta_eval_.revert_last(current_); }
 
 void SaChain::emit_window(std::uint64_t at_iter) {
   if (!config_.emit_obs_window) return;
@@ -334,7 +332,7 @@ void SaChain::adopt(const HostSwitchGraph& g, const HostMetrics& metrics) {
   current_ = g;
   current_metrics_ = metrics;
   edges_ = collect_edges(current_);
-  if (delta_eval_) delta_eval_->rebuild(current_);
+  delta_eval_.rebuild(current_);
 }
 
 void SaChain::finish_telemetry() { emit_window(iteration_); }

@@ -18,7 +18,6 @@
 // chain-global iteration index, never off wall clock or chunk boundaries.
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/prng.hpp"
@@ -62,8 +61,8 @@ class SaChain {
   /// Snapshots `initial` (fully attached, connected; `initial_metrics`
   /// must be its metrics) and prepares the walk: collects the edge list,
   /// seeds the PRNG from options.seed, and builds the incremental
-  /// evaluator when options.eval is kDelta. Counts the initial evaluation,
-  /// matching anneal()'s result.evaluations accounting.
+  /// evaluator. Counts the initial evaluation, matching anneal()'s
+  /// result.evaluations accounting.
   SaChain(const HostSwitchGraph& initial, const HostMetrics& initial_metrics,
           const AnnealOptions& options, const Config& config);
 
@@ -134,7 +133,7 @@ class SaChain {
   HostSwitchGraph current_;
   EdgeList edges_;
   HostMetrics current_metrics_;
-  std::optional<DeltaHasplEvaluator> delta_eval_;
+  DeltaHasplEvaluator delta_eval_;
   Xoshiro256 rng_;
 
   HostSwitchGraph best_;

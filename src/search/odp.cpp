@@ -35,7 +35,6 @@ OdpResult solve_odp(std::uint32_t order, std::uint32_t degree,
     anneal_options.seed = rng();
     anneal_options.mode = MoveMode::kSwap;  // degree-preserving neighborhood
     anneal_options.objective = options.objective;
-    anneal_options.kernel = options.kernel;
     anneal_options.pool = options.pool;
     AnnealResult result = anneal(initial, anneal_options);
     // With one host per switch, h-ASPL = ASPL + 2 (Eq. 1 with m = n), so
@@ -47,7 +46,7 @@ OdpResult solve_odp(std::uint32_t order, std::uint32_t degree,
     }
   }
 
-  best.metrics = compute_switch_metrics(best.graph, options.kernel, options.pool);
+  best.metrics = compute_switch_metrics(best.graph, options.pool);
   best.moore_aspl_bound = moore_aspl_bound(order, degree);
   return best;
 }

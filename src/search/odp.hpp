@@ -23,7 +23,6 @@ struct OdpOptions {
   /// Graph Golf ranks by diameter first, ASPL second; kDiameterThenHaspl
   /// matches that, kHaspl optimizes ASPL alone.
   AnnealObjective objective = AnnealObjective::kDiameterThenHaspl;
-  AsplKernel kernel = AsplKernel::kAuto;
   ThreadPool* pool = nullptr;
 };
 

@@ -116,7 +116,7 @@ ParallelAnnealResult parallel_anneal(const HostSwitchGraph& initial,
   HostMetrics initial_metrics;
   {
     obs::ScopedTimer timer(obs::Registry::global().histogram("annealer.eval_ns"));
-    initial_metrics = compute_host_metrics(initial, base.kernel, base.pool);
+    initial_metrics = compute_host_metrics(initial, base.pool);
   }
   ORP_REQUIRE(initial_metrics.connected,
               "anneal needs a connected initial solution");

@@ -22,7 +22,7 @@ SolveResult solve_orp(std::uint32_t n, std::uint32_t r, const SolveOptions& opti
     obs::Span phase_span("solver.clique_check", "search");
     if (!options.force_switch_count && clique_feasible(n, r)) {
       HostSwitchGraph graph = build_clique_graph(n, r);
-      HostMetrics metrics = compute_host_metrics(graph, options.kernel, options.pool);
+      HostMetrics metrics = compute_host_metrics(graph, options.pool);
       const std::uint32_t m_clique = graph.num_switches();
       SolveResult result{.graph = std::move(graph),
                          .metrics = std::move(metrics),
@@ -78,8 +78,6 @@ SolveResult solve_orp(std::uint32_t n, std::uint32_t r, const SolveOptions& opti
     anneal_options.iterations = options.iterations;
     anneal_options.seed = rng();
     anneal_options.mode = options.mode;
-    anneal_options.eval = options.eval;
-    anneal_options.kernel = options.kernel;
     anneal_options.pool = (options.pool && restarts > 1) ? nullptr : options.pool;
     anneal_options.trace_every = options.trace_every;
     if (options.backend == SearchBackend::kPool) {

@@ -37,10 +37,6 @@ struct SolveOptions {
   std::uint32_t replicas = 4;         ///< ladder size K (kPool only)
   std::uint64_t swap_interval = 512;  ///< moves between exchange barriers
   MoveMode mode = MoveMode::kTwoNeighborSwing;
-  /// Escape hatch for the incremental evaluator (--eval full in the bench
-  /// binaries); kDelta is exact and the default.
-  EvalStrategy eval = EvalStrategy::kDelta;
-  AsplKernel kernel = AsplKernel::kAuto;
   ThreadPool* pool = nullptr;
   std::optional<std::uint32_t> force_switch_count;
   /// Use the regular initializer (balanced hosts; needed for kSwap mode

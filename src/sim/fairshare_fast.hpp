@@ -1,10 +1,11 @@
 #pragma once
-// Scaled max-min fair allocation: the fluid engine's production solver.
+// Scaled max-min fair allocation: the fluid engine's solver.
 //
-// The reference FairShareSolver (fairshare.hpp) re-solves from scratch on
-// every active-set change and scans every touched link per filling round,
-// which makes a communication phase cost O(#completion-batches * #rounds *
-// (links + flows * path length)). This solver brings that down to roughly
+// Plain progressive filling (the test oracle, tests/oracle/fairshare.hpp)
+// re-solves from scratch on every active-set change and scans every
+// touched link per filling round, which makes a communication phase cost
+// O(#completion-batches * #rounds * (links + flows * path length)). This
+// solver brings that down to roughly
 // "what changed" with three cooperating ideas (docs/sim.md):
 //
 //  1. Same-route flow aggregation. Flows are hashed by their exact link
@@ -32,11 +33,11 @@
 //     raises a link's saturation level), so the solver replays that
 //     prefix verbatim and re-runs filling only on the suffix routes.
 //
-// The reference solver is kept, bit-for-bit untouched in behavior, as the
-// golden oracle: tests/sim_fairshare_diff_test.cpp asserts rate agreement
-// within 1e-9 * capacity on randomized instances, and the max-min
-// certificate below is checked for both solvers (and asserted after every
-// fast solve in debug builds).
+// The progressive-filling oracle lives in the test-only orp_oracle
+// library: tests/sim_fairshare_diff_test.cpp asserts rate agreement within
+// 1e-9 * capacity on randomized instances, and the max-min certificate
+// below is checked for both solvers (and asserted after every solve in
+// debug builds).
 
 #include <cstdint>
 #include <string>

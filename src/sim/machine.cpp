@@ -47,8 +47,7 @@ Machine::Machine(const HostSwitchGraph& graph, const SimParams& params,
       routes_(graph_),
       num_ranks_(graph.num_hosts()),
       rank_to_host_(std::move(rank_to_host)),
-      solver_(routes_.num_links(), params.link_bandwidth),
-      fast_solver_(routes_.num_links(), params.link_bandwidth) {
+      solver_(routes_.num_links(), params.link_bandwidth) {
   if (rank_to_host_.empty()) {
     rank_to_host_.resize(num_ranks_);
     std::iota(rank_to_host_.begin(), rank_to_host_.end(), 0);
@@ -178,9 +177,7 @@ bool Machine::apply_due_faults(double horizon,
     // recompute every one of them (the ids are offsets into a layout that
     // just shifted, not stable names).
     routes_ = RoutingTable(graph_);
-    solver_ = FairShareSolver(routes_.num_links(), params_.link_bandwidth);
-    fast_solver_ =
-        FastFairShareSolver(routes_.num_links(), params_.link_bandwidth);
+    solver_ = FastFairShareSolver(routes_.num_links(), params_.link_bandwidth);
     ++fault_stats_.routing_rebuilds;
     instruments.fault_rebuilds.inc();
   }
@@ -312,14 +309,9 @@ double Machine::phase(const std::vector<Message>& messages) {
   std::vector<double>& byte_progress = scratch_.byte_progress;
   byte_progress.assign(num_flows, 0.0);
   std::vector<std::uint8_t>& removed_links = scratch_.removed_links;
-  const bool fast = params_.fluid_solver == FluidSolver::kFast;
-  if (fast) fast_solver_.set_paths(paths_, active);
+  solver_.set_paths(paths_, active);
   while (active_count > 0) {
-    if (fast) {
-      fast_solver_.solve(rates_);
-    } else {
-      solver_.solve(paths_, active, rates_);
-    }
+    solver_.solve(rates_);
     double dt = std::numeric_limits<double>::infinity();
     for (std::size_t f = 0; f < num_flows; ++f) {
       if (!active[f]) continue;
@@ -378,9 +370,9 @@ double Machine::phase(const std::vector<Message>& messages) {
         }
       }
       // Link ids renumbered and every surviving flow was re-pathed, so the
-      // fast solver's tableau (replaced in apply_due_faults) is rebuilt
-      // from scratch; the next solve is a cold one.
-      if (fast) fast_solver_.set_paths(paths_, active);
+      // solver's tableau (replaced in apply_due_faults) is rebuilt from
+      // scratch; the next solve is a cold one.
+      solver_.set_paths(paths_, active);
       continue;
     }
 
@@ -399,7 +391,7 @@ double Machine::phase(const std::vector<Message>& messages) {
         active[f] = 0;
         --active_count;
         finish[f] = t;
-        if (fast) fast_solver_.deactivate(f);
+        solver_.deactivate(f);
         if (tele) net_.flow_done(f, rates_[f]);
       }
     }

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "hsg/host_switch_graph.hpp"
-#include "sim/fairshare.hpp"
 #include "sim/fairshare_fast.hpp"
 #include "sim/fault.hpp"
 #include "sim/params.hpp"
@@ -142,11 +141,7 @@ class Machine {
   RoutingTable routes_;
   std::uint32_t num_ranks_;
   std::vector<HostId> rank_to_host_;
-  // Both allocators stay constructed; params_.fluid_solver picks which one
-  // the fluid loop drives (fast by default, reference as the escape hatch
-  // and oracle — see docs/sim.md).
-  FairShareSolver solver_;
-  FastFairShareSolver fast_solver_;
+  FastFairShareSolver solver_;  ///< max-min allocator of the fluid loop
   double clock_ = 0.0;
   PhaseStats stats_;
   std::uint64_t phase_counter_ = 0;  ///< decorrelates ECMP hashes across phases

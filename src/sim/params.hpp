@@ -14,21 +14,12 @@ enum class RoutingPolicy {
   kEcmp,           ///< per-flow hashed spreading over all shortest paths
 };
 
-/// Which max-min fair allocator drives the fluid loop (docs/sim.md).
-enum class FluidSolver {
-  kReference,  ///< FairShareSolver: from-scratch progressive filling (oracle)
-  kFast,       ///< FastFairShareSolver: aggregated, warm-started (default)
-};
-
 struct SimParams {
   double link_bandwidth = 5.0e9;  ///< bytes/s per direction (40 Gb/s FDR10)
   double hop_latency = 100e-9;    ///< seconds per traversed link (wire+switch)
   double mpi_overhead = 1.0e-6;   ///< per-message software overhead, seconds
   double host_gflops = 100.0;     ///< compute rate per host (paper: 100 GFlops)
   RoutingPolicy routing = RoutingPolicy::kDeterministic;
-  /// Escape hatch back to the reference solver (`--fluid-solver reference`
-  /// in the bench tools); both produce rates equal within 1e-9 * capacity.
-  FluidSolver fluid_solver = FluidSolver::kFast;
   /// Added latency per in-flight flow reroute after a fault (transport
   /// retransmission handshake). Only reachable via Machine::inject_faults.
   double retry_backoff = 10.0e-6;

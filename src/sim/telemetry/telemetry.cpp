@@ -373,8 +373,8 @@ void NetPhaseCollector::on_segment(std::uint32_t step, double t0_s, double t1_s,
   }
   if (step >= cfg_.link_steps || cfg_.link_top_k == 0) return;
 
-  // Per-link accounting with a dense scratch + touched list (the
-  // FairShareSolver pattern): one pass over (flow, link) incidences.
+  // Per-link accounting with a dense scratch + touched list: one pass over
+  // (flow, link) incidences.
   std::size_t max_link = 0;
   for (std::size_t f = 0; f < paths.size(); ++f) {
     if (!active[f]) continue;

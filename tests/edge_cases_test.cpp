@@ -7,7 +7,7 @@
 #include "common/cli.hpp"
 #include "common/prng.hpp"
 #include "common/table.hpp"
-#include "sim/fairshare.hpp"
+#include "sim/fairshare_fast.hpp"
 #include "sim/packet.hpp"
 #include "sim/routing.hpp"
 #include "topo/dragonfly.hpp"
@@ -77,28 +77,32 @@ TEST(EdgeCases, RoutingThroughHostlessSwitches) {
 }
 
 TEST(EdgeCases, FairShareSolverScratchResetsBetweenCalls) {
-  FairShareSolver solver(8, 1e9);
+  FastFairShareSolver solver(8, 1e9);
   std::vector<double> rates;
-  // First call touches links 0..3.
+  // First phase touches links 0..3.
   std::vector<std::vector<LinkId>> paths1{{0, 1}, {2, 3}};
   std::vector<std::uint8_t> active1{1, 1};
-  solver.solve(paths1, active1, rates);
+  solver.set_paths(paths1, active1);
+  solver.solve(rates);
   EXPECT_DOUBLE_EQ(rates[0], 1e9);
-  // Second call touches a different link set; stale slots must not leak.
+  // Second phase touches a different link set; stale slots must not leak.
   std::vector<std::vector<LinkId>> paths2{{4}, {4}, {5, 6, 7}};
   std::vector<std::uint8_t> active2{1, 1, 1};
-  solver.solve(paths2, active2, rates);
+  solver.set_paths(paths2, active2);
+  solver.solve(rates);
+  ASSERT_EQ(rates.size(), 3u);
   EXPECT_DOUBLE_EQ(rates[0], 0.5e9);
   EXPECT_DOUBLE_EQ(rates[1], 0.5e9);
   EXPECT_DOUBLE_EQ(rates[2], 1e9);
 }
 
 TEST(EdgeCases, FairShareIgnoresInactiveFlows) {
-  FairShareSolver solver(4, 1e9);
+  FastFairShareSolver solver(4, 1e9);
   std::vector<std::vector<LinkId>> paths{{0}, {0}};
   std::vector<std::uint8_t> active{1, 0};
   std::vector<double> rates;
-  solver.solve(paths, active, rates);
+  solver.set_paths(paths, active);
+  solver.solve(rates);
   EXPECT_DOUBLE_EQ(rates[0], 1e9);  // inactive flow does not share
   EXPECT_DOUBLE_EQ(rates[1], 0.0);
 }

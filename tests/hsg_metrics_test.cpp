@@ -1,5 +1,5 @@
 // Tests for h-ASPL / diameter computation, including agreement between the
-// scalar reference kernel and the bit-parallel kernel on randomized graphs.
+// one-BFS-per-source oracle and the bit-parallel kernel on randomized graphs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +8,7 @@
 #include "common/thread_pool.hpp"
 #include "hsg/metrics.hpp"
 #include "obs/metrics.hpp"
+#include "oracle/metrics_scalar.hpp"
 #include "search/clique.hpp"
 #include "search/random_init.hpp"
 
@@ -193,10 +194,9 @@ TEST(SwitchMetrics, DisconnectedSwitchGraph) {
   EXPECT_EQ(metrics.total_length, 1u);
 }
 
-// Property sweep: the production bit-parallel kernel agrees exactly with
-// the detail:: scalar reference on randomized graphs of many shapes (small
-// m included, since kAuto now always resolves to bit-parallel), serial and
-// pooled.
+// Property sweep: the bit-parallel kernel agrees exactly with the scalar
+// oracle on randomized graphs of many shapes (small m included), serial
+// and pooled.
 struct KernelCase {
   std::uint32_t n, m, r;
   std::uint64_t seed;
@@ -208,26 +208,21 @@ TEST_P(KernelAgreement, ScalarReferenceAndBitParallelMatch) {
   const auto param = GetParam();
   Xoshiro256 rng(param.seed);
   const auto g = random_host_switch_graph(param.n, param.m, param.r, rng);
-  const auto scalar = detail::compute_host_metrics_scalar(g);
-  const auto bits = compute_host_metrics(g, AsplKernel::kBitParallel);
+  const auto scalar = compute_host_metrics_scalar(g);
+  const auto bits = compute_host_metrics(g);
   EXPECT_EQ(scalar.total_length, bits.total_length);
   EXPECT_EQ(scalar.diameter, bits.diameter);
   EXPECT_EQ(scalar.connected, bits.connected);
   EXPECT_EQ(scalar.connected_pairs, bits.connected_pairs);
   EXPECT_EQ(scalar.unreachable_pairs, bits.unreachable_pairs);
 
-  // kAuto must be bit-identical too (it is the same kernel by contract).
-  const auto autod = compute_host_metrics(g);
-  EXPECT_EQ(scalar.total_length, autod.total_length);
-  EXPECT_EQ(scalar.diameter, autod.diameter);
-
   ThreadPool pool(3);
-  const auto pooled = compute_host_metrics(g, AsplKernel::kBitParallel, &pool);
+  const auto pooled = compute_host_metrics(g, &pool);
   EXPECT_EQ(scalar.total_length, pooled.total_length);
   EXPECT_EQ(scalar.diameter, pooled.diameter);
 
-  const auto sw_scalar = detail::compute_switch_metrics_scalar(g);
-  const auto sw_bits = compute_switch_metrics(g, AsplKernel::kBitParallel);
+  const auto sw_scalar = compute_switch_metrics_scalar(g);
+  const auto sw_bits = compute_switch_metrics(g);
   EXPECT_EQ(sw_scalar.total_length, sw_bits.total_length);
   EXPECT_EQ(sw_scalar.diameter, sw_bits.diameter);
 }
@@ -239,7 +234,7 @@ INSTANTIATE_TEST_SUITE_P(
                       KernelCase{256, 80, 12, 5}, KernelCase{200, 130, 5, 6},
                       KernelCase{512, 100, 16, 7}, KernelCase{64, 64, 4, 8},
                       KernelCase{300, 65, 13, 9}, KernelCase{96, 12, 24, 10},
-                      // Shapes the old kAuto routed to scalar (m < 64):
+                      // Fewer than 64 switches (one partial source block):
                       KernelCase{24, 6, 8, 11}, KernelCase{256, 55, 12, 12},
                       KernelCase{10, 3, 6, 13}, KernelCase{128, 18, 12, 14}));
 
@@ -254,7 +249,7 @@ TEST(HostMetrics, KernelsAgreeOnSplitGraphs) {
       const std::vector<SwitchId> frozen(nbrs.begin(), nbrs.end());
       for (SwitchId t : frozen) g.remove_switch_edge(s, t);
     }
-    const auto scalar = detail::compute_host_metrics_scalar(g);
+    const auto scalar = compute_host_metrics_scalar(g);
     const auto bits = compute_host_metrics(g);
     EXPECT_EQ(scalar.total_length, bits.total_length) << "seed=" << seed;
     EXPECT_EQ(scalar.diameter, bits.diameter) << "seed=" << seed;
@@ -265,12 +260,12 @@ TEST(HostMetrics, KernelsAgreeOnSplitGraphs) {
     EXPECT_GT(bits.unreachable_pairs, 0u) << "seed=" << seed;
 
     ThreadPool pool(3);
-    const auto pooled = compute_host_metrics(g, AsplKernel::kBitParallel, &pool);
+    const auto pooled = compute_host_metrics(g, &pool);
     EXPECT_EQ(scalar.total_length, pooled.total_length) << "seed=" << seed;
     EXPECT_EQ(scalar.unreachable_pairs, pooled.unreachable_pairs)
         << "seed=" << seed;
 
-    const auto sw_scalar = detail::compute_switch_metrics_scalar(g);
+    const auto sw_scalar = compute_switch_metrics_scalar(g);
     const auto sw_bits = compute_switch_metrics(g);
     EXPECT_EQ(sw_scalar.total_length, sw_bits.total_length) << "seed=" << seed;
     EXPECT_EQ(sw_scalar.diameter, sw_bits.diameter) << "seed=" << seed;
@@ -282,22 +277,16 @@ TEST(HostMetrics, KernelsAgreeOnSplitGraphs) {
 }
 
 #ifndef ORP_OBS_DISABLED
-// Non-test consumers must never hit the scalar path: kAuto routes to the
-// bit-parallel kernel even far below 64 switches (asserted via the
-// per-kernel obs call counters).
+// Every metric call runs the bit-parallel kernel, even far below 64
+// switches (asserted via its obs call counter).
 TEST(HostMetrics, AutoAlwaysResolvesToBitParallel) {
   auto& bits = obs::Registry::global().counter("aspl.kernel.bitparallel.calls");
-  auto& scalar = obs::Registry::global().counter("aspl.kernel.scalar.calls");
   const auto bits_before = bits.value();
-  const auto scalar_before = scalar.value();
   Xoshiro256 rng(42);
   const auto g = random_host_switch_graph(24, 6, 8, rng);
   compute_host_metrics(g);
   compute_switch_metrics(g);
   EXPECT_EQ(bits.value(), bits_before + 2);
-  EXPECT_EQ(scalar.value(), scalar_before);
-  detail::compute_host_metrics_scalar(g);
-  EXPECT_EQ(scalar.value(), scalar_before + 1);
 }
 #endif
 

@@ -2,9 +2,12 @@
 // structural invariants of the result, determinism, mode behaviour.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/prng.hpp"
 #include "hsg/bounds.hpp"
 #include "search/annealer.hpp"
+#include "search/annealer_core.hpp"
 #include "search/parallel.hpp"
 #include "search/random_init.hpp"
 
@@ -59,38 +62,35 @@ TEST(Annealer, DeterministicForEqualSeeds) {
   EXPECT_EQ(res_a.evaluations, res_b.evaluations);
 }
 
-// The "bit-identical trajectory" guarantee: because the incremental
-// evaluator returns exactly the integers full recompute would, the same
-// seed must produce the same accept/reject sequence, the same trace, and
-// the same final graph under both strategies — for every move mode.
+// The chain evaluates every move incrementally; after each step its
+// reported current metrics must equal a from-scratch evaluation of its
+// current graph, field by field, for every move mode. (Candidate-level
+// exactness, rejected moves included, is pinned by
+// tests/hsg_delta_metrics_test.cpp.)
 TEST(Annealer, FullAndDeltaAgree) {
   for (const MoveMode mode :
        {MoveMode::kSwap, MoveMode::kSwing, MoveMode::kTwoNeighborSwing}) {
-    Xoshiro256 rng_full(21), rng_delta(21);
-    const auto init_full = random_host_switch_graph(96, 24, 8, rng_full);
-    const auto init_delta = random_host_switch_graph(96, 24, 8, rng_delta);
-    ASSERT_TRUE(init_full == init_delta);
-
-    auto options = quick(mode, 1200, 33);
-    options.trace_every = 1;  // compare the walk step by step
-    options.eval = EvalStrategy::kFull;
-    const auto full = anneal(init_full, options);
-    options.eval = EvalStrategy::kDelta;
-    const auto delta = anneal(init_delta, options);
-
-    EXPECT_EQ(full.accepted, delta.accepted);
-    EXPECT_EQ(full.evaluations, delta.evaluations);
-    EXPECT_TRUE(full.best == delta.best);
-    EXPECT_EQ(full.best_metrics.total_length, delta.best_metrics.total_length);
-    EXPECT_EQ(full.best_metrics.diameter, delta.best_metrics.diameter);
-    EXPECT_DOUBLE_EQ(full.best_metrics.h_aspl, delta.best_metrics.h_aspl);
-    ASSERT_EQ(full.trace.size(), delta.trace.size());
-    for (std::size_t i = 0; i < full.trace.size(); ++i) {
-      EXPECT_EQ(full.trace[i].iteration, delta.trace[i].iteration);
-      EXPECT_DOUBLE_EQ(full.trace[i].current_haspl, delta.trace[i].current_haspl);
-      EXPECT_DOUBLE_EQ(full.trace[i].best_haspl, delta.trace[i].best_haspl);
-      EXPECT_DOUBLE_EQ(full.trace[i].temperature, delta.trace[i].temperature);
+    Xoshiro256 rng(21);
+    const auto initial = random_host_switch_graph(96, 24, 8, rng);
+    const auto options = quick(mode, 1200, 33);
+    const HostMetrics initial_metrics = compute_host_metrics(initial);
+    SaChain::Config config;
+    config.schedule = calibrate_schedule(initial, initial_metrics, options);
+    SaChain chain(initial, initial_metrics, options, config);
+    while (!chain.finished()) {
+      ASSERT_EQ(chain.run(1), 1u);
+      const HostMetrics& delta = chain.current_metrics();
+      const HostMetrics full = compute_host_metrics(chain.current());
+      const std::string at = "iteration " + std::to_string(chain.iteration());
+      ASSERT_EQ(delta.total_length, full.total_length) << at;
+      ASSERT_EQ(delta.diameter, full.diameter) << at;
+      ASSERT_EQ(delta.connected, full.connected) << at;
+      ASSERT_EQ(delta.connected_pairs, full.connected_pairs) << at;
+      ASSERT_EQ(delta.unreachable_pairs, full.unreachable_pairs) << at;
+      ASSERT_DOUBLE_EQ(delta.h_aspl, full.h_aspl) << at;
     }
+    EXPECT_EQ(chain.iteration(), 1200u);
+    EXPECT_GT(chain.accepted(), 0u);
   }
 }
 
@@ -137,12 +137,6 @@ TEST(Annealer, PoolBackendWithOneReplicaMatchesSerialExactly) {
                        pool.result.trace[i].temperature);
     }
   }
-}
-
-TEST(Annealer, ParsesEvalStrategyNames) {
-  EXPECT_EQ(parse_eval_strategy("full"), EvalStrategy::kFull);
-  EXPECT_EQ(parse_eval_strategy("delta"), EvalStrategy::kDelta);
-  EXPECT_THROW(parse_eval_strategy("fast"), std::invalid_argument);
 }
 
 TEST(Annealer, SwapModePreservesHostDistribution) {

@@ -1,4 +1,4 @@
-// Tests for the fair-share solver, the fluid phase engine, and the
+// Tests for the fast fair-share solver, the fluid phase engine, and the
 // collective algorithms (hand-computed timings on tiny networks).
 #include <gtest/gtest.h>
 
@@ -47,20 +47,22 @@ SimParams simple_params() {
 }
 
 TEST(FairShare, SingleFlowGetsFullBandwidth) {
-  FairShareSolver solver(4, 1e9);
+  FastFairShareSolver solver(4, 1e9);
   std::vector<std::vector<LinkId>> paths{{0, 1}};
   std::vector<std::uint8_t> active{1};
   std::vector<double> rates;
-  solver.solve(paths, active, rates);
+  solver.set_paths(paths, active);
+  solver.solve(rates);
   EXPECT_DOUBLE_EQ(rates[0], 1e9);
 }
 
 TEST(FairShare, SharedLinkSplitsEvenly) {
-  FairShareSolver solver(4, 1e9);
+  FastFairShareSolver solver(4, 1e9);
   std::vector<std::vector<LinkId>> paths{{0, 2}, {1, 2}};  // both cross link 2
   std::vector<std::uint8_t> active{1, 1};
   std::vector<double> rates;
-  solver.solve(paths, active, rates);
+  solver.set_paths(paths, active);
+  solver.solve(rates);
   EXPECT_DOUBLE_EQ(rates[0], 0.5e9);
   EXPECT_DOUBLE_EQ(rates[1], 0.5e9);
 }
@@ -69,28 +71,31 @@ TEST(FairShare, MaxMinNotJustEqualSplit) {
   // Flow 0 crosses links {0,1}; flow 1 crosses {1}; flow 2 crosses {0}.
   // Progressive filling: all rise to 0.5 (links 0 and 1 saturate), so all
   // three flows end at 0.5 — but drop flow 0 and the others get 1.0 each.
-  FairShareSolver solver(2, 1e9);
+  FastFairShareSolver solver(2, 1e9);
   std::vector<std::vector<LinkId>> paths{{0, 1}, {1}, {0}};
   std::vector<std::uint8_t> active{1, 1, 1};
   std::vector<double> rates;
-  solver.solve(paths, active, rates);
+  solver.set_paths(paths, active);
+  solver.solve(rates);
   EXPECT_DOUBLE_EQ(rates[0], 0.5e9);
   EXPECT_DOUBLE_EQ(rates[1], 0.5e9);
   EXPECT_DOUBLE_EQ(rates[2], 0.5e9);
 
-  active = {0, 1, 1};
-  solver.solve(paths, active, rates);
+  solver.deactivate(0);  // warm re-solve
+  solver.solve(rates);
+  EXPECT_DOUBLE_EQ(rates[0], 0.0);
   EXPECT_DOUBLE_EQ(rates[1], 1e9);
   EXPECT_DOUBLE_EQ(rates[2], 1e9);
 }
 
 TEST(FairShare, BottleneckFreesOtherFlows) {
   // Flows 0,1 share link 0 then diverge; flow 2 alone on link 3.
-  FairShareSolver solver(4, 1e9);
+  FastFairShareSolver solver(4, 1e9);
   std::vector<std::vector<LinkId>> paths{{0, 1}, {0, 2}, {3}};
   std::vector<std::uint8_t> active{1, 1, 1};
   std::vector<double> rates;
-  solver.solve(paths, active, rates);
+  solver.set_paths(paths, active);
+  solver.solve(rates);
   EXPECT_DOUBLE_EQ(rates[0], 0.5e9);
   EXPECT_DOUBLE_EQ(rates[1], 0.5e9);
   EXPECT_DOUBLE_EQ(rates[2], 1e9);

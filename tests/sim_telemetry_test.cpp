@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -228,7 +229,7 @@ TEST(SimTelemetryEndToEnd, FlowSamplingKeepsEveryNthFlowButAllPhases) {
 // each route is shared by three flows that complete at different times
 // (mid-phase deactivations -> warm re-solves). Telemetry must see exact
 // de-aggregated per-flow rates, not the per-route aggregate.
-std::string trace_aggregation_workload(const char* stem, FluidSolver solver) {
+std::string trace_aggregation_workload(const char* stem) {
   const std::string path = testing::TempDir() + stem;
   obs::SinkConfig config = obs::parse_sink(path);
   config.snapshot_ms = 0;
@@ -236,9 +237,7 @@ std::string trace_aggregation_workload(const char* stem, FluidSolver solver) {
   net_detail::reset_for_tests();
   {
     Xoshiro256 rng(17);
-    SimParams p;
-    p.fluid_solver = solver;
-    Machine m(random_host_switch_graph(8, 4, 6, rng), p);
+    Machine m(random_host_switch_graph(8, 4, 6, rng));
     std::vector<Message> messages;
     for (Rank src = 0; src < 8; ++src) {
       for (std::uint64_t copy = 0; copy < 3; ++copy) {
@@ -256,60 +255,57 @@ std::string trace_aggregation_workload(const char* stem, FluidSolver solver) {
 
 TEST(SimTelemetryEndToEnd, FastSolverAggregationMatchesReferenceRecords) {
   set_net_telemetry(NetTelemetryConfig{});
-  const std::string p_ref =
-      trace_aggregation_workload("sim_tel_agg_ref.jsonl",
-                                 FluidSolver::kReference);
-  const obs::report::TraceAnalysis ref = obs::report::analyze_trace_file(p_ref);
-  std::remove(p_ref.c_str());
-  const std::string p_fast =
-      trace_aggregation_workload("sim_tel_agg_fast.jsonl", FluidSolver::kFast);
-  const obs::report::TraceAnalysis fast =
-      obs::report::analyze_trace_file(p_fast);
-  std::remove(p_fast.c_str());
+  const std::string path = trace_aggregation_workload("sim_tel_agg.jsonl");
+  const obs::report::TraceAnalysis a = obs::report::analyze_trace_file(path);
+  std::remove(path.c_str());
+  const obs::report::NetworkAnalysis& net = a.network;
+  ASSERT_TRUE(net.present);
 
-  ASSERT_TRUE(ref.network.present);
-  ASSERT_TRUE(fast.network.present);
+  // Phase elapsed times recorded from the same workload driven by the
+  // reference FairShareSolver (commit e28bf676b95548b9a2c5b264f9dba0cc1172a4b6):
+  // the aggregated phase, then seven alltoall rounds.
+  const double golden_elapsed[] = {
+      0.00031587279999999998, 4.4768000000000001e-06, 7.8536000000000005e-06,
+      7.8536000000000005e-06, 7.8536000000000005e-06, 7.8536000000000005e-06,
+      7.8536000000000005e-06, 7.8536000000000005e-06};
+  ASSERT_EQ(net.phases.size(), std::size(golden_elapsed));
+  for (std::size_t i = 0; i < net.phases.size(); ++i) {
+    EXPECT_NEAR(net.phases[i].elapsed_s, golden_elapsed[i],
+                1e-7 * golden_elapsed[i])
+        << "phase " << i;
+  }
+  ASSERT_EQ(net.flows.size(), 24u + 7u * 8u);
 
   // Five-term attribution stays exact when the fast solver aggregates.
-  EXPECT_LT(fast.network.max_residual_s, 1e-9);
-  for (const obs::report::NetFlow& f : fast.network.flows) {
+  EXPECT_LT(net.max_residual_s, 1e-9);
+  for (const obs::report::NetFlow& f : net.flows) {
     EXPECT_NEAR(f.ser_s + f.queue_s + f.hop_s + f.retry_s + f.overhead_s,
                 f.total_s, 1e-9)
         << "flow " << f.src << "->" << f.dst;
   }
 
-  // Record-for-record agreement with the reference run: same flows in
-  // the same sorted order, with timings and observed rates equal within
-  // the solvers' 1e-9-relative rate agreement.
-  ASSERT_EQ(ref.network.flows.size(), fast.network.flows.size());
-  for (std::size_t i = 0; i < ref.network.flows.size(); ++i) {
-    const obs::report::NetFlow& a = ref.network.flows[i];
-    const obs::report::NetFlow& b = fast.network.flows[i];
-    ASSERT_EQ(a.phase, b.phase);
-    ASSERT_EQ(a.src, b.src);
-    ASSERT_EQ(a.dst, b.dst);
-    ASSERT_EQ(a.bytes, b.bytes);
-    EXPECT_EQ(a.hops, b.hops);
-    EXPECT_NEAR(a.total_s, b.total_s, 1e-7 * a.total_s + 1e-15);
-    EXPECT_NEAR(a.queue_s, b.queue_s, 1e-7 * a.total_s + 1e-15);
-    EXPECT_NEAR(a.rate_first_bps, b.rate_first_bps,
-                1e-7 * a.rate_first_bps + 1e-3);
-    EXPECT_NEAR(a.rate_mean_bps, b.rate_mean_bps,
-                1e-7 * a.rate_mean_bps + 1e-3);
+  // Same-route copies (equal phase, src, dst; adjacent in sorted order)
+  // start at one de-aggregated rate: max-min gives equal paths equal rates.
+  std::size_t copies = 0;
+  for (std::size_t i = 1; i < net.flows.size(); ++i) {
+    const obs::report::NetFlow& prev = net.flows[i - 1];
+    const obs::report::NetFlow& f = net.flows[i];
+    if (prev.phase != f.phase || prev.src != f.src || prev.dst != f.dst) continue;
+    ++copies;
+    EXPECT_NEAR(prev.rate_first_bps, f.rate_first_bps,
+                1e-9 * f.rate_first_bps)
+        << "flow " << f.src << "->" << f.dst;
   }
+  EXPECT_EQ(copies, 8u * 2u);
 
-  // Per-link samples: identical buckets, flow counts, utilization, and
-  // fair_bps (the minimum fair-share rate crossing the link).
-  ASSERT_EQ(ref.network.link_samples.size(), fast.network.link_samples.size());
-  for (std::size_t i = 0; i < ref.network.link_samples.size(); ++i) {
-    const obs::report::NetLink& a = ref.network.link_samples[i];
-    const obs::report::NetLink& b = fast.network.link_samples[i];
-    ASSERT_EQ(a.phase, b.phase);
-    ASSERT_EQ(a.step, b.step);
-    ASSERT_EQ(a.link, b.link);
-    EXPECT_EQ(a.flows, b.flows);
-    EXPECT_NEAR(a.utilization, b.utilization, 1e-7 * a.utilization + 1e-12);
-    EXPECT_NEAR(a.fair_bps, b.fair_bps, 1e-7 * a.fair_bps + 1e-3);
+  // A link's fair rate is the slowest crossing flow's, so it can never
+  // exceed the link's capacity split evenly over its flows.
+  const double capacity = SimParams{}.link_bandwidth;
+  ASSERT_FALSE(net.link_samples.empty());
+  for (const obs::report::NetLink& l : net.link_samples) {
+    ASSERT_GT(l.flows, 0u);
+    EXPECT_LE(l.fair_bps, capacity / l.flows * (1.0 + 1e-9))
+        << "phase " << l.phase << " link " << l.link;
   }
 }
 
