@@ -7,7 +7,8 @@
 //                neighborhood mode (ns/op covers a fixed 64-iteration run)
 //   search     — the annealer with its delta (incremental) h-ASPL evaluator
 //                at the headline n=256/r=12 config, plus the raw
-//                evaluator apply+revert cycle, plus replica-exchange
+//                evaluator apply+revert cycle (n=256/r=12 and the paper's
+//                n=1024/r=16), plus replica-exchange
 //                scaling (search.parallel.anneal_k{1,4,8}, fixed total
 //                move budget split across the ladder)
 //   sim        — Machine fluid-engine communication phases (collectives)
@@ -183,36 +184,43 @@ void register_search_delta(BenchRegistry& registry) {
   // swap delta (incremental repair) and reject it via revert_last (undo-log
   // replay) — exactly the annealer's rejected-move path. Ops rotate through
   // a few hundred distinct pre-proposed deltas so branch predictors and
-  // caches see the annealer's mix, not one memorized move.
-  registry.add({
-      "search.delta_eval.swap_cycle.n256_r12",
-      "search",
-      []() -> BenchOp {
-        auto graph = std::make_shared<HostSwitchGraph>(setup_graph(256, 12));
-        std::vector<std::pair<SwitchId, SwitchId>> edges;
-        for (SwitchId s = 0; s < graph->num_switches(); ++s) {
-          for (SwitchId t : graph->neighbors(s)) {
-            if (s < t) edges.emplace_back(s, t);
+  // caches see the annealer's mix, not one memorized move. n1024_r16 is the
+  // paper's headline size (m_opt = 183).
+  struct Size {
+    std::uint32_t n, r;
+  };
+  for (const Size& c : {Size{256, 12}, Size{1024, 16}}) {
+    registry.add({
+        "search.delta_eval.swap_cycle.n" + std::to_string(c.n) + "_r" +
+            std::to_string(c.r),
+        "search",
+        [c]() -> BenchOp {
+          auto graph = std::make_shared<HostSwitchGraph>(setup_graph(c.n, c.r));
+          std::vector<std::pair<SwitchId, SwitchId>> edges;
+          for (SwitchId s = 0; s < graph->num_switches(); ++s) {
+            for (SwitchId t : graph->neighbors(s)) {
+              if (s < t) edges.emplace_back(s, t);
+            }
           }
-        }
-        Xoshiro256 rng(kSetupSeed);
-        auto deltas = std::make_shared<std::vector<GraphDelta>>();
-        for (int i = 0; i < 512; ++i) {
-          if (const auto move = propose_swap(*graph, edges, rng)) {
-            deltas->push_back(delta_of(*move));
+          Xoshiro256 rng(kSetupSeed);
+          auto deltas = std::make_shared<std::vector<GraphDelta>>();
+          for (int i = 0; i < 512; ++i) {
+            if (const auto move = propose_swap(*graph, edges, rng)) {
+              deltas->push_back(delta_of(*move));
+            }
           }
-        }
-        auto eval = std::make_shared<DeltaHasplEvaluator>(*graph);
-        auto next = std::make_shared<std::size_t>(0);
-        return [graph, eval, deltas, next] {
-          const GraphDelta& delta = (*deltas)[*next];
-          *next = (*next + 1) % deltas->size();
-          do_not_optimize(eval->apply(delta).total_length);
-          eval->revert_last(*graph);
-        };
-      },
-      true,
-  });
+          auto eval = std::make_shared<DeltaHasplEvaluator>(*graph);
+          auto next = std::make_shared<std::size_t>(0);
+          return [graph, eval, deltas, next] {
+            const GraphDelta& delta = (*deltas)[*next];
+            *next = (*next + 1) % deltas->size();
+            do_not_optimize(eval->apply(delta).total_length);
+            eval->revert_last(*graph);
+          };
+        },
+        true,
+    });
+  }
 }
 
 void register_search_parallel(BenchRegistry& registry) {

@@ -18,7 +18,8 @@ struct DeltaInstruments {
   obs::Counter& fallback;
   obs::Counter& dirty_sources;
   obs::Counter& scalar_repairs;
-  obs::Counter& batched_sources;
+  obs::Counter& single_affected;
+  obs::Counter& row_rescans;
 
   static DeltaInstruments& get() {
     auto& registry = obs::Registry::global();
@@ -29,7 +30,8 @@ struct DeltaInstruments {
         registry.counter("delta_eval.fallback"),
         registry.counter("delta_eval.dirty_sources"),
         registry.counter("delta_eval.scalar_repairs"),
-        registry.counter("delta_eval.batched_sources")};
+        registry.counter("delta_eval.single_affected"),
+        registry.counter("delta_eval.row_rescans")};
     return instance;
   }
 };
@@ -60,7 +62,7 @@ void DeltaHasplEvaluator::rebuild(const HostSwitchGraph& g) {
   dist_.assign(std::size_t{m_} * m_, kInf16);
   sum_w_.assign(m_, 0);
   unreach_w_.assign(m_, 0);
-  row_max_.assign(m_, 0);
+  row_max_.assign(m_, RowMax{0, 0});
 
   dirty_sources_.clear();
   dirty_sources_.reserve(m_);
@@ -73,7 +75,6 @@ void DeltaHasplEvaluator::rebuild(const HostSwitchGraph& g) {
   visit_epoch_.assign(m_, 0);
   epoch_ = 0;
   buckets_.assign(std::size_t{m_} + 2, {});
-  scratch_rows_.assign(std::size_t{64} * m_, kInf16);
   bp_frontier_.assign(m_, 0);
   bp_next_.assign(m_, 0);
   bp_reached_.assign(m_, 0);
@@ -155,33 +156,47 @@ void DeltaHasplEvaluator::write_entry(std::uint32_t s, std::uint32_t v,
   undo_entries_.push_back(std::uint64_t{s} << 32 | std::uint64_t{v} << 16 | old);
   rs[v] = next;
 
-  // Maintain the weighted aggregates in place; only a lowered row max needs
-  // a deferred rescan (apply() drains rescan_rows_ before the host moves).
-  // Until that rescan, row_max_[s] is an upper bound on the true max.
+  // Maintain the weighted aggregates in place; only a row left with no
+  // target at its max needs a deferred rescan (apply() drains rescan_rows_
+  // before the host moves, skipping rows a later write refilled). Until
+  // then row_max_[s].value is an upper bound on the true max.
   const std::uint32_t wv = weight_[v];
   if (!wv) return;
   if (old == kInf16) {
     unreach_w_[s] -= wv;
   } else {
     sum_w_[s] -= std::uint64_t{wv} * old;
+    if (max_drop(s, old) && rescan_epoch_[s] != apply_epoch_) {
+      rescan_epoch_[s] = apply_epoch_;
+      rescan_rows_.push_back(s);
+    }
   }
   if (next == kInf16) {
     unreach_w_[s] += wv;
   } else {
     sum_w_[s] += std::uint64_t{wv} * next;
-    if (next > row_max_[s]) row_max_[s] = next;
+    max_add(s, next);
   }
-  if (old != kInf16 && old == row_max_[s] &&
-      rescan_epoch_[s] != apply_epoch_) {
-    rescan_epoch_[s] = apply_epoch_;
-    rescan_rows_.push_back(s);
+}
+
+void DeltaHasplEvaluator::max_add(std::uint32_t s, std::uint16_t d) noexcept {
+  RowMax& mx = row_max_[s];
+  if (d > mx.value) {
+    mx = {d, 1};
+  } else if (d == mx.value) {
+    ++mx.count;
   }
+}
+
+bool DeltaHasplEvaluator::max_drop(std::uint32_t s, std::uint16_t d) noexcept {
+  RowMax& mx = row_max_[s];
+  return d == mx.value && --mx.count == 0;
 }
 
 void DeltaHasplEvaluator::recompute_row_aggregates(std::uint32_t s) {
   const std::uint16_t* rs = row(s);
   std::uint64_t sum = 0, unreach = 0;
-  std::uint16_t mx = 0;
+  row_max_[s] = {0, 0};
   for (std::uint32_t v = 0; v < m_; ++v) {
     const std::uint32_t wv = weight_[v];
     if (!wv) continue;
@@ -190,21 +205,20 @@ void DeltaHasplEvaluator::recompute_row_aggregates(std::uint32_t s) {
       unreach += wv;
     } else {
       sum += std::uint64_t{wv} * d;
-      if (d > mx) mx = d;
+      max_add(s, d);
     }
   }
   sum_w_[s] = sum;
   unreach_w_[s] = unreach;
-  row_max_[s] = mx;
 }
 
 void DeltaHasplEvaluator::rescan_row_max(std::uint32_t s) {
+  ++stats_.row_rescans;
   const std::uint16_t* rs = row(s);
-  std::uint16_t mx = 0;
+  row_max_[s] = {0, 0};
   for (std::uint32_t v = 0; v < m_; ++v) {
-    if (weight_[v] && rs[v] != kInf16 && rs[v] > mx) mx = rs[v];
+    if (weight_[v] && rs[v] != kInf16) max_add(s, rs[v]);
   }
-  row_max_[s] = mx;
 }
 
 // ---- per-source repairs -------------------------------------------------
@@ -280,6 +294,7 @@ void DeltaHasplEvaluator::repair_removal(std::uint32_t s, SwitchId far) {
   // Single-vertex affected set (the common case in well-connected graphs):
   // every neighbor distance is final, so the new value is a direct min.
   if (affected_.size() == 1) {
+    ++stats_.single_affected;
     std::uint32_t best = kInf16;
     const SwitchId* nb = adj_.data() + std::size_t{far} * adj_stride_;
     const std::uint32_t deg = degree_[far];
@@ -295,9 +310,11 @@ void DeltaHasplEvaluator::repair_removal(std::uint32_t s, SwitchId far) {
   // When the affected region is most of the graph a plain BFS beats the
   // two-phase repair.
   if (affected_.size() > m_ / 2) {
+    ++stats_.row_bfs_repairs;
     recompute_row_scalar(s);
     return;
   }
+  ++stats_.two_phase_repairs;
 
   // Phase 2 — re-relax the affected region from its unaffected boundary
   // (whose distances are final) with a bucket queue; unit weights keep the
@@ -365,53 +382,6 @@ void DeltaHasplEvaluator::recompute_row_scalar(std::uint32_t s) {
     }
   }
   for (std::uint32_t v = 0; v < m_; ++v) write_entry(s, v, tentative_[v]);
-}
-
-// ---- batched bit-parallel recompute ------------------------------------
-
-void DeltaHasplEvaluator::recompute_rows_bitparallel(
-    const std::vector<std::uint32_t>& sources) {
-  for (std::size_t begin = 0; begin < sources.size(); begin += 64) {
-    const std::size_t block = std::min<std::size_t>(64, sources.size() - begin);
-    std::fill(scratch_rows_.begin(),
-              scratch_rows_.begin() + static_cast<std::ptrdiff_t>(block * m_), kInf16);
-    std::fill(bp_frontier_.begin(), bp_frontier_.end(), 0);
-    std::fill(bp_reached_.begin(), bp_reached_.end(), 0);
-    for (std::size_t j = 0; j < block; ++j) {
-      const std::uint32_t src = sources[begin + j];
-      bp_frontier_[src] |= 1ULL << j;
-      bp_reached_[src] |= 1ULL << j;
-      scratch_rows_[j * m_ + src] = 0;
-    }
-    for (std::uint32_t round = 1; round <= m_; ++round) {
-      std::fill(bp_next_.begin(), bp_next_.end(), 0);
-      bool any = false;
-      for (std::uint32_t v = 0; v < m_; ++v) {
-        std::uint64_t acc = 0;
-        const SwitchId* nb = adj_.data() + std::size_t{v} * adj_stride_;
-        const std::uint32_t deg = degree_[v];
-        for (std::uint32_t i = 0; i < deg; ++i) acc |= bp_frontier_[nb[i]];
-        std::uint64_t fresh = acc & ~bp_reached_[v];
-        if (!fresh) continue;
-        any = true;
-        bp_next_[v] = fresh;
-        bp_reached_[v] |= fresh;
-        while (fresh) {
-          const int j = __builtin_ctzll(fresh);
-          fresh &= fresh - 1;
-          scratch_rows_[static_cast<std::size_t>(j) * m_ + v] =
-              static_cast<std::uint16_t>(round);
-        }
-      }
-      if (!any) break;
-      bp_frontier_.swap(bp_next_);
-    }
-    for (std::size_t j = 0; j < block; ++j) {
-      const std::uint32_t src = sources[begin + j];
-      const std::uint16_t* fresh_row = scratch_rows_.data() + j * m_;
-      for (std::uint32_t v = 0; v < m_; ++v) write_entry(src, v, fresh_row[v]);
-    }
-  }
 }
 
 void DeltaHasplEvaluator::rebuild_all_rows() {
@@ -486,7 +456,8 @@ void DeltaHasplEvaluator::apply_edge_addition(SwitchId u, SwitchId v) {
   }
 }
 
-void DeltaHasplEvaluator::apply_edge_removal(SwitchId u, SwitchId v) {
+bool DeltaHasplEvaluator::apply_edge_removal(SwitchId u, SwitchId v,
+                                             std::size_t fallback_limit) {
   // Dirty filter: row s changes iff the endpoints sat on different BFS
   // levels AND the deeper endpoint has no surviving neighbor one level
   // closer (the adjacency already excludes the removed edge, so only
@@ -521,17 +492,13 @@ void DeltaHasplEvaluator::apply_edge_removal(SwitchId u, SwitchId v) {
     if (!(du > dv ? alt_u_[s] : alt_v_[s])) dirty_sources_.push_back(s);
   }
   stats_.dirty_sources += dirty_sources_.size();
-
-  if (options_.batch_sources && dirty_sources_.size() <= options_.batch_sources) {
-    stats_.scalar_repairs += dirty_sources_.size();
-    for (std::uint32_t s : dirty_sources_) {
-      const bool v_far = std::uint32_t{row(v)[s]} > std::uint32_t{row(u)[s]};
-      repair_removal(s, v_far ? v : u);
-    }
-  } else {
-    stats_.batched_sources += dirty_sources_.size();
-    recompute_rows_bitparallel(dirty_sources_);
+  if (dirty_sources_.size() > fallback_limit) return false;
+  stats_.scalar_repairs += dirty_sources_.size();
+  for (std::uint32_t s : dirty_sources_) {
+    const bool v_far = std::uint32_t{row(v)[s]} > std::uint32_t{row(u)[s]};
+    repair_removal(s, v_far ? v : u);
   }
+  return true;
 }
 
 void DeltaHasplEvaluator::apply_host_move(SwitchId from, SwitchId to) {
@@ -563,14 +530,12 @@ void DeltaHasplEvaluator::apply_host_move(SwitchId from, SwitchId to) {
     if (old_w == 0 && new_w > 0) {
       ++weighted_switches_;
       for (std::uint32_t s = 0; s < m_; ++s) {
-        if (rx[s] != kInf16 && rx[s] > row_max_[s]) row_max_[s] = rx[s];
+        if (rx[s] != kInf16) max_add(s, rx[s]);
       }
     } else if (old_w > 0 && new_w == 0) {
       --weighted_switches_;
       for (std::uint32_t s = 0; s < m_; ++s) {
-        if (rx[s] != kInf16 && rx[s] == row_max_[s] && row_max_[s] > 0) {
-          rescan_row_max(s);
-        }
+        if (rx[s] != kInf16 && max_drop(s, rx[s])) rescan_row_max(s);
       }
     }
   };
@@ -583,7 +548,7 @@ HostMetrics DeltaHasplEvaluator::apply(const GraphDelta& delta) {
   ++stats_.applies;
   instruments.applies.inc();
   stats_.edge_changes += delta.num_added + delta.num_removed;
-  const std::uint64_t dirty_before = stats_.dirty_sources;
+  const Stats before = stats_;
 
   ++apply_epoch_;
   rescan_rows_.clear();
@@ -624,8 +589,8 @@ HostMetrics DeltaHasplEvaluator::apply(const GraphDelta& delta) {
   for (std::uint8_t i = 0; i < delta.num_removed; ++i) {
     adj_remove(delta.removed[i].first, delta.removed[i].second);
     if (!fell_back) {
-      apply_edge_removal(delta.removed[i].first, delta.removed[i].second);
-      if (dirty_sources_.size() > fallback_limit) fell_back = true;
+      fell_back = !apply_edge_removal(delta.removed[i].first,
+                                      delta.removed[i].second, fallback_limit);
     }
   }
 
@@ -640,16 +605,20 @@ HostMetrics DeltaHasplEvaluator::apply(const GraphDelta& delta) {
     rebuild_all_rows();
     rebuild_aggregates();
   } else {
-    // write_entry kept sum/unreach exact; rows whose max may have shrunk
-    // were queued for one rescan each. Resolve them before the host moves,
-    // which compare against row maxes.
-    for (std::uint32_t s : rescan_rows_) rescan_row_max(s);
+    // write_entry kept sum/unreach exact; rows left with no target at their
+    // max were queued once each. Rescan those still empty before the host
+    // moves, which update the max counts.
+    for (std::uint32_t s : rescan_rows_) {
+      if (row_max_[s].count == 0) rescan_row_max(s);
+    }
     for (std::uint8_t i = 0; i < delta.num_host_moves; ++i) {
       apply_host_move(delta.host_moves[i].from, delta.host_moves[i].to);
     }
     instruments.incremental.inc();
   }
-  instruments.dirty_sources.add(stats_.dirty_sources - dirty_before);
+  instruments.dirty_sources.add(stats_.dirty_sources - before.dirty_sources);
+  instruments.single_affected.add(stats_.single_affected - before.single_affected);
+  instruments.row_rescans.add(stats_.row_rescans - before.row_rescans);
   return metrics();
 }
 
@@ -741,7 +710,7 @@ HostMetrics DeltaHasplEvaluator::metrics() const {
     if (!weight_[s]) continue;
     unreached_ordered += std::uint64_t{weight_[s]} * unreach_w_[s];
     ordered += std::uint64_t{weight_[s]} * sum_w_[s];
-    max_d = std::max(max_d, row_max_[s]);
+    max_d = std::max(max_d, row_max_[s].value);
   }
   result.unreachable_pairs = unreached_ordered / 2;
   result.connected_pairs = pairs - result.unreachable_pairs;

@@ -14,7 +14,8 @@
 //   * w[s]         — attached host count k_s (the APSP weights)
 //   * S_w[s]       — sum over reachable v of w[v] * D[s][v]
 //   * unreach_w[s] — summed weight of targets unreachable from s
-//   * M[s]         — max finite D[s][v] over weighted targets v
+//   * M[s]         — max finite D[s][v] over weighted targets v, with the
+//                    count of weighted targets that sit at it
 // from which h-ASPL, host diameter, and connectivity are assembled in O(m)
 // (matching compute_host_metrics bit for bit; asserted by the differential
 // test tests/hsg_delta_metrics_test.cpp).
@@ -34,9 +35,10 @@
 //    region only).
 //   * host move: distances are untouched; the weighted aggregates are
 //    updated from one row of D in O(m).
-// Each entry write updates its row's weighted sum and unreachable weight in
-// place; only a write that may lower a row's max queues that row for a
-// single deferred rescan at the end of apply().
+// Each entry write updates its row's weighted sum, unreachable weight and
+// max count in place; only a row whose count of targets at the max drops to
+// zero is queued for a single deferred rescan at the end of apply(), and is
+// rescanned only if no later write brought the count back up.
 //
 // Every entry change and every touched row's pre-apply aggregates are
 // recorded in an undo frame, so rejecting a move costs one revert_last()
@@ -45,12 +47,10 @@
 // LIFO order. Applying the inverse delta also works and is exercised by
 // the differential tests; revert_last() is just much cheaper.
 //
-// When a removal dirties many sources at once the per-source repair loses
-// to batch recomputation, so the evaluator escalates: above
-// `batch_sources` dirty sources the dirty rows are recomputed with the
-// 64-sources-per-word bit-parallel BFS kernel (in batches of 64), and
-// above `fallback_fraction * m` the whole state is rebuilt from scratch
-// (counted by the delta_eval.fallback obs counter).
+// Every dirty source is repaired on its own. Only when a removal dirties
+// more than `fallback_fraction * m` sources does the evaluator give up on
+// incremental repair and rebuild the whole state from scratch (counted by
+// the delta_eval.fallback obs counter).
 
 #include <cstdint>
 #include <utility>
@@ -106,10 +106,6 @@ struct GraphDelta {
 };
 
 struct DeltaEvalOptions {
-  /// Dirty-source count (per removal) above which the dirty rows are
-  /// recomputed with the batched bit-parallel kernel instead of the
-  /// per-source Ramalingam–Reps repair. 0 = always batch.
-  std::uint32_t batch_sources = 16;
   /// Dirty fraction of all m sources above which apply() abandons
   /// incremental repair and rebuilds the whole state from scratch.
   double fallback_fraction = 0.75;
@@ -150,22 +146,34 @@ class DeltaHasplEvaluator {
 
   std::uint32_t num_switches() const noexcept { return m_; }
 
-  /// Cumulative behaviour counters (also exported via obs as
+  /// Cumulative behaviour counters (several also exported via obs as
   /// delta_eval.*); `fallback_rebuilds` counts applies that gave up on
-  /// incremental repair.
+  /// incremental repair. Each removal repair takes exactly one of the
+  /// single_affected / two_phase_repairs / row_bfs_repairs branches.
   struct Stats {
     std::uint64_t applies = 0;
     std::uint64_t reverts = 0;           ///< revert_last() calls
     std::uint64_t edge_changes = 0;
     std::uint64_t dirty_sources = 0;     ///< sources the filters flagged
     std::uint64_t scalar_repairs = 0;    ///< repaired per-source (RR / cascade)
-    std::uint64_t batched_sources = 0;   ///< repaired via bit-parallel batches
+    std::uint64_t single_affected = 0;   ///< removals fixed by a direct min
+    std::uint64_t two_phase_repairs = 0; ///< removals re-relaxed by buckets
+    std::uint64_t row_bfs_repairs = 0;   ///< removals fixed by a full-row BFS
+    std::uint64_t row_rescans = 0;       ///< rows whose max count reached 0
     std::uint64_t fallback_rebuilds = 0; ///< full from-scratch rebuilds
   };
   const Stats& stats() const noexcept { return stats_; }
 
  private:
   static constexpr std::uint16_t kInf16 = 0xffff;
+
+  // A row's max finite distance to a weighted target, and how many weighted
+  // targets sit at it. While `count` is 0 `value` is only an upper bound
+  // (the row awaits a rescan); m < 0xffff keeps the count in range.
+  struct RowMax {
+    std::uint16_t value;
+    std::uint16_t count;
+  };
 
   std::uint16_t* row(std::uint32_t s) noexcept { return dist_.data() + std::size_t{s} * m_; }
   const std::uint16_t* row(std::uint32_t s) const noexcept {
@@ -179,17 +187,24 @@ class DeltaHasplEvaluator {
 
   // Writes one distance-matrix entry, recording the old value (and, on the
   // row's first change this apply, its pre-apply aggregates) in the undo
-  // frame. S_w / unreach_w / row-max are updated in place; a write that may
-  // have lowered the row max queues the row on rescan_rows_ (drained by
-  // apply() before the host moves).
+  // frame. S_w / unreach_w / row-max are updated in place; a write that
+  // leaves no weighted target at the row max queues the row on rescan_rows_
+  // (drained by apply() before the host moves).
   void write_entry(std::uint32_t s, std::uint32_t v, std::uint16_t next);
   // One flat pass refreshing S_w / unreach_w / row-max of row s.
   void recompute_row_aggregates(std::uint32_t s);
-  // Rescans row s for its max finite weighted distance.
+  // Rescans row s for its max finite weighted distance and its count.
   void rescan_row_max(std::uint32_t s);
+  // Max bookkeeping for one weighted target at finite distance d in row s:
+  // max_add raises or joins the max; max_drop leaves it and returns true
+  // when no target is left at the max (the caller then rescans the row).
+  void max_add(std::uint32_t s, std::uint16_t d) noexcept;
+  bool max_drop(std::uint32_t s, std::uint16_t d) noexcept;
 
   void apply_edge_addition(SwitchId u, SwitchId v);
-  void apply_edge_removal(SwitchId u, SwitchId v);
+  // Returns false, leaving the rows unrepaired, when the removal dirties
+  // more than `fallback_limit` sources (apply() then rebuilds everything).
+  bool apply_edge_removal(SwitchId u, SwitchId v, std::size_t fallback_limit);
   void apply_host_move(SwitchId from, SwitchId to);
 
   // Pruned improvement cascade for row s after adding edge (near, far).
@@ -200,8 +215,6 @@ class DeltaHasplEvaluator {
   // Full scalar BFS for row s (per-source fallback when the affected
   // region is most of the graph); diffs against the old row.
   void recompute_row_scalar(std::uint32_t s);
-  // Batched bit-parallel recompute of the given source rows.
-  void recompute_rows_bitparallel(const std::vector<std::uint32_t>& sources);
   // From-scratch distance matrix + aggregates (constructor / fallback).
   void rebuild_all_rows();
   void rebuild_aggregates();
@@ -222,7 +235,7 @@ class DeltaHasplEvaluator {
   std::vector<std::uint16_t> dist_;
   std::vector<std::uint64_t> sum_w_;
   std::vector<std::uint64_t> unreach_w_;
-  std::vector<std::uint16_t> row_max_;
+  std::vector<RowMax> row_max_;
 
   // Repair arenas (reused across applies; no steady-state allocation).
   std::vector<std::uint32_t> dirty_sources_;
@@ -234,12 +247,11 @@ class DeltaHasplEvaluator {
   std::uint32_t epoch_ = 0;
   std::vector<std::vector<std::uint32_t>> buckets_;
 
-  // Bit-parallel batch scratch (64 rows of uint16 + frontier words).
-  std::vector<std::uint16_t> scratch_rows_;
+  // Bit-parallel frontier words for rebuild_all_rows (64 sources per word).
   std::vector<std::uint64_t> bp_frontier_, bp_next_, bp_reached_;
 
   // Removal-filter surviving-predecessor masks (one uint16 lane per source)
-  // and the rows whose max may have shrunk during the current apply.
+  // and the rows left with no target at their max during the current apply.
   std::vector<std::uint16_t> alt_u_, alt_v_;
   std::vector<std::uint32_t> rescan_rows_;
   std::vector<std::uint32_t> rescan_epoch_;
@@ -251,18 +263,18 @@ class DeltaHasplEvaluator {
     std::uint32_t row;
     std::uint64_t sum_w;
     std::uint64_t unreach_w;
-    std::uint16_t row_max;
+    RowMax row_max;
   };
   struct UndoFrame {
     std::size_t entries_begin = 0;
     std::size_t rows_begin = 0;
     GraphDelta delta;
     bool was_rebuild = false;
-    // Full row-max snapshot, taken only when a host move crosses zero
-    // hosts on a switch (the one case where reverting a row max is not
-    // arithmetic).
+    // Full row-max snapshot (values and counts), taken only when a host
+    // move crosses zero hosts on a switch (the one case where reverting a
+    // row max is not arithmetic).
     bool row_max_snapshot_valid = false;
-    std::vector<std::uint16_t> row_max_snapshot;
+    std::vector<RowMax> row_max_snapshot;
   };
   std::vector<std::uint64_t> undo_entries_;
   std::vector<RowSnapshot> undo_rows_;

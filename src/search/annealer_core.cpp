@@ -20,6 +20,7 @@ struct AnnealerInstruments {
   obs::Counter& completion_accepted;
   obs::Counter& restored;
   obs::Counter& rejected_disconnected;
+  obs::Counter& audit_checks;
   obs::Histogram& eval_ns;
 
   static AnnealerInstruments& get() {
@@ -30,10 +31,15 @@ struct AnnealerInstruments {
         registry.counter("annealer.completion.accepted"),
         registry.counter("annealer.restored"),
         registry.counter("annealer.rejected.disconnected"),
+        registry.counter("annealer.audit.checks"),
         registry.histogram("annealer.eval_ns")};
     return instance;
   }
 };
+
+// Every kAuditInterval-th evaluation is checked against a from-scratch
+// recompute; at the paper's size that costs ~0.1 % of a solve.
+constexpr std::uint64_t kAuditInterval = 4096;
 
 using EdgeList = std::vector<std::pair<SwitchId, SwitchId>>;
 
@@ -198,10 +204,29 @@ void SaChain::commit(const HostMetrics& cand) {
 // Incremental h-ASPL evaluation: the evaluator mirrors `current_` and
 // repairs its distance state per move. It is exact — every candidate's
 // metrics equal a from-scratch compute_host_metrics (pinned by
-// tests/hsg_delta_metrics_test.cpp).
+// tests/hsg_delta_metrics_test.cpp), and every kAuditInterval-th evaluation
+// is audited against a serial recompute outside the eval_ns timer.
 HostMetrics SaChain::evaluate_move(const GraphDelta& delta) {
-  obs::ScopedTimer timer(AnnealerInstruments::get().eval_ns);
-  return delta_eval_.apply(delta);
+  HostMetrics cand;
+  {
+    obs::ScopedTimer timer(AnnealerInstruments::get().eval_ns);
+    cand = delta_eval_.apply(delta);
+  }
+  if (++evaluations_ % kAuditInterval == 0) audit_evaluator();
+  return cand;
+}
+
+void SaChain::audit_evaluator() const {
+  AnnealerInstruments::get().audit_checks.inc();
+  const HostMetrics got = delta_eval_.metrics();
+  const HostMetrics want = compute_host_metrics(current_);
+  ORP_REQUIRE(got.connected == want.connected &&
+                  got.total_length == want.total_length &&
+                  got.diameter == want.diameter &&
+                  got.connected_pairs == want.connected_pairs &&
+                  got.unreachable_pairs == want.unreachable_pairs &&
+                  got.h_aspl == want.h_aspl,
+              "delta evaluator disagrees with a from-scratch recompute");
 }
 
 // Called after `current_` has been restored: rejecting a move replays the
@@ -245,7 +270,6 @@ void SaChain::run_one_iteration() {
     const GraphDelta delta = delta_of(*move);
     apply_swap(current_, *move);
     const HostMetrics cand = evaluate_move(delta);
-    ++evaluations_;
     if (accepts(cand)) {
       sync_swap(edges_, *move);
       commit(cand);
@@ -265,7 +289,6 @@ void SaChain::run_one_iteration() {
   const GraphDelta first_delta = delta_of(*first);
   apply_swing(current_, *first);
   const HostMetrics one_neighbor = evaluate_move(first_delta);
-  ++evaluations_;
   if (accepts(one_neighbor)) {
     sync_swing(edges_, *first);
     commit(one_neighbor);
@@ -286,7 +309,6 @@ void SaChain::run_one_iteration() {
     const GraphDelta completion_delta = delta_of(*completion);
     apply_swing(current_, *completion);
     const HostMetrics two_neighbor = evaluate_move(completion_delta);
-    ++evaluations_;
     if (accepts(two_neighbor)) {
       sync_swing(edges_, *first);
       sync_swing(edges_, *completion);

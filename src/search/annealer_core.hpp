@@ -122,7 +122,11 @@ class SaChain {
   std::uint64_t key_of(const HostMetrics& metrics) const noexcept;
   bool accepts(const HostMetrics& cand);
   void commit(const HostMetrics& cand);
+  // Applies `delta` to the evaluator and counts the evaluation.
   HostMetrics evaluate_move(const GraphDelta& delta);
+  // Throws if the evaluator's metrics differ from a serial from-scratch
+  // compute_host_metrics of current_.
+  void audit_evaluator() const;
   void revert_move();
   void emit_window(std::uint64_t at_iter);
   void run_one_iteration();

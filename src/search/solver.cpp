@@ -8,6 +8,18 @@
 #include "search/random_init.hpp"
 
 namespace orp {
+namespace {
+
+// Theorems 1 and 2 bound every host-switch graph of order n and radix r,
+// so a result below either one is a solver or evaluator bug.
+void check_paper_bounds(const SolveResult& result, std::uint32_t n, std::uint32_t r) {
+  ORP_REQUIRE(result.metrics.h_aspl >= result.haspl_lower_bound * (1.0 - 1e-12),
+              "solve_orp result is below the Theorem 2 h-ASPL bound");
+  ORP_REQUIRE(result.metrics.diameter >= diameter_lower_bound(n, r),
+              "solve_orp result is below the Theorem 1 diameter bound");
+}
+
+}  // namespace
 
 SolveResult solve_orp(std::uint32_t n, std::uint32_t r, const SolveOptions& options) {
   ORP_REQUIRE(n >= 2, "need at least two hosts");
@@ -34,6 +46,7 @@ SolveResult solve_orp(std::uint32_t n, std::uint32_t r, const SolveOptions& opti
                          .used_clique = true,
                          .sa_trace = {}};
       solve_span.arg("method", "clique");
+      check_paper_bounds(result, n, r);
       return result;
     }
   }
@@ -137,6 +150,7 @@ SolveResult solve_orp(std::uint32_t n, std::uint32_t r, const SolveOptions& opti
                      .sa_trace = std::move(best->trace)};
   solve_span.arg("method", "sa");
   solve_span.arg("haspl", result.metrics.h_aspl);
+  check_paper_bounds(result, n, r);
   return result;
 }
 

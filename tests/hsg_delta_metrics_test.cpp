@@ -79,17 +79,31 @@ void expect_state_exact(const DeltaHasplEvaluator& eval,
   }
 }
 
+// Repair paths a drive must reach at least once (DriveCase::must_reach),
+// read from the evaluator's Stats.
+enum RepairPath : std::uint32_t {
+  kSingleAffected = 1,  // removal fixed by a direct min
+  kTwoPhase = 2,        // removal re-relaxed by the bucket queue
+  kRowBfs = 4,          // removal fixed by a full-row BFS
+  kFallback = 8,        // apply rebuilt everything from scratch
+  kRowRescan = 16,      // a row's max count reached 0
+  kIncremental = kSingleAffected | kTwoPhase | kRowRescan,
+};
+
 struct DriveCase {
   std::uint32_t n, m, r;
   std::uint64_t seed;
   int moves;
   DeltaEvalOptions eval_options;
+  std::uint32_t must_reach;
 };
 
 // Applies random moves until `moves` of them landed; after every apply and
 // every revert the evaluator must agree with compute_host_metrics on the
 // mutated graph. Disconnecting moves are always reverted (mirroring the
 // annealer's reject path); connected ones are kept or reverted at random.
+// The battery is only as strong as the branches it reaches, so each case
+// also asserts the repair paths it names in `must_reach` fired.
 void drive(const DriveCase& tc) {
   Xoshiro256 rng(tc.seed);
   HostSwitchGraph g = random_host_switch_graph(tc.n, tc.m, tc.r, rng);
@@ -178,27 +192,42 @@ void drive(const DriveCase& tc) {
   }
   EXPECT_GT(performed, tc.moves / 2) << "proposals kept missing";
   expect_state_exact(eval, g);
-  EXPECT_GE(eval.stats().applies, static_cast<std::uint64_t>(performed));
+  const DeltaHasplEvaluator::Stats& stats = eval.stats();
+  EXPECT_GE(stats.applies, static_cast<std::uint64_t>(performed));
+  const auto reached = [&](RepairPath path, std::uint64_t count) {
+    if (tc.must_reach & path) {
+      EXPECT_GT(count, 0u) << "path " << path;
+    }
+  };
+  reached(kSingleAffected, stats.single_affected);
+  reached(kTwoPhase, stats.two_phase_repairs);
+  reached(kRowBfs, stats.row_bfs_repairs);
+  reached(kFallback, stats.fallback_rebuilds);
+  reached(kRowRescan, stats.row_rescans);
 }
 
 class DeltaDifferential : public ::testing::TestWithParam<DriveCase> {};
 
 TEST_P(DeltaDifferential, MatchesFromScratchRecompute) { drive(GetParam()); }
 
-// ~1.1k landed moves across the grid n in {16,64,128}, r in {4,8,12}, with
-// option sets that pin each escalation tier (per-source Ramalingam-Reps,
-// batched bit-parallel, full-rebuild fallback) plus >64-switch batches.
+// ~1.2k landed moves across the grid n in {16,64,128,1024}, r in
+// {4,8,12,16}, with fallback fractions that pin both tiers (per-source
+// repair only, always rebuild, and mixes of the two), plus the paper's
+// headline size (n=1024, m_opt=183, r=16). Together the cases reach every
+// repair path.
 INSTANTIATE_TEST_SUITE_P(
     RandomizedMoves, DeltaDifferential,
-    ::testing::Values(DriveCase{16, 8, 4, 1, 120, {}},
-                      DriveCase{64, 16, 8, 2, 120, {}},
-                      DriveCase{128, 24, 12, 3, 120, {}},
-                      DriveCase{64, 16, 8, 4, 120, DeltaEvalOptions{0, 0.75}},
-                      DriveCase{64, 16, 8, 5, 120, DeltaEvalOptions{16, 0.0}},
-                      DriveCase{128, 24, 12, 6, 120, DeltaEvalOptions{4, 0.3}},
-                      DriveCase{16, 8, 4, 7, 120, DeltaEvalOptions{64, 1.0}},
-                      DriveCase{100, 40, 6, 8, 120, {}},
-                      DriveCase{128, 70, 6, 9, 100, {}}));
+    ::testing::Values(
+        DriveCase{16, 8, 4, 1, 120, {}, kIncremental | kRowBfs | kFallback},
+        DriveCase{64, 16, 8, 2, 120, {}, kIncremental},
+        DriveCase{128, 24, 12, 3, 120, {}, kIncremental},
+        DriveCase{64, 16, 8, 4, 120, DeltaEvalOptions{1.0}, kIncremental},
+        DriveCase{64, 16, 8, 5, 120, DeltaEvalOptions{0.0}, kFallback},
+        DriveCase{128, 24, 12, 6, 120, DeltaEvalOptions{0.3}, kIncremental},
+        DriveCase{16, 8, 4, 7, 120, DeltaEvalOptions{0.5}, kIncremental | kFallback},
+        DriveCase{100, 40, 6, 8, 120, {}, kIncremental | kRowBfs},
+        DriveCase{128, 70, 6, 9, 100, {}, kIncremental},
+        DriveCase{1024, 183, 16, 10, 150, {}, kIncremental}));
 
 TEST(DeltaEvaluator, MatchesInitialMetricsExactly) {
   Xoshiro256 rng(11);
@@ -297,10 +326,52 @@ TEST(DeltaEvaluator, HostMoveUpdatesWeightsWithoutTouchingDistances) {
                        "moved-back");
 }
 
+TEST(DeltaEvaluator, HostMoveZeroCrossingsKeepMaxCountsAcrossRevert) {
+  // Path 0-1-2-3 with a spur 2-4 and one host on switches 0, 1 and 3, so
+  // row 0 has exactly one weighted target (switch 3) at its max, 3.
+  // Moving the host from 1 onto the empty spur crosses zero twice and puts
+  // a second target at that max; revert_last() must restore the count to
+  // one, not only the value. Moving the host off switch 3 then leaves row
+  // 0 with no target at its max, so the row is rescanned, and the result
+  // is only exact if the count was restored.
+  HostSwitchGraph g(3, 5, 4);
+  g.attach_host(0, 0);
+  g.attach_host(1, 1);
+  g.attach_host(2, 3);
+  g.add_switch_edge(0, 1);
+  g.add_switch_edge(1, 2);
+  g.add_switch_edge(2, 3);
+  g.add_switch_edge(2, 4);
+  DeltaHasplEvaluator eval(g);
+  ASSERT_EQ(eval.metrics().diameter, 5u);
+
+  GraphDelta spread;
+  spread.move_host(1, 4);
+  g.move_host(1, 4);
+  expect_metrics_equal(eval.apply(spread), compute_host_metrics(g), "spread");
+  g.move_host(1, 1);
+  eval.revert_last(g);
+  expect_metrics_equal(eval.metrics(), compute_host_metrics(g), "spread-reverted");
+
+  const std::uint64_t rescans = eval.stats().row_rescans;
+  GraphDelta gather;
+  gather.move_host(3, 1);
+  g.move_host(2, 1);
+  const HostMetrics gathered = eval.apply(gather);
+  expect_metrics_equal(gathered, compute_host_metrics(g), "gathered");
+  EXPECT_EQ(gathered.diameter, 3u);
+  EXPECT_GT(eval.stats().row_rescans, rescans);
+
+  g.move_host(2, 3);
+  eval.revert_last(g);
+  expect_metrics_equal(eval.metrics(), compute_host_metrics(g), "gathered-reverted");
+  expect_state_exact(eval, g);
+}
+
 TEST(DeltaEvaluator, FallbackTierIsExercisedAndCounted) {
   Xoshiro256 rng(13);
   auto g = random_host_switch_graph(64, 16, 8, rng);
-  DeltaHasplEvaluator eval(g, DeltaEvalOptions{16, 0.0});  // always rebuild
+  DeltaHasplEvaluator eval(g, DeltaEvalOptions{0.0});  // always rebuild
   EdgeList edges = collect_edges(g);
   std::uint64_t landed = 0;
   for (int i = 0; i < 50; ++i) {
@@ -324,7 +395,7 @@ TEST(DeltaEvaluator, RevertLastUndoesFallbackRebuild) {
   // full rebuild; revert_last() must then resync from the restored graph.
   Xoshiro256 rng(19);
   auto g = random_host_switch_graph(64, 16, 8, rng);
-  DeltaHasplEvaluator eval(g, DeltaEvalOptions{16, 0.0});
+  DeltaHasplEvaluator eval(g, DeltaEvalOptions{0.0});
   EdgeList edges = collect_edges(g);
   std::uint64_t reverted = 0;
   for (int i = 0; i < 20; ++i) {

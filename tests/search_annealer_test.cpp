@@ -6,6 +6,7 @@
 
 #include "common/prng.hpp"
 #include "hsg/bounds.hpp"
+#include "obs/metrics.hpp"
 #include "search/annealer.hpp"
 #include "search/annealer_core.hpp"
 #include "search/parallel.hpp"
@@ -49,6 +50,21 @@ TEST(Annealer, RespectsLowerBound) {
   const auto result = anneal(initial, quick(MoveMode::kTwoNeighborSwing));
   EXPECT_GE(result.best_metrics.h_aspl, haspl_lower_bound(128, 10) - 1e-12);
 }
+
+#ifndef ORP_OBS_DISABLED
+// Every 4096th evaluation is re-checked against a from-scratch recompute
+// (the check throws on a mismatch, so a completed run passed them all).
+TEST(Annealer, AuditsTheDeltaEvaluatorEvery4096Evaluations) {
+  auto& checks = obs::Registry::global().counter("annealer.audit.checks");
+  const auto before = checks.value();
+  Xoshiro256 rng(5);
+  const auto initial = random_host_switch_graph(64, 16, 8, rng);
+  const auto result =
+      anneal(initial, quick(MoveMode::kTwoNeighborSwing, 9000, 5));
+  ASSERT_GE(result.evaluations, 8192u);
+  EXPECT_EQ(checks.value() - before, result.evaluations / 4096);
+}
+#endif
 
 TEST(Annealer, DeterministicForEqualSeeds) {
   Xoshiro256 rng_a(4), rng_b(4);
