@@ -278,7 +278,7 @@ void register_sim(BenchRegistry& registry) {
            Config{64, 12, "alltoall", true},
            Config{64, 12, "allreduce", true},
            Config{256, 12, "allreduce", false},
-           Config{256, 12, "alltoall", false},
+           Config{256, 12, "alltoall", true},
        }) {
     registry.add({
         std::string("sim.") + c.collective + ".n" + std::to_string(c.n) + "_r" +

@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "common/prng.hpp"
 #include "common/require.hpp"
 
 namespace orp {
@@ -65,9 +64,8 @@ bool max_min_certificate_ok(const std::vector<std::vector<LinkId>>& paths,
   return true;
 }
 
-FastFairShareSolver::FastFairShareSolver(std::uint32_t num_links,
-                                         double link_capacity)
-    : capacity_(link_capacity), link_slot_(num_links, kNone) {
+FastFairShareSolver::FastFairShareSolver(double link_capacity)
+    : capacity_(link_capacity) {
   ORP_REQUIRE(link_capacity > 0.0, "link capacity must be positive");
 }
 
@@ -86,6 +84,7 @@ void FastFairShareSolver::set_paths(
   route_rate_.clear();
   have_solution_ = false;
   changed_routes_.clear();
+  deactivated_.clear();
 
   // Open-addressed dedup table over the path hash; sized for a <50% load
   // factor so linear probing stays short.
@@ -101,11 +100,12 @@ void FastFairShareSolver::set_paths(
       flow_route_[f] = kZeroLink;  // zero-link flow: line rate, no filling
       continue;
     }
+    // One multiply per link, high bits folded down once for the index.
     std::uint64_t hash = 0x2545f4914f6cdd1dULL;
     for (const LinkId l : path) {
-      hash ^= static_cast<std::uint64_t>(l) + 1;
-      hash = splitmix64_next(hash);
+      hash = (hash ^ (static_cast<std::uint64_t>(l) + 1)) * 0x9e3779b97f4a7c15ULL;
     }
+    hash ^= hash >> 29;
     std::uint32_t route = kNone;
     std::size_t idx = hash & dedup_mask_;
     while (dedup_[idx].second != kNone) {
@@ -133,6 +133,7 @@ void FastFairShareSolver::set_paths(
       route = static_cast<std::uint32_t>(route_weight_.size());
       dedup_[idx] = {hash, route};
       for (const LinkId l : path) {
+        if (l >= link_slot_.size()) link_slot_.resize(l + std::size_t{1}, kNone);
         if (link_slot_[l] == kNone) {
           link_slot_[l] = static_cast<std::uint32_t>(touched_.size());
           touched_.push_back(l);
@@ -156,8 +157,8 @@ void FastFairShareSolver::set_paths(
     slot_route_offset_[s + 1] += slot_route_offset_[s];
   }
   slot_routes_.resize(route_slots_.size());
-  std::vector<std::uint32_t> cursor(slot_route_offset_.begin(),
-                                    slot_route_offset_.end() - 1);
+  std::vector<std::uint32_t>& cursor = csr_cursor_;
+  cursor.assign(slot_route_offset_.begin(), slot_route_offset_.end() - 1);
   for (std::uint32_t r = 0; r < route_weight_.size(); ++r) {
     for (std::uint32_t k = route_offset_[r]; k < route_offset_[r + 1]; ++k) {
       slot_routes_[cursor[route_slots_[k]]++] = r;
@@ -165,6 +166,22 @@ void FastFairShareSolver::set_paths(
   }
   route_changed_.assign(route_weight_.size(), 0);
   slot_in_suffix_.assign(num_slots, 0);
+
+  // Per-route member lists (counting-sort CSR, flows in id order).
+  const std::size_t num_routes = route_weight_.size();
+  route_flow_offset_.assign(num_routes + 1, 0);
+  for (std::uint32_t r = 0; r < num_routes; ++r) {
+    route_flow_offset_[r + 1] = route_flow_offset_[r] + route_weight_[r];
+  }
+  route_flows_.resize(route_flow_offset_[num_routes]);
+  flow_pos_.assign(num_flows_, kNone);
+  cursor.assign(route_flow_offset_.begin(), route_flow_offset_.end() - 1);
+  for (std::uint32_t f = 0; f < num_flows_; ++f) {
+    const std::uint32_t r = flow_route_[f];
+    if (r == kNone || r == kZeroLink) continue;
+    flow_pos_[f] = cursor[r];
+    route_flows_[cursor[r]++] = f;
+  }
 }
 
 void FastFairShareSolver::deactivate(std::size_t f) {
@@ -172,8 +189,17 @@ void FastFairShareSolver::deactivate(std::size_t f) {
   const std::uint32_t r = flow_route_[f];
   if (r == kNone) return;  // repeated deactivation is a no-op
   flow_route_[f] = kNone;
+  if (have_solution_) deactivated_.push_back(static_cast<std::uint32_t>(f));
   if (r == kZeroLink) return;
   ORP_ASSERT(route_weight_[r] > 0);
+  // Swap f behind the route's live members.
+  const std::uint32_t last = route_flow_offset_[r] + route_weight_[r] - 1;
+  const std::uint32_t pos = flow_pos_[f];
+  const std::uint32_t other = route_flows_[last];
+  route_flows_[pos] = other;
+  flow_pos_[other] = pos;
+  route_flows_[last] = static_cast<std::uint32_t>(f);
+  flow_pos_[f] = last;
   --route_weight_[r];
   if (have_solution_ && !route_changed_[r]) {
     route_changed_[r] = 1;
@@ -483,23 +509,52 @@ bool FastFairShareSolver::warm_solve() {
   return true;
 }
 
-void FastFairShareSolver::solve(std::vector<double>& rates) {
-  rates.assign(num_flows_, 0.0);
+void FastFairShareSolver::write_route(std::uint32_t r,
+                                      std::vector<double>& rates) {
+  const std::uint32_t begin = route_flow_offset_[r];
+  for (std::uint32_t k = begin; k < begin + route_weight_[r]; ++k) {
+    const std::uint32_t f = route_flows_[k];
+    rates[f] = route_rate_[r];
+    written_.push_back(f);
+  }
+}
+
+const std::vector<std::uint32_t>& FastFairShareSolver::solve(
+    std::vector<double>& rates) {
+  ++stats_.solves;
+  written_.clear();
+  // Progressive filling treats equal-path flows identically, so writing
+  // the per-route rate to the member flows reproduces the per-flow
+  // allocation exactly.
   if (!have_solution_) {
     cold_solve();
     have_solution_ = true;
-  } else if (!changed_routes_.empty()) {
-    if (!warm_solve()) cold_solve();
-    for (const std::uint32_t r : changed_routes_) route_changed_[r] = 0;
-    changed_routes_.clear();
-  }
-  // Fan the per-route rates back out to the member flows. Progressive
-  // filling treats equal-path flows identically, so this reproduces the
-  // per-flow allocation exactly.
-  for (std::size_t f = 0; f < num_flows_; ++f) {
-    const std::uint32_t r = flow_route_[f];
-    if (r == kNone) continue;
-    rates[f] = (r == kZeroLink) ? capacity_ : route_rate_[r];
+    deactivated_.clear();
+    rates.assign(num_flows_, 0.0);
+    for (std::uint32_t f = 0; f < num_flows_; ++f) {
+      if (flow_route_[f] != kZeroLink) continue;
+      rates[f] = capacity_;
+      written_.push_back(f);
+    }
+    for (std::uint32_t r = 0; r < route_weight_.size(); ++r) write_route(r, rates);
+  } else {
+    ORP_ASSERT(rates.size() == num_flows_);
+    for (const std::uint32_t f : deactivated_) rates[f] = 0.0;
+    deactivated_.clear();
+    if (!changed_routes_.empty()) {
+      if (warm_solve()) {
+        ++stats_.warm_solves;
+        stats_.refilled_routes += suffix_routes_.size();
+        for (const std::uint32_t r : suffix_routes_) write_route(r, rates);
+      } else {
+        cold_solve();
+        for (std::uint32_t r = 0; r < route_weight_.size(); ++r) {
+          write_route(r, rates);
+        }
+      }
+      for (const std::uint32_t r : changed_routes_) route_changed_[r] = 0;
+      changed_routes_.clear();
+    }
   }
 #ifndef NDEBUG
   std::string why;
@@ -507,6 +562,7 @@ void FastFairShareSolver::solve(std::vector<double>& rates) {
     throw std::logic_error("FastFairShareSolver max-min certificate: " + why);
   }
 #endif
+  return written_;
 }
 
 bool FastFairShareSolver::self_check(std::string* why) const {

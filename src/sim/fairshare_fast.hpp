@@ -31,7 +31,9 @@
 //     which a changed route's link saturated is provably unaffected
 //     (those links were not binding earlier, and shrinking a weight only
 //     raises a link's saturation level), so the solver replays that
-//     prefix verbatim and re-runs filling only on the suffix routes.
+//     prefix verbatim, re-runs filling only on the suffix routes, and
+//     writes and reports only those routes' member flows — the caller's
+//     event loop re-keys just the flows whose rate may have moved.
 //
 // The progressive-filling oracle lives in the test-only orp_oracle
 // library: tests/sim_fairshare_diff_test.cpp asserts rate agreement within
@@ -62,36 +64,60 @@ bool max_min_certificate_ok(const std::vector<std::vector<LinkId>>& paths,
 
 /// The fast fluid solver. Stateful across the solves of one communication
 /// phase: set_paths() builds the aggregated route tableau, deactivate()
-/// retires one flow (weight decrement), solve() produces per-flow rates,
-/// warm-starting from the previous trajectory when only deactivations
-/// happened in between. Re-pathing flows (fault rebuild) requires a fresh
-/// set_paths(). Active flows with empty paths (same-host memcpy never
-/// reaches the solver, but zero-link flows do exist in direct use) are
-/// given line rate and excluded from filling.
+/// retires one flow (weight decrement), solve() brings the per-flow rates up
+/// to date and reports which flows it wrote, warm-starting from the previous
+/// trajectory when only deactivations happened in between. Re-pathing flows
+/// (fault rebuild) requires a fresh set_paths(). Active flows with empty
+/// paths (same-host memcpy never reaches the solver, but zero-link flows do
+/// exist in direct use) are given line rate and excluded from filling.
 class FastFairShareSolver {
  public:
-  FastFairShareSolver(std::uint32_t num_links, double link_capacity);
+  explicit FastFairShareSolver(double link_capacity);
 
   /// Rebuilds the route tableau for a new phase: aggregates `paths[f]` of
-  /// every flow with `active[f]` by identical link sequence. O(sum of
-  /// active path lengths). Invalidates any warm-start state.
+  /// every flow with `active[f]` by identical link sequence, and lists each
+  /// route's member flows. O(sum of active path lengths). Link ids may come
+  /// from any routing table (the id range grows on demand). Invalidates any
+  /// warm-start state.
   void set_paths(const std::vector<std::vector<LinkId>>& paths,
                  const std::vector<std::uint8_t>& active);
 
   /// Flow `f` completed or failed: drop it from its route's weight. O(1).
   void deactivate(std::size_t f);
 
-  /// Max-min rates for the current active set. `rates` is sized to the
-  /// flow count of set_paths(); inactive flows read 0. When nothing
-  /// changed since the last solve this only re-fans the cached rates;
-  /// after deactivations it replays the unaffected freeze-log prefix and
-  /// re-fills the suffix.
-  void solve(std::vector<double>& rates);
+  /// Brings `rates` up to date with the current active set and returns the
+  /// active flows whose rate it wrote (in no particular order). The first
+  /// solve after set_paths() is cold: `rates` is reset to one zero per flow
+  /// and every active flow is written and listed. Later solves are
+  /// incremental and need the vector the previous solve left: flows
+  /// deactivated since then are zeroed (not listed), and only the member
+  /// flows of the routes whose filling re-ran are written and listed — the
+  /// suffix routes of a warm solve, every live route when the change forces
+  /// a cold one, none when nothing changed. Every other flow's rate is
+  /// provably unchanged. The list stays valid until the next call.
+  const std::vector<std::uint32_t>& solve(std::vector<double>& rates);
+
+  /// The allocator's current rate for flow `f` (its route's rate; line rate
+  /// for a zero-link flow, 0 once deactivated). Valid after a solve.
+  double rate_of(std::size_t f) const {
+    const std::uint32_t r = flow_route_[f];
+    if (r == kNone) return 0.0;
+    return r == kZeroLink ? capacity_ : route_rate_[r];
+  }
 
   /// Validates the internal (aggregated) max-min certificate of the last
   /// solve; used by tests and by the debug assertion hook. Returns true
   /// with no solve yet performed.
   bool self_check(std::string* why = nullptr) const;
+
+  /// Work counters, cumulative over the solver's lifetime.
+  struct Stats {
+    std::uint64_t solves = 0;       ///< solve() calls
+    std::uint64_t warm_solves = 0;  ///< solves that replayed a log prefix
+    /// Live suffix routes whose filling a warm solve re-ran.
+    std::uint64_t refilled_routes = 0;
+  };
+  const Stats& stats() const noexcept { return stats_; }
 
   double capacity() const noexcept { return capacity_; }
 
@@ -102,6 +128,8 @@ class FastFairShareSolver {
 
   void cold_solve();
   bool warm_solve();  ///< false when the change forces a cold solve
+  /// Writes route `r`'s rate to its live member flows and lists them.
+  void write_route(std::uint32_t r, std::vector<double>& rates);
   void fill(double start_level, std::uint32_t unfrozen);
   void freeze_route(std::uint32_t route, double level);
   void reset_queue(double lo, double hi);
@@ -120,6 +148,13 @@ class FastFairShareSolver {
   std::vector<std::uint32_t> route_slots_;
   std::vector<std::uint32_t> route_weight_;  ///< live member-flow count
   std::vector<double> route_rate_;
+  // Per-route member flows (CSR). The first route_weight_[r] entries of a
+  // route's range are its live members; deactivate() swaps a retiring flow
+  // behind them, so a warm solve writes exactly the live flows.
+  std::vector<std::uint32_t> route_flow_offset_;
+  std::vector<std::uint32_t> route_flows_;
+  std::vector<std::uint32_t> flow_pos_;  ///< per flow: index in route_flows_
+  std::vector<std::uint32_t> csr_cursor_;  ///< set_paths() scratch
   // Per-slot incidence: which routes cross this link (CSR, static per phase).
   std::vector<std::uint32_t> slot_route_offset_;
   std::vector<std::uint32_t> slot_routes_;
@@ -168,6 +203,9 @@ class FastFairShareSolver {
   bool have_solution_ = false;
   std::vector<std::uint32_t> changed_routes_;  ///< since last solve
   std::vector<std::uint8_t> route_changed_;
+  std::vector<std::uint32_t> deactivated_;  ///< flows retired since last solve
+  std::vector<std::uint32_t> written_;      ///< solve()'s report
+  Stats stats_;
 
   // Scratch for warm_solve.
   std::vector<std::uint32_t> suffix_routes_;

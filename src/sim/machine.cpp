@@ -23,6 +23,10 @@ struct SimInstruments {
   obs::Counter& fault_retries;
   obs::Counter& fault_failures;
   obs::Counter& fault_repairs;
+  obs::Counter& fairshare_solves;
+  obs::Counter& fairshare_warm_solves;
+  obs::Counter& fairshare_refilled_routes;
+  obs::Counter& fluid_steps;
 
   static SimInstruments& get() {
     auto& registry = obs::Registry::global();
@@ -33,7 +37,11 @@ struct SimInstruments {
                                    registry.counter("sim.fault.rebuilds"),
                                    registry.counter("sim.fault.retried_flows"),
                                    registry.counter("sim.fault.failed_flows"),
-                                   registry.counter("sim.fault.repairs")};
+                                   registry.counter("sim.fault.repairs"),
+                                   registry.counter("sim.fairshare.solves"),
+                                   registry.counter("sim.fairshare.warm_solves"),
+                                   registry.counter("sim.fairshare.refilled_routes"),
+                                   registry.counter("sim.phase.fluid_steps")};
     return instance;
   }
 };
@@ -47,7 +55,7 @@ Machine::Machine(const HostSwitchGraph& graph, const SimParams& params,
       routes_(graph_),
       num_ranks_(graph.num_hosts()),
       rank_to_host_(std::move(rank_to_host)),
-      solver_(routes_.num_links(), params.link_bandwidth) {
+      solver_(params.link_bandwidth) {
   if (rank_to_host_.empty()) {
     rank_to_host_.resize(num_ranks_);
     std::iota(rank_to_host_.begin(), rank_to_host_.end(), 0);
@@ -177,7 +185,6 @@ bool Machine::apply_due_faults(double horizon,
     // recompute every one of them (the ids are offsets into a layout that
     // just shifted, not stable names).
     routes_ = RoutingTable(graph_);
-    solver_ = FastFairShareSolver(routes_.num_links(), params_.link_bandwidth);
     ++fault_stats_.routing_rebuilds;
     instruments.fault_rebuilds.inc();
   }
@@ -196,6 +203,47 @@ double Machine::compute(double flops_per_rank) {
   const double elapsed = flops_per_rank / (params_.host_gflops * 1e9);
   clock_ += elapsed;
   return elapsed;
+}
+
+void Machine::FinishQueue::sort_run() {
+  std::sort(run_.begin() + static_cast<std::ptrdiff_t>(cursor_), run_.end(),
+            [](const Entry& a, const Entry& b) { return a.time < b.time; });
+}
+
+void Machine::FinishQueue::push(const Entry& e) {
+  heap_.push_back(e);
+  std::push_heap(heap_.begin(), heap_.end(), later);
+}
+
+const Machine::FinishQueue::Entry* Machine::FinishQueue::top(
+    const std::vector<std::uint32_t>& stamps) {
+  while (cursor_ < run_.size() && dead(run_[cursor_], stamps)) ++cursor_;
+  while (!heap_.empty() && dead(heap_.front(), stamps)) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    heap_.pop_back();
+  }
+  const bool in_run = cursor_ < run_.size();
+  if (!in_run && heap_.empty()) return nullptr;
+  top_in_run_ = in_run && (heap_.empty() || run_[cursor_].time <= heap_.front().time);
+  return top_in_run_ ? &run_[cursor_] : &heap_.front();
+}
+
+void Machine::FinishQueue::pop() {
+  if (top_in_run_) {
+    ++cursor_;
+  } else {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    heap_.pop_back();
+  }
+}
+
+void Machine::FinishQueue::compact(const std::vector<std::uint32_t>& stamps) {
+  const auto is_dead = [&](const Entry& e) { return dead(e, stamps); };
+  run_.erase(run_.begin(), run_.begin() + static_cast<std::ptrdiff_t>(cursor_));
+  cursor_ = 0;
+  run_.erase(std::remove_if(run_.begin(), run_.end(), is_dead), run_.end());
+  heap_.erase(std::remove_if(heap_.begin(), heap_.end(), is_dead), heap_.end());
+  std::make_heap(heap_.begin(), heap_.end(), later);
 }
 
 double Machine::phase(const std::vector<Message>& messages) {
@@ -270,62 +318,107 @@ double Machine::phase(const std::vector<Message>& messages) {
   const std::size_t num_flows = paths_.size();
   std::vector<std::uint8_t>& active = scratch_.active;
   std::vector<double>& finish = scratch_.finish;
+  std::vector<double>& delivered = scratch_.delivered;
+  std::vector<double>& since = scratch_.since;
+  std::vector<double>& rate = scratch_.rate;
+  std::vector<std::uint32_t>& stamp = scratch_.stamp;
+  FinishQueue& queue = scratch_.queue;
   active.assign(num_flows, 1);
   finish.assign(num_flows, 0.0);
+  delivered.assign(num_flows, 0.0);
+  since.assign(num_flows, 0.0);
+  rate.assign(num_flows, 0.0);
+  stamp.assign(num_flows, 0);
+  queue.clear();
   std::size_t active_count = num_flows;
+  std::size_t ended = 0;  // flows completed or failed so far
 
   // Network telemetry (docs/telemetry.md): one load when no tracer is
   // active; otherwise the collector snapshots raw per-flow/per-link data
   // and defers all formatting to the sink flush.
   const bool tele = net_.begin_phase(clock_, num_flows);
   std::uint32_t fluid_steps = 0;
+  const FastFairShareSolver::Stats solver_before = solver_.stats();
 
+  // Ends flow f at phase time `at`; every flow ends exactly once.
+  const auto end_flow = [&](std::size_t f, double at) {
+    ORP_ASSERT(active[f]);
+    active[f] = 0;
+    --active_count;
+    ++ended;
+    finish[f] = at;
+  };
   for (std::size_t f = 0; f < num_flows; ++f) {
     if (hops[f] == 0) {
       // No surviving route at injection: the sender gives up after the
       // bounded detection timeout instead of hanging.
       failed[f] = 1;
-      active[f] = 0;
-      --active_count;
-      finish[f] = params_.retry_timeout;
+      end_flow(f, params_.retry_timeout);
       ++fault_stats_.flows_failed;
       instruments.fault_failures.inc();
     } else if (remaining[f] == 0) {
-      // Zero-byte messages finish immediately (latency-only).
-      active[f] = 0;
-      --active_count;
+      end_flow(f, 0.0);  // zero-byte messages finish at once (latency only)
     }
   }
 
-  // Fluid simulation: advance to the next flow completion, re-solving the
-  // fair allocation whenever the active set changes. Completions within a
-  // relative epsilon batch together, which keeps homogeneous collectives at
-  // one solve per phase. Fault events due mid-phase interrupt the advance
-  // at their timestamp: the topology degrades, routing rebuilds, and every
-  // in-flight flow is re-pathed (link ids renumber on rebuild) — flows that
-  // were crossing a dead link pay retry_backoff, flows with no surviving
-  // route fail at the event time plus retry_timeout.
+  // Fluid simulation as an event loop (docs/sim.md, "The event loop"). Each
+  // active flow carries (delivered bytes at `since`, `since`, rate), and a
+  // min-queue holds its projected finish time. A step advances to the
+  // earliest finish, ends every flow inside the batch window, and
+  // re-solves; only the flows the solver reports as re-rated are re-keyed
+  // (superseded queue entries die by their stamp). Completions within a
+  // relative epsilon batch together, which keeps homogeneous collectives
+  // at one solve per phase. Fault events due mid-phase interrupt the
+  // advance at their timestamp: the topology degrades, routing rebuilds,
+  // and every in-flight flow is re-pathed (link ids renumber on rebuild)
+  // — flows that were crossing a dead link pay retry_backoff, flows with
+  // no surviving route fail at the event time plus retry_timeout.
   double t = 0.0;
-  std::vector<double>& byte_progress = scratch_.byte_progress;
-  byte_progress.assign(num_flows, 0.0);
+  const auto left = [&](std::size_t f) {
+    return static_cast<double>(remaining[f]) -
+           (delivered[f] + rate[f] * (t - since[f]));
+  };
+  // Lowest rate any flow ran at this phase: bounds the dust term of the
+  // batch rule in time units (left <= rate * slack + 1e-9 bytes).
+  double rate_floor = std::numeric_limits<double>::infinity();
+  bool rekey_all = true;  // the next solve is cold: rebuild the queue
   std::vector<std::uint8_t>& removed_links = scratch_.removed_links;
+  std::vector<FinishQueue::Entry>& deferred = scratch_.deferred;
   solver_.set_paths(paths_, active);
   while (active_count > 0) {
-    solver_.solve(rates_);
-    double dt = std::numeric_limits<double>::infinity();
-    for (std::size_t f = 0; f < num_flows; ++f) {
-      if (!active[f]) continue;
-      ORP_ASSERT(rates_[f] > 0.0);
-      dt = std::min(dt, (static_cast<double>(remaining[f]) - byte_progress[f]) / rates_[f]);
+    const std::vector<std::uint32_t>& rerated = solver_.solve(rates_);
+    if (rekey_all) queue.clear();
+    for (const std::uint32_t f : rerated) {
+      delivered[f] += rate[f] * (t - since[f]);
+      since[f] = t;
+      rate[f] = rates_[f];
+      ORP_ASSERT(rate[f] > 0.0);
+      rate_floor = std::min(rate_floor, rate[f]);
+      const FinishQueue::Entry e{
+          t + (static_cast<double>(remaining[f]) - delivered[f]) / rate[f], f,
+          ++stamp[f]};
+      if (rekey_all) {
+        queue.add_to_run(e);
+      } else {
+        queue.push(e);
+      }
     }
+    if (rekey_all) {
+      queue.sort_run();
+      rekey_all = false;
+    } else if (queue.size() > 2 * active_count + 64) {
+      queue.compact(stamp);
+    }
+    const FinishQueue::Entry* next = queue.top(stamp);
+    ORP_ASSERT(next != nullptr);  // every active flow holds a live entry
+    const std::uint32_t first = next->flow;
+    const double dt = std::max(0.0, left(first) / rate[first]);
 
     if (next_event_ < pending_.size() &&
         pending_[next_event_].time < clock_ + t + dt) {
       // Progress to the fault instant, then apply every event due there.
       const double event_t = std::max(pending_[next_event_].time - clock_, t);
-      for (std::size_t f = 0; f < num_flows; ++f) {
-        if (active[f]) byte_progress[f] += rates_[f] * (event_t - t);
-      }
+      ORP_ASSERT(event_t >= t);  // the clock is monotone (and not NaN)
       if (tele) {
         net_.on_segment(fluid_steps, clock_ + t, clock_ + event_t, paths_,
                         active, rates_);
@@ -336,6 +429,7 @@ double Machine::phase(const std::vector<Message>& messages) {
       if (!apply_due_faults(clock_ + t, &removed_links)) continue;
       for (std::size_t f = 0; f < num_flows; ++f) {
         if (!active[f]) continue;
+        ORP_ASSERT(rate[f] == solver_.rate_of(f));
         // Impact test against the OLD numbering, before the paths go stale.
         bool hit = host_dead_[flow_src[f]] || host_dead_[flow_dst[f]];
         if (!hit) {
@@ -347,55 +441,69 @@ double Machine::phase(const std::vector<Message>& messages) {
           }
         }
         paths_[f].clear();
-        const std::uint32_t new_hops = route_flow(f);
-        if (new_hops == 0) {
-          active[f] = 0;
-          --active_count;
+        hops[f] = route_flow(f);
+        if (hops[f] == 0) {
           failed[f] = 1;
-          finish[f] = t + params_.retry_timeout;
+          end_flow(f, t + params_.retry_timeout);
           ++fault_stats_.flows_failed;
           instruments.fault_failures.inc();
           if (tele) net_.flow_done(f, rates_[f]);
-        } else {
-          hops[f] = new_hops;
-          if (hit) {
-            // Rerouted mid-flight: delivered bytes are kept, the reroute
-            // costs one transport backoff.
-            penalty[f] += params_.retry_backoff;
-            fault_stats_.retry_added_latency += params_.retry_backoff;
-            retried[f] = 1;
-            ++fault_stats_.flows_retried;
-            instruments.fault_retries.inc();
-          }
+        } else if (hit) {
+          // Rerouted mid-flight: delivered bytes are kept, the reroute
+          // costs one transport backoff.
+          penalty[f] += params_.retry_backoff;
+          fault_stats_.retry_added_latency += params_.retry_backoff;
+          retried[f] = 1;
+          ++fault_stats_.flows_retried;
+          instruments.fault_retries.inc();
         }
       }
       // Link ids renumbered and every surviving flow was re-pathed, so the
-      // solver's tableau (replaced in apply_due_faults) is rebuilt from
-      // scratch; the next solve is a cold one.
+      // solver's tableau is rebuilt from scratch: the next solve is cold
+      // and re-rates (and re-keys) every active flow.
       solver_.set_paths(paths_, active);
+      rekey_all = true;
       continue;
     }
 
-    const double batch_window = dt * (1.0 + 1e-9) + 1e-15;
     if (tele) {
       net_.on_segment(fluid_steps, clock_ + t, clock_ + t + dt, paths_, active,
                       rates_);
     }
     ++fluid_steps;
+    const double batch_window = dt * (1.0 + 1e-9) + 1e-15;
+    const double slack = batch_window - dt;
+    ORP_ASSERT(t + dt >= t);
     t += dt;
-    for (std::size_t f = 0; f < num_flows; ++f) {
-      if (!active[f]) continue;
-      byte_progress[f] += rates_[f] * dt;
-      const double left = static_cast<double>(remaining[f]) - byte_progress[f];
-      if (left <= rates_[f] * (batch_window - dt) + 1e-9) {
-        active[f] = 0;
-        --active_count;
-        finish[f] = t;
-        solver_.deactivate(f);
-        if (tele) net_.flow_done(f, rates_[f]);
+    // End `first` and every flow inside the batch window. Keys are
+    // projected finish times, so a flow can only pass the batch rule when
+    // its key lies within slack + 1e-9 / rate of t; candidates beyond the
+    // rule (possible only through the dust term) are queued again.
+    const double horizon = t + slack + 1e-9 / rate_floor + t * 1e-15;
+    deferred.clear();
+    while ((next = queue.top(stamp)) != nullptr) {
+      const FinishQueue::Entry e = *next;
+      if (e.flow != first && e.time > horizon) break;
+      queue.pop();
+      const std::size_t f = e.flow;
+      const double bytes_left = left(f);
+      if (f != first && bytes_left > rate[f] * slack + 1e-9) {
+        deferred.push_back(e);
+        continue;
       }
+      // Cached rates are exact copies of the solver's, and a completed
+      // flow delivered its bytes up to the batch window plus rounding.
+      ORP_ASSERT(rate[f] == solver_.rate_of(f));
+      ORP_ASSERT(std::abs(bytes_left) <=
+                 1e-9 * static_cast<double>(remaining[f]) +
+                     rate[f] * (slack + t * 1e-15) + 1e-9);
+      end_flow(f, t);
+      solver_.deactivate(f);
+      if (tele) net_.flow_done(f, rates_[f]);
     }
+    for (const FinishQueue::Entry& e : deferred) queue.push(e);
   }
+  ORP_ASSERT(ended == num_flows);
 
   // Per-message wire latency + software overhead; the phase ends when the
   // slowest message has fully landed (failed flows end at their bounded
@@ -426,6 +534,9 @@ double Machine::phase(const std::vector<Message>& messages) {
     double peak = 0.0;
     for (std::size_t f = 0; f < num_flows; ++f) {
       for (const LinkId l : paths_[f]) {
+        // A flow that ended before a mid-phase rebuild keeps its path in
+        // the old numbering, which may exceed the rebuilt table's range.
+        if (l >= link_bytes_.size()) link_bytes_.resize(l + std::size_t{1}, 0.0);
         link_bytes_[l] += static_cast<double>(remaining[f]);
         peak = std::max(peak, link_bytes_[l]);
       }
@@ -442,6 +553,9 @@ double Machine::phase(const std::vector<Message>& messages) {
       // Keep the kTopLinks busiest links, most loaded first.
       const double util = bytes_on_link / capacity;
       auto& top = stats_.top_links;
+      if (top.size() == PhaseStats::kTopLinks && util <= top.back().utilization) {
+        continue;
+      }
       auto pos = std::find_if(top.begin(), top.end(),
                               [&](const PhaseStats::LinkLoad& entry) {
                                 return util > entry.utilization;
@@ -481,6 +595,13 @@ double Machine::phase(const std::vector<Message>& messages) {
 
   instruments.phases.inc();
   instruments.flows.add(num_flows);
+  const FastFairShareSolver::Stats& solver_after = solver_.stats();
+  instruments.fairshare_solves.add(solver_after.solves - solver_before.solves);
+  instruments.fairshare_warm_solves.add(solver_after.warm_solves -
+                                        solver_before.warm_solves);
+  instruments.fairshare_refilled_routes.add(solver_after.refilled_routes -
+                                            solver_before.refilled_routes);
+  instruments.fluid_steps.add(fluid_steps);
   if (span.active()) {
     span.arg("flows", static_cast<std::uint64_t>(num_flows));
     span.arg("sim_elapsed_s", elapsed);

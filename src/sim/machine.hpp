@@ -130,7 +130,7 @@ class Machine {
 
  private:
   /// Applies every pending fault event with time <= horizon to the
-  /// topology; rebuilds routing/solver and returns true when it changed.
+  /// topology; rebuilds routing and returns true when it changed.
   /// When `removed_links` is non-null, the *old* directed link ids of every
   /// link that went down are flagged in it (caller sizes it to the old
   /// num_links) so in-flight flows can be tested for impact.
@@ -164,8 +164,51 @@ class Machine {
   // between phases (collective rounds have identical flow counts, so the
   // per-flow path buffers stabilize after the first round).
   std::vector<std::vector<LinkId>> paths_;
-  std::vector<double> rates_;
+  std::vector<double> rates_;  ///< per-flow rates, kept current by solver_
   std::vector<double> link_bytes_;
+
+  /// Min-queue of projected flow finish times (phase time) that drives
+  /// the fluid event loop. A cold solve re-keys every flow at once, so
+  /// those keys are sorted into a run consumed front to back; the few flows
+  /// a warm solve re-keys go to a binary min-heap beside it. Invalidation
+  /// is lazy: an entry is live only while its stamp equals its flow's
+  /// current stamp, and dead entries are dropped when they surface.
+  class FinishQueue {
+   public:
+    struct Entry {
+      double time;
+      std::uint32_t flow;
+      std::uint32_t stamp;
+    };
+    void clear() {
+      run_.clear();
+      heap_.clear();
+      cursor_ = 0;
+    }
+    /// Bulk re-key: append unordered, then sort_run() once.
+    void add_to_run(const Entry& e) { run_.push_back(e); }
+    void sort_run();
+    void push(const Entry& e);
+    std::size_t size() const { return run_.size() - cursor_ + heap_.size(); }
+    /// The earliest live entry (dead ones are dropped on the way), or
+    /// nullptr when none is left. pop() removes the entry it returned.
+    const Entry* top(const std::vector<std::uint32_t>& stamps);
+    void pop();
+    /// Drops every dead entry (bounds growth under many warm re-keys).
+    void compact(const std::vector<std::uint32_t>& stamps);
+
+   private:
+    static bool later(const Entry& a, const Entry& b) { return a.time > b.time; }
+    static bool dead(const Entry& e, const std::vector<std::uint32_t>& stamps) {
+      return e.stamp != stamps[e.flow];
+    }
+
+    std::vector<Entry> run_;   ///< sorted by time; [cursor_, end) pending
+    std::vector<Entry> heap_;  ///< min-heap by time
+    std::size_t cursor_ = 0;
+    bool top_in_run_ = false;
+  };
+
   struct PhaseScratch {
     std::vector<std::uint64_t> remaining;
     std::vector<std::uint32_t> hops;
@@ -173,7 +216,13 @@ class Machine {
     std::vector<std::uint64_t> flow_key;
     std::vector<double> penalty;
     std::vector<std::uint8_t> failed, retried, active;
-    std::vector<double> finish, byte_progress;
+    std::vector<double> finish;
+    // Flow table: bytes delivered as of phase time `since`, at `rate`
+    // (the solver's rate, cached when the flow was last re-keyed).
+    std::vector<double> delivered, since, rate;
+    std::vector<std::uint32_t> stamp;
+    FinishQueue queue;
+    std::vector<FinishQueue::Entry> deferred;
     std::vector<std::uint8_t> removed_links;
   } scratch_;
 };

@@ -30,6 +30,7 @@ RoutingTable::RoutingTable(const HostSwitchGraph& g)
   // lowest-id tie-break, giving loop-free deterministic minimal routes.
   dist_.assign(static_cast<std::size_t>(m_) * m_, kUnreachable);
   next_hop_.assign(static_cast<std::size_t>(m_) * m_, kUnreachable);
+  next_link_.assign(static_cast<std::size_t>(m_) * m_, kUnreachable);
   std::vector<SwitchId> queue;
   queue.reserve(m_);
   for (SwitchId t = 0; t < m_; ++t) {
@@ -54,9 +55,11 @@ RoutingTable::RoutingTable(const HostSwitchGraph& g)
     }
     for (SwitchId s = 0; s < m_; ++s) {
       if (s == t || dist_to_t(s) == kUnreachable) continue;
-      for (SwitchId u : sorted_adj_[s]) {  // lowest-id shortest next hop
-        if (dist_to_t(u) + 1 == dist_to_t(s)) {
-          next_hop_[static_cast<std::size_t>(s) * m_ + t] = u;
+      const auto& adj = sorted_adj_[s];
+      for (std::uint32_t k = 0; k < adj.size(); ++k) {  // lowest-id shortest
+        if (dist_to_t(adj[k]) + 1 == dist_to_t(s)) {
+          next_hop_[static_cast<std::size_t>(s) * m_ + t] = adj[k];
+          next_link_[static_cast<std::size_t>(s) * m_ + t] = link_base_[s] + k;
           break;
         }
       }
@@ -99,18 +102,18 @@ std::uint32_t RoutingTable::append_host_path_ecmp(HostId src, HostId dst,
     // SplitMix-style remix per hop so consecutive hops decorrelate.
     hash = splitmix64_next(hash);
     std::uint32_t pick = static_cast<std::uint32_t>(hash % choices);
-    SwitchId next = s;
-    for (SwitchId u : sorted_adj_[s]) {
-      if (dist_[static_cast<std::size_t>(u) * m_ + t] + 1 == ds) {
-        if (pick == 0) {
-          next = u;
-          break;
-        }
+    // The k-th sorted neighbor is reached over link link_base_[s] + k.
+    const auto& adj = sorted_adj_[s];
+    std::uint32_t k = 0;
+    for (; k < adj.size(); ++k) {
+      if (dist_[static_cast<std::size_t>(adj[k]) * m_ + t] + 1 == ds) {
+        if (pick == 0) break;
         --pick;
       }
     }
-    path.push_back(switch_link(s, next));
-    s = next;
+    ORP_ASSERT(k < adj.size());
+    path.push_back(link_base_[s] + k);
+    s = adj[k];
   }
   path.push_back(host_downlink(dst));
   return static_cast<std::uint32_t>(path.size() - before);
@@ -151,10 +154,10 @@ std::uint32_t RoutingTable::append_host_path(HostId src, HostId dst,
   SwitchId s = host_switch_[src];
   const SwitchId t = host_switch_[dst];
   while (s != t) {
-    const SwitchId u = next_hop_[static_cast<std::size_t>(s) * m_ + t];
-    ORP_REQUIRE(u != kUnreachable, "hosts are not connected");
-    path.push_back(switch_link(s, u));
-    s = u;
+    const std::size_t st = static_cast<std::size_t>(s) * m_ + t;
+    ORP_REQUIRE(next_hop_[st] != kUnreachable, "hosts are not connected");
+    path.push_back(next_link_[st]);
+    s = next_hop_[st];
   }
   path.push_back(host_downlink(dst));
   return static_cast<std::uint32_t>(path.size() - before);

@@ -86,6 +86,7 @@ class RoutingTable {
   std::vector<SwitchId> host_switch_;
   std::vector<std::uint32_t> dist_;      // m*m switch distances
   std::vector<SwitchId> next_hop_;       // m*m: next switch from s toward t
+  std::vector<LinkId> next_link_;        // m*m: directed link s -> next_hop_
   std::vector<std::uint32_t> link_base_; // per-switch offset into directed links
   // Sorted adjacency per switch for O(log r) link lookup.
   std::vector<std::vector<SwitchId>> sorted_adj_;

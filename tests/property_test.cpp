@@ -137,7 +137,7 @@ TEST_P(MaxMinCertificate, EveryFlowHasABottleneck) {
   }
   std::vector<std::uint8_t> active(param.flows, 1);
   std::vector<double> rates;
-  FastFairShareSolver solver(param.links, capacity);
+  FastFairShareSolver solver(capacity);
   solver.set_paths(paths, active);
   solver.solve(rates);
 

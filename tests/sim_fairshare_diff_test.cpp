@@ -8,13 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "common/prng.hpp"
+#include "obs/metrics.hpp"
 #include "oracle/fairshare.hpp"
+#include "oracle/fluid.hpp"
 #include "search/random_init.hpp"
 #include "sim/fairshare_fast.hpp"
 #include "sim/fault.hpp"
@@ -64,6 +67,26 @@ void expect_rates_match(const std::vector<double>& ref,
   }
 }
 
+// solve()'s report contract: the listed flows are active, and every active
+// flow whose rate moved since `before` is listed (the rest kept theirs).
+void expect_report_covers_changes(const Instance& inst,
+                                  const std::vector<double>& before,
+                                  const std::vector<double>& after,
+                                  const std::vector<std::uint32_t>& written,
+                                  const std::string& context) {
+  std::vector<std::uint8_t> listed(after.size(), 0);
+  for (const std::uint32_t f : written) {
+    ASSERT_LT(f, after.size()) << context;
+    EXPECT_TRUE(inst.active[f]) << context << ", flow " << f;
+    listed[f] = 1;
+  }
+  for (std::size_t f = 0; f < after.size(); ++f) {
+    if (inst.active[f] && !listed[f]) {
+      ASSERT_EQ(before[f], after[f]) << context << ", unlisted flow " << f;
+    }
+  }
+}
+
 void expect_certified(const Instance& inst, const std::vector<double>& rates,
                       const std::string& context) {
   std::string why;
@@ -79,7 +102,7 @@ void expect_certified(const Instance& inst, const std::vector<double>& rates,
 // set_paths() must fully reset phase state.
 TEST(FairShareDiff, RandomizedBatteryWithDeactivationSchedules) {
   FairShareSolver ref(kLinks, kCap);
-  FastFairShareSolver fast(kLinks, kCap);
+  FastFairShareSolver fast(kCap);
   std::vector<double> r_ref, r_fast;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     Xoshiro256 rng(seed);
@@ -90,7 +113,8 @@ TEST(FairShareDiff, RandomizedBatteryWithDeactivationSchedules) {
 
     fast.set_paths(inst.paths, inst.active);
     ref.solve(inst.paths, inst.active, r_ref);
-    fast.solve(r_fast);
+    // A cold solve writes and lists every active flow.
+    EXPECT_EQ(fast.solve(r_fast).size(), num_flows) << tag;
     expect_rates_match(r_ref, r_fast, tag + " cold");
     expect_certified(inst, r_ref, tag + " cold reference");
     expect_certified(inst, r_fast, tag + " cold fast");
@@ -110,12 +134,46 @@ TEST(FairShareDiff, RandomizedBatteryWithDeactivationSchedules) {
       const std::string warm_tag =
           tag + " warm step " + std::to_string(step++);
       ref.solve(inst.paths, inst.active, r_ref);
-      fast.solve(r_fast);
+      const std::vector<double> before = r_fast;
+      const std::vector<std::uint32_t>& written = fast.solve(r_fast);
+      expect_report_covers_changes(inst, before, r_fast, written, warm_tag);
       expect_rates_match(r_ref, r_fast, warm_tag);
       expect_certified(inst, r_fast, warm_tag + " fast");
       EXPECT_TRUE(fast.self_check());
     }
   }
+  // The schedules exercised the warm path, including suffix re-fills.
+  EXPECT_GT(fast.stats().warm_solves, 0u);
+  EXPECT_GT(fast.stats().refilled_routes, 0u);
+  EXPECT_LE(fast.stats().warm_solves, fast.stats().solves);
+}
+
+TEST(FairShareDiff, SolveReportsOnlyReRatedFlows) {
+  // Four flows on link 0 freeze first (cap/4); a pair sharing link 3
+  // freezes in a later round (cap/2). Retiring one of the pair cuts the
+  // freeze log after round 0, so the warm solve replays link 0's round and
+  // must neither write nor list its flows.
+  Instance inst{{{0}, {0}, {0}, {0}, {2, 3}, {3}}, {1, 1, 1, 1, 1, 1}};
+  FastFairShareSolver fast(kCap);
+  std::vector<double> rates;
+  fast.set_paths(inst.paths, inst.active);
+  EXPECT_EQ(fast.solve(rates).size(), 6u);
+  EXPECT_TRUE(fast.solve(rates).empty());  // nothing changed
+
+  inst.active[5] = 0;
+  fast.deactivate(5);
+  rates[0] = -1.0;  // a flow the solve must leave alone
+  std::vector<std::uint32_t> written = fast.solve(rates);
+  std::sort(written.begin(), written.end());
+  EXPECT_EQ(written, std::vector<std::uint32_t>{4});
+  EXPECT_DOUBLE_EQ(rates[0], -1.0);
+  EXPECT_DOUBLE_EQ(rates[4], kCap);
+  EXPECT_DOUBLE_EQ(rates[5], 0.0);  // deactivated: zeroed, not listed
+  EXPECT_DOUBLE_EQ(fast.rate_of(4), kCap);
+  EXPECT_DOUBLE_EQ(fast.rate_of(5), 0.0);
+  EXPECT_EQ(fast.stats().solves, 3u);
+  EXPECT_EQ(fast.stats().warm_solves, 1u);
+  EXPECT_EQ(fast.stats().refilled_routes, 1u);
 }
 
 TEST(FairShareDiff, DuplicateRoutesAggregateExactly) {
@@ -131,7 +189,7 @@ TEST(FairShareDiff, DuplicateRoutesAggregateExactly) {
   inst.active.assign(inst.paths.size(), 1);
 
   FairShareSolver ref(kLinks, kCap);
-  FastFairShareSolver fast(kLinks, kCap);
+  FastFairShareSolver fast(kCap);
   std::vector<double> r_ref, r_fast;
   fast.set_paths(inst.paths, inst.active);
   ref.solve(inst.paths, inst.active, r_ref);
@@ -142,7 +200,7 @@ TEST(FairShareDiff, DuplicateRoutesAggregateExactly) {
 
 TEST(FairShareDiff, EmptyFlowSet) {
   FairShareSolver ref(kLinks, kCap);
-  FastFairShareSolver fast(kLinks, kCap);
+  FastFairShareSolver fast(kCap);
   const Instance inst;  // no flows at all
   std::vector<double> r_ref, r_fast;
   ref.solve(inst.paths, inst.active, r_ref);
@@ -155,7 +213,7 @@ TEST(FairShareDiff, EmptyFlowSet) {
 TEST(FairShareDiff, SingleFlowGetsLineRate) {
   Instance inst{{{0, 1, 2}}, {1}};
   FairShareSolver ref(kLinks, kCap);
-  FastFairShareSolver fast(kLinks, kCap);
+  FastFairShareSolver fast(kCap);
   std::vector<double> r_ref, r_fast;
   ref.solve(inst.paths, inst.active, r_ref);
   fast.set_paths(inst.paths, inst.active);
@@ -169,7 +227,7 @@ TEST(FairShareDiff, AllFlowsOnOneLink) {
   inst.paths.assign(37, {5});
   inst.active.assign(37, 1);
   FairShareSolver ref(kLinks, kCap);
-  FastFairShareSolver fast(kLinks, kCap);
+  FastFairShareSolver fast(kCap);
   std::vector<double> r_ref, r_fast;
   ref.solve(inst.paths, inst.active, r_ref);
   fast.set_paths(inst.paths, inst.active);
@@ -192,7 +250,7 @@ TEST(FairShareDiff, ZeroLinkFlowsGetLineRateInBothSolvers) {
   // ride at line rate in both solvers and not perturb the contended ones.
   Instance inst{{{}, {7}, {}, {7}, {}}, {1, 1, 1, 1, 1}};
   FairShareSolver ref(kLinks, kCap);
-  FastFairShareSolver fast(kLinks, kCap);
+  FastFairShareSolver fast(kCap);
   std::vector<double> r_ref, r_fast;
   ref.solve(inst.paths, inst.active, r_ref);
   fast.set_paths(inst.paths, inst.active);
@@ -216,7 +274,7 @@ TEST(FairShareDiff, EpsilonFreezeTieBreaksIdentically) {
   // flow and both exclusive flows freeze in one round in both solvers.
   Instance tie{{{0}, {0, 1}, {1}}, {1, 1, 1}};
   FairShareSolver ref(kLinks, kCap);
-  FastFairShareSolver fast(kLinks, kCap);
+  FastFairShareSolver fast(kCap);
   std::vector<double> r_ref, r_fast;
   ref.solve(tie.paths, tie.active, r_ref);
   fast.set_paths(tie.paths, tie.active);
@@ -360,6 +418,111 @@ TEST(FairShareDiff, MachineMidPhaseFaultTimingsMatchAcrossSolvers) {
   EXPECT_EQ(stats.links_repaired, 1u);
   EXPECT_EQ(stats.switches_repaired, 0u);
   EXPECT_NEAR(stats.retry_added_latency, 8.0000000000000007e-05, 1e-18);
+}
+
+// ---- the event loop against the reference fluid loop ------------------
+
+// A phase with skewed sizes: a few ~1 MiB messages among many small ones,
+// plus zero-byte messages and self-messages. Rates move as the small flows
+// drain, so warm solves re-fill routes — the path homogeneous alltoall
+// phases never take.
+std::vector<Message> skewed_phase(Xoshiro256& rng, std::uint32_t ranks) {
+  std::vector<Message> messages(16 + rng() % 160);
+  for (Message& m : messages) {
+    m.src = static_cast<Rank>(rng() % ranks);
+    m.dst = rng() % 8 == 0 ? m.src : static_cast<Rank>(rng() % ranks);
+    const std::uint64_t pick = rng() % 10;
+    m.bytes = pick == 0   ? 0
+              : pick < 3 ? (std::uint64_t{1} << 20) + rng() % 4096
+                         : 64 + rng() % 8192;
+  }
+  return messages;
+}
+
+TEST(FairShareDiff, EventLoopMatchesReferenceFluidLoop) {
+  auto& refilled = obs::Registry::global().counter("sim.fairshare.refilled_routes");
+  auto& steps = obs::Registry::global().counter("sim.phase.fluid_steps");
+  for (const RoutingPolicy policy :
+       {RoutingPolicy::kDeterministic, RoutingPolicy::kEcmp}) {
+    const std::string tag =
+        policy == RoutingPolicy::kEcmp ? "ecmp" : "deterministic";
+    Xoshiro256 rng(policy == RoutingPolicy::kEcmp ? 43 : 41);
+    const HostSwitchGraph g = random_host_switch_graph(64, 16, 8, rng);
+    std::vector<HostId> rank_to_host(g.num_hosts());
+    std::iota(rank_to_host.begin(), rank_to_host.end(), 0);
+    std::shuffle(rank_to_host.begin(), rank_to_host.end(), rng);
+    SimParams params;
+    params.routing = policy;
+    Machine machine(g, params, rank_to_host);
+    const RoutingTable routes(g);
+    const std::uint64_t refilled_before = refilled.value();
+    for (std::uint64_t phase = 1; phase <= 40; ++phase) {
+      const std::vector<Message> messages = skewed_phase(rng, g.num_hosts());
+      const std::uint64_t steps_before = steps.value();
+      const double elapsed = machine.phase(messages);
+      const ReferencePhase ref =
+          reference_phase(routes, params, rank_to_host, messages, phase);
+      ASSERT_NEAR(elapsed, ref.elapsed, 1e-9 * ref.elapsed)
+          << tag << " phase " << phase;
+#ifndef ORP_OBS_DISABLED
+      EXPECT_EQ(steps.value() - steps_before, ref.steps)
+          << tag << " phase " << phase;
+#endif
+    }
+#ifndef ORP_OBS_DISABLED
+    EXPECT_GT(refilled.value() - refilled_before, 0u) << tag;
+#endif
+  }
+}
+
+// Machine::phase checks its loop invariants on every event and throws
+// std::logic_error when one breaks: the clock is monotone, every flow ends
+// exactly once, a completed flow delivered its bytes, and each flow's
+// cached rate equals its route's solver rate. Randomized fault/repair
+// schedules drive them through reroutes, strandings and cold re-solves.
+TEST(FairShareDiff, RandomizedFaultRepairSchedulesKeepLoopInvariants) {
+  std::uint64_t retried = 0, failed = 0, repaired = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Xoshiro256 rng(seed);
+    const HostSwitchGraph g = random_host_switch_graph(32, 8, 6, rng);
+    const auto skewed = [](Rank s, Rank d) {
+      return static_cast<std::uint64_t>((s * 131 + d * 17) % 4096) * 64;
+    };
+    Machine probe(g);
+    const double horizon = probe.alltoall(1 << 14) + probe.alltoallv(skewed);
+
+    std::vector<FaultEvent> events(12);
+    for (FaultEvent& e : events) {
+      e.time = horizon * static_cast<double>(rng() % 1000) / 1000.0;
+      e.a = static_cast<SwitchId>(rng() % g.num_switches());
+      const auto nbrs = g.neighbors(e.a);
+      e.b = nbrs.empty() ? (e.a + 1) % g.num_switches()
+                         : nbrs[rng() % nbrs.size()];
+      constexpr FaultEvent::Kind kinds[] = {
+          FaultEvent::Kind::kLinkDown, FaultEvent::Kind::kLinkDown,
+          FaultEvent::Kind::kLinkUp, FaultEvent::Kind::kSwitchDown,
+          FaultEvent::Kind::kSwitchUp};
+      e.kind = kinds[rng() % std::size(kinds)];
+    }
+    Machine machine(g);
+    machine.inject_faults(events);
+    double elapsed = 0.0;
+    ASSERT_NO_THROW({
+      elapsed += machine.alltoall(1 << 14);
+      elapsed += machine.alltoallv(skewed);
+    }) << "seed " << seed;
+    EXPECT_TRUE(std::isfinite(elapsed) && elapsed > 0.0) << "seed " << seed;
+    const Machine::PhaseStats& last = machine.last_phase_stats();
+    EXPECT_EQ(last.completed + last.failed, last.flows) << "seed " << seed;
+    const FaultStats& stats = machine.fault_stats();
+    retried += stats.flows_retried;
+    failed += stats.flows_failed;
+    repaired += stats.links_repaired + stats.switches_repaired;
+  }
+  // The schedules reached every degradation path.
+  EXPECT_GT(retried, 0u);
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(repaired, 0u);
 }
 
 }  // namespace

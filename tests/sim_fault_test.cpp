@@ -4,12 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/prng.hpp"
+#include "obs/sink.hpp"
+#include "obs/trace_analysis.hpp"
 #include "search/random_init.hpp"
 #include "sim/machine.hpp"
 #include "sim/routing.hpp"
+#include "sim/telemetry/telemetry.hpp"
 
 namespace orp {
 namespace {
@@ -182,6 +187,49 @@ TEST(MachineFaults, UnroutableFlowFailsAtBoundedTimeout) {
   // The phase ends when the doomed flow gives up: event time + timeout.
   EXPECT_NEAR(t, t_healthy / 2 + params.retry_timeout, 1e-9);
   EXPECT_LT(t, t_healthy);  // bounded, not hung
+}
+
+TEST(MachineFaults, FlowStrandedMidPhaseReportsZeroHops) {
+  // Path s0-s1-s2; host0 on s0, host1 on s2, host2 on s1. s2 dies
+  // mid-phase: flow 0->1 loses its destination and fails, flow 0->2
+  // completes. A failed flow has no route, so it counts 0 hops — the same
+  // as a flow that fails at injection — not its dead route's 4.
+  HostSwitchGraph g(3, 3, 4);
+  g.attach_host(0, 0);
+  g.attach_host(1, 2);
+  g.attach_host(2, 1);
+  g.add_switch_edge(0, 1);
+  g.add_switch_edge(1, 2);
+  const std::vector<Message> messages{{0, 1, 10u << 20}, {0, 2, 10u << 20}};
+
+  Machine healthy(g);
+  const double t_healthy = healthy.phase(messages);
+
+#ifndef ORP_OBS_DISABLED
+  const std::string path = testing::TempDir() + "sim_fault_stranded.jsonl";
+  obs::SinkConfig config = obs::parse_sink(path);
+  config.snapshot_ms = 0;
+  ASSERT_TRUE(obs::configure(config));
+  set_net_telemetry(NetTelemetryConfig{});
+  net_detail::reset_for_tests();
+#endif
+  Machine m(g);
+  m.inject_faults({{t_healthy / 2, FaultEvent::Kind::kSwitchDown, 2, 0}});
+  m.phase(messages);
+  EXPECT_EQ(m.last_phase_stats().failed, 1u);
+  EXPECT_EQ(m.last_phase_stats().completed, 1u);
+  // The survivor crosses up-link, s0->s1, down-link; the stranded flow 0.
+  EXPECT_DOUBLE_EQ(m.last_phase_stats().mean_hops, 1.5);
+#ifndef ORP_OBS_DISABLED
+  obs::flush();
+  obs::configure(obs::SinkConfig{});
+  const obs::report::TraceAnalysis a = obs::report::analyze_trace_file(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(a.network.flows.size(), 2u);
+  for (const obs::report::NetFlow& flow : a.network.flows) {
+    EXPECT_EQ(flow.hops, flow.failed ? 0u : 3u) << "dst " << flow.dst;
+  }
+#endif
 }
 
 TEST(MachineFaults, SwitchDownKillsItsRanksButOthersComplete) {
