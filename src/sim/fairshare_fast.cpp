@@ -9,7 +9,7 @@
 
 namespace orp {
 
-bool max_min_certificate_ok(const std::vector<std::vector<LinkId>>& paths,
+bool max_min_certificate_ok(const PathStore& paths,
                             const std::vector<std::uint8_t>& active,
                             const std::vector<double>& rates, double capacity,
                             double tol, std::string* why) {
@@ -69,13 +69,13 @@ FastFairShareSolver::FastFairShareSolver(double link_capacity)
   ORP_REQUIRE(link_capacity > 0.0, "link capacity must be positive");
 }
 
-void FastFairShareSolver::set_paths(
-    const std::vector<std::vector<LinkId>>& paths,
-    const std::vector<std::uint8_t>& active) {
-  ORP_REQUIRE(active.size() >= paths.size(), "active flag size mismatch");
+void FastFairShareSolver::set_paths(std::span<const LinkId> links,
+                                    std::span<const PathRange> ranges,
+                                    const std::vector<std::uint8_t>& active) {
+  ORP_REQUIRE(active.size() >= ranges.size(), "active flag size mismatch");
   for (const LinkId l : touched_) link_slot_[l] = kNone;
   touched_.clear();
-  num_flows_ = paths.size();
+  num_flows_ = ranges.size();
   flow_route_.assign(num_flows_, kNone);
   route_offset_.clear();
   route_offset_.push_back(0);
@@ -95,7 +95,11 @@ void FastFairShareSolver::set_paths(
 
   for (std::size_t f = 0; f < num_flows_; ++f) {
     if (!active[f]) continue;
-    const std::vector<LinkId>& path = paths[f];
+    const PathRange range = ranges[f];
+    ORP_REQUIRE(range.begin <= range.end && range.end <= links.size(),
+                "path range out of bounds");
+    const std::span<const LinkId> path =
+        links.subspan(range.begin, range.end - range.begin);
     if (path.empty()) {
       flow_route_[f] = kZeroLink;  // zero-link flow: line rate, no filling
       continue;

@@ -42,6 +42,7 @@
 // debug builds).
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,7 @@ namespace orp {
 /// failure returns false and, when `why` is non-null, describes the first
 /// violated condition. `tol` is an absolute rate bound (callers typically
 /// pass 1e-9 * capacity).
-bool max_min_certificate_ok(const std::vector<std::vector<LinkId>>& paths,
+bool max_min_certificate_ok(const PathStore& paths,
                             const std::vector<std::uint8_t>& active,
                             const std::vector<double>& rates, double capacity,
                             double tol, std::string* why = nullptr);
@@ -68,18 +69,22 @@ bool max_min_certificate_ok(const std::vector<std::vector<LinkId>>& paths,
 /// to date and reports which flows it wrote, warm-starting from the previous
 /// trajectory when only deactivations happened in between. Re-pathing flows
 /// (fault rebuild) requires a fresh set_paths(). Active flows with empty
-/// paths (same-host memcpy never reaches the solver, but zero-link flows do
-/// exist in direct use) are given line rate and excluded from filling.
+/// ranges (a same-switch pair whose host links are both private) are given
+/// line rate and excluded from filling.
 class FastFairShareSolver {
  public:
   explicit FastFairShareSolver(double link_capacity);
 
-  /// Rebuilds the route tableau for a new phase: aggregates `paths[f]` of
-  /// every flow with `active[f]` by identical link sequence, and lists each
-  /// route's member flows. O(sum of active path lengths). Link ids may come
-  /// from any routing table (the id range grows on demand). Invalidates any
-  /// warm-start state.
-  void set_paths(const std::vector<std::vector<LinkId>>& paths,
+  /// Rebuilds the route tableau for a new phase: flow f crosses
+  /// links[ranges[f].begin, ranges[f].end). Aggregates the ranges of every
+  /// flow with `active[f]` by identical link sequence, and lists each
+  /// route's member flows. O(sum of active range lengths). The ranges may
+  /// leave out links that can never bind (the Machine drops host links a
+  /// flow holds alone); a flow with an empty range rides at line rate.
+  /// Link ids may come from any routing table (the id range grows on
+  /// demand). Invalidates any warm-start state.
+  void set_paths(std::span<const LinkId> links,
+                 std::span<const PathRange> ranges,
                  const std::vector<std::uint8_t>& active);
 
   /// Flow `f` completed or failed: drop it from its route's weight. O(1).

@@ -26,6 +26,7 @@ struct SimInstruments {
   obs::Counter& fairshare_solves;
   obs::Counter& fairshare_warm_solves;
   obs::Counter& fairshare_refilled_routes;
+  obs::Counter& fairshare_elided_links;
   obs::Counter& fluid_steps;
 
   static SimInstruments& get() {
@@ -41,6 +42,7 @@ struct SimInstruments {
                                    registry.counter("sim.fairshare.solves"),
                                    registry.counter("sim.fairshare.warm_solves"),
                                    registry.counter("sim.fairshare.refilled_routes"),
+                                   registry.counter("sim.fairshare.elided_links"),
                                    registry.counter("sim.phase.fluid_steps")};
     return instance;
   }
@@ -205,6 +207,43 @@ double Machine::compute(double flops_per_rank) {
   return elapsed;
 }
 
+std::uint64_t Machine::load_solver(const std::vector<std::uint8_t>& active) {
+  // A host link (ids [0, 2n): the route's first or last link) that carries
+  // one live flow saturates only at level = capacity, and no filling level
+  // exceeds capacity, so it never binds. Leaving it out of the tableau is
+  // exact; a flow left with no links rides at line rate, as it would have.
+  const std::vector<LinkId>& links = paths_.links;
+  const std::size_t num_flows = paths_.size();
+  host_link_flows_.assign(2 * static_cast<std::size_t>(routes_.num_hosts()), 0);
+  for (std::size_t f = 0; f < num_flows; ++f) {
+    const PathRange r = paths_.ranges[f];
+    if (!active[f] || r.begin == r.end) continue;
+    ++host_link_flows_[links[r.begin]];
+    ++host_link_flows_[links[r.end - 1]];
+  }
+  solver_ranges_.resize(num_flows);
+  std::uint64_t elided = 0;
+  for (std::size_t f = 0; f < num_flows; ++f) {
+    PathRange r = paths_.ranges[f];
+    if (active[f] && r.begin != r.end) {
+      // Every route holds two links at least: its up-link and down-link.
+      const LinkId up = links[r.begin];
+      const LinkId down = links[r.end - 1];
+      if (host_link_flows_[up] == 1) {
+        ++r.begin;
+        ++elided;
+      }
+      if (host_link_flows_[down] == 1) {
+        --r.end;
+        ++elided;
+      }
+    }
+    solver_ranges_[f] = r;
+  }
+  solver_.set_paths(links, solver_ranges_, active);
+  return elided;
+}
+
 void Machine::FinishQueue::sort_run() {
   std::sort(run_.begin() + static_cast<std::ptrdiff_t>(cursor_), run_.end(),
             [](const Entry& a, const Entry& b) { return a.time < b.time; });
@@ -277,28 +316,32 @@ double Machine::phase(const std::vector<Message>& messages) {
   retried.clear();
   std::size_t built = 0;
 
-  // Routes flow f on the current topology; returns its hop count, or 0
-  // when no route survives (dead endpoint or partitioned host pair).
+  // Routes flow f on the current topology, appending its links to the
+  // phase's path store and pointing its range at them; returns its hop
+  // count, or 0 with an empty range when no route survives (dead endpoint
+  // or partitioned host pair).
+  std::vector<LinkId>& links = paths_.links;
   const auto route_flow = [&](std::size_t f) -> std::uint32_t {
+    PathRange& range = paths_.ranges[f];
+    range.begin = range.end = static_cast<std::uint32_t>(links.size());
     const HostId src = flow_src[f];
     const HostId dst = flow_dst[f];
     if (host_dead_[src] || host_dead_[dst]) return 0;
-    if (params_.routing == RoutingPolicy::kEcmp) {
-      return routes_.try_append_host_path_ecmp(src, dst, flow_key[f],
-                                               paths_[f]);
-    }
-    return routes_.try_append_host_path(src, dst, paths_[f]);
+    const std::uint32_t route_hops =
+        params_.routing == RoutingPolicy::kEcmp
+            ? routes_.try_append_host_path_ecmp(src, dst, flow_key[f], links)
+            : routes_.try_append_host_path(src, dst, links);
+    range.end = static_cast<std::uint32_t>(links.size());
+    return route_hops;
   };
 
+  links.clear();
+  paths_.ranges.clear();
   for (const Message& m : messages) {
     ORP_REQUIRE(m.src < num_ranks_ && m.dst < num_ranks_, "rank out of range");
     if (m.src == m.dst) continue;
     const std::size_t f = built++;
-    if (f < paths_.size()) {
-      paths_[f].clear();  // reuse the buffer's capacity
-    } else {
-      paths_.emplace_back();
-    }
+    paths_.ranges.emplace_back();
     flow_src.push_back(rank_to_host_[m.src]);
     flow_dst.push_back(rank_to_host_[m.dst]);
     // Per-flow key: stable for a (src, dst) within a phase, varied across
@@ -313,7 +356,6 @@ double Machine::phase(const std::vector<Message>& messages) {
     hops.push_back(route_flow(f));
   }
   if (built == 0) return 0.0;
-  paths_.resize(built);
 
   const std::size_t num_flows = paths_.size();
   std::vector<std::uint8_t>& active = scratch_.active;
@@ -332,6 +374,9 @@ double Machine::phase(const std::vector<Message>& messages) {
   queue.clear();
   std::size_t active_count = num_flows;
   std::size_t ended = 0;  // flows completed or failed so far
+  // Flows that end before a mid-phase rebuild keep their routes in the old
+  // numbering, so the phase's link ids range over its largest table.
+  std::size_t link_space = routes_.num_links();
 
   // Network telemetry (docs/telemetry.md): one load when no tracer is
   // active; otherwise the collector snapshots raw per-flow/per-link data
@@ -339,6 +384,7 @@ double Machine::phase(const std::vector<Message>& messages) {
   const bool tele = net_.begin_phase(clock_, num_flows);
   std::uint32_t fluid_steps = 0;
   const FastFairShareSolver::Stats solver_before = solver_.stats();
+  std::uint64_t elided_links = 0;
 
   // Ends flow f at phase time `at`; every flow ends exactly once.
   const auto end_flow = [&](std::size_t f, double at) {
@@ -384,7 +430,7 @@ double Machine::phase(const std::vector<Message>& messages) {
   bool rekey_all = true;  // the next solve is cold: rebuild the queue
   std::vector<std::uint8_t>& removed_links = scratch_.removed_links;
   std::vector<FinishQueue::Entry>& deferred = scratch_.deferred;
-  solver_.set_paths(paths_, active);
+  elided_links += load_solver(active);
   while (active_count > 0) {
     const std::vector<std::uint32_t>& rerated = solver_.solve(rates_);
     if (rekey_all) queue.clear();
@@ -427,6 +473,7 @@ double Machine::phase(const std::vector<Message>& messages) {
       t = event_t;
       removed_links.assign(routes_.num_links(), 0);
       if (!apply_due_faults(clock_ + t, &removed_links)) continue;
+      link_space = std::max<std::size_t>(link_space, routes_.num_links());
       for (std::size_t f = 0; f < num_flows; ++f) {
         if (!active[f]) continue;
         ORP_ASSERT(rate[f] == solver_.rate_of(f));
@@ -440,7 +487,6 @@ double Machine::phase(const std::vector<Message>& messages) {
             }
           }
         }
-        paths_[f].clear();
         hops[f] = route_flow(f);
         if (hops[f] == 0) {
           failed[f] = 1;
@@ -461,7 +507,7 @@ double Machine::phase(const std::vector<Message>& messages) {
       // Link ids renumbered and every surviving flow was re-pathed, so the
       // solver's tableau is rebuilt from scratch: the next solve is cold
       // and re-rates (and re-keys) every active flow.
-      solver_.set_paths(paths_, active);
+      elided_links += load_solver(active);
       rekey_all = true;
       continue;
     }
@@ -530,29 +576,24 @@ double Machine::phase(const std::vector<Message>& messages) {
   }
   stats_.completed = num_flows - stats_.failed;
   if (t > 0.0) {
-    link_bytes_.assign(routes_.num_links(), 0.0);
-    double peak = 0.0;
+    link_bytes_.assign(link_space, 0.0);
     for (std::size_t f = 0; f < num_flows; ++f) {
-      for (const LinkId l : paths_[f]) {
-        // A flow that ended before a mid-phase rebuild keeps its path in
-        // the old numbering, which may exceed the rebuilt table's range.
-        if (l >= link_bytes_.size()) link_bytes_.resize(l + std::size_t{1}, 0.0);
-        link_bytes_[l] += static_cast<double>(remaining[f]);
-        peak = std::max(peak, link_bytes_[l]);
-      }
+      const double bytes = static_cast<double>(remaining[f]);
+      for (const LinkId l : paths_[f]) link_bytes_[l] += bytes;
     }
     const double capacity = params_.link_bandwidth * t;
-    stats_.max_link_utilization = peak / capacity;
+    double peak = 0.0;
     double used_bytes = 0.0;
     std::size_t used_links = 0;
+    auto& top = stats_.top_links;
     for (std::size_t l = 0; l < link_bytes_.size(); ++l) {
       const double bytes_on_link = link_bytes_[l];
       if (bytes_on_link <= 0.0) continue;
+      peak = std::max(peak, bytes_on_link);
       used_bytes += bytes_on_link;
       ++used_links;
       // Keep the kTopLinks busiest links, most loaded first.
       const double util = bytes_on_link / capacity;
-      auto& top = stats_.top_links;
       if (top.size() == PhaseStats::kTopLinks && util <= top.back().utilization) {
         continue;
       }
@@ -565,6 +606,7 @@ double Machine::phase(const std::vector<Message>& messages) {
         if (top.size() > PhaseStats::kTopLinks) top.pop_back();
       }
     }
+    stats_.max_link_utilization = peak / capacity;
     if (used_links > 0) {
       stats_.mean_link_utilization =
           used_bytes / (static_cast<double>(used_links) * capacity);
@@ -601,6 +643,7 @@ double Machine::phase(const std::vector<Message>& messages) {
                                         solver_before.warm_solves);
   instruments.fairshare_refilled_routes.add(solver_after.refilled_routes -
                                             solver_before.refilled_routes);
+  instruments.fairshare_elided_links.add(elided_links);
   instruments.fluid_steps.add(fluid_steps);
   if (span.active()) {
     span.arg("flows", static_cast<std::uint64_t>(num_flows));

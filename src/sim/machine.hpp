@@ -160,10 +160,14 @@ class Machine {
   // Network telemetry (no-op unless a JSONL tracer is active).
   NetPhaseCollector net_;
 
-  // Scratch reused across phases. paths_ keeps its inner vectors' capacity
-  // between phases (collective rounds have identical flow counts, so the
-  // per-flow path buffers stabilize after the first round).
-  std::vector<std::vector<LinkId>> paths_;
+  /// Hands solver_ the live flows' routes without the host links each holds
+  /// alone (docs/sim.md, "Private host links"); returns how many it left out.
+  std::uint64_t load_solver(const std::vector<std::uint8_t>& active);
+
+  // Scratch reused across phases (the vectors keep their capacity).
+  PathStore paths_;  ///< the phase's routes, host links included
+  std::vector<PathRange> solver_ranges_;  ///< paths_ ranges given to solver_
+  std::vector<std::uint32_t> host_link_flows_;  ///< live flows per host link
   std::vector<double> rates_;  ///< per-flow rates, kept current by solver_
   std::vector<double> link_bytes_;
 

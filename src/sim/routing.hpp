@@ -10,6 +10,7 @@
 // for irregular networks in practice).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hsg/host_switch_graph.hpp"
@@ -17,6 +18,27 @@
 namespace orp {
 
 using LinkId = std::uint32_t;
+
+/// Offsets [begin, end) of one flow's links in a PathStore.
+struct PathRange {
+  std::uint32_t begin = 0;
+  std::uint32_t end = 0;
+};
+
+/// The routes of one communication phase in one flat array: flow f crosses
+/// links[ranges[f].begin, ranges[f].end). Routes are appended in flow
+/// order; re-pathing a flow appends its new route and moves its range, so
+/// the old entries stay behind unreferenced.
+struct PathStore {
+  std::vector<LinkId> links;
+  std::vector<PathRange> ranges;
+
+  std::size_t size() const noexcept { return ranges.size(); }
+  std::span<const LinkId> operator[](std::size_t f) const {
+    const PathRange& r = ranges[f];
+    return {links.data() + r.begin, r.end - r.begin};
+  }
+};
 
 class RoutingTable {
  public:

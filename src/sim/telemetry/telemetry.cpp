@@ -362,7 +362,7 @@ bool NetPhaseCollector::begin_phase(double clock_s, std::size_t num_flows) {
 }
 
 void NetPhaseCollector::on_segment(std::uint32_t step, double t0_s, double t1_s,
-                                   const std::vector<std::vector<LinkId>>& paths,
+                                   const PathStore& paths,
                                    const std::vector<std::uint8_t>& active,
                                    const std::vector<double>& rates) {
   if (!active_) return;
@@ -375,14 +375,7 @@ void NetPhaseCollector::on_segment(std::uint32_t step, double t0_s, double t1_s,
 
   // Per-link accounting with a dense scratch + touched list: one pass over
   // (flow, link) incidences.
-  std::size_t max_link = 0;
-  for (std::size_t f = 0; f < paths.size(); ++f) {
-    if (!active[f]) continue;
-    for (const LinkId l : paths[f]) max_link = std::max<std::size_t>(max_link, l);
-  }
-  if (link_scratch_.size() <= max_link) {
-    link_scratch_.resize(max_link + 1);
-  }
+  reserve_link_scratch(paths);
   touched_.clear();
   for (std::size_t f = 0; f < paths.size(); ++f) {
     if (!active[f]) continue;
@@ -433,6 +426,14 @@ void NetPhaseCollector::on_segment(std::uint32_t step, double t0_s, double t1_s,
     }
     scratch.count = 0;  // reset scratch as we go
   }
+}
+
+void NetPhaseCollector::reserve_link_scratch(const PathStore& paths) {
+  // One pass over the flat store: entries that re-pathed flows left behind
+  // can only raise the maximum, which over-sizes the scratch harmlessly.
+  const auto top = std::max_element(paths.links.begin(), paths.links.end());
+  const std::size_t max_link = top == paths.links.end() ? 0 : *top;
+  if (link_scratch_.size() <= max_link) link_scratch_.resize(max_link + 1);
 }
 
 void NetPhaseCollector::flow_done(std::size_t f, double rate_bps) {
@@ -518,15 +519,7 @@ void NetPhaseCollector::end_phase(const PhaseEnd& end) {
   // paid only on traced runs.
   const double t = end.transfer_end_s;
   if (t > 0.0 && cfg_.link_top_k > 0) {
-    std::size_t max_link = 0;
-    for (std::size_t f = 0; f < num_flows; ++f) {
-      for (const LinkId l : (*end.paths)[f]) {
-        max_link = std::max<std::size_t>(max_link, l);
-      }
-    }
-    if (link_scratch_.size() <= max_link) {
-      link_scratch_.resize(max_link + 1);
-    }
+    reserve_link_scratch(*end.paths);
     touched_.clear();
     for (std::size_t f = 0; f < num_flows; ++f) {
       if ((*end.failed)[f]) continue;

@@ -134,7 +134,7 @@ class NetPhaseCollector {
   /// first-solve rates on step 0 and, for step < link_steps, per-step
   /// link samples. Call before deactivating the segment's finishers.
   void on_segment(std::uint32_t step, double t0_s, double t1_s,
-                  const std::vector<std::vector<LinkId>>& paths,
+                  const PathStore& paths,
                   const std::vector<std::uint8_t>& active,
                   const std::vector<double>& rates);
 
@@ -147,7 +147,7 @@ class NetPhaseCollector {
     double transfer_end_s = 0.0;  ///< fluid time when the last byte moved
     double elapsed_s = 0.0;       ///< phase() return value
     std::uint32_t steps = 0;
-    const std::vector<std::vector<LinkId>>* paths = nullptr;
+    const PathStore* paths = nullptr;
     const std::vector<std::uint64_t>* bytes = nullptr;
     const std::vector<double>* finish = nullptr;   ///< phase-relative
     const std::vector<double>* penalty = nullptr;  ///< summed backoff
@@ -165,6 +165,9 @@ class NetPhaseCollector {
   void end_phase(const PhaseEnd& end);
 
  private:
+  /// Sizes link_scratch_ to cover every link id in `paths`.
+  void reserve_link_scratch(const PathStore& paths);
+
   bool active_ = false;
   NetTelemetryConfig cfg_;
   std::uint64_t phase_id_ = 0;
@@ -206,7 +209,7 @@ class NetPhaseCollector {
  public:
   bool begin_phase(double, std::size_t) { return false; }
   void on_segment(std::uint32_t, double, double,
-                  const std::vector<std::vector<LinkId>>&,
+                  const PathStore&,
                   const std::vector<std::uint8_t>&,
                   const std::vector<double>&) {}
   void flow_done(std::size_t, double) {}
@@ -214,7 +217,7 @@ class NetPhaseCollector {
     double transfer_end_s = 0.0;
     double elapsed_s = 0.0;
     std::uint32_t steps = 0;
-    const std::vector<std::vector<LinkId>>* paths = nullptr;
+    const PathStore* paths = nullptr;
     const std::vector<std::uint64_t>* bytes = nullptr;
     const std::vector<double>* finish = nullptr;
     const std::vector<double>* penalty = nullptr;

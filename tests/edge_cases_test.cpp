@@ -7,6 +7,7 @@
 #include "common/cli.hpp"
 #include "common/prng.hpp"
 #include "common/table.hpp"
+#include "oracle/fairshare.hpp"
 #include "sim/fairshare_fast.hpp"
 #include "sim/packet.hpp"
 #include "sim/routing.hpp"
@@ -80,15 +81,15 @@ TEST(EdgeCases, FairShareSolverScratchResetsBetweenCalls) {
   FastFairShareSolver solver(1e9);
   std::vector<double> rates;
   // First phase touches links 0..3.
-  std::vector<std::vector<LinkId>> paths1{{0, 1}, {2, 3}};
+  const PathStore paths1 = to_path_store({{0, 1}, {2, 3}});
   std::vector<std::uint8_t> active1{1, 1};
-  solver.set_paths(paths1, active1);
+  solver.set_paths(paths1.links, paths1.ranges, active1);
   solver.solve(rates);
   EXPECT_DOUBLE_EQ(rates[0], 1e9);
   // Second phase touches a different link set; stale slots must not leak.
-  std::vector<std::vector<LinkId>> paths2{{4}, {4}, {5, 6, 7}};
+  const PathStore paths2 = to_path_store({{4}, {4}, {5, 6, 7}});
   std::vector<std::uint8_t> active2{1, 1, 1};
-  solver.set_paths(paths2, active2);
+  solver.set_paths(paths2.links, paths2.ranges, active2);
   solver.solve(rates);
   ASSERT_EQ(rates.size(), 3u);
   EXPECT_DOUBLE_EQ(rates[0], 0.5e9);
@@ -98,10 +99,10 @@ TEST(EdgeCases, FairShareSolverScratchResetsBetweenCalls) {
 
 TEST(EdgeCases, FairShareIgnoresInactiveFlows) {
   FastFairShareSolver solver(1e9);
-  std::vector<std::vector<LinkId>> paths{{0}, {0}};
+  const PathStore paths = to_path_store({{0}, {0}});
   std::vector<std::uint8_t> active{1, 0};
   std::vector<double> rates;
-  solver.set_paths(paths, active);
+  solver.set_paths(paths.links, paths.ranges, active);
   EXPECT_EQ(solver.solve(rates), std::vector<std::uint32_t>{0});  // active only
   EXPECT_DOUBLE_EQ(rates[0], 1e9);  // inactive flow does not share
   EXPECT_DOUBLE_EQ(rates[1], 0.0);

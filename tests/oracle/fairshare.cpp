@@ -10,6 +10,16 @@ namespace {
 constexpr std::uint32_t kUnused = 0xffffffffu;
 }
 
+PathStore to_path_store(const std::vector<std::vector<LinkId>>& paths) {
+  PathStore store;
+  for (const std::vector<LinkId>& path : paths) {
+    const auto begin = static_cast<std::uint32_t>(store.links.size());
+    store.links.insert(store.links.end(), path.begin(), path.end());
+    store.ranges.push_back({begin, static_cast<std::uint32_t>(store.links.size())});
+  }
+  return store;
+}
+
 FairShareSolver::FairShareSolver(std::uint32_t num_links, double link_capacity)
     : capacity_(link_capacity), link_slot_(num_links, kUnused) {}
 

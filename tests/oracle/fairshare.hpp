@@ -19,6 +19,10 @@
 
 namespace orp {
 
+/// The same paths as one flat PathStore, the form FastFairShareSolver and
+/// max_min_certificate_ok() read, so one instance feeds both solvers.
+PathStore to_path_store(const std::vector<std::vector<LinkId>>& paths);
+
 /// Solves max-min rates for `flows` (each a list of directed link ids)
 /// where every link has identical capacity `link_capacity`. `rates[i]`
 /// receives flow i's allocation. Active flows with empty paths

@@ -7,6 +7,7 @@
 #include "common/prng.hpp"
 #include "hsg/bounds.hpp"
 #include "hsg/metrics.hpp"
+#include "oracle/fairshare.hpp"
 #include "search/random_init.hpp"
 #include "search/solver.hpp"
 #include "sim/fairshare_fast.hpp"
@@ -138,7 +139,8 @@ TEST_P(MaxMinCertificate, EveryFlowHasABottleneck) {
   std::vector<std::uint8_t> active(param.flows, 1);
   std::vector<double> rates;
   FastFairShareSolver solver(capacity);
-  solver.set_paths(paths, active);
+  const PathStore store = to_path_store(paths);
+  solver.set_paths(store.links, store.ranges, active);
   solver.solve(rates);
 
   // Capacity: per-link sum of rates <= capacity (within fp tolerance).

@@ -58,6 +58,12 @@ Instance random_instance(Xoshiro256& rng, std::size_t pool_size,
   return inst;
 }
 
+// Loads an instance's paths into the fast solver.
+void set_paths(FastFairShareSolver& fast, const Instance& inst) {
+  const PathStore store = to_path_store(inst.paths);
+  fast.set_paths(store.links, store.ranges, inst.active);
+}
+
 void expect_rates_match(const std::vector<double>& ref,
                         const std::vector<double>& fast,
                         const std::string& context) {
@@ -91,7 +97,8 @@ void expect_certified(const Instance& inst, const std::vector<double>& rates,
                       const std::string& context) {
   std::string why;
   ASSERT_TRUE(
-      max_min_certificate_ok(inst.paths, inst.active, rates, kCap, kTol, &why))
+      max_min_certificate_ok(to_path_store(inst.paths), inst.active, rates,
+                             kCap, kTol, &why))
       << context << ": " << why;
 }
 
@@ -111,7 +118,7 @@ TEST(FairShareDiff, RandomizedBatteryWithDeactivationSchedules) {
     Instance inst = random_instance(rng, pool_size, num_flows);
     const std::string tag = "seed " + std::to_string(seed);
 
-    fast.set_paths(inst.paths, inst.active);
+    set_paths(fast, inst);
     ref.solve(inst.paths, inst.active, r_ref);
     // A cold solve writes and lists every active flow.
     EXPECT_EQ(fast.solve(r_fast).size(), num_flows) << tag;
@@ -156,7 +163,7 @@ TEST(FairShareDiff, SolveReportsOnlyReRatedFlows) {
   Instance inst{{{0}, {0}, {0}, {0}, {2, 3}, {3}}, {1, 1, 1, 1, 1, 1}};
   FastFairShareSolver fast(kCap);
   std::vector<double> rates;
-  fast.set_paths(inst.paths, inst.active);
+  set_paths(fast, inst);
   EXPECT_EQ(fast.solve(rates).size(), 6u);
   EXPECT_TRUE(fast.solve(rates).empty());  // nothing changed
 
@@ -191,7 +198,7 @@ TEST(FairShareDiff, DuplicateRoutesAggregateExactly) {
   FairShareSolver ref(kLinks, kCap);
   FastFairShareSolver fast(kCap);
   std::vector<double> r_ref, r_fast;
-  fast.set_paths(inst.paths, inst.active);
+  set_paths(fast, inst);
   ref.solve(inst.paths, inst.active, r_ref);
   fast.solve(r_fast);
   expect_rates_match(r_ref, r_fast, "duplicate routes");
@@ -204,7 +211,7 @@ TEST(FairShareDiff, EmptyFlowSet) {
   const Instance inst;  // no flows at all
   std::vector<double> r_ref, r_fast;
   ref.solve(inst.paths, inst.active, r_ref);
-  fast.set_paths(inst.paths, inst.active);
+  set_paths(fast, inst);
   fast.solve(r_fast);
   EXPECT_TRUE(r_ref.empty());
   EXPECT_TRUE(r_fast.empty());
@@ -216,7 +223,7 @@ TEST(FairShareDiff, SingleFlowGetsLineRate) {
   FastFairShareSolver fast(kCap);
   std::vector<double> r_ref, r_fast;
   ref.solve(inst.paths, inst.active, r_ref);
-  fast.set_paths(inst.paths, inst.active);
+  set_paths(fast, inst);
   fast.solve(r_fast);
   EXPECT_DOUBLE_EQ(r_ref[0], kCap);
   EXPECT_DOUBLE_EQ(r_fast[0], kCap);
@@ -230,7 +237,7 @@ TEST(FairShareDiff, AllFlowsOnOneLink) {
   FastFairShareSolver fast(kCap);
   std::vector<double> r_ref, r_fast;
   ref.solve(inst.paths, inst.active, r_ref);
-  fast.set_paths(inst.paths, inst.active);
+  set_paths(fast, inst);
   fast.solve(r_fast);
   expect_rates_match(r_ref, r_fast, "one link");
   for (const double r : r_fast) EXPECT_NEAR(r, kCap / 37.0, kTol);
@@ -253,7 +260,7 @@ TEST(FairShareDiff, ZeroLinkFlowsGetLineRateInBothSolvers) {
   FastFairShareSolver fast(kCap);
   std::vector<double> r_ref, r_fast;
   ref.solve(inst.paths, inst.active, r_ref);
-  fast.set_paths(inst.paths, inst.active);
+  set_paths(fast, inst);
   fast.solve(r_fast);
   expect_rates_match(r_ref, r_fast, "zero-link mix");
   EXPECT_DOUBLE_EQ(r_fast[0], kCap);
@@ -277,7 +284,7 @@ TEST(FairShareDiff, EpsilonFreezeTieBreaksIdentically) {
   FastFairShareSolver fast(kCap);
   std::vector<double> r_ref, r_fast;
   ref.solve(tie.paths, tie.active, r_ref);
-  fast.set_paths(tie.paths, tie.active);
+  set_paths(fast, tie);
   fast.solve(r_fast);
   expect_rates_match(r_ref, r_fast, "tie");
   for (const double r : r_fast) EXPECT_NEAR(r, kCap / 2.0, kTol);
@@ -286,24 +293,92 @@ TEST(FairShareDiff, EpsilonFreezeTieBreaksIdentically) {
   // link 1 then has one unfrozen crosser left, which rides to 3cap/4.
   Instance skew{{{0}, {0}, {0}, {0, 1}, {1}}, {1, 1, 1, 1, 1}};
   ref.solve(skew.paths, skew.active, r_ref);
-  fast.set_paths(skew.paths, skew.active);
+  set_paths(fast, skew);
   fast.solve(r_fast);
   expect_rates_match(r_ref, r_fast, "skew");
   EXPECT_NEAR(r_fast[3], kCap / 4.0, kTol);
   EXPECT_NEAR(r_fast[4], 3.0 * kCap / 4.0, kTol);
 }
 
+// The Machine hands the solver each route without the host links its flow
+// holds alone (docs/sim.md, "Private host links"). Such a link saturates
+// only at line rate, so the allocation solved from the trimmed ranges must
+// be max-min on the full paths: equal to the oracle's on the full paths and
+// certified with the host links included, cold and through deactivations.
+TEST(FairShareDiff, TrimmedPrivateHostLinksKeepTheFullPathAllocation) {
+  constexpr std::uint32_t kHosts = 16;  // host links [0, 2 * kHosts)
+  FairShareSolver ref(2 * kHosts + kLinks, kCap);
+  FastFairShareSolver fast(kCap);
+  std::vector<double> r_ref, r_fast;
+  std::uint64_t elided = 0, zero_link = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Xoshiro256 rng(seed);
+    const std::string tag = "seed " + std::to_string(seed);
+    Instance inst;
+    const std::size_t num_flows = 4 + rng() % 28;
+    for (std::size_t f = 0; f < num_flows; ++f) {
+      std::vector<LinkId> path{static_cast<LinkId>(rng() % kHosts)};
+      for (std::size_t hop = rng() % 4; hop > 0; --hop) {
+        path.push_back(static_cast<LinkId>(2 * kHosts + rng() % kLinks));
+      }
+      path.push_back(static_cast<LinkId>(kHosts + rng() % kHosts));
+      inst.paths.push_back(path);
+    }
+    inst.active.assign(num_flows, 1);
+    const PathStore full = to_path_store(inst.paths);
+    std::vector<std::uint32_t> flows_on(2 * kHosts, 0);
+    for (const std::vector<LinkId>& path : inst.paths) {
+      ++flows_on[path.front()];
+      ++flows_on[path.back()];
+    }
+    std::vector<PathRange> trimmed = full.ranges;
+    for (std::size_t f = 0; f < num_flows; ++f) {
+      if (flows_on[inst.paths[f].front()] == 1) {
+        ++trimmed[f].begin;
+        ++elided;
+      }
+      if (flows_on[inst.paths[f].back()] == 1) {
+        --trimmed[f].end;
+        ++elided;
+      }
+      zero_link += trimmed[f].begin == trimmed[f].end;
+    }
+    fast.set_paths(full.links, trimmed, inst.active);
+    const auto check = [&](const std::string& context) {
+      fast.solve(r_fast);
+      ref.solve(inst.paths, inst.active, r_ref);
+      expect_rates_match(r_ref, r_fast, context);
+      std::string why;
+      ASSERT_TRUE(max_min_certificate_ok(full, inst.active, r_fast, kCap, kTol, &why))
+          << context << ": " << why;
+      EXPECT_TRUE(fast.self_check()) << context;
+    };
+    check(tag + " cold");
+    std::vector<std::size_t> order(num_flows);
+    std::iota(order.begin(), order.end(), 0);
+    std::shuffle(order.begin(), order.end(), rng);
+    for (std::size_t i = 0; i + 1 < order.size(); ++i) {
+      inst.active[order[i]] = 0;
+      fast.deactivate(order[i]);
+      check(tag + " after " + std::to_string(i + 1) + " deactivations");
+    }
+  }
+  // Host links were left out, and some flows lost every link.
+  EXPECT_GT(elided, 0u);
+  EXPECT_GT(zero_link, 0u);
+}
+
 // ---- max-min certificate property tests ------------------------------
 
 TEST(MaxMinCertificate, AcceptsKnownOptimum) {
-  const std::vector<std::vector<LinkId>> paths{{0}, {0, 1}, {1}};
+  const PathStore paths = to_path_store({{0}, {0, 1}, {1}});
   const std::vector<std::uint8_t> active{1, 1, 1};
   const std::vector<double> rates{kCap / 2, kCap / 2, kCap / 2};
   EXPECT_TRUE(max_min_certificate_ok(paths, active, rates, kCap, kTol));
 }
 
 TEST(MaxMinCertificate, RejectsOverCapacity) {
-  const std::vector<std::vector<LinkId>> paths{{0}, {0}};
+  const PathStore paths = to_path_store({{0}, {0}});
   const std::vector<std::uint8_t> active{1, 1};
   std::string why;
   EXPECT_FALSE(max_min_certificate_ok(paths, active, {0.6 * kCap, 0.6 * kCap},
@@ -314,7 +389,7 @@ TEST(MaxMinCertificate, RejectsOverCapacity) {
 TEST(MaxMinCertificate, RejectsNonBottleneckedFlow) {
   // Feasible but not max-min: flow 1 could still grow (its only link is
   // unsaturated), so it crosses no saturated link.
-  const std::vector<std::vector<LinkId>> paths{{0}, {1}};
+  const PathStore paths = to_path_store({{0}, {1}});
   const std::vector<std::uint8_t> active{1, 1};
   std::string why;
   EXPECT_FALSE(max_min_certificate_ok(paths, active, {kCap, 0.5 * kCap}, kCap,
@@ -325,14 +400,14 @@ TEST(MaxMinCertificate, RejectsNonBottleneckedFlow) {
 TEST(MaxMinCertificate, RejectsStarvedEqualPathFlow) {
   // Link saturated, but flow 1 runs below the max crosser: progressive
   // filling would never produce unequal rates on the same bottleneck.
-  const std::vector<std::vector<LinkId>> paths{{0}, {0}};
+  const PathStore paths = to_path_store({{0}, {0}});
   const std::vector<std::uint8_t> active{1, 1};
   EXPECT_FALSE(max_min_certificate_ok(paths, active,
                                       {0.75 * kCap, 0.25 * kCap}, kCap, kTol));
 }
 
 TEST(MaxMinCertificate, RejectsZeroLinkFlowBelowLineRate) {
-  const std::vector<std::vector<LinkId>> paths{{}};
+  const PathStore paths = to_path_store({{}});
   const std::vector<std::uint8_t> active{1};
   std::string why;
   EXPECT_FALSE(
@@ -341,7 +416,7 @@ TEST(MaxMinCertificate, RejectsZeroLinkFlowBelowLineRate) {
 }
 
 TEST(MaxMinCertificate, IgnoresInactiveFlows) {
-  const std::vector<std::vector<LinkId>> paths{{0}, {0}};
+  const PathStore paths = to_path_store({{0}, {0}});
   const std::vector<std::uint8_t> active{1, 0};
   EXPECT_TRUE(max_min_certificate_ok(paths, active, {kCap, 0.0}, kCap, kTol));
 }
@@ -439,9 +514,33 @@ std::vector<Message> skewed_phase(Xoshiro256& rng, std::uint32_t ranks) {
   return messages;
 }
 
+// A permutation phase: every rank sends one skewed-size message to its XOR
+// partner, so every host link carries exactly one flow and the Machine
+// keeps all of them out of the solver's tableau. With `fan_in` > 0 that
+// many extra senders also target rank 0, whose down-link (and the extra
+// senders' up-links) then carry more than one flow and must stay. The
+// messages into rank 0 are the phase's largest, so that link binds.
+std::vector<Message> xor_phase(Xoshiro256& rng, std::uint32_t ranks,
+                               std::uint32_t partner_mask, std::uint32_t fan_in) {
+  const auto big = [&] { return (std::uint64_t{1} << 20) + rng() % 4096; };
+  std::vector<Message> messages;
+  for (Rank r = 0; r < ranks; ++r) {
+    const Rank partner = r ^ partner_mask;
+    const std::uint64_t bytes = fan_in > 0 && partner == 0 ? big()
+                                : rng() % 4 == 0 ? (std::uint64_t{1} << 18) + rng() % 4096
+                                                 : 64 + rng() % 8192;
+    messages.push_back({r, partner, bytes});
+  }
+  for (std::uint32_t i = 0; i < fan_in; ++i) {
+    messages.push_back({1 + static_cast<Rank>(rng() % (ranks - 1)), 0, big()});
+  }
+  return messages;
+}
+
 TEST(FairShareDiff, EventLoopMatchesReferenceFluidLoop) {
   auto& refilled = obs::Registry::global().counter("sim.fairshare.refilled_routes");
   auto& steps = obs::Registry::global().counter("sim.phase.fluid_steps");
+  std::uint32_t same_switch_pairs = 0;
   for (const RoutingPolicy policy :
        {RoutingPolicy::kDeterministic, RoutingPolicy::kEcmp}) {
     const std::string tag =
@@ -456,8 +555,9 @@ TEST(FairShareDiff, EventLoopMatchesReferenceFluidLoop) {
     Machine machine(g, params, rank_to_host);
     const RoutingTable routes(g);
     const std::uint64_t refilled_before = refilled.value();
-    for (std::uint64_t phase = 1; phase <= 40; ++phase) {
-      const std::vector<Message> messages = skewed_phase(rng, g.num_hosts());
+    std::uint64_t phase = 0;
+    const auto check = [&](const std::vector<Message>& messages) {
+      ++phase;
       const std::uint64_t steps_before = steps.value();
       const double elapsed = machine.phase(messages);
       const ReferencePhase ref =
@@ -468,11 +568,26 @@ TEST(FairShareDiff, EventLoopMatchesReferenceFluidLoop) {
       EXPECT_EQ(steps.value() - steps_before, ref.steps)
           << tag << " phase " << phase;
 #endif
+    };
+    for (int i = 0; i < 40; ++i) check(skewed_phase(rng, g.num_hosts()));
+    // Permutation phases (all host links private; same-switch pairs have
+    // their whole route left out) and permutation-plus-fan-in mixes.
+    for (std::uint32_t mask = 1; mask < g.num_hosts(); mask += 5) {
+      for (const std::uint32_t fan_in : {0u, 1u + mask % 3}) {
+        const std::vector<Message> messages =
+            xor_phase(rng, g.num_hosts(), mask, fan_in);
+        for (const Message& m : messages) {
+          same_switch_pairs += g.host_switch(rank_to_host[m.src]) ==
+                               g.host_switch(rank_to_host[m.dst]);
+        }
+        check(messages);
+      }
     }
 #ifndef ORP_OBS_DISABLED
     EXPECT_GT(refilled.value() - refilled_before, 0u) << tag;
 #endif
   }
+  EXPECT_GT(same_switch_pairs, 0u);
 }
 
 // Machine::phase checks its loop invariants on every event and throws

@@ -4,6 +4,10 @@
 
 #include <cmath>
 
+#include "common/prng.hpp"
+#include "obs/metrics.hpp"
+#include "oracle/fairshare.hpp"
+#include "search/random_init.hpp"
 #include "sim/machine.hpp"
 #include "sim/nas.hpp"
 #include "topo/fattree.hpp"
@@ -48,20 +52,20 @@ SimParams simple_params() {
 
 TEST(FairShare, SingleFlowGetsFullBandwidth) {
   FastFairShareSolver solver(1e9);
-  std::vector<std::vector<LinkId>> paths{{0, 1}};
+  const PathStore paths = to_path_store({{0, 1}});
   std::vector<std::uint8_t> active{1};
   std::vector<double> rates;
-  solver.set_paths(paths, active);
+  solver.set_paths(paths.links, paths.ranges, active);
   solver.solve(rates);
   EXPECT_DOUBLE_EQ(rates[0], 1e9);
 }
 
 TEST(FairShare, SharedLinkSplitsEvenly) {
   FastFairShareSolver solver(1e9);
-  std::vector<std::vector<LinkId>> paths{{0, 2}, {1, 2}};  // both cross link 2
+  const PathStore paths = to_path_store({{0, 2}, {1, 2}});  // both cross link 2
   std::vector<std::uint8_t> active{1, 1};
   std::vector<double> rates;
-  solver.set_paths(paths, active);
+  solver.set_paths(paths.links, paths.ranges, active);
   solver.solve(rates);
   EXPECT_DOUBLE_EQ(rates[0], 0.5e9);
   EXPECT_DOUBLE_EQ(rates[1], 0.5e9);
@@ -72,10 +76,10 @@ TEST(FairShare, MaxMinNotJustEqualSplit) {
   // Progressive filling: all rise to 0.5 (links 0 and 1 saturate), so all
   // three flows end at 0.5 — but drop flow 0 and the others get 1.0 each.
   FastFairShareSolver solver(1e9);
-  std::vector<std::vector<LinkId>> paths{{0, 1}, {1}, {0}};
+  const PathStore paths = to_path_store({{0, 1}, {1}, {0}});
   std::vector<std::uint8_t> active{1, 1, 1};
   std::vector<double> rates;
-  solver.set_paths(paths, active);
+  solver.set_paths(paths.links, paths.ranges, active);
   solver.solve(rates);
   EXPECT_DOUBLE_EQ(rates[0], 0.5e9);
   EXPECT_DOUBLE_EQ(rates[1], 0.5e9);
@@ -91,10 +95,10 @@ TEST(FairShare, MaxMinNotJustEqualSplit) {
 TEST(FairShare, BottleneckFreesOtherFlows) {
   // Flows 0,1 share link 0 then diverge; flow 2 alone on link 3.
   FastFairShareSolver solver(1e9);
-  std::vector<std::vector<LinkId>> paths{{0, 1}, {0, 2}, {3}};
+  const PathStore paths = to_path_store({{0, 1}, {0, 2}, {3}});
   std::vector<std::uint8_t> active{1, 1, 1};
   std::vector<double> rates;
-  solver.set_paths(paths, active);
+  solver.set_paths(paths.links, paths.ranges, active);
   solver.solve(rates);
   EXPECT_DOUBLE_EQ(rates[0], 0.5e9);
   EXPECT_DOUBLE_EQ(rates[1], 0.5e9);
@@ -161,6 +165,31 @@ TEST(Machine, FinishedFlowReleasesBandwidth) {
   Machine m(quad_graph(), simple_params());
   const double elapsed = m.phase({{0, 1, 1000000000}, {2, 1, 200000000}});
   EXPECT_NEAR(elapsed, 1.2 + 3e-6, 1e-7);
+}
+
+TEST(Machine, PrivateHostLinksStayOutOfTheTableau) {
+  // An n-rank XOR exchange gives every host link exactly one flow, so the
+  // phase keeps all 2n of them out of the solver's tableau. In a fan-in the
+  // target's down-link carries every flow and stays; only the senders'
+  // up-links go.
+  constexpr std::uint32_t kRanks = 64;
+  Xoshiro256 rng(5);
+  Machine m(random_host_switch_graph(kRanks, 16, 8, rng));
+  auto& elided = obs::Registry::global().counter("sim.fairshare.elided_links");
+  std::vector<Message> exchange, fan_in;
+  for (Rank r = 0; r < kRanks; ++r) exchange.push_back({r, r ^ 5u, 4096});
+  for (Rank r = 1; r < kRanks; ++r) fan_in.push_back({r, 0, 4096});
+  const std::uint64_t start = elided.value();
+  m.phase(exchange);
+  const std::uint64_t after_exchange = elided.value();
+  m.phase(fan_in);
+#ifndef ORP_OBS_DISABLED
+  EXPECT_EQ(after_exchange - start, 2u * kRanks);
+  EXPECT_EQ(elided.value() - after_exchange, kRanks - 1);
+#else
+  (void)start;
+  (void)after_exchange;
+#endif
 }
 
 TEST(Machine, RankMappingChangesRoutes) {
