@@ -299,6 +299,21 @@ void register_sim(BenchRegistry& registry) {
         c.quick,
     });
   }
+  // One RoutingTable build at the paper's instance (n = 1024, r = 16,
+  // m = 183): port slots, the bit-parallel distance kernel, and the next-hop
+  // pass. A faulted collective pays this once per fault event.
+  registry.add({
+      "sim.routing.build.n1024_r16",
+      "sim",
+      []() -> BenchOp {
+        auto graph = std::make_shared<HostSwitchGraph>(setup_graph(1024, 16));
+        return [graph] {
+          const RoutingTable routes(*graph);
+          do_not_optimize(routes.num_links());
+        };
+      },
+      true,
+  });
 }
 
 void register_partition(BenchRegistry& registry) {

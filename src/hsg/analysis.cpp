@@ -1,41 +1,12 @@
 #include "hsg/analysis.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/require.hpp"
+#include "hsg/distance.hpp"
 #include "hsg/metrics.hpp"
 
 namespace orp {
-namespace {
-
-constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
-
-// All-pairs switch distances by BFS from every switch (m is small in every
-// analysis context; the metric kernels own the optimized path).
-std::vector<std::uint32_t> switch_distances(const HostSwitchGraph& g) {
-  const std::uint32_t m = g.num_switches();
-  std::vector<std::uint32_t> dist(static_cast<std::size_t>(m) * m, kInf);
-  std::vector<SwitchId> queue;
-  for (SwitchId src = 0; src < m; ++src) {
-    auto row = dist.begin() + static_cast<std::size_t>(src) * m;
-    queue.clear();
-    queue.push_back(src);
-    row[src] = 0;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const SwitchId v = queue[head];
-      for (SwitchId u : g.neighbors(v)) {
-        if (row[u] == kInf) {
-          row[u] = row[v] + 1;
-          queue.push_back(u);
-        }
-      }
-    }
-  }
-  return dist;
-}
-
-}  // namespace
 
 std::vector<SwitchId> unused_switches(const HostSwitchGraph& g) {
   std::vector<SwitchId> result;
@@ -48,7 +19,7 @@ std::vector<SwitchId> unused_switches(const HostSwitchGraph& g) {
 std::vector<SwitchId> redundant_switches(const HostSwitchGraph& g) {
   ORP_REQUIRE(g.fully_attached(), "redundancy analysis needs every host attached");
   const std::uint32_t m = g.num_switches();
-  const auto dist = switch_distances(g);
+  const auto dist = switch_distance_matrix(g);
   auto d = [&](SwitchId a, SwitchId b) {
     return dist[static_cast<std::size_t>(a) * m + b];
   };
@@ -64,13 +35,13 @@ std::vector<SwitchId> redundant_switches(const HostSwitchGraph& g) {
     bool on_some_path = false;
     for (std::size_t i = 0; i < bearing.size() && !on_some_path; ++i) {
       const SwitchId a = bearing[i];
-      if (d(a, s) == kInf) continue;
+      if (d(a, s) == kNoDistance) continue;
       for (std::size_t j = i; j < bearing.size(); ++j) {
         const SwitchId b = bearing[j];
         // Same-switch host pairs (i == j) never leave switch a, and a
         // host pair on adjacent switches needs intermediate s only if
         // d(a,s) + d(s,b) equals the pair's switch distance.
-        if (d(s, b) == kInf || d(a, b) == kInf) continue;
+        if (d(s, b) == kNoDistance || d(a, b) == kNoDistance) continue;
         if (d(a, s) + d(s, b) == d(a, b) && !(i == j && d(a, s) > 0)) {
           on_some_path = true;
           break;
@@ -156,7 +127,7 @@ FaultImpact link_failure_impact(const HostSwitchGraph& g, double failure_rate,
 double average_shortest_path_multiplicity(const HostSwitchGraph& g) {
   ORP_REQUIRE(g.fully_attached(), "path multiplicity needs every host attached");
   const std::uint32_t m = g.num_switches();
-  const auto dist = switch_distances(g);
+  const auto dist = switch_distance_matrix(g);
   auto d = [&](SwitchId a, SwitchId b) {
     return dist[static_cast<std::size_t>(a) * m + b];
   };
@@ -172,7 +143,7 @@ double average_shortest_path_multiplicity(const HostSwitchGraph& g) {
     // Process vertices in increasing distance from a.
     std::vector<SwitchId> order;
     for (SwitchId v = 0; v < m; ++v) {
-      if (d(a, v) != kInf) order.push_back(v);
+      if (d(a, v) != kNoDistance) order.push_back(v);
     }
     std::sort(order.begin(), order.end(),
               [&](SwitchId x, SwitchId y) { return d(a, x) < d(a, y); });
@@ -183,7 +154,7 @@ double average_shortest_path_multiplicity(const HostSwitchGraph& g) {
       }
     }
     for (SwitchId b = 0; b < m; ++b) {
-      if (b == a || g.hosts_on(b) == 0 || d(a, b) == kInf) continue;
+      if (b == a || g.hosts_on(b) == 0 || d(a, b) == kNoDistance) continue;
       total += count[b];
       ++pairs;
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "obs/metrics.hpp"
 
@@ -47,8 +48,6 @@ DeltaHasplEvaluator::DeltaHasplEvaluator(const HostSwitchGraph& g,
 void DeltaHasplEvaluator::rebuild(const HostSwitchGraph& g) {
   ORP_REQUIRE(g.fully_attached(),
               "delta evaluator needs every host attached to a switch");
-  ORP_REQUIRE(g.num_switches() < kInf16,
-              "delta evaluator supports at most 65534 switches");
   m_ = g.num_switches();
 
   // Stride r+2: a replayed move may transiently push a switch one past its
@@ -59,7 +58,7 @@ void DeltaHasplEvaluator::rebuild(const HostSwitchGraph& g) {
   weight_.resize(m_);
   sync_graph(g);
 
-  dist_.assign(std::size_t{m_} * m_, kInf16);
+  dist_.assign(std::size_t{m_} * m_, kNoDistance);
   sum_w_.assign(m_, 0);
   unreach_w_.assign(m_, 0);
   row_max_.assign(m_, RowMax{0, 0});
@@ -71,13 +70,10 @@ void DeltaHasplEvaluator::rebuild(const HostSwitchGraph& g) {
   affected_.reserve(m_);
   level_cur_.reserve(m_);
   level_next_.reserve(m_);
-  tentative_.assign(m_, kInf16);
+  tentative_.assign(m_, kNoDistance);
   visit_epoch_.assign(m_, 0);
   epoch_ = 0;
   buckets_.assign(std::size_t{m_} + 2, {});
-  bp_frontier_.assign(m_, 0);
-  bp_next_.assign(m_, 0);
-  bp_reached_.assign(m_, 0);
 
   alt_u_.assign(m_, 0);
   alt_v_.assign(m_, 0);
@@ -162,7 +158,7 @@ void DeltaHasplEvaluator::write_entry(std::uint32_t s, std::uint32_t v,
   // then row_max_[s].value is an upper bound on the true max.
   const std::uint32_t wv = weight_[v];
   if (!wv) return;
-  if (old == kInf16) {
+  if (old == kNoDistance) {
     unreach_w_[s] -= wv;
   } else {
     sum_w_[s] -= std::uint64_t{wv} * old;
@@ -171,7 +167,7 @@ void DeltaHasplEvaluator::write_entry(std::uint32_t s, std::uint32_t v,
       rescan_rows_.push_back(s);
     }
   }
-  if (next == kInf16) {
+  if (next == kNoDistance) {
     unreach_w_[s] += wv;
   } else {
     sum_w_[s] += std::uint64_t{wv} * next;
@@ -201,7 +197,7 @@ void DeltaHasplEvaluator::recompute_row_aggregates(std::uint32_t s) {
     const std::uint32_t wv = weight_[v];
     if (!wv) continue;
     const std::uint16_t d = rs[v];
-    if (d == kInf16) {
+    if (d == kNoDistance) {
       unreach += wv;
     } else {
       sum += std::uint64_t{wv} * d;
@@ -217,7 +213,7 @@ void DeltaHasplEvaluator::rescan_row_max(std::uint32_t s) {
   const std::uint16_t* rs = row(s);
   row_max_[s] = {0, 0};
   for (std::uint32_t v = 0; v < m_; ++v) {
-    if (weight_[v] && rs[v] != kInf16) max_add(s, rs[v]);
+    if (weight_[v] && rs[v] != kNoDistance) max_add(s, rs[v]);
   }
 }
 
@@ -295,7 +291,7 @@ void DeltaHasplEvaluator::repair_removal(std::uint32_t s, SwitchId far) {
   // every neighbor distance is final, so the new value is a direct min.
   if (affected_.size() == 1) {
     ++stats_.single_affected;
-    std::uint32_t best = kInf16;
+    std::uint32_t best = kNoDistance;
     const SwitchId* nb = adj_.data() + std::size_t{far} * adj_stride_;
     const std::uint32_t deg = degree_[far];
     for (std::uint32_t i = 0; i < deg; ++i) {
@@ -303,7 +299,7 @@ void DeltaHasplEvaluator::repair_removal(std::uint32_t s, SwitchId far) {
       if (cand < best) best = cand;
     }
     write_entry(s, far,
-                best >= kInf16 ? kInf16 : static_cast<std::uint16_t>(best));
+                best >= kNoDistance ? kNoDistance : static_cast<std::uint16_t>(best));
     return;
   }
 
@@ -321,12 +317,12 @@ void DeltaHasplEvaluator::repair_removal(std::uint32_t s, SwitchId far) {
   // buckets dense. Vertices never settled are now unreachable.
   std::uint32_t min_b = m_ + 1, max_b = 0;
   for (std::uint32_t x : affected_) {
-    std::uint32_t best = kInf16;
+    std::uint32_t best = kNoDistance;
     const SwitchId* nb = adj_.data() + std::size_t{x} * adj_stride_;
     const std::uint32_t deg = degree_[x];
     for (std::uint32_t i = 0; i < deg; ++i) {
       const SwitchId z = nb[i];
-      if (visit_epoch_[z] != aff && rs[z] != kInf16 &&
+      if (visit_epoch_[z] != aff && rs[z] != kNoDistance &&
           std::uint32_t{rs[z]} + 1 < best) {
         best = std::uint32_t{rs[z]} + 1;
       }
@@ -359,12 +355,12 @@ void DeltaHasplEvaluator::repair_removal(std::uint32_t s, SwitchId far) {
     bucket.clear();
   }
   for (std::uint32_t x : affected_) {
-    if (visit_epoch_[x] == aff) write_entry(s, x, kInf16);
+    if (visit_epoch_[x] == aff) write_entry(s, x, kNoDistance);
   }
 }
 
 void DeltaHasplEvaluator::recompute_row_scalar(std::uint32_t s) {
-  std::fill(tentative_.begin(), tentative_.end(), kInf16);
+  std::fill(tentative_.begin(), tentative_.end(), kNoDistance);
   queue_.clear();
   queue_.push_back(s);
   tentative_[s] = 0;
@@ -375,7 +371,7 @@ void DeltaHasplEvaluator::recompute_row_scalar(std::uint32_t s) {
     const std::uint32_t deg = degree_[x];
     for (std::uint32_t i = 0; i < deg; ++i) {
       const SwitchId y = nb[i];
-      if (tentative_[y] == kInf16) {
+      if (tentative_[y] == kNoDistance) {
         tentative_[y] = static_cast<std::uint16_t>(dx + 1);
         queue_.push_back(y);
       }
@@ -385,41 +381,13 @@ void DeltaHasplEvaluator::recompute_row_scalar(std::uint32_t s) {
 }
 
 void DeltaHasplEvaluator::rebuild_all_rows() {
-  std::fill(dist_.begin(), dist_.end(), kInf16);
-  for (std::uint32_t begin = 0; begin < m_; begin += 64) {
-    const std::uint32_t block = std::min<std::uint32_t>(64, m_ - begin);
-    std::fill(bp_frontier_.begin(), bp_frontier_.end(), 0);
-    std::fill(bp_reached_.begin(), bp_reached_.end(), 0);
-    for (std::uint32_t j = 0; j < block; ++j) {
-      const std::uint32_t src = begin + j;
-      bp_frontier_[src] |= 1ULL << j;
-      bp_reached_[src] |= 1ULL << j;
-      row(src)[src] = 0;
-    }
-    for (std::uint32_t round = 1; round <= m_; ++round) {
-      std::fill(bp_next_.begin(), bp_next_.end(), 0);
-      bool any = false;
-      for (std::uint32_t v = 0; v < m_; ++v) {
-        std::uint64_t acc = 0;
-        const SwitchId* nb = adj_.data() + std::size_t{v} * adj_stride_;
-        const std::uint32_t deg = degree_[v];
-        for (std::uint32_t i = 0; i < deg; ++i) acc |= bp_frontier_[nb[i]];
-        std::uint64_t fresh = acc & ~bp_reached_[v];
-        if (!fresh) continue;
-        any = true;
-        bp_next_[v] = fresh;
-        bp_reached_[v] |= fresh;
-        while (fresh) {
-          const int j = __builtin_ctzll(fresh);
-          fresh &= fresh - 1;
-          row(begin + static_cast<std::uint32_t>(j))[v] =
-              static_cast<std::uint16_t>(round);
-        }
-      }
-      if (!any) break;
-      bp_frontier_.swap(bp_next_);
-    }
-  }
+  all_pairs_switch_distances(
+      m_,
+      [this](std::uint32_t v) {
+        return std::span<const SwitchId>(adj_.data() + std::size_t{v} * adj_stride_,
+                                         degree_[v]);
+      },
+      dist_.data(), distance_scratch_);
 }
 
 void DeltaHasplEvaluator::rebuild_aggregates() {
@@ -488,7 +456,7 @@ bool DeltaHasplEvaluator::apply_edge_removal(SwitchId u, SwitchId v,
   for (std::uint32_t s = 0; s < m_; ++s) {
     const std::uint32_t du = ru[s], dv = rv[s];
     if (du == dv) continue;  // edge on no shortest path from s (or both inf)
-    if (std::max(du, dv) == kInf16) continue;  // already unreachable
+    if (std::max(du, dv) == kNoDistance) continue;  // already unreachable
     if (!(du > dv ? alt_u_[s] : alt_v_[s])) dirty_sources_.push_back(s);
   }
   stats_.dirty_sources += dirty_sources_.size();
@@ -518,7 +486,7 @@ void DeltaHasplEvaluator::apply_host_move(SwitchId from, SwitchId to) {
     const std::uint32_t new_w = gain ? old_w + 1 : old_w - 1;
     for (std::uint32_t s = 0; s < m_; ++s) {
       const std::uint16_t dxs = rx[s];
-      if (dxs == kInf16) {
+      if (dxs == kNoDistance) {
         unreach_w_[s] += gain ? 1 : std::uint64_t(-1);
       } else if (gain) {
         sum_w_[s] += dxs;
@@ -530,12 +498,12 @@ void DeltaHasplEvaluator::apply_host_move(SwitchId from, SwitchId to) {
     if (old_w == 0 && new_w > 0) {
       ++weighted_switches_;
       for (std::uint32_t s = 0; s < m_; ++s) {
-        if (rx[s] != kInf16) max_add(s, rx[s]);
+        if (rx[s] != kNoDistance) max_add(s, rx[s]);
       }
     } else if (old_w > 0 && new_w == 0) {
       --weighted_switches_;
       for (std::uint32_t s = 0; s < m_; ++s) {
-        if (rx[s] != kInf16 && max_drop(s, rx[s])) rescan_row_max(s);
+        if (rx[s] != kNoDistance && max_drop(s, rx[s])) rescan_row_max(s);
       }
     }
   };
@@ -650,7 +618,7 @@ void DeltaHasplEvaluator::revert_last(const HostSwitchGraph& restored) {
     const SwitchId from = d.host_moves[i].from;
     const std::uint16_t* rt = row(to);
     for (std::uint32_t s = 0; s < m_; ++s) {
-      if (rt[s] == kInf16) {
+      if (rt[s] == kNoDistance) {
         --unreach_w_[s];
       } else {
         sum_w_[s] -= rt[s];
@@ -659,7 +627,7 @@ void DeltaHasplEvaluator::revert_last(const HostSwitchGraph& restored) {
     if (--weight_[to] == 0) --weighted_switches_;
     const std::uint16_t* rf = row(from);
     for (std::uint32_t s = 0; s < m_; ++s) {
-      if (rf[s] == kInf16) {
+      if (rf[s] == kNoDistance) {
         ++unreach_w_[s];
       } else {
         sum_w_[s] += rf[s];
@@ -730,7 +698,7 @@ HostMetrics DeltaHasplEvaluator::metrics() const {
 std::uint32_t DeltaHasplEvaluator::distance(SwitchId a, SwitchId b) const {
   ORP_ASSERT(a < m_ && b < m_);
   const std::uint16_t d = row(a)[b];
-  return d == kInf16 ? HostMetrics::kUnreachable : d;
+  return d == kNoDistance ? HostMetrics::kUnreachable : d;
 }
 
 }  // namespace orp

@@ -50,12 +50,14 @@
 // Every dirty source is repaired on its own. Only when a removal dirties
 // more than `fallback_fraction * m` sources does the evaluator give up on
 // incremental repair and rebuild the whole state from scratch (counted by
-// the delta_eval.fallback obs counter).
+// the delta_eval.fallback obs counter). That rebuild, like the constructor's,
+// runs the shared bit-parallel distance kernel (hsg/distance.hpp).
 
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "hsg/distance.hpp"
 #include "hsg/host_switch_graph.hpp"
 #include "hsg/metrics.hpp"
 
@@ -165,11 +167,9 @@ class DeltaHasplEvaluator {
   const Stats& stats() const noexcept { return stats_; }
 
  private:
-  static constexpr std::uint16_t kInf16 = 0xffff;
-
   // A row's max finite distance to a weighted target, and how many weighted
   // targets sit at it. While `count` is 0 `value` is only an upper bound
-  // (the row awaits a rescan); m < 0xffff keeps the count in range.
+  // (the row awaits a rescan); m < kNoDistance keeps the count in range.
   struct RowMax {
     std::uint16_t value;
     std::uint16_t count;
@@ -215,7 +215,8 @@ class DeltaHasplEvaluator {
   // Full scalar BFS for row s (per-source fallback when the affected
   // region is most of the graph); diffs against the old row.
   void recompute_row_scalar(std::uint32_t s);
-  // From-scratch distance matrix + aggregates (constructor / fallback).
+  // From-scratch distance matrix (the shared kernel, hsg/distance.hpp) and
+  // aggregates (constructor / fallback).
   void rebuild_all_rows();
   void rebuild_aggregates();
 
@@ -247,8 +248,8 @@ class DeltaHasplEvaluator {
   std::uint32_t epoch_ = 0;
   std::vector<std::vector<std::uint32_t>> buckets_;
 
-  // Bit-parallel frontier words for rebuild_all_rows (64 sources per word).
-  std::vector<std::uint64_t> bp_frontier_, bp_next_, bp_reached_;
+  // Frontier words of the shared distance kernel (rebuild_all_rows).
+  DistanceScratch distance_scratch_;
 
   // Removal-filter surviving-predecessor masks (one uint16 lane per source)
   // and the rows left with no target at their max during the current apply.

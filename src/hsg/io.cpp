@@ -88,6 +88,14 @@ HostSwitchGraph read_hsg(std::istream& is) {
       const std::uint32_t m = parse_u32(fields, line_no, "switch count");
       const std::uint32_t r = parse_u32(fields, line_no, "radix");
       expect_line_end(fields, line_no);
+      if (n > kMaxHsgHosts) {
+        parse_fail(line_no, "host count " + std::to_string(n) + " exceeds the format limit " +
+                                std::to_string(kMaxHsgHosts));
+      }
+      if (m > kMaxHsgSwitches) {
+        parse_fail(line_no, "switch count " + std::to_string(m) +
+                                " exceeds the format limit " + std::to_string(kMaxHsgSwitches));
+      }
       try {
         graph.emplace(n, m, r);
       } catch (const std::exception& e) {

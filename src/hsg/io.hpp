@@ -6,10 +6,15 @@
 //   H <host> <switch>          (n lines, any order; detached hosts omitted)
 //   S <switch_a> <switch_b>    (one line per switch-switch edge, a < b)
 // '#' starts a comment. The reader validates structure and radix budgets.
+// Format limits: n <= kMaxHsgHosts and m <= kMaxHsgSwitches (the header
+// sizes the graph before any host line is read, so a larger header is
+// rejected instead of allocated). The host limit is far above any graph the
+// toolkit builds; the switch limit is the distance kernel's (m < 0xffff).
 //
 // A Graphviz DOT exporter is provided for small graphs (documentation and
 // examples; hosts drawn as circles, switches as boxes, matching Fig. 1).
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -20,8 +25,11 @@ namespace orp {
 void write_hsg(std::ostream& os, const HostSwitchGraph& g);
 bool write_hsg_file(const std::string& path, const HostSwitchGraph& g);
 
+inline constexpr std::uint32_t kMaxHsgHosts = 1u << 20;
+inline constexpr std::uint32_t kMaxHsgSwitches = 65534;
+
 /// Parses the format above; throws std::invalid_argument with a line number
-/// on malformed input.
+/// on malformed input, including a header beyond the format limits.
 HostSwitchGraph read_hsg(std::istream& is);
 HostSwitchGraph read_hsg_file(const std::string& path);
 

@@ -95,17 +95,9 @@ void Machine::inject_faults(std::vector<FaultEvent> events) {
       [](const FaultEvent& x, const FaultEvent& y) { return x.time < y.time; });
 }
 
-bool Machine::apply_due_faults(double horizon,
-                               std::vector<std::uint8_t>* removed_links) {
+bool Machine::apply_due_faults(double horizon) {
   SimInstruments& instruments = SimInstruments::get();
   bool changed = false;
-  // Flags both directions of a dying cable under the OLD link numbering
-  // (routes_ is rebuilt only after every due event has landed).
-  const auto mark = [&](SwitchId a, SwitchId b) {
-    if (!removed_links) return;
-    (*removed_links)[routes_.switch_link(a, b)] = 1;
-    (*removed_links)[routes_.switch_link(b, a)] = 1;
-  };
   while (next_event_ < pending_.size() &&
          pending_[next_event_].time <= horizon) {
     const FaultEvent& e = pending_[next_event_++];
@@ -122,7 +114,6 @@ bool Machine::apply_due_faults(double horizon,
         // A cable that is already gone (repeat event, or its switch died)
         // is a no-op rather than an error: fault schedules may overlap.
         if (graph_.has_switch_edge(e.a, e.b)) {
-          mark(e.a, e.b);
           graph_.remove_switch_edge(e.a, e.b);
           changed = true;
         } else {
@@ -136,7 +127,6 @@ bool Machine::apply_due_faults(double horizon,
           const auto span = graph_.neighbors(e.a);
           downed_adjacency_[e.a].assign(span.begin(), span.end());
           for (const SwitchId t : downed_adjacency_[e.a]) {
-            mark(e.a, t);
             graph_.remove_switch_edge(e.a, t);
           }
           for (HostId h = 0; h < graph_.num_hosts(); ++h) {
@@ -183,10 +173,9 @@ bool Machine::apply_due_faults(double horizon,
     }
   }
   if (changed) {
-    // Full rebuild: link ids renumber, so callers with in-flight paths must
-    // recompute every one of them (the ids are offsets into a layout that
-    // just shifted, not stable names).
-    routes_ = RoutingTable(graph_);
+    // In-place update: surviving cables keep their link ids, and the links
+    // that lost their cable are flagged until the next update.
+    routes_.update(graph_);
     ++fault_stats_.routing_rebuilds;
     instruments.fault_rebuilds.inc();
   }
@@ -294,7 +283,7 @@ double Machine::phase(const std::vector<Message>& messages) {
 
   // Faults that struck between phases (or before the run) land now, so
   // injection below already routes on the degraded topology.
-  apply_due_faults(clock_, nullptr);
+  apply_due_faults(clock_);
 
   // Build flow paths (self-messages are memcpy, modeled as free).
   ++phase_counter_;
@@ -374,9 +363,6 @@ double Machine::phase(const std::vector<Message>& messages) {
   queue.clear();
   std::size_t active_count = num_flows;
   std::size_t ended = 0;  // flows completed or failed so far
-  // Flows that end before a mid-phase rebuild keep their routes in the old
-  // numbering, so the phase's link ids range over its largest table.
-  std::size_t link_space = routes_.num_links();
 
   // Network telemetry (docs/telemetry.md): one load when no tracer is
   // active; otherwise the collector snapshots raw per-flow/per-link data
@@ -415,10 +401,11 @@ double Machine::phase(const std::vector<Message>& messages) {
   // (superseded queue entries die by their stamp). Completions within a
   // relative epsilon batch together, which keeps homogeneous collectives
   // at one solve per phase. Fault events due mid-phase interrupt the
-  // advance at their timestamp: the topology degrades, routing rebuilds,
-  // and every in-flight flow is re-pathed (link ids renumber on rebuild)
-  // — flows that were crossing a dead link pay retry_backoff, flows with
-  // no surviving route fail at the event time plus retry_timeout.
+  // advance at their timestamp: the topology degrades, routing updates in
+  // place (link ids are port-stable), and every in-flight flow is re-pathed
+  // — flows that were crossing a link that just died pay retry_backoff,
+  // flows with no surviving route fail at the event time plus
+  // retry_timeout.
   double t = 0.0;
   const auto left = [&](std::size_t f) {
     return static_cast<double>(remaining[f]) -
@@ -428,7 +415,6 @@ double Machine::phase(const std::vector<Message>& messages) {
   // batch rule in time units (left <= rate * slack + 1e-9 bytes).
   double rate_floor = std::numeric_limits<double>::infinity();
   bool rekey_all = true;  // the next solve is cold: rebuild the queue
-  std::vector<std::uint8_t>& removed_links = scratch_.removed_links;
   std::vector<FinishQueue::Entry>& deferred = scratch_.deferred;
   elided_links += load_solver(active);
   while (active_count > 0) {
@@ -471,17 +457,17 @@ double Machine::phase(const std::vector<Message>& messages) {
       }
       ++fluid_steps;
       t = event_t;
-      removed_links.assign(routes_.num_links(), 0);
-      if (!apply_due_faults(clock_ + t, &removed_links)) continue;
-      link_space = std::max<std::size_t>(link_space, routes_.num_links());
+      if (!apply_due_faults(clock_ + t)) continue;
       for (std::size_t f = 0; f < num_flows; ++f) {
         if (!active[f]) continue;
         ORP_ASSERT(rate[f] == solver_.rate_of(f));
-        // Impact test against the OLD numbering, before the paths go stale.
+        // Impacted: an endpoint died, or the route crosses a link that died
+        // in this update (link ids are stable, so the old route still names
+        // the cables it crossed).
         bool hit = host_dead_[flow_src[f]] || host_dead_[flow_dst[f]];
         if (!hit) {
           for (const LinkId l : paths_[f]) {
-            if (removed_links[l]) {
+            if (routes_.died_in_last_update(l)) {
               hit = true;
               break;
             }
@@ -504,9 +490,9 @@ double Machine::phase(const std::vector<Message>& messages) {
           instruments.fault_retries.inc();
         }
       }
-      // Link ids renumbered and every surviving flow was re-pathed, so the
-      // solver's tableau is rebuilt from scratch: the next solve is cold
-      // and re-rates (and re-keys) every active flow.
+      // Every surviving flow was re-pathed, so the solver's tableau is
+      // rebuilt from scratch: the next solve is cold and re-rates (and
+      // re-keys) every active flow.
       elided_links += load_solver(active);
       rekey_all = true;
       continue;
@@ -576,7 +562,10 @@ double Machine::phase(const std::vector<Message>& messages) {
   }
   stats_.completed = num_flows - stats_.failed;
   if (t > 0.0) {
-    link_bytes_.assign(link_space, 0.0);
+    // Link ids are stable for the Machine's lifetime, so flows that ended
+    // before a mid-phase fault and flows re-pathed after it share one
+    // numbering: each flow's bytes land on the cables of its last route.
+    link_bytes_.assign(routes_.num_links(), 0.0);
     for (std::size_t f = 0; f < num_flows; ++f) {
       const double bytes = static_cast<double>(remaining[f]);
       for (const LinkId l : paths_[f]) link_bytes_[l] += bytes;
@@ -631,7 +620,6 @@ double Machine::phase(const std::vector<Message>& messages) {
     end.src = &flow_src;
     end.dst = &flow_dst;
     end.params = &params_;
-    end.num_links = routes_.num_links();
     net_.end_phase(end);
   }
 

@@ -70,6 +70,9 @@ class Machine {
   }
   /// The (possibly degraded) topology the machine currently routes on.
   const HostSwitchGraph& graph() const noexcept { return graph_; }
+  /// The routing table over graph(); its link ids are stable for the
+  /// Machine's lifetime (PhaseStats::top_links and telemetry use them).
+  const RoutingTable& routes() const noexcept { return routes_; }
 
   // ---- steps: each advances the clock and returns its elapsed seconds --
 
@@ -130,11 +133,9 @@ class Machine {
 
  private:
   /// Applies every pending fault event with time <= horizon to the
-  /// topology; rebuilds routing and returns true when it changed.
-  /// When `removed_links` is non-null, the *old* directed link ids of every
-  /// link that went down are flagged in it (caller sizes it to the old
-  /// num_links) so in-flight flows can be tested for impact.
-  bool apply_due_faults(double horizon, std::vector<std::uint8_t>* removed_links);
+  /// topology; updates routing in place and returns true when it changed
+  /// (routes_.died_in_last_update() then names the links that went down).
+  bool apply_due_faults(double horizon);
 
   SimParams params_;
   HostSwitchGraph graph_;  ///< current (possibly degraded) topology
@@ -227,7 +228,6 @@ class Machine {
     std::vector<std::uint32_t> stamp;
     FinishQueue queue;
     std::vector<FinishQueue::Entry> deferred;
-    std::vector<std::uint8_t> removed_links;
   } scratch_;
 };
 

@@ -4,15 +4,28 @@
 // Every cable is full duplex and modeled as two directed links. Link ids:
 //   [0, n)        host h's up-link   (host -> its switch)
 //   [n, 2n)       host h's down-link (switch -> host)
-//   [2n, 2n+2E)   directed switch-switch links, laid out per source switch
+//   [2n, 2n+P)    directed switch-switch links, one per switch port slot
+// Switch s owns min(radix - hosts_on(s), m - 1) port slots (no switch can
+// have more distinct neighbours), at ids 2n + slot_base(s) + slot. A
+// directed link keeps its id for the table's lifetime: at construction
+// slots follow sorted-neighbour order; update() leaves every surviving
+// cable in its slot, lets a dead cable keep its id (it carries no route),
+// gives a repaired cable its old slot back, and puts a new cable in a
+// never-used slot, or in a dead one when none is left.
+//
 // Routes are minimal and deterministic: among equal-length next hops the
 // lowest switch id wins (topology-agnostic deterministic routing, as used
-// for irregular networks in practice).
+// for irregular networks in practice). Distances come from the shared
+// bit-parallel kernel (hsg/distance.hpp); next hops from one branch-free
+// pass per source switch over that matrix.
 
 #include <cstdint>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "hsg/distance.hpp"
 #include "hsg/host_switch_graph.hpp"
 
 namespace orp {
@@ -42,17 +55,23 @@ struct PathStore {
 
 class RoutingTable {
  public:
-  /// Precomputes next hops for all switch pairs (one BFS per switch).
-  /// Requires every host attached. Disconnected (degraded) topologies are
+  /// Assigns port slots and routes every switch pair. Requires every host
+  /// attached and m < kNoDistance. Disconnected (degraded) topologies are
   /// accepted: unreachable pairs are representable, the throwing append_*
   /// family rejects them at path-build time, and the try_* variants report
   /// them as "no route" instead.
   explicit RoutingTable(const HostSwitchGraph& g);
 
+  /// Re-routes in place on `g`, which must have the constructor graph's
+  /// hosts, switches, radix and host attachment; its switch links may
+  /// differ. Link ids of surviving cables do not change (see the header
+  /// comment). Debug builds check the result against a fresh table.
+  void update(const HostSwitchGraph& g);
+
   std::uint32_t num_links() const noexcept { return num_links_; }
   std::uint32_t num_hosts() const noexcept { return n_; }
 
-  /// Switch-level hop distance.
+  /// Switch-level hop distance; kNoDistance when t is unreachable from s.
   std::uint32_t switch_distance(SwitchId s, SwitchId t) const {
     return dist_[static_cast<std::size_t>(s) * m_ + t];
   }
@@ -77,9 +96,7 @@ class RoutingTable {
   /// append_* family this never throws on a degraded topology.
   bool hosts_connected(HostId src, HostId dst) const {
     ORP_ASSERT(src < n_ && dst < n_);
-    const SwitchId s = host_switch_[src];
-    const SwitchId t = host_switch_[dst];
-    return dist_[static_cast<std::size_t>(s) * m_ + t] != kUnreachable;
+    return switch_distance(host_switch_[src], host_switch_[dst]) != kNoDistance;
   }
 
   /// Non-throwing variants for degraded topologies: append the route when
@@ -93,6 +110,14 @@ class RoutingTable {
 
   /// Directed link id for the switch-switch hop a -> b (must be adjacent).
   LinkId switch_link(SwitchId a, SwitchId b) const;
+  /// The (from, to) switches of switch link `l`: the cable its slot holds,
+  /// or held last when the link is dead; {kNoSwitch, kNoSwitch} for a
+  /// never-used slot. Requires l in [2n, num_links()).
+  std::pair<SwitchId, SwitchId> switch_link_ends(LinkId l) const;
+  /// True when switch link `l` lost its cable in the last update().
+  bool died_in_last_update(LinkId l) const {
+    return l >= 2 * n_ && slot_death_[l - 2 * n_] == epoch_;
+  }
 
   /// The deterministic route's switch sequence from s to t (inclusive of
   /// both endpoints); {s} when s == t. Throws when unreachable.
@@ -101,19 +126,46 @@ class RoutingTable {
   LinkId host_uplink(HostId h) const { return h; }
   LinkId host_downlink(HostId h) const { return n_ + h; }
 
+  /// Checks the table against a fresh build on `g`: equal distances and
+  /// next hops, and every live slot holding a current cable of its switch.
+  /// On failure returns false and, when `why` is non-null, says what differs.
+  bool self_check(const HostSwitchGraph& g, std::string* why = nullptr) const;
+
+  static constexpr SwitchId kNoSwitch = 0xffffffffu;
+
  private:
+  /// Brings the slots and the sorted live adjacency up to date with `g`.
+  void sync_slots(const HostSwitchGraph& g);
+  /// Distances by the shared kernel, then next hops from the matrix.
+  void compute_routes();
+
   std::uint32_t n_;
   std::uint32_t m_;
-  std::uint32_t num_links_;
+  std::uint32_t radix_;
+  std::uint32_t num_links_ = 0;
   std::vector<SwitchId> host_switch_;
-  std::vector<std::uint32_t> dist_;      // m*m switch distances
-  std::vector<SwitchId> next_hop_;       // m*m: next switch from s toward t
-  std::vector<LinkId> next_link_;        // m*m: directed link s -> next_hop_
-  std::vector<std::uint32_t> link_base_; // per-switch offset into directed links
-  // Sorted adjacency per switch for O(log r) link lookup.
-  std::vector<std::vector<SwitchId>> sorted_adj_;
 
-  static constexpr std::uint32_t kUnreachable = 0xffffffffu;
+  // Port slots: switch s owns [slot_base_[s], slot_base_[s+1]).
+  std::vector<std::uint32_t> slot_base_;
+  std::vector<SwitchId> slot_peer_;  ///< far end, kNoSwitch if never used
+  std::vector<std::uint8_t> slot_live_;
+  std::vector<std::uint32_t> slot_death_;  ///< update epoch of last death
+  std::uint32_t epoch_ = 0;                ///< update() count, 1-based
+
+  // Live switch adjacency, sorted per switch (CSR), with each entry's link.
+  std::vector<std::uint32_t> adj_begin_;
+  std::vector<SwitchId> adj_;
+  std::vector<LinkId> adj_link_;
+
+  std::vector<std::uint16_t> dist_;  ///< m*m switch distances
+  /// m*m: index into s's sorted adjacency of the next hop toward t
+  /// (kNoDistance when t == s or t is unreachable).
+  std::vector<std::uint16_t> next_;
+
+  // Scratch reused by update().
+  DistanceScratch kernel_scratch_;
+  std::vector<std::uint32_t> peer_slot_;  ///< m entries, kNoSwitch when unset
+  std::vector<std::uint8_t> is_neighbor_;  ///< m entries
 };
 
 }  // namespace orp

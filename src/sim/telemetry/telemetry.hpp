@@ -94,7 +94,7 @@ struct NetFlowRecord {
 struct NetLinkSample {
   std::uint64_t phase = 0;
   std::int32_t step = -1;  ///< fluid step index; -1 = whole-phase bucket
-  std::uint32_t link = 0;  ///< directed link id (phase-local numbering)
+  std::uint32_t link = 0;  ///< directed link id (port-stable, see sim/routing.hpp)
   double t0_s = 0.0, t1_s = 0.0;  ///< absolute bucket bounds
   double utilization = 0.0;       ///< allocated rate / line rate
   std::uint32_t flows = 0;        ///< active flows crossing the link
@@ -157,7 +157,6 @@ class NetPhaseCollector {
     const std::vector<HostId>* src = nullptr;
     const std::vector<HostId>* dst = nullptr;
     const SimParams* params = nullptr;
-    std::size_t num_links = 0;
   };
 
   /// Builds the flow/link/phase records and pushes them into the global
@@ -227,7 +226,6 @@ class NetPhaseCollector {
     const std::vector<HostId>* src = nullptr;
     const std::vector<HostId>* dst = nullptr;
     const SimParams* params = nullptr;
-    std::size_t num_links = 0;
   };
   void end_phase(const PhaseEnd&) {}
 };

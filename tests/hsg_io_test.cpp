@@ -144,6 +144,16 @@ TEST(HsgIo, WrapsInfeasibleHeaderWithLineNumber) {
   expect_fail_at_line("hsg 2 2 0\n", 1);
 }
 
+TEST(HsgIo, RejectsHeadersBeyondTheFormatLimits) {
+  // Sizing a graph from this 30-byte header used to exhaust memory before
+  // any host line was read.
+  expect_fail_at_line("hsg 4000000000 4000000000 16\n", 1);
+  expect_fail_at_line("# hosts\nhsg " + std::to_string(kMaxHsgHosts + 1) + " 4 16\n", 2);
+  expect_fail_at_line("hsg 8 " + std::to_string(kMaxHsgSwitches + 1) + " 16\n", 1);
+  std::istringstream at_limit("hsg 2 " + std::to_string(kMaxHsgSwitches) + " 4\n");
+  EXPECT_EQ(read_hsg(at_limit).num_switches(), kMaxHsgSwitches);
+}
+
 TEST(HsgIo, AcceptsWindowsLineEndings) {
   std::istringstream in("hsg 2 2 4\r\nH 0 0\r\nH 1 1\r\nS 0 1\r\n");
   const auto g = read_hsg(in);

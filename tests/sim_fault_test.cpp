@@ -232,6 +232,85 @@ TEST(MachineFaults, FlowStrandedMidPhaseReportsZeroHops) {
 #endif
 }
 
+TEST(MachineFaults, LinkLoadsNameTheCablesFlowsCrossedAcrossAMidPhaseFault) {
+  // s0 and s1 carry two hosts each, s2 and s3 one; cables 0-1, 0-2, 1-2,
+  // 2-3. Two 1 MiB flows share cable 0->1 and end a quarter of the way in;
+  // an 8 MiB flow crosses 2->3 throughout. Cable 1-2, which no flow uses,
+  // dies mid-phase and the 8 MiB flow is re-pathed. Each flow's bytes must
+  // land on the cable it crossed, named by the healthy table's link ids:
+  // with ids that renumbered on every rebuild, the long flow's bytes were
+  // credited to whatever cable its id named after the fault (here 2->0).
+  HostSwitchGraph g(6, 4, 8);
+  g.attach_host(0, 0);
+  g.attach_host(4, 0);
+  g.attach_host(1, 1);
+  g.attach_host(5, 1);
+  g.attach_host(2, 2);
+  g.attach_host(3, 3);
+  g.add_switch_edge(0, 1);
+  g.add_switch_edge(0, 2);
+  g.add_switch_edge(1, 2);
+  g.add_switch_edge(2, 3);
+  const std::vector<Message> messages{
+      {0, 1, 1u << 20}, {4, 5, 1u << 20}, {2, 3, 8u << 20}};
+  const RoutingTable healthy_routes(g);
+  const LinkId shared = healthy_routes.switch_link(0, 1);
+  const LinkId tail = healthy_routes.switch_link(2, 3);
+  Machine healthy(g);
+  const double t_healthy = healthy.phase(messages);
+
+#ifndef ORP_OBS_DISABLED
+  const std::string path = testing::TempDir() + "sim_fault_link_loads.jsonl";
+  obs::SinkConfig config = obs::parse_sink(path);
+  config.snapshot_ms = 0;
+  ASSERT_TRUE(obs::configure(config));
+  set_net_telemetry(NetTelemetryConfig{});
+  net_detail::reset_for_tests();
+#endif
+  Machine m(g);
+  m.inject_faults({{t_healthy / 2, FaultEvent::Kind::kLinkDown, 1, 2}});
+  m.phase(messages);
+  const Machine::PhaseStats& stats = m.last_phase_stats();
+  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(stats.retried, 0u);
+  EXPECT_EQ(m.fault_stats().routing_rebuilds, 1u);
+  const auto util_of = [&](LinkId link) {
+    for (const Machine::PhaseStats::LinkLoad& load : stats.top_links) {
+      if (load.link == link) return load.utilization;
+    }
+    return -1.0;
+  };
+  // The long flow's cable is (with its host links) the busiest; the shared
+  // cable carried 2 MiB against its 8.
+  EXPECT_DOUBLE_EQ(util_of(tail), stats.max_link_utilization);
+  EXPECT_NEAR(util_of(shared), stats.max_link_utilization / 4,
+              1e-12 * stats.max_link_utilization);
+#ifndef ORP_OBS_DISABLED
+  obs::flush();
+  obs::configure(obs::SinkConfig{});
+  const obs::report::TraceAnalysis a = obs::report::analyze_trace_file(path);
+  std::remove(path.c_str());
+  std::uint32_t seen = 0;
+  for (const obs::report::NetLink& sample : a.network.link_samples) {
+    if (sample.step != -1) continue;
+    if (sample.link == tail) {
+      ++seen;
+      EXPECT_EQ(sample.flows, 1u);
+      EXPECT_DOUBLE_EQ(sample.utilization, stats.max_link_utilization);
+    } else if (sample.link == shared) {
+      ++seen;
+      EXPECT_EQ(sample.flows, 2u);
+      EXPECT_NEAR(sample.utilization, stats.max_link_utilization / 4,
+                  1e-12 * stats.max_link_utilization);
+    } else if (sample.link >= 2 * g.num_hosts()) {
+      ADD_FAILURE() << "bytes credited to switch link " << sample.link
+                    << ", which no flow crossed";
+    }
+  }
+  EXPECT_EQ(seen, 2u);
+#endif
+}
+
 TEST(MachineFaults, SwitchDownKillsItsRanksButOthersComplete) {
   // Path s0-s1-s2, one host each. s2 dies before the phase: flows to/from
   // rank 2 fail, the rank0<->rank1 flows complete.
