@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <string>
 
 #include "common/require.hpp"
 #include "obs/metrics.hpp"
@@ -285,8 +284,16 @@ double Machine::phase(const std::vector<Message>& messages) {
   // injection below already routes on the degraded topology.
   apply_due_faults(clock_);
 
-  // Build flow paths (self-messages are memcpy, modeled as free).
+  // Build flow paths (self-messages are memcpy, modeled as free). A phase
+  // of self-messages only moves nothing, so it leaves the last flow phase's
+  // flow table, and with it last_phase_stats() and link_loads(), in place.
   ++phase_counter_;
+  std::size_t num_flows = 0;
+  for (const Message& m : messages) {
+    ORP_REQUIRE(m.src < num_ranks_ && m.dst < num_ranks_, "rank out of range");
+    num_flows += m.src != m.dst;
+  }
+  if (num_flows == 0) return 0.0;
   std::vector<std::uint64_t>& remaining = scratch_.remaining;
   std::vector<std::uint32_t>& hops = scratch_.hops;
   std::vector<HostId>& flow_src = scratch_.flow_src;
@@ -327,7 +334,6 @@ double Machine::phase(const std::vector<Message>& messages) {
   links.clear();
   paths_.ranges.clear();
   for (const Message& m : messages) {
-    ORP_REQUIRE(m.src < num_ranks_ && m.dst < num_ranks_, "rank out of range");
     if (m.src == m.dst) continue;
     const std::size_t f = built++;
     paths_.ranges.emplace_back();
@@ -344,9 +350,7 @@ double Machine::phase(const std::vector<Message>& messages) {
     retried.push_back(0);
     hops.push_back(route_flow(f));
   }
-  if (built == 0) return 0.0;
 
-  const std::size_t num_flows = paths_.size();
   std::vector<std::uint8_t>& active = scratch_.active;
   std::vector<double>& finish = scratch_.finish;
   std::vector<double>& delivered = scratch_.delivered;
@@ -549,9 +553,7 @@ double Machine::phase(const std::vector<Message>& messages) {
     elapsed = std::max(elapsed, total);
   }
 
-  // Phase statistics: per-link bytes moved vs what the busiest link could
-  // have moved during the transfer window, route-length average, and the
-  // most congested links of the phase.
+  // Phase statistics; the link loads are built on demand (link_loads()).
   stats_ = PhaseStats{};
   stats_.elapsed = elapsed;
   stats_.flows = num_flows;
@@ -561,62 +563,24 @@ double Machine::phase(const std::vector<Message>& messages) {
     stats_.retry_added_latency += penalty[f];
   }
   stats_.completed = num_flows - stats_.failed;
-  if (t > 0.0) {
-    // Link ids are stable for the Machine's lifetime, so flows that ended
-    // before a mid-phase fault and flows re-pathed after it share one
-    // numbering: each flow's bytes land on the cables of its last route.
-    link_bytes_.assign(routes_.num_links(), 0.0);
-    for (std::size_t f = 0; f < num_flows; ++f) {
-      const double bytes = static_cast<double>(remaining[f]);
-      for (const LinkId l : paths_[f]) link_bytes_[l] += bytes;
-    }
-    const double capacity = params_.link_bandwidth * t;
-    double peak = 0.0;
-    double used_bytes = 0.0;
-    std::size_t used_links = 0;
-    auto& top = stats_.top_links;
-    for (std::size_t l = 0; l < link_bytes_.size(); ++l) {
-      const double bytes_on_link = link_bytes_[l];
-      if (bytes_on_link <= 0.0) continue;
-      peak = std::max(peak, bytes_on_link);
-      used_bytes += bytes_on_link;
-      ++used_links;
-      // Keep the kTopLinks busiest links, most loaded first.
-      const double util = bytes_on_link / capacity;
-      if (top.size() == PhaseStats::kTopLinks && util <= top.back().utilization) {
-        continue;
-      }
-      auto pos = std::find_if(top.begin(), top.end(),
-                              [&](const PhaseStats::LinkLoad& entry) {
-                                return util > entry.utilization;
-                              });
-      if (pos != top.end() || top.size() < PhaseStats::kTopLinks) {
-        top.insert(pos, {static_cast<LinkId>(l), util});
-        if (top.size() > PhaseStats::kTopLinks) top.pop_back();
-      }
-    }
-    stats_.max_link_utilization = peak / capacity;
-    if (used_links > 0) {
-      stats_.mean_link_utilization =
-          used_bytes / (static_cast<double>(used_links) * capacity);
-    }
-  }
   double hop_sum = 0.0;
   for (const std::uint32_t h : hops) hop_sum += h;
   stats_.mean_hops = hop_sum / static_cast<double>(num_flows);
+  transfer_s_ = t;
+  link_loads_stale_ = true;
 
   if (tele) {
     NetPhaseCollector::PhaseEnd end;
-    end.transfer_end_s = t;
     end.elapsed_s = elapsed;
     end.steps = fluid_steps;
-    end.paths = &paths_;
+    end.failed_flows = static_cast<std::uint32_t>(stats_.failed);
+    end.retried_flows = static_cast<std::uint32_t>(stats_.retried);
+    end.loads = &link_loads();
     end.bytes = &remaining;
     end.finish = &finish;
     end.penalty = &penalty;
     end.hops = &hops;
     end.failed = &failed;
-    end.retried = &retried;
     end.src = &flow_src;
     end.dst = &flow_dst;
     end.params = &params_;
@@ -636,26 +600,62 @@ double Machine::phase(const std::vector<Message>& messages) {
   if (span.active()) {
     span.arg("flows", static_cast<std::uint64_t>(num_flows));
     span.arg("sim_elapsed_s", elapsed);
-    span.arg("max_link_util", stats_.max_link_utilization);
-    span.arg("mean_link_util", stats_.mean_link_utilization);
     span.arg("mean_hops", stats_.mean_hops);
     if (stats_.retried || stats_.failed) {
       span.arg("flows_retried", stats_.retried);
       span.arg("flows_failed", stats_.failed);
       span.arg("retry_added_latency_s", stats_.retry_added_latency);
     }
-    std::string top = "[";
-    for (std::size_t i = 0; i < stats_.top_links.size(); ++i) {
-      if (i) top += ',';
-      top += '[' + std::to_string(stats_.top_links[i].link) + ',' +
-             std::to_string(stats_.top_links[i].utilization) + ']';
-    }
-    top += ']';
-    span.arg_json("top_links", std::move(top));
   }
 
   clock_ += elapsed;
   return elapsed;
+}
+
+const LinkLoads& Machine::link_loads() const {
+  if (link_loads_stale_) account_link_loads();
+  return link_loads_;
+}
+
+void Machine::account_link_loads() const {
+  // The one per-link byte pass of a phase. Link ids are stable for the
+  // Machine's lifetime, so flows that ended before a mid-phase fault and
+  // flows re-pathed after it share one numbering: each flow's bytes land
+  // on the cables of its last route (a failed flow's route is empty).
+  link_loads_stale_ = false;
+  LinkLoads& loads = link_loads_;
+  loads.links.assign(routes_.num_links(), {});
+  loads.used.clear();
+  loads.window_s = transfer_s_;
+  loads.capacity_bytes = params_.link_bandwidth * transfer_s_;
+  loads.max_utilization = 0.0;
+  if (transfer_s_ <= 0.0) return;
+  const std::vector<std::uint64_t>& bytes = scratch_.remaining;
+  const std::vector<double>& finish = scratch_.finish;
+  LinkLoads::Link* const account = loads.links.data();
+  for (std::size_t f = 0; f < paths_.size(); ++f) {
+    if (bytes[f] == 0) continue;
+    const double flow_bytes = static_cast<double>(bytes[f]);
+    const double mean_bps = finish[f] > 0.0 ? flow_bytes / finish[f] : 0.0;
+    for (const LinkId l : paths_[f]) {
+      LinkLoads::Link& link = account[l];
+      link.slowest_bps = std::min(link.slowest_bps, mean_bps);
+      link.bytes += flow_bytes;
+      ++link.flows;
+    }
+  }
+  // The used links in id order, which lets the telemetry's top-K select
+  // turn ties away at once; branch-free, as used and idle ids interleave.
+  loads.used.resize(loads.links.size());
+  std::size_t used = 0;
+  double peak = 0.0;
+  for (LinkId l = 0; l < loads.links.size(); ++l) {
+    loads.used[used] = l;
+    used += account[l].flows != 0;
+    peak = std::max(peak, account[l].bytes);
+  }
+  loads.used.resize(used);
+  loads.max_utilization = peak / loads.capacity_bytes;
 }
 
 // ---- collectives -------------------------------------------------------

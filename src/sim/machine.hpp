@@ -71,7 +71,7 @@ class Machine {
   /// The (possibly degraded) topology the machine currently routes on.
   const HostSwitchGraph& graph() const noexcept { return graph_; }
   /// The routing table over graph(); its link ids are stable for the
-  /// Machine's lifetime (PhaseStats::top_links and telemetry use them).
+  /// Machine's lifetime (link_loads() and telemetry use them).
   const RoutingTable& routes() const noexcept { return routes_; }
 
   // ---- steps: each advances the clock and returns its elapsed seconds --
@@ -105,23 +105,12 @@ class Machine {
   /// `bytes_total / ranks` chunks.
   double ring_allreduce(std::uint64_t bytes_total);
 
-  /// Statistics of the most recent phase() (collectives update it once
-  /// per internal round; the last round's stats remain).
+  /// Statistics of the most recent phase() that moved flows (collectives
+  /// update it once per internal round; the last round's stats remain).
   struct PhaseStats {
     double elapsed = 0.0;          ///< seconds, same value phase() returned
-    double max_link_utilization = 0.0;  ///< busiest link's busy fraction
-    /// Mean busy fraction over the links that carried traffic this phase.
-    double mean_link_utilization = 0.0;
     double mean_hops = 0.0;        ///< average route length of the flows
     std::uint64_t flows = 0;
-    /// The busiest links of the phase, most loaded first (at most
-    /// kTopLinks entries; fewer when the phase used fewer links).
-    struct LinkLoad {
-      LinkId link = 0;
-      double utilization = 0.0;
-    };
-    static constexpr std::size_t kTopLinks = 4;
-    std::vector<LinkLoad> top_links;
 
     // Graceful-degradation breakdown (all zero on a healthy run):
     std::uint64_t completed = 0;  ///< flows fully delivered
@@ -130,12 +119,18 @@ class Machine {
     double retry_added_latency = 0.0;  ///< summed backoff seconds
   };
   const PhaseStats& last_phase_stats() const noexcept { return stats_; }
+  /// Per-link load of the same phase: what each link carried over its
+  /// transfer window. Traced phases build it anyway; otherwise the first
+  /// call after a phase builds it.
+  const LinkLoads& link_loads() const;
 
  private:
   /// Applies every pending fault event with time <= horizon to the
   /// topology; updates routing in place and returns true when it changed
   /// (routes_.died_in_last_update() then names the links that went down).
   bool apply_due_faults(double horizon);
+  /// Fills link_loads_ from the last phase's final routes and flow table.
+  void account_link_loads() const;
 
   SimParams params_;
   HostSwitchGraph graph_;  ///< current (possibly degraded) topology
@@ -145,6 +140,9 @@ class Machine {
   FastFairShareSolver solver_;  ///< max-min allocator of the fluid loop
   double clock_ = 0.0;
   PhaseStats stats_;
+  double transfer_s_ = 0.0;  ///< fluid time the last phase's last byte moved
+  mutable LinkLoads link_loads_;
+  mutable bool link_loads_stale_ = false;
   std::uint64_t phase_counter_ = 0;  ///< decorrelates ECMP hashes across phases
 
   // Fault state.
@@ -170,7 +168,6 @@ class Machine {
   std::vector<PathRange> solver_ranges_;  ///< paths_ ranges given to solver_
   std::vector<std::uint32_t> host_link_flows_;  ///< live flows per host link
   std::vector<double> rates_;  ///< per-flow rates, kept current by solver_
-  std::vector<double> link_bytes_;
 
   /// Min-queue of projected flow finish times (phase time) that drives
   /// the fluid event loop. A cold solve re-keys every flow at once, so

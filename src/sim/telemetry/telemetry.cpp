@@ -1,14 +1,15 @@
 #include "sim/telemetry/telemetry.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <system_error>
 #include <utility>
 
-#include "common/cli.hpp"
-#include "common/require.hpp"
 #include "obs/sink.hpp"
 #include "obs/trace.hpp"
 
@@ -20,16 +21,27 @@ NetTelemetryConfig& mutable_config() {
   return config;
 }
 
+/// The one parser of telemetry integers, for the env and the spec alike:
+/// decimal digits only (no sign, whitespace or suffix), at most UINT32_MAX.
+std::optional<std::uint32_t> parse_u32(std::string_view text) {
+  std::uint32_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) return std::nullopt;
+  return value;
+}
+
+/// An unset, empty or malformed variable keeps `fallback`; "0" is a value.
 std::uint32_t env_u32(const char* name, std::uint32_t fallback) {
-  return static_cast<std::uint32_t>(
-      std::max<std::int64_t>(0, env_int(name, fallback)));
+  const char* raw = std::getenv(name);
+  return raw ? parse_u32(raw).value_or(fallback) : fallback;
 }
 
 }  // namespace
 
 NetTelemetryConfig net_telemetry_from_env() {
   NetTelemetryConfig config;
-  config.enabled = env_int("ORP_NET_TELEMETRY", 1) != 0;
+  config.enabled = env_u32("ORP_NET_TELEMETRY", 1) != 0;
   config.flow_sample =
       std::max(1u, env_u32("ORP_NET_FLOW_SAMPLE", config.flow_sample));
   config.link_top_k = env_u32("ORP_NET_LINK_TOPK", config.link_top_k);
@@ -72,16 +84,9 @@ bool apply_net_telemetry_spec(std::string_view spec) {
     const std::size_t eq = pair.find('=');
     if (eq == std::string_view::npos) return false;
     const std::string_view key = pair.substr(0, eq);
-    std::uint32_t value = 0;
-    try {
-      std::size_t used = 0;
-      const std::string digits(pair.substr(eq + 1));
-      const unsigned long parsed = std::stoul(digits, &used);
-      if (used != digits.size()) return false;
-      value = static_cast<std::uint32_t>(parsed);
-    } catch (const std::exception&) {
-      return false;
-    }
+    const std::optional<std::uint32_t> parsed = parse_u32(pair.substr(eq + 1));
+    if (!parsed) return false;
+    const std::uint32_t value = *parsed;
     if (key == "flow_sample") config.flow_sample = std::max(1u, value);
     else if (key == "link_top_k") config.link_top_k = value;
     else if (key == "link_steps") config.link_steps = value;
@@ -160,6 +165,26 @@ std::string num(double value) {
 std::string num(std::uint64_t value) { return std::to_string(value); }
 std::string num(std::int64_t value) { return std::to_string(value); }
 
+/// The one top-K select of link samples: keeps window[base, end) at the k
+/// offered links that come first in (utilization descending, link id
+/// ascending) order, in that order, so the kept set does not depend on the
+/// offer order. `make()` builds a link's sample only once it gets in.
+template <typename MakeSample>
+void keep_top_k(std::vector<NetLinkSample>& window, std::size_t base,
+                std::size_t k, double utilization, LinkId link,
+                MakeSample&& make) {
+  const auto ahead_of = [&](const NetLinkSample& s) {
+    return utilization > s.utilization ||
+           (utilization == s.utilization && link < s.link);
+  };
+  if (k == 0) return;
+  if (window.size() - base >= k && !ahead_of(window.back())) return;
+  window.insert(std::find_if(window.begin() + static_cast<std::ptrdiff_t>(base),
+                             window.end(), ahead_of),
+                make());
+  if (window.size() - base > k) window.pop_back();
+}
+
 /// Process-global record store: phases from every Machine accumulate here
 /// and drain into the tracer when the obs sink flushes (the hook runs
 /// before the trace writer stops, so the instants land ahead of the
@@ -183,7 +208,7 @@ class NetStore {
   /// first and only the accepted ones are built, via `build(i)` for the
   /// i-th sampled flow of the phase — at reservoir caps the vast majority
   /// of offers are rejected, so skipping construction for them keeps the
-  /// traced hot path near the untraced one (the CI 1% overhead gate).
+  /// traced hot path near the untraced one (CI's telemetry-overhead gate).
   /// Runs under the store lock so a concurrent drain can never observe a
   /// half-admitted batch.
   template <typename BuildFlow>
@@ -374,8 +399,12 @@ void NetPhaseCollector::on_segment(std::uint32_t step, double t0_s, double t1_s,
   if (step >= cfg_.link_steps || cfg_.link_top_k == 0) return;
 
   // Per-link accounting with a dense scratch + touched list: one pass over
-  // (flow, link) incidences.
-  reserve_link_scratch(paths);
+  // (flow, link) incidences. Entries that re-pathed flows left in the store
+  // can only raise the largest id, which over-sizes the scratch harmlessly.
+  const auto top = std::max_element(paths.links.begin(), paths.links.end());
+  if (top != paths.links.end() && link_scratch_.size() <= *top) {
+    link_scratch_.resize(std::size_t{*top} + 1);
+  }
   touched_.clear();
   for (std::size_t f = 0; f < paths.size(); ++f) {
     if (!active[f]) continue;
@@ -392,48 +421,25 @@ void NetPhaseCollector::on_segment(std::uint32_t step, double t0_s, double t1_s,
     }
   }
 
-  // Keep the top-K most utilized links of the segment (insertion select,
-  // ties broken toward the lower link id for determinism). Once the
-  // window is full, a candidate strictly below the current worst kept
-  // utilization is rejected without touching the window.
-  std::vector<NetLinkSample>& out = step_samples_;
-  const std::size_t base = out.size();
+  // Keep the segment's top-K links; utilization holds the rate sum until
+  // end_phase scales it to a line-rate fraction.
+  const std::size_t base = step_samples_.size();
   for (const std::uint32_t l : touched_) {
     LinkScratch& scratch = link_scratch_[l];
-    const double util = scratch.sum;  // rate sum; scaled in end_phase
-    const bool full = out.size() - base >= cfg_.link_top_k;
-    if (full && util < out.back().utilization) {
-      scratch.count = 0;
-      continue;
-    }
-    NetLinkSample sample;
-    sample.phase = phase_id_;
-    sample.step = static_cast<std::int32_t>(step);
-    sample.link = l;
-    sample.t0_s = t0_s;
-    sample.t1_s = t1_s;
-    sample.utilization = util;
-    sample.flows = scratch.count;
-    sample.fair_bps = scratch.fair;
-    auto begin = out.begin() + static_cast<std::ptrdiff_t>(base);
-    auto pos = std::find_if(begin, out.end(), [&](const NetLinkSample& s) {
-      return sample.utilization > s.utilization ||
-             (sample.utilization == s.utilization && sample.link < s.link);
+    keep_top_k(step_samples_, base, cfg_.link_top_k, scratch.sum, l, [&] {
+      NetLinkSample sample;
+      sample.phase = phase_id_;
+      sample.step = static_cast<std::int32_t>(step);
+      sample.link = l;
+      sample.t0_s = t0_s;
+      sample.t1_s = t1_s;
+      sample.utilization = scratch.sum;
+      sample.flows = scratch.count;
+      sample.fair_bps = scratch.fair;
+      return sample;
     });
-    if (pos != out.end() || !full) {
-      out.insert(pos, sample);
-      if (out.size() - base > cfg_.link_top_k) out.pop_back();
-    }
     scratch.count = 0;  // reset scratch as we go
   }
-}
-
-void NetPhaseCollector::reserve_link_scratch(const PathStore& paths) {
-  // One pass over the flat store: entries that re-pathed flows left behind
-  // can only raise the maximum, which over-sizes the scratch harmlessly.
-  const auto top = std::max_element(paths.links.begin(), paths.links.end());
-  const std::size_t max_link = top == paths.links.end() ? 0 : *top;
-  if (link_scratch_.size() <= max_link) link_scratch_.resize(max_link + 1);
 }
 
 void NetPhaseCollector::flow_done(std::size_t f, double rate_bps) {
@@ -446,7 +452,8 @@ void NetPhaseCollector::end_phase(const PhaseEnd& end) {
   active_ = false;
   const SimParams& params = *end.params;
   const double bandwidth = params.link_bandwidth;
-  const std::size_t num_flows = end.paths->size();
+  const LinkLoads& loads = *end.loads;
+  const std::size_t num_flows = end.bytes->size();
 
   // Per-step samples carried rate sums; scale to line-rate fractions now.
   for (NetLinkSample& sample : step_samples_) {
@@ -456,16 +463,14 @@ void NetPhaseCollector::end_phase(const PhaseEnd& end) {
   NetPhaseRecord phase;
   phase.phase = phase_id_;
   phase.flows = static_cast<std::uint32_t>(num_flows);
+  phase.completed = phase.flows - end.failed_flows;
+  phase.failed = end.failed_flows;
+  phase.retried = end.retried_flows;
   phase.steps = end.steps;
   phase.start_s = phase_start_s_;
   phase.elapsed_s = end.elapsed_s;
-  phase.transfer_s = end.transfer_end_s;
-
-  for (std::size_t f = 0; f < num_flows; ++f) {
-    phase.failed += (*end.failed)[f] ? 1u : 0u;
-    phase.retried += (*end.retried)[f] ? 1u : 0u;
-  }
-  phase.completed = phase.flows - phase.failed;
+  phase.transfer_s = loads.window_s;
+  phase.max_utilization = loads.max_utilization;
 
   // Flow records are built lazily inside NetStore::push, only for the
   // ordinals the reservoir admits; the i-th sampled flow of the phase is
@@ -513,67 +518,23 @@ void NetPhaseCollector::end_phase(const PhaseEnd& end) {
     return record;
   };
 
-  // Whole-phase link buckets (step -1) from the per-link byte totals:
-  // utilization over the transfer window, crossing-flow count, and the
-  // slowest mean rate among the crossers. One extra (flow, link) pass,
-  // paid only on traced runs.
-  const double t = end.transfer_end_s;
-  if (t > 0.0 && cfg_.link_top_k > 0) {
-    reserve_link_scratch(*end.paths);
-    touched_.clear();
-    for (std::size_t f = 0; f < num_flows; ++f) {
-      if ((*end.failed)[f]) continue;
-      const double flow_bytes = static_cast<double>((*end.bytes)[f]);
-      if (flow_bytes <= 0.0) continue;
-      const double finish = (*end.finish)[f];
-      const double mean_bps = finish > 0.0 ? flow_bytes / finish : 0.0;
-      for (const LinkId l : (*end.paths)[f]) {
-        LinkScratch& s = link_scratch_[l];
-        if (s.count == 0) {
-          touched_.push_back(l);
-          s.sum = 0.0;
-          s.fair = mean_bps;
-        }
-        ++s.count;
-        s.sum += flow_bytes;
-        s.fair = std::min(s.fair, mean_bps);
-      }
-    }
-    const double capacity = bandwidth * t;
-    const std::size_t base = step_samples_.size();
-    for (const std::uint32_t l : touched_) {
-      LinkScratch& scratch = link_scratch_[l];
-      const double util = scratch.sum / capacity;
-      phase.max_utilization = std::max(phase.max_utilization, util);
-      const bool full = step_samples_.size() - base >= cfg_.link_top_k;
-      if (full && util < step_samples_.back().utilization) {
-        scratch.count = 0;
-        continue;
-      }
+  // Whole-phase link buckets (step -1), read off the phase's account.
+  const std::size_t base = step_samples_.size();
+  for (const LinkId l : loads.used) {
+    const LinkLoads::Link& link = loads.links[l];
+    const double utilization = loads.utilization(l);
+    keep_top_k(step_samples_, base, cfg_.link_top_k, utilization, l, [&] {
       NetLinkSample sample;
       sample.phase = phase_id_;
       sample.step = -1;
       sample.link = l;
       sample.t0_s = phase_start_s_;
-      sample.t1_s = phase_start_s_ + t;
-      sample.utilization = util;
-      sample.flows = scratch.count;
-      sample.fair_bps = scratch.fair;
-      auto begin = step_samples_.begin() + static_cast<std::ptrdiff_t>(base);
-      auto pos = std::find_if(begin, step_samples_.end(),
-                              [&](const NetLinkSample& s) {
-                                return sample.utilization > s.utilization ||
-                                       (sample.utilization == s.utilization &&
-                                        sample.link < s.link);
-                              });
-      if (pos != step_samples_.end() || !full) {
-        step_samples_.insert(pos, sample);
-        if (step_samples_.size() - base > cfg_.link_top_k) {
-          step_samples_.pop_back();
-        }
-      }
-      scratch.count = 0;
-    }
+      sample.t1_s = phase_start_s_ + loads.window_s;
+      sample.utilization = utilization;
+      sample.flows = link.flows;
+      sample.fair_bps = link.slowest_bps;
+      return sample;
+    });
   }
 
   NetStore::global().push(sampled_flows, build_flow, step_samples_, phase);

@@ -8,8 +8,8 @@
 // caps volume with deterministic reservoir sampling, and the buffered
 // records are serialized as Chrome-trace instant events ("cat":"net")
 // only when the sink flushes. With no tracer active begin_phase() is one
-// load and the phase pays nothing; with ORP_OBS_DISABLED everything in
-// this header collapses to inline no-op stubs (mirroring obs/trace.hpp).
+// load and the phase pays nothing; with ORP_OBS_DISABLED the collector's
+// methods collapse to inline no-op stubs (mirroring obs/trace.hpp).
 //
 // Latency attribution (per flow, seconds; terms sum to `total_s` exactly
 // by construction — queueing is defined as the remainder of the transfer
@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -33,7 +34,7 @@
 namespace orp {
 
 /// Sampling knobs, read once per phase. Defaults keep the n=256 r=12
-/// all-to-all microbenchmark within a ~1% overhead budget (the CI gate).
+/// all-to-all microbenchmark within CI's 25% telemetry-overhead gate.
 struct NetTelemetryConfig {
   /// Master switch (ORP_NET_TELEMETRY=0 disables). Collection further
   /// requires an active JSONL tracer.
@@ -53,7 +54,9 @@ struct NetTelemetryConfig {
 };
 
 /// Config from ORP_NET_TELEMETRY / ORP_NET_FLOW_SAMPLE / ORP_NET_LINK_TOPK
-/// / ORP_NET_LINK_STEPS / ORP_NET_RESERVOIR_{FLOWS,LINKS,PHASES}.
+/// / ORP_NET_LINK_STEPS / ORP_NET_RESERVOIR_{FLOWS,LINKS,PHASES}. Each is a
+/// decimal in [0, 2^32); 0 is a value, not "unset". An unset, empty or
+/// malformed variable (sign, whitespace, overflow) keeps the default.
 NetTelemetryConfig net_telemetry_from_env();
 
 /// Process-wide override (CLI beats environment); pass the result of
@@ -66,7 +69,8 @@ const NetTelemetryConfig& net_telemetry();
 
 /// Applies a CLI spec on top of the active config: "" is a no-op, "off"
 /// disables, otherwise comma-separated knobs ("flow_sample=4,link_steps=2,
-/// link_top_k=8"). Returns false (config untouched) on a malformed spec.
+/// link_top_k=8"), each value a decimal in [0, 2^32). Returns false (config
+/// untouched) on a malformed spec.
 bool apply_net_telemetry_spec(std::string_view spec);
 
 /// One flow lifecycle, buffered raw and emitted as a "net.flow" instant.
@@ -115,16 +119,50 @@ struct NetPhaseRecord {
   double max_utilization = 0.0;
 };
 
-}  // namespace orp
+/// One phase's per-link load: the one account that Machine::link_loads(),
+/// `net.phase` and the step -1 `net.link` rows read. Machine builds it from
+/// the phase's final routes; failed and zero-byte flows carry nothing.
+struct LinkLoads {
+  struct Link {
+    double bytes = 0.0;  ///< bytes of the flows that crossed it
+    /// Lowest mean rate (bytes / finish time) among them; +inf when idle.
+    double slowest_bps = std::numeric_limits<double>::infinity();
+    std::uint32_t flows = 0;  ///< flows that crossed it; 0 = idle
+  };
+  double window_s = 0.0;        ///< fluid time when the last byte moved
+  double capacity_bytes = 0.0;  ///< what one link moves in window_s
+  std::vector<Link> links;      ///< by link id
+  std::vector<LinkId> used;     ///< ids of the links with flows, ascending
+  double max_utilization = 0.0;  ///< busiest link's bytes / capacity_bytes
 
-#ifndef ORP_OBS_DISABLED
-
-namespace orp {
+  /// Busy fraction of link l over the window (l must have carried flows).
+  double utilization(LinkId l) const { return links[l].bytes / capacity_bytes; }
+};
 
 /// Per-Machine collector. All methods are no-ops (one branch) until
-/// begin_phase() sees an active tracer and an enabled config.
+/// begin_phase() sees an active tracer and an enabled config; with
+/// ORP_OBS_DISABLED they are inline no-ops.
 class NetPhaseCollector {
  public:
+  /// Everything end_phase() needs, borrowed from Machine::phase() scope.
+  /// Times are phase-relative seconds (the collector re-anchors them).
+  struct PhaseEnd {
+    double elapsed_s = 0.0;  ///< phase() return value
+    std::uint32_t steps = 0;
+    std::uint32_t failed_flows = 0;
+    std::uint32_t retried_flows = 0;
+    const LinkLoads* loads = nullptr;  ///< the phase's link-load account
+    const std::vector<std::uint64_t>* bytes = nullptr;
+    const std::vector<double>* finish = nullptr;   ///< phase-relative
+    const std::vector<double>* penalty = nullptr;  ///< summed backoff
+    const std::vector<std::uint32_t>* hops = nullptr;
+    const std::vector<std::uint8_t>* failed = nullptr;
+    const std::vector<HostId>* src = nullptr;
+    const std::vector<HostId>* dst = nullptr;
+    const SimParams* params = nullptr;
+  };
+
+#ifndef ORP_OBS_DISABLED
   /// Opens a phase at absolute simulated time `clock_s`. Returns true when
   /// collection is active for this phase (callers gate the other hooks on
   /// it; the result also reserves a global phase sequence number).
@@ -141,32 +179,11 @@ class NetPhaseCollector {
   /// Records flow f's final fair-share rate (at completion or failure).
   void flow_done(std::size_t f, double rate_bps);
 
-  /// Everything end_phase() needs, borrowed from Machine::phase() scope.
-  /// Times are phase-relative seconds (the collector re-anchors them).
-  struct PhaseEnd {
-    double transfer_end_s = 0.0;  ///< fluid time when the last byte moved
-    double elapsed_s = 0.0;       ///< phase() return value
-    std::uint32_t steps = 0;
-    const PathStore* paths = nullptr;
-    const std::vector<std::uint64_t>* bytes = nullptr;
-    const std::vector<double>* finish = nullptr;   ///< phase-relative
-    const std::vector<double>* penalty = nullptr;  ///< summed backoff
-    const std::vector<std::uint32_t>* hops = nullptr;
-    const std::vector<std::uint8_t>* failed = nullptr;
-    const std::vector<std::uint8_t>* retried = nullptr;
-    const std::vector<HostId>* src = nullptr;
-    const std::vector<HostId>* dst = nullptr;
-    const SimParams* params = nullptr;
-  };
-
   /// Builds the flow/link/phase records and pushes them into the global
   /// reservoirs (serialized to the trace at sink flush).
   void end_phase(const PhaseEnd& end);
 
  private:
-  /// Sizes link_scratch_ to cover every link id in `paths`.
-  void reserve_link_scratch(const PathStore& paths);
-
   bool active_ = false;
   NetTelemetryConfig cfg_;
   std::uint64_t phase_id_ = 0;
@@ -178,15 +195,24 @@ class NetPhaseCollector {
   // links in random order, so keeping a link's three fields on one cache
   // line matters on the paper-scale incidence counts.
   struct LinkScratch {
-    double sum = 0.0;   ///< rate sum (per-step) or byte sum (per-phase)
+    double sum = 0.0;   ///< rate sum of the crossing flows
     double fair = 0.0;  ///< minimum crossing-flow rate
     std::uint32_t count = 0;
   };
   std::vector<LinkScratch> link_scratch_;
   std::vector<std::uint32_t> touched_;
+#else
+  bool begin_phase(double, std::size_t) { return false; }
+  void on_segment(std::uint32_t, double, double, const PathStore&,
+                  const std::vector<std::uint8_t>&,
+                  const std::vector<double>&) {}
+  void flow_done(std::size_t, double) {}
+  void end_phase(const PhaseEnd&) {}
+#endif
 };
 
 namespace net_detail {
+#ifndef ORP_OBS_DISABLED
 /// Test hook: drains the global reservoirs into the active tracer now
 /// (normally done by the obs flush hook) and returns how many records
 /// were emitted. Also clears the reservoirs.
@@ -196,46 +222,11 @@ void discard_buffered();
 /// Test hook: discard_buffered() plus a phase-id counter reset, so two
 /// identical runs inside one process produce byte-identical records.
 void reset_for_tests();
-}  // namespace net_detail
-
-}  // namespace orp
-
-#else  // ORP_OBS_DISABLED
-
-namespace orp {
-
-class NetPhaseCollector {
- public:
-  bool begin_phase(double, std::size_t) { return false; }
-  void on_segment(std::uint32_t, double, double,
-                  const PathStore&,
-                  const std::vector<std::uint8_t>&,
-                  const std::vector<double>&) {}
-  void flow_done(std::size_t, double) {}
-  struct PhaseEnd {
-    double transfer_end_s = 0.0;
-    double elapsed_s = 0.0;
-    std::uint32_t steps = 0;
-    const PathStore* paths = nullptr;
-    const std::vector<std::uint64_t>* bytes = nullptr;
-    const std::vector<double>* finish = nullptr;
-    const std::vector<double>* penalty = nullptr;
-    const std::vector<std::uint32_t>* hops = nullptr;
-    const std::vector<std::uint8_t>* failed = nullptr;
-    const std::vector<std::uint8_t>* retried = nullptr;
-    const std::vector<HostId>* src = nullptr;
-    const std::vector<HostId>* dst = nullptr;
-    const SimParams* params = nullptr;
-  };
-  void end_phase(const PhaseEnd&) {}
-};
-
-namespace net_detail {
+#else
 inline std::size_t drain_to_tracer() { return 0; }
 inline void discard_buffered() {}
 inline void reset_for_tests() {}
+#endif  // ORP_OBS_DISABLED
 }  // namespace net_detail
 
 }  // namespace orp
-
-#endif  // ORP_OBS_DISABLED

@@ -97,15 +97,14 @@ TrafficResult run_traffic(Machine& machine, TrafficPattern pattern,
   TrafficResult result;
   result.pattern = traffic_pattern_name(pattern);
   result.elapsed = machine.phase(messages);
-  const auto& stats = machine.last_phase_stats();
   std::uint64_t delivered = 0;
   for (const Message& m : messages) {
     if (m.src != m.dst) delivered += m.bytes;
   }
   result.aggregate_bandwidth =
       result.elapsed > 0 ? static_cast<double>(delivered) / result.elapsed : 0.0;
-  result.mean_hops = stats.mean_hops;
-  result.max_link_utilization = stats.max_link_utilization;
+  result.mean_hops = machine.last_phase_stats().mean_hops;
+  result.max_link_utilization = machine.link_loads().max_utilization;
   return result;
 }
 

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <set>
+#include <utility>
 
 #include "common/prng.hpp"
+#include "search/random_init.hpp"
 #include "sim/routing.hpp"
 #include "sim/traffic.hpp"
 #include "topo/fattree.hpp"
@@ -95,7 +98,7 @@ TEST(PhaseStats, SingleFlowSaturatesItsPath) {
   m.phase({{0, 1, 1000000000}});
   const auto& stats = m.last_phase_stats();
   EXPECT_EQ(stats.flows, 1u);
-  EXPECT_NEAR(stats.max_link_utilization, 1.0, 1e-9);
+  EXPECT_NEAR(m.link_loads().max_utilization, 1.0, 1e-9);
   EXPECT_DOUBLE_EQ(stats.mean_hops, 2.0);
 }
 
@@ -110,6 +113,46 @@ TEST(PhaseStats, MeanHopsAveragesRoutes) {
   Machine m(g, simple_params());
   m.phase({{0, 1, 1000}, {0, 2, 1000}});
   EXPECT_DOUBLE_EQ(m.last_phase_stats().mean_hops, 2.5);
+}
+
+TEST(PhaseStats, SelfMessagePhaseKeepsTheLastFlowPhase) {
+  // Two flows converge on host 1's down-link. A later phase of
+  // self-messages moves nothing, so both the stats and the link loads must
+  // still describe the flow phase, whether or not the loads were read
+  // before it.
+  const std::vector<Message> flows{{0, 1, 1000000000}, {2, 1, 500000000}};
+  const std::vector<Message> self_only{{0, 0, 1000}, {3, 3, 5}};
+  Machine read_early(quad_graph(), simple_params());
+  Machine read_late(quad_graph(), simple_params());
+  read_early.phase(flows);
+  read_late.phase(flows);
+  const Machine::PhaseStats stats = read_early.last_phase_stats();
+  const LinkLoads loads = read_early.link_loads();
+  EXPECT_EQ(read_early.phase(self_only), 0.0);
+  EXPECT_EQ(read_late.phase(self_only), 0.0);
+
+  for (const Machine* m : {&read_early, &read_late}) {
+    const Machine::PhaseStats& after = m->last_phase_stats();
+    EXPECT_EQ(after.elapsed, stats.elapsed);
+    EXPECT_EQ(after.flows, 2u);
+    EXPECT_EQ(after.mean_hops, stats.mean_hops);
+    const LinkLoads& now = m->link_loads();
+    EXPECT_EQ(now.window_s, loads.window_s);
+    EXPECT_EQ(now.max_utilization, loads.max_utilization);
+    ASSERT_EQ(now.links.size(), loads.links.size());
+    for (std::size_t l = 0; l < loads.links.size(); ++l) {
+      EXPECT_EQ(now.links[l].bytes, loads.links[l].bytes) << "link " << l;
+      EXPECT_EQ(now.links[l].flows, loads.links[l].flows) << "link " << l;
+      EXPECT_EQ(now.links[l].slowest_bps, loads.links[l].slowest_bps)
+          << "link " << l;
+    }
+  }
+  // Host 1's down-link carried both flows and was busy the whole window.
+  const LinkId down = RoutingTable(quad_graph()).host_downlink(1);
+  EXPECT_EQ(loads.links[down].flows, 2u);
+  EXPECT_EQ(loads.links[down].bytes, 1.5e9);
+  EXPECT_NEAR(loads.utilization(down), 1.0, 1e-9);
+  EXPECT_EQ(loads.max_utilization, loads.utilization(down));
 }
 
 // ---- extended collectives --------------------------------------------------
@@ -223,6 +266,30 @@ TEST(Traffic, RunReportsDeliveredBandwidth) {
   EXPECT_GT(result.aggregate_bandwidth, 0.0);
   EXPECT_GE(result.mean_hops, 2.0);
   EXPECT_LE(result.max_link_utilization, 1.0 + 1e-9);
+}
+
+TEST(Traffic, MaxLinkUtilizationMatchesGoldenValues) {
+  // Recorded when PhaseStats still computed the value inside phase(); the
+  // two values off 1.0 by one ulp pin the byte summation order as well.
+  const std::pair<const char*, double> golden[] = {
+      {"uniform-random", 1},
+      {"permutation", 1},
+      {"transpose", 1},
+      {"bit-complement", 1.0000000000000002},
+      {"bit-reverse", 1},
+      {"neighbor-ring", 1},
+      {"shuffle", 0.99999999999999978},
+  };
+  Xoshiro256 graph_rng(32);
+  Machine m(random_host_switch_graph(64, 12, 12, graph_rng));
+  Xoshiro256 rng(37);
+  const std::vector<TrafficPattern> patterns = all_traffic_patterns();
+  ASSERT_EQ(patterns.size(), std::size(golden));
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    const TrafficResult result = run_traffic(m, patterns[i], 3 << 18, rng);
+    EXPECT_EQ(result.pattern, golden[i].first);
+    EXPECT_EQ(result.max_link_utilization, golden[i].second) << result.pattern;
+  }
 }
 
 TEST(Traffic, NeighborRingOutrunsBitComplementOnTorus) {

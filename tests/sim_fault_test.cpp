@@ -274,17 +274,20 @@ TEST(MachineFaults, LinkLoadsNameTheCablesFlowsCrossedAcrossAMidPhaseFault) {
   EXPECT_EQ(stats.completed, 3u);
   EXPECT_EQ(stats.retried, 0u);
   EXPECT_EQ(m.fault_stats().routing_rebuilds, 1u);
-  const auto util_of = [&](LinkId link) {
-    for (const Machine::PhaseStats::LinkLoad& load : stats.top_links) {
-      if (load.link == link) return load.utilization;
-    }
-    return -1.0;
-  };
   // The long flow's cable is (with its host links) the busiest; the shared
-  // cable carried 2 MiB against its 8.
-  EXPECT_DOUBLE_EQ(util_of(tail), stats.max_link_utilization);
-  EXPECT_NEAR(util_of(shared), stats.max_link_utilization / 4,
-              1e-12 * stats.max_link_utilization);
+  // cable carried 2 MiB against its 8, and no other switch link carried any.
+  const LinkLoads& loads = m.link_loads();
+  EXPECT_EQ(loads.links[tail].flows, 1u);
+  EXPECT_EQ(loads.links[shared].flows, 2u);
+  EXPECT_DOUBLE_EQ(loads.utilization(tail), loads.max_utilization);
+  EXPECT_NEAR(loads.utilization(shared), loads.max_utilization / 4,
+              1e-12 * loads.max_utilization);
+  for (LinkId l = 2 * g.num_hosts(); l < loads.links.size(); ++l) {
+    if (l != tail && l != shared) {
+      EXPECT_EQ(loads.links[l].flows, 0u)
+          << "bytes credited to switch link " << l << ", which no flow crossed";
+    }
+  }
 #ifndef ORP_OBS_DISABLED
   obs::flush();
   obs::configure(obs::SinkConfig{});
@@ -296,12 +299,12 @@ TEST(MachineFaults, LinkLoadsNameTheCablesFlowsCrossedAcrossAMidPhaseFault) {
     if (sample.link == tail) {
       ++seen;
       EXPECT_EQ(sample.flows, 1u);
-      EXPECT_DOUBLE_EQ(sample.utilization, stats.max_link_utilization);
+      EXPECT_DOUBLE_EQ(sample.utilization, loads.max_utilization);
     } else if (sample.link == shared) {
       ++seen;
       EXPECT_EQ(sample.flows, 2u);
-      EXPECT_NEAR(sample.utilization, stats.max_link_utilization / 4,
-                  1e-12 * stats.max_link_utilization);
+      EXPECT_NEAR(sample.utilization, loads.max_utilization / 4,
+                  1e-12 * loads.max_utilization);
     } else if (sample.link >= 2 * g.num_hosts()) {
       ADD_FAILURE() << "bytes credited to switch link " << sample.link
                     << ", which no flow crossed";

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -34,6 +35,12 @@ TEST(NetTelemetrySpec, KnobListOverridesFields) {
   EXPECT_EQ(net_telemetry().link_steps, 2u);
   EXPECT_EQ(net_telemetry().link_top_k, base.link_top_k);  // untouched
 #endif
+  // Values span the whole unsigned 32-bit range, 0 included.
+  ASSERT_TRUE(apply_net_telemetry_spec("link_top_k=0,reservoir_links=4294967295"));
+#ifndef ORP_OBS_DISABLED
+  EXPECT_EQ(net_telemetry().link_top_k, 0u);
+  EXPECT_EQ(net_telemetry().reservoir_links, 4294967295u);
+#endif
   set_net_telemetry(base);
 }
 
@@ -58,10 +65,46 @@ TEST(NetTelemetrySpec, MalformedSpecIsRejectedAndConfigKept) {
   EXPECT_FALSE(apply_net_telemetry_spec("flow_sample"));       // no '='
   EXPECT_FALSE(apply_net_telemetry_spec("no_such_knob=1"));    // unknown
   EXPECT_FALSE(apply_net_telemetry_spec("flow_sample=abc"));   // not a number
+  EXPECT_FALSE(apply_net_telemetry_spec("flow_sample="));      // no digits
+  EXPECT_FALSE(apply_net_telemetry_spec("reservoir_flows=-1"));  // sign
+  EXPECT_FALSE(apply_net_telemetry_spec("link_top_k=+4"));
+  EXPECT_FALSE(apply_net_telemetry_spec("link_top_k= 4"));     // whitespace
+  EXPECT_FALSE(apply_net_telemetry_spec("link_top_k=4 "));
+  EXPECT_FALSE(apply_net_telemetry_spec("link_top_k=4294967296"));  // > u32
+  EXPECT_FALSE(apply_net_telemetry_spec("link_top_k=99999999999"));
 #ifndef ORP_OBS_DISABLED
   EXPECT_EQ(net_telemetry().flow_sample, 7u);  // untouched by failures
 #endif
   set_net_telemetry(NetTelemetryConfig{});
+}
+
+TEST(NetTelemetryEnv, ZeroIsAValueAndMalformedKeepsTheDefault) {
+  const NetTelemetryConfig defaults;
+  const char* const names[] = {"ORP_NET_TELEMETRY", "ORP_NET_LINK_TOPK",
+                               "ORP_NET_RESERVOIR_FLOWS"};
+  for (const char* name : names) ::setenv(name, "0", 1);
+  NetTelemetryConfig config = net_telemetry_from_env();
+  EXPECT_FALSE(config.enabled);
+  EXPECT_EQ(config.link_top_k, 0u);
+  EXPECT_EQ(config.reservoir_flows, 0u);
+
+  ::setenv("ORP_NET_TELEMETRY", "1", 1);
+  ::setenv("ORP_NET_LINK_TOPK", "4294967295", 1);
+  config = net_telemetry_from_env();
+  EXPECT_TRUE(config.enabled);
+  EXPECT_EQ(config.link_top_k, 4294967295u);
+
+  // Out of range, signed, padded or trailing junk: the default, never a
+  // truncated or wrapped value.
+  for (const char* bad : {"99999999999", "4294967296", "-1", "+4", " 4", "4 ",
+                          "4k", ""}) {
+    for (const char* name : names) ::setenv(name, bad, 1);
+    config = net_telemetry_from_env();
+    EXPECT_EQ(config.enabled, defaults.enabled) << "'" << bad << "'";
+    EXPECT_EQ(config.link_top_k, defaults.link_top_k) << "'" << bad << "'";
+    EXPECT_EQ(config.reservoir_flows, defaults.reservoir_flows) << "'" << bad << "'";
+  }
+  for (const char* name : names) ::unsetenv(name);
 }
 
 #ifndef ORP_OBS_DISABLED
@@ -306,6 +349,106 @@ TEST(SimTelemetryEndToEnd, FastSolverAggregationMatchesReferenceRecords) {
     ASSERT_GT(l.flows, 0u);
     EXPECT_LE(l.fair_bps, capacity / l.flows * (1.0 + 1e-9))
         << "phase " << l.phase << " link " << l.link;
+  }
+}
+
+// ---- golden link loads ----------------------------------------------------
+
+// A traced alltoallv on a fixed random graph, with a cable that fails and
+// is repaired mid-collective and a switch that dies near its end (so later
+// rounds carry failed flows). Returns the trace path.
+std::string trace_faulted_alltoallv(const char* stem) {
+  Xoshiro256 rng(29);
+  const HostSwitchGraph g = random_host_switch_graph(8, 4, 6, rng);
+  const auto bytes = [](Rank src, Rank dst) -> std::uint64_t {
+    return std::uint64_t{(src * 3 + dst * 5) % 7 + 1} << 14;
+  };
+  const double healthy_s = Machine(g).alltoallv(bytes);
+  const SwitchId a = 0;
+  const SwitchId b = g.neighbors(0).front();
+  const std::string path = testing::TempDir() + stem;
+  obs::SinkConfig config = obs::parse_sink(path);
+  config.snapshot_ms = 0;
+  if (!obs::configure(config)) ADD_FAILURE() << "cannot open " << path;
+  NetTelemetryConfig telemetry;
+  telemetry.link_top_k = 4;
+  set_net_telemetry(telemetry);
+  net_detail::reset_for_tests();
+  Machine m(g);
+  m.inject_faults({{0.3 * healthy_s, FaultEvent::Kind::kLinkDown, a, b},
+                   {0.55 * healthy_s, FaultEvent::Kind::kLinkUp, a, b},
+                   {0.8 * healthy_s, FaultEvent::Kind::kSwitchDown, 3, 0}});
+  m.alltoallv(bytes);
+  obs::flush();
+  obs::configure(obs::SinkConfig{});
+  set_net_telemetry(NetTelemetryConfig{});
+  return path;
+}
+
+TEST(SimTelemetryGolden, FaultedAlltoallvLinkLoadsHoldBitForBit) {
+  // Recorded when Machine::phase and the collector each ran their own
+  // per-link byte pass. Values are the trace's (%.12g) read back.
+  const double golden_max_util[] = {1, 1, 1, 1, 1, 1, 1};
+  struct Row {
+    std::uint64_t phase;
+    std::uint32_t link;
+    double utilization;
+    std::uint32_t flows;
+    double fair_bps;
+  };
+  const Row golden_rows[] = {
+      {0, 0, 1, 1, 5000000000},
+      {0, 3, 1, 1, 5000000000},
+      {0, 9, 1, 1, 5000000000},
+      {0, 10, 1, 1, 5000000000},
+      {1, 2, 0.77777777777799995, 1, 4375000000},
+      {1, 16, 1, 2, 2500000000},
+      {1, 19, 0.88888888888899997, 2, 2500000000},
+      {1, 27, 1, 2, 2500000000},
+      {2, 1, 0.69999999999999996, 1, 3888888888.8899999},
+      {2, 7, 0.69999999999999996, 1, 3888888888.8899999},
+      {2, 24, 1, 2, 2500000000},
+      {2, 27, 0.90000000000000002, 2, 2500000000},
+      {3, 0, 0.53846153846199996, 1, 4375000000},
+      {3, 5, 0.53846153846199996, 1, 2692307692.3099999},
+      {3, 17, 0.615384615385, 2, 2500000000},
+      {3, 22, 1, 2, 2500000000},
+      {4, 2, 0.58333333333299997, 1, 2916666666.6700001},
+      {4, 17, 0.66666666666700003, 2, 2500000000},
+      {4, 21, 1, 2, 2500000000},
+      {4, 26, 0.83333333333299997, 2, 2500000000},
+      {5, 3, 0.53846153846199996, 1, 2692307692.3099999},
+      {5, 13, 0.53846153846199996, 1, 2692307692.3099999},
+      {5, 18, 0.53846153846199996, 2, 2500000000},
+      {5, 20, 1, 2, 2500000000},
+      {6, 4, 0.58333333333299997, 1, 2916666666.6700001},
+      {6, 11, 0.58333333333299997, 1, 2916666666.6700001},
+      {6, 20, 0.5, 2, 2500000000},
+      {6, 23, 1, 2, 2500000000},
+  };
+  const std::string path = trace_faulted_alltoallv("sim_tel_golden.jsonl");
+  const obs::report::TraceAnalysis a = obs::report::analyze_trace_file(path);
+  std::remove(path.c_str());
+  const obs::report::NetworkAnalysis& net = a.network;
+  ASSERT_TRUE(net.present);
+  EXPECT_EQ(net.failed, 6u);  // the switch death reached the later rounds
+  EXPECT_EQ(net.retried, 2u);
+  ASSERT_EQ(net.phases.size(), std::size(golden_max_util));
+  for (std::size_t i = 0; i < net.phases.size(); ++i) {
+    EXPECT_EQ(net.phases[i].max_utilization, golden_max_util[i]) << "phase " << i;
+  }
+  std::vector<obs::report::NetLink> rows;
+  for (const obs::report::NetLink& l : net.link_samples) {
+    if (l.step == -1) rows.push_back(l);
+  }
+  ASSERT_EQ(rows.size(), std::size(golden_rows));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& want = golden_rows[i];
+    EXPECT_EQ(rows[i].phase, want.phase) << "row " << i;
+    EXPECT_EQ(rows[i].link, want.link) << "row " << i;
+    EXPECT_EQ(rows[i].utilization, want.utilization) << "row " << i;
+    EXPECT_EQ(rows[i].flows, want.flows) << "row " << i;
+    EXPECT_EQ(rows[i].fair_bps, want.fair_bps) << "row " << i;
   }
 }
 
