@@ -21,6 +21,8 @@ struct DeltaInstruments {
   obs::Counter& scalar_repairs;
   obs::Counter& single_affected;
   obs::Counter& row_rescans;
+  obs::Counter& early_rejects;
+  obs::Counter& sources_skipped;
 
   static DeltaInstruments& get() {
     auto& registry = obs::Registry::global();
@@ -32,7 +34,9 @@ struct DeltaInstruments {
         registry.counter("delta_eval.dirty_sources"),
         registry.counter("delta_eval.scalar_repairs"),
         registry.counter("delta_eval.single_affected"),
-        registry.counter("delta_eval.row_rescans")};
+        registry.counter("delta_eval.row_rescans"),
+        registry.counter("delta_eval.early_rejects"),
+        registry.counter("delta_eval.sources_skipped")};
     return instance;
   }
 };
@@ -88,6 +92,9 @@ void DeltaHasplEvaluator::rebuild(const HostSwitchGraph& g) {
   rescan_rows_.clear();
   rescan_rows_.reserve(m_);
   apply_epoch_ = 0;
+  bound_on_ = false;
+  repaired_epoch_.assign(m_, 0);
+  removal_epoch_ = 0;
 
   rebuild_all_rows();
   rebuild_aggregates();
@@ -153,11 +160,18 @@ void DeltaHasplEvaluator::write_entry(std::uint32_t s, std::uint32_t v,
   rs[v] = next;
 
   // Maintain the weighted aggregates in place; only a row left with no
-  // target at its max needs a deferred rescan (apply() drains rescan_rows_
-  // before the host moves, skipping rows a later write refilled). Until
-  // then row_max_[s].value is an upper bound on the true max.
+  // target at its max needs a deferred rescan (a complete apply drains
+  // rescan_rows_ last, skipping rows a later write refilled). Until then
+  // row_max_[s].value is an upper bound on the true max.
   const std::uint32_t wv = weight_[v];
   if (!wv) return;
+  if (bound_on_) {
+    // While the bound is on no host pair is unreachable, so old and next
+    // are finite wherever weight_[s] is nonzero.
+    const std::uint64_t share =
+        !removing_ ? 1 : (repaired_epoch_[v] == removal_epoch_ ? 0 : 2);
+    bound_ += share * weight_[s] * wv * (std::uint64_t{next} - old);
+  }
   if (old == kNoDistance) {
     unreach_w_[s] -= wv;
   } else {
@@ -424,8 +438,8 @@ void DeltaHasplEvaluator::apply_edge_addition(SwitchId u, SwitchId v) {
   }
 }
 
-bool DeltaHasplEvaluator::apply_edge_removal(SwitchId u, SwitchId v,
-                                             std::size_t fallback_limit) {
+DeltaHasplEvaluator::RemovalOutcome DeltaHasplEvaluator::apply_edge_removal(
+    SwitchId u, SwitchId v, std::size_t fallback_limit, RejectTest* test) {
   // Dirty filter: row s changes iff the endpoints sat on different BFS
   // levels AND the deeper endpoint has no surviving neighbor one level
   // closer (the adjacency already excludes the removed edge, so only
@@ -460,13 +474,31 @@ bool DeltaHasplEvaluator::apply_edge_removal(SwitchId u, SwitchId v,
     if (!(du > dv ? alt_u_[s] : alt_v_[s])) dirty_sources_.push_back(s);
   }
   stats_.dirty_sources += dirty_sources_.size();
-  if (dirty_sources_.size() > fallback_limit) return false;
+  if (dirty_sources_.size() > fallback_limit) return RemovalOutcome::kFellBack;
   stats_.scalar_repairs += dirty_sources_.size();
-  for (std::uint32_t s : dirty_sources_) {
+  // Each repaired source is a checkpoint: the bound now counts every pair
+  // with an endpoint among the repaired rows at its full change.
+  ++removal_epoch_;
+  removing_ = true;
+#ifndef NDEBUG
+  std::uint64_t last_bound = bound_;
+#endif
+  for (std::size_t i = 0; i < dirty_sources_.size(); ++i) {
+    const std::uint32_t s = dirty_sources_[i];
     const bool v_far = std::uint32_t{row(v)[s]} > std::uint32_t{row(u)[s]};
     repair_removal(s, v_far ? v : u);
+    if (!test) continue;
+    repaired_epoch_[s] = removal_epoch_;
+#ifndef NDEBUG
+    ORP_ASSERT(bound_ >= last_bound);
+    last_bound = bound_;
+#endif
+    if (test->rejects(total_length_of(bound_))) {
+      stats_.sources_skipped += dirty_sources_.size() - i - 1;
+      return RemovalOutcome::kRejected;
+    }
   }
-  return true;
+  return RemovalOutcome::kRepaired;
 }
 
 void DeltaHasplEvaluator::apply_host_move(SwitchId from, SwitchId to) {
@@ -512,11 +544,28 @@ void DeltaHasplEvaluator::apply_host_move(SwitchId from, SwitchId to) {
 }
 
 HostMetrics DeltaHasplEvaluator::apply(const GraphDelta& delta) {
+  apply_frame(delta, nullptr);
+  return metrics();
+}
+
+std::optional<HostMetrics> DeltaHasplEvaluator::apply_or_reject(const GraphDelta& delta,
+                                                                RejectTest& test) {
+  if (!apply_frame(delta, &test)) return std::nullopt;
+  return metrics();
+}
+
+bool DeltaHasplEvaluator::apply_frame(const GraphDelta& delta, RejectTest* test) {
   DeltaInstruments& instruments = DeltaInstruments::get();
   ++stats_.applies;
   instruments.applies.inc();
   stats_.edge_changes += delta.num_added + delta.num_removed;
   const Stats before = stats_;
+  const auto count_repairs = [&] {
+    instruments.dirty_sources.add(stats_.dirty_sources - before.dirty_sources);
+    instruments.scalar_repairs.add(stats_.scalar_repairs - before.scalar_repairs);
+    instruments.single_affected.add(stats_.single_affected - before.single_affected);
+    instruments.row_rescans.add(stats_.row_rescans - before.row_rescans);
+  };
 
   ++apply_epoch_;
   rescan_rows_.clear();
@@ -547,47 +596,75 @@ HostMetrics DeltaHasplEvaluator::apply(const GraphDelta& delta) {
       options_.fallback_fraction * static_cast<double>(m_));
   bool fell_back = false;
 
-  // Additions first: they can only shrink distances, so a move that keeps
-  // the graph connected never routes the repair through a transiently
-  // disconnected state.
+  // Host moves first, so every entry write below sees the final weights.
+  for (std::uint8_t i = 0; i < delta.num_host_moves; ++i) {
+    apply_host_move(delta.host_moves[i].from, delta.host_moves[i].to);
+  }
+  // The bound starts exact, from the distances before the edge changes,
+  // and only when every host pair is still reachable.
+  removing_ = false;
+  bound_on_ = false;
+  if (test) {
+    bound_ = ordered_length();
+    bound_on_ = bound_ != kUnconnected;
+  }
+
+  // Additions before removals: they can only shrink distances, so a move
+  // that keeps the graph connected never routes the repair through a
+  // transiently disconnected state.
   for (std::uint8_t i = 0; i < delta.num_added; ++i) {
     adj_add(delta.added[i].first, delta.added[i].second);
-    if (!fell_back) apply_edge_addition(delta.added[i].first, delta.added[i].second);
+    apply_edge_addition(delta.added[i].first, delta.added[i].second);
   }
+
+  // First checkpoint, where the bound is exact. The test only runs once
+  // the removals provably keep every host pair connected: a disconnected
+  // candidate is rejected by its caller without consulting it.
+  bound_on_ = bound_on_ && removals_bypassed(delta);
+  bool rejected = bound_on_ && test->rejects(total_length_of(bound_));
   for (std::uint8_t i = 0; i < delta.num_removed; ++i) {
     adj_remove(delta.removed[i].first, delta.removed[i].second);
-    if (!fell_back) {
-      fell_back = !apply_edge_removal(delta.removed[i].first,
-                                      delta.removed[i].second, fallback_limit);
+    if (fell_back || rejected) continue;
+    switch (apply_edge_removal(delta.removed[i].first, delta.removed[i].second,
+                               fallback_limit, bound_on_ ? test : nullptr)) {
+      case RemovalOutcome::kRepaired:
+        break;
+      case RemovalOutcome::kFellBack:
+        fell_back = true;
+        bound_on_ = false;
+        break;
+      case RemovalOutcome::kRejected:
+        rejected = true;
+        break;
     }
+  }
+  if (rejected) {
+    // The adjacency mirrors the whole delta; the rescans and the metrics
+    // are skipped, and revert_last() undoes the partial repair.
+    ++stats_.early_rejects;
+    instruments.early_rejects.inc();
+    instruments.sources_skipped.add(stats_.sources_skipped - before.sources_skipped);
+    count_repairs();
+    return false;
   }
 
   if (fell_back) {
     frames_.back().was_rebuild = true;
-    for (std::uint8_t i = 0; i < delta.num_host_moves; ++i) {
-      --weight_[delta.host_moves[i].from];
-      ++weight_[delta.host_moves[i].to];
-    }
     ++stats_.fallback_rebuilds;
     instruments.fallback.inc();
     rebuild_all_rows();
     rebuild_aggregates();
   } else {
     // write_entry kept sum/unreach exact; rows left with no target at their
-    // max were queued once each. Rescan those still empty before the host
-    // moves, which update the max counts.
+    // max were queued once each. Rescan those still empty.
     for (std::uint32_t s : rescan_rows_) {
       if (row_max_[s].count == 0) rescan_row_max(s);
     }
-    for (std::uint8_t i = 0; i < delta.num_host_moves; ++i) {
-      apply_host_move(delta.host_moves[i].from, delta.host_moves[i].to);
-    }
     instruments.incremental.inc();
   }
-  instruments.dirty_sources.add(stats_.dirty_sources - before.dirty_sources);
-  instruments.single_affected.add(stats_.single_affected - before.single_affected);
-  instruments.row_rescans.add(stats_.row_rescans - before.row_rescans);
-  return metrics();
+  if (bound_on_) ORP_ASSERT(bound_ == ordered_length());
+  count_repairs();
+  return true;
 }
 
 void DeltaHasplEvaluator::revert_last(const HostSwitchGraph& restored) {
@@ -609,9 +686,26 @@ void DeltaHasplEvaluator::revert_last(const HostSwitchGraph& restored) {
     return;
   }
 
-  // Exact inverse of apply(), step by step in reverse order.
-  // 1. Host moves: the distance rows they read are still in post-apply
-  //    state, so the weight shifts invert arithmetically.
+  // Exact inverse of apply(), step by step in reverse order. A stopped
+  // apply_or_reject() frame replays the same way: its log holds exactly
+  // the writes it made, and its adjacency mirrors the whole delta.
+  // 1. Distance entries, newest first.
+  while (undo_entries_.size() > frame.entries_begin) {
+    const std::uint64_t e = undo_entries_.back();
+    undo_entries_.pop_back();
+    dist_[(e >> 32) * m_ + ((e >> 16) & 0xffff)] =
+        static_cast<std::uint16_t>(e & 0xffff);
+  }
+  // 2. Aggregates of every touched row as they stood after the host moves.
+  while (undo_rows_.size() > frame.rows_begin) {
+    const RowSnapshot& snap = undo_rows_.back();
+    sum_w_[snap.row] = snap.sum_w;
+    unreach_w_[snap.row] = snap.unreach_w;
+    row_max_[snap.row] = snap.row_max;
+    undo_rows_.pop_back();
+  }
+  // 3. Host moves: the distance rows are back in their pre-apply state, the
+  //    one the moves read, so the weight shifts invert arithmetically.
   const GraphDelta& d = frame.delta;
   for (int i = int{d.num_host_moves} - 1; i >= 0; --i) {
     const SwitchId to = d.host_moves[i].to;
@@ -635,25 +729,10 @@ void DeltaHasplEvaluator::revert_last(const HostSwitchGraph& restored) {
     }
     if (weight_[from]++ == 0) ++weighted_switches_;
   }
-  // 2. Row maxes mutated by a zero-crossing host move.
+  // 4. Row maxes mutated by a zero-crossing host move.
   if (frame.row_max_snapshot_valid) {
     std::copy(frame.row_max_snapshot.begin(), frame.row_max_snapshot.end(),
               row_max_.begin());
-  }
-  // 3. Pre-apply aggregates of every touched row.
-  while (undo_rows_.size() > frame.rows_begin) {
-    const RowSnapshot& snap = undo_rows_.back();
-    sum_w_[snap.row] = snap.sum_w;
-    unreach_w_[snap.row] = snap.unreach_w;
-    row_max_[snap.row] = snap.row_max;
-    undo_rows_.pop_back();
-  }
-  // 4. Distance entries, newest first.
-  while (undo_entries_.size() > frame.entries_begin) {
-    const std::uint64_t e = undo_entries_.back();
-    undo_entries_.pop_back();
-    dist_[(e >> 32) * m_ + ((e >> 16) & 0xffff)] =
-        static_cast<std::uint16_t>(e & 0xffff);
   }
   // 5. Mirrored adjacency (additions off first to respect the stride).
   for (int i = int{d.num_added} - 1; i >= 0; --i) {
@@ -662,6 +741,55 @@ void DeltaHasplEvaluator::revert_last(const HostSwitchGraph& restored) {
   for (int i = int{d.num_removed} - 1; i >= 0; --i) {
     adj_add(d.removed[i].first, d.removed[i].second);
   }
+}
+
+std::uint64_t DeltaHasplEvaluator::ordered_length() const {
+  std::uint64_t ordered = 0;
+  for (std::uint32_t s = 0; s < m_; ++s) {
+    if (!weight_[s]) continue;
+    if (unreach_w_[s]) return kUnconnected;
+    ordered += std::uint64_t{weight_[s]} * sum_w_[s];
+  }
+  return ordered;
+}
+
+bool DeltaHasplEvaluator::removals_bypassed(const GraphDelta& delta) {
+  const auto removed = [&delta](SwitchId x, SwitchId y) {
+    for (std::uint8_t i = 0; i < delta.num_removed; ++i) {
+      const auto [a, b] = delta.removed[i];
+      if ((a == x && b == y) || (a == y && b == x)) return true;
+    }
+    return false;
+  };
+  for (std::uint8_t i = 0; i < delta.num_removed; ++i) {
+    const auto [a, b] = delta.removed[i];
+    // Mark b's surviving neighbours, then look for a-x-b or a-x-y-b.
+    epoch_ += 2;  // past every epoch repair_removal has used
+    const std::uint32_t near_b = epoch_;
+    const SwitchId* nb = adj_.data() + std::size_t{b} * adj_stride_;
+    for (std::uint32_t j = 0; j < degree_[b]; ++j) {
+      if (!removed(b, nb[j])) visit_epoch_[nb[j]] = near_b;
+    }
+    bool joined = false;
+    const SwitchId* na = adj_.data() + std::size_t{a} * adj_stride_;
+    for (std::uint32_t j = 0; j < degree_[a] && !joined; ++j) {
+      const SwitchId x = na[j];
+      if (removed(a, x)) continue;
+      if (visit_epoch_[x] == near_b) {
+        joined = true;
+        break;
+      }
+      const SwitchId* nx = adj_.data() + std::size_t{x} * adj_stride_;
+      for (std::uint32_t k = 0; k < degree_[x]; ++k) {
+        if (visit_epoch_[nx[k]] == near_b && !removed(x, nx[k])) {
+          joined = true;
+          break;
+        }
+      }
+    }
+    if (!joined) return false;
+  }
+  return true;
 }
 
 HostMetrics DeltaHasplEvaluator::metrics() const {

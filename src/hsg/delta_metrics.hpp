@@ -22,7 +22,10 @@
 //
 // A move is described as a GraphDelta (edge additions/removals plus host
 // moves) and replayed one primitive change at a time, each with an exact
-// single-change repair:
+// single-change repair. Host moves come first, so every later entry write
+// already sees the final weights; then the additions, then the removals:
+//   * host move: distances are untouched; the weighted aggregates are
+//     updated from one row of D in O(m).
 //   * edge addition {u,v}: source s is dirty iff |D[s][u] - D[s][v]| >= 2
 //    (the standard feasible-potential argument); repaired by a pruned BFS
 //    cascade from the farther endpoint that touches only improved vertices.
@@ -33,8 +36,6 @@
 //    endpoint neighbor); repaired Ramalingam–Reps style (level-ordered
 //    affected-set discovery, then a bucketed re-relaxation of the affected
 //    region only).
-//   * host move: distances are untouched; the weighted aggregates are
-//    updated from one row of D in O(m).
 // Each entry write updates its row's weighted sum, unreachable weight and
 // max count in place; only a row whose count of targets at the max drops to
 // zero is queued for a single deferred rescan at the end of apply(), and is
@@ -47,6 +48,16 @@
 // LIFO order. Applying the inverse delta also works and is exercised by
 // the differential tests; revert_last() is just much cheaper.
 //
+// apply_or_reject() lets the caller reject a move before its repair is
+// done. Removals only raise distances, so a lower bound on the candidate's
+// total_length, kept by the entry writes, rises towards its final value as
+// the dirty sources are repaired; after the additions and after each
+// repaired removal source the caller's RejectTest sees it, and may stop the
+// apply. The bound counts a pair's change twice when the first of its two
+// rows is repaired, which makes it exact once every dirty source is. The
+// test is only consulted once the move is shown to keep every host pair
+// connected (docs/search.md, "Early rejection").
+//
 // Every dirty source is repaired on its own. Only when a removal dirties
 // more than `fallback_fraction * m` sources does the evaluator give up on
 // incremental repair and rebuild the whole state from scratch (counted by
@@ -54,6 +65,7 @@
 // runs the shared bit-parallel distance kernel (hsg/distance.hpp).
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -131,6 +143,29 @@ class DeltaHasplEvaluator {
   /// `delta.inverse()` (a full inverse repair).
   HostMetrics apply(const GraphDelta& delta);
 
+  /// A caller's rejection rule, consulted while apply_or_reject() repairs.
+  class RejectTest {
+   public:
+    /// `total_length_bound` is a lower bound on the candidate's
+    /// HostMetrics::total_length; it never falls from one call to the next
+    /// within an apply, and the candidate is certain to stay connected.
+    /// Returning true stops the apply.
+    virtual bool rejects(std::uint64_t total_length_bound) = 0;
+
+   protected:
+    ~RejectTest() = default;
+  };
+
+  /// apply(), but `test` may reject the move before its repair is done:
+  /// it is called after the additions and after each repaired removal
+  /// source, provided no host pair was unreachable before the move and
+  /// every removed edge's endpoints are shown to stay within three hops of
+  /// each other (so the candidate stays connected). Returns
+  /// nullopt when the test rejected; the stopped apply has mirrored the
+  /// whole delta's adjacency and left a frame that revert_last() undoes
+  /// like any other. Otherwise behaves exactly like apply().
+  std::optional<HostMetrics> apply_or_reject(const GraphDelta& delta, RejectTest& test);
+
   /// Exactly undoes the most recent un-reverted apply(). Applies nest:
   /// after apply(a); apply(b); two revert_last() calls undo b then a. The
   /// undo stack keeps the 4 most recent frames (accepted moves leave theirs
@@ -163,6 +198,8 @@ class DeltaHasplEvaluator {
     std::uint64_t row_bfs_repairs = 0;   ///< removals fixed by a full-row BFS
     std::uint64_t row_rescans = 0;       ///< rows whose max count reached 0
     std::uint64_t fallback_rebuilds = 0; ///< full from-scratch rebuilds
+    std::uint64_t early_rejects = 0;     ///< applies a RejectTest stopped
+    std::uint64_t sources_skipped = 0;   ///< dirty sources they left unrepaired
   };
   const Stats& stats() const noexcept { return stats_; }
 
@@ -187,9 +224,9 @@ class DeltaHasplEvaluator {
 
   // Writes one distance-matrix entry, recording the old value (and, on the
   // row's first change this apply, its pre-apply aggregates) in the undo
-  // frame. S_w / unreach_w / row-max are updated in place; a write that
-  // leaves no weighted target at the row max queues the row on rescan_rows_
-  // (drained by apply() before the host moves).
+  // frame. S_w / unreach_w / row-max (and the early-rejection bound) are
+  // updated in place; a write that leaves no weighted target at the row max
+  // queues the row on rescan_rows_ (drained at the end of a complete apply).
   void write_entry(std::uint32_t s, std::uint32_t v, std::uint16_t next);
   // One flat pass refreshing S_w / unreach_w / row-max of row s.
   void recompute_row_aggregates(std::uint32_t s);
@@ -201,11 +238,30 @@ class DeltaHasplEvaluator {
   void max_add(std::uint32_t s, std::uint16_t d) noexcept;
   bool max_drop(std::uint32_t s, std::uint16_t d) noexcept;
 
+  // Mirrors `delta` and repairs; returns false when `test` (null for a
+  // complete apply) stopped it.
+  bool apply_frame(const GraphDelta& delta, RejectTest* test);
   void apply_edge_addition(SwitchId u, SwitchId v);
-  // Returns false, leaving the rows unrepaired, when the removal dirties
-  // more than `fallback_limit` sources (apply() then rebuilds everything).
-  bool apply_edge_removal(SwitchId u, SwitchId v, std::size_t fallback_limit);
+  enum class RemovalOutcome { kRepaired, kFellBack, kRejected };
+  // kFellBack leaves the rows unrepaired when the removal dirties more than
+  // `fallback_limit` sources (apply() then rebuilds everything); kRejected
+  // when `test` (non-null only while the bound is on) stopped the repair.
+  RemovalOutcome apply_edge_removal(SwitchId u, SwitchId v,
+                                    std::size_t fallback_limit, RejectTest* test);
   void apply_host_move(SwitchId from, SwitchId to);
+
+  // Σ_s w_s·S_w[s] (twice the summed switch distance over host pairs), or
+  // kUnconnected when some host pair is unreachable.
+  static constexpr std::uint64_t kUnconnected = ~std::uint64_t{0};
+  std::uint64_t ordered_length() const;
+  // True when each removed edge's endpoints stay joined by a path of at
+  // most three hops that avoids every removed edge (read on the adjacency
+  // after the additions, before the removals are mirrored).
+  bool removals_bypassed(const GraphDelta& delta);
+  // total_length of a connected state whose ordered length is `ordered`.
+  std::uint64_t total_length_of(std::uint64_t ordered) const noexcept {
+    return ordered / 2 + std::uint64_t{n_} * (n_ - 1);
+  }
 
   // Pruned improvement cascade for row s after adding edge (near, far).
   void repair_addition(std::uint32_t s, SwitchId near, SwitchId far);
@@ -282,6 +338,17 @@ class DeltaHasplEvaluator {
   std::vector<UndoFrame> frames_;
   std::vector<std::uint32_t> row_epoch_;  // == apply_epoch_: touched this apply
   std::uint32_t apply_epoch_ = 0;
+
+  // Early-rejection bound: while bound_on_, bound_ is a lower bound on the
+  // final ordered length that every entry write raises or lowers. Addition
+  // writes count once; a removal write counts its pair twice unless the
+  // mirror row was already repaired in this removal (repaired_epoch_ ==
+  // removal_epoch_), and then not at all.
+  bool bound_on_ = false;
+  bool removing_ = false;
+  std::uint64_t bound_ = 0;
+  std::vector<std::uint32_t> repaired_epoch_;
+  std::uint32_t removal_epoch_ = 0;
 
   Stats stats_;
 };

@@ -41,6 +41,12 @@ struct AnnealerInstruments {
 // recompute; at the paper's size that costs ~0.1 % of a solve.
 constexpr std::uint64_t kAuditInterval = 4096;
 
+// Relative slack of the early Metropolis test. libm's exp is not promised
+// monotone to the last ulp, so a bound's acceptance probability could read
+// a few ulps below the final key's; rejecting early only above p * (1 +
+// 2^-40) keeps every early rejection one that accepts() would make.
+constexpr double kEarlyRejectSlack = 1.0 + 0x1p-40;
+
 using EdgeList = std::vector<std::pair<SwitchId, SwitchId>>;
 
 EdgeList collect_edges(const HostSwitchGraph& g) {
@@ -178,9 +184,10 @@ std::uint64_t SaChain::key_of(const HostMetrics& metrics) const noexcept {
 }
 
 // Metropolis test on the objective delta. Disconnected candidates have
-// infinite h-ASPL and are always rejected.
+// infinite h-ASPL and are always rejected, without a draw.
 bool SaChain::accepts(const HostMetrics& cand) {
   if (!cand.connected) {
+    ORP_ASSERT(!drawn_);  // the evaluator only tests connected candidates
     AnnealerInstruments::get().rejected_disconnected.inc();
     return false;
   }
@@ -189,8 +196,40 @@ bool SaChain::accepts(const HostMetrics& cand) {
   if (cand_key <= current_key) return true;
   const double delta =
       static_cast<double>(cand_key - current_key) / static_cast<double>(pairs_);
-  return rng_.bernoulli(std::exp(-delta / temperature()));
+  return metropolis_draw() < std::exp(-delta / temperature());
 }
+
+double SaChain::metropolis_draw() {
+  if (!drawn_) {
+    draw_ = rng_.uniform();
+    drawn_ = true;
+  }
+  return draw_;
+}
+
+// Early rejection (docs/search.md): the evaluator reports a lower bound on
+// the candidate's total_length that only rises, for a candidate certain to
+// stay connected. Once it exceeds the current key, accepts() would draw u
+// for this candidate too, so u is drawn now; and a candidate whose bound
+// already fails the test fails it at its final key, which is no smaller.
+// The PRNG stream and every decision are those of a complete evaluation.
+class SaChain::EarlyReject final : public DeltaHasplEvaluator::RejectTest {
+ public:
+  explicit EarlyReject(SaChain& chain)
+      : chain_(chain), current_key_(chain.current_key()) {}
+
+  bool rejects(std::uint64_t total_length_bound) override {
+    if (total_length_bound <= current_key_) return false;
+    const double delta = static_cast<double>(total_length_bound - current_key_) /
+                         static_cast<double>(chain_.pairs_);
+    return chain_.metropolis_draw() >=
+           std::exp(-delta / chain_.temperature()) * kEarlyRejectSlack;
+  }
+
+ private:
+  SaChain& chain_;
+  std::uint64_t current_key_;
+};
 
 void SaChain::commit(const HostMetrics& cand) {
   current_metrics_ = cand;
@@ -206,13 +245,24 @@ void SaChain::commit(const HostMetrics& cand) {
 // metrics equal a from-scratch compute_host_metrics (pinned by
 // tests/hsg_delta_metrics_test.cpp), and every kAuditInterval-th evaluation
 // is audited against a serial recompute outside the eval_ns timer.
-HostMetrics SaChain::evaluate_move(const GraphDelta& delta) {
-  HostMetrics cand;
+std::optional<HostMetrics> SaChain::evaluate_move(const GraphDelta& delta,
+                                                  bool may_stop_early) {
+  drawn_ = false;
+  std::optional<HostMetrics> cand;
   {
     obs::ScopedTimer timer(AnnealerInstruments::get().eval_ns);
-    cand = delta_eval_.apply(delta);
+    if (may_stop_early) {
+      EarlyReject test(*this);
+      cand = delta_eval_.apply_or_reject(delta, test);
+    } else {
+      cand = delta_eval_.apply(delta);
+    }
   }
-  if (++evaluations_ % kAuditInterval == 0) audit_evaluator();
+  if (++evaluations_ % kAuditInterval == 0) audit_due_ = true;
+  if (audit_due_ && cand) {
+    audit_evaluator();
+    audit_due_ = false;
+  }
   return cand;
 }
 
@@ -264,15 +314,20 @@ void SaChain::run_one_iteration() {
   }
   ++window_moves_;
 
+  // Any evaluation may stop early except under the diameter objective,
+  // whose key has no cheap bound, and the 2-neighbor move's first swing,
+  // whose complete state the completion swing builds on.
+  const bool may_stop_early = options_.objective == AnnealObjective::kHaspl;
+
   if (options_.mode == MoveMode::kSwap) {
     const auto move = propose_swap(current_, edges_, rng_);
     if (!move) return;
     const GraphDelta delta = delta_of(*move);
     apply_swap(current_, *move);
-    const HostMetrics cand = evaluate_move(delta);
-    if (accepts(cand)) {
+    const std::optional<HostMetrics> cand = evaluate_move(delta, may_stop_early);
+    if (cand && accepts(*cand)) {
       sync_swap(edges_, *move);
-      commit(cand);
+      commit(*cand);
       instruments.swap_accepted.inc();
       ++window_accepted_;
     } else {
@@ -288,10 +343,11 @@ void SaChain::run_one_iteration() {
   if (!first) return;
   const GraphDelta first_delta = delta_of(*first);
   apply_swing(current_, *first);
-  const HostMetrics one_neighbor = evaluate_move(first_delta);
-  if (accepts(one_neighbor)) {
+  const std::optional<HostMetrics> one_neighbor =
+      evaluate_move(first_delta, may_stop_early && options_.mode == MoveMode::kSwing);
+  if (one_neighbor && accepts(*one_neighbor)) {
     sync_swing(edges_, *first);
-    commit(one_neighbor);
+    commit(*one_neighbor);
     instruments.swing_accepted.inc();
     ++window_accepted_;
     return;
@@ -308,11 +364,12 @@ void SaChain::run_one_iteration() {
   if (completion) {
     const GraphDelta completion_delta = delta_of(*completion);
     apply_swing(current_, *completion);
-    const HostMetrics two_neighbor = evaluate_move(completion_delta);
-    if (accepts(two_neighbor)) {
+    const std::optional<HostMetrics> two_neighbor =
+        evaluate_move(completion_delta, may_stop_early);
+    if (two_neighbor && accepts(*two_neighbor)) {
       sync_swing(edges_, *first);
       sync_swing(edges_, *completion);
-      commit(two_neighbor);
+      commit(*two_neighbor);
       instruments.completion_accepted.inc();
       ++window_accepted_;
       return;

@@ -18,6 +18,7 @@
 // chain-global iteration index, never off wall clock or chunk boundaries.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/prng.hpp"
@@ -77,6 +78,9 @@ class SaChain {
   std::uint64_t iteration() const noexcept { return iteration_; }
   std::uint64_t evaluations() const noexcept { return evaluations_; }
   std::uint64_t accepted() const noexcept { return accepted_; }
+  /// The chain's PRNG stream, read-only: a copy shows how many draws a
+  /// step consumed.
+  const Xoshiro256& rng() const noexcept { return rng_; }
 
   const HostSwitchGraph& current() const noexcept { return current_; }
   const HostMetrics& current_metrics() const noexcept { return current_metrics_; }
@@ -119,11 +123,20 @@ class SaChain {
  private:
   using EdgeList = std::vector<std::pair<SwitchId, SwitchId>>;
 
+  // The evaluator's RejectTest: the Metropolis test on a lower bound of
+  // the candidate's key.
+  class EarlyReject;
+
   std::uint64_t key_of(const HostMetrics& metrics) const noexcept;
   bool accepts(const HostMetrics& cand);
+  // The uniform draw of the Metropolis test of the move under evaluation,
+  // taken on first use (mid-apply or in accepts()); one per evaluation.
+  double metropolis_draw();
   void commit(const HostMetrics& cand);
-  // Applies `delta` to the evaluator and counts the evaluation.
-  HostMetrics evaluate_move(const GraphDelta& delta);
+  // Applies `delta` to the evaluator and counts the evaluation. With
+  // `may_stop_early` the evaluator may stop once the move is certain to be
+  // rejected, and nullopt is returned.
+  std::optional<HostMetrics> evaluate_move(const GraphDelta& delta, bool may_stop_early);
   // Throws if the evaluator's metrics differ from a serial from-scratch
   // compute_host_metrics of current_.
   void audit_evaluator() const;
@@ -152,6 +165,10 @@ class SaChain {
 
   std::uint64_t evaluations_ = 0;
   std::uint64_t accepted_ = 0;
+  bool drawn_ = false;
+  double draw_ = 0.0;
+  // An audit whose evaluation stopped early waits for the next complete one.
+  bool audit_due_ = false;
   std::vector<AnnealTracePoint> trace_;
 
   std::uint64_t window_ = 1;

@@ -4,11 +4,15 @@
 // recompute after every single move, on every escalation tier. Rejections
 // alternate randomly between the two supported mechanisms — applying the
 // inverse delta and revert_last() — so both stay exact, including nested
-// (2n-swing) frames and reverts of fallback rebuilds.
+// (2n-swing) frames and reverts of fallback rebuilds. The early-exit
+// cases stop apply_or_reject() at every checkpoint and check that the
+// partial frame reverts exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -79,6 +83,21 @@ void expect_state_exact(const DeltaHasplEvaluator& eval,
   }
 }
 
+// A RejectTest that rejects at its `reject_at`-th call (never when 0) and
+// records every bound it was shown.
+class ScriptedTest final : public DeltaHasplEvaluator::RejectTest {
+ public:
+  explicit ScriptedTest(std::uint64_t reject_at = 0) : reject_at_(reject_at) {}
+  bool rejects(std::uint64_t total_length_bound) override {
+    bounds.push_back(total_length_bound);
+    return bounds.size() == reject_at_;
+  }
+  std::vector<std::uint64_t> bounds;
+
+ private:
+  std::uint64_t reject_at_;
+};
+
 // Repair paths a drive must reach at least once (DriveCase::must_reach),
 // read from the evaluator's Stats.
 enum RepairPath : std::uint32_t {
@@ -96,6 +115,10 @@ struct DriveCase {
   int moves;
   DeltaEvalOptions eval_options;
   std::uint32_t must_reach;
+  // Evaluate swaps, swings and completion swings (not the 2n-swing's first
+  // swing, as in the annealer) with apply_or_reject(), under a test that
+  // rejects at a random checkpoint or never.
+  bool early_exit = false;
 };
 
 // Applies random moves until `moves` of them landed; after every apply and
@@ -126,6 +149,23 @@ void drive(const DriveCase& tc) {
     }
   };
 
+  // Early-exit drives draw their checkpoints from a stream of their own.
+  // A stopped apply is always reverted with revert_last(); the returned
+  // metrics of a completed one must match like apply()'s.
+  Xoshiro256 early_rng(tc.seed ^ 0x5eedULL);
+  std::uint64_t early_stops = 0;
+  const auto evaluate = [&](const GraphDelta& delta,
+                            bool may_stop) -> std::optional<HostMetrics> {
+    if (!tc.early_exit || !may_stop) return eval.apply(delta);
+    ScriptedTest test(early_rng.below(8));  // 0 = never reject
+    const std::optional<HostMetrics> got = eval.apply_or_reject(delta, test);
+    if (!got) {
+      ++early_stops;
+      EXPECT_FALSE(test.bounds.empty());
+    }
+    return got;
+  };
+
   int performed = 0;
   for (int guard = 0; performed < tc.moves && guard < tc.moves * 16; ++guard) {
     const std::uint64_t kind = rng.below(3);
@@ -135,14 +175,14 @@ void drive(const DriveCase& tc) {
       if (!move) continue;
       const GraphDelta delta = delta_of(*move);
       apply_swap(g, *move);
-      const HostMetrics got = eval.apply(delta);
-      expect_metrics_equal(got, compute_host_metrics(g), "swap");
+      const std::optional<HostMetrics> got = evaluate(delta, true);
       ++performed;
-      if (got.connected && rng.bernoulli(0.5)) {
+      if (got) expect_metrics_equal(*got, compute_host_metrics(g), "swap");
+      if (got && got->connected && rng.bernoulli(0.5)) {
         sync_delta(edges, delta);
       } else {
         apply_swap(g, move->inverse());
-        undo(delta);
+        got ? undo(delta) : eval.revert_last(g);
         expect_metrics_equal(eval.metrics(), compute_host_metrics(g),
                              "revert-swap");
       }
@@ -151,10 +191,10 @@ void drive(const DriveCase& tc) {
       if (!first) continue;
       const GraphDelta first_delta = delta_of(*first);
       apply_swing(g, *first);
-      const HostMetrics one = eval.apply(first_delta);
-      expect_metrics_equal(one, compute_host_metrics(g), "swing");
+      const std::optional<HostMetrics> one = evaluate(first_delta, kind == 1);
       ++performed;
-      if (one.connected && rng.bernoulli(0.5)) {
+      if (one) expect_metrics_equal(*one, compute_host_metrics(g), "swing");
+      if (one && one->connected && rng.bernoulli(0.5)) {
         sync_delta(edges, first_delta);
       } else {
         // Rejected first swing. In 2n-swing mode chain the completing
@@ -165,16 +205,16 @@ void drive(const DriveCase& tc) {
           if (completion) {
             const GraphDelta completion_delta = delta_of(*completion);
             apply_swing(g, *completion);
-            const HostMetrics two = eval.apply(completion_delta);
-            expect_metrics_equal(two, compute_host_metrics(g), "2n-swing");
+            const std::optional<HostMetrics> two = evaluate(completion_delta, true);
             ++performed;
-            if (two.connected && rng.bernoulli(0.5)) {
+            if (two) expect_metrics_equal(*two, compute_host_metrics(g), "2n-swing");
+            if (two && two->connected && rng.bernoulli(0.5)) {
               sync_delta(edges, first_delta);
               sync_delta(edges, completion_delta);
               completed = true;
             } else {
               apply_swing(g, completion->inverse());
-              undo(completion_delta);
+              two ? undo(completion_delta) : eval.revert_last(g);
               expect_metrics_equal(eval.metrics(), compute_host_metrics(g),
                                    "revert-completion");
             }
@@ -182,7 +222,7 @@ void drive(const DriveCase& tc) {
         }
         if (!completed) {
           apply_swing(g, first->inverse());
-          undo(first_delta);
+          one ? undo(first_delta) : eval.revert_last(g);
           expect_metrics_equal(eval.metrics(), compute_host_metrics(g),
                                "revert-swing");
         }
@@ -204,6 +244,10 @@ void drive(const DriveCase& tc) {
   reached(kRowBfs, stats.row_bfs_repairs);
   reached(kFallback, stats.fallback_rebuilds);
   reached(kRowRescan, stats.row_rescans);
+  EXPECT_EQ(stats.early_rejects, early_stops);
+  if (tc.early_exit) {
+    EXPECT_GT(early_stops, 0u);
+  }
 }
 
 class DeltaDifferential : public ::testing::TestWithParam<DriveCase> {};
@@ -228,6 +272,269 @@ INSTANTIATE_TEST_SUITE_P(
         DriveCase{100, 40, 6, 8, 120, {}, kIncremental | kRowBfs},
         DriveCase{128, 70, 6, 9, 100, {}, kIncremental},
         DriveCase{1024, 183, 16, 10, 150, {}, kIncremental}));
+
+// The same grid with early exits: swaps, swings and completion swings may
+// stop at a random checkpoint, and a stopped apply is always reverted.
+INSTANTIATE_TEST_SUITE_P(
+    EarlyExitMoves, DeltaDifferential,
+    ::testing::Values(
+        DriveCase{16, 8, 4, 1, 120, {}, kIncremental | kRowBfs | kFallback, true},
+        DriveCase{64, 16, 8, 2, 120, {}, kIncremental, true},
+        DriveCase{128, 24, 12, 3, 120, {}, kIncremental, true},
+        DriveCase{16, 8, 4, 7, 120, DeltaEvalOptions{0.5}, kIncremental | kFallback, true},
+        DriveCase{100, 40, 6, 8, 120, {}, kIncremental | kRowBfs, true},
+        DriveCase{1024, 183, 16, 10, 150, {}, kIncremental, true}));
+
+// ---- early exit ---------------------------------------------------------
+
+// The whole distance matrix and the metrics, for bit-exact comparisons.
+struct EvalState {
+  std::vector<std::uint32_t> dist;
+  HostMetrics metrics;
+};
+
+EvalState capture(const DeltaHasplEvaluator& eval) {
+  EvalState state;
+  const std::uint32_t m = eval.num_switches();
+  state.dist.reserve(std::size_t{m} * m);
+  for (SwitchId a = 0; a < m; ++a) {
+    for (SwitchId b = 0; b < m; ++b) state.dist.push_back(eval.distance(a, b));
+  }
+  state.metrics = eval.metrics();
+  return state;
+}
+
+void expect_same_state(const DeltaHasplEvaluator& eval, const EvalState& want,
+                       const char* where) {
+  const EvalState got = capture(eval);
+  EXPECT_TRUE(got.dist == want.dist) << where;
+  expect_metrics_equal(got.metrics, want.metrics, where);
+  EXPECT_EQ(std::memcmp(&got.metrics.h_aspl, &want.metrics.h_aspl, sizeof(double)), 0)
+      << where;
+}
+
+// What the moves checked by stop_at_every_checkpoint() exercised.
+struct Coverage {
+  std::uint64_t single_affected = 0, two_phase = 0, row_bfs = 0;
+  std::uint64_t second_removal_stops = 0;  // stops inside a swap's 2nd removal
+  std::uint64_t zero_crossings = 0;        // host moves emptying / filling a switch
+  std::uint64_t stops = 0;
+};
+
+// `delta` takes `before` to `after`. Applies it once with a test that never
+// rejects, checking the bounds it is shown (never above the final
+// total_length, never falling, equal to it at the last checkpoint), then
+// once per checkpoint k with a test that rejects at the k-th: each stopped
+// apply must show the same bounds, and revert_last() must bring back the
+// pre-apply matrix and metrics bit for bit.
+void stop_at_every_checkpoint(DeltaHasplEvaluator& eval, const HostSwitchGraph& before,
+                              const HostSwitchGraph& after, const GraphDelta& delta,
+                              Coverage& coverage) {
+  const EvalState pre = capture(eval);
+  const DeltaHasplEvaluator::Stats s0 = eval.stats();
+  ScriptedTest full;
+  const std::optional<HostMetrics> done = eval.apply_or_reject(delta, full);
+  ASSERT_TRUE(done.has_value());
+  const HostMetrics want = compute_host_metrics(after);
+  expect_metrics_equal(*done, want, "complete");
+  const DeltaHasplEvaluator::Stats s1 = eval.stats();
+  eval.revert_last(before);
+  expect_same_state(eval, pre, "revert-complete");
+  if (full.bounds.empty()) return;  // not certified connected
+
+  EXPECT_TRUE(want.connected);
+  for (std::size_t i = 0; i < full.bounds.size(); ++i) {
+    EXPECT_LE(full.bounds[i], want.total_length) << "checkpoint " << i;
+    if (i > 0) {
+      EXPECT_GE(full.bounds[i], full.bounds[i - 1]) << "checkpoint " << i;
+    }
+  }
+  if (s1.fallback_rebuilds == s0.fallback_rebuilds) {
+    EXPECT_EQ(full.bounds.back(), want.total_length);
+  }
+  if (full.bounds.size() > 1) {
+    // A checkpoint follows every removal repair of this apply.
+    coverage.single_affected += s1.single_affected - s0.single_affected;
+    coverage.two_phase += s1.two_phase_repairs - s0.two_phase_repairs;
+    coverage.row_bfs += s1.row_bfs_repairs - s0.row_bfs_repairs;
+  }
+  // A swap's checkpoints up to the end of its first removal are those of
+  // the same delta without the second removal.
+  std::size_t first_removal_end = full.bounds.size();
+  if (delta.num_removed == 2) {
+    GraphDelta first_only = delta;
+    first_only.num_removed = 1;
+    ScriptedTest probe;
+    ASSERT_TRUE(eval.apply_or_reject(first_only, probe).has_value());
+    eval.revert_last(before);
+    ASSERT_LE(probe.bounds.size(), full.bounds.size());
+    EXPECT_TRUE(std::equal(probe.bounds.begin(), probe.bounds.end(), full.bounds.begin()));
+    first_removal_end = probe.bounds.size();
+  }
+
+  for (std::size_t k = 1; k <= full.bounds.size(); ++k) {
+    ScriptedTest stop(k);
+    const DeltaHasplEvaluator::Stats before_stop = eval.stats();
+    ASSERT_FALSE(eval.apply_or_reject(delta, stop).has_value()) << "k=" << k;
+    EXPECT_EQ(eval.stats().early_rejects, before_stop.early_rejects + 1);
+    ASSERT_EQ(stop.bounds.size(), k);
+    EXPECT_TRUE(std::equal(stop.bounds.begin(), stop.bounds.end(), full.bounds.begin()));
+    if (k > first_removal_end) ++coverage.second_removal_stops;
+    eval.revert_last(before);
+    expect_same_state(eval, pre, "revert-stopped");
+    ++coverage.stops;
+  }
+}
+
+TEST(EarlyExit, StopsAtEveryCheckpointAndRevertsExactly) {
+  struct Instance {
+    std::uint32_t n, m, r;
+    std::uint64_t seed;
+  };
+  Coverage coverage;
+  for (const Instance inst : {Instance{16, 8, 4, 31}, Instance{64, 16, 8, 32},
+                              Instance{100, 40, 6, 33}, Instance{128, 24, 12, 34}}) {
+    Xoshiro256 rng(inst.seed);
+    HostSwitchGraph g = random_host_switch_graph(inst.n, inst.m, inst.r, rng);
+    DeltaHasplEvaluator eval(g);
+    EdgeList edges = collect_edges(g);
+    for (int i = 0; i < 40; ++i) {
+      const HostSwitchGraph before = g;
+      GraphDelta delta;
+      if (i % 2 == 0) {
+        const auto move = propose_swap(g, edges, rng);
+        if (!move) continue;
+        delta = delta_of(*move);
+        apply_swap(g, *move);
+      } else {
+        const auto move = propose_swing(g, edges, rng);
+        if (!move) continue;
+        if (before.hosts_on(move->c) == 1 || before.hosts_on(move->b) == 0) {
+          ++coverage.zero_crossings;
+        }
+        delta = delta_of(*move);
+        apply_swing(g, *move);
+      }
+      stop_at_every_checkpoint(eval, before, g, delta, coverage);
+      // Keep a connected move now and then so the walk moves on.
+      const HostMetrics now = eval.apply(delta);
+      if (now.connected && rng.bernoulli(0.5)) {
+        sync_delta(edges, delta);
+      } else {
+        g = before;
+        eval.revert_last(g);
+      }
+    }
+    expect_state_exact(eval, g);
+  }
+  EXPECT_GT(coverage.stops, 0u);
+  EXPECT_GT(coverage.single_affected, 0u);
+  EXPECT_GT(coverage.two_phase, 0u);
+  EXPECT_GT(coverage.row_bfs, 0u);
+  EXPECT_GT(coverage.zero_crossings, 0u);
+  EXPECT_GT(coverage.second_removal_stops, 0u);
+}
+
+// The annealer's 2-neighbor chain: a complete first swing stays pending
+// while the completion swing stops at each checkpoint; popping both frames
+// afterwards must restore the state before the first swing.
+TEST(EarlyExit, StopsOverAPendingFrame) {
+  Coverage coverage;
+  Xoshiro256 rng(37);
+  HostSwitchGraph g = random_host_switch_graph(128, 24, 12, rng);
+  DeltaHasplEvaluator eval(g);
+  const EdgeList edges = collect_edges(g);
+  const EvalState start = capture(eval);
+  int nested = 0;
+  for (int i = 0; i < 30; ++i) {
+    const auto first = propose_swing(g, edges, rng);
+    if (!first) continue;
+    const HostSwitchGraph before = g;
+    apply_swing(g, *first);
+    eval.apply(delta_of(*first));
+    const auto completion = propose_completion_swing(g, *first, rng);
+    if (completion) {
+      const HostSwitchGraph middle = g;
+      apply_swing(g, *completion);
+      stop_at_every_checkpoint(eval, middle, g, delta_of(*completion), coverage);
+      g = middle;
+      ++nested;
+    }
+    g = before;
+    eval.revert_last(g);
+    expect_same_state(eval, start, "pop-first");
+  }
+  EXPECT_GT(nested, 0);
+  EXPECT_GT(coverage.stops, 0u);
+}
+
+// A removal whose endpoints are not shown to stay within three hops never
+// reaches the test: a bridge (the candidate disconnects), and a ring edge
+// whose detour is four hops (it stays connected). A three-hop detour does.
+TEST(EarlyExit, OnlyCertifiedRemovalsReachTheTest) {
+  {
+    // Path 0-1-2-3 with hosts on 0 and 3: dropping {2,3} strands host 1.
+    HostSwitchGraph g(2, 4, 4);
+    g.attach_host(0, 0);
+    g.attach_host(1, 3);
+    for (SwitchId s = 0; s < 3; ++s) g.add_switch_edge(s, s + 1);
+    DeltaHasplEvaluator eval(g);
+    const EvalState pre = capture(eval);
+    const HostSwitchGraph before = g;
+    GraphDelta bridge;
+    bridge.remove_edge(2, 3).add_edge(0, 2);
+    g.remove_switch_edge(2, 3);
+    g.add_switch_edge(0, 2);
+    ScriptedTest test(1);
+    const std::optional<HostMetrics> got = eval.apply_or_reject(bridge, test);
+    EXPECT_TRUE(test.bounds.empty());
+    ASSERT_TRUE(got.has_value());
+    EXPECT_FALSE(got->connected);
+    expect_metrics_equal(*got, compute_host_metrics(g), "bridge");
+
+    // Over that disconnected pending frame no bound exists either.
+    GraphDelta heal;
+    heal.add_edge(1, 3);
+    g.add_switch_edge(1, 3);
+    ScriptedTest over(1);
+    const std::optional<HostMetrics> healed = eval.apply_or_reject(heal, over);
+    EXPECT_TRUE(over.bounds.empty());
+    ASSERT_TRUE(healed.has_value());
+    expect_metrics_equal(*healed, compute_host_metrics(g), "healed");
+    g.remove_switch_edge(1, 3);
+    eval.revert_last(g);
+    g = before;
+    eval.revert_last(g);
+    expect_same_state(eval, pre, "bridge-reverted");
+  }
+  for (const std::uint32_t ring : {8u, 6u}) {
+    // A ring of `ring` switches with one host each loses {0,1} and gains a
+    // chord from 0: {0,4} on 8 switches leaves the detour 0-4-3-2-1 (four
+    // hops), {0,3} on 6 switches the detour 0-3-2-1 (three).
+    const SwitchId chord = ring == 8 ? 4 : 3;
+    HostSwitchGraph g(ring, ring, 4);
+    for (SwitchId s = 0; s < ring; ++s) {
+      g.attach_host(s, s);
+      g.add_switch_edge(s, (s + 1) % ring);
+    }
+    DeltaHasplEvaluator eval(g);
+    GraphDelta cut;
+    cut.remove_edge(0, 1).add_edge(0, chord);
+    g.remove_switch_edge(0, 1);
+    g.add_switch_edge(0, chord);
+    ScriptedTest test;
+    const std::optional<HostMetrics> got = eval.apply_or_reject(cut, test);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_TRUE(got->connected);
+    expect_metrics_equal(*got, compute_host_metrics(g), "ring");
+    if (ring == 8) {
+      EXPECT_TRUE(test.bounds.empty());
+    } else {
+      ASSERT_FALSE(test.bounds.empty());
+      EXPECT_EQ(test.bounds.back(), got->total_length);
+    }
+  }
+}
 
 TEST(DeltaEvaluator, MatchesInitialMetricsExactly) {
   Xoshiro256 rng(11);

@@ -2,15 +2,19 @@
 // structural invariants of the result, determinism, mode behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "common/prng.hpp"
 #include "hsg/bounds.hpp"
 #include "obs/metrics.hpp"
 #include "search/annealer.hpp"
 #include "search/annealer_core.hpp"
+#include "search/operations.hpp"
 #include "search/parallel.hpp"
 #include "search/random_init.hpp"
+#include "search/solver.hpp"
 
 namespace orp {
 namespace {
@@ -63,6 +67,29 @@ TEST(Annealer, AuditsTheDeltaEvaluatorEvery4096Evaluations) {
       anneal(initial, quick(MoveMode::kTwoNeighborSwing, 9000, 5));
   ASSERT_GE(result.evaluations, 8192u);
   EXPECT_EQ(checks.value() - before, result.evaluations / 4096);
+}
+
+// The h-ASPL objective lets the evaluator stop a rejected move before its
+// repair is done; the diameter objective's key has no such bound, so there
+// every apply completes.
+TEST(Annealer, StopsRejectedMovesEarlyUnderTheHasplObjective) {
+  auto& registry = obs::Registry::global();
+  auto& early = registry.counter("delta_eval.early_rejects");
+  auto& skipped = registry.counter("delta_eval.sources_skipped");
+  Xoshiro256 rng(12);
+  const auto initial = random_host_switch_graph(96, 24, 8, rng);
+
+  auto before = early.value();
+  const auto skipped_before = skipped.value();
+  anneal(initial, quick(MoveMode::kTwoNeighborSwing, 1200, 3));
+  EXPECT_GT(early.value(), before);
+  EXPECT_GT(skipped.value(), skipped_before);
+
+  before = early.value();
+  auto options = quick(MoveMode::kTwoNeighborSwing, 1200, 3);
+  options.objective = AnnealObjective::kDiameterThenHaspl;
+  anneal(initial, options);
+  EXPECT_EQ(early.value(), before);
 }
 #endif
 
@@ -154,6 +181,130 @@ TEST(Annealer, PoolBackendWithOneReplicaMatchesSerialExactly) {
     }
   }
 }
+
+// FNV-1a over a graph's sorted switch edges and every host's switch: two
+// graphs hash equal only if they are the same labelled graph.
+std::uint64_t graph_hash(const HostSwitchGraph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t x) {
+    h ^= x;
+    h *= 0x100000001b3ULL;
+  };
+  mix(g.num_hosts());
+  mix(g.num_switches());
+  for (SwitchId s = 0; s < g.num_switches(); ++s) {
+    std::vector<SwitchId> nb(g.neighbors(s).begin(), g.neighbors(s).end());
+    std::sort(nb.begin(), nb.end());
+    for (const SwitchId t : nb) {
+      if (s < t) mix(std::uint64_t{s} << 32 | t);
+    }
+  }
+  for (HostId h2 = 0; h2 < g.num_hosts(); ++h2) mix(g.host_switch(h2));
+  return h;
+}
+
+// Golden trajectories: the walk of every move mode under both objectives,
+// pinned by its outcome. Any change to the PRNG stream, the accept/reject
+// decisions or the evaluator's metrics moves at least one of these.
+struct GoldenCase {
+  MoveMode mode;
+  AnnealObjective objective;
+  std::uint64_t total_length, accepted, evaluations, hash;
+};
+
+class AnnealerGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(AnnealerGolden, TrajectoryIsPinned) {
+  const GoldenCase& want = GetParam();
+  Xoshiro256 rng(41);
+  const auto initial = random_host_switch_graph(96, 24, 8, rng);
+  auto options = quick(want.mode, 1200, 43);
+  options.objective = want.objective;
+  const auto result = anneal(initial, options);
+  EXPECT_EQ(result.best_metrics.total_length, want.total_length);
+  EXPECT_EQ(result.accepted, want.accepted);
+  EXPECT_EQ(result.evaluations, want.evaluations);
+  EXPECT_EQ(graph_hash(result.best), want.hash);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndObjectives, AnnealerGolden,
+    ::testing::Values(
+        GoldenCase{MoveMode::kSwap, AnnealObjective::kHaspl, 18528, 189, 1201,
+                   0x47e90ca1b3f6b62fULL},
+        GoldenCase{MoveMode::kSwing, AnnealObjective::kHaspl, 18620, 179, 1201,
+                   0x0886a2b7a063135eULL},
+        GoldenCase{MoveMode::kTwoNeighborSwing, AnnealObjective::kHaspl, 18592, 263, 2226,
+                   0x5141a48ea5a40f5dULL},
+        GoldenCase{MoveMode::kSwap, AnnealObjective::kDiameterThenHaspl, 18560, 92, 1201,
+                   0x745e0c30796cab23ULL},
+        GoldenCase{MoveMode::kSwing, AnnealObjective::kDiameterThenHaspl, 18690, 138, 1201,
+                   0x88812abb346092bbULL},
+        GoldenCase{MoveMode::kTwoNeighborSwing, AnnealObjective::kDiameterThenHaspl, 18571,
+                   230, 2235, 0xc3b3dddc8d595ce3ULL}));
+
+// The paper's headline size: solve_orp(1024, 16) anneals at m = 183.
+TEST(AnnealerGolden, PaperSizeSolveIsPinned) {
+  SolveOptions options;
+  options.iterations = 2000;
+  const SolveResult result = solve_orp(1024, 16, options);
+  ASSERT_EQ(result.switch_count, 183u);
+  EXPECT_EQ(result.metrics.total_length, 2313411u);
+  EXPECT_EQ(graph_hash(result.graph), 0xe68f9ef1d6b8ca82ULL);
+}
+
+#ifndef ORP_OBS_DISABLED
+// A swing that strands a leaf switch's hosts is rejected as disconnected
+// without a Metropolis draw: after the step the chain's PRNG has advanced by
+// exactly the proposal's draws.
+TEST(Annealer, DisconnectingSwingIsRejectedWithoutADraw) {
+  // Ring 0-1-2-3-4-5 with leaf switches 6 (on 0) and 7 (on 3); one host on
+  // every switch. A swing whose removed edge ends at a leaf strands it.
+  HostSwitchGraph g(8, 8, 4);
+  for (SwitchId s = 0; s < 6; ++s) g.add_switch_edge(s, (s + 1) % 6);
+  g.add_switch_edge(0, 6);
+  g.add_switch_edge(3, 7);
+  for (HostId h = 0; h < 8; ++h) g.attach_host(h, h);
+  std::vector<std::pair<SwitchId, SwitchId>> edges;
+  for (SwitchId s = 0; s < g.num_switches(); ++s) {
+    for (const SwitchId t : g.neighbors(s)) {
+      if (s < t) edges.emplace_back(s, t);
+    }
+  }
+  // Find a seed whose first swing disconnects the graph.
+  std::uint64_t seed = 0;
+  Xoshiro256 after_proposal;
+  for (std::uint64_t candidate = 1; seed == 0 && candidate < 1000; ++candidate) {
+    Xoshiro256 mirror(candidate);
+    const auto move = propose_swing(g, edges, mirror);
+    if (!move) continue;
+    HostSwitchGraph probe = g;
+    apply_swing(probe, *move);
+    if (!compute_host_metrics(probe).connected) {
+      seed = candidate;
+      after_proposal = mirror;
+    }
+  }
+  ASSERT_NE(seed, 0u);
+
+  AnnealOptions options = quick(MoveMode::kSwing, 10, seed);
+  options.initial_temperature = 1.0;
+  options.final_temperature = 0.5;
+  const HostMetrics initial_metrics = compute_host_metrics(g);
+  SaChain::Config config;
+  config.schedule = calibrate_schedule(g, initial_metrics, options);
+  SaChain chain(g, initial_metrics, options, config);
+  auto& disconnected =
+      obs::Registry::global().counter("annealer.rejected.disconnected");
+  const auto before = disconnected.value();
+  ASSERT_EQ(chain.run(1), 1u);
+  EXPECT_EQ(disconnected.value() - before, 1u);
+  EXPECT_EQ(chain.accepted(), 0u);
+  EXPECT_TRUE(chain.current() == g);
+  Xoshiro256 chain_rng = chain.rng();
+  EXPECT_EQ(chain_rng(), after_proposal());
+}
+#endif
 
 TEST(Annealer, SwapModePreservesHostDistribution) {
   Xoshiro256 rng(5);
