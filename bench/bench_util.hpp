@@ -40,16 +40,9 @@ inline std::uint64_t bench_seed() {
   return static_cast<std::uint64_t>(env_int("ORP_BENCH_SEED", 1));
 }
 
-/// The --search-backend parsed by parse_cli_with_obs (serial unless the
-/// binary was invoked with --search-backend pool).
-inline SearchBackend& cli_search_backend() {
-  static SearchBackend backend = SearchBackend::kSerial;
-  return backend;
-}
-
-/// --replicas: ladder size K of the pool backend.
+/// --replicas: ladder size K of every SA run (1 = the paper's chain).
 inline std::uint32_t& cli_replicas() {
-  static std::uint32_t replicas = 4;
+  static std::uint32_t replicas = 1;
   return replicas;
 }
 
@@ -59,22 +52,20 @@ inline std::uint64_t& cli_swap_interval() {
   return interval;
 }
 
-/// Copies the shared search CLI selections (--search-backend, --replicas,
-/// --swap-interval) into `options`, attaching the global thread pool when
-/// the pool backend is requested.
+/// Copies the shared search CLI selections (--replicas, --swap-interval)
+/// into `options`, attaching the global thread pool when K > 1.
 inline void apply_cli_search_options(SolveOptions& options) {
-  options.backend = cli_search_backend();
   options.replicas = cli_replicas();
   options.swap_interval = cli_swap_interval();
-  if (options.backend == SearchBackend::kPool && !options.pool) {
+  if (options.replicas > 1 && !options.pool) {
     options.pool = &ThreadPool::global();
   }
 }
 
 /// Builds the paper's proposed topology for (n, r): m_opt switches, SA with
 /// the 2-neighbor swing operation. Honors the shared search CLI flags, so
-/// --search-backend pool turns every fig/abl bench's SA into
-/// replica-exchange tempering at the same total move budget.
+/// --replicas K turns every fig/abl bench's SA into a K-rung
+/// replica-exchange ladder at the same total move budget.
 inline SolveResult build_proposed(std::uint32_t n, std::uint32_t r,
                                   std::uint64_t iterations,
                                   std::uint64_t seed = 0) {
@@ -107,13 +98,12 @@ inline bool parse_cli_with_obs(CliParser& cli, int argc, const char* const* argv
   // kept) instead of killing the bench mid-run.
   install_shutdown_handlers();
   obs::add_cli_options(cli);
-  cli.option("search-backend", "serial",
-             "SA engine: serial (one chain) or pool (replica-exchange "
-             "tempering on the thread pool; see docs/search.md)");
-  cli.option("replicas", "4",
-             "temperature-ladder size K of the pool search backend");
+  cli.option("replicas", "1",
+             "SA temperature-ladder size K: 1 is the paper's single chain, "
+             "K > 1 runs replica-exchange tempering on the thread pool "
+             "(see docs/search.md)");
   cli.option("swap-interval", "512",
-             "moves between replica-exchange barriers (pool backend)");
+             "moves between replica-exchange barriers (K > 1)");
   cli.option("net-telemetry", "",
              "network telemetry spec: off, on, default, or knob=value list "
              "(e.g. flow_sample=4,link_steps=64 — see docs/telemetry.md)");
@@ -127,7 +117,6 @@ inline bool parse_cli_with_obs(CliParser& cli, int argc, const char* const* argv
   // Start the run-ledger clock and remember argv; finish_obs appends the
   // record, so every bench invocation lands in $ORP_RUN_LEDGER.
   obs::ledger_capture_argv(argc, argv);
-  cli_search_backend() = parse_search_backend(cli.get("search-backend"));
   const std::int64_t replicas = cli.get_int("replicas");
   if (replicas < 1) throw std::invalid_argument("--replicas must be >= 1");
   cli_replicas() = static_cast<std::uint32_t>(replicas);

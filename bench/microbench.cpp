@@ -224,12 +224,11 @@ void register_search_delta(BenchRegistry& registry) {
 }
 
 void register_search_parallel(BenchRegistry& registry) {
-  // Replica-exchange scaling: one op = a full parallel_anneal() with a
-  // FIXED TOTAL budget of 2048 moves split evenly across K rungs, fanned
-  // out over the global thread pool. On a k-core runner anneal_k8 should
-  // approach k-fold less wall time than anneal_k1 (equal total moves);
-  // single-core runners still record the exchange-protocol overhead.
-  // anneal_k1 is bit-identical to a serial anneal() of the same budget.
+  // Replica-exchange scaling: one op = a full anneal() with a FIXED TOTAL
+  // budget of 2048 moves split evenly across K rungs, fanned out over the
+  // global thread pool. On a k-core runner anneal_k8 should approach
+  // k-fold less wall time than anneal_k1 (equal total moves); single-core
+  // runners still record the exchange-protocol overhead.
   constexpr std::uint64_t kTotalMoves = 2048;
   struct Config {
     std::uint32_t n, r, replicas;
@@ -250,17 +249,17 @@ void register_search_parallel(BenchRegistry& registry) {
         [c]() -> BenchOp {
           auto graph = std::make_shared<HostSwitchGraph>(setup_graph(c.n, c.r));
           return [graph, replicas = c.replicas] {
-            ParallelAnnealOptions options;
-            options.base.iterations = kTotalMoves / replicas;
-            options.base.mode = MoveMode::kTwoNeighborSwing;
-            options.base.seed = kSetupSeed;
-            options.base.initial_temperature = 0.05;
-            options.base.final_temperature = 0.005;
-            options.base.pool = &ThreadPool::global();
+            AnnealOptions options;
+            options.iterations = kTotalMoves / replicas;
+            options.mode = MoveMode::kTwoNeighborSwing;
+            options.seed = kSetupSeed;
+            options.initial_temperature = 0.05;
+            options.final_temperature = 0.005;
+            options.pool = &ThreadPool::global();
             options.replicas = replicas;
             options.swap_interval = 64;
-            const ParallelAnnealResult result = parallel_anneal(*graph, options);
-            do_not_optimize(result.result.evaluations);
+            const AnnealResult result = anneal(*graph, options);
+            do_not_optimize(result.evaluations);
           };
         },
         c.quick,

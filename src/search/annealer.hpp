@@ -10,6 +10,12 @@
 //     if that is also rejected, restore the original solution.
 //
 // Acceptance is Metropolis on the h-ASPL delta with geometric cooling.
+//
+// anneal() is the one SA engine. It walks a temperature ladder of
+// `replicas` SaChains (search/annealer_core.hpp) in `swap_interval`-sized
+// chunks and exchanges configurations between adjacent rungs at the
+// barriers (search/parallel.hpp). The default K = 1 is the paper's serial
+// chain (§5.3): one rung, no exchanges.
 
 #include <cstdint>
 #include <functional>
@@ -18,6 +24,7 @@
 #include "common/prng.hpp"
 #include "hsg/host_switch_graph.hpp"
 #include "hsg/metrics.hpp"
+#include "search/parallel.hpp"
 
 namespace orp {
 
@@ -32,6 +39,7 @@ enum class AnnealObjective {
 };
 
 struct AnnealOptions {
+  /// Move budget of EACH ladder rung (total work = replicas x iterations).
   std::uint64_t iterations = 20000;
   AnnealObjective objective = AnnealObjective::kHaspl;
   /// Temperatures are in h-ASPL units. 0 (the default) auto-calibrates:
@@ -40,13 +48,31 @@ struct AnnealOptions {
   /// T_final to T0/1000. Explicit positive values override.
   double initial_temperature = 0.0;
   double final_temperature = 0.0;
+  /// Seeds rung 0 verbatim; hotter rungs and the exchange stream derive
+  /// their own sub-streams from it.
   std::uint64_t seed = 1;
   MoveMode mode = MoveMode::kTwoNeighborSwing;
   /// Parallelizes the from-scratch metric evaluations (the initial one and
-  /// the schedule calibration probes); moves use the incremental evaluator.
+  /// the schedule calibration probes) and, with K > 1, fans the rungs out.
+  /// The chains' own kernels stay serial, so the result never depends on
+  /// the pool (a null pool runs everything on the calling thread).
   ThreadPool* pool = nullptr;
   /// If nonzero, record a convergence sample every `trace_every` iterations.
   std::uint64_t trace_every = 0;
+  /// Ladder size K. 1 is the paper's single chain.
+  std::uint32_t replicas = 1;
+  /// Moves each rung runs between exchange barriers. The barriers do not
+  /// change a rung's own walk, so with K = 1 any interval gives the same
+  /// result.
+  std::uint64_t swap_interval = 512;
+  /// Adjacent-rung temperature ratio of the geometric ladder (> 1 spreads
+  /// the rungs). 0 auto-picks so the hottest rung runs at 4x the base
+  /// temperature regardless of K.
+  double ladder_ratio = 0.0;
+  /// Barriers without improvement of a rung's own best after which a rung
+  /// that does not own the global best, and whose current state trails
+  /// it, restarts from the global best. 0 disables broadcasting.
+  std::uint32_t stall_rounds = 3;
 };
 
 /// One convergence sample (recorded every `trace_every` iterations), enough
@@ -60,19 +86,25 @@ struct AnnealTracePoint {
 };
 
 struct AnnealResult {
-  HostSwitchGraph best;
+  HostSwitchGraph best;                 ///< global best over every rung
   HostMetrics best_metrics;
-  std::uint64_t evaluations = 0;        ///< metric evaluations performed
-  std::uint64_t accepted = 0;           ///< accepted moves
-  std::vector<AnnealTracePoint> trace;  ///< samples (if trace_every > 0)
+  std::uint64_t evaluations = 0;        ///< metric evaluations, all rungs
+  std::uint64_t accepted = 0;           ///< accepted moves, all rungs
+  std::vector<AnnealTracePoint> trace;  ///< the winning rung's samples
   /// True when the run stopped early on shutdown_requested() (SIGINT/
   /// SIGTERM); `best` is still the best solution seen up to that point.
   bool interrupted = false;
+  std::vector<ReplicaStats> replicas;  ///< per rung, cold to hot
+  /// Global best h-ASPL after each exchange barrier — monotonically
+  /// non-increasing (asserted by the property tests).
+  std::vector<double> round_best_haspl;
+  /// Ladder position that produced the global best.
+  std::uint32_t best_replica = 0;
 };
 
 /// Runs SA from `initial` (which must be fully attached and connected) and
-/// returns the best solution seen. Polls shutdown_requested() each
-/// iteration and winds down gracefully when set.
+/// returns the best solution seen on any rung. Polls shutdown_requested()
+/// each iteration and winds every rung down gracefully when set.
 AnnealResult anneal(const HostSwitchGraph& initial, const AnnealOptions& options);
 
 }  // namespace orp

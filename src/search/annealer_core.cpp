@@ -417,9 +417,14 @@ void SaChain::adopt(const HostSwitchGraph& g, const HostMetrics& metrics) {
 void SaChain::finish_telemetry() { emit_window(iteration_); }
 
 AnnealResult SaChain::take_result() {
-  AnnealResult result{std::move(best_), best_metrics_, evaluations_, accepted_,
-                      std::move(trace_), interrupted_};
-  return result;
+  return {.best = std::move(best_),
+          .best_metrics = best_metrics_,
+          .evaluations = evaluations_,
+          .accepted = accepted_,
+          .trace = std::move(trace_),
+          .interrupted = interrupted_,
+          .replicas = {},
+          .round_best_haspl = {}};
 }
 
 }  // namespace orp

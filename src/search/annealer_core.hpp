@@ -1,10 +1,10 @@
 #pragma once
-// Step-able simulated-annealing chain — the §5 hot loop factored out of
-// anneal() so that multiple chains can interleave.
+// Step-able simulated-annealing chain — the §5 hot loop, one rung of
+// anneal()'s temperature ladder.
 //
-// anneal() drives one SaChain to completion; the replica-exchange backend
-// (search/parallel.hpp) drives K of them in swap_interval-sized chunks,
-// exchanging configurations at deterministic barriers. The chain owns
+// anneal() drives K SaChains in swap_interval-sized chunks, exchanging
+// configurations at deterministic barriers (search/parallel.hpp); with the
+// default K = 1 it drives one chain, the paper's search. The chain owns
 // everything one walk needs — graph copy, edge list, PRNG stream,
 // DeltaHasplEvaluator, cooling state, best-so-far — and exposes exactly
 // the hooks the exchange protocol requires: run a bounded number of
@@ -41,8 +41,8 @@ struct TemperatureSchedule {
 /// positive temperatures pass through; zeros auto-calibrate by probing
 /// random moves of the options' own move type from `initial` (probe PRNG
 /// seeded options.seed ^ 0xa5a5a5a5, full metric evaluation), setting T0
-/// to ~2x the mean |delta| and T_final to T0/1000 — exactly the serial
-/// annealer's behaviour, so one calibration can be shared by K replicas.
+/// to ~2x the mean |delta| and T_final to T0/1000. anneal() calibrates
+/// once and shares the schedule with all K rungs.
 TemperatureSchedule calibrate_schedule(const HostSwitchGraph& initial,
                                        const HostMetrics& initial_metrics,
                                        const AnnealOptions& options);
@@ -52,10 +52,10 @@ class SaChain {
   struct Config {
     TemperatureSchedule schedule;
     /// Metropolis temperature multiplier — the chain's rung on a
-    /// replica-exchange ladder. 1.0 reproduces the serial annealer.
+    /// replica-exchange ladder. Rung 0 (the paper's chain) runs at 1.0.
     double temperature_scale = 1.0;
     /// Emit the windowed annealer.* tracer series. Exactly one chain per
-    /// search should own them (the serial chain, or ladder position 0).
+    /// search should own them (ladder position 0).
     bool emit_obs_window = true;
   };
 

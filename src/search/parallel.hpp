@@ -1,15 +1,14 @@
 #pragma once
-// Parallel replica-exchange (parallel tempering) annealing on the shared
-// thread pool.
+// Replica-exchange (parallel tempering) primitives of the annealer's
+// temperature ladder (search/annealer.hpp).
 //
-// K replicas walk the same search space on a geometric temperature ladder:
-// ladder position 0 runs the serial annealer's schedule exactly, position k
-// runs it scaled by ratio^k. Every `swap_interval` moves the replicas
-// barrier and adjacent rungs attempt Metropolis configuration exchanges —
-// hot rungs tunnel between basins, cold rungs refine, and exchanges let
-// good basins migrate down the ladder. The global best is tracked at every
-// barrier and broadcast as a restart candidate to replicas whose own best
-// has stalled.
+// anneal() walks K replicas on a geometric temperature ladder: ladder
+// position 0 runs the calibrated schedule exactly, position k runs it
+// scaled by ratio^k. Every `swap_interval` moves the replicas barrier and
+// adjacent rungs attempt Metropolis configuration exchanges — hot rungs
+// tunnel between basins, cold rungs refine, and exchanges let good basins
+// migrate down the ladder. K = 1 is the paper's single chain: one rung at
+// scale 1.0 with the seed verbatim, no exchange pairs and no restarts.
 //
 // Determinism contract: the result is a pure function of (initial graph,
 // options) — in particular of (seed, K) — and NEVER of the thread-pool
@@ -21,56 +20,19 @@
 //     stream), not completion-order driven;
 //   * reductions (global best, stall restarts, the final result) scan
 //     rungs in index order at single-threaded barriers.
-// tests/search_parallel_test.cpp pins this down across pool sizes, and the
-// K=1 ladder is bit-identical to the serial annealer
-// (tests/search_annealer_test.cpp).
+// tests/search_parallel_test.cpp pins this down across pool sizes and
+// barrier chunkings.
 
 #include <cstdint>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/prng.hpp"
-#include "search/annealer.hpp"
 
 namespace orp {
 
-/// Which search engine solve_orp drives per restart.
-enum class SearchBackend {
-  kSerial,  ///< one annealing chain (the paper's §5.3 search)
-  kPool     ///< replica-exchange over the thread pool (this header)
-};
-
-/// Parses "serial" / "pool" (the benches' --search-backend flag); throws
-/// std::invalid_argument on anything else.
-SearchBackend parse_search_backend(std::string_view name);
-const char* search_backend_name(SearchBackend backend) noexcept;
-
-struct ParallelAnnealOptions {
-  /// Per-replica annealing parameters. `base.iterations` is the move
-  /// budget of EACH replica (total work = replicas x base.iterations);
-  /// `base.seed` derives every replica's independent PRNG sub-stream and
-  /// the exchange stream; `base.pool` only fans the replicas out — the
-  /// chains keep their metric kernels serial to avoid nested
-  /// oversubscription (a null pool runs the replicas on the calling
-  /// thread, bit-identically).
-  AnnealOptions base;
-  /// Ladder size K. 1 degenerates to the serial annealer bit for bit.
-  std::uint32_t replicas = 4;
-  /// Moves each replica runs between exchange barriers.
-  std::uint64_t swap_interval = 512;
-  /// Adjacent-rung temperature ratio of the geometric ladder (> 1 spreads
-  /// the rungs). 0 auto-picks so the hottest rung runs at 4x the base
-  /// temperature regardless of K.
-  double ladder_ratio = 0.0;
-  /// Barriers without improvement of a replica's own best after which a
-  /// non-best replica whose current state trails the global best restarts
-  /// from the global best. 0 disables broadcasting.
-  std::uint32_t stall_rounds = 3;
-};
-
-/// Per-rung outcome of a replica-exchange run (index = ladder position,
-/// cold to hot).
+/// Per-rung outcome of an annealing run (index = ladder position, cold to
+/// hot).
 struct ReplicaStats {
   std::uint64_t moves = 0;            ///< iterations the rung executed
   std::uint64_t accepted = 0;         ///< accepted moves
@@ -80,27 +42,6 @@ struct ReplicaStats {
   double temperature_scale = 1.0;     ///< the rung's ladder multiplier
   double best_haspl = 0.0;            ///< best h-ASPL this rung ever held
 };
-
-struct ParallelAnnealResult {
-  /// Global best + summed evaluation/acceptance counters + the winning
-  /// rung's trace; `interrupted` is set when SIGINT/SIGTERM wound the
-  /// replicas down early (the best-so-far is still returned).
-  AnnealResult result;
-  std::vector<ReplicaStats> replicas;
-  /// Global best h-ASPL after each exchange barrier — monotonically
-  /// non-increasing (asserted by the property tests).
-  std::vector<double> round_best_haspl;
-  /// Ladder position that produced the global best.
-  std::uint32_t best_replica = 0;
-};
-
-/// Runs K-replica parallel tempering from `initial` (fully attached and
-/// connected). Polls shutdown_requested() inside every replica and winds
-/// the whole population down gracefully when set.
-ParallelAnnealResult parallel_anneal(const HostSwitchGraph& initial,
-                                     const ParallelAnnealOptions& options);
-
-// ---- replica-exchange primitives (exposed for the property tests) ------
 
 /// The geometric temperature-scale ladder: K ascending multipliers
 /// starting at exactly 1.0 (rung k = ratio^k). `ratio` 0 auto-picks
@@ -126,9 +67,9 @@ double exchange_exponent(double energy_cold, double energy_hot,
 /// exponent is negative (so forced accepts never consume randomness).
 bool accept_exchange(double exponent, Xoshiro256& rng);
 
-/// The PRNG seed of ladder rung `k`: rung 0 keeps `seed` verbatim (the
-/// K=1 <-> serial equivalence), hotter rungs get splitmix-derived
-/// sub-streams.
+/// The PRNG seed of ladder rung `k`: rung 0 keeps `seed` verbatim (so the
+/// K = 1 ladder walks the paper's chain on the caller's seed), hotter
+/// rungs get splitmix-derived sub-streams.
 std::uint64_t replica_seed(std::uint64_t seed, std::uint32_t k) noexcept;
 
 }  // namespace orp

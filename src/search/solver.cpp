@@ -24,6 +24,9 @@ void check_paper_bounds(const SolveResult& result, std::uint32_t n, std::uint32_
 SolveResult solve_orp(std::uint32_t n, std::uint32_t r, const SolveOptions& options) {
   ORP_REQUIRE(n >= 2, "need at least two hosts");
   ORP_REQUIRE(r >= 3, "radix must be at least 3");
+  ORP_REQUIRE(options.iterations >= 1, "need at least one SA iteration");
+  ORP_REQUIRE(options.replicas >= 1, "need at least one replica");
+  ORP_REQUIRE(options.swap_interval >= 1, "swap interval must be positive");
 
   obs::Span solve_span("solver.solve_orp", "search");
   solve_span.arg("n", static_cast<std::uint64_t>(n));
@@ -64,11 +67,15 @@ SolveResult solve_orp(std::uint32_t n, std::uint32_t r, const SolveOptions& opti
 
   Xoshiro256 seeder(options.seed);
   const int restarts = std::max(options.restarts, 1);
+  // With K = 1 and a pool the restarts run concurrently, and each annealer
+  // then keeps its metric kernel serial to avoid nested oversubscription.
+  // With K > 1 the rungs are the parallelism, so the restarts run serially
+  // and each ladder gets the whole pool.
+  const bool concurrent_restarts =
+      options.pool && restarts > 1 && options.replicas == 1;
 
   // Each restart gets a deterministic sub-stream so results do not depend
-  // on scheduling; with a thread pool the restarts run concurrently (and
-  // the annealer then keeps its metric kernel serial to avoid nested
-  // oversubscription).
+  // on scheduling.
   std::vector<Xoshiro256> streams;
   streams.reserve(static_cast<std::size_t>(restarts));
   for (int run = 0; run < restarts; ++run) streams.push_back(seeder.split());
@@ -87,37 +94,26 @@ SolveResult solve_orp(std::uint32_t n, std::uint32_t r, const SolveOptions& opti
         options.regular_start
             ? random_regular_host_switch_graph(n, m, r, rng)
             : random_host_switch_graph(n, m, r, rng);
+    // The rungs split the restart's move budget, so runs at the same
+    // --iters spend the same total number of moves whatever K is.
     AnnealOptions anneal_options;
-    anneal_options.iterations = options.iterations;
+    anneal_options.iterations =
+        std::max<std::uint64_t>(1, options.iterations / options.replicas);
     anneal_options.seed = rng();
     anneal_options.mode = options.mode;
-    anneal_options.pool = (options.pool && restarts > 1) ? nullptr : options.pool;
+    anneal_options.pool = concurrent_restarts ? nullptr : options.pool;
     anneal_options.trace_every = options.trace_every;
-    if (options.backend == SearchBackend::kPool) {
-      // The replicas split the restart's move budget, so serial and pool
-      // runs at the same --iters spend the same total number of moves.
-      ParallelAnnealOptions pool_options;
-      pool_options.base = anneal_options;
-      pool_options.base.iterations =
-          std::max<std::uint64_t>(1, options.iterations / options.replicas);
-      pool_options.base.pool = options.pool;
-      pool_options.replicas = options.replicas;
-      pool_options.swap_interval = options.swap_interval;
-      results[run] = std::move(parallel_anneal(initial, pool_options).result);
-    } else {
-      results[run] = anneal(initial, anneal_options);
-    }
+    anneal_options.replicas = options.replicas;
+    anneal_options.swap_interval = options.swap_interval;
+    results[run] = anneal(initial, anneal_options);
     restart_span.arg("haspl", results[run]->best_metrics.h_aspl);
   };
   {
     obs::Span phase_span("solver.sa_restarts", "search");
     phase_span.arg("restarts", static_cast<std::int64_t>(restarts));
     phase_span.arg("iterations", options.iterations);
-    phase_span.arg("backend", search_backend_name(options.backend));
-    // With the pool backend the replicas are the parallelism — the
-    // restarts run serially so replica fan-out gets the whole pool.
-    if (options.pool && restarts > 1 &&
-        options.backend == SearchBackend::kSerial) {
+    phase_span.arg("replicas", static_cast<std::uint64_t>(options.replicas));
+    if (concurrent_restarts) {
       options.pool->parallel_for(static_cast<std::size_t>(restarts), run_one);
     } else {
       for (int run = 0; run < restarts; ++run) run_one(static_cast<std::size_t>(run));

@@ -19,22 +19,26 @@
 
 #include "hsg/metrics.hpp"
 #include "search/annealer.hpp"
-#include "search/parallel.hpp"
 
 namespace orp {
 
+/// Retired engine selector: anneal() is the only SA engine and `replicas`
+/// alone sets the ladder size. solve_orp ignores SolveOptions::backend; the
+/// enum stays until the benchmark driver (perfbench/) stops setting it.
+enum class SearchBackend { kSerial, kPool };
+
 struct SolveOptions {
   std::uint64_t iterations = 20000;   ///< SA move budget per restart (total
-                                      ///< across replicas for kPool)
+                                      ///< across the ladder's rungs)
   int restarts = 1;                   ///< independent SA runs; best kept
   std::uint64_t seed = 1;
-  /// Search engine per restart: kSerial runs one annealing chain; kPool
-  /// runs replica-exchange tempering (search/parallel.hpp) with `replicas`
-  /// rungs splitting the same `iterations` budget, so equal-budget
-  /// comparisons use the same --iters. With kPool the restarts themselves
-  /// run serially — the pool parallelism goes to the replicas.
-  SearchBackend backend = SearchBackend::kSerial;
-  std::uint32_t replicas = 4;         ///< ladder size K (kPool only)
+  SearchBackend backend = SearchBackend::kSerial;  ///< ignored (see above)
+  /// Ladder size K of each restart's anneal() (search/annealer.hpp). 1 is
+  /// the paper's single chain. The K rungs split the restart's
+  /// `iterations` budget (max(1, iterations / K) each), so equal-budget
+  /// comparisons use the same --iters. With K > 1 the restarts run
+  /// serially and the pool parallelism goes to the rungs.
+  std::uint32_t replicas = 1;
   std::uint64_t swap_interval = 512;  ///< moves between exchange barriers
   MoveMode mode = MoveMode::kTwoNeighborSwing;
   ThreadPool* pool = nullptr;

@@ -12,7 +12,6 @@
 #include "search/annealer.hpp"
 #include "search/annealer_core.hpp"
 #include "search/operations.hpp"
-#include "search/parallel.hpp"
 #include "search/random_init.hpp"
 #include "search/solver.hpp"
 
@@ -137,12 +136,12 @@ TEST(Annealer, FullAndDeltaAgree) {
   }
 }
 
-// Differential test against the replica-exchange backend: a one-rung
-// ladder IS the serial annealer. Rung 0 keeps the seed verbatim, its
-// temperature scale is exactly 1.0, the swap schedule is empty, and no
-// restart can fire (the only rung always owns the global best) — so the
-// pool backend at K=1 must reproduce the serial walk bit for bit,
-// including the step-by-step trace.
+// A one-rung ladder IS the paper's serial annealer. Rung 0 keeps the seed
+// verbatim, its temperature scale is exactly 1.0, the swap schedule is
+// empty, and no restart can fire (the only rung always owns the global
+// best) — so K = 1 with exchange barriers every 100 moves must reproduce
+// the uninterrupted chain (the whole budget in one chunk) bit for bit, in
+// every move mode, including the step-by-step trace.
 TEST(Annealer, PoolBackendWithOneReplicaMatchesSerialExactly) {
   for (const MoveMode mode :
        {MoveMode::kSwap, MoveMode::kSwing, MoveMode::kTwoNeighborSwing}) {
@@ -153,31 +152,31 @@ TEST(Annealer, PoolBackendWithOneReplicaMatchesSerialExactly) {
 
     auto options = quick(mode, 1200, 57);
     options.trace_every = 1;
+    options.swap_interval = options.iterations;  // no barrier before the end
     const auto serial = anneal(init_serial, options);
+    EXPECT_EQ(serial.round_best_haspl.size(), 1u);
 
-    ParallelAnnealOptions pool_options;
-    pool_options.base = options;
+    auto pool_options = options;
     pool_options.replicas = 1;
     pool_options.swap_interval = 100;  // chunking must not matter
-    const auto pool = parallel_anneal(init_pool, pool_options);
+    const auto pool = anneal(init_pool, pool_options);
 
+    EXPECT_EQ(serial.best_replica, 0u);
     EXPECT_EQ(pool.best_replica, 0u);
-    EXPECT_TRUE(serial.best == pool.result.best);
-    EXPECT_EQ(serial.accepted, pool.result.accepted);
-    EXPECT_EQ(serial.evaluations, pool.result.evaluations);
+    EXPECT_TRUE(serial.best == pool.best);
+    EXPECT_EQ(serial.accepted, pool.accepted);
+    EXPECT_EQ(serial.evaluations, pool.evaluations);
     EXPECT_EQ(serial.best_metrics.total_length,
-              pool.result.best_metrics.total_length);
-    EXPECT_DOUBLE_EQ(serial.best_metrics.h_aspl,
-                     pool.result.best_metrics.h_aspl);
-    ASSERT_EQ(serial.trace.size(), pool.result.trace.size());
+              pool.best_metrics.total_length);
+    EXPECT_DOUBLE_EQ(serial.best_metrics.h_aspl, pool.best_metrics.h_aspl);
+    ASSERT_EQ(serial.trace.size(), pool.trace.size());
     for (std::size_t i = 0; i < serial.trace.size(); ++i) {
-      EXPECT_EQ(serial.trace[i].iteration, pool.result.trace[i].iteration);
+      EXPECT_EQ(serial.trace[i].iteration, pool.trace[i].iteration);
       EXPECT_DOUBLE_EQ(serial.trace[i].current_haspl,
-                       pool.result.trace[i].current_haspl);
-      EXPECT_DOUBLE_EQ(serial.trace[i].best_haspl,
-                       pool.result.trace[i].best_haspl);
+                       pool.trace[i].current_haspl);
+      EXPECT_DOUBLE_EQ(serial.trace[i].best_haspl, pool.trace[i].best_haspl);
       EXPECT_DOUBLE_EQ(serial.trace[i].temperature,
-                       pool.result.trace[i].temperature);
+                       pool.trace[i].temperature);
     }
   }
 }

@@ -1,7 +1,8 @@
-// Tests for the replica-exchange (parallel tempering) search backend:
-// determinism across thread-pool sizes and runs, the exchange-rule
-// properties the protocol's correctness rests on, structural invariants,
-// quality at matched budgets, and the solver-level wiring.
+// Tests for the annealer's temperature ladder (replica-exchange parallel
+// tempering): determinism across thread-pool sizes, runs and barrier
+// chunkings, the exchange-rule properties the protocol's correctness rests
+// on, structural invariants, quality at matched budgets, and the
+// solver-level wiring.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,14 +22,14 @@
 namespace orp {
 namespace {
 
-ParallelAnnealOptions pool_options(std::uint32_t replicas,
-                                   std::uint64_t per_replica_iters,
-                                   std::uint64_t seed,
-                                   std::uint64_t swap_interval = 64) {
-  ParallelAnnealOptions options;
-  options.base.iterations = per_replica_iters;
-  options.base.seed = seed;
-  options.base.mode = MoveMode::kTwoNeighborSwing;
+AnnealOptions pool_options(std::uint32_t replicas,
+                           std::uint64_t per_replica_iters,
+                           std::uint64_t seed,
+                           std::uint64_t swap_interval = 64) {
+  AnnealOptions options;
+  options.iterations = per_replica_iters;
+  options.seed = seed;
+  options.mode = MoveMode::kTwoNeighborSwing;
   options.replicas = replicas;
   options.swap_interval = swap_interval;
   return options;
@@ -43,15 +44,15 @@ HostSwitchGraph test_graph(std::uint32_t n, std::uint32_t m, std::uint32_t r,
 /// Canonical byte serialization of a SolveResult-shaped outcome: the .hsg
 /// edge list plus the metric integers and the full trace. Two runs are
 /// "the same result" iff these bytes match.
-std::string canonical_bytes(const ParallelAnnealResult& out) {
+std::string canonical_bytes(const AnnealResult& out) {
   std::ostringstream os;
-  write_hsg(os, out.result.best);
-  os << "total_length " << out.result.best_metrics.total_length << "\n"
-     << "diameter " << out.result.best_metrics.diameter << "\n"
-     << "evaluations " << out.result.evaluations << "\n"
-     << "accepted " << out.result.accepted << "\n"
+  write_hsg(os, out.best);
+  os << "total_length " << out.best_metrics.total_length << "\n"
+     << "diameter " << out.best_metrics.diameter << "\n"
+     << "evaluations " << out.evaluations << "\n"
+     << "accepted " << out.accepted << "\n"
      << "best_replica " << out.best_replica << "\n";
-  for (const AnnealTracePoint& p : out.result.trace) {
+  for (const AnnealTracePoint& p : out.trace) {
     os << p.iteration << " " << p.current_haspl << " " << p.best_haspl << " "
        << p.temperature << "\n";
   }
@@ -72,20 +73,20 @@ std::string canonical_bytes(const ParallelAnnealResult& out) {
 TEST(ParallelAnnealer, K8ByteIdenticalAcrossPoolSizesAndRuns) {
   const auto initial = test_graph(96, 24, 8, 11);
   auto options = pool_options(8, 400, 77);
-  options.base.trace_every = 25;
+  options.trace_every = 25;
 
-  const std::string no_pool = canonical_bytes(parallel_anneal(initial, options));
+  const std::string no_pool = canonical_bytes(anneal(initial, options));
 
   std::vector<std::size_t> sizes = {1, 2};
   const std::size_t hw = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
   if (hw != 1 && hw != 2) sizes.push_back(hw);
   for (const std::size_t threads : sizes) {
     ThreadPool pool(threads);
-    options.base.pool = &pool;
-    EXPECT_EQ(no_pool, canonical_bytes(parallel_anneal(initial, options)))
+    options.pool = &pool;
+    EXPECT_EQ(no_pool, canonical_bytes(anneal(initial, options)))
         << "pool size " << threads;
     // Second run with the same pool: no state leaks between runs.
-    EXPECT_EQ(no_pool, canonical_bytes(parallel_anneal(initial, options)))
+    EXPECT_EQ(no_pool, canonical_bytes(anneal(initial, options)))
         << "pool size " << threads << " (second run)";
   }
 }
@@ -98,27 +99,25 @@ TEST(ParallelAnnealer, SwapIntervalChunkingDoesNotChangeReplicaWalks) {
   const auto initial = test_graph(64, 16, 8, 5);
   auto fine = pool_options(1, 600, 13, /*swap_interval=*/7);
   auto coarse = pool_options(1, 600, 13, /*swap_interval=*/600);
-  fine.base.trace_every = 1;
-  coarse.base.trace_every = 1;
-  const auto a = parallel_anneal(initial, fine);
-  const auto b = parallel_anneal(initial, coarse);
-  EXPECT_TRUE(a.result.best == b.result.best);
-  EXPECT_EQ(a.result.evaluations, b.result.evaluations);
-  EXPECT_EQ(a.result.accepted, b.result.accepted);
-  ASSERT_EQ(a.result.trace.size(), b.result.trace.size());
-  for (std::size_t i = 0; i < a.result.trace.size(); ++i) {
-    EXPECT_EQ(a.result.trace[i].iteration, b.result.trace[i].iteration);
-    EXPECT_DOUBLE_EQ(a.result.trace[i].current_haspl,
-                     b.result.trace[i].current_haspl);
-    EXPECT_DOUBLE_EQ(a.result.trace[i].temperature,
-                     b.result.trace[i].temperature);
+  fine.trace_every = 1;
+  coarse.trace_every = 1;
+  const auto a = anneal(initial, fine);
+  const auto b = anneal(initial, coarse);
+  EXPECT_TRUE(a.best == b.best);
+  EXPECT_EQ(a.evaluations, b.evaluations);
+  EXPECT_EQ(a.accepted, b.accepted);
+  ASSERT_EQ(a.trace.size(), b.trace.size());
+  for (std::size_t i = 0; i < a.trace.size(); ++i) {
+    EXPECT_EQ(a.trace[i].iteration, b.trace[i].iteration);
+    EXPECT_DOUBLE_EQ(a.trace[i].current_haspl, b.trace[i].current_haspl);
+    EXPECT_DOUBLE_EQ(a.trace[i].temperature, b.trace[i].temperature);
   }
 }
 
 TEST(ParallelAnnealer, DifferentSeedsDiverge) {
   const auto initial = test_graph(64, 16, 8, 5);
-  const auto a = parallel_anneal(initial, pool_options(4, 400, 1));
-  const auto b = parallel_anneal(initial, pool_options(4, 400, 2));
+  const auto a = anneal(initial, pool_options(4, 400, 1));
+  const auto b = anneal(initial, pool_options(4, 400, 2));
   EXPECT_NE(canonical_bytes(a), canonical_bytes(b));
 }
 
@@ -126,21 +125,21 @@ TEST(ParallelAnnealer, DifferentSeedsDiverge) {
 
 TEST(ParallelAnnealer, ResultSatisfiesGraphInvariants) {
   const auto initial = test_graph(96, 24, 8, 21);
-  const auto out = parallel_anneal(initial, pool_options(4, 500, 3));
-  out.result.best.check_invariants();
-  EXPECT_TRUE(out.result.best.fully_attached());
-  EXPECT_TRUE(out.result.best_metrics.connected);
-  EXPECT_EQ(out.result.best.num_switch_edges(), initial.num_switch_edges());
-  const auto recomputed = compute_host_metrics(out.result.best);
-  EXPECT_EQ(recomputed.total_length, out.result.best_metrics.total_length);
-  EXPECT_EQ(recomputed.diameter, out.result.best_metrics.diameter);
+  const auto out = anneal(initial, pool_options(4, 500, 3));
+  out.best.check_invariants();
+  EXPECT_TRUE(out.best.fully_attached());
+  EXPECT_TRUE(out.best_metrics.connected);
+  EXPECT_EQ(out.best.num_switch_edges(), initial.num_switch_edges());
+  const auto recomputed = compute_host_metrics(out.best);
+  EXPECT_EQ(recomputed.total_length, out.best_metrics.total_length);
+  EXPECT_EQ(recomputed.diameter, out.best_metrics.diameter);
 }
 
 TEST(ParallelAnnealer, AggregatesCountersAcrossReplicas) {
   const std::uint32_t replicas = 4;
   const std::uint64_t per_replica = 300;
   const auto initial = test_graph(64, 16, 8, 9);
-  const auto out = parallel_anneal(initial, pool_options(replicas, per_replica, 4));
+  const auto out = anneal(initial, pool_options(replicas, per_replica, 4));
   ASSERT_EQ(out.replicas.size(), replicas);
   std::uint64_t moves = 0, accepted = 0;
   for (const ReplicaStats& stats : out.replicas) {
@@ -149,18 +148,18 @@ TEST(ParallelAnnealer, AggregatesCountersAcrossReplicas) {
     accepted += stats.accepted;
   }
   EXPECT_EQ(moves, replicas * per_replica);
-  EXPECT_EQ(out.result.accepted, accepted);
+  EXPECT_EQ(out.accepted, accepted);
   // evaluations = initial evaluation per replica + one per proposed move
   // (two-neighbor swing may evaluate twice per iteration), so at least
   // moves + replicas.
-  EXPECT_GE(out.result.evaluations, moves + replicas);
+  EXPECT_GE(out.evaluations, moves + replicas);
   EXPECT_LT(out.best_replica, replicas);
   // The global best is the min over every rung's own best.
   double best_rung = out.replicas[0].best_haspl;
   for (const ReplicaStats& stats : out.replicas) {
     best_rung = std::min(best_rung, stats.best_haspl);
   }
-  EXPECT_DOUBLE_EQ(out.result.best_metrics.h_aspl, best_rung);
+  EXPECT_DOUBLE_EQ(out.best_metrics.h_aspl, best_rung);
 }
 
 // ---- exchange-rule properties (randomized) ------------------------------
@@ -247,7 +246,7 @@ TEST(ParallelAnnealer, SwapsPreserveStateMultisetAndBestIsMonotone) {
   // Drive the exchange machinery hard: many rungs, frequent barriers.
   auto options = pool_options(6, 600, 5, /*swap_interval=*/16);
   options.stall_rounds = 0;  // isolate the pure exchange dynamics
-  const auto out = parallel_anneal(initial, options);
+  const auto out = anneal(initial, options);
 
   // Monotone global best across swap rounds.
   ASSERT_FALSE(out.round_best_haspl.empty());
@@ -270,31 +269,31 @@ TEST(ParallelAnnealer, SwapsPreserveStateMultisetAndBestIsMonotone) {
   // every move is a valid SA move or a pairwise exchange, so the total
   // edge/port budget of every rung's final state matches the initial
   // graph's (no state was duplicated or lost into a rung).
-  EXPECT_EQ(out.result.best.num_switch_edges(), initial.num_switch_edges());
-  EXPECT_EQ(out.result.best.num_hosts(), initial.num_hosts());
+  EXPECT_EQ(out.best.num_switch_edges(), initial.num_switch_edges());
+  EXPECT_EQ(out.best.num_hosts(), initial.num_hosts());
 }
 
 // The multiset-preservation property at the primitive level: applying
 // swap_configuration to chains must exchange energies exactly (the pair
 // (E_i, E_j) becomes (E_j, E_i); nothing is created or destroyed). Verified
-// through parallel_anneal with a ladder ratio so extreme that every barrier
+// through anneal() with a ladder ratio so extreme that every barrier
 // swap is forced, making the exchange trajectory fully predictable.
 TEST(ParallelAnnealer, ExtremeLadderStillProducesValidDeterministicResult) {
   const auto initial = test_graph(48, 12, 8, 44);
   auto options = pool_options(4, 300, 6, /*swap_interval=*/8);
   options.ladder_ratio = 50.0;  // hot rungs accept nearly everything
-  const auto a = parallel_anneal(initial, options);
-  const auto b = parallel_anneal(initial, options);
+  const auto a = anneal(initial, options);
+  const auto b = anneal(initial, options);
   EXPECT_EQ(canonical_bytes(a), canonical_bytes(b));
-  a.result.best.check_invariants();
-  EXPECT_TRUE(a.result.best_metrics.connected);
+  a.best.check_invariants();
+  EXPECT_TRUE(a.best_metrics.connected);
 }
 
 // ---- quality -------------------------------------------------------------
 
-// The wall-clock claim, phrased deterministically: on K cores the pool
-// backend runs K replicas in the time the serial annealer runs one chain,
-// so at EQUAL WALL TIME pool-K8 affords 8x the total moves. Compare the
+// The wall-clock claim, phrased deterministically: on K cores the ladder
+// runs K replicas in the time the K = 1 chain runs one, so at EQUAL WALL
+// TIME K8 affords 8x the total moves. Compare the
 // two at the same per-chain move count (= same wall time on 8 cores): the
 // tempered population must do at least as well as the single serial chain.
 TEST(ParallelAnnealer, TemperedPopulationBeatsSerialAtEqualWallTimeBudget) {
@@ -307,28 +306,18 @@ TEST(ParallelAnnealer, TemperedPopulationBeatsSerialAtEqualWallTimeBudget) {
   serial_options.mode = MoveMode::kTwoNeighborSwing;
   const auto serial = anneal(initial, serial_options);
 
-  ParallelAnnealOptions pool_opts = pool_options(8, per_chain, 99, 64);
-  const auto pool = parallel_anneal(initial, pool_opts);
+  const auto pool = anneal(initial, pool_options(8, per_chain, 99, 64));
 
-  EXPECT_LE(pool.result.best_metrics.total_length,
+  EXPECT_LE(pool.best_metrics.total_length,
             serial.best_metrics.total_length);
 }
 
 // ---- solver wiring -------------------------------------------------------
 
-TEST(ParallelSolver, ParsesBackendNames) {
-  EXPECT_EQ(parse_search_backend("serial"), SearchBackend::kSerial);
-  EXPECT_EQ(parse_search_backend("pool"), SearchBackend::kPool);
-  EXPECT_THROW(parse_search_backend("mpi"), std::invalid_argument);
-  EXPECT_STREQ(search_backend_name(SearchBackend::kSerial), "serial");
-  EXPECT_STREQ(search_backend_name(SearchBackend::kPool), "pool");
-}
-
 TEST(ParallelSolver, PoolBackendSplitsBudgetAcrossReplicas) {
   SolveOptions options;
   options.iterations = 2000;
   options.seed = 12;
-  options.backend = SearchBackend::kPool;
   options.replicas = 4;
   options.swap_interval = 100;
   options.force_switch_count = 16;
@@ -343,7 +332,6 @@ TEST(ParallelSolver, PoolBackendDeterministicAcrossPoolSizes) {
   SolveOptions options;
   options.iterations = 1600;
   options.seed = 8;
-  options.backend = SearchBackend::kPool;
   options.replicas = 8;
   options.swap_interval = 50;
   options.force_switch_count = 16;

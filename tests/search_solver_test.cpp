@@ -120,6 +120,15 @@ TEST(Solver, SolutionBeatsNaiveRandomOnAverage) {
 TEST(Solver, RejectsDegenerateInputs) {
   EXPECT_THROW(solve_orp(1, 12, quick()), std::invalid_argument);
   EXPECT_THROW(solve_orp(100, 2, quick()), std::invalid_argument);
+  // Degenerate search settings are rejected before anything divides by
+  // them or rounds them up.
+  SolveOptions no_replicas = quick();
+  no_replicas.replicas = 0;
+  EXPECT_THROW(solve_orp(64, 8, no_replicas), std::invalid_argument);
+  SolveOptions no_interval = quick();
+  no_interval.swap_interval = 0;
+  EXPECT_THROW(solve_orp(64, 8, no_interval), std::invalid_argument);
+  EXPECT_THROW(solve_orp(64, 8, quick(0)), std::invalid_argument);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include "common/shutdown.hpp"
 #include "common/thread_pool.hpp"
 #include "search/annealer.hpp"
-#include "search/parallel.hpp"
 #include "search/random_init.hpp"
 #include "search/solver.hpp"
 
@@ -81,24 +80,24 @@ TEST_F(ShutdownTest, SolverSkipsRemainingRestartsButStillReturns) {
 TEST_F(ShutdownTest, ParallelAnnealerWindsDownAllReplicas) {
   Xoshiro256 rng(4);
   const HostSwitchGraph initial = random_host_switch_graph(64, 16, 8, rng);
-  ParallelAnnealOptions options;
-  options.base.iterations = 1000000000ULL;
+  AnnealOptions options;
+  options.iterations = 1000000000ULL;
   options.replicas = 4;
   request_shutdown();
-  const ParallelAnnealResult out = parallel_anneal(initial, options);
-  EXPECT_TRUE(out.result.interrupted);
-  EXPECT_TRUE(out.result.best_metrics.connected);
-  EXPECT_TRUE(out.result.best.fully_attached());
+  const AnnealResult out = anneal(initial, options);
+  EXPECT_TRUE(out.interrupted);
+  EXPECT_TRUE(out.best_metrics.connected);
+  EXPECT_TRUE(out.best.fully_attached());
   // Every rung stopped at the pre-set flag: nothing beyond its initial
   // evaluation ran on any of them.
-  EXPECT_EQ(out.result.evaluations, options.replicas);
+  EXPECT_EQ(out.evaluations, options.replicas);
   for (const auto& stats : out.replicas) EXPECT_EQ(stats.moves, 0u);
 }
 
 #ifdef __unix__
 TEST_F(ShutdownTest, PoolSearchSubprocessExitsCleanlyOnSigterm) {
-  // Same end-to-end SIGTERM check as below, but for the replica-exchange
-  // backend fanned out over a real thread pool: the signal must wind down
+  // Same end-to-end SIGTERM check as below, but for a K = 4 ladder fanned
+  // out over a real thread pool: the signal must wind down
   // every replica, and the solver must still return a valid
   // interrupted-but-best-so-far result.
   const pid_t pid = fork();
@@ -109,7 +108,6 @@ TEST_F(ShutdownTest, PoolSearchSubprocessExitsCleanlyOnSigterm) {
     ThreadPool pool(2);
     SolveOptions options;
     options.iterations = 1000000000ULL;
-    options.backend = SearchBackend::kPool;
     options.replicas = 4;
     options.swap_interval = 256;
     options.pool = &pool;
