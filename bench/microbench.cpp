@@ -11,7 +11,8 @@
 //                n=1024/r=16), plus replica-exchange
 //                scaling (search.parallel.anneal_k{1,4,8}, fixed total
 //                move budget split across the ladder)
-//   sim        — Machine fluid-engine communication phases (collectives)
+//   sim        — Machine fluid-engine communication phases (collectives),
+//                serial, plus the paper-size alltoall at 1 and 4 threads
 //   partition  — multilevel partitioner stages: coarsening, FM refinement,
 //                and the end-to-end k-way host+switch cut
 //   fault      — resilience subsystem: seeded fault draws, degraded-graph
@@ -268,27 +269,36 @@ void register_search_parallel(BenchRegistry& registry) {
 }
 
 void register_sim(BenchRegistry& registry) {
+  // Series without a thread suffix run every round on the calling thread
+  // (pool = nullptr), so their history keeps meaning one thread. The .tK
+  // series run the paper's alltoall on K threads: the caller plus a pool
+  // of K - 1 workers of their own.
   struct Config {
     std::uint32_t n, r;
     const char* collective;
+    std::uint32_t threads;  ///< 0: no thread suffix, serial
     bool quick;
   };
   for (const Config& c : {
-           Config{64, 12, "alltoall", true},
-           Config{64, 12, "allreduce", true},
-           Config{256, 12, "allreduce", false},
-           Config{256, 12, "alltoall", true},
+           Config{64, 12, "alltoall", 0, true},
+           Config{64, 12, "allreduce", 0, true},
+           Config{256, 12, "allreduce", 0, false},
+           Config{256, 12, "alltoall", 0, true},
+           Config{1024, 16, "alltoall", 1, true},
+           Config{1024, 16, "alltoall", 4, true},
        }) {
     registry.add({
         std::string("sim.") + c.collective + ".n" + std::to_string(c.n) + "_r" +
-            std::to_string(c.r),
+            std::to_string(c.r) + (c.threads ? ".t" + std::to_string(c.threads) : ""),
         "sim",
         [c]() -> BenchOp {
           auto graph = std::make_shared<HostSwitchGraph>(setup_graph(c.n, c.r));
+          std::shared_ptr<ThreadPool> pool;
+          if (c.threads > 1) pool = std::make_shared<ThreadPool>(c.threads - 1);
           auto machine = std::make_shared<Machine>(*graph, SimParams{},
-                                                   dfs_host_order(*graph));
+                                                   dfs_host_order(*graph), pool.get());
           const bool alltoall = std::string_view(c.collective) == "alltoall";
-          return [machine, alltoall] {
+          return [pool, machine, alltoall] {
             machine->reset();
             const double elapsed =
                 alltoall ? machine->alltoall(1024) : machine->allreduce(4096);

@@ -22,6 +22,9 @@ obs::Histogram& task_latency_histogram() {
   return histogram;
 }
 
+/// The pool whose worker the current thread is; null on other threads.
+thread_local const ThreadPool* current_pool = nullptr;
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -44,7 +47,10 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
+bool ThreadPool::on_worker_thread() const noexcept { return current_pool == this; }
+
 void ThreadPool::worker_main() {
+  current_pool = this;
   for (;;) {
     Task task;
     {
@@ -100,7 +106,7 @@ void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
   const std::size_t participants = workers_.size() + 1;
-  if (participants == 1 || count == 1) {
+  if (participants == 1 || count == 1 || on_worker_thread()) {
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }

@@ -40,7 +40,12 @@ class ThreadPool {
   /// Runs body(i) for i in [0, count) distributed over the pool in blocks,
   /// and additionally on the calling thread. Blocks until all iterations
   /// finish. The first exception thrown by any iteration is rethrown.
+  /// Called from one of this pool's own workers, it runs every iteration
+  /// inline: queued helpers could wait behind workers that all wait alike.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body);
+
+  /// True when the calling thread is one of this pool's workers.
+  bool on_worker_thread() const noexcept;
 
   /// Process-wide pool, sized from hardware concurrency on first use.
   static ThreadPool& global();

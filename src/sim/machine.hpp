@@ -9,41 +9,52 @@
 // max-min fairly and the phase lasts until its slowest message finishes —
 // this mirrors loosely-synchronous bulk applications like the NAS suite.
 //
-// Collectives decompose into phases of point-to-point messages using the
-// textbook algorithms MPI implementations pick at these sizes:
+// Collectives decompose into rounds (phases) of point-to-point messages
+// using the textbook algorithms MPI implementations pick at these sizes:
 //   bcast/reduce     binomial tree
 //   allreduce        recursive doubling (reduce+bcast for non-power-of-2)
 //   allgather        recursive doubling (ring for non-power-of-2)
 //   alltoall(v)      pairwise exchange (XOR partners for power-of-2 ranks)
 //   barrier          zero-byte recursive doubling
+//
+// Parallel rounds (docs/sim.md). The Machine owns the topology, routing,
+// clock, fault queue and telemetry; a FluidPhase engine runs one round on
+// them. A collective of two or more rounds runs them on the Machine's
+// thread pool, one engine per participant, when no fault event is left to
+// apply, no tracer is recording, the pool has a worker and the caller is
+// not one of them; otherwise it runs them one by one on the calling
+// thread. Durations, fault counters and the state read back afterwards
+// (now(), last_phase_stats(), link_loads()) are added and kept in round
+// order, so every result is bit-identical for every pool size.
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "hsg/host_switch_graph.hpp"
-#include "sim/fairshare_fast.hpp"
 #include "sim/fault.hpp"
+#include "sim/fluid_phase.hpp"
 #include "sim/params.hpp"
 #include "sim/routing.hpp"
 #include "sim/telemetry/telemetry.hpp"
 
 namespace orp {
 
-using Rank = std::uint32_t;
+class ThreadPool;
 
-/// One point-to-point message of a communication phase.
-struct Message {
-  Rank src;
-  Rank dst;
-  std::uint64_t bytes;
-};
-
-class Machine {
+class Machine : private FaultHook {
  public:
+  using PhaseStats = orp::PhaseStats;
+
   /// `rank_to_host[i]` maps MPI rank i to a host; empty means identity.
+  /// Collectives run their rounds on ThreadPool::global(), looked up at the
+  /// first one that runs in parallel.
   Machine(const HostSwitchGraph& graph, const SimParams& params = {},
           std::vector<HostId> rank_to_host = {});
+  /// The same on `pool`; nullptr runs every round on the calling thread.
+  /// The pool must outlive the Machine and its copies.
+  Machine(const HostSwitchGraph& graph, const SimParams& params,
+          std::vector<HostId> rank_to_host, ThreadPool* pool);
 
   std::uint32_t num_ranks() const noexcept { return num_ranks_; }
   const SimParams& params() const noexcept { return params_; }
@@ -78,9 +89,11 @@ class Machine {
 
   /// Every rank computes `flops` operations in parallel.
   double compute(double flops_per_rank);
-  /// Injects all messages at once; returns when the last one lands.
+  /// Injects all messages at once; returns when the last one lands. Runs
+  /// on the calling thread.
   double phase(const std::vector<Message>& messages);
 
+  // Rooted collectives throw std::invalid_argument when root >= num_ranks().
   double barrier();
   double bcast(std::uint64_t bytes, Rank root = 0);
   double reduce(std::uint64_t bytes, Rank root = 0);
@@ -89,7 +102,11 @@ class Machine {
   /// Pairwise-exchange all-to-all: every ordered pair exchanges
   /// `bytes_per_pair` bytes.
   double alltoall(std::uint64_t bytes_per_pair);
-  /// All-to-all with per-pair sizes from `bytes(src, dst)`.
+  /// All-to-all with per-pair sizes from `bytes(src, dst)`. The callback is
+  /// called on the calling thread, exactly once per ordered pair of
+  /// distinct ranks, round by round in round order, and never concurrently
+  /// (rounds are built before they run, also when they run in parallel).
+  /// A zero size sends nothing.
   double alltoallv(const std::function<std::uint64_t(Rank, Rank)>& bytes);
 
   /// Root scatters a distinct `bytes_per_rank` block to every rank
@@ -107,43 +124,50 @@ class Machine {
 
   /// Statistics of the most recent phase() that moved flows (collectives
   /// update it once per internal round; the last round's stats remain).
-  struct PhaseStats {
-    double elapsed = 0.0;          ///< seconds, same value phase() returned
-    double mean_hops = 0.0;        ///< average route length of the flows
-    std::uint64_t flows = 0;
-
-    // Graceful-degradation breakdown (all zero on a healthy run):
-    std::uint64_t completed = 0;  ///< flows fully delivered
-    std::uint64_t retried = 0;    ///< flows rerouted at least once
-    std::uint64_t failed = 0;     ///< flows abandoned (no surviving route)
-    double retry_added_latency = 0.0;  ///< summed backoff seconds
-  };
-  const PhaseStats& last_phase_stats() const noexcept { return stats_; }
+  const PhaseStats& last_phase_stats() const noexcept { return engines_[0].stats(); }
   /// Per-link load of the same phase: what each link carried over its
   /// transfer window. Traced phases build it anyway; otherwise the first
   /// call after a phase builds it.
   const LinkLoads& link_loads() const;
 
  private:
+  /// Builds round `r` of a collective into `out` (handed over empty).
+  using RoundBuilder = std::function<void(std::uint32_t r, std::vector<Message>& out)>;
+  /// The one round driver of every collective: builds rounds [0, count) on
+  /// the calling thread in round order and runs them, in parallel when
+  /// parallel_pool() allows; returns their summed elapsed seconds.
+  double run_rounds(std::uint32_t count, const RoundBuilder& build);
+  /// The pool to run `count` rounds on now, or nullptr for the serial path.
+  ThreadPool* parallel_pool(std::uint32_t count);
+
+  // FaultHook: the serial engine's view of the fault queue.
+  double next_fault_time() const override;
+  bool apply_faults(double horizon) override { return apply_due_faults(horizon); }
+
   /// Applies every pending fault event with time <= horizon to the
   /// topology; updates routing in place and returns true when it changed
   /// (routes_.died_in_last_update() then names the links that went down).
   bool apply_due_faults(double horizon);
-  /// Fills link_loads_ from the last phase's final routes and flow table.
-  void account_link_loads() const;
+  FluidPhase::Network network() const {
+    return {routes_, rank_to_host_, host_dead_, params_};
+  }
 
   SimParams params_;
   HostSwitchGraph graph_;  ///< current (possibly degraded) topology
   RoutingTable routes_;
   std::uint32_t num_ranks_;
   std::vector<HostId> rank_to_host_;
-  FastFairShareSolver solver_;  ///< max-min allocator of the fluid loop
   double clock_ = 0.0;
-  PhaseStats stats_;
-  double transfer_s_ = 0.0;  ///< fluid time the last phase's last byte moved
+  std::uint64_t phase_counter_ = 0;  ///< decorrelates ECMP hashes across phases
   mutable LinkLoads link_loads_;
   mutable bool link_loads_stale_ = false;
-  std::uint64_t phase_counter_ = 0;  ///< decorrelates ECMP hashes across phases
+
+  /// Round engines: [0] is the Machine's own, which ran the last round
+  /// that moved flows; a parallel collective also uses one per extra pool
+  /// participant.
+  std::vector<FluidPhase> engines_;
+  ThreadPool* pool_ = nullptr;
+  bool global_pool_ = false;  ///< pool_ is ThreadPool::global(), not yet looked up
 
   // Fault state.
   std::vector<std::uint8_t> switch_dead_;
@@ -158,74 +182,6 @@ class Machine {
 
   // Network telemetry (no-op unless a JSONL tracer is active).
   NetPhaseCollector net_;
-
-  /// Hands solver_ the live flows' routes without the host links each holds
-  /// alone (docs/sim.md, "Private host links"); returns how many it left out.
-  std::uint64_t load_solver(const std::vector<std::uint8_t>& active);
-
-  // Scratch reused across phases (the vectors keep their capacity).
-  PathStore paths_;  ///< the phase's routes, host links included
-  std::vector<PathRange> solver_ranges_;  ///< paths_ ranges given to solver_
-  std::vector<std::uint32_t> host_link_flows_;  ///< live flows per host link
-  std::vector<double> rates_;  ///< per-flow rates, kept current by solver_
-
-  /// Min-queue of projected flow finish times (phase time) that drives
-  /// the fluid event loop. A cold solve re-keys every flow at once, so
-  /// those keys are sorted into a run consumed front to back; the few flows
-  /// a warm solve re-keys go to a binary min-heap beside it. Invalidation
-  /// is lazy: an entry is live only while its stamp equals its flow's
-  /// current stamp, and dead entries are dropped when they surface.
-  class FinishQueue {
-   public:
-    struct Entry {
-      double time;
-      std::uint32_t flow;
-      std::uint32_t stamp;
-    };
-    void clear() {
-      run_.clear();
-      heap_.clear();
-      cursor_ = 0;
-    }
-    /// Bulk re-key: append unordered, then sort_run() once.
-    void add_to_run(const Entry& e) { run_.push_back(e); }
-    void sort_run();
-    void push(const Entry& e);
-    std::size_t size() const { return run_.size() - cursor_ + heap_.size(); }
-    /// The earliest live entry (dead ones are dropped on the way), or
-    /// nullptr when none is left. pop() removes the entry it returned.
-    const Entry* top(const std::vector<std::uint32_t>& stamps);
-    void pop();
-    /// Drops every dead entry (bounds growth under many warm re-keys).
-    void compact(const std::vector<std::uint32_t>& stamps);
-
-   private:
-    static bool later(const Entry& a, const Entry& b) { return a.time > b.time; }
-    static bool dead(const Entry& e, const std::vector<std::uint32_t>& stamps) {
-      return e.stamp != stamps[e.flow];
-    }
-
-    std::vector<Entry> run_;   ///< sorted by time; [cursor_, end) pending
-    std::vector<Entry> heap_;  ///< min-heap by time
-    std::size_t cursor_ = 0;
-    bool top_in_run_ = false;
-  };
-
-  struct PhaseScratch {
-    std::vector<std::uint64_t> remaining;
-    std::vector<std::uint32_t> hops;
-    std::vector<HostId> flow_src, flow_dst;
-    std::vector<std::uint64_t> flow_key;
-    std::vector<double> penalty;
-    std::vector<std::uint8_t> failed, retried, active;
-    std::vector<double> finish;
-    // Flow table: bytes delivered as of phase time `since`, at `rate`
-    // (the solver's rate, cached when the flow was last re-keyed).
-    std::vector<double> delivered, since, rate;
-    std::vector<std::uint32_t> stamp;
-    FinishQueue queue;
-    std::vector<FinishQueue::Entry> deferred;
-  } scratch_;
 };
 
 }  // namespace orp

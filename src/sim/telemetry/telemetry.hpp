@@ -144,7 +144,7 @@ struct LinkLoads {
 /// ORP_OBS_DISABLED they are inline no-ops.
 class NetPhaseCollector {
  public:
-  /// Everything end_phase() needs, borrowed from Machine::phase() scope.
+  /// Everything end_phase() needs, borrowed from the round's FluidPhase.
   /// Times are phase-relative seconds (the collector re-anchors them).
   struct PhaseEnd {
     double elapsed_s = 0.0;  ///< phase() return value

@@ -123,6 +123,20 @@ TEST(ThreadPool, ReusableAfterException) {
   EXPECT_EQ(sum.load(), 45);
 }
 
+TEST(ThreadPool, NestedParallelForOnWorkersRunsInline) {
+  // Every outer body issues an inner parallel_for on the same pool. Were a
+  // worker's inner loop queued as helper tasks, both workers could wait on
+  // helpers that only they could run.
+  ThreadPool pool(2);
+  constexpr std::size_t kOuter = 64, kInner = 64;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  pool.parallel_for(kOuter, [&](std::size_t i) {
+    pool.parallel_for(kInner, [&](std::size_t j) { hits[i * kInner + j].fetch_add(1); });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_FALSE(pool.on_worker_thread());  // the test thread is no worker
+}
+
 TEST(ThreadPool, WorksWithZeroWorkers) {
   ThreadPool pool(0);  // caller-only execution still valid
   std::atomic<int> sum{0};

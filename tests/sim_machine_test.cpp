@@ -261,6 +261,17 @@ TEST(Collectives, ReduceMirrorsBcast) {
   EXPECT_NEAR(bcast_time, reduce_time, 1e-9);
 }
 
+TEST(Collectives, RootedCollectivesRejectOutOfRangeRoots) {
+  // A root at or past num_ranks() used to wrap around to another rank.
+  Machine m(quad_graph(), simple_params());
+  EXPECT_THROW(m.bcast(100, 4), std::invalid_argument);
+  EXPECT_THROW(m.reduce(100, 4), std::invalid_argument);
+  EXPECT_THROW(m.scatter(100, 5), std::invalid_argument);
+  EXPECT_THROW(m.gather(100, 1000), std::invalid_argument);
+  EXPECT_EQ(m.now(), 0.0);  // nothing ran
+  EXPECT_GT(m.bcast(100, 3), 0.0);
+}
+
 // ---- NAS skeletons (smoke + sanity on a small machine) ------------------
 
 TEST(Nas, AllKernelsRunAndReportConsistentRates) {
