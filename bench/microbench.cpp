@@ -13,6 +13,7 @@
 //                move budget split across the ladder)
 //   sim        — Machine fluid-engine communication phases (collectives),
 //                serial, plus the paper-size alltoall at 1 and 4 threads
+//                and the paper-size LU and FT kernels (replayed repeats)
 //   partition  — multilevel partitioner stages: coarsening, FM refinement,
 //                and the end-to-end k-way host+switch cut
 //   fault      — resilience subsystem: seeded fault draws, degraded-graph
@@ -323,6 +324,28 @@ void register_sim(BenchRegistry& registry) {
       },
       true,
   });
+  // One NAS kernel per op at the paper's instance, iteration fraction 0.1,
+  // on the default pool. run_nas_kernel() resets the Machine, so each op
+  // simulates every distinct call once and replays its repeats
+  // (docs/sim.md, "Replayed calls"): LU's 25 iterations repeat 124
+  // wavefront phases, FT's two alltoalls are one.
+  for (const auto& [name, kernel] :
+       {std::pair{"lu", NasKernel::kLU}, std::pair{"ft", NasKernel::kFT}}) {
+    registry.add({
+        std::string("sim.nas.") + name + ".n1024_r16",
+        "sim",
+        [kernel]() -> BenchOp {
+          const HostSwitchGraph graph = setup_graph(1024, 16);
+          auto machine =
+              std::make_shared<Machine>(graph, SimParams{}, dfs_host_order(graph));
+          return [machine, kernel] {
+            const NasResult result = run_nas_kernel(*machine, kernel, NasOptions{0.1});
+            do_not_optimize(result.seconds);
+          };
+        },
+        true,
+    });
+  }
 }
 
 void register_partition(BenchRegistry& registry) {

@@ -29,6 +29,8 @@ struct Message {
   Rank src;
   Rank dst;
   std::uint64_t bytes;
+
+  friend bool operator==(const Message&, const Message&) = default;
 };
 
 /// Statistics of one round that moved flows.

@@ -22,6 +22,7 @@ struct SimInstruments {
   obs::Counter& fault_repairs;
   obs::Counter& rounds_parallel;
   obs::Counter& rounds_serial;
+  obs::Counter& rounds_replayed;
 
   static SimInstruments& get() {
     auto& registry = obs::Registry::global();
@@ -30,7 +31,8 @@ struct SimInstruments {
                                    registry.counter("sim.fault.rebuilds"),
                                    registry.counter("sim.fault.repairs"),
                                    registry.counter("sim.rounds.parallel"),
-                                   registry.counter("sim.rounds.serial")};
+                                   registry.counter("sim.rounds.serial"),
+                                   registry.counter("sim.rounds.replayed")};
     return instance;
   }
 };
@@ -39,6 +41,22 @@ struct SimInstruments {
 /// rounds across the participants, few enough to keep the built messages
 /// small beside the engines.
 constexpr std::size_t kRoundsPerParticipant = 8;
+
+const SimParams& validated(const SimParams& params) {
+  const auto duration = [](double s) { return std::isfinite(s) && s >= 0.0; };
+  ORP_REQUIRE(std::isfinite(params.host_gflops) && params.host_gflops > 0.0,
+              "host_gflops must be finite and positive");
+  ORP_REQUIRE(duration(params.hop_latency), "hop_latency must be finite and >= 0");
+  ORP_REQUIRE(duration(params.mpi_overhead), "mpi_overhead must be finite and >= 0");
+  ORP_REQUIRE(duration(params.retry_backoff), "retry_backoff must be finite and >= 0");
+  ORP_REQUIRE(duration(params.retry_timeout), "retry_timeout must be finite and >= 0");
+  return params;
+}
+
+std::uint64_t mix(std::uint64_t h, std::uint64_t word) {
+  h = (h ^ word) * 0x9e3779b97f4a7c15ULL;
+  return h ^ (h >> 29);
+}
 
 }  // namespace
 
@@ -50,7 +68,7 @@ Machine::Machine(const HostSwitchGraph& graph, const SimParams& params,
 
 Machine::Machine(const HostSwitchGraph& graph, const SimParams& params,
                  std::vector<HostId> rank_to_host, ThreadPool* pool)
-    : params_(params),
+    : params_(validated(params)),
       graph_(graph),
       routes_(graph_),
       num_ranks_(graph.num_hosts()),
@@ -72,6 +90,13 @@ Machine::Machine(const HostSwitchGraph& graph, const SimParams& params,
   downed_adjacency_.assign(graph_.num_switches(), {});
 }
 
+void Machine::reset() noexcept {
+  clock_ = 0.0;
+  phase_counter_ = 0;
+  memo_.clear();
+  memo_bytes_ = 0;
+}
+
 void Machine::inject_faults(std::vector<FaultEvent> events) {
   for (const FaultEvent& e : events) {
     ORP_REQUIRE(std::isfinite(e.time) && e.time >= 0.0,
@@ -83,6 +108,8 @@ void Machine::inject_faults(std::vector<FaultEvent> events) {
                   "fault event link endpoints invalid");
     }
   }
+  // A replayed round must be re-run on the topology it was replayed on.
+  if (!events.empty()) rerun_replayed();
   // Drop the already-applied prefix, merge, and keep time order (stable so
   // same-instant events apply in injection order).
   pending_.erase(pending_.begin(),
@@ -177,6 +204,8 @@ bool Machine::apply_due_faults(double horizon) {
     routes_.update(graph_);
     ++fault_stats_.routing_rebuilds;
     instruments.fault_rebuilds.inc();
+    memo_.clear();
+    memo_bytes_ = 0;
   }
   return changed;
 }
@@ -189,7 +218,8 @@ std::uint32_t Machine::route_hops(Rank a, Rank b) const {
 }
 
 double Machine::compute(double flops_per_rank) {
-  ORP_REQUIRE(flops_per_rank >= 0, "negative flops");
+  ORP_REQUIRE(std::isfinite(flops_per_rank) && flops_per_rank >= 0,
+              "flops must be finite and non-negative");
   const double elapsed = flops_per_rank / (params_.host_gflops * 1e9);
   clock_ += elapsed;
   return elapsed;
@@ -202,7 +232,10 @@ double Machine::next_fault_time() const {
 
 double Machine::phase(const std::vector<Message>& messages) {
   if (messages.empty()) return 0.0;
+  return run_rounds({Op::kPhase, 0, 0, &messages}, 1, nullptr);
+}
 
+FluidPhase::Round Machine::run_round(const std::vector<Message>& messages) {
   obs::Span span("sim.phase", "sim");
   obs::ScopedTimer solve_timer(SimInstruments::get().solve_ns);
 
@@ -213,7 +246,8 @@ double Machine::phase(const std::vector<Message>& messages) {
   FluidPhase& engine = engines_[0];
   const FluidPhase::Round round = engine.run(messages, ++phase_counter_, network(),
                                              clock_, this, &net_, fault_stats_);
-  if (!round.moved) return 0.0;
+  if (!round.moved) return round;
+  replayed_.reset();
   link_loads_stale_ = true;
   const PhaseStats& stats = engine.stats();
   if (round.traced) {
@@ -234,10 +268,11 @@ double Machine::phase(const std::vector<Message>& messages) {
   }
 
   clock_ += round.elapsed;
-  return round.elapsed;
+  return round;
 }
 
 const LinkLoads& Machine::link_loads() const {
+  rerun_replayed();
   if (link_loads_stale_) {
     link_loads_stale_ = false;
     engines_[0].account_link_loads(routes_.num_links(), params_.link_bandwidth,
@@ -246,13 +281,30 @@ const LinkLoads& Machine::link_loads() const {
   return link_loads_;
 }
 
+void Machine::rerun_replayed() const {
+  if (!replayed_) return;
+  // Replays run under deterministic routing, where the phase index keys
+  // nothing, on the topology the call was recorded on.
+  FaultStats unused;
+  engines_[0].run(replayed_->messages, phase_counter_, network(), clock_, nullptr,
+                  nullptr, unused);
+  replayed_.reset();
+  link_loads_stale_ = true;
+}
+
+bool Machine::quiet() const {
+  return next_event_ == pending_.size() && !obs::Tracer::global().enabled();
+}
+
+bool Machine::replayable() const {
+  return params_.routing == RoutingPolicy::kDeterministic && quiet();
+}
+
 ThreadPool* Machine::parallel_pool(std::uint32_t count) {
   // A fault event left to apply may strike mid-round and change the
   // topology the later rounds route on, and the telemetry records phases
   // in order: both keep the serial path.
-  if (count < 2 || next_event_ != pending_.size() || obs::Tracer::global().enabled()) {
-    return nullptr;
-  }
+  if (count < 2 || !quiet()) return nullptr;
   if (global_pool_) {
     pool_ = &ThreadPool::global();
     global_pool_ = false;
@@ -261,32 +313,108 @@ ThreadPool* Machine::parallel_pool(std::uint32_t count) {
   return pool_;
 }
 
-double Machine::run_rounds(std::uint32_t count, const RoundBuilder& build) {
-  SimInstruments& instruments = SimInstruments::get();
-  ThreadPool* pool = parallel_pool(count);
+double Machine::replay(const std::shared_ptr<const Replay>& call) {
+  // The additions the simulated call made, in the same order.
   double elapsed = 0.0;
-  if (pool == nullptr) {
-    if (count >= 2) instruments.rounds_serial.add(count);
-    std::vector<Message> round;
-    for (std::uint32_t r = 0; r < count; ++r) {
-      round.clear();
-      build(r, round);
-      elapsed += phase(round);
-    }
-    return elapsed;
+  for (const double d : call->durations) {
+    clock_ += d;
+    elapsed += d;
   }
-  instruments.rounds_parallel.add(count);
+  phase_counter_ += call->phases;
+  fault_stats_.flows_failed += call->flows_failed;
+  if (!call->durations.empty()) replayed_ = call;
+  SimInstruments::get().rounds_replayed.add(call->durations.size());
+  return elapsed;
+}
 
+double Machine::run_rounds(const Call& call, std::uint32_t count,
+                           const RoundBuilder& build) {
+  SimInstruments& instruments = SimInstruments::get();
+  // Replayed calls (docs/sim.md): alltoallv's callback must see every call,
+  // and outside replayable() a round also depends on the fault queue or the
+  // phase index, or feeds a tracer.
+  const bool memo = call.op != Op::kAlltoallv && count > 0 && replayable();
+  std::uint64_t key = 0;
+  if (memo) {
+    key = mix(mix(mix(0, static_cast<std::uint64_t>(call.op)), call.bytes), call.root);
+    if (call.messages != nullptr) {
+      for (const Message& m : *call.messages) {
+        key = mix(mix(key, (std::uint64_t{m.src} << 32) | m.dst), m.bytes);
+      }
+    }
+    for (auto [it, end] = memo_.equal_range(key); it != end; ++it) {
+      const Replay& known = *it->second;
+      if (known.op == call.op && known.bytes == call.bytes && known.root == call.root &&
+          (call.messages == nullptr || known.messages == *call.messages)) {
+        return replay(it->second);
+      }
+    }
+  }
+  const std::uint64_t first_phase = phase_counter_;
+  const std::uint64_t failed_before = fault_stats_.flows_failed;
+  std::vector<double> durations;
+  std::vector<double>* record = memo ? &durations : nullptr;
+
+  // Serial rounds while parallel_pool() declines. A faulted collective asks
+  // again after every round, so the rounds after its last event run on the
+  // pool.
+  double elapsed = 0.0;
+  std::uint32_t last_moved = count;  // the last round that moved flows
+  std::vector<Message> round;
+  for (std::uint32_t r = 0; r < count; ++r) {
+    if (ThreadPool* pool = parallel_pool(count - r)) {
+      instruments.rounds_parallel.add(count - r);
+      const std::uint32_t last = run_parallel(*pool, r, count, build, elapsed, record);
+      if (last < count) last_moved = last;
+      break;
+    }
+    if (count >= 2) instruments.rounds_serial.inc();
+    round.clear();
+    if (call.messages == nullptr) build(r, round);
+    const std::vector<Message>& messages = call.messages ? *call.messages : round;
+    if (messages.empty()) continue;
+    const FluidPhase::Round result = run_round(messages);  // advances clock_
+    if (!result.moved) continue;
+    elapsed += result.elapsed;
+    if (record != nullptr) record->push_back(result.elapsed);
+    last_moved = r;
+  }
+  if (!memo) return elapsed;
+
+  auto known = std::make_shared<Replay>();
+  known->op = call.op;
+  known->bytes = call.bytes;
+  known->root = call.root;
+  if (call.messages != nullptr) {
+    known->messages = *call.messages;
+  } else if (last_moved < count) {
+    build(last_moved, known->messages);  // the builders of keyed calls are pure
+  }
+  known->durations = std::move(durations);
+  const std::size_t bytes = known->footprint();
+  if (memo_bytes_ + bytes > kReplayBudget) return elapsed;
+  known->phases = phase_counter_ - first_phase;
+  known->flows_failed = fault_stats_.flows_failed - failed_before;
+  if (last_moved < count) known->stats = engines_[0].stats();
+  memo_bytes_ += bytes;
+  memo_.emplace(key, std::move(known));
+  return elapsed;
+}
+
+std::uint32_t Machine::run_parallel(ThreadPool& pool, std::uint32_t begin,
+                                    std::uint32_t count, const RoundBuilder& build,
+                                    double& elapsed, std::vector<double>* durations) {
+  SimInstruments& instruments = SimInstruments::get();
   // Windows of rounds: built here in round order (so builders, and the
   // alltoallv callback, never run concurrently), then claimed by the pool
   // participants through an atomic cursor, each on its own engine. No fault
   // can strike and no tracer records, so a round depends only on its
   // messages and its phase index; the sums below run in round order.
-  const std::size_t participants = pool->size() + 1;
+  const std::size_t participants = pool.size() + 1;
   engines_.resize(std::max(engines_.size(), participants),
                   FluidPhase(params_.link_bandwidth));
   const std::size_t window = kRoundsPerParticipant * participants;
-  std::vector<std::vector<Message>> rounds(std::min<std::size_t>(window, count));
+  std::vector<std::vector<Message>> rounds(std::min<std::size_t>(window, count - begin));
   struct Slot {
     std::uint64_t index = 0;  ///< phase index; 0 for an empty round
     FluidPhase::Round result;
@@ -295,16 +423,17 @@ double Machine::run_rounds(std::uint32_t count, const RoundBuilder& build) {
   };
   std::vector<Slot> slots(rounds.size());
   const FluidPhase::Network net = network();
-  for (std::uint32_t begin = 0; begin < count;) {
-    const std::size_t size = std::min<std::size_t>(rounds.size(), count - begin);
+  std::uint32_t last_moved = count;
+  for (std::uint32_t first = begin; first < count;) {
+    const std::size_t size = std::min<std::size_t>(rounds.size(), count - first);
     for (std::size_t i = 0; i < size; ++i) {
       rounds[i].clear();
-      build(begin + static_cast<std::uint32_t>(i), rounds[i]);
+      build(first + static_cast<std::uint32_t>(i), rounds[i]);
       slots[i] = Slot{};
       if (!rounds[i].empty()) slots[i].index = ++phase_counter_;
     }
     std::atomic<std::size_t> cursor{0};
-    pool->parallel_for(participants, [&](std::size_t p) {
+    pool.parallel_for(participants, [&](std::size_t p) {
       FluidPhase& engine = engines_[p];
       for (std::size_t i; (i = cursor.fetch_add(1)) < size;) {
         Slot& slot = slots[i];
@@ -327,7 +456,9 @@ double Machine::run_rounds(std::uint32_t count, const RoundBuilder& build) {
       fault_stats_.retry_added_latency += slot.faults.retry_added_latency;
       clock_ += slot.result.elapsed;
       elapsed += slot.result.elapsed;
+      if (durations != nullptr) durations->push_back(slot.result.elapsed);
       last = slot.engine;
+      last_moved = first + static_cast<std::uint32_t>(i);
       moved = true;
     }
     if (moved) {
@@ -335,10 +466,11 @@ double Machine::run_rounds(std::uint32_t count, const RoundBuilder& build) {
       // Machine's own, so last_phase_stats() and link_loads() read it.
       if (last != 0) std::swap(engines_[0], engines_[last]);
       link_loads_stale_ = true;
+      replayed_.reset();
     }
-    begin += static_cast<std::uint32_t>(size);
+    first += static_cast<std::uint32_t>(size);
   }
-  return elapsed;
+  return last_moved;
 }
 
 // ---- collectives -------------------------------------------------------
@@ -358,12 +490,30 @@ std::uint32_t ring_rounds(std::uint32_t num_ranks) {
   return num_ranks > 0 ? num_ranks - 1 : 0;
 }
 
+/// The alltoall builder: pairwise exchange over ring_rounds(n) rounds, XOR
+/// partners when n is a power of two (perfect pairing), shifted partners
+/// otherwise; `bytes(src, dst)` sizes each pair, and zero sends nothing.
+template <class Bytes>
+auto pairwise_exchange(std::uint32_t n, const Bytes& bytes) {
+  return [n, &bytes](std::uint32_t k, std::vector<Message>& round) {
+    const bool pow2 = std::has_single_bit(n);
+    const std::uint32_t shift = k + 1;
+    round.reserve(n);
+    for (Rank r = 0; r < n; ++r) {
+      const Rank partner = pow2 ? (r ^ shift) : (r + shift) % n;
+      const std::uint64_t size = bytes(r, partner);
+      if (size > 0) round.push_back({r, partner, size});
+    }
+  };
+}
+
 }  // namespace
 
 double Machine::barrier() {
   // Zero-byte recursive-doubling dissemination.
   const std::uint32_t n = num_ranks_;
-  return run_rounds(log_rounds(n), [n](std::uint32_t k, std::vector<Message>& round) {
+  return run_rounds({Op::kBarrier}, log_rounds(n),
+                    [n](std::uint32_t k, std::vector<Message>& round) {
     const std::uint32_t stride = 1u << k;
     round.reserve(n);
     for (Rank r = 0; r < n; ++r) round.push_back({r, (r + stride) % n, 0});
@@ -374,7 +524,8 @@ double Machine::bcast(std::uint64_t bytes, Rank root) {
   // Binomial tree rooted at `root` (rank math done relative to the root).
   ORP_REQUIRE(root < num_ranks_, "root out of range");
   const std::uint32_t n = num_ranks_;
-  return run_rounds(log_rounds(n), [=](std::uint32_t k, std::vector<Message>& round) {
+  return run_rounds({Op::kBcast, bytes, root}, log_rounds(n),
+                    [=](std::uint32_t k, std::vector<Message>& round) {
     const std::uint32_t stride = 1u << k;
     for (Rank rel = 0; rel < stride && rel + stride < n; ++rel) {
       round.push_back({(root + rel) % n, (root + rel + stride) % n, bytes});
@@ -389,7 +540,8 @@ double Machine::reduce(std::uint64_t bytes, Rank root) {
   ORP_REQUIRE(root < num_ranks_, "root out of range");
   const std::uint32_t n = num_ranks_;
   const std::uint32_t rounds = log_rounds(n);
-  return run_rounds(rounds, [=](std::uint32_t k, std::vector<Message>& round) {
+  return run_rounds({Op::kReduce, bytes, root}, rounds,
+                    [=](std::uint32_t k, std::vector<Message>& round) {
     const std::uint32_t stride = 1u << (rounds - 1 - k);
     for (Rank rel = 0; rel < stride && rel + stride < n; ++rel) {
       round.push_back({(root + rel + stride) % n, (root + rel) % n, bytes});
@@ -401,7 +553,8 @@ double Machine::allreduce(std::uint64_t bytes) {
   const std::uint32_t n = num_ranks_;
   if (std::has_single_bit(n)) {
     // Recursive doubling: log2(n) rounds of pairwise exchanges.
-    return run_rounds(log_rounds(n), [=](std::uint32_t k, std::vector<Message>& round) {
+    return run_rounds({Op::kAllreduce, bytes}, log_rounds(n),
+                      [=](std::uint32_t k, std::vector<Message>& round) {
       round.reserve(n);
       for (Rank r = 0; r < n; ++r) round.push_back({r, r ^ (1u << k), bytes});
     });
@@ -413,13 +566,15 @@ double Machine::allgather(std::uint64_t bytes_per_rank) {
   const std::uint32_t n = num_ranks_;
   if (std::has_single_bit(n)) {
     // Recursive doubling: exchanged block doubles every round.
-    return run_rounds(log_rounds(n), [=](std::uint32_t k, std::vector<Message>& round) {
+    return run_rounds({Op::kAllgather, bytes_per_rank}, log_rounds(n),
+                      [=](std::uint32_t k, std::vector<Message>& round) {
       round.reserve(n);
       for (Rank r = 0; r < n; ++r) round.push_back({r, r ^ (1u << k), bytes_per_rank << k});
     });
   }
   // Ring allgather: n-1 rounds of neighbor forwarding.
-  return run_rounds(ring_rounds(n), [=](std::uint32_t, std::vector<Message>& round) {
+  return run_rounds({Op::kAllgather, bytes_per_rank}, ring_rounds(n),
+                    [=](std::uint32_t, std::vector<Message>& round) {
     round.reserve(n);
     for (Rank r = 0; r < n; ++r) round.push_back({r, (r + 1) % n, bytes_per_rank});
   });
@@ -432,7 +587,8 @@ double Machine::scatter(std::uint64_t bytes_per_rank, Rank root) {
   ORP_REQUIRE(root < num_ranks_, "root out of range");
   const std::uint32_t n = num_ranks_;
   const std::uint32_t rounds = log_rounds(n);
-  return run_rounds(rounds, [=](std::uint32_t k, std::vector<Message>& round) {
+  return run_rounds({Op::kScatter, bytes_per_rank, root}, rounds,
+                    [=](std::uint32_t k, std::vector<Message>& round) {
     const std::uint32_t stride = 1u << (rounds - 1 - k);
     for (Rank rel = 0; rel < stride && rel + stride < n; ++rel) {
       const std::uint32_t subtree = std::min(stride, n - (rel + stride));
@@ -446,7 +602,8 @@ double Machine::gather(std::uint64_t bytes_per_rank, Rank root) {
   // Mirror of scatter: subtree payloads converge up the binomial tree.
   ORP_REQUIRE(root < num_ranks_, "root out of range");
   const std::uint32_t n = num_ranks_;
-  return run_rounds(log_rounds(n), [=](std::uint32_t k, std::vector<Message>& round) {
+  return run_rounds({Op::kGather, bytes_per_rank, root}, log_rounds(n),
+                    [=](std::uint32_t k, std::vector<Message>& round) {
     const std::uint32_t stride = 1u << k;
     for (Rank rel = 0; rel < stride && rel + stride < n; ++rel) {
       const std::uint32_t subtree = std::min(stride, n - (rel + stride));
@@ -463,7 +620,8 @@ double Machine::reduce_scatter(std::uint64_t bytes_per_rank) {
     // at half the full vector.
     const std::uint32_t rounds = log_rounds(n);
     const std::uint64_t block = bytes_per_rank * (n / 2);
-    return run_rounds(rounds, [=](std::uint32_t k, std::vector<Message>& round) {
+    return run_rounds({Op::kReduceScatter, bytes_per_rank}, rounds,
+                      [=](std::uint32_t k, std::vector<Message>& round) {
       const std::uint32_t stride = 1u << (rounds - 1 - k);
       round.reserve(n);
       for (Rank r = 0; r < n; ++r) round.push_back({r, r ^ stride, block >> k});
@@ -479,30 +637,22 @@ double Machine::ring_allreduce(std::uint64_t bytes_total) {
   // neighbor. Total bytes on the wire per rank: 2 (n-1)/n * bytes_total.
   const std::uint32_t n = num_ranks_;
   const std::uint64_t chunk = std::max<std::uint64_t>(1, bytes_total / n);
-  return run_rounds(2 * ring_rounds(n), [=](std::uint32_t, std::vector<Message>& round) {
+  return run_rounds({Op::kRingAllreduce, bytes_total}, 2 * ring_rounds(n),
+                    [=](std::uint32_t, std::vector<Message>& round) {
     round.reserve(n);
     for (Rank r = 0; r < n; ++r) round.push_back({r, (r + 1) % n, chunk});
   });
 }
 
 double Machine::alltoall(std::uint64_t bytes_per_pair) {
-  return alltoallv([bytes_per_pair](Rank, Rank) { return bytes_per_pair; });
+  const auto size = [bytes_per_pair](Rank, Rank) { return bytes_per_pair; };
+  return run_rounds({Op::kAlltoall, bytes_per_pair}, ring_rounds(num_ranks_),
+                    pairwise_exchange(num_ranks_, size));
 }
 
 double Machine::alltoallv(const std::function<std::uint64_t(Rank, Rank)>& bytes) {
-  // Pairwise exchange: n-1 rounds; XOR partners when n is a power of two
-  // (perfect pairing), shifted partners otherwise.
-  const std::uint32_t n = num_ranks_;
-  const bool pow2 = std::has_single_bit(n);
-  return run_rounds(ring_rounds(n), [&](std::uint32_t k, std::vector<Message>& round) {
-    const std::uint32_t shift = k + 1;
-    round.reserve(n);
-    for (Rank r = 0; r < n; ++r) {
-      const Rank partner = pow2 ? (r ^ shift) : (r + shift) % n;
-      const std::uint64_t size = bytes(r, partner);
-      if (size > 0) round.push_back({r, partner, size});
-    }
-  });
+  return run_rounds({Op::kAlltoallv}, ring_rounds(num_ranks_),
+                    pairwise_exchange(num_ranks_, bytes));
 }
 
 }  // namespace orp

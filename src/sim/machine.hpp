@@ -20,15 +20,26 @@
 // Parallel rounds (docs/sim.md). The Machine owns the topology, routing,
 // clock, fault queue and telemetry; a FluidPhase engine runs one round on
 // them. A collective of two or more rounds runs them on the Machine's
-// thread pool, one engine per participant, when no fault event is left to
-// apply, no tracer is recording, the pool has a worker and the caller is
-// not one of them; otherwise it runs them one by one on the calling
-// thread. Durations, fault counters and the state read back afterwards
-// (now(), last_phase_stats(), link_loads()) are added and kept in round
-// order, so every result is bit-identical for every pool size.
+// thread pool, one engine per participant, whenever no fault event is left
+// to apply, no tracer is recording, the pool has a worker and the caller is
+// not one of them; otherwise it runs them one by one on the calling thread,
+// and a faulted collective hands its remaining rounds to the pool once its
+// last event has applied. Durations, fault counters and the state read back
+// afterwards (now(), last_phase_stats(), link_loads()) are added and kept
+// in round order, so every result is bit-identical for every pool size.
+//
+// Replayed calls (docs/sim.md). Under deterministic routing, with no fault
+// event pending and no tracer recording, a round is a pure function of its
+// messages, so the Machine remembers whole calls: phase() by its messages,
+// the other collectives except alltoallv() by (collective, bytes, root). A
+// repeated call adds the recorded round durations to the clock in round
+// order, as the first call did, instead of simulating again. The memo is cleared by reset() and by every fault that changes the
+// topology, so results never depend on it.
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "hsg/host_switch_graph.hpp"
@@ -60,8 +71,10 @@ class Machine : private FaultHook {
   const SimParams& params() const noexcept { return params_; }
   /// Simulated seconds elapsed so far.
   double now() const noexcept { return clock_; }
-  /// Resets the simulated clock (the topology/routing is reusable).
-  void reset() noexcept { clock_ = 0.0; }
+  /// Starts a new run on the same topology and routing: zeroes the clock
+  /// and the phase index (which ECMP hashes), and forgets every recorded
+  /// call. The fault state and the last phase's statistics are kept.
+  void reset() noexcept;
 
   /// Hop count of the route between two ranks (the end-to-end latency in
   /// links; equals l(h_i, h_j) of the underlying host-switch graph).
@@ -87,10 +100,10 @@ class Machine : private FaultHook {
 
   // ---- steps: each advances the clock and returns its elapsed seconds --
 
-  /// Every rank computes `flops` operations in parallel.
+  /// Every rank computes `flops` operations in parallel (finite, >= 0).
   double compute(double flops_per_rank);
   /// Injects all messages at once; returns when the last one lands. Runs
-  /// on the calling thread.
+  /// on the calling thread, or replays an identical earlier call.
   double phase(const std::vector<Message>& messages);
 
   // Rooted collectives throw std::invalid_argument when root >= num_ranks().
@@ -124,21 +137,84 @@ class Machine : private FaultHook {
 
   /// Statistics of the most recent phase() that moved flows (collectives
   /// update it once per internal round; the last round's stats remain).
-  const PhaseStats& last_phase_stats() const noexcept { return engines_[0].stats(); }
+  const PhaseStats& last_phase_stats() const noexcept {
+    return replayed_ ? replayed_->stats : engines_[0].stats();
+  }
   /// Per-link load of the same phase: what each link carried over its
   /// transfer window. Traced phases build it anyway; otherwise the first
-  /// call after a phase builds it.
+  /// call after a phase builds it (after a replayed call, by simulating
+  /// that call's last round once).
   const LinkLoads& link_loads() const;
 
+  /// Bytes the replay memo holds at most (1 MiB, counted by
+  /// Replay::footprint()); calls recorded past it are simulated every time.
+  static constexpr std::size_t kReplayBudget = std::size_t{1} << 20;
+
  private:
+  /// The collective a call runs, part of its replay key.
+  enum class Op : std::uint8_t {
+    kPhase, kBarrier, kBcast, kReduce, kAllreduce, kAllgather, kScatter,
+    kGather, kReduceScatter, kRingAllreduce, kAlltoall, kAlltoallv
+  };
+  /// One call handed to run_rounds(): its replay key and, for kPhase, its
+  /// one round.
+  struct Call {
+    Op op;
+    std::uint64_t bytes = 0;
+    Rank root = 0;
+    const std::vector<Message>* messages = nullptr;
+  };
+  /// What a recorded call did, replayed in place of simulating it again.
+  struct Replay {
+    Op op;
+    std::uint64_t bytes;
+    Rank root;
+    /// kPhase: the call's messages (its key); otherwise the messages of its
+    /// last round that moved flows.
+    std::vector<Message> messages;
+    std::vector<double> durations;  ///< each round that moved flows, in order
+    std::uint64_t phases = 0;       ///< phase indices the call consumed
+    std::uint64_t flows_failed = 0; ///< flows that failed at injection
+    PhaseStats stats;               ///< of the last round that moved flows
+
+    /// Bytes the entry holds: itself, its two arrays, and its map node and
+    /// shared_ptr control block (about 64 bytes).
+    std::size_t footprint() const {
+      return sizeof(Replay) + 64 + messages.size() * sizeof(Message) +
+             durations.size() * sizeof(double);
+    }
+  };
+
   /// Builds round `r` of a collective into `out` (handed over empty).
   using RoundBuilder = std::function<void(std::uint32_t r, std::vector<Message>& out)>;
-  /// The one round driver of every collective: builds rounds [0, count) on
-  /// the calling thread in round order and runs them, in parallel when
-  /// parallel_pool() allows; returns their summed elapsed seconds.
-  double run_rounds(std::uint32_t count, const RoundBuilder& build);
+  /// Runs every call, collectives and phase() alike: replays `call` when
+  /// the memo holds it; otherwise builds rounds [0, count) on the calling
+  /// thread in round order and runs them, in parallel from the first round
+  /// where parallel_pool() allows, and records the call when it may be
+  /// replayed. Returns the rounds' summed elapsed seconds.
+  double run_rounds(const Call& call, std::uint32_t count, const RoundBuilder& build);
+  /// Runs rounds [begin, count) on `pool`, adding each round's duration to
+  /// clock_ and `elapsed` in round order (and to `durations` when given).
+  /// Returns the last round that moved flows, or `count` when none did.
+  std::uint32_t run_parallel(ThreadPool& pool, std::uint32_t begin, std::uint32_t count,
+                             const RoundBuilder& build, double& elapsed,
+                             std::vector<double>* durations);
+  /// Runs one round on engine 0 with the fault queue as its hook.
+  FluidPhase::Round run_round(const std::vector<Message>& messages);
   /// The pool to run `count` rounds on now, or nullptr for the serial path.
   ThreadPool* parallel_pool(std::uint32_t count);
+  /// True while no fault event is left to apply and no tracer is recording:
+  /// a round then depends only on its messages and its phase index.
+  bool quiet() const;
+  /// True while a round is a pure function of its messages: quiet() under
+  /// deterministic routing, which ignores the phase index.
+  bool replayable() const;
+  /// Advances the clock, the phase index and the fault counters as
+  /// simulating `call` again would; returns its elapsed seconds.
+  double replay(const std::shared_ptr<const Replay>& call);
+  /// Simulates the last replayed call's last round on engine 0 again, so
+  /// its flow table backs link_loads().
+  void rerun_replayed() const;
 
   // FaultHook: the serial engine's view of the fault queue.
   double next_fault_time() const override;
@@ -163,11 +239,19 @@ class Machine : private FaultHook {
   mutable bool link_loads_stale_ = false;
 
   /// Round engines: [0] is the Machine's own, which ran the last round
-  /// that moved flows; a parallel collective also uses one per extra pool
-  /// participant.
-  std::vector<FluidPhase> engines_;
+  /// that moved flows (or re-runs a replayed one for link_loads()); a
+  /// parallel collective also uses one per extra pool participant.
+  mutable std::vector<FluidPhase> engines_;
   ThreadPool* pool_ = nullptr;
   bool global_pool_ = false;  ///< pool_ is ThreadPool::global(), not yet looked up
+
+  /// Recorded calls by key hash (docs/sim.md, "Replayed calls"); entries
+  /// are immutable and compared exactly on lookup.
+  std::unordered_multimap<std::uint64_t, std::shared_ptr<const Replay>> memo_;
+  std::size_t memo_bytes_ = 0;  ///< footprint of memo_, <= kReplayBudget
+  /// The last replayed call that moved flows, while engine 0 does not hold
+  /// its last round: last_phase_stats() reads it, link_loads() re-runs it.
+  mutable std::shared_ptr<const Replay> replayed_;
 
   // Fault state.
   std::vector<std::uint8_t> switch_dead_;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <limits>
 
 #include "common/prng.hpp"
 #include "obs/metrics.hpp"
@@ -204,6 +206,61 @@ TEST(Machine, RankMappingChangesRoutes) {
 TEST(Machine, RejectsNonPermutationMapping) {
   EXPECT_THROW(Machine(dumbbell_graph(), simple_params(), {0, 0, 1, 2}),
                std::invalid_argument);
+}
+
+// ---- parameter validation: each bad value used to give a silently wrong
+// clock (backwards, infinite, or an alltoall of 0 s) ---------------------
+
+/// Expects Machine construction to reject `field` at each of `bad` and to
+/// accept it at each of `good`.
+void expect_param_checked(double SimParams::*field, std::initializer_list<double> bad,
+                          std::initializer_list<double> good) {
+  for (const double v : bad) {
+    SimParams p = simple_params();
+    p.*field = v;
+    EXPECT_THROW(Machine(pair_graph(), p), std::invalid_argument) << v;
+  }
+  for (const double v : good) {
+    SimParams p = simple_params();
+    p.*field = v;
+    EXPECT_NO_THROW(Machine(pair_graph(), p)) << v;
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(MachineParams, HostGflopsMustBeFiniteAndPositive) {
+  expect_param_checked(&SimParams::host_gflops, {-1.0, 0.0, kNaN, kInf}, {1e-3, 100.0});
+}
+
+TEST(MachineParams, HopLatencyMustBeFiniteAndNonNegative) {
+  expect_param_checked(&SimParams::hop_latency, {-1.0, -1e-12, kNaN, kInf}, {0.0, 1e-6});
+}
+
+TEST(MachineParams, MpiOverheadMustBeFiniteAndNonNegative) {
+  expect_param_checked(&SimParams::mpi_overhead, {-1.0, kNaN, kInf}, {0.0, 1e-6});
+}
+
+TEST(MachineParams, RetryBackoffMustBeFiniteAndNonNegative) {
+  expect_param_checked(&SimParams::retry_backoff, {-1.0, kNaN, kInf}, {0.0, 1e-5});
+}
+
+TEST(MachineParams, RetryTimeoutMustBeFiniteAndNonNegative) {
+  expect_param_checked(&SimParams::retry_timeout, {-1.0, kNaN, kInf}, {0.0, 1e-3});
+}
+
+TEST(MachineParams, LinkBandwidthMustBePositive) {
+  expect_param_checked(&SimParams::link_bandwidth, {-1.0, 0.0, kNaN}, {1e9});
+}
+
+TEST(MachineParams, ComputeRejectsNegativeOrNonFiniteFlops) {
+  Machine m(pair_graph(), simple_params());
+  for (const double flops : {-1.0, kNaN, kInf}) {
+    EXPECT_THROW(m.compute(flops), std::invalid_argument) << flops;
+  }
+  EXPECT_EQ(m.now(), 0.0);
+  EXPECT_DOUBLE_EQ(m.compute(0.0), 0.0);
 }
 
 // ---- collectives -------------------------------------------------------

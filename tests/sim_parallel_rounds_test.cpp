@@ -18,6 +18,7 @@
 #include "search/random_init.hpp"
 #include "sim/machine.hpp"
 #include "sim/telemetry/telemetry.hpp"
+#include "sim_record.hpp"
 
 namespace orp {
 namespace {
@@ -37,53 +38,12 @@ HostSwitchGraph disconnected_graph() {
   return g;
 }
 
-/// Every observable of a Machine after each step, as exact bit patterns.
-struct Record {
-  std::vector<std::string> what;
-  std::vector<std::uint64_t> bits;
-
-  void add(const std::string& name, double v) { add(name, std::bit_cast<std::uint64_t>(v)); }
-  void add(const std::string& name, std::uint64_t v) {
-    what.push_back(name);
-    bits.push_back(v);
-  }
-
-  void observe(const std::string& step, double returned, const Machine& m) {
-    add(step + ".returned", returned);
-    add(step + ".now", m.now());
-    const PhaseStats& s = m.last_phase_stats();
-    add(step + ".stats.elapsed", s.elapsed);
-    add(step + ".stats.mean_hops", s.mean_hops);
-    add(step + ".stats.flows", s.flows);
-    add(step + ".stats.completed", s.completed);
-    add(step + ".stats.retried", s.retried);
-    add(step + ".stats.failed", s.failed);
-    add(step + ".stats.retry_added_latency", s.retry_added_latency);
-    const LinkLoads& loads = m.link_loads();
-    add(step + ".loads.window_s", loads.window_s);
-    add(step + ".loads.capacity_bytes", loads.capacity_bytes);
-    add(step + ".loads.max_utilization", loads.max_utilization);
-    add(step + ".loads.used", static_cast<std::uint64_t>(loads.used.size()));
-    for (std::size_t l = 0; l < loads.links.size(); ++l) {
-      const LinkLoads::Link& link = loads.links[l];
-      if (link.flows == 0) continue;
-      const std::string name = step + ".link" + std::to_string(l);
-      add(name + ".bytes", link.bytes);
-      add(name + ".slowest_bps", link.slowest_bps);
-      add(name + ".flows", std::uint64_t{link.flows});
-    }
-    const FaultStats& f = m.fault_stats();
-    add(step + ".faults.events_applied", f.events_applied);
-    add(step + ".faults.routing_rebuilds", f.routing_rebuilds);
-    add(step + ".faults.flows_retried", f.flows_retried);
-    add(step + ".faults.flows_failed", f.flows_failed);
-    add(step + ".faults.retry_added_latency", f.retry_added_latency);
-  }
-};
-
-/// Runs every collective (and one plain phase) on a fresh Machine.
+/// Runs every collective (and one plain phase) on a fresh Machine. `faults`
+/// strike the first barrier; `tail_faults`, with times relative to its
+/// start, strike the first alltoall.
 Record run_all(const HostSwitchGraph& g, RoutingPolicy routing, ThreadPool* pool,
-               std::vector<FaultEvent> faults = {}) {
+               std::vector<FaultEvent> faults = {},
+               std::vector<FaultEvent> tail_faults = {}) {
   SimParams params;
   params.routing = routing;
   Machine m(g, params, {}, pool);
@@ -93,6 +53,13 @@ Record run_all(const HostSwitchGraph& g, RoutingPolicy routing, ThreadPool* pool
   if (!faults.empty()) {
     m.inject_faults(std::move(faults));
     rec.observe("faulted_barrier", m.barrier(), m);
+  }
+  if (!tail_faults.empty()) {
+    const std::uint64_t applied = m.fault_stats().events_applied + tail_faults.size();
+    for (FaultEvent& e : tail_faults) e.time += m.now();
+    m.inject_faults(std::move(tail_faults));
+    rec.observe("faulted_alltoall", m.alltoall(2048), m);
+    EXPECT_EQ(m.fault_stats().events_applied, applied);  // all struck inside it
   }
   rec.observe("barrier", m.barrier(), m);
   rec.observe("bcast", m.bcast(4096, root), m);
@@ -116,19 +83,11 @@ Record run_all(const HostSwitchGraph& g, RoutingPolicy routing, ThreadPool* pool
   return rec;
 }
 
-void expect_identical(const Record& want, const Record& got, const std::string& label) {
-  ASSERT_EQ(want.what, got.what) << label;
-  for (std::size_t i = 0; i < want.bits.size(); ++i) {
-    EXPECT_EQ(want.bits[i], got.bits[i]) << label << ": " << want.what[i] << " "
-                                         << std::bit_cast<double>(want.bits[i]) << " vs "
-                                         << std::bit_cast<double>(got.bits[i]);
-  }
-}
-
 struct Case {
   std::string name;
   HostSwitchGraph graph;
   std::vector<FaultEvent> faults;
+  std::vector<FaultEvent> tail_faults = {};
 };
 
 std::vector<Case> cases() {
@@ -140,6 +99,13 @@ std::vector<Case> cases() {
   // and every later collective runs with dead ranks on the pool.
   const HostSwitchGraph g = random_graph(40, 8, 9);
   out.push_back({"dead_switch_n40", g, {{0.0, FaultEvent::Kind::kSwitchDown, 1, 0}}});
+  // A cable that fails and comes back within the first rounds of an
+  // alltoall: the rounds after the repair run on the pool.
+  const HostSwitchGraph h = random_graph(48, 10, 5);
+  const SwitchId far = h.neighbors(0)[0];
+  out.push_back({"early_fault_alltoall_n48", h, {},
+                 {{0.5e-6, FaultEvent::Kind::kLinkDown, 0, far},
+                  {4e-6, FaultEvent::Kind::kLinkUp, 0, far}}});
   return out;
 }
 
@@ -150,11 +116,14 @@ TEST(ParallelRounds, BitIdenticalAcrossPoolSizes) {
     for (const RoutingPolicy routing : {RoutingPolicy::kDeterministic, RoutingPolicy::kEcmp}) {
       const std::string label =
           c.name + (routing == RoutingPolicy::kEcmp ? "/ecmp" : "/deterministic");
-      const Record serial = run_all(c.graph, routing, nullptr, c.faults);
-      expect_identical(serial, run_all(c.graph, routing, &one, c.faults), label + "/pool1");
-      expect_identical(serial, run_all(c.graph, routing, &three, c.faults), label + "/pool3");
+      const Record serial = run_all(c.graph, routing, nullptr, c.faults, c.tail_faults);
+      expect_identical(serial, run_all(c.graph, routing, &one, c.faults, c.tail_faults),
+                       label + "/pool1");
+      expect_identical(serial, run_all(c.graph, routing, &three, c.faults, c.tail_faults),
+                       label + "/pool3");
       // Twice on the same pool: engines persist across Machines' calls.
-      expect_identical(serial, run_all(c.graph, routing, &three, c.faults), label + "/pool3b");
+      expect_identical(serial, run_all(c.graph, routing, &three, c.faults, c.tail_faults),
+                       label + "/pool3b");
     }
   }
 }
@@ -223,6 +192,8 @@ TEST(ParallelRounds, CountersShowWhichPathEachCollectiveTook) {
   EXPECT_EQ(counter("sim.rounds.parallel") - parallel, 31u);
   EXPECT_EQ(counter("sim.rounds.serial") - serial, 0u);
 
+  // The event falls after round 0's transfer and applies as round 1 starts;
+  // the 29 rounds after it run on the pool.
   Machine faulted(g, SimParams{}, {}, &pool);
   const SwitchId a = 0;
   const SwitchId b = g.neighbors(0)[0];
@@ -230,9 +201,20 @@ TEST(ParallelRounds, CountersShowWhichPathEachCollectiveTook) {
   parallel = counter("sim.rounds.parallel");
   serial = counter("sim.rounds.serial");
   faulted.alltoall(1024);
+  EXPECT_EQ(counter("sim.rounds.parallel") - parallel, 29u);
+  EXPECT_EQ(counter("sim.rounds.serial") - serial, 2u);
+  EXPECT_EQ(faulted.fault_stats().events_applied, 1u);
+
+  // An event past the collective's end stays pending, so every round is
+  // serial.
+  Machine pending(g, SimParams{}, {}, &pool);
+  pending.inject_faults({{1.0, FaultEvent::Kind::kLinkDown, a, b}});
+  parallel = counter("sim.rounds.parallel");
+  serial = counter("sim.rounds.serial");
+  pending.alltoall(1024);
   EXPECT_EQ(counter("sim.rounds.parallel") - parallel, 0u);
   EXPECT_EQ(counter("sim.rounds.serial") - serial, 31u);
-  EXPECT_EQ(faulted.fault_stats().events_applied, 1u);
+  EXPECT_EQ(pending.fault_stats().events_applied, 0u);
 }
 
 TEST(ParallelRounds, TracedRunEqualsUntraced) {
