@@ -11,7 +11,7 @@
 
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace orp;
   using namespace orp::bench;
 
@@ -20,9 +20,9 @@ int main(int argc, char** argv) {
   cli.option("radix", "12", "ports per switch");
   cli.option("iters", "0", "SA iterations (0 = ORP_SA_ITERS or 1500)");
   if (!parse_cli_with_obs(cli, argc, argv)) return 0;
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n"));
-  const auto r = static_cast<std::uint32_t>(cli.get_int("radix"));
-  std::uint64_t iterations = static_cast<std::uint64_t>(cli.get_int("iters"));
+  const auto n = cli.get_uint<std::uint32_t>("n");
+  const auto r = cli.get_uint<std::uint32_t>("radix");
+  std::uint64_t iterations = cli.get_uint<std::uint64_t>("iters");
   if (iterations == 0) iterations = sa_iters(1500);
 
   const SolveResult proposed = build_proposed(n, r, iterations);
@@ -59,4 +59,6 @@ int main(int argc, char** argv) {
                "all-to-all (FT) is mapping-insensitive\n";
   finish_obs(cli);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

@@ -14,7 +14,7 @@
 #include "topo/fattree.hpp"
 #include "topo/torus.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace orp;
   using namespace orp::bench;
 
@@ -23,9 +23,9 @@ int main(int argc, char** argv) {
   cli.option("iters", "0", "SA iterations (0 = ORP_SA_ITERS or 1500)");
   cli.option("roots", "8", "spanning-tree roots sampled for up*/down*");
   if (!parse_cli_with_obs(cli, argc, argv)) return 0;
-  const auto n = static_cast<std::uint32_t>(cli.get_int("hosts"));
-  const auto roots = static_cast<std::uint32_t>(cli.get_int("roots"));
-  std::uint64_t iterations = static_cast<std::uint64_t>(cli.get_int("iters"));
+  const auto n = cli.get_uint<std::uint32_t>("hosts");
+  const auto roots = cli.get_uint<std::uint32_t>("roots");
+  std::uint64_t iterations = cli.get_uint<std::uint64_t>("iters");
   if (iterations == 0) iterations = sa_iters(1500);
 
   struct Candidate {
@@ -85,4 +85,6 @@ int main(int argc, char** argv) {
                "latency price irregular topologies pay without virtual channels\n";
   finish_obs(cli);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

@@ -18,7 +18,7 @@
 #include "topo/fattree.hpp"
 #include "topo/torus.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace orp;
   using namespace orp::bench;
 
@@ -29,10 +29,10 @@ int main(int argc, char** argv) {
   cli.option("iters", "0", "SA iterations (0 = ORP_SA_ITERS or 1500)");
   cli.option("cabinet", "4", "switches per cabinet for correlated outages");
   if (!parse_cli_with_obs(cli, argc, argv)) return 0;
-  const auto n = static_cast<std::uint32_t>(cli.get_int("hosts"));
-  const auto trials = static_cast<std::uint32_t>(cli.get_int("trials"));
-  const auto per_cabinet = static_cast<std::uint32_t>(cli.get_int("cabinet"));
-  std::uint64_t iterations = static_cast<std::uint64_t>(cli.get_int("iters"));
+  const auto n = cli.get_uint<std::uint32_t>("hosts");
+  const auto trials = cli.get_uint<std::uint32_t>("trials");
+  const auto per_cabinet = cli.get_uint<std::uint32_t>("cabinet");
+  std::uint64_t iterations = cli.get_uint<std::uint64_t>("iters");
   if (iterations == 0) iterations = sa_iters(1500);
 
   struct Candidate {
@@ -150,4 +150,6 @@ int main(int argc, char** argv) {
 
   finish_obs(cli);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

@@ -12,7 +12,7 @@
 #include "topo/fattree.hpp"
 #include "topo/torus.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace orp;
   using namespace orp::bench;
 
@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
   cli.option("hosts", "64", "hosts (square power of two)");
   cli.option("iters", "0", "SA iterations for the proposed topology (0 = ORP_SA_ITERS or 1000)");
   if (!parse_cli_with_obs(cli, argc, argv)) return 0;
-  const auto n = static_cast<std::uint32_t>(cli.get_int("hosts"));
-  std::uint64_t iterations = static_cast<std::uint64_t>(cli.get_int("iters"));
+  const auto n = cli.get_uint<std::uint32_t>("hosts");
+  std::uint64_t iterations = cli.get_uint<std::uint64_t>("iters");
   if (iterations == 0) iterations = sa_iters(1000);
 
   struct Candidate {
@@ -67,4 +67,6 @@ int main(int argc, char** argv) {
                "model); small-message ratios drift as serialization bites\n";
   finish_obs(cli);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

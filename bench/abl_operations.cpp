@@ -12,7 +12,7 @@
 #include "hsg/bounds.hpp"
 #include "search/random_init.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace orp;
   using namespace orp::bench;
 
@@ -24,11 +24,11 @@ int main(int argc, char** argv) {
   cli.option("iters", "0", "SA iterations (0 = ORP_SA_ITERS or 1500)");
   if (!parse_cli_with_obs(cli, argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n"));
-  const auto r = static_cast<std::uint32_t>(cli.get_int("radix"));
-  const auto m = static_cast<std::uint32_t>(cli.get_int("m"));
-  const auto seeds = static_cast<std::uint64_t>(cli.get_int("seeds"));
-  std::uint64_t iterations = static_cast<std::uint64_t>(cli.get_int("iters"));
+  const auto n = cli.get_uint<std::uint32_t>("n");
+  const auto r = cli.get_uint<std::uint32_t>("radix");
+  const auto m = cli.get_uint<std::uint32_t>("m");
+  const auto seeds = cli.get_uint<std::uint64_t>("seeds");
+  std::uint64_t iterations = cli.get_uint<std::uint64_t>("iters");
   if (iterations == 0) iterations = sa_iters(1500);
 
   print_header("Ablation: operations at n=" + std::to_string(n) + ", m=" +
@@ -62,4 +62,6 @@ int main(int argc, char** argv) {
          "non-divisor m_opt values Fig. 5/6 need\n";
   finish_obs(cli);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

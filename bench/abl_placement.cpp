@@ -12,7 +12,7 @@
 #include "topo/dragonfly.hpp"
 #include "topo/torus.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace orp;
   using namespace orp::bench;
 
@@ -21,11 +21,11 @@ int main(int argc, char** argv) {
   cli.option("sa-iters", "0", "topology SA iterations (0 = ORP_SA_ITERS or 2000)");
   cli.option("placement-iters", "30000", "placement SA iterations");
   if (!parse_cli_with_obs(cli, argc, argv)) return 0;
-  const auto n = static_cast<std::uint32_t>(cli.get_int("hosts"));
-  std::uint64_t sa_iterations = static_cast<std::uint64_t>(cli.get_int("sa-iters"));
+  const auto n = cli.get_uint<std::uint32_t>("hosts");
+  std::uint64_t sa_iterations = cli.get_uint<std::uint64_t>("sa-iters");
   if (sa_iterations == 0) sa_iterations = sa_iters(2000);
   const auto placement_iters =
-      static_cast<std::uint64_t>(cli.get_int("placement-iters"));
+      cli.get_uint<std::uint64_t>("placement-iters");
 
   struct Candidate {
     std::string name;
@@ -57,4 +57,6 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   finish_obs(cli);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

@@ -10,7 +10,7 @@
 #include "hsg/bounds.hpp"
 #include "search/random_init.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace orp;
   using namespace orp::bench;
 
@@ -22,10 +22,10 @@ int main(int argc, char** argv) {
              "write the SA convergence curves (iteration, h-ASPL, temperature) "
              "to this CSV file");
   if (!parse_cli_with_obs(cli, argc, argv)) return 0;
-  const int trials = static_cast<int>(cli.get_int("random-trials"));
-  std::uint64_t iterations = static_cast<std::uint64_t>(cli.get_int("iters"));
+  const int trials = cli.get_uint<int>("random-trials");
+  std::uint64_t iterations = cli.get_uint<std::uint64_t>("iters");
   if (iterations == 0) iterations = sa_iters(2000);
-  const auto trace_every = static_cast<std::uint64_t>(cli.get_int("trace-every"));
+  const auto trace_every = cli.get_uint<std::uint64_t>("trace-every");
   const std::string trace_csv = cli.get("trace-csv");
 
   print_header("Ablation: best-of-" + std::to_string(trials) +
@@ -77,4 +77,6 @@ int main(int argc, char** argv) {
   }
   finish_obs(cli);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

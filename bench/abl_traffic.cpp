@@ -14,7 +14,7 @@
 #include "topo/fattree.hpp"
 #include "topo/torus.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace orp;
   using namespace orp::bench;
 
@@ -23,9 +23,9 @@ int main(int argc, char** argv) {
   cli.option("bytes", "1000000", "message size per rank");
   cli.option("iters", "0", "SA iterations for the proposed topology (0 = ORP_SA_ITERS or 1500)");
   if (!parse_cli_with_obs(cli, argc, argv)) return 0;
-  const auto n = static_cast<std::uint32_t>(cli.get_int("hosts"));
-  const auto bytes = static_cast<std::uint64_t>(cli.get_int("bytes"));
-  std::uint64_t iterations = static_cast<std::uint64_t>(cli.get_int("iters"));
+  const auto n = cli.get_uint<std::uint32_t>("hosts");
+  const auto bytes = cli.get_uint<std::uint64_t>("bytes");
+  std::uint64_t iterations = cli.get_uint<std::uint64_t>("iters");
   if (iterations == 0) iterations = sa_iters(1500);
 
   struct Candidate {
@@ -72,4 +72,6 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   finish_obs(cli);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

@@ -117,16 +117,15 @@ inline bool parse_cli_with_obs(CliParser& cli, int argc, const char* const* argv
   // Start the run-ledger clock and remember argv; finish_obs appends the
   // record, so every bench invocation lands in $ORP_RUN_LEDGER.
   obs::ledger_capture_argv(argc, argv);
-  const std::int64_t replicas = cli.get_int("replicas");
-  if (replicas < 1) throw std::invalid_argument("--replicas must be >= 1");
-  cli_replicas() = static_cast<std::uint32_t>(replicas);
-  const std::int64_t interval = cli.get_int("swap-interval");
-  if (interval < 1) throw std::invalid_argument("--swap-interval must be >= 1");
-  cli_swap_interval() = static_cast<std::uint64_t>(interval);
+  cli_replicas() = cli.get_uint<std::uint32_t>("replicas");
+  if (cli_replicas() < 1) throw std::invalid_argument("--replicas must be >= 1");
+  cli_swap_interval() = cli.get_uint<std::uint64_t>("swap-interval");
+  if (cli_swap_interval() < 1) {
+    throw std::invalid_argument("--swap-interval must be >= 1");
+  }
   return true;
 } catch (const std::invalid_argument& e) {
-  std::cerr << "error: " << e.what() << "\n";
-  std::exit(2);
+  std::exit(report_bad_argument(e));
 }
 
 /// End-of-run counterpart: prints the metrics table when --obs-summary was

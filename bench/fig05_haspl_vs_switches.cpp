@@ -102,13 +102,13 @@ void run_panel(std::uint32_t n, std::uint32_t r, std::uint64_t iterations) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliParser cli("fig05_haspl_vs_switches", "Fig. 5: h-ASPL vs number of switches");
   cli.flag("all", "run the full 4x2 (n, r) grid instead of the typical panels");
   cli.option("iters", "0", "SA iterations per point (0 = ORP_SA_ITERS or 800)");
   if (!orp::bench::parse_cli_with_obs(cli, argc, argv)) return 0;
 
-  std::uint64_t iterations = static_cast<std::uint64_t>(cli.get_int("iters"));
+  std::uint64_t iterations = cli.get_uint<std::uint64_t>("iters");
   if (iterations == 0) iterations = orp::bench::sa_iters(800);
 
   std::vector<std::pair<std::uint32_t, std::uint32_t>> panels;
@@ -122,4 +122,6 @@ int main(int argc, char** argv) {
   for (const auto& [n, r] : panels) run_panel(n, r, iterations);
   orp::bench::finish_obs(cli);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

@@ -44,11 +44,11 @@ void run_panel(std::uint32_t n, std::uint32_t r, std::uint64_t iterations) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliParser cli("fig06_host_distribution", "Fig. 6: host distribution at m_opt");
   cli.option("iters", "0", "SA iterations (0 = ORP_SA_ITERS or 2500)");
   if (!parse_cli_with_obs(cli, argc, argv)) return 0;
-  std::uint64_t iterations = static_cast<std::uint64_t>(cli.get_int("iters"));
+  std::uint64_t iterations = cli.get_uint<std::uint64_t>("iters");
   if (iterations == 0) iterations = sa_iters(2500);
 
   run_panel(128, 24, iterations);
@@ -56,4 +56,6 @@ int main(int argc, char** argv) {
   run_panel(1024, 24, iterations);
   finish_obs(cli);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

@@ -11,7 +11,7 @@
 #include "bench_util.hpp"
 #include "hsg/bounds.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace orp;
   using namespace orp::bench;
 
@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
   cli.option("n", "1024", "number of hosts");
   cli.option("radix", "24", "ports per switch");
   if (!parse_cli_with_obs(cli, argc, argv)) return 0;
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n"));
-  const auto r = static_cast<std::uint32_t>(cli.get_int("radix"));
+  const auto n = cli.get_uint<std::uint32_t>("n");
+  const auto r = cli.get_uint<std::uint32_t>("radix");
 
   const std::uint32_t m_opt = optimal_switch_count(n, r);
   print_header("Fig. 7: Moore bound vs continuous Moore bound (n=" +
@@ -58,4 +58,6 @@ int main(int argc, char** argv) {
   emit_table(divisors, "fig07_divisors");
   finish_obs(cli);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

@@ -9,7 +9,7 @@
 #include "bench_util.hpp"
 #include "hsg/bounds.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace orp;
   using namespace orp::bench;
 
@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
                 "Fig. 8: host distribution with unused switches (n=m=1024, r=24)");
   cli.option("iters", "0", "SA iterations (0 = ORP_SA_ITERS or 20000)");
   if (!parse_cli_with_obs(cli, argc, argv)) return 0;
-  std::uint64_t iterations = static_cast<std::uint64_t>(cli.get_int("iters"));
+  std::uint64_t iterations = cli.get_uint<std::uint64_t>("iters");
   if (iterations == 0) iterations = sa_iters(20000);
 
   const std::uint32_t n = 1024, m = 1024, r = 24;
@@ -50,4 +50,6 @@ int main(int argc, char** argv) {
             << "% — paper reports over 70%)\n";
   finish_obs(cli);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

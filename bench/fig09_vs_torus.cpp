@@ -8,7 +8,7 @@
 #include "compare_common.hpp"
 #include "topo/torus.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace orp;
   using namespace orp::bench;
 
@@ -34,4 +34,6 @@ int main(int argc, char** argv) {
   run_comparison(config);
   finish_obs(cli);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

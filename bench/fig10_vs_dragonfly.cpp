@@ -18,7 +18,7 @@ orp::DragonflyParams smallest_dragonfly(std::uint32_t hosts) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace orp;
   using namespace orp::bench;
 
@@ -41,4 +41,6 @@ int main(int argc, char** argv) {
   run_comparison(config);
   finish_obs(cli);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

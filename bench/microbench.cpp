@@ -477,7 +477,7 @@ void register_fault(BenchRegistry& registry) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using orp::bench::finish_obs;
   using orp::bench::parse_cli_with_obs;
 
@@ -507,14 +507,14 @@ int main(int argc, char** argv) {
   options.repetitions = options.quick ? 5 : 12;
   options.warmup = options.quick ? 1 : 2;
   options.min_rep_seconds = options.quick ? 0.010 : 0.050;
-  if (cli.get_int("repetitions") > 0) {
-    options.repetitions = static_cast<int>(cli.get_int("repetitions"));
+  if (const int reps = cli.get_uint<int>("repetitions"); reps > 0) {
+    options.repetitions = reps;
   }
-  if (cli.get_int("warmup") > 0) {
-    options.warmup = static_cast<int>(cli.get_int("warmup"));
+  if (const int warmup = cli.get_uint<int>("warmup"); warmup > 0) {
+    options.warmup = warmup;
   }
-  if (cli.get_int("min-rep-ms") > 0) {
-    options.min_rep_seconds = static_cast<double>(cli.get_int("min-rep-ms")) / 1e3;
+  if (const auto ms = cli.get_uint<std::uint32_t>("min-rep-ms"); ms > 0) {
+    options.min_rep_seconds = static_cast<double>(ms) / 1e3;
   }
 
   if (cli.has("list")) {
@@ -568,4 +568,6 @@ int main(int argc, char** argv) {
 
   finish_obs(cli);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

@@ -18,7 +18,7 @@
 #include "hsg/metrics.hpp"
 #include "search/solver.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace orp;
 
   CliParser cli("cluster_planner", "explore radix/cost trade-offs for a fixed host count");
@@ -32,10 +32,12 @@ int main(int argc, char** argv) {
   cli.option("seed", "1", "random seed");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_int("hosts"));
-  const auto r_min = static_cast<std::uint32_t>(cli.get_int("radix-min"));
-  const auto r_max = static_cast<std::uint32_t>(cli.get_int("radix-max"));
-  const auto r_step = static_cast<std::uint32_t>(cli.get_int("radix-step"));
+  const auto n = cli.get_uint<std::uint32_t>("hosts");
+  // 16-bit radix bounds keep `r += r_step` below 2^32, so the sweep ends.
+  const std::uint32_t r_min = cli.get_uint<std::uint16_t>("radix-min");
+  const std::uint32_t r_max = cli.get_uint<std::uint16_t>("radix-max");
+  const std::uint32_t r_step = cli.get_uint<std::uint16_t>("radix-step");
+  if (r_step == 0) throw std::invalid_argument("--radix-step must be >= 1");
   const double haspl_target = cli.get_double("haspl-target");
   const double budget = cli.get_double("budget");
 
@@ -46,8 +48,8 @@ int main(int argc, char** argv) {
   std::optional<std::pair<double, std::uint32_t>> best;  // (cost, radix)
   for (std::uint32_t r = r_min; r <= r_max; r += r_step) {
     SolveOptions options;
-    options.iterations = static_cast<std::uint64_t>(cli.get_int("iters"));
-    options.seed = static_cast<std::uint64_t>(cli.get_int("seed")) + r;
+    options.iterations = cli.get_uint<std::uint64_t>("iters");
+    options.seed = cli.get_uint<std::uint64_t>("seed") + r;
     const SolveResult design = solve_orp(n, r, options);
     const auto bill = evaluate_network_cost(design.graph);
 
@@ -79,4 +81,6 @@ int main(int argc, char** argv) {
     std::cout << "\nno design meets the requirements; relax the h-ASPL target or budget\n";
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

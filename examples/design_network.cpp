@@ -49,7 +49,7 @@ void add_row(Table& table, const Candidate& candidate, std::uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliParser cli("design_network",
                 "design a low h-ASPL interconnect and compare with torus/dragonfly/fat-tree");
   cli.option("hosts", "1024", "number of hosts to connect");
@@ -61,12 +61,12 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
   obs::apply_cli(cli);
 
-  const auto n = static_cast<std::uint32_t>(cli.get_int("hosts"));
-  const auto r = static_cast<std::uint32_t>(cli.get_int("radix"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto n = cli.get_uint<std::uint32_t>("hosts");
+  const auto r = cli.get_uint<std::uint32_t>("radix");
+  const auto seed = cli.get_uint<std::uint64_t>("seed");
 
   SolveOptions options;
-  options.iterations = static_cast<std::uint64_t>(cli.get_int("iters"));
+  options.iterations = cli.get_uint<std::uint64_t>("iters");
   options.seed = seed;
   std::cout << "Designing the proposed topology for n=" << n << ", r=" << r
             << " (m_opt=" << optimal_switch_count(n, r) << ") ...\n";
@@ -122,4 +122,6 @@ int main(int argc, char** argv) {
   if (obs::cli_wants_summary(cli)) obs::print_summary(std::cout);
   obs::flush();
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

@@ -79,7 +79,7 @@ std::vector<NasKernel> parse_kernels(const std::string& spec) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliParser cli("mpi_simulation", "simulate NAS kernels on a host-switch graph");
   cli.option("topology", "proposed", "proposed|torus|dragonfly|fattree (ignored with --load)");
   cli.option("load", "", "load a host-switch graph from this .hsg file instead");
@@ -92,14 +92,14 @@ int main(int argc, char** argv) {
   cli.flag("dfs-ranks", "map MPI ranks in depth-first host order (paper's mapping)");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_int("hosts"));
+  const auto n = cli.get_uint<std::uint32_t>("hosts");
   HostSwitchGraph graph =
       !cli.get("load").empty()
           ? read_hsg_file(cli.get("load"))
           : build_topology(cli.get("topology"), n,
-                           static_cast<std::uint32_t>(cli.get_int("radix")),
-                           static_cast<std::uint64_t>(cli.get_int("iters")),
-                           static_cast<std::uint64_t>(cli.get_int("seed")));
+                           cli.get_uint<std::uint32_t>("radix"),
+                           cli.get_uint<std::uint64_t>("iters"),
+                           cli.get_uint<std::uint64_t>("seed"));
   graph.check_invariants();
 
   std::vector<HostId> rank_map;
@@ -123,4 +123,6 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

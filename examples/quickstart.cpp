@@ -17,7 +17,7 @@
 #include "obs/sink.hpp"
 #include "search/solver.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace orp;
 
   CliParser cli("quickstart", "solve ORP(n, r) and print the solution quality");
@@ -31,12 +31,12 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
   obs::apply_cli(cli);
 
-  const auto n = static_cast<std::uint32_t>(cli.get_int("hosts"));
-  const auto r = static_cast<std::uint32_t>(cli.get_int("radix"));
+  const auto n = cli.get_uint<std::uint32_t>("hosts");
+  const auto r = cli.get_uint<std::uint32_t>("radix");
 
   SolveOptions options;
-  options.iterations = static_cast<std::uint64_t>(cli.get_int("iters"));
-  options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  options.iterations = cli.get_uint<std::uint64_t>("iters");
+  options.seed = cli.get_uint<std::uint64_t>("seed");
 
   std::cout << "Solving ORP(n=" << n << ", r=" << r << ") ...\n";
   const SolveResult result = solve_orp(n, r, options);
@@ -81,4 +81,6 @@ int main(int argc, char** argv) {
   if (obs::cli_wants_summary(cli)) obs::print_summary(std::cout);
   obs::flush();
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

@@ -16,7 +16,7 @@
 #include "sim/packet.hpp"
 #include "sim/traffic.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace orp;
 
   CliParser cli("traffic_study", "synthetic traffic on a designed topology");
@@ -28,13 +28,13 @@ int main(int argc, char** argv) {
   cli.flag("packet-check", "also run the packet-level engine for each pattern");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_int("hosts"));
-  const auto r = static_cast<std::uint32_t>(cli.get_int("radix"));
-  const auto bytes = static_cast<std::uint64_t>(cli.get_int("bytes"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto n = cli.get_uint<std::uint32_t>("hosts");
+  const auto r = cli.get_uint<std::uint32_t>("radix");
+  const auto bytes = cli.get_uint<std::uint64_t>("bytes");
+  const auto seed = cli.get_uint<std::uint64_t>("seed");
 
   SolveOptions options;
-  options.iterations = static_cast<std::uint64_t>(cli.get_int("iters"));
+  options.iterations = cli.get_uint<std::uint64_t>("iters");
   options.seed = seed;
   std::cout << "Designing proposed topology for n=" << n << ", r=" << r << " ...\n";
   const SolveResult design = solve_orp(n, r, options);
@@ -72,4 +72,6 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

@@ -1,5 +1,7 @@
 #include "common/cli.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <stdexcept>
@@ -74,19 +76,50 @@ std::string CliParser::get(const std::string& name) const {
   return opt->default_value;
 }
 
+namespace {
+
+// Parses all of `text` into a T; throws std::invalid_argument naming the
+// option on anything from_chars does not consume whole, on overflow, and on
+// a non-finite floating-point value.
+template <class T>
+T parse_whole(const std::string& name, const std::string& text, const char* what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::invalid_argument("--" + name + ": out of range: " + text);
+  }
+  if (ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument("--" + name + ": not " + what + ": " + text);
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    // A NaN compares false against every bound: "--tolerance nan" would
+    // pass any regression gate.
+    if (!std::isfinite(value)) {
+      throw std::invalid_argument("--" + name + ": not a finite number: " + text);
+    }
+  }
+  return value;
+}
+
+}  // namespace
+
 std::int64_t CliParser::get_int(const std::string& name) const {
-  const std::string v = get(name);
-  std::size_t pos = 0;
-  const long long parsed = std::stoll(v, &pos);
-  if (pos != v.size()) throw std::invalid_argument("--" + name + ": not an integer: " + v);
-  return parsed;
+  return parse_whole<std::int64_t>(name, get(name), "an integer");
 }
 
 double CliParser::get_double(const std::string& name) const {
+  return parse_whole<double>(name, get(name), "a number");
+}
+
+std::uint64_t CliParser::get_uint_up_to(const std::string& name,
+                                        std::uint64_t max) const {
   const std::string v = get(name);
-  std::size_t pos = 0;
-  const double parsed = std::stod(v, &pos);
-  if (pos != v.size()) throw std::invalid_argument("--" + name + ": not a number: " + v);
+  const auto parsed = parse_whole<std::uint64_t>(name, v, "an unsigned integer");
+  if (parsed > max) {
+    throw std::invalid_argument("--" + name + ": out of range: " + v + " (at most " +
+                                std::to_string(max) + ")");
+  }
   return parsed;
 }
 
@@ -101,6 +134,11 @@ void CliParser::print_usage() const {
     }
     std::cout << "\n";
   }
+}
+
+int report_bad_argument(const std::invalid_argument& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }
 
 std::int64_t env_int(const char* name, std::int64_t fallback) {

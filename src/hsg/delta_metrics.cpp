@@ -1,7 +1,6 @@
 #include "hsg/delta_metrics.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <span>
 
 #include "obs/metrics.hpp"
@@ -793,12 +792,9 @@ bool DeltaHasplEvaluator::removals_bypassed(const GraphDelta& delta) {
 }
 
 HostMetrics DeltaHasplEvaluator::metrics() const {
-  // Mirrors compute_host_metrics' connected-pairs semantics bit for bit
-  // (asserted by the differential tests): scalars over the connected pairs,
-  // split pairs surfaced in unreachable_pairs.
-  HostMetrics result;
-  if (n_ < 2) return result;
-  const std::uint64_t pairs = std::uint64_t{n_} * (n_ - 1) / 2;
+  // The same connected-pairs rule as compute_host_metrics, fed from the
+  // maintained rows (bit-for-bit agreement is asserted by the differential
+  // tests).
   std::uint64_t ordered = 0;
   std::uint64_t unreached_ordered = 0;
   std::uint16_t max_d = 0;
@@ -808,19 +804,7 @@ HostMetrics DeltaHasplEvaluator::metrics() const {
     ordered += std::uint64_t{weight_[s]} * sum_w_[s];
     max_d = std::max(max_d, row_max_[s].value);
   }
-  result.unreachable_pairs = unreached_ordered / 2;
-  result.connected_pairs = pairs - result.unreachable_pairs;
-  result.connected = result.unreachable_pairs == 0;
-  if (result.connected_pairs == 0) {
-    result.h_aspl = std::numeric_limits<double>::infinity();
-    result.diameter = HostMetrics::kUnreachable;
-    return result;
-  }
-  result.total_length = ordered / 2 + 2 * result.connected_pairs;
-  result.h_aspl = static_cast<double>(result.total_length) /
-                  static_cast<double>(result.connected_pairs);
-  result.diameter = std::uint32_t{max_d} + 2;
-  return result;
+  return connected_pairs_metrics(n_, {ordered, unreached_ordered, max_d}, /*end_hops=*/2);
 }
 
 std::uint32_t DeltaHasplEvaluator::distance(SwitchId a, SwitchId b) const {

@@ -10,11 +10,13 @@
 //
 //   sum over host pairs = (1/2) * sum_{s,t} k_s k_t d(s,t)  +  2 * C(n,2)
 //
-// The weighted APSP runs on the bit-parallel kernel: 64 BFS sources per
-// machine word (frontier/visited are bitmasks per vertex), the standard
-// Graph-Golf trick, parallelized over source blocks with the shared thread
-// pool. tests/hsg_metrics_test.cpp cross-checks it bit for bit against a
-// one-BFS-per-source oracle (tests/oracle/metrics_scalar.hpp).
+// The weighted APSP runs on the bit-parallel kernel of hsg/distance.hpp (64
+// BFS sources per machine word, the Graph-Golf trick) with a sink that
+// accumulates pair sums, parallelized over source blocks with the shared
+// thread pool. connected_pairs_metrics turns the sums into the reported
+// scalars; the delta evaluator calls it too. tests/hsg_metrics_test.cpp
+// cross-checks the kernel bit for bit against a one-BFS-per-source oracle
+// (tests/oracle/metrics_scalar.hpp).
 
 #include <cstdint>
 #include <limits>
@@ -66,6 +68,26 @@ struct SwitchMetrics {
   std::uint64_t connected_pairs = 0;
   std::uint64_t unreachable_pairs = 0;
 };
+
+/// Weighted pair sums of one all-pairs run over the switch subgraph, with
+/// weight w_s per switch (k_s for host metrics, 1 for switch metrics).
+struct WeightedPairSums {
+  /// Sum of w_s w_t d(s,t) over the ordered pairs (s, t) with a path.
+  std::uint64_t ordered_sum = 0;
+  /// Sum of w_s w_t over the ordered pairs (s, t) with no path.
+  std::uint64_t unreached_ordered = 0;
+  /// Largest d(s,t) over the weighted pairs with a path.
+  std::uint32_t max_distance = 0;
+};
+
+/// The connected-pairs rule (docs/resilience.md): metrics of `n` weighted
+/// endpoints from their pair sums. Scalars cover the connected pairs only;
+/// h_aspl is +infinity and the diameter kUnreachable when none connects; a
+/// result with n < 2 is default-constructed. `end_hops` is added to every
+/// connected pair's length: 2 for hosts (one host-switch link at each end),
+/// 0 for switches.
+HostMetrics connected_pairs_metrics(std::uint64_t n, const WeightedPairSums& sums,
+                                    std::uint32_t end_hops);
 
 /// Computes h-ASPL / host diameter. Requires every host to be attached.
 /// `pool` may be null (serial); pass &ThreadPool::global() to parallelize.

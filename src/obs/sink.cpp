@@ -249,7 +249,7 @@ bool apply_cli(const CliParser& cli) {
   const std::string interval = cli.get("obs-snapshot-ms");
   config.snapshot_ms = interval.empty()
                            ? snapshot_interval_from_env()
-                           : static_cast<std::uint32_t>(cli.get_int("obs-snapshot-ms"));
+                           : cli.get_uint<std::uint32_t>("obs-snapshot-ms");
   return configure(config);
 }
 

@@ -209,6 +209,49 @@ TEST(Cli, RejectsMalformedInteger) {
   const char* argv[] = {"prog", "--n", "12x"};
   ASSERT_TRUE(cli.parse(3, argv));
   EXPECT_THROW(cli.get_int("n"), std::invalid_argument);
+
+  // Junk, signs where none belong, whitespace and overflow all throw
+  // std::invalid_argument naming the option; nothing wraps.
+  const auto rejects = [](const char* value, auto read) {
+    CliParser hostile("prog", "test");
+    hostile.option("n", "", "hosts");
+    const char* args[] = {"prog", "--n", value};
+    ASSERT_TRUE(hostile.parse(3, args));
+    try {
+      read(hostile);
+      ADD_FAILURE() << "accepted --n " << value;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos) << e.what();
+    }
+  };
+  const auto as_int = [](const CliParser& c) { return c.get_int("n"); };
+  const auto as_u32 = [](const CliParser& c) { return c.get_uint<std::uint32_t>("n"); };
+  const auto as_int_count = [](const CliParser& c) { return c.get_uint<int>("n"); };
+  const auto as_double = [](const CliParser& c) { return c.get_double("n"); };
+  for (const char* value :
+       {"abc", "", " 5", "5 ", "+5", "0x10", "99999999999999999999"}) {
+    rejects(value, as_int);
+    rejects(value, as_u32);
+  }
+  for (const char* value : {"-5", "-0", "4294967296", "4294967297"}) {
+    rejects(value, as_u32);
+  }
+  rejects("2147483648", as_int_count);
+  rejects("-1", as_int_count);
+  for (const char* value : {"abc", "", "1.5x", " 1.5", "1e999", "nan", "inf", "-inf"}) {
+    rejects(value, as_double);
+  }
+}
+
+TEST(Cli, ReadsInRangeNumbers) {
+  CliParser cli("prog", "test");
+  cli.option("a", "-7", "").option("b", "4294967295", "").option("c", "2.5e-3", "");
+  const char* argv[] = {"prog"};
+  ASSERT_TRUE(cli.parse(1, argv));
+  EXPECT_EQ(cli.get_int("a"), -7);
+  EXPECT_EQ(cli.get_uint<std::uint32_t>("b"), 4294967295u);
+  EXPECT_EQ(cli.get_uint<std::uint64_t>("b"), 4294967295u);
+  EXPECT_DOUBLE_EQ(cli.get_double("c"), 2.5e-3);
 }
 
 TEST(Require, ThrowsWithMessage) {

@@ -2,10 +2,13 @@
 // one-BFS-per-source oracle and the bit-parallel kernel on randomized graphs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/prng.hpp"
 #include "common/thread_pool.hpp"
+#include "hsg/distance.hpp"
 #include "hsg/metrics.hpp"
 #include "obs/metrics.hpp"
 #include "oracle/metrics_scalar.hpp"
@@ -204,10 +207,63 @@ struct KernelCase {
 
 class KernelAgreement : public ::testing::TestWithParam<KernelCase> {};
 
+// random_host_switch_graph leaves the highest switch ids hostless when
+// n < m. Renaming switch s to 5s mod m spreads them over the whole id range,
+// so the metric kernel's source list (host-bearing switches only) skips ids
+// inside its 64-source blocks, which then straddle the matrix's id blocks.
+HostSwitchGraph spread_hostless_switches(const HostSwitchGraph& g) {
+  const std::uint32_t m = g.num_switches();
+  EXPECT_NE(m % 5, 0u);
+  const auto id = [m](SwitchId s) { return static_cast<SwitchId>(5ull * s % m); };
+  HostSwitchGraph out(g.num_hosts(), m, g.radix());
+  for (HostId h = 0; h < g.num_hosts(); ++h) out.attach_host(h, id(g.host_switch(h)));
+  for (SwitchId a = 0; a < m; ++a) {
+    for (const SwitchId b : g.neighbors(a)) {
+      if (a < b) out.add_switch_edge(id(a), id(b));
+    }
+  }
+  return out;
+}
+
+// The matrix sink's view of the host metrics: host-weighted sums over
+// switch_distance_matrix(g).
+HostMetrics host_metrics_from_matrix(const HostSwitchGraph& g) {
+  const std::uint32_t m = g.num_switches();
+  const std::vector<std::uint16_t> dist = switch_distance_matrix(g);
+  std::uint64_t ordered = 0, unreached = 0;
+  std::uint32_t max_d = 0;
+  for (SwitchId s = 0; s < m; ++s) {
+    for (SwitchId t = 0; t < m; ++t) {
+      const std::uint64_t w = std::uint64_t{g.hosts_on(s)} * g.hosts_on(t);
+      if (w == 0) continue;
+      const std::uint16_t d = dist[std::size_t{s} * m + t];
+      if (d == kNoDistance) {
+        unreached += w;
+      } else {
+        ordered += w * d;
+        max_d = std::max<std::uint32_t>(max_d, d);
+      }
+    }
+  }
+  const std::uint64_t n = g.num_hosts();
+  HostMetrics result;
+  result.unreachable_pairs = unreached / 2;
+  result.connected_pairs = n * (n - 1) / 2 - result.unreachable_pairs;
+  result.total_length = ordered / 2 + 2 * result.connected_pairs;
+  result.diameter = max_d + 2;
+  return result;
+}
+
 TEST_P(KernelAgreement, ScalarReferenceAndBitParallelMatch) {
   const auto param = GetParam();
   Xoshiro256 rng(param.seed);
-  const auto g = random_host_switch_graph(param.n, param.m, param.r, rng);
+  auto g = random_host_switch_graph(param.n, param.m, param.r, rng);
+  if (param.n < param.m) {
+    g = spread_hostless_switches(g);
+    std::uint32_t hostless = 0;
+    for (SwitchId s = 0; s < param.m; ++s) hostless += g.hosts_on(s) == 0;
+    EXPECT_GT(hostless, 0u);
+  }
   const auto scalar = compute_host_metrics_scalar(g);
   const auto bits = compute_host_metrics(g);
   EXPECT_EQ(scalar.total_length, bits.total_length);
@@ -225,6 +281,14 @@ TEST_P(KernelAgreement, ScalarReferenceAndBitParallelMatch) {
   const auto sw_bits = compute_switch_metrics(g);
   EXPECT_EQ(sw_scalar.total_length, sw_bits.total_length);
   EXPECT_EQ(sw_scalar.diameter, sw_bits.diameter);
+
+  // The kernel's two sinks, the matrix writer and the pair-sum
+  // accumulator, see the same distances.
+  const auto from_matrix = host_metrics_from_matrix(g);
+  EXPECT_EQ(from_matrix.total_length, bits.total_length);
+  EXPECT_EQ(from_matrix.diameter, bits.diameter);
+  EXPECT_EQ(from_matrix.connected_pairs, bits.connected_pairs);
+  EXPECT_EQ(from_matrix.unreachable_pairs, bits.unreachable_pairs);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -236,7 +300,10 @@ INSTANTIATE_TEST_SUITE_P(
                       KernelCase{300, 65, 13, 9}, KernelCase{96, 12, 24, 10},
                       // Fewer than 64 switches (one partial source block):
                       KernelCase{24, 6, 8, 11}, KernelCase{256, 55, 12, 12},
-                      KernelCase{10, 3, 6, 13}, KernelCase{128, 18, 12, 14}));
+                      KernelCase{10, 3, 6, 13}, KernelCase{128, 18, 12, 14},
+                      // Hostless switches spread over the ids (n < m), with
+                      // two and three 64-source blocks:
+                      KernelCase{100, 129, 6, 15}, KernelCase{150, 191, 6, 16}));
 
 // The unreached-pair accounting must agree between kernels too: isolate a
 // few switches of a random graph and cross-check every field.

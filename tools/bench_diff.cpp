@@ -20,7 +20,7 @@
 #include "common/table.hpp"
 #include "obs/bench/report.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace orp;
   using namespace orp::obs::bench;
 
@@ -34,12 +34,7 @@ int main(int argc, char** argv) {
   cli.option("markdown", "",
              "also write the comparison as a markdown table to this path "
              "(CI appends it to the job summary)");
-  try {
-    if (!cli.parse(argc, argv)) return 0;
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
+  if (!cli.parse(argc, argv)) return 0;
   if (cli.positional().size() != 2) {
     std::cerr << "usage: bench_diff BASELINE.json CURRENT.json [options]\n";
     cli.print_usage();
@@ -131,4 +126,6 @@ int main(int argc, char** argv) {
   std::cout << "OK: no series regressed beyond tolerance "
             << format_double(options.tolerance, 2) << "\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return orp::report_bad_argument(e);
 }

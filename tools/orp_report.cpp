@@ -52,11 +52,9 @@ int run(int argc, const char* const* argv) {
   }
 
   ReportOptions options;
-  options.top_k = static_cast<std::size_t>(std::max<std::int64_t>(1, cli.get_int("top")));
-  options.windows =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, cli.get_int("windows")));
-  options.net_top =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, cli.get_int("net-top")));
+  options.top_k = std::max<std::size_t>(1, cli.get_uint<std::size_t>("top"));
+  options.windows = std::max<std::size_t>(1, cli.get_uint<std::size_t>("windows"));
+  options.net_top = std::max<std::size_t>(1, cli.get_uint<std::size_t>("net-top"));
 
   const TraceAnalysis analysis = analyze_trace_file(cli.positional()[0], options);
 
