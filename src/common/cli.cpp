@@ -115,12 +115,11 @@ double CliParser::get_double(const std::string& name) const {
 std::uint64_t CliParser::get_uint_up_to(const std::string& name,
                                         std::uint64_t max) const {
   const std::string v = get(name);
-  const auto parsed = parse_whole<std::uint64_t>(name, v, "an unsigned integer");
-  if (parsed > max) {
-    throw std::invalid_argument("--" + name + ": out of range: " + v + " (at most " +
-                                std::to_string(max) + ")");
-  }
-  return parsed;
+  if (const std::optional<std::uint64_t> parsed = parse_uint(v, max)) return *parsed;
+  const bool digits = !v.empty() && v.find_first_not_of("0123456789") == std::string::npos;
+  if (!digits) throw std::invalid_argument("--" + name + ": not an unsigned integer: " + v);
+  throw std::invalid_argument("--" + name + ": out of range: " + v + " (at most " +
+                              std::to_string(max) + ")");
 }
 
 void CliParser::print_usage() const {
@@ -141,13 +140,20 @@ int report_bad_argument(const std::invalid_argument& e) {
   return 2;
 }
 
+std::optional<std::uint64_t> parse_uint(std::string_view text, std::uint64_t max) noexcept {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end || value > max) return std::nullopt;
+  return value;
+}
+
 std::int64_t env_int(const char* name, std::int64_t fallback) {
   const char* raw = std::getenv(name);
-  if (!raw || !*raw) return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0' || parsed <= 0) return fallback;
-  return parsed;
+  const std::optional<std::uint64_t> parsed =
+      raw ? parse_uint(raw, std::numeric_limits<std::int64_t>::max()) : std::nullopt;
+  if (!parsed || *parsed == 0) return fallback;
+  return static_cast<std::int64_t>(*parsed);
 }
 
 }  // namespace orp

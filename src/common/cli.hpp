@@ -11,6 +11,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -69,8 +70,16 @@ class CliParser {
 /// "error: <what>" on stderr and returns exit status 2.
 int report_bad_argument(const std::invalid_argument& e);
 
+/// The one reader of unsigned integers, for options and ORP_* variables
+/// alike: all of `text` as decimal digits (no sign, whitespace or suffix)
+/// with a value of at most `max`. Empty for anything else.
+std::optional<std::uint64_t> parse_uint(
+    std::string_view text,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) noexcept;
+
 /// Reads a positive scaling factor from an environment variable, returning
-/// `fallback` when unset or unparsable. Used for ORP_SA_ITERS-style knobs.
+/// `fallback` when it is unset, not parse_uint's digits, 0 or above
+/// INT64_MAX. Used for ORP_SA_ITERS-style knobs.
 std::int64_t env_int(const char* name, std::int64_t fallback);
 
 }  // namespace orp

@@ -10,7 +10,7 @@ namespace orp {
 namespace {
 
 // Cached instrument references: looked up once, bumped on every enqueue /
-// task run. Compiled out entirely under ORP_OBS_DISABLED.
+// task run.
 obs::Gauge& queue_depth_gauge() {
   static obs::Gauge& gauge = obs::Registry::global().gauge("threadpool.queue_depth");
   return gauge;

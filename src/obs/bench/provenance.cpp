@@ -3,11 +3,10 @@
 #include <fstream>
 #include <thread>
 
-// The build system passes these (src/obs/CMakeLists.txt); the fallbacks
-// keep the file compiling standalone (e.g. in IDE/one-off builds).
-#ifndef ORP_GIT_SHA
-#define ORP_GIT_SHA "unknown"
-#endif
+// The build stamps ORP_GIT_SHA into this header on every build and passes
+// the other two on the command line (src/obs/CMakeLists.txt); their
+// fallbacks keep the file compiling standalone.
+#include "orp_git_sha.hpp"
 #ifndef ORP_CXX_FLAGS
 #define ORP_CXX_FLAGS ""
 #endif
@@ -56,11 +55,6 @@ Provenance collect_provenance() {
   p.build_type = ORP_BUILD_TYPE;
   p.cpu_model = cpu_model();
   p.hardware_threads = static_cast<int>(std::thread::hardware_concurrency());
-#ifdef ORP_OBS_DISABLED
-  p.obs_disabled = true;
-#else
-  p.obs_disabled = false;
-#endif
   return p;
 }
 

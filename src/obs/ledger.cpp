@@ -1,5 +1,3 @@
-#ifndef ORP_OBS_DISABLED
-
 #include "obs/ledger.hpp"
 
 #include <fcntl.h>
@@ -208,5 +206,3 @@ bool append_run_ledger() {
 }
 
 }  // namespace orp::obs
-
-#endif  // ORP_OBS_DISABLED

@@ -15,14 +15,10 @@
 // writers (parallel CI jobs, a sweep script) never interleave partial
 // records. Set ORP_RUN_LEDGER to "none", "off", or an empty string to
 // disable; relative default paths resolve against the working directory.
-//
-// With ORP_OBS_DISABLED everything below is an inline no-op stub.
 
 #include <cstdint>
 #include <string>
 #include <string_view>
-
-#ifndef ORP_OBS_DISABLED
 
 namespace orp::obs {
 
@@ -56,25 +52,3 @@ bool append_run_ledger();
 bool ledger_append_line(const std::string& path, const std::string& line);
 
 }  // namespace orp::obs
-
-#else  // ORP_OBS_DISABLED
-
-namespace orp::obs {
-
-inline constexpr const char* kLedgerSchema = "orp-run/1";
-inline constexpr const char* kDefaultLedgerPath = ".orp/runs.jsonl";
-
-inline std::string ledger_path() { return std::string(); }
-inline void ledger_capture_argv(int, const char* const*) {}
-inline void ledger_note(std::string_view, std::string_view) {}
-inline void ledger_note(std::string_view, double) {}
-inline void ledger_note(std::string_view, std::int64_t) {}
-inline void ledger_artifact(std::string_view) {}
-inline bool append_run_ledger() { return false; }
-inline bool ledger_append_line(const std::string&, const std::string&) {
-  return false;
-}
-
-}  // namespace orp::obs
-
-#endif  // ORP_OBS_DISABLED

@@ -1,5 +1,3 @@
-#ifndef ORP_OBS_DISABLED
-
 #include "obs/metrics.hpp"
 
 #include "obs/sink.hpp"
@@ -163,5 +161,3 @@ void Registry::reset() {
 }
 
 }  // namespace orp::obs
-
-#endif  // ORP_OBS_DISABLED

@@ -11,18 +11,11 @@
 //   static obs::Counter& accepted =
 //       obs::Registry::global().counter("annealer.accepted");
 //   accepted.add(1);
-//
-// Defining ORP_OBS_DISABLED swaps every type for an empty inline stub so
-// instrumented hot loops compile to nothing (asserted by
-// tests/obs_disabled_compile_test.cpp).
-
-#include <cstdint>
-
-#ifndef ORP_OBS_DISABLED
 
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -254,100 +247,3 @@ class Registry {
 };
 
 }  // namespace orp::obs
-
-#else  // ORP_OBS_DISABLED — every instrument is an empty inline no-op.
-
-#include <array>
-#include <string>
-#include <string_view>
-#include <vector>
-
-namespace orp::obs {
-
-inline constexpr std::size_t kHistogramBuckets = 64;
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) noexcept {}
-  void inc() noexcept {}
-  std::uint64_t value() const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-class Gauge {
- public:
-  void set(std::int64_t) noexcept {}
-  void add(std::int64_t) noexcept {}
-  void sub(std::int64_t) noexcept {}
-  std::int64_t value() const noexcept { return 0; }
-  std::int64_t max() const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-struct HistogramSample {
-  std::string name;
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = 0;
-  std::uint64_t max = 0;
-  std::array<std::uint64_t, kHistogramBuckets> buckets{};
-  double mean() const noexcept { return 0.0; }
-  std::uint64_t quantile(double) const noexcept { return 0; }
-  double quantile_interp(double) const noexcept { return 0.0; }
-};
-
-class Histogram {
- public:
-  void record(std::uint64_t) noexcept {}
-  HistogramSample sample() const noexcept { return {}; }
-  void reset() noexcept {}
-};
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram&) noexcept {}
-};
-
-struct CounterSample {
-  std::string name;
-  std::uint64_t value = 0;
-};
-
-struct GaugeSample {
-  std::string name;
-  std::int64_t value = 0;
-  std::int64_t max = 0;
-};
-
-struct MetricsSnapshot {
-  std::vector<CounterSample> counters;
-  std::vector<GaugeSample> gauges;
-  std::vector<HistogramSample> histograms;
-  bool empty() const noexcept { return true; }
-};
-
-class Registry {
- public:
-  static Registry& global() {
-    static Registry instance;
-    return instance;
-  }
-  Counter& counter(std::string_view) {
-    static Counter c;
-    return c;
-  }
-  Gauge& gauge(std::string_view) {
-    static Gauge g;
-    return g;
-  }
-  Histogram& histogram(std::string_view) {
-    static Histogram h;
-    return h;
-  }
-  MetricsSnapshot snapshot() const { return {}; }
-  void reset() {}
-};
-
-}  // namespace orp::obs
-
-#endif  // ORP_OBS_DISABLED

@@ -40,17 +40,12 @@ std::string format_json_number(double value) {
 }
 
 void write_summary(std::ostream& os, const MetricsSnapshot& snapshot) {
-#ifdef ORP_OBS_DISABLED
-  (void)snapshot;
-  os << "[obs] telemetry compiled out (ORP_OBS_DISABLED)\n";
-#else
   if (snapshot.empty()) {
     os << "[obs] no metrics recorded\n";
     return;
   }
   os << "[obs] run metrics\n";
   metrics_table(snapshot).print(os);
-#endif
 }
 
 bool write_metrics_csv(const std::string& path, const MetricsSnapshot& snapshot) {
@@ -123,7 +118,6 @@ bool configure(const SinkConfig& config) {
     s.atexit_registered = true;
     std::atexit(flush_at_exit);
   }
-#ifndef ORP_OBS_DISABLED
   if (config.kind == SinkKind::kJsonl) {
     if (!Tracer::global().start(config.path)) {
       std::cerr << "[obs] warning: could not open " << config.path << "\n";
@@ -132,7 +126,6 @@ bool configure(const SinkConfig& config) {
     }
     if (config.snapshot_ms > 0) start_snapshot_sampler(config.snapshot_ms);
   }
-#endif
   return true;
 }
 

@@ -10,9 +10,6 @@
 //
 // configure() installs the sink (starting the trace writer for JSONL) and
 // registers an atexit flush so a crash-free run always lands its data.
-// This header stays the same with ORP_OBS_DISABLED: the calls become
-// cheap no-ops (the summary reports the layer as compiled out) so
-// examples/benches build identically in both modes.
 
 #include <functional>
 #include <iosfwd>
@@ -66,9 +63,7 @@ void flush();
 /// snapshot sampler stops and the trace writer drains — the hook's last
 /// chance to emit buffered trace events (the sim telemetry reservoirs use
 /// this). Hooks run in registration order, live for the process, and must
-/// not call flush()/configure() themselves (the sink lock is held). With
-/// ORP_OBS_DISABLED the hook is still registered and still runs (it is
-/// expected to be a no-op there).
+/// not call flush()/configure() themselves (the sink lock is held).
 void register_flush_hook(std::function<void()> hook);
 
 /// The currently active sink.

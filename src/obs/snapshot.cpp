@@ -1,17 +1,17 @@
-#ifndef ORP_OBS_DISABLED
-
 #include "obs/snapshot.hpp"
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 
+#include "common/cli.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -91,11 +91,10 @@ void sampler_main(std::uint32_t interval_ms) {
 
 std::uint32_t snapshot_interval_from_env() noexcept {
   const char* raw = std::getenv("ORP_OBS_SNAPSHOT_MS");
-  if (!raw || !*raw) return kDefaultSnapshotMs;
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(raw, &end, 10);
-  if (end == raw || *end != '\0') return kDefaultSnapshotMs;
-  return static_cast<std::uint32_t>(value);
+  if (!raw) return kDefaultSnapshotMs;
+  return static_cast<std::uint32_t>(
+      parse_uint(raw, std::numeric_limits<std::uint32_t>::max())
+          .value_or(kDefaultSnapshotMs));
 }
 
 bool start_snapshot_sampler(std::uint32_t interval_ms) {
@@ -140,5 +139,3 @@ bool snapshot_sampler_running() noexcept {
 }
 
 }  // namespace orp::obs
-
-#endif  // ORP_OBS_DISABLED

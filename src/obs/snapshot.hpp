@@ -16,12 +16,8 @@
 // 0 disables) and is stopped — and its final tail sample drained — before
 // the sink appends the end-of-run metric records, so trailer lines are
 // never interleaved with a partial snapshot.
-//
-// With ORP_OBS_DISABLED everything below is an inline no-op stub.
 
 #include <cstdint>
-
-#ifndef ORP_OBS_DISABLED
 
 namespace orp::obs {
 
@@ -29,8 +25,9 @@ namespace orp::obs {
 /// otherwise.
 inline constexpr std::uint32_t kDefaultSnapshotMs = 250;
 
-/// Reads ORP_OBS_SNAPSHOT_MS; returns kDefaultSnapshotMs when unset or
-/// unparsable. 0 means "sampling off".
+/// Reads ORP_OBS_SNAPSHOT_MS as parse_uint's digits up to UINT32_MAX;
+/// returns kDefaultSnapshotMs when it is unset or anything else. 0 means
+/// "sampling off".
 std::uint32_t snapshot_interval_from_env() noexcept;
 
 /// Launches the sampler thread at `interval_ms`. Returns false (and does
@@ -45,18 +42,3 @@ void stop_snapshot_sampler();
 bool snapshot_sampler_running() noexcept;
 
 }  // namespace orp::obs
-
-#else  // ORP_OBS_DISABLED
-
-namespace orp::obs {
-
-inline constexpr std::uint32_t kDefaultSnapshotMs = 250;
-
-inline std::uint32_t snapshot_interval_from_env() noexcept { return 0; }
-inline bool start_snapshot_sampler(std::uint32_t) { return false; }
-inline void stop_snapshot_sampler() {}
-inline bool snapshot_sampler_running() noexcept { return false; }
-
-}  // namespace orp::obs
-
-#endif  // ORP_OBS_DISABLED

@@ -1,5 +1,3 @@
-#ifndef ORP_OBS_DISABLED
-
 #include "obs/trace.hpp"
 
 #include <cstdio>
@@ -284,5 +282,3 @@ void Span::arg_json(std::string_view key, std::string value) {
 }
 
 }  // namespace orp::obs
-
-#endif  // ORP_OBS_DISABLED

@@ -6,16 +6,12 @@
 // Perfetto. One JSON object per line; see docs/obs.md for the schema.
 //
 // When no sink is started, Span construction is one relaxed atomic load —
-// cheap enough to leave in simulator phase loops. When ORP_OBS_DISABLED is
-// defined, Span/Tracer become empty inline stubs and the calls vanish.
-
-#include <cstdint>
-
-#ifndef ORP_OBS_DISABLED
+// cheap enough to leave in simulator phase loops (docs/obs.md, "Idle cost").
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -154,57 +150,3 @@ std::uint64_t flow_begin(const char* name, const char* category = "");
 void flow_end(std::uint64_t id, const char* name, const char* category = "");
 
 }  // namespace orp::obs
-
-#else  // ORP_OBS_DISABLED
-
-#include <string>
-#include <string_view>
-#include <vector>
-
-namespace orp::obs {
-
-struct TraceEvent {
-  enum class Phase : char {
-    kBegin = 'B',
-    kEnd = 'E',
-    kCounter = 'C',
-    kInstant = 'i',
-    kFlowStart = 's',
-    kFlowEnd = 'f',
-  };
-};
-
-class Tracer {
- public:
-  static Tracer& global() {
-    static Tracer instance;
-    return instance;
-  }
-  bool enabled() const noexcept { return false; }
-  bool start(const std::string&) { return false; }
-  void stop(const std::vector<std::string>& = {}) {}
-  void counter(std::string_view, double, std::string_view = "") {}
-  std::uint64_t now_ns() const noexcept { return 0; }
-  static std::uint32_t thread_id() noexcept { return 0; }
-};
-
-class Span {
- public:
-  explicit Span(const char*, const char* = "") noexcept {}
-  void arg(std::string_view, double) {}
-  void arg(std::string_view, std::int64_t) {}
-  void arg(std::string_view, std::uint64_t) {}
-  void arg(std::string_view, std::string_view) {}
-  void arg_json(std::string_view, std::string) {}
-  bool active() const noexcept { return false; }
-};
-
-inline std::string json_escape(std::string_view text) { return std::string(text); }
-
-inline bool in_span() noexcept { return false; }
-inline std::uint64_t flow_begin(const char*, const char* = "") { return 0; }
-inline void flow_end(std::uint64_t, const char*, const char* = "") {}
-
-}  // namespace orp::obs
-
-#endif  // ORP_OBS_DISABLED

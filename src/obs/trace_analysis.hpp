@@ -18,8 +18,7 @@
 //
 // Analysis is pure and deterministic: the same trace bytes produce the
 // same analysis and byte-identical rendered reports. This code does not
-// depend on the instrumentation layer, so it builds (and the tests run)
-// under ORP_OBS_DISABLED too.
+// depend on the instrumentation layer.
 
 #include <cstdint>
 #include <string>

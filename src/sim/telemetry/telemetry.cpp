@@ -1,15 +1,15 @@
 #include "sim/telemetry/telemetry.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <system_error>
 #include <utility>
 
+#include "common/cli.hpp"
 #include "obs/sink.hpp"
 #include "obs/trace.hpp"
 
@@ -21,20 +21,15 @@ NetTelemetryConfig& mutable_config() {
   return config;
 }
 
-/// The one parser of telemetry integers, for the env and the spec alike:
-/// decimal digits only (no sign, whitespace or suffix), at most UINT32_MAX.
-std::optional<std::uint32_t> parse_u32(std::string_view text) {
-  std::uint32_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc{} || stop != end) return std::nullopt;
-  return value;
-}
+/// Telemetry integers, in the env and the spec alike, are parse_uint's
+/// digits up to UINT32_MAX.
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 
 /// An unset, empty or malformed variable keeps `fallback`; "0" is a value.
 std::uint32_t env_u32(const char* name, std::uint32_t fallback) {
   const char* raw = std::getenv(name);
-  return raw ? parse_u32(raw).value_or(fallback) : fallback;
+  return raw ? static_cast<std::uint32_t>(parse_uint(raw, kMaxU32).value_or(fallback))
+             : fallback;
 }
 
 }  // namespace
@@ -84,9 +79,9 @@ bool apply_net_telemetry_spec(std::string_view spec) {
     const std::size_t eq = pair.find('=');
     if (eq == std::string_view::npos) return false;
     const std::string_view key = pair.substr(0, eq);
-    const std::optional<std::uint32_t> parsed = parse_u32(pair.substr(eq + 1));
+    const std::optional<std::uint64_t> parsed = parse_uint(pair.substr(eq + 1), kMaxU32);
     if (!parsed) return false;
-    const std::uint32_t value = *parsed;
+    const auto value = static_cast<std::uint32_t>(*parsed);
     if (key == "flow_sample") config.flow_sample = std::max(1u, value);
     else if (key == "link_top_k") config.link_top_k = value;
     else if (key == "link_steps") config.link_steps = value;
@@ -99,11 +94,6 @@ bool apply_net_telemetry_spec(std::string_view spec) {
   return true;
 }
 
-}  // namespace orp
-
-#ifndef ORP_OBS_DISABLED
-
-namespace orp {
 namespace {
 
 /// splitmix64: deterministic stream for reservoir replacement decisions
@@ -542,5 +532,3 @@ void NetPhaseCollector::end_phase(const PhaseEnd& end) {
 }
 
 }  // namespace orp
-
-#endif  // ORP_OBS_DISABLED

@@ -8,8 +8,7 @@
 // caps volume with deterministic reservoir sampling, and the buffered
 // records are serialized as Chrome-trace instant events ("cat":"net")
 // only when the sink flushes. With no tracer active begin_phase() is one
-// load and the phase pays nothing; with ORP_OBS_DISABLED the collector's
-// methods collapse to inline no-op stubs (mirroring obs/trace.hpp).
+// load and the phase pays nothing.
 //
 // Latency attribution (per flow, seconds; terms sum to `total_s` exactly
 // by construction — queueing is defined as the remainder of the transfer
@@ -140,8 +139,7 @@ struct LinkLoads {
 };
 
 /// Per-Machine collector. All methods are no-ops (one branch) until
-/// begin_phase() sees an active tracer and an enabled config; with
-/// ORP_OBS_DISABLED they are inline no-ops.
+/// begin_phase() sees an active tracer and an enabled config.
 class NetPhaseCollector {
  public:
   /// Everything end_phase() needs, borrowed from the round's FluidPhase.
@@ -162,7 +160,6 @@ class NetPhaseCollector {
     const SimParams* params = nullptr;
   };
 
-#ifndef ORP_OBS_DISABLED
   /// Opens a phase at absolute simulated time `clock_s`. Returns true when
   /// collection is active for this phase (callers gate the other hooks on
   /// it; the result also reserves a global phase sequence number).
@@ -201,18 +198,9 @@ class NetPhaseCollector {
   };
   std::vector<LinkScratch> link_scratch_;
   std::vector<std::uint32_t> touched_;
-#else
-  bool begin_phase(double, std::size_t) { return false; }
-  void on_segment(std::uint32_t, double, double, const PathStore&,
-                  const std::vector<std::uint8_t>&,
-                  const std::vector<double>&) {}
-  void flow_done(std::size_t, double) {}
-  void end_phase(const PhaseEnd&) {}
-#endif
 };
 
 namespace net_detail {
-#ifndef ORP_OBS_DISABLED
 /// Test hook: drains the global reservoirs into the active tracer now
 /// (normally done by the obs flush hook) and returns how many records
 /// were emitted. Also clears the reservoirs.
@@ -222,11 +210,6 @@ void discard_buffered();
 /// Test hook: discard_buffered() plus a phase-id counter reset, so two
 /// identical runs inside one process produce byte-identical records.
 void reset_for_tests();
-#else
-inline std::size_t drain_to_tracer() { return 0; }
-inline void discard_buffered() {}
-inline void reset_for_tests() {}
-#endif  // ORP_OBS_DISABLED
 }  // namespace net_detail
 
 }  // namespace orp

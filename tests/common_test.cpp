@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -328,8 +330,15 @@ TEST(EnvInt, FallsBackWhenUnsetOrInvalid) {
   EXPECT_EQ(env_int("ORP_TEST_ENV_INT", 7), 7);
   ::setenv("ORP_TEST_ENV_INT", "12", 1);
   EXPECT_EQ(env_int("ORP_TEST_ENV_INT", 7), 12);
-  ::setenv("ORP_TEST_ENV_INT", "bogus", 1);
-  EXPECT_EQ(env_int("ORP_TEST_ENV_INT", 7), 7);
+  // Anything but positive digits up to INT64_MAX falls back: no sign or
+  // whitespace, and an overflow is not saturated to 9.2e18 iterations.
+  for (const char* bad : {"bogus", "", "0", "-3", "+12", " 12", "12 ", "12x",
+                          "9223372036854775808", "99999999999999999999"}) {
+    ::setenv("ORP_TEST_ENV_INT", bad, 1);
+    EXPECT_EQ(env_int("ORP_TEST_ENV_INT", 7), 7) << "ORP_TEST_ENV_INT=\"" << bad << "\"";
+  }
+  ::setenv("ORP_TEST_ENV_INT", "9223372036854775807", 1);
+  EXPECT_EQ(env_int("ORP_TEST_ENV_INT", 7), std::numeric_limits<std::int64_t>::max());
   ::unsetenv("ORP_TEST_ENV_INT");
 }
 

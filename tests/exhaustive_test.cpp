@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <type_traits>
 
 #include "hsg/bounds.hpp"
 #include "hsg/metrics.hpp"
@@ -88,9 +89,12 @@ double exhaustive_optimum(std::uint32_t n, std::uint32_t r, std::uint32_t max_m)
   return *best;
 }
 
+// gtest names each case by the raw bytes of its parameter; having no
+// padding, they stay the same from build to build.
 struct TinyCase {
   std::uint32_t n, r, max_m;
 };
+static_assert(std::has_unique_object_representations_v<TinyCase>);
 
 class ExhaustiveOrp : public ::testing::TestWithParam<TinyCase> {};
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <optional>
@@ -109,17 +110,32 @@ enum RepairPath : std::uint32_t {
   kIncremental = kSingleAffected | kTwoPhase | kRowRescan,
 };
 
+// gtest names each case by the raw bytes of its parameter, so the bytes an
+// aggregate would leave as padding are zeroed members: the case names stay
+// the same from build to build. The double in DeltaEvalOptions rules out
+// std::has_unique_object_representations, so the pin below sums the
+// members instead.
 struct DriveCase {
+  constexpr DriveCase(std::uint32_t n_, std::uint32_t m_, std::uint32_t r_,
+                      std::uint64_t seed_, int moves_, DeltaEvalOptions eval_options_,
+                      std::uint32_t must_reach_, bool early_exit_ = false)
+      : n(n_), m(m_), r(r_), seed(seed_), moves(moves_), eval_options(eval_options_),
+        must_reach(must_reach_), early_exit(early_exit_) {}
   std::uint32_t n, m, r;
+  std::uint32_t zero0 = 0;
   std::uint64_t seed;
   int moves;
+  std::uint32_t zero1 = 0;
   DeltaEvalOptions eval_options;
   std::uint32_t must_reach;
   // Evaluate swaps, swings and completion swings (not the 2n-swing's first
   // swing, as in the annealer) with apply_or_reject(), under a test that
   // rejects at a random checkpoint or never.
-  bool early_exit = false;
+  bool early_exit;
+  std::array<std::uint8_t, 3> zero2{};
 };
+static_assert(sizeof(DeltaEvalOptions) == sizeof(double));
+static_assert(sizeof(DriveCase) == 4 * 4 + 8 + 4 + 4 + sizeof(DeltaEvalOptions) + 4 + 1 + 3);
 
 // Applies random moves until `moves` of them landed; after every apply and
 // every revert the evaluator must agree with compute_host_metrics on the

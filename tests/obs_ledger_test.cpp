@@ -11,28 +11,8 @@
 #include <thread>
 #include <vector>
 
-#include "obs/ledger.hpp"
-
-#ifdef ORP_OBS_DISABLED
-
-namespace orp {
-namespace {
-
-TEST(ObsLedgerDisabled, StubsAreInertNoOps) {
-  EXPECT_TRUE(obs::ledger_path().empty());
-  obs::ledger_capture_argv(0, nullptr);
-  obs::ledger_note("k", "v");
-  obs::ledger_artifact("x.jsonl");
-  EXPECT_FALSE(obs::append_run_ledger());
-  EXPECT_FALSE(obs::ledger_append_line("/tmp/never", "line"));
-}
-
-}  // namespace
-}  // namespace orp
-
-#else
-
 #include "common/json.hpp"
+#include "obs/ledger.hpp"
 
 namespace orp {
 namespace {
@@ -159,4 +139,3 @@ TEST(ObsLedger, AppendRunLedgerWritesOneParsableRecord) {
 }  // namespace
 }  // namespace orp
 
-#endif  // ORP_OBS_DISABLED

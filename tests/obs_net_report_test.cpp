@@ -3,7 +3,7 @@
 // latency-attribution sums and the residual check, per-link aggregation,
 // per-phase bottleneck link sets, reservoir-coverage reporting, and
 // byte-deterministic rendering. Like obs_report_test this exercises a pure
-// file reader, so the suite also runs under ORP_OBS_DISABLED.
+// file reader.
 #include <gtest/gtest.h>
 
 #include <cmath>

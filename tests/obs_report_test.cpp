@@ -1,8 +1,7 @@
 // Tests for the orp_report analysis engine (src/obs/trace_analysis) on
 // hand-written fixture traces: span self-time accounting, flow-event s/f
 // pairing, malformed-line rejection, annealer convergence diagnostics, and
-// byte-deterministic rendering. trace_analysis is a pure file reader
-// compiled unconditionally, so this suite also runs under ORP_OBS_DISABLED.
+// byte-deterministic rendering. trace_analysis is a pure file reader.
 
 #include <gtest/gtest.h>
 

@@ -8,6 +8,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -21,28 +22,6 @@
 #include "obs/sink.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
-
-#ifdef ORP_OBS_DISABLED
-
-// The behavioural suite below asserts real instrumentation; against the
-// ORP_OBS_DISABLED stubs only the no-op contract is checkable (the
-// zero-size guarantees live in obs_disabled_compile_test.cpp).
-namespace orp {
-namespace {
-
-TEST(ObsDisabled, StubsAreInertNoOps) {
-  obs::Counter& counter = obs::Registry::global().counter("disabled");
-  counter.add(5);
-  EXPECT_EQ(counter.value(), 0u);
-  obs::Span span("disabled", "test");
-  EXPECT_FALSE(span.active());
-  EXPECT_TRUE(obs::Registry::global().snapshot().empty());
-}
-
-}  // namespace
-}  // namespace orp
-
-#else
 
 namespace orp {
 namespace {
@@ -546,6 +525,25 @@ TEST(ObsSink, CsvSinkEscapesDelimitersAndQuotes) {
 
 // ---- snapshot sampler ---------------------------------------------------
 
+TEST(ObsSnapshot, IntervalFromEnvIsDigitsOnlyAndFitsInU32) {
+  ::unsetenv("ORP_OBS_SNAPSHOT_MS");
+  EXPECT_EQ(obs::snapshot_interval_from_env(), obs::kDefaultSnapshotMs);
+  ::setenv("ORP_OBS_SNAPSHOT_MS", "100", 1);
+  EXPECT_EQ(obs::snapshot_interval_from_env(), 100u);
+  ::setenv("ORP_OBS_SNAPSHOT_MS", "0", 1);
+  EXPECT_EQ(obs::snapshot_interval_from_env(), 0u);  // sampling off
+  // A sign, whitespace, junk or a value past UINT32_MAX keeps the default
+  // rather than wrapping: "-1" is not 4294967295 ms, and 2^32 + 100 is not
+  // 100 ms.
+  for (const char* bad : {"", "-1", " 100", "+100", "100ms", "4294967396",
+                          "99999999999999999999"}) {
+    ::setenv("ORP_OBS_SNAPSHOT_MS", bad, 1);
+    EXPECT_EQ(obs::snapshot_interval_from_env(), obs::kDefaultSnapshotMs)
+        << "ORP_OBS_SNAPSHOT_MS=\"" << bad << "\"";
+  }
+  ::unsetenv("ORP_OBS_SNAPSHOT_MS");
+}
+
 TEST(ObsSnapshot, SamplerEmitsCounterDeltasThatSumToTheTotal) {
   const std::string path = temp_path("obs_snapshot.jsonl");
   obs::SinkConfig config = obs::parse_sink(path);
@@ -693,5 +691,3 @@ TEST(ObsFlow, ParallelForTasksCarryFlowEvents) {
 
 }  // namespace
 }  // namespace orp
-
-#endif  // ORP_OBS_DISABLED

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 
 #include "common/prng.hpp"
 #include "hsg/bounds.hpp"
@@ -16,12 +17,22 @@
 namespace orp {
 namespace {
 
+// gtest names each case by the raw bytes of its parameter, so the
+// parameter structs below turn the bytes an aggregate would leave as
+// padding into zeroed members (MOptCase: see its note), and are pinned
+// padding-free: the case names stay the same from build to build.
+
 // ---- bound properties over random instances ------------------------------
 
 struct BoundCase {
+  constexpr BoundCase(std::uint32_t n_, std::uint32_t m_, std::uint32_t r_,
+                      std::uint64_t seed_)
+      : n(n_), m(m_), r(r_), seed(seed_) {}
   std::uint32_t n, m, r;
+  std::uint32_t zero = 0;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<BoundCase>);
 
 class TheoremTwoIsALowerBound : public ::testing::TestWithParam<BoundCase> {};
 
@@ -68,7 +79,9 @@ INSTANTIATE_TEST_SUITE_P(
 struct NrCase {
   std::uint64_t n;
   std::uint32_t r;
+  std::uint32_t zero = 0;
 };
+static_assert(std::has_unique_object_representations_v<NrCase>);
 
 // gtest names each case by the raw bytes of its parameter, and this suite's
 // short name leaves the bytes after r inside the listed test name. The
@@ -112,9 +125,14 @@ INSTANTIATE_TEST_SUITE_P(Grid, MOptShape,
 // A rate allocation is max-min fair iff every flow has a bottleneck link:
 // a saturated link where the flow's rate is maximal among its flows.
 struct FairCase {
+  constexpr FairCase(std::uint32_t links_, std::uint32_t flows_,
+                     std::uint32_t max_path_, std::uint64_t seed_)
+      : links(links_), flows(flows_), max_path(max_path_), seed(seed_) {}
   std::uint32_t links, flows, max_path;
+  std::uint32_t zero = 0;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<FairCase>);
 
 class MaxMinCertificate : public ::testing::TestWithParam<FairCase> {};
 
@@ -188,8 +206,8 @@ INSTANTIATE_TEST_SUITE_P(
 class SolverInvariants : public ::testing::TestWithParam<NrCase> {};
 
 TEST_P(SolverInvariants, SolutionRespectsModelAndBounds) {
-  const auto [n64, r] = GetParam();
-  const auto n = static_cast<std::uint32_t>(n64);
+  const auto n = static_cast<std::uint32_t>(GetParam().n);
+  const std::uint32_t r = GetParam().r;
   SolveOptions options;
   options.iterations = 400;
   const auto result = solve_orp(n, r, options);

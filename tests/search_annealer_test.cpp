@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/prng.hpp"
@@ -54,7 +55,6 @@ TEST(Annealer, RespectsLowerBound) {
   EXPECT_GE(result.best_metrics.h_aspl, haspl_lower_bound(128, 10) - 1e-12);
 }
 
-#ifndef ORP_OBS_DISABLED
 // Every 4096th evaluation is re-checked against a from-scratch recompute
 // (the check throws on a mismatch, so a completed run passed them all).
 TEST(Annealer, AuditsTheDeltaEvaluatorEvery4096Evaluations) {
@@ -90,7 +90,6 @@ TEST(Annealer, StopsRejectedMovesEarlyUnderTheHasplObjective) {
   anneal(initial, options);
   EXPECT_EQ(early.value(), before);
 }
-#endif
 
 TEST(Annealer, DeterministicForEqualSeeds) {
   Xoshiro256 rng_a(4), rng_b(4);
@@ -205,11 +204,15 @@ std::uint64_t graph_hash(const HostSwitchGraph& g) {
 // Golden trajectories: the walk of every move mode under both objectives,
 // pinned by its outcome. Any change to the PRNG stream, the accept/reject
 // decisions or the evaluator's metrics moves at least one of these.
+//
+// gtest names each case by the raw bytes of its parameter; having no
+// padding, they stay the same from build to build.
 struct GoldenCase {
   MoveMode mode;
   AnnealObjective objective;
   std::uint64_t total_length, accepted, evaluations, hash;
 };
+static_assert(std::has_unique_object_representations_v<GoldenCase>);
 
 class AnnealerGolden : public ::testing::TestWithParam<GoldenCase> {};
 
@@ -252,7 +255,6 @@ TEST(AnnealerGolden, PaperSizeSolveIsPinned) {
   EXPECT_EQ(graph_hash(result.graph), 0xe68f9ef1d6b8ca82ULL);
 }
 
-#ifndef ORP_OBS_DISABLED
 // A swing that strands a leaf switch's hosts is rejected as disconnected
 // without a Metropolis draw: after the step the chain's PRNG has advanced by
 // exactly the proposal's draws.
@@ -303,7 +305,6 @@ TEST(Annealer, DisconnectingSwingIsRejectedWithoutADraw) {
   Xoshiro256 chain_rng = chain.rng();
   EXPECT_EQ(chain_rng(), after_proposal());
 }
-#endif
 
 TEST(Annealer, SwapModePreservesHostDistribution) {
   Xoshiro256 rng(5);

@@ -205,14 +205,12 @@ TEST(MachineFaults, FlowStrandedMidPhaseReportsZeroHops) {
   Machine healthy(g);
   const double t_healthy = healthy.phase(messages);
 
-#ifndef ORP_OBS_DISABLED
   const std::string path = testing::TempDir() + "sim_fault_stranded.jsonl";
   obs::SinkConfig config = obs::parse_sink(path);
   config.snapshot_ms = 0;
   ASSERT_TRUE(obs::configure(config));
   set_net_telemetry(NetTelemetryConfig{});
   net_detail::reset_for_tests();
-#endif
   Machine m(g);
   m.inject_faults({{t_healthy / 2, FaultEvent::Kind::kSwitchDown, 2, 0}});
   m.phase(messages);
@@ -220,7 +218,6 @@ TEST(MachineFaults, FlowStrandedMidPhaseReportsZeroHops) {
   EXPECT_EQ(m.last_phase_stats().completed, 1u);
   // The survivor crosses up-link, s0->s1, down-link; the stranded flow 0.
   EXPECT_DOUBLE_EQ(m.last_phase_stats().mean_hops, 1.5);
-#ifndef ORP_OBS_DISABLED
   obs::flush();
   obs::configure(obs::SinkConfig{});
   const obs::report::TraceAnalysis a = obs::report::analyze_trace_file(path);
@@ -229,7 +226,6 @@ TEST(MachineFaults, FlowStrandedMidPhaseReportsZeroHops) {
   for (const obs::report::NetFlow& flow : a.network.flows) {
     EXPECT_EQ(flow.hops, flow.failed ? 0u : 3u) << "dst " << flow.dst;
   }
-#endif
 }
 
 TEST(MachineFaults, LinkLoadsNameTheCablesFlowsCrossedAcrossAMidPhaseFault) {
@@ -259,14 +255,12 @@ TEST(MachineFaults, LinkLoadsNameTheCablesFlowsCrossedAcrossAMidPhaseFault) {
   Machine healthy(g);
   const double t_healthy = healthy.phase(messages);
 
-#ifndef ORP_OBS_DISABLED
   const std::string path = testing::TempDir() + "sim_fault_link_loads.jsonl";
   obs::SinkConfig config = obs::parse_sink(path);
   config.snapshot_ms = 0;
   ASSERT_TRUE(obs::configure(config));
   set_net_telemetry(NetTelemetryConfig{});
   net_detail::reset_for_tests();
-#endif
   Machine m(g);
   m.inject_faults({{t_healthy / 2, FaultEvent::Kind::kLinkDown, 1, 2}});
   m.phase(messages);
@@ -288,7 +282,6 @@ TEST(MachineFaults, LinkLoadsNameTheCablesFlowsCrossedAcrossAMidPhaseFault) {
           << "bytes credited to switch link " << l << ", which no flow crossed";
     }
   }
-#ifndef ORP_OBS_DISABLED
   obs::flush();
   obs::configure(obs::SinkConfig{});
   const obs::report::TraceAnalysis a = obs::report::analyze_trace_file(path);
@@ -311,7 +304,6 @@ TEST(MachineFaults, LinkLoadsNameTheCablesFlowsCrossedAcrossAMidPhaseFault) {
     }
   }
   EXPECT_EQ(seen, 2u);
-#endif
 }
 
 TEST(MachineFaults, SwitchDownKillsItsRanksButOthersComplete) {

@@ -177,7 +177,6 @@ TEST(ParallelRounds, MachineCalledFromPoolTasksRunsSerially) {
   for (const double v : got) EXPECT_EQ(std::bit_cast<std::uint64_t>(v), std::bit_cast<std::uint64_t>(want));
 }
 
-#ifndef ORP_OBS_DISABLED
 std::uint64_t counter(const char* name) {
   return obs::Registry::global().counter(name).value();
 }
@@ -238,7 +237,6 @@ TEST(ParallelRounds, TracedRunEqualsUntraced) {
   EXPECT_EQ(parallel_while_traced, 0u);  // a tracer keeps every round serial
   expect_identical(untraced, traced, "traced");
 }
-#endif  // ORP_OBS_DISABLED
 
 }  // namespace
 }  // namespace orp

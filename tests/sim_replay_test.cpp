@@ -141,17 +141,12 @@ TEST(Replay, RepeatedCallEqualsTheCallOnAFreshMachine) {
           if (accumulates(first.what[i])) continue;
           EXPECT_EQ(first.bits[i], repeat.bits[i]) << label << ": " << first.what[i];
         }
-#ifndef ORP_OBS_DISABLED
         EXPECT_EQ(phases_run, 0u) << label;
         if (step.name == "self_phase") {
           EXPECT_EQ(rounds_replayed, 0u) << label;
         } else {
           EXPECT_GT(rounds_replayed, 0u) << label;
         }
-#else
-        (void)phases_run;
-        (void)rounds_replayed;
-#endif
       }
     }
   }
@@ -198,15 +193,10 @@ TEST(Replay, NasKernelsEqualTheSimulatedRun) {
     Machine replaying(g, SimParams{}, {}, nullptr);
     const std::uint64_t replayed = counter("sim.rounds.replayed");
     expect_identical(want, run_kernels(replaying, fraction), label);
-#ifndef ORP_OBS_DISABLED
     EXPECT_GT(counter("sim.rounds.replayed"), replayed) << label;
-#else
-    (void)replayed;
-#endif
   }
 }
 
-#ifndef ORP_OBS_DISABLED
 TEST(Replay, NasKernelsUntracedEqualTraced) {
   // A tracer turns replays off, so the traced run simulates every phase;
   // the untraced run replays, and takes each skipped phase as a replayed
@@ -245,7 +235,6 @@ TEST(Replay, NasKernelsUntracedEqualTraced) {
     EXPECT_EQ(traced_work, untraced_work) << label;
   }
 }
-#endif  // ORP_OBS_DISABLED
 
 TEST(Replay, NotAcrossAFaultThatChangedTheTopology) {
   // The cable fails between two identical alltoalls: the second one routes
@@ -307,7 +296,6 @@ TEST(Replay, LinkLoadsAfterAReplayUseTheTopologyOfTheReplay) {
   }
 }
 
-#ifndef ORP_OBS_DISABLED
 TEST(Replay, NotWhileAnEventIsPending) {
   const HostSwitchGraph g = random_graph(64, 12, 3);
   Machine m(g, SimParams{}, {}, nullptr);
@@ -421,7 +409,6 @@ TEST(Replay, PastTheBudgetCallsSimulateEveryTime) {
   got.observe("end", 0.0, m);
   expect_identical(want, got, "past the budget");
 }
-#endif  // ORP_OBS_DISABLED
 
 TEST(Replay, ResetRestartsTheEcmpPhaseIndex) {
   // Under ECMP a kernel's result depends on the phase index; reset() zeroes

@@ -23,24 +23,20 @@
 namespace orp {
 namespace {
 
-// ---- config / spec parsing (compiled under ORP_OBS_DISABLED too) --------
+// ---- config / spec parsing ----------------------------------------------
 
 TEST(NetTelemetrySpec, KnobListOverridesFields) {
   NetTelemetryConfig base;  // defaults
   set_net_telemetry(base);
   ASSERT_TRUE(apply_net_telemetry_spec("flow_sample=4,link_steps=2"));
-#ifndef ORP_OBS_DISABLED
   EXPECT_TRUE(net_telemetry().enabled);
   EXPECT_EQ(net_telemetry().flow_sample, 4u);
   EXPECT_EQ(net_telemetry().link_steps, 2u);
   EXPECT_EQ(net_telemetry().link_top_k, base.link_top_k);  // untouched
-#endif
   // Values span the whole unsigned 32-bit range, 0 included.
   ASSERT_TRUE(apply_net_telemetry_spec("link_top_k=0,reservoir_links=4294967295"));
-#ifndef ORP_OBS_DISABLED
   EXPECT_EQ(net_telemetry().link_top_k, 0u);
   EXPECT_EQ(net_telemetry().reservoir_links, 4294967295u);
-#endif
   set_net_telemetry(base);
 }
 
@@ -48,13 +44,9 @@ TEST(NetTelemetrySpec, OffAndOnToggle) {
   NetTelemetryConfig base;
   set_net_telemetry(base);
   ASSERT_TRUE(apply_net_telemetry_spec("off"));
-#ifndef ORP_OBS_DISABLED
   EXPECT_FALSE(net_telemetry().enabled);
-#endif
   ASSERT_TRUE(apply_net_telemetry_spec("on"));
-#ifndef ORP_OBS_DISABLED
   EXPECT_TRUE(net_telemetry().enabled);
-#endif
   set_net_telemetry(base);
 }
 
@@ -72,9 +64,7 @@ TEST(NetTelemetrySpec, MalformedSpecIsRejectedAndConfigKept) {
   EXPECT_FALSE(apply_net_telemetry_spec("link_top_k=4 "));
   EXPECT_FALSE(apply_net_telemetry_spec("link_top_k=4294967296"));  // > u32
   EXPECT_FALSE(apply_net_telemetry_spec("link_top_k=99999999999"));
-#ifndef ORP_OBS_DISABLED
   EXPECT_EQ(net_telemetry().flow_sample, 7u);  // untouched by failures
-#endif
   set_net_telemetry(NetTelemetryConfig{});
 }
 
@@ -106,8 +96,6 @@ TEST(NetTelemetryEnv, ZeroIsAValueAndMalformedKeepsTheDefault) {
   }
   for (const char* name : names) ::unsetenv(name);
 }
-
-#ifndef ORP_OBS_DISABLED
 
 // ---- end-to-end: traced sim -> flush -> analyzer -------------------------
 
@@ -451,8 +439,6 @@ TEST(SimTelemetryGolden, FaultedAlltoallvLinkLoadsHoldBitForBit) {
     EXPECT_EQ(rows[i].fair_bps, want.fair_bps) << "row " << i;
   }
 }
-
-#endif  // ORP_OBS_DISABLED
 
 }  // namespace
 }  // namespace orp
