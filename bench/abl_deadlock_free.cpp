@@ -10,9 +10,6 @@
 
 #include "bench_util.hpp"
 #include "sim/updown.hpp"
-#include "topo/dragonfly.hpp"
-#include "topo/fattree.hpp"
-#include "topo/torus.hpp"
 
 int main(int argc, char** argv) try {
   using namespace orp;
@@ -28,31 +25,7 @@ int main(int argc, char** argv) try {
   std::uint64_t iterations = cli.get_uint<std::uint64_t>("iters");
   if (iterations == 0) iterations = sa_iters(1500);
 
-  struct Candidate {
-    std::string name;
-    HostSwitchGraph graph;
-  };
-  std::vector<Candidate> candidates;
-  candidates.push_back({"proposed r=12", build_proposed(n, 12, iterations).graph});
-  for (std::uint32_t base = 2;; ++base) {
-    const TorusParams params{3, base, 12};
-    if (torus_host_capacity(params) >= n) {
-      candidates.push_back({"3-D torus", build_torus(params, n)});
-      break;
-    }
-  }
-  for (std::uint32_t a = 2;; a += 2) {
-    if (dragonfly_host_capacity(DragonflyParams{a}) >= n) {
-      candidates.push_back({"dragonfly", build_dragonfly(DragonflyParams{a}, n)});
-      break;
-    }
-  }
-  for (std::uint32_t k = 2;; k += 2) {
-    if (fattree_host_capacity(FatTreeParams{k}) >= n) {
-      candidates.push_back({"fat-tree", build_fattree(FatTreeParams{k}, n)});
-      break;
-    }
-  }
+  const std::vector<Candidate> candidates = conventional_lineup(n, iterations);
 
   print_header("Ablation: deadlock freedom, n=" + std::to_string(n));
   Table table({"topology", "shortest h-ASPL", "SP deadlocks?", "up*/down* h-ASPL",

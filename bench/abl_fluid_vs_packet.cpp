@@ -9,8 +9,6 @@
 #include "bench_util.hpp"
 #include "sim/packet.hpp"
 #include "sim/traffic.hpp"
-#include "topo/fattree.hpp"
-#include "topo/torus.hpp"
 
 int main(int argc, char** argv) try {
   using namespace orp;
@@ -24,18 +22,9 @@ int main(int argc, char** argv) try {
   std::uint64_t iterations = cli.get_uint<std::uint64_t>("iters");
   if (iterations == 0) iterations = sa_iters(1000);
 
-  struct Candidate {
-    std::string name;
-    HostSwitchGraph graph;
-  };
   std::vector<Candidate> candidates;
   candidates.push_back({"proposed", build_proposed(n, 8, iterations).graph});
-  for (std::uint32_t k = 2;; k += 2) {
-    if (fattree_host_capacity(FatTreeParams{k}) >= n) {
-      candidates.push_back({"fat-tree", build_fattree(FatTreeParams{k}, n)});
-      break;
-    }
-  }
+  candidates.push_back({"fat-tree", build_fattree(smallest_fattree(n), n)});
 
   print_header("Ablation: fluid vs packet engine, n=" + std::to_string(n));
   Table table({"topology", "pattern", "bytes", "fluid s", "packet s", "packet/fluid"});

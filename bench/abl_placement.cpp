@@ -27,10 +27,6 @@ int main(int argc, char** argv) try {
   const auto placement_iters =
       cli.get_uint<std::uint64_t>("placement-iters");
 
-  struct Candidate {
-    std::string name;
-    HostSwitchGraph graph;
-  };
   std::vector<Candidate> candidates;
   candidates.push_back({"proposed r=15", build_proposed(n, 15, sa_iterations).graph});
   candidates.push_back({"5-D torus", build_torus(TorusParams{5, 3, 15}, n)});

@@ -14,6 +14,7 @@
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/shutdown.hpp"
@@ -25,6 +26,9 @@
 #include "sim/nas.hpp"
 #include "sim/telemetry/telemetry.hpp"
 #include "topo/attach.hpp"
+#include "topo/dragonfly.hpp"
+#include "topo/fattree.hpp"
+#include "topo/torus.hpp"
 
 namespace orp::bench {
 
@@ -82,6 +86,23 @@ inline SolveResult build_proposed(std::uint32_t n, std::uint32_t r,
 inline Machine proposed_machine(const HostSwitchGraph& graph,
                                 const SimParams& params = {}) {
   return Machine(graph, params, dfs_host_order(graph));
+}
+
+/// One labelled topology of a bench's comparison table.
+struct Candidate {
+  std::string name;
+  HostSwitchGraph graph;
+};
+
+/// The §6 line-up at n hosts: the proposed topology at r = 12 and the
+/// smallest 3-D torus (r = 12), dragonfly and fat-tree that carry n.
+inline std::vector<Candidate> conventional_lineup(std::uint32_t n, std::uint64_t iterations) {
+  std::vector<Candidate> lineup;
+  lineup.push_back({"proposed r=12", build_proposed(n, 12, iterations).graph});
+  lineup.push_back({"3-D torus", build_torus(smallest_torus(3, 12, n), n)});
+  lineup.push_back({"dragonfly", build_dragonfly(smallest_dragonfly(n), n)});
+  lineup.push_back({"fat-tree", build_fattree(smallest_fattree(n), n)});
+  return lineup;
 }
 
 inline void print_header(const std::string& title) {

@@ -5,18 +5,6 @@
 
 #include "bench_util.hpp"
 #include "compare_common.hpp"
-#include "topo/dragonfly.hpp"
-
-namespace {
-
-orp::DragonflyParams smallest_dragonfly(std::uint32_t hosts) {
-  for (std::uint32_t a = 2;; a += 2) {
-    const orp::DragonflyParams params{a};
-    if (orp::dragonfly_host_capacity(params) >= hosts) return params;
-  }
-}
-
-}  // namespace
 
 int main(int argc, char** argv) try {
   using namespace orp;

@@ -8,18 +8,6 @@
 
 #include "bench_util.hpp"
 #include "compare_common.hpp"
-#include "topo/fattree.hpp"
-
-namespace {
-
-orp::FatTreeParams smallest_fattree(std::uint32_t hosts) {
-  for (std::uint32_t k = 2;; k += 2) {
-    const orp::FatTreeParams params{k};
-    if (orp::fattree_host_capacity(params) >= hosts) return params;
-  }
-}
-
-}  // namespace
 
 int main(int argc, char** argv) try {
   using namespace orp;

@@ -2,7 +2,8 @@
 // BENCH_microbench.json perf trajectory (schema: docs/bench.md).
 //
 // Families:
-//   aspl       — h-ASPL kernels, scalar BFS vs bit-parallel 64-source
+//   aspl       — h-ASPL kernels, scalar BFS vs bit-parallel 64-source,
+//                plus the paper-size bit-parallel kernel on 4 threads
 //   annealer   — full SA move + evaluate + accept/rollback cycles per
 //                neighborhood mode (ns/op covers a fixed 64-iteration run)
 //   search     — the annealer with its delta (incremental) h-ASPL evaluator
@@ -73,29 +74,35 @@ std::uint32_t regular_switch_count(std::uint32_t n, std::uint32_t r) {
 
 void register_aspl(BenchRegistry& registry) {
   // scalar_bfs measures the one-BFS-per-source test oracle (orp_oracle) so
-  // the bit-parallel speedup stays quantified.
+  // the bit-parallel speedup stays quantified. The .t4 series runs the
+  // bit-parallel kernel on 4 threads: the caller plus a pool of 3 workers
+  // of its own.
   struct Config {
     std::uint32_t n, r;
     bool scalar;
     const char* variant;
+    std::uint32_t threads;  ///< 0: no thread suffix, serial
     bool quick;
   };
   for (const Config& c : {
-           Config{256, 12, true, "scalar_bfs", true},
-           Config{256, 12, false, "bit_parallel", true},
-           Config{1024, 24, true, "scalar_bfs", false},
-           Config{1024, 24, false, "bit_parallel", false},
+           Config{256, 12, true, "scalar_bfs", 0, true},
+           Config{256, 12, false, "bit_parallel", 0, true},
+           Config{1024, 24, true, "scalar_bfs", 0, false},
+           Config{1024, 24, false, "bit_parallel", 0, false},
+           Config{1024, 24, false, "bit_parallel", 4, false},
        }) {
     registry.add({
         "aspl." + std::string(c.variant) + ".n" + std::to_string(c.n) + "_r" +
-            std::to_string(c.r),
+            std::to_string(c.r) + (c.threads ? ".t" + std::to_string(c.threads) : ""),
         "aspl",
         [c]() -> BenchOp {
           auto graph = std::make_shared<HostSwitchGraph>(setup_graph(c.n, c.r));
-          return [graph, scalar = c.scalar] {
+          std::shared_ptr<ThreadPool> pool;
+          if (c.threads > 1) pool = std::make_shared<ThreadPool>(c.threads - 1);
+          return [graph, pool, scalar = c.scalar] {
             const HostMetrics m =
                 scalar ? compute_host_metrics_scalar(*graph)
-                       : compute_host_metrics(*graph);
+                       : compute_host_metrics(*graph, pool.get());
             do_not_optimize(m.total_length);
           };
         },

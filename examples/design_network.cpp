@@ -77,33 +77,18 @@ int main(int argc, char** argv) try {
 
   // Smallest conventional fabrics that can carry n hosts. The torus keeps
   // the requested radix; dragonfly and fat-tree dictate their own.
-  for (std::uint32_t base = 2;; ++base) {
-    const TorusParams params{3, base, r};
-    if (r > torus_link_degree(params) && torus_host_capacity(params) >= n) {
-      candidates.push_back(
-          {"3-D torus (N=" + std::to_string(base) + ", r=" + std::to_string(r) + ")",
-           build_torus(params, n)});
-      break;
-    }
-  }
-  for (std::uint32_t a = 2;; a += 2) {
-    const DragonflyParams params{a};
-    if (dragonfly_host_capacity(params) >= n) {
-      candidates.push_back(
-          {"dragonfly (a=" + std::to_string(a) + ", r=" + std::to_string(params.radix()) + ")",
-           build_dragonfly(params, n)});
-      break;
-    }
-  }
-  for (std::uint32_t k = 2;; k += 2) {
-    const FatTreeParams params{k};
-    if (fattree_host_capacity(params) >= n) {
-      candidates.push_back(
-          {std::to_string(k) + "-ary fat-tree (r=" + std::to_string(k) + ")",
-           build_fattree(params, n)});
-      break;
-    }
-  }
+  const TorusParams torus = smallest_torus(3, r, n);
+  candidates.push_back({"3-D torus (N=" + std::to_string(torus.base) + ", r=" +
+                            std::to_string(r) + ")",
+                        build_torus(torus, n)});
+  const DragonflyParams dragonfly = smallest_dragonfly(n);
+  candidates.push_back({"dragonfly (a=" + std::to_string(dragonfly.group_size) + ", r=" +
+                            std::to_string(dragonfly.radix()) + ")",
+                        build_dragonfly(dragonfly, n)});
+  const FatTreeParams fattree = smallest_fattree(n);
+  candidates.push_back({std::to_string(fattree.k) + "-ary fat-tree (r=" +
+                            std::to_string(fattree.k) + ")",
+                        build_fattree(fattree, n)});
 
   Table table({"topology", "switches", "h-ASPL", "diameter", "bisection cut",
                "power W", "cost $"});

@@ -35,26 +35,9 @@ HostSwitchGraph build_topology(const std::string& name, std::uint32_t n,
     options.seed = seed;
     return solve_orp(n, r, options).graph;
   }
-  if (name == "torus") {
-    for (std::uint32_t base = 2;; ++base) {
-      const TorusParams params{3, base, r};
-      if (r > torus_link_degree(params) && torus_host_capacity(params) >= n) {
-        return build_torus(params, n);
-      }
-    }
-  }
-  if (name == "dragonfly") {
-    for (std::uint32_t a = 2;; a += 2) {
-      const DragonflyParams params{a};
-      if (dragonfly_host_capacity(params) >= n) return build_dragonfly(params, n);
-    }
-  }
-  if (name == "fattree") {
-    for (std::uint32_t k = 2;; k += 2) {
-      const FatTreeParams params{k};
-      if (fattree_host_capacity(params) >= n) return build_fattree(params, n);
-    }
-  }
+  if (name == "torus") return build_torus(smallest_torus(3, r, n), n);
+  if (name == "dragonfly") return build_dragonfly(smallest_dragonfly(n), n);
+  if (name == "fattree") return build_fattree(smallest_fattree(n), n);
   throw std::invalid_argument("unknown topology '" + name +
                               "' (use proposed|torus|dragonfly|fattree)");
 }

@@ -4,7 +4,6 @@
 
 #include "common/require.hpp"
 #include "hsg/distance.hpp"
-#include "hsg/metrics.hpp"
 
 namespace orp {
 
@@ -90,38 +89,6 @@ std::vector<std::uint32_t> switch_degree_distribution(const HostSwitchGraph& g) 
   std::vector<std::uint32_t> dist(max_degree + 1, 0);
   for (SwitchId s = 0; s < g.num_switches(); ++s) ++dist[g.switch_degree(s)];
   return dist;
-}
-
-FaultImpact link_failure_impact(const HostSwitchGraph& g, double failure_rate,
-                                int trials, Xoshiro256& rng) {
-  ORP_REQUIRE(failure_rate >= 0.0 && failure_rate < 1.0,
-              "failure rate must be in [0, 1)");
-  ORP_REQUIRE(trials > 0, "need at least one trial");
-  const HostMetrics healthy = compute_host_metrics(g);
-  ORP_REQUIRE(healthy.connected, "baseline network must be connected");
-
-  FaultImpact impact;
-  double inflation_sum = 0.0;
-  for (int trial = 0; trial < trials; ++trial) {
-    HostSwitchGraph faulty = g;
-    for (SwitchId s = 0; s < g.num_switches(); ++s) {
-      for (const SwitchId t : g.neighbors(s)) {
-        if (s < t && rng.bernoulli(failure_rate)) faulty.remove_switch_edge(s, t);
-      }
-    }
-    const HostMetrics metrics = compute_host_metrics(faulty);
-    if (!metrics.connected) continue;
-    ++impact.connected_trials;
-    const double inflation = metrics.h_aspl / healthy.h_aspl - 1.0;
-    inflation_sum += inflation;
-    impact.max_haspl_inflation = std::max(impact.max_haspl_inflation, inflation);
-  }
-  impact.disconnect_probability =
-      1.0 - static_cast<double>(impact.connected_trials) / trials;
-  if (impact.connected_trials > 0) {
-    impact.mean_haspl_inflation = inflation_sum / impact.connected_trials;
-  }
-  return impact;
 }
 
 double average_shortest_path_multiplicity(const HostSwitchGraph& g) {

@@ -14,6 +14,13 @@ std::uint64_t dragonfly_host_capacity(const DragonflyParams& params) {
   return dragonfly_switch_count(params) * params.hosts_per_switch();
 }
 
+DragonflyParams smallest_dragonfly(std::uint32_t hosts) {
+  for (std::uint32_t a = 2;; a += 2) {
+    const DragonflyParams params{a};
+    if (dragonfly_host_capacity(params) >= hosts) return params;
+  }
+}
+
 HostSwitchGraph build_dragonfly(const DragonflyParams& params, std::uint32_t n,
                                 AttachPolicy policy) {
   const std::uint64_t m = dragonfly_switch_count(params);

@@ -30,6 +30,9 @@ std::uint64_t dragonfly_switch_count(const DragonflyParams& params);
 /// Max hosts: p * m = a^4/4 + a^2/2 (Formula 4c).
 std::uint64_t dragonfly_host_capacity(const DragonflyParams& params);
 
+/// The smallest balanced dragonfly (least even a) that carries `hosts`.
+DragonflyParams smallest_dragonfly(std::uint32_t hosts);
+
 /// Builds the dragonfly carrying n hosts attached per `policy`.
 HostSwitchGraph build_dragonfly(const DragonflyParams& params, std::uint32_t n,
                                 AttachPolicy policy = AttachPolicy::kRoundRobin);

@@ -14,6 +14,13 @@ std::uint64_t fattree_host_capacity(const FatTreeParams& params) {
   return static_cast<std::uint64_t>(params.k) * params.k * params.k / 4;
 }
 
+FatTreeParams smallest_fattree(std::uint32_t hosts) {
+  for (std::uint32_t k = 2;; k += 2) {
+    const FatTreeParams params{k};
+    if (fattree_host_capacity(params) >= hosts) return params;
+  }
+}
+
 HostSwitchGraph build_fattree(const FatTreeParams& params, std::uint32_t n,
                               AttachPolicy policy) {
   const std::uint32_t k = params.k;

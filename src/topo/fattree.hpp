@@ -21,6 +21,9 @@ struct FatTreeParams {
 std::uint64_t fattree_switch_count(const FatTreeParams& params);  // 5K^2/4
 std::uint64_t fattree_host_capacity(const FatTreeParams& params); // K^3/4
 
+/// The smallest fat-tree (least even K) that carries `hosts`.
+FatTreeParams smallest_fattree(std::uint32_t hosts);
+
 /// Builds the fat-tree carrying n hosts. Hosts can only attach to edge
 /// switches; `policy` orders the attachment across edge switches.
 /// Switch ids: [0, K^2/2) edge, [K^2/2, K^2) aggregation, [K^2, 5K^2/4) core.

@@ -1,5 +1,8 @@
 #include "topo/torus.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "common/require.hpp"
 
 namespace orp {
@@ -19,6 +22,24 @@ std::uint64_t torus_host_capacity(const TorusParams& params) {
   const std::uint32_t degree = torus_link_degree(params);
   ORP_REQUIRE(params.radix > degree, "radix must exceed the torus link degree");
   return (params.radix - degree) * torus_switch_count(params);
+}
+
+TorusParams smallest_torus(std::uint32_t dims, std::uint32_t radix, std::uint32_t hosts) {
+  ORP_REQUIRE(dims >= 1, "a torus needs dims >= 1");
+  const TorusParams pair{dims, 2, radix};  // base 2: dims links per switch
+  if (radix > dims && torus_host_capacity(pair) >= hosts) return pair;
+  // Base >= 3: 2*dims links per switch; capacity grows with the base.
+  if (radix > 2 * dims) {
+    for (std::uint32_t base = 3;; ++base) {
+      const TorusParams params{dims, base, radix};
+      if (torus_host_capacity(params) >= hosts) return params;
+    }
+  }
+  throw std::invalid_argument("no " + std::to_string(dims) + "-D torus of radix " +
+                              std::to_string(radix) + " carries " + std::to_string(hosts) +
+                              " hosts (base 2 has " + std::to_string(dims) +
+                              " links per switch, larger bases " + std::to_string(2 * dims) +
+                              ")");
 }
 
 HostSwitchGraph build_torus(const TorusParams& params, std::uint32_t n,

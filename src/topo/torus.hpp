@@ -28,6 +28,11 @@ std::uint32_t torus_link_degree(const TorusParams& params);
 /// Max hosts: (radix - link_degree) * base^dims (Formula 3b).
 std::uint64_t torus_host_capacity(const TorusParams& params);
 
+/// The smallest `dims`-D torus of radix `radix` that carries `hosts`: base
+/// 2 when it fits (radix > dims), else the least base >= 3 (needs radix >
+/// 2*dims). Throws std::invalid_argument when no base fits.
+TorusParams smallest_torus(std::uint32_t dims, std::uint32_t radix, std::uint32_t hosts);
+
 /// Builds the torus carrying n hosts attached per `policy`.
 /// Requires radix > link degree (Formula 3c) and n <= capacity.
 HostSwitchGraph build_torus(const TorusParams& params, std::uint32_t n,

@@ -4,17 +4,27 @@
 # line naming the problem: not abort, hang, or run on a wrapped value.
 #
 # Usage: cli_hostile_args.sh QUICKSTART ABL_RANDOM_VS_SA CLUSTER_PLANNER
+#          DESIGN_NETWORK MPI_SIMULATION
 set -u
 quickstart=$1
 random_vs_sa=$2
 cluster_planner=$3
+design_network=$4
+mpi_simulation=$5
 failures=0
 
 expect_usage_error() {
-  local err rc
+  expect_usage_error_naming "" "$@"
+}
+
+# expect_usage_error_naming WORD COMMAND...: the "error: " line must also
+# contain WORD.
+expect_usage_error_naming() {
+  local word=$1 err rc
+  shift
   err=$(timeout 10 "$@" 2>&1 >/dev/null)
   rc=$?
-  if [[ $rc -ne 2 || $err != *"error: "* ]]; then
+  if [[ $rc -ne 2 || $err != *"error: "*"$word"* ]]; then
     echo "FAIL (exit $rc): $*"
     echo "$err" | tail -n 3
     failures=$((failures + 1))
@@ -32,5 +42,9 @@ expect_usage_error "$random_vs_sa" --replicas 4294967297
 expect_usage_error "$random_vs_sa" --random-trials -1
 expect_usage_error "$cluster_planner" --radix-step 0
 expect_usage_error "$cluster_planner" --radix-max 65536
+# Radix 6 leaves no host port on a 3-D torus of base >= 3, and base 2
+# holds only 24 hosts: the baseline search must refuse at once.
+expect_usage_error_naming torus "$mpi_simulation" --topology torus --hosts 64 --radix 6
+expect_usage_error_naming torus "$design_network" --hosts 100 --radix 6 --iters 100
 
 [[ $failures -eq 0 ]]

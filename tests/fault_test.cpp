@@ -13,6 +13,7 @@
 #include "fault/montecarlo.hpp"
 #include "hsg/metrics.hpp"
 #include "search/random_init.hpp"
+#include "topo/torus.hpp"
 
 namespace orp {
 namespace {
@@ -247,6 +248,66 @@ TEST(MonteCarlo, SweepIsDeterministicAndMonotoneInRate) {
   EXPECT_LE(c.mean_reachable_fraction, a.mean_reachable_fraction);
   EXPECT_GE(a.p90_haspl_inflation, a.p50_haspl_inflation);
   EXPECT_GE(a.max_haspl_inflation, a.p90_haspl_inflation);
+}
+
+TEST(MonteCarlo, ZeroFailureRateIsHarmless) {
+  const auto g = build_torus(TorusParams{2, 4, 8}, 32);
+  const ResilienceCurvePoint point = sweep_point(g, FaultSpec{}, 5);
+  EXPECT_EQ(point.trials, 5u);
+  EXPECT_EQ(point.partitioned_trials, 0u);
+  EXPECT_DOUBLE_EQ(point.p50_haspl_inflation, 1.0);
+  EXPECT_DOUBLE_EQ(point.max_haspl_inflation, 1.0);
+  EXPECT_DOUBLE_EQ(point.mean_reachable_fraction, 1.0);
+  EXPECT_DOUBLE_EQ(point.min_reachable_fraction, 1.0);
+}
+
+TEST(MonteCarlo, FailuresInflateHaspl) {
+  const auto g = build_torus(TorusParams{2, 6, 8}, 36);
+  FaultSpec spec;
+  spec.link_failure_rate = 0.08;
+  spec.seed = 2;
+  const ResilienceCurvePoint point = sweep_point(g, spec, 20);
+  EXPECT_GT(point.max_haspl_inflation, 1.0);
+  EXPECT_GE(point.max_haspl_inflation, point.p90_haspl_inflation);
+  EXPECT_GE(point.p90_haspl_inflation, point.p50_haspl_inflation);
+}
+
+TEST(MonteCarlo, TreeSnapsImmediately) {
+  // A path of switches partitions whenever any inter-switch cable fails.
+  HostSwitchGraph g(4, 4, 4);
+  for (HostId h = 0; h < 4; ++h) g.attach_host(h, h);
+  for (SwitchId s = 0; s + 1 < 4; ++s) g.add_switch_edge(s, s + 1);
+  FaultSpec spec;
+  spec.link_failure_rate = 0.5;
+  spec.seed = 3;
+  const ResilienceCurvePoint point = sweep_point(g, spec, 40);
+  EXPECT_GT(point.partitioned_trials, 20u);  // 1 - 0.5^3 = 0.875 expected
+  EXPECT_LT(point.mean_reachable_fraction, 1.0);
+}
+
+TEST(MonteCarlo, RicherGraphsDisconnectLess) {
+  // Same switch count: a ring (degree 2) vs a random saturated graph
+  // (degree ~6) — redundancy pays.
+  HostSwitchGraph ring(16, 16, 8);
+  for (HostId h = 0; h < 16; ++h) ring.attach_host(h, h);
+  for (SwitchId s = 0; s < 16; ++s) ring.add_switch_edge(s, (s + 1) % 16);
+  Xoshiro256 init_rng(4);
+  const auto dense = random_host_switch_graph(16, 16, 8, init_rng);
+
+  FaultSpec spec;
+  spec.link_failure_rate = 0.15;
+  spec.seed = 5;
+  EXPECT_GT(sweep_point(ring, spec, 40).partitioned_trials,
+            sweep_point(dense, spec, 40).partitioned_trials);
+}
+
+TEST(MonteCarlo, RejectsBadArguments) {
+  const auto g = build_torus(TorusParams{2, 4, 8}, 32);
+  FaultSpec spec;
+  spec.link_failure_rate = 0.1;
+  EXPECT_THROW(sweep_point(g, spec, 0), std::invalid_argument);
+  spec.link_failure_rate = 1.5;
+  EXPECT_THROW(sweep_point(g, spec, 5), std::invalid_argument);
 }
 
 TEST(MonteCarlo, TrialSeedsDiffer) {

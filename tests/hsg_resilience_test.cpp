@@ -1,73 +1,16 @@
-// Tests for the link-failure Monte-Carlo study, the Graph Golf edge-list
-// interop, and the diameter-then-ASPL annealing objective.
+// Tests for the Graph Golf edge-list interop and the diameter-then-ASPL
+// annealing objective. Link-failure resilience is tested on the
+// src/fault Monte-Carlo sweep (fault_test.cpp, MonteCarlo.*).
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "common/prng.hpp"
-#include "hsg/analysis.hpp"
 #include "hsg/io.hpp"
 #include "hsg/metrics.hpp"
 #include "search/odp.hpp"
-#include "search/random_init.hpp"
-#include "topo/fattree.hpp"
-#include "topo/torus.hpp"
 
 namespace orp {
 namespace {
-
-// ---- fault injection -------------------------------------------------------
-
-TEST(Resilience, ZeroFailureRateIsHarmless) {
-  const auto g = build_torus(TorusParams{2, 4, 8}, 32);
-  Xoshiro256 rng(1);
-  const auto impact = link_failure_impact(g, 0.0, 5, rng);
-  EXPECT_DOUBLE_EQ(impact.disconnect_probability, 0.0);
-  EXPECT_DOUBLE_EQ(impact.mean_haspl_inflation, 0.0);
-  EXPECT_EQ(impact.connected_trials, 5);
-}
-
-TEST(Resilience, FailuresInflateHaspl) {
-  const auto g = build_torus(TorusParams{2, 6, 8}, 36);
-  Xoshiro256 rng(2);
-  const auto impact = link_failure_impact(g, 0.08, 20, rng);
-  EXPECT_GT(impact.connected_trials, 0);
-  EXPECT_GT(impact.mean_haspl_inflation, 0.0);
-  EXPECT_GE(impact.max_haspl_inflation, impact.mean_haspl_inflation);
-}
-
-TEST(Resilience, TreeSnapsImmediately) {
-  // A path of switches disconnects whenever any inter-switch cable fails.
-  HostSwitchGraph g(4, 4, 4);
-  for (HostId h = 0; h < 4; ++h) g.attach_host(h, h);
-  for (SwitchId s = 0; s + 1 < 4; ++s) g.add_switch_edge(s, s + 1);
-  Xoshiro256 rng(3);
-  const auto impact = link_failure_impact(g, 0.5, 40, rng);
-  EXPECT_GT(impact.disconnect_probability, 0.5);  // 1 - 0.5^3 = 0.875 expected
-}
-
-TEST(Resilience, RicherGraphsDisconnectLess) {
-  // Same switch count: a ring (degree 2) vs a random saturated graph
-  // (degree ~6) — redundancy pays.
-  HostSwitchGraph ring(16, 16, 8);
-  for (HostId h = 0; h < 16; ++h) ring.attach_host(h, h);
-  for (SwitchId s = 0; s < 16; ++s) ring.add_switch_edge(s, (s + 1) % 16);
-  Xoshiro256 init_rng(4);
-  const auto dense = random_host_switch_graph(16, 16, 8, init_rng);
-
-  Xoshiro256 rng_a(5), rng_b(5);
-  const auto ring_impact = link_failure_impact(ring, 0.15, 40, rng_a);
-  const auto dense_impact = link_failure_impact(dense, 0.15, 40, rng_b);
-  EXPECT_GT(ring_impact.disconnect_probability,
-            dense_impact.disconnect_probability);
-}
-
-TEST(Resilience, RejectsBadArguments) {
-  const auto g = build_torus(TorusParams{2, 4, 8}, 32);
-  Xoshiro256 rng(1);
-  EXPECT_THROW(link_failure_impact(g, 1.0, 5, rng), std::invalid_argument);
-  EXPECT_THROW(link_failure_impact(g, 0.1, 0, rng), std::invalid_argument);
-}
 
 // ---- Graph Golf edge-list interop ------------------------------------------
 

@@ -1,9 +1,10 @@
 // Tests for the conventional topology generators against the paper's
-// Formulae 3 (torus), 4 (dragonfly), and 5 (fat-tree), plus attachment
-// policies.
+// Formulae 3 (torus), 4 (dragonfly), and 5 (fat-tree), the smallest-fabric
+// sizing rule the comparison benches use, plus attachment policies.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "hsg/metrics.hpp"
 #include "topo/dragonfly.hpp"
@@ -158,6 +159,61 @@ TEST(FatTree, RejectsOddK) {
 
 TEST(FatTree, RejectsOverCapacity) {
   EXPECT_THROW(build_fattree(FatTreeParams{4}, 17), std::invalid_argument);
+}
+
+// ---- smallest fabric carrying n hosts -----------------------------------
+
+TEST(SmallestFabric, MatchesTheBenchSizes) {
+  // The baselines the comparison benches build at r = 12 and n = 64/256/1024.
+  EXPECT_EQ(smallest_torus(3, 12, 64).base, 2u);    // 9 * 2^3 = 72
+  EXPECT_EQ(smallest_torus(3, 12, 256).base, 4u);   // 6 * 4^3 = 384
+  EXPECT_EQ(smallest_torus(3, 12, 1024).base, 6u);  // 6 * 6^3 = 1296
+  const TorusParams torus = smallest_torus(3, 12, 1024);
+  EXPECT_EQ(torus.dims, 3u);
+  EXPECT_EQ(torus.radix, 12u);
+  EXPECT_EQ(smallest_dragonfly(1024).group_size, 8u);  // capacity 1056
+  EXPECT_EQ(smallest_fattree(1024).k, 16u);            // capacity 1024
+  EXPECT_EQ(smallest_dragonfly(64).group_size, 4u);
+  EXPECT_EQ(smallest_fattree(64).k, 8u);
+}
+
+TEST(SmallestFabric, IsTheLeastThatFits) {
+  for (std::uint32_t n = 1; n <= 3000; n += 7) {
+    const TorusParams torus = smallest_torus(3, 12, n);
+    EXPECT_GE(torus_host_capacity(torus), n);
+    if (torus.base > 2) {
+      EXPECT_LT(torus_host_capacity(TorusParams{3, torus.base - 1, 12}), n);
+    }
+    const DragonflyParams dragonfly = smallest_dragonfly(n);
+    EXPECT_GE(dragonfly_host_capacity(dragonfly), n);
+    if (dragonfly.group_size > 2) {
+      EXPECT_LT(dragonfly_host_capacity(DragonflyParams{dragonfly.group_size - 2}), n);
+    }
+    const FatTreeParams fattree = smallest_fattree(n);
+    EXPECT_GE(fattree_host_capacity(fattree), n);
+    if (fattree.k > 2) {
+      EXPECT_LT(fattree_host_capacity(FatTreeParams{fattree.k - 2}), n);
+    }
+  }
+}
+
+TEST(SmallestFabric, LowRadixTorusKeepsBaseTwo) {
+  // radix 6 = 2 * dims: only base 2 (3 links per switch) leaves host ports.
+  EXPECT_EQ(smallest_torus(3, 6, 24).base, 2u);  // 3 * 2^3 = 24
+}
+
+TEST(SmallestFabric, UnreachableTorusThrowsAtOnce) {
+  try {
+    smallest_torus(3, 6, 64);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("3-D torus"), std::string::npos) << what;
+    EXPECT_NE(what.find("radix 6"), std::string::npos) << what;
+    EXPECT_NE(what.find("64 hosts"), std::string::npos) << what;
+  }
+  EXPECT_THROW(smallest_torus(3, 3, 1), std::invalid_argument);
+  EXPECT_THROW(smallest_torus(0, 12, 1), std::invalid_argument);
 }
 
 // ---- attachment policies ---------------------------------------------
