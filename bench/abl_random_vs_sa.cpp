@@ -32,7 +32,7 @@ int main(int argc, char** argv) try {
                " random graphs vs SA (both at m_opt)");
   Table table({"n", "r", "m_opt", "random best", "SA 2n-swing", "Thm-2 bound",
                "SA gain%"});
-  // The winning restart's convergence samples per configuration: one CSV
+  // The SA run's convergence samples per configuration: one CSV
   // reproduces every SA curve of this ablation in a single run.
   Table trace_table({"n", "r", "iteration", "current_haspl", "best_haspl",
                      "temperature"});

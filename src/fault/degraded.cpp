@@ -47,14 +47,13 @@ DegradedGraph apply_faults(const HostSwitchGraph& g, const FaultSet& faults) {
 }
 
 ResilienceReport evaluate_degraded(const HostSwitchGraph& g,
-                                   const FaultSet& faults, ThreadPool* pool) {
+                                   const FaultSet& faults) {
   static obs::Counter& evals =
       obs::Registry::global().counter("fault.degraded_evals");
   evals.inc();
 
   const DegradedGraph degraded = apply_faults(g, faults);
-  const HostMetrics metrics =
-      compute_live_host_metrics(degraded.graph, pool);
+  const HostMetrics metrics = compute_live_host_metrics(degraded.graph);
 
   ResilienceReport report;
   report.live_hosts = degraded.live_hosts;

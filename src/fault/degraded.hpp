@@ -19,8 +19,6 @@
 
 namespace orp {
 
-class ThreadPool;
-
 /// The surviving subgraph after a fault set lands.
 struct DegradedGraph {
   HostSwitchGraph graph;                 ///< survivors; dead hosts detached
@@ -61,7 +59,6 @@ struct ResilienceReport {
 };
 
 ResilienceReport evaluate_degraded(const HostSwitchGraph& g,
-                                   const FaultSet& faults,
-                                   ThreadPool* pool = nullptr);
+                                   const FaultSet& faults);
 
 }  // namespace orp

@@ -29,10 +29,9 @@ std::uint64_t trial_seed(std::uint64_t base_seed, std::uint32_t trial) {
 }
 
 ResilienceCurvePoint sweep_point(const HostSwitchGraph& g,
-                                 const FaultSpec& spec, std::uint32_t trials,
-                                 ThreadPool* pool) {
+                                 const FaultSpec& spec, std::uint32_t trials) {
   ORP_REQUIRE(trials > 0, "sweep needs at least one trial");
-  const HostMetrics healthy = compute_host_metrics(g, pool);
+  const HostMetrics healthy = compute_host_metrics(g);
   ORP_REQUIRE(healthy.connected, "resilience sweep needs a connected baseline");
 
   ResilienceCurvePoint point;
@@ -46,8 +45,7 @@ ResilienceCurvePoint sweep_point(const HostSwitchGraph& g,
   for (std::uint32_t trial = 0; trial < trials; ++trial) {
     FaultSpec trial_spec = spec;
     trial_spec.seed = trial_seed(spec.seed, trial);
-    const ResilienceReport report =
-        evaluate_degraded(g, draw_faults(g, trial_spec), pool);
+    const ResilienceReport report = evaluate_degraded(g, draw_faults(g, trial_spec));
 
     if (!report.live_hosts_connected) ++point.partitioned_trials;
     inflation.push_back(report.h_aspl / healthy.h_aspl);

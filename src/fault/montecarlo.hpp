@@ -13,8 +13,6 @@
 
 namespace orp {
 
-class ThreadPool;
-
 /// Aggregated degradation at one failure-rate point.
 struct ResilienceCurvePoint {
   std::uint32_t trials = 0;
@@ -37,8 +35,7 @@ struct ResilienceCurvePoint {
 /// seed derived from spec.seed and i) and aggregates the reports. The
 /// healthy graph must be connected.
 ResilienceCurvePoint sweep_point(const HostSwitchGraph& g,
-                                 const FaultSpec& spec, std::uint32_t trials,
-                                 ThreadPool* pool = nullptr);
+                                 const FaultSpec& spec, std::uint32_t trials);
 
 /// The derived per-trial seed, exposed so tests can reproduce any single
 /// trial of a sweep exactly.

@@ -1,12 +1,10 @@
 #include "hsg/metrics.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <numeric>
 #include <span>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "hsg/distance.hpp"
 #include "obs/metrics.hpp"
 
@@ -27,32 +25,30 @@ struct KernelInstruments {
 };
 
 // Weighted APSP accumulation shared by both public entry points: the
-// bit-parallel kernel from every switch in `sources`, 64 sources per block
-// and one pool task per block, with per-switch weights w (k_s for host
-// metrics, 1 for switch metrics) summing to `total_weight`. Each block sums,
-// per source, w_v d(s,v) and w_v over the reached weighted targets v; the
-// sources' own weights then scale those into the block's WeightedPairSums.
+// bit-parallel kernel from every switch in `sources`, 64 sources per block,
+// with per-switch weights w (k_s for host metrics, 1 for switch metrics)
+// summing to `total_weight`. Each block sums, per source, w_v d(s,v) and w_v
+// over the reached weighted targets v; the sources' own weights then scale
+// those into the pair sums. The scratch is thread_local, so concurrent
+// callers (the replica ladder's rungs) never share state.
 WeightedPairSums run_apsp(const HostSwitchGraph& g,
                           std::span<const std::uint32_t> weights,
-                          std::span<const SwitchId> sources, std::uint64_t total_weight,
-                          ThreadPool* pool) {
+                          std::span<const SwitchId> sources, std::uint64_t total_weight) {
   KernelInstruments& instruments = KernelInstruments::get();
   instruments.calls.inc();
   obs::ScopedTimer timer(instruments.latency_ns);
 
   constexpr std::size_t block_size = 64;  // one source per bit of a word
-  const std::size_t blocks = (sources.size() + block_size - 1) / block_size;
   const auto neighbors = [&g](SwitchId v) { return g.neighbors(v); };
+  thread_local DistanceScratch scratch;
 
-  std::mutex merge_mutex;
   WeightedPairSums total;
-  auto body = [&](std::size_t b) {
-    const std::span<const SwitchId> block = sources.subspan(
-        b * block_size, std::min(block_size, sources.size() - b * block_size));
+  for (std::size_t begin = 0; begin < sources.size(); begin += block_size) {
+    const std::span<const SwitchId> block =
+        sources.subspan(begin, std::min(block_size, sources.size() - begin));
     std::uint64_t dist_sum[block_size] = {};
     std::uint64_t reached_weight[block_size] = {};
     std::uint32_t max_distance = 0;
-    thread_local DistanceScratch scratch;
     bitparallel_bfs_block(
         g.num_switches(), neighbors, block, scratch,
         [&](SwitchId v, std::uint32_t level, std::uint64_t fresh) {
@@ -66,30 +62,17 @@ WeightedPairSums run_apsp(const HostSwitchGraph& g,
             reached_weight[j] += wv;
           }
         });
-
-    WeightedPairSums part;
-    part.max_distance = max_distance;
+    total.max_distance = std::max(total.max_distance, max_distance);
     for (std::size_t j = 0; j < block.size(); ++j) {
       const std::uint64_t ws = weights[block[j]];
-      part.ordered_sum += ws * dist_sum[j];
-      part.unreached_ordered += ws * (total_weight - reached_weight[j]);
+      total.ordered_sum += ws * dist_sum[j];
+      total.unreached_ordered += ws * (total_weight - reached_weight[j]);
     }
-    std::lock_guard lock(merge_mutex);
-    total.ordered_sum += part.ordered_sum;
-    total.max_distance = std::max(total.max_distance, part.max_distance);
-    total.unreached_ordered += part.unreached_ordered;
-  };
-
-  if (pool && blocks > 1) {
-    pool->parallel_for(blocks, body);
-  } else {
-    for (std::size_t b = 0; b < blocks; ++b) body(b);
   }
   return total;
 }
 
-HostMetrics host_metrics_impl(const HostSwitchGraph& g, ThreadPool* pool,
-                              bool require_fully_attached) {
+HostMetrics host_metrics_impl(const HostSwitchGraph& g, bool require_fully_attached) {
   if (require_fully_attached) {
     ORP_REQUIRE(g.fully_attached(), "metrics need every host attached to a switch");
   }
@@ -102,7 +85,7 @@ HostMetrics host_metrics_impl(const HostSwitchGraph& g, ThreadPool* pool,
     if (weights[s] > 0) sources.push_back(s);
   }
   if (n < 2) return {};
-  return connected_pairs_metrics(n, run_apsp(g, weights, sources, n, pool),
+  return connected_pairs_metrics(n, run_apsp(g, weights, sources, n),
                                  /*end_hops=*/2);
 }
 
@@ -127,22 +110,22 @@ HostMetrics connected_pairs_metrics(std::uint64_t n, const WeightedPairSums& sum
   return result;
 }
 
-HostMetrics compute_host_metrics(const HostSwitchGraph& g, ThreadPool* pool) {
-  return host_metrics_impl(g, pool, /*require_fully_attached=*/true);
+HostMetrics compute_host_metrics(const HostSwitchGraph& g) {
+  return host_metrics_impl(g, /*require_fully_attached=*/true);
 }
 
-HostMetrics compute_live_host_metrics(const HostSwitchGraph& g, ThreadPool* pool) {
-  return host_metrics_impl(g, pool, /*require_fully_attached=*/false);
+HostMetrics compute_live_host_metrics(const HostSwitchGraph& g) {
+  return host_metrics_impl(g, /*require_fully_attached=*/false);
 }
 
-SwitchMetrics compute_switch_metrics(const HostSwitchGraph& g, ThreadPool* pool) {
+SwitchMetrics compute_switch_metrics(const HostSwitchGraph& g) {
   const std::uint32_t m = g.num_switches();
   if (m < 2) return {};
   const std::vector<std::uint32_t> weights(m, 1);
   std::vector<SwitchId> sources(m);
   std::iota(sources.begin(), sources.end(), SwitchId{0});
   const HostMetrics h =
-      connected_pairs_metrics(m, run_apsp(g, weights, sources, m, pool), /*end_hops=*/0);
+      connected_pairs_metrics(m, run_apsp(g, weights, sources, m), /*end_hops=*/0);
   return {h.h_aspl, h.diameter, h.connected, h.total_length, h.connected_pairs,
           h.unreachable_pairs};
 }

@@ -12,8 +12,8 @@
 //
 // The weighted APSP runs on the bit-parallel kernel of hsg/distance.hpp (64
 // BFS sources per machine word, the Graph-Golf trick) with a sink that
-// accumulates pair sums, parallelized over source blocks with the shared
-// thread pool. connected_pairs_metrics turns the sums into the reported
+// accumulates pair sums, one 64-source block after another on the calling
+// thread. connected_pairs_metrics turns the sums into the reported
 // scalars; the delta evaluator calls it too. tests/hsg_metrics_test.cpp
 // cross-checks the kernel bit for bit against a one-BFS-per-source oracle
 // (tests/oracle/metrics_scalar.hpp).
@@ -24,8 +24,6 @@
 #include "hsg/host_switch_graph.hpp"
 
 namespace orp {
-
-class ThreadPool;
 
 /// Result of a host-to-host metric evaluation.
 ///
@@ -90,19 +88,17 @@ HostMetrics connected_pairs_metrics(std::uint64_t n, const WeightedPairSums& sum
                                     std::uint32_t end_hops);
 
 /// Computes h-ASPL / host diameter. Requires every host to be attached.
-/// `pool` may be null (serial); pass &ThreadPool::global() to parallelize.
-HostMetrics compute_host_metrics(const HostSwitchGraph& g, ThreadPool* pool = nullptr);
+/// Serial and reentrant: concurrent calls on different threads are safe.
+HostMetrics compute_host_metrics(const HostSwitchGraph& g);
 
 /// Degraded-operation variant: computes the same metrics over the
 /// *attached* hosts only, tolerating detached ones (the fault layer
 /// detaches hosts whose switch died). Pair counts are over the attached
 /// host set; a graph with fewer than two attached hosts yields the
 /// default-constructed result.
-HostMetrics compute_live_host_metrics(const HostSwitchGraph& g,
-                                      ThreadPool* pool = nullptr);
+HostMetrics compute_live_host_metrics(const HostSwitchGraph& g);
 
 /// Computes the switch subgraph's ASPL / diameter.
-SwitchMetrics compute_switch_metrics(const HostSwitchGraph& g,
-                                     ThreadPool* pool = nullptr);
+SwitchMetrics compute_switch_metrics(const HostSwitchGraph& g);
 
 }  // namespace orp

@@ -10,6 +10,15 @@
 namespace orp {
 namespace {
 
+// Allowed relative overweight per side (METIS-style ubfactor).
+constexpr double kImbalance = 0.05;
+// Greedy-growing trials for the initial partition at the coarsest level.
+constexpr int kInitTrials = 8;
+// FM passes per level.
+constexpr int kRefinePasses = 8;
+// Coarsening stops at this many vertices.
+constexpr std::uint32_t kCoarsestSize = 48;
+
 // Greedy graph growing: BFS-like region that always absorbs the frontier
 // vertex with the strongest connection to the grown region, until side 0
 // reaches its weight target. Coarsest graphs are tiny, so the linear scans
@@ -54,15 +63,15 @@ std::vector<std::uint8_t> grow_initial(const CsrGraph& g, std::uint64_t target0,
 }  // namespace
 
 std::vector<std::uint8_t> bisect(const CsrGraph& g, double fraction0,
-                                 Xoshiro256& rng, const BisectOptions& options) {
+                                 Xoshiro256& rng) {
   ORP_REQUIRE(fraction0 > 0.0 && fraction0 < 1.0, "fraction0 must be in (0,1)");
   const std::uint64_t total = g.total_vertex_weight();
   const std::uint64_t target0 =
       static_cast<std::uint64_t>(std::llround(fraction0 * static_cast<double>(total)));
 
   FmOptions fm_options;
-  fm_options.max_passes = options.refine_passes;
-  const double over = 1.0 + options.imbalance;
+  fm_options.max_passes = kRefinePasses;
+  const double over = 1.0 + kImbalance;
   // Caps never drop below the target plus the heaviest vertex, or a legal
   // partition might not exist at coarse levels where vertices are heavy.
   auto caps_for = [&](const CsrGraph& graph) {
@@ -78,14 +87,14 @@ std::vector<std::uint8_t> bisect(const CsrGraph& g, double fraction0,
   };
 
   // Coarsen.
-  const std::vector<CoarseLevel> chain = coarsen_chain(g, rng, options.coarsest_size);
+  const std::vector<CoarseLevel> chain = coarsen_chain(g, rng, kCoarsestSize);
   const CsrGraph& coarsest = chain.empty() ? g : chain.back().graph;
 
   // Initial partition: several greedy growings, keep the best refined one.
   caps_for(coarsest);
   std::vector<std::uint8_t> best_side;
   std::uint64_t best_cut = ~0ull;
-  for (int trial = 0; trial < std::max(options.init_trials, 1); ++trial) {
+  for (int trial = 0; trial < kInitTrials; ++trial) {
     std::vector<std::uint8_t> side = grow_initial(coarsest, target0, rng);
     const std::uint64_t cut = fm_refine(coarsest, side, fm_options);
     if (cut < best_cut) {

@@ -10,21 +10,10 @@
 
 namespace orp {
 
-struct BisectOptions {
-  /// Allowed relative overweight per side (METIS-style ubfactor).
-  double imbalance = 0.05;
-  /// Greedy-growing trials for the initial partition at the coarsest level.
-  int init_trials = 8;
-  /// FM passes per level.
-  int refine_passes = 8;
-  /// Coarsening stops at this many vertices.
-  std::uint32_t coarsest_size = 48;
-};
-
 /// 2-way partition with side 0 targeting `fraction0` of total vertex
 /// weight. Returns side assignment in {0,1}; minimizes edge cut under the
 /// balance constraint.
 std::vector<std::uint8_t> bisect(const CsrGraph& g, double fraction0,
-                                 Xoshiro256& rng, const BisectOptions& options = {});
+                                 Xoshiro256& rng);
 
 }  // namespace orp

@@ -27,14 +27,12 @@ std::uint64_t compute_edge_cut(const CsrGraph& g,
 
 /// Partitions `g` into `parts` pieces of (near-)equal vertex weight.
 PartitionResult partition_graph(const CsrGraph& g, std::uint32_t parts,
-                                std::uint64_t seed,
-                                const BisectOptions& options = {});
+                                std::uint64_t seed);
 
 /// The paper's bandwidth metric: partition hosts+switches of a host-switch
 /// graph into `parts` equal subsets and report the number of cut links
 /// (parts == 2 gives the bisection bandwidth in links).
 std::uint64_t host_switch_cut(const HostSwitchGraph& g, std::uint32_t parts,
-                              std::uint64_t seed,
-                              const BisectOptions& options = {});
+                              std::uint64_t seed);
 
 }  // namespace orp

@@ -60,7 +60,7 @@ AnnealResult anneal(const HostSwitchGraph& initial, const AnnealOptions& options
   HostMetrics initial_metrics;
   {
     obs::ScopedTimer timer(obs::Registry::global().histogram("annealer.eval_ns"));
-    initial_metrics = compute_host_metrics(initial, options.pool);
+    initial_metrics = compute_host_metrics(initial);
   }
   ORP_REQUIRE(initial_metrics.connected,
               "anneal needs a connected initial solution");
@@ -76,9 +76,6 @@ AnnealResult anneal(const HostSwitchGraph& initial, const AnnealOptions& options
   for (std::uint32_t k = 0; k < replica_count; ++k) {
     AnnealOptions chain_options = options;
     chain_options.seed = replica_seed(options.seed, k);
-    // Replicas are the parallelism; their kernels stay serial so the
-    // trajectory cannot depend on the pool size.
-    chain_options.pool = nullptr;
     SaChain::Config chain_config = config;
     chain_config.temperature_scale = ladder[k];
     chain_config.emit_obs_window = (k == 0);

@@ -52,10 +52,9 @@ struct AnnealOptions {
   /// their own sub-streams from it.
   std::uint64_t seed = 1;
   MoveMode mode = MoveMode::kTwoNeighborSwing;
-  /// Parallelizes the from-scratch metric evaluations (the initial one and
-  /// the schedule calibration probes) and, with K > 1, fans the rungs out.
-  /// The chains' own kernels stay serial, so the result never depends on
-  /// the pool (a null pool runs everything on the calling thread).
+  /// With K > 1, fans the rungs out between exchange barriers. Everything
+  /// else runs on the calling thread, so the result never depends on the
+  /// pool (a null pool runs the rungs one after another).
   ThreadPool* pool = nullptr;
   /// If nonzero, record a convergence sample every `trace_every` iterations.
   std::uint64_t trace_every = 0;

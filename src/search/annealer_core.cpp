@@ -113,13 +113,13 @@ TemperatureSchedule calibrate_schedule(const HostSwitchGraph& initial,
         const auto move = propose_swap(probe_graph, edges, probe_rng);
         if (!move) break;
         apply_swap(probe_graph, *move);
-        probe = compute_host_metrics(probe_graph, options.pool);
+        probe = compute_host_metrics(probe_graph);
         apply_swap(probe_graph, move->inverse());
       } else {
         const auto move = propose_swing(probe_graph, edges, probe_rng);
         if (!move) break;
         apply_swing(probe_graph, *move);
-        probe = compute_host_metrics(probe_graph, options.pool);
+        probe = compute_host_metrics(probe_graph);
         apply_swing(probe_graph, move->inverse());
       }
       if (probe.connected) {

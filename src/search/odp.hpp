@@ -18,12 +18,10 @@ namespace orp {
 
 struct OdpOptions {
   std::uint64_t iterations = 20000;
-  int restarts = 1;
   std::uint64_t seed = 1;
   /// Graph Golf ranks by diameter first, ASPL second; kDiameterThenHaspl
   /// matches that, kHaspl optimizes ASPL alone.
   AnnealObjective objective = AnnealObjective::kDiameterThenHaspl;
-  ThreadPool* pool = nullptr;
 };
 
 struct OdpResult {

@@ -28,16 +28,14 @@ namespace orp {
 enum class SearchBackend { kSerial, kPool };
 
 struct SolveOptions {
-  std::uint64_t iterations = 20000;   ///< SA move budget per restart (total
-                                      ///< across the ladder's rungs)
-  int restarts = 1;                   ///< independent SA runs; best kept
+  std::uint64_t iterations = 20000;  ///< SA move budget (total across the
+                                     ///< ladder's rungs)
   std::uint64_t seed = 1;
   SearchBackend backend = SearchBackend::kSerial;  ///< ignored (see above)
-  /// Ladder size K of each restart's anneal() (search/annealer.hpp). 1 is
-  /// the paper's single chain. The K rungs split the restart's
-  /// `iterations` budget (max(1, iterations / K) each), so equal-budget
-  /// comparisons use the same --iters. With K > 1 the restarts run
-  /// serially and the pool parallelism goes to the rungs.
+  /// Ladder size K of the one anneal() run (search/annealer.hpp). 1 is the
+  /// paper's single chain. The K rungs split the `iterations` budget
+  /// (max(1, iterations / K) each), so equal-budget comparisons use the
+  /// same --iters. The pool, if any, fans the rungs out when K > 1.
   std::uint32_t replicas = 1;
   std::uint64_t swap_interval = 512;  ///< moves between exchange barriers
   MoveMode mode = MoveMode::kTwoNeighborSwing;
@@ -46,9 +44,8 @@ struct SolveOptions {
   /// Use the regular initializer (balanced hosts; needed for kSwap mode
   /// which cannot change the host distribution).
   bool regular_start = false;
-  /// If nonzero, each SA restart records a convergence sample every
-  /// `trace_every` iterations; the winning restart's samples are returned
-  /// in SolveResult::sa_trace.
+  /// If nonzero, the SA run records a convergence sample every
+  /// `trace_every` iterations, returned in SolveResult::sa_trace.
   std::uint64_t trace_every = 0;
 };
 
@@ -60,11 +57,11 @@ struct SolveResult {
   double haspl_lower_bound = 0.0;       ///< Theorem 2
   double continuous_moore_bound = 0.0;  ///< at the returned m
   bool used_clique = false;             ///< solved by construction, no SA
-  /// True when SIGINT/SIGTERM cut the search short (remaining restarts
-  /// were skipped and the running ones wound down); the returned graph is
-  /// still the best found before the interruption.
+  /// True when SIGINT/SIGTERM cut the search short (every rung wound
+  /// down); the returned graph is still the best found before the
+  /// interruption.
   bool interrupted = false;
-  /// Convergence samples of the best restart (when trace_every > 0).
+  /// Convergence samples of the winning rung (when trace_every > 0).
   std::vector<AnnealTracePoint> sa_trace;
 };
 

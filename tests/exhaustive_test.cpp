@@ -6,11 +6,13 @@
 // principles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <optional>
 #include <type_traits>
+#include <vector>
 
 #include "hsg/bounds.hpp"
-#include "hsg/metrics.hpp"
 #include "search/clique.hpp"
 #include "search/random_init.hpp"
 #include "search/solver.hpp"
@@ -20,8 +22,11 @@ namespace {
 
 // Enumerates every valid host-switch graph with exactly `m` switches (all
 // carrying >= 0 hosts, total n, radix r, connected switch graph) and
-// returns the minimum h-ASPL. Host identities don't matter, so host
-// assignments enumerate as compositions of n into m parts.
+// returns the minimum h-ASPL. Host identities don't matter, and relabeling
+// the switches turns any such graph into one whose host counts never grow
+// with the switch id, so host assignments enumerate as non-increasing
+// compositions of n into m parts. Distances come from a BFS over the tiny
+// switch graph, not from the library's metric kernel.
 std::optional<double> best_haspl_with_m(std::uint32_t n, std::uint32_t m,
                                         std::uint32_t r) {
   // Edge subsets of the complete graph on m switches.
@@ -32,50 +37,75 @@ std::optional<double> best_haspl_with_m(std::uint32_t n, std::uint32_t m,
   const std::uint32_t num_edges = static_cast<std::uint32_t>(all_edges.size());
   ORP_REQUIRE(num_edges <= 20, "instance too large for exhaustive search");
 
-  std::optional<double> best;
-  // Host compositions: counts[i] in [0, r], sum == n.
+  // Host compositions: counts[0] >= counts[1] >= ... , each <= r, sum == n.
+  std::vector<std::vector<std::uint32_t>> compositions;
   std::vector<std::uint32_t> counts(m, 0);
-  auto for_each_composition = [&](auto&& self, std::uint32_t index,
-                                  std::uint32_t remaining,
-                                  auto&& body) -> void {
+  auto compose = [&](auto&& self, std::uint32_t index, std::uint32_t remaining,
+                     std::uint32_t cap) -> void {
     if (index + 1 == m) {
-      if (remaining <= r) {
+      if (remaining <= cap) {
         counts[index] = remaining;
-        body();
+        compositions.push_back(counts);
       }
       return;
     }
-    for (std::uint32_t k = 0; k <= std::min(remaining, r); ++k) {
+    for (std::uint32_t k = 0; k <= std::min(remaining, cap); ++k) {
       counts[index] = k;
-      self(self, index + 1, remaining - k, body);
+      self(self, index + 1, remaining - k, k);
     }
   };
+  compose(compose, 0, n, r);
 
-  for_each_composition(for_each_composition, 0, n, [&] {
-    for (std::uint32_t mask = 0; mask < (1u << num_edges); ++mask) {
-      HostSwitchGraph g(n, m, r);
-      bool valid = true;
-      // Attach hosts first (they claim ports).
-      HostId next = 0;
-      for (SwitchId s = 0; s < m && valid; ++s) {
-        for (std::uint32_t i = 0; i < counts[s]; ++i) g.attach_host(next++, s);
-      }
-      for (std::uint32_t e = 0; e < num_edges && valid; ++e) {
-        if (!(mask & (1u << e))) continue;
-        const auto [a, b] = all_edges[e];
-        if (g.free_ports(a) == 0 || g.free_ports(b) == 0) {
-          valid = false;
-          break;
-        }
-        g.add_switch_edge(a, b);
-      }
-      if (!valid || !g.switches_connected()) continue;
-      const auto metrics = compute_host_metrics(g);
-      if (!metrics.connected) continue;
-      if (!best || metrics.h_aspl < *best) best = metrics.h_aspl;
+  const std::uint32_t all_switches = (1u << m) - 1;
+  std::optional<std::uint64_t> best_total;
+  std::vector<std::uint32_t> adjacency(m), degree(m), dist(m * m);
+  for (std::uint32_t mask = 0; mask < (1u << num_edges); ++mask) {
+    std::fill(adjacency.begin(), adjacency.end(), 0u);
+    std::fill(degree.begin(), degree.end(), 0u);
+    for (std::uint32_t e = 0; e < num_edges; ++e) {
+      if (!(mask & (1u << e))) continue;
+      const auto [a, b] = all_edges[e];
+      adjacency[a] |= 1u << b;
+      adjacency[b] |= 1u << a;
+      ++degree[a];
+      ++degree[b];
     }
-  });
-  return best;
+    bool connected = true;
+    for (SwitchId s = 0; s < m && connected; ++s) {
+      std::uint32_t seen = 1u << s, frontier = seen;
+      dist[s * m + s] = 0;
+      for (std::uint32_t level = 1; frontier; ++level) {
+        std::uint32_t next = 0;
+        for (SwitchId v = 0; v < m; ++v) {
+          if (frontier & (1u << v)) next |= adjacency[v];
+        }
+        frontier = next & ~seen;
+        seen |= frontier;
+        for (SwitchId v = 0; v < m; ++v) {
+          if (frontier & (1u << v)) dist[s * m + v] = level;
+        }
+      }
+      connected = seen == all_switches;
+    }
+    if (!connected) continue;
+
+    for (const auto& hosts : compositions) {
+      bool fits = true;
+      for (SwitchId s = 0; s < m; ++s) fits = fits && hosts[s] + degree[s] <= r;
+      if (!fits) continue;
+      // l(h_i, h_j) is 2 on a shared switch and d(s, t) + 2 otherwise.
+      std::uint64_t total = 0;
+      for (SwitchId s = 0; s < m; ++s) {
+        total += std::uint64_t{hosts[s]} * hosts[s] - hosts[s];
+        for (SwitchId t = s + 1; t < m; ++t) {
+          total += std::uint64_t{hosts[s]} * hosts[t] * (dist[s * m + t] + 2);
+        }
+      }
+      if (!best_total || total < *best_total) best_total = total;
+    }
+  }
+  if (!best_total) return std::nullopt;
+  return static_cast<double>(*best_total) / (static_cast<double>(n) * (n - 1) / 2);
 }
 
 // True optimum over m in [1, max_m].
@@ -124,20 +154,40 @@ TEST_P(ExhaustiveOrp, BoundsAndConstructionsBracketTheTrueOptimum) {
   for (std::uint32_t m = 1; m <= max_m; ++m) {
     if (!random_init_feasible(n, m, r)) continue;
     SolveOptions options;
-    options.iterations = 1500;
-    options.restarts = 2;
+    options.iterations = 3000;
+    options.replicas = 2;
     options.force_switch_count = m;
     solver_best = std::min(solver_best, solve_orp(n, r, options).metrics.h_aspl);
   }
   EXPECT_NEAR(solver_best, optimum, 1e-9) << "n=" << n << " r=" << r;
 }
 
-// Instances sized so the full enumeration stays < 1s each.
-INSTANTIATE_TEST_SUITE_P(TinyInstances, ExhaustiveOrp,
-                         ::testing::Values(TinyCase{4, 3, 4}, TinyCase{5, 3, 4},
-                                           TinyCase{5, 4, 4}, TinyCase{6, 4, 4},
-                                           TinyCase{6, 5, 4}, TinyCase{7, 4, 4},
-                                           TinyCase{8, 5, 4}));
+// Hand-picked instances; (5, 3) and (7, 4) admit no clique.
+constexpr TinyCase kHandPicked[] = {{4, 3, 4}, {5, 3, 4}, {5, 4, 4}, {6, 4, 4},
+                                    {6, 5, 4}, {7, 4, 4}, {8, 5, 4}};
+
+// Up to radix 12 every clique-feasible n has its clique on at most 6
+// switches, the most the enumerator takes (C(6,2) = 15 candidate edges;
+// 7 switches would need 21). Radix 13 already needs 7 switches at n = 43.
+constexpr std::uint32_t kMaxCliqueRadix = 12;
+constexpr std::uint32_t kMaxEnumeratedSwitches = 6;
+
+// The hand-picked instances plus every other clique-feasible (n, r) with
+// r <= kMaxCliqueRadix, each enumerated over up to 6 switches so that
+// check (b) pins the clique to the optimum.
+std::vector<TinyCase> tiny_cases() {
+  std::vector<TinyCase> cases(std::begin(kHandPicked), std::end(kHandPicked));
+  for (std::uint32_t r = 3; r <= kMaxCliqueRadix; ++r) {
+    for (std::uint32_t n = 2; clique_feasible(n, r); ++n) {
+      const bool picked = std::any_of(std::begin(kHandPicked), std::end(kHandPicked),
+                                      [&](const TinyCase& c) { return c.n == n && c.r == r; });
+      if (!picked) cases.push_back({n, r, kMaxEnumeratedSwitches});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(TinyInstances, ExhaustiveOrp, ::testing::ValuesIn(tiny_cases()));
 
 }  // namespace
 }  // namespace orp

@@ -49,7 +49,7 @@ TEST(EdgeList, RejectsMalformedInput) {
 // ---- diameter-then-ASPL objective --------------------------------------------
 
 TEST(DiameterObjective, NeverWorseDiameterThanHasplObjective) {
-  OdpOptions haspl_options{.iterations = 2000, .restarts = 2, .seed = 7,
+  OdpOptions haspl_options{.iterations = 4000, .seed = 7,
                            .objective = AnnealObjective::kHaspl};
   OdpOptions diameter_options = haspl_options;
   diameter_options.objective = AnnealObjective::kDiameterThenHaspl;

@@ -48,8 +48,7 @@ TEST(Odp, HigherDegreeNeverHurts) {
 
 TEST(Odp, ApproachesMooreBoundOnSmallInstance) {
   // Petersen-graph parameters (10, 3): Moore ASPL bound 5/3 is attainable.
-  OdpOptions options = quick(4000);
-  options.restarts = 3;
+  OdpOptions options = quick(12000);
   const auto result = solve_odp(10, 3, options);
   EXPECT_NEAR(result.metrics.aspl, 5.0 / 3.0, 0.15);
 }

@@ -330,12 +330,11 @@ TEST(ParallelSolver, PoolBackendSplitsBudgetAcrossReplicas) {
 
 TEST(ParallelSolver, PoolBackendDeterministicAcrossPoolSizes) {
   SolveOptions options;
-  options.iterations = 1600;
+  options.iterations = 3200;
   options.seed = 8;
-  options.replicas = 8;
+  options.replicas = 16;
   options.swap_interval = 50;
   options.force_switch_count = 16;
-  options.restarts = 2;
 
   auto bytes = [&](ThreadPool* pool) {
     options.pool = pool;

@@ -1,9 +1,10 @@
 // Tests for the end-to-end ORP solver and the clique construction.
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.hpp"
 #include "hsg/bounds.hpp"
+#include "search/annealer.hpp"
 #include "search/clique.hpp"
+#include "search/random_init.hpp"
 #include "search/solver.hpp"
 
 namespace orp {
@@ -84,31 +85,44 @@ TEST(Solver, ForcedInfeasibleSwitchCountThrows) {
   EXPECT_THROW(solve_orp(256, 12, options), std::invalid_argument);
 }
 
-TEST(Solver, RestartsKeepBest) {
-  SolveOptions one = quick(500);
-  one.restarts = 1;
-  one.seed = 42;
-  SolveOptions three = quick(500);
-  three.restarts = 3;
-  three.seed = 42;
-  const auto r1 = solve_orp(192, 10, one);
-  const auto r3 = solve_orp(192, 10, three);
-  EXPECT_LE(r3.metrics.total_length, r1.metrics.total_length);
+TEST(Solver, SearchIsOneAnnealFromTheSplitSeed) {
+  // The seed contract a step-by-step replay of solve_orp relies on: at
+  // K = 1, solve_orp(n, r, {iterations, seed}) is one anneal() of
+  // random_host_switch_graph(n, m_opt, r, rng) with
+  // rng = Xoshiro256(seed).split() and AnnealOptions::seed = rng().
+  constexpr std::uint32_t n = 192, r = 10;
+  SolveOptions options;
+  options.iterations = 500;
+  options.seed = 42;
+  const auto solved = solve_orp(n, r, options);
+  ASSERT_FALSE(solved.used_clique);
+
+  Xoshiro256 rng = Xoshiro256(options.seed).split();
+  const HostSwitchGraph initial =
+      random_host_switch_graph(n, optimal_switch_count(n, r), r, rng);
+  AnnealOptions anneal_options;
+  anneal_options.iterations = options.iterations;
+  anneal_options.seed = rng();
+  const auto annealed = anneal(initial, anneal_options);
+
+  EXPECT_TRUE(solved.graph == annealed.best);
+  EXPECT_EQ(solved.metrics.total_length, annealed.best_metrics.total_length);
+  EXPECT_EQ(solved.metrics.diameter, annealed.best_metrics.diameter);
+  EXPECT_EQ(solved.metrics.h_aspl, annealed.best_metrics.h_aspl);
 }
 
-TEST(Solver, PooledRestartsMatchSerialRestarts) {
-  // Restart scheduling must not affect results: each restart draws from
-  // its own deterministic sub-stream.
-  SolveOptions serial = quick(400);
-  serial.restarts = 3;
-  serial.seed = 77;
-  SolveOptions pooled = serial;
-  ThreadPool pool(3);
-  pooled.pool = &pool;
-  const auto a = solve_orp(192, 10, serial);
-  const auto b = solve_orp(192, 10, pooled);
-  EXPECT_TRUE(a.graph == b.graph);
-  EXPECT_EQ(a.metrics.total_length, b.metrics.total_length);
+TEST(Solver, RegularSwapSolveClearsTheEquationTwoBound) {
+  // A regular start searched by swaps stays regular, so solve_orp also
+  // audits the result against the Eq. (2) Moore bound of regular graphs.
+  SolveOptions options = quick(2000);
+  options.mode = MoveMode::kSwap;
+  options.regular_start = true;
+  options.force_switch_count = 32;
+  const auto result = solve_orp(128, 12, options);
+  for (SwitchId s = 0; s < 32; ++s) EXPECT_EQ(result.graph.hosts_on(s), 4u);
+  EXPECT_TRUE(result.metrics.connected);
+  EXPECT_GE(result.metrics.h_aspl, regular_haspl_moore_bound(128, 32, 12));
+  EXPECT_GT(regular_haspl_moore_bound(128, 32, 12), result.haspl_lower_bound);
 }
 
 TEST(Solver, SolutionBeatsNaiveRandomOnAverage) {

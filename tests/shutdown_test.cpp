@@ -69,7 +69,6 @@ TEST_F(ShutdownTest, UninterruptedRunReportsNotInterrupted) {
 TEST_F(ShutdownTest, SolverSkipsRemainingRestartsButStillReturns) {
   SolveOptions options;
   options.iterations = 1000000000ULL;
-  options.restarts = 4;
   request_shutdown();
   const SolveResult result = solve_orp(64, 8, options);
   EXPECT_TRUE(result.interrupted);
