@@ -409,6 +409,21 @@ void register_partition(BenchRegistry& registry) {
         c.quick,
     });
   }
+  // The paper's bandwidth cuts at its instance (n = 1024, r = 16, m = 183):
+  // P = 2, 4, 8 and 16 per op, as one perfbench `evaluate` pass runs them.
+  registry.add({
+      "partition.host_switch_cut.n1024_r16",
+      "partition",
+      []() -> BenchOp {
+        auto graph = std::make_shared<HostSwitchGraph>(setup_graph(1024, 16));
+        return [graph] {
+          for (const std::uint32_t parts : {2u, 4u, 8u, 16u}) {
+            do_not_optimize(host_switch_cut(*graph, parts, kSetupSeed));
+          }
+        };
+      },
+      true,
+  });
 }
 
 void register_fault(BenchRegistry& registry) {

@@ -65,6 +65,7 @@ std::vector<std::uint8_t> grow_initial(const CsrGraph& g, std::uint64_t target0,
 std::vector<std::uint8_t> bisect(const CsrGraph& g, double fraction0,
                                  Xoshiro256& rng) {
   ORP_REQUIRE(fraction0 > 0.0 && fraction0 < 1.0, "fraction0 must be in (0,1)");
+  ORP_REQUIRE(g.num_vertices() > 0, "cannot bisect an empty graph");
   const std::uint64_t total = g.total_vertex_weight();
   const std::uint64_t target0 =
       static_cast<std::uint64_t>(std::llround(fraction0 * static_cast<double>(total)));

@@ -1,96 +1,113 @@
 #include "partition/coarsen.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 namespace orp {
+namespace {
 
-CoarseLevel coarsen_once(const CsrGraph& fine, Xoshiro256& rng) {
+constexpr std::uint32_t kNone = 0xffffffffu;
+
+// A level that removes fewer than 1/kStallDivisor of the vertices stalls
+// the chain.
+constexpr std::uint32_t kStallDivisor = 10;
+
+// Heavy-edge matching: each unmatched vertex (random visiting order) grabs
+// its heaviest unmatched neighbor (ties broken by first encounter). Returns
+// each vertex's cluster leader: the smaller id of its pair, or itself.
+std::vector<std::uint32_t> heavy_edge_leaders(const CsrGraph& fine, Xoshiro256& rng) {
   const std::uint32_t nv = fine.num_vertices();
-  constexpr std::uint32_t kUnmatched = 0xffffffffu;
-  std::vector<std::uint32_t> match(nv, kUnmatched);
-
+  std::vector<std::uint32_t> match(nv, kNone);
   std::vector<std::uint32_t> order(nv);
   std::iota(order.begin(), order.end(), 0);
   shuffle(order, rng);
-
-  // Heavy-edge matching: each unmatched vertex grabs its heaviest
-  // unmatched neighbor (ties broken by first encounter).
   for (std::uint32_t v : order) {
-    if (match[v] != kUnmatched) continue;
+    if (match[v] != kNone) continue;
     const auto neighbors = fine.neighbors(v);
     const auto weights = fine.edge_weights(v);
-    std::uint32_t best = kUnmatched;
+    std::uint32_t best = kNone;
     std::uint32_t best_weight = 0;
     for (std::size_t e = 0; e < neighbors.size(); ++e) {
       const std::uint32_t u = neighbors[e];
-      if (match[u] == kUnmatched && weights[e] > best_weight) {
+      if (match[u] == kNone && weights[e] > best_weight) {
         best = u;
         best_weight = weights[e];
       }
     }
-    match[v] = (best == kUnmatched) ? v : best;
-    if (best != kUnmatched) match[best] = v;
+    match[v] = (best == kNone) ? v : best;
+    if (best != kNone) match[best] = v;
   }
+  for (std::uint32_t v = 0; v < nv; ++v) match[v] = std::min(v, match[v]);
+  return match;
+}
 
-  // Assign coarse ids (matched pair -> one id).
+std::uint32_t degree(const CsrGraph& g, std::uint32_t v) { return g.xadj[v + 1] - g.xadj[v]; }
+
+}  // namespace
+
+CoarseLevel coarsen_once(const CsrGraph& fine, Xoshiro256& rng) {
+  const std::uint32_t nv = fine.num_vertices();
+
+  // Leaf folding: a degree-1 vertex whose neighbor has degree > 1 joins
+  // that neighbor's cluster, so one level takes each switch with all of its
+  // hosts. When that would stall the chain, the level matches heavy edges.
+  std::vector<std::uint32_t> leader(nv);
+  std::uint32_t leaves = 0;
+  for (std::uint32_t v = 0; v < nv; ++v) {
+    leader[v] = v;
+    if (degree(fine, v) == 1 && degree(fine, fine.adjncy[fine.xadj[v]]) > 1) {
+      leader[v] = fine.adjncy[fine.xadj[v]];
+      ++leaves;
+    }
+  }
+  if (leaves == 0 || leaves < nv / kStallDivisor) leader = heavy_edge_leaders(fine, rng);
+
+  // Coarse ids in order of each cluster's first fine vertex; `members`
+  // lists every cluster's fine vertices, ascending, by a counting sort.
   CoarseLevel level;
-  level.map.assign(nv, kUnmatched);
+  level.map.assign(nv, kNone);
+  std::vector<std::uint32_t> coarse_id(nv, kNone);
   std::uint32_t coarse_count = 0;
   for (std::uint32_t v = 0; v < nv; ++v) {
-    if (level.map[v] != kUnmatched) continue;
-    level.map[v] = coarse_count;
-    level.map[match[v]] = coarse_count;  // match[v] == v for singletons
-    ++coarse_count;
+    if (coarse_id[leader[v]] == kNone) coarse_id[leader[v]] = coarse_count++;
+    level.map[v] = coarse_id[leader[v]];
   }
+  std::vector<std::uint32_t> first(coarse_count + 1, 0);
+  for (std::uint32_t v = 0; v < nv; ++v) ++first[level.map[v] + 1];
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<std::uint32_t> members(nv);
+  std::vector<std::uint32_t> cursor(first.begin(), first.end() - 1);
+  for (std::uint32_t v = 0; v < nv; ++v) members[cursor[level.map[v]]++] = v;
 
-  // Contract: accumulate coarse adjacency with a marker array (standard
-  // O(|E|) bucket-free merge).
+  // Contract: one marker-array merge per cluster, appended straight into
+  // the coarse CSR. Internal edges vanish and parallel edges sum.
   CsrGraph& coarse = level.graph;
   coarse.vwgt.assign(coarse_count, 0);
-  for (std::uint32_t v = 0; v < nv; ++v) coarse.vwgt[level.map[v]] += fine.vwgt[v];
-
   coarse.xadj.assign(coarse_count + 1, 0);
-  std::vector<std::uint32_t> marker(coarse_count, kUnmatched);
-  std::vector<std::uint32_t> scratch_ids;
-  std::vector<std::uint32_t> scratch_weights;
-  // Two passes would save memory; one pass with growing arrays is simpler.
-  std::vector<std::vector<std::uint32_t>> coarse_adj(coarse_count);
-  std::vector<std::vector<std::uint32_t>> coarse_wgt(coarse_count);
-  for (std::uint32_t v = 0; v < nv; ++v) {
-    const std::uint32_t cv = level.map[v];
-    if (match[v] != v && match[v] < v) continue;  // handle each pair once
-    scratch_ids.clear();
-    scratch_weights.clear();
-    auto absorb = [&](std::uint32_t fine_vertex) {
-      const auto neighbors = fine.neighbors(fine_vertex);
-      const auto weights = fine.edge_weights(fine_vertex);
+  coarse.adjncy.reserve(fine.adjncy.size());
+  coarse.adjwgt.reserve(fine.adjncy.size());
+  std::vector<std::uint32_t> marker(coarse_count, kNone);
+  for (std::uint32_t cv = 0; cv < coarse_count; ++cv) {
+    const std::uint32_t begin = static_cast<std::uint32_t>(coarse.adjncy.size());
+    for (std::uint32_t i = first[cv]; i < first[cv + 1]; ++i) {
+      const std::uint32_t v = members[i];
+      coarse.vwgt[cv] += fine.vwgt[v];
+      const auto neighbors = fine.neighbors(v);
+      const auto weights = fine.edge_weights(v);
       for (std::size_t e = 0; e < neighbors.size(); ++e) {
         const std::uint32_t cu = level.map[neighbors[e]];
-        if (cu == cv) continue;  // internal edge vanishes
-        if (marker[cu] == kUnmatched) {
-          marker[cu] = static_cast<std::uint32_t>(scratch_ids.size());
-          scratch_ids.push_back(cu);
-          scratch_weights.push_back(weights[e]);
+        if (cu == cv) continue;
+        if (marker[cu] == kNone) {
+          marker[cu] = static_cast<std::uint32_t>(coarse.adjncy.size());
+          coarse.adjncy.push_back(cu);
+          coarse.adjwgt.push_back(weights[e]);
         } else {
-          scratch_weights[marker[cu]] += weights[e];
+          coarse.adjwgt[marker[cu]] += weights[e];
         }
       }
-    };
-    absorb(v);
-    if (match[v] != v) absorb(match[v]);
-    for (std::uint32_t cu : scratch_ids) marker[cu] = kUnmatched;
-    coarse_adj[cv] = scratch_ids;
-    coarse_wgt[cv] = scratch_weights;
-  }
-  for (std::uint32_t cv = 0; cv < coarse_count; ++cv) {
-    coarse.xadj[cv + 1] =
-        coarse.xadj[cv] + static_cast<std::uint32_t>(coarse_adj[cv].size());
-  }
-  coarse.adjncy.reserve(coarse.xadj.back());
-  coarse.adjwgt.reserve(coarse.xadj.back());
-  for (std::uint32_t cv = 0; cv < coarse_count; ++cv) {
-    coarse.adjncy.insert(coarse.adjncy.end(), coarse_adj[cv].begin(), coarse_adj[cv].end());
-    coarse.adjwgt.insert(coarse.adjwgt.end(), coarse_wgt[cv].begin(), coarse_wgt[cv].end());
+    }
+    for (std::uint32_t e = begin; e < coarse.adjncy.size(); ++e) marker[coarse.adjncy[e]] = kNone;
+    coarse.xadj[cv + 1] = static_cast<std::uint32_t>(coarse.adjncy.size());
   }
   return level;
 }
@@ -101,9 +118,9 @@ std::vector<CoarseLevel> coarsen_chain(const CsrGraph& graph, Xoshiro256& rng,
   const CsrGraph* current = &graph;
   while (current->num_vertices() > target_vertices) {
     CoarseLevel level = coarsen_once(*current, rng);
-    // Stop when matching stalls (dense or star-like graphs stop shrinking).
+    // Stop when the level stalls (dense or star-like graphs stop shrinking).
     if (level.graph.num_vertices() >
-        current->num_vertices() - current->num_vertices() / 10) {
+        current->num_vertices() - current->num_vertices() / kStallDivisor) {
       break;
     }
     chain.push_back(std::move(level));

@@ -1,11 +1,16 @@
 #pragma once
-// Multilevel coarsening via heavy-edge matching (Karypis & Kumar).
+// Multilevel coarsening (Karypis & Kumar) shaped for host-switch graphs.
 //
-// Each level matches vertices with their heaviest unmatched neighbor
-// (random visiting order) and contracts matched pairs; parallel edges merge
-// with summed weights, so the coarse graph's cuts equal the fine graph's
-// cuts under the projected partition. Coarsening stops when the graph is
-// small enough for direct initial partitioning or stops shrinking.
+// A level first tries leaf folding (the 2-hop/leaf matching of METIS 5):
+// every degree-1 vertex whose neighbor has degree > 1 joins that
+// neighbor's cluster, so one level contracts each switch with all of its
+// hosts. When a graph has no leaf to fold, or folding would remove fewer
+// than 10% of its vertices, the level matches heavy edges instead (each
+// vertex, in random order, pairs with its heaviest unmatched neighbor).
+// Clusters contract with summed vertex weights and merged parallel edges,
+// so the coarse graph's cuts equal the fine graph's cuts under the
+// projected partition. Coarsening stops when the graph is small enough for
+// direct initial partitioning or stops shrinking.
 
 #include <vector>
 
@@ -19,7 +24,7 @@ struct CoarseLevel {
   std::vector<std::uint32_t> map;  ///< fine vertex -> coarse vertex
 };
 
-/// One round of heavy-edge matching + contraction.
+/// One level: leaf folding or heavy-edge matching, then contraction.
 CoarseLevel coarsen_once(const CsrGraph& fine, Xoshiro256& rng);
 
 /// Full coarsening chain; level[0] coarsens the input, level.back().graph

@@ -7,6 +7,12 @@
 // balance constraint, and passes repeat until one fails to improve.
 // Zero/negative-gain moves are allowed mid-pass, which lets the refinement
 // climb out of shallow local minima.
+//
+// Gains live in bucket lists indexed by gain (Fiduccia & Mattheyses 1982),
+// bounded by the largest weighted degree D: a move updates each unlocked
+// neighbor's gain by +-2w in O(1), without rescanning its adjacency. A pass
+// also stops after 50 moves in a row that give no new best balanced prefix.
+// A graph with D > 2^24 is rejected (std::invalid_argument).
 
 #include <cstdint>
 #include <vector>

@@ -41,6 +41,17 @@ void partition_recursive(const CsrGraph& g, const std::vector<std::uint32_t>& ve
   for (std::uint32_t i = 0; i < vertices.size(); ++i) {
     (side[i] == 0 ? left : right).push_back(vertices[i]);
   }
+  // Every part needs a vertex: an uneven bisection of a set barely larger
+  // than its part count hands the short side some of the other's vertices.
+  // vertices.size() >= parts, so the giving side keeps enough.
+  while (left.size() < parts0) {
+    left.push_back(right.back());
+    right.pop_back();
+  }
+  while (right.size() < parts - parts0) {
+    right.push_back(left.back());
+    left.pop_back();
+  }
   partition_recursive(g, left, part_lo, parts0, rng, assignment);
   partition_recursive(g, right, part_lo + parts0, parts - parts0, rng, assignment);
 }

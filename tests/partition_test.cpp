@@ -214,5 +214,133 @@ TEST(PartitionGraph, RejectsBadArguments) {
   EXPECT_THROW(partition_graph(g, 9, 1), std::invalid_argument);
 }
 
+// One level on a host-switch graph folds every host into its switch: the
+// coarse graph is exactly the m switches, each weighing 1 + its hosts.
+TEST(Coarsen, LeafFoldingContractsEachSwitchWithItsHosts) {
+  const HostSwitchGraph graphs[] = {build_torus(TorusParams{3, 3, 8}, 40),
+                                    build_fattree(FatTreeParams{4}, 16)};
+  for (const HostSwitchGraph& hsg : graphs) {
+    const std::uint32_t n = hsg.num_hosts();
+    const std::uint32_t m = hsg.num_switches();
+    const auto g = csr_from_host_switch_graph(hsg);
+    Xoshiro256 rng(5);
+    const auto level = coarsen_once(g, rng);
+    level.graph.check_invariants();
+    ASSERT_EQ(level.graph.num_vertices(), m);
+    std::vector<std::uint32_t> hosts(m, 0);
+    for (HostId h = 0; h < n; ++h) {
+      ++hosts[hsg.host_switch(h)];
+      EXPECT_EQ(level.map[h], level.map[n + hsg.host_switch(h)]);
+    }
+    for (SwitchId s = 0; s < m; ++s) {
+      EXPECT_EQ(level.graph.vwgt[level.map[n + s]], 1 + hosts[s]) << "switch " << s;
+    }
+    std::vector<std::uint8_t> coarse_side(m);
+    for (std::uint32_t v = 0; v < m; ++v) coarse_side[v] = static_cast<std::uint8_t>(rng() & 1);
+    std::vector<std::uint8_t> fine_side(g.num_vertices());
+    for (std::uint32_t v = 0; v < g.num_vertices(); ++v) fine_side[v] = coarse_side[level.map[v]];
+    EXPECT_EQ(bisection_cut(level.graph, coarse_side), bisection_cut(g, fine_side));
+  }
+}
+
+// A ring of 100 with 5 pendant vertices: folding would remove under 10% of
+// the vertices, so the level matches heavy edges and the chain goes on.
+TEST(Coarsen, FewLeavesFallBackToHeavyEdgeMatching) {
+  std::vector<Edge> edges;
+  for (std::uint32_t i = 0; i < 100; ++i) edges.push_back({i, (i + 1) % 100});
+  for (std::uint32_t i = 0; i < 5; ++i) edges.push_back({20 * i, 100 + i});
+  const auto g = csr_from_edges(105, edges);
+  Xoshiro256 rng(9);
+  const auto level = coarsen_once(g, rng);
+  level.graph.check_invariants();
+  EXPECT_EQ(level.graph.total_vertex_weight(), 105u);
+  EXPECT_LE(level.graph.num_vertices(), 105u - 105u / 10);
+  const auto chain = coarsen_chain(g, rng, 48);
+  ASSERT_FALSE(chain.empty());
+  EXPECT_LE(chain.back().graph.num_vertices(), 48u);
+}
+
+// Randomized FM differential: on 200 random weighted graphs from random
+// starts, the returned cut is the cut of the returned sides, the caps hold
+// whenever the start met them, and the refinement is deterministic.
+TEST(Fm, RandomGraphsReturnTheirCutAndKeepFeasibleCaps) {
+  Xoshiro256 rng(31);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto nv = static_cast<std::uint32_t>(2 + rng.below(60));
+    const double density = 0.05 + 0.4 * static_cast<double>(rng.below(100)) / 100.0;
+    std::vector<Edge> edges;
+    std::vector<std::uint32_t> weights;
+    for (std::uint32_t a = 0; a < nv; ++a) {
+      for (std::uint32_t b = a + 1; b < nv; ++b) {
+        if (static_cast<double>(rng.below(1000)) < density * 1000.0) {
+          edges.push_back({a, b});
+          weights.push_back(static_cast<std::uint32_t>(1 + rng.below(9)));
+        }
+      }
+    }
+    std::vector<std::uint32_t> vwgt(nv);
+    for (auto& w : vwgt) w = static_cast<std::uint32_t>(1 + rng.below(3));
+    const auto g = csr_from_edges(nv, edges, weights, vwgt);
+    const std::uint64_t total = g.total_vertex_weight();
+
+    std::vector<std::uint8_t> start(nv);
+    for (auto& side : start) side = static_cast<std::uint8_t>(rng() & 1);
+    FmOptions options;
+    options.max_side_weight[0] = total / 2 + 1 + rng.below(4);
+    options.max_side_weight[1] = total / 2 + 1 + rng.below(4);
+    std::uint64_t start_weight[2] = {0, 0};
+    for (std::uint32_t v = 0; v < nv; ++v) start_weight[start[v]] += vwgt[v];
+    const bool feasible = start_weight[0] <= options.max_side_weight[0] &&
+                          start_weight[1] <= options.max_side_weight[1];
+
+    std::vector<std::uint8_t> side = start;
+    const std::uint64_t cut = fm_refine(g, side, options);
+    EXPECT_EQ(cut, bisection_cut(g, side)) << "trial " << trial;
+    if (feasible) {
+      std::uint64_t weight[2] = {0, 0};
+      for (std::uint32_t v = 0; v < nv; ++v) weight[side[v]] += vwgt[v];
+      EXPECT_LE(weight[0], options.max_side_weight[0]) << "trial " << trial;
+      EXPECT_LE(weight[1], options.max_side_weight[1]) << "trial " << trial;
+      EXPECT_LE(cut, bisection_cut(g, start)) << "trial " << trial;
+    }
+    std::vector<std::uint8_t> again = start;
+    fm_refine(g, again, options);
+    EXPECT_EQ(again, side) << "trial " << trial;
+  }
+}
+
+TEST(Fm, RejectsAnAbsurdGainRange) {
+  // One edge of weight 2^24 + 1 would need 2^25 + 3 gain buckets.
+  const auto g = csr_from_edges(2, {{0, 1}}, {(1u << 24) + 1});
+  std::vector<std::uint8_t> side = {0, 1};
+  FmOptions options;
+  options.max_side_weight[0] = 1;
+  options.max_side_weight[1] = 1;
+  EXPECT_THROW(fm_refine(g, side, options), std::invalid_argument);
+}
+
+TEST(Bisect, RejectsAnEmptyGraph) {
+  Xoshiro256 rng(3);
+  EXPECT_THROW(bisect(csr_from_edges(0, {}), 0.5, rng), std::invalid_argument);
+}
+
+// Part counts close to the vertex count: every part must get a vertex,
+// even where an uneven bisection leaves a side fewer vertices than parts.
+TEST(PartitionGraph, RingsWithNearlyAsManyPartsAsVertices) {
+  for (std::uint32_t n = 2; n <= 40; ++n) {
+    const auto g = ring(n);
+    for (std::uint32_t parts = 2; parts <= std::min(n, 17u); ++parts) {
+      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        const auto result = partition_graph(g, parts, seed);
+        for (std::uint32_t p = 0; p < parts; ++p) {
+          EXPECT_GT(result.part_weights[p], 0u)
+              << "n=" << n << " parts=" << parts << " seed=" << seed;
+        }
+        EXPECT_EQ(result.edge_cut, compute_edge_cut(g, result.assignment));
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace orp
