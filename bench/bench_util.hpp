@@ -151,11 +151,13 @@ inline bool parse_cli_with_obs(CliParser& cli, int argc, const char* const* argv
 
 /// End-of-run counterpart: prints the metrics table when --obs-summary was
 /// passed, flushes the active sink (closing JSONL traces), and appends this
-/// run's record to the cross-run ledger.
+/// run's record to the cross-run ledger. Exits 1 when the sink could not be
+/// written in full.
 inline void finish_obs(const CliParser& cli) {
   if (obs::cli_wants_summary(cli)) obs::print_summary(std::cout);
-  obs::flush();
+  const bool flushed = obs::flush();
   obs::append_run_ledger();
+  if (!flushed) std::exit(1);
 }
 
 /// Prints the table and, when ORP_CSV_DIR is set, also writes it to

@@ -16,6 +16,7 @@
 #include "cost/evaluate.hpp"
 #include "hsg/bounds.hpp"
 #include "hsg/metrics.hpp"
+#include "obs/sink.hpp"
 #include "search/solver.hpp"
 
 int main(int argc, char** argv) try {
@@ -80,7 +81,8 @@ int main(int argc, char** argv) try {
   } else {
     std::cout << "\nno design meets the requirements; relax the h-ASPL target or budget\n";
   }
-  return 0;
+  // The sink (ORP_OBS_OUT) would flush at exit too, but could not fail the run.
+  return obs::flush() ? 0 : 1;
 } catch (const std::invalid_argument& e) {
   return orp::report_bad_argument(e);
 }

@@ -105,8 +105,7 @@ int main(int argc, char** argv) try {
     std::cout << "wrote " << path << "\n";
   }
   if (obs::cli_wants_summary(cli)) obs::print_summary(std::cout);
-  obs::flush();
-  return 0;
+  return obs::flush() ? 0 : 1;
 } catch (const std::invalid_argument& e) {
   return orp::report_bad_argument(e);
 }

@@ -15,6 +15,7 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "hsg/io.hpp"
+#include "obs/sink.hpp"
 #include "search/solver.hpp"
 #include "sim/nas.hpp"
 #include "topo/attach.hpp"
@@ -105,7 +106,8 @@ int main(int argc, char** argv) try {
         .add(100.0 * result.comm_seconds / result.seconds, 1);
   }
   table.print(std::cout);
-  return 0;
+  // The sink (ORP_OBS_OUT) would flush at exit too, but could not fail the run.
+  return obs::flush() ? 0 : 1;
 } catch (const std::invalid_argument& e) {
   return orp::report_bad_argument(e);
 }

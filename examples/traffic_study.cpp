@@ -12,6 +12,7 @@
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
+#include "obs/sink.hpp"
 #include "search/solver.hpp"
 #include "sim/packet.hpp"
 #include "sim/traffic.hpp"
@@ -71,7 +72,8 @@ int main(int argc, char** argv) try {
     }
   }
   table.print(std::cout);
-  return 0;
+  // The sink (ORP_OBS_OUT) would flush at exit too, but could not fail the run.
+  return obs::flush() ? 0 : 1;
 } catch (const std::invalid_argument& e) {
   return orp::report_bad_argument(e);
 }

@@ -12,9 +12,14 @@ namespace {
   throw std::runtime_error("json: " + what + " at offset " + std::to_string(pos));
 }
 
+/// Arrays and objects nest at most this deep: the parser recurses once per
+/// level, so a hostile document must not run it off the stack.
+constexpr std::size_t kMaxDepth = 512;
+
 struct Parser {
   std::string_view text;
   std::size_t pos = 0;
+  std::size_t depth = 0;  ///< arrays and objects open around pos
 
   bool eof() const noexcept { return pos >= text.size(); }
   char peek() const noexcept { return text[pos]; }
@@ -40,8 +45,14 @@ struct Parser {
     skip_ws();
     if (eof()) fail(pos, "unexpected end of input");
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth == kMaxDepth) fail(pos, "nesting deeper than 512");
+        ++depth;
+        JsonValue nested = peek() == '{' ? parse_object() : parse_array();
+        --depth;
+        return nested;
+      }
       case '"': return JsonValue::make_string(parse_string());
       case 't':
         if (consume_literal("true")) return JsonValue::make_bool(true);

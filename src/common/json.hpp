@@ -30,7 +30,8 @@ class JsonValue {
   static JsonValue make_object();
 
   /// Parses one JSON document (throws std::runtime_error with a byte
-  /// offset on malformed input; trailing non-whitespace is an error).
+  /// offset on malformed input, or on arrays and objects nested deeper
+  /// than 512; trailing non-whitespace is an error).
   static JsonValue parse(std::string_view text);
 
   Kind kind() const noexcept { return kind_; }

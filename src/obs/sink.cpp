@@ -52,7 +52,7 @@ bool write_metrics_csv(const std::string& path, const MetricsSnapshot& snapshot)
   return metrics_table(snapshot).write_csv_file(path);
 }
 
-void flush_locked(SinkState& s) {
+bool flush_locked(SinkState& s) {
   // Flush hooks first: buffered producers (sim telemetry reservoirs) get
   // to emit into the still-running tracer before it stops below.
   for (const std::function<void()>& hook : s.flush_hooks) hook();
@@ -65,7 +65,8 @@ void flush_locked(SinkState& s) {
       break;
     case SinkKind::kCsv:
       if (!write_metrics_csv(s.config.path, snapshot)) {
-        std::cerr << "[obs] warning: could not write " << s.config.path << "\n";
+        std::cerr << "[obs] error: " << s.config.path << ": write failed\n";
+        return false;
       }
       break;
     case SinkKind::kJsonl:
@@ -75,9 +76,13 @@ void flush_locked(SinkState& s) {
       // snapshot. Then stop the trace writer and append the records; if
       // the tracer was already stopped (repeated flush) write nothing more.
       stop_snapshot_sampler();
-      Tracer::global().stop(snapshot_jsonl(Registry::global().snapshot()));
+      if (!Tracer::global().stop(snapshot_jsonl(Registry::global().snapshot()))) {
+        std::cerr << "[obs] error: " << s.config.path << ": write failed\n";
+        return false;
+      }
       break;
   }
+  return true;
 }
 
 void flush_at_exit() { flush(); }
@@ -129,14 +134,15 @@ bool configure(const SinkConfig& config) {
   return true;
 }
 
-void flush() {
+bool flush() {
   SinkState& s = state();
   std::lock_guard lock(s.mutex);
-  flush_locked(s);
+  const bool written = flush_locked(s);
   if (s.config.kind == SinkKind::kJsonl) {
     // The trace file is closed now; later flushes must not reopen it.
     s.config = SinkConfig{};
   }
+  return written;
 }
 
 void register_flush_hook(std::function<void()> hook) {

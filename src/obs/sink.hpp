@@ -56,8 +56,10 @@ bool configure(const SinkConfig& config);
 
 /// Writes the metrics snapshot through the active sink (and, for JSONL,
 /// drains + closes the trace stream). Safe to call repeatedly; called
-/// automatically at exit once configure() has run.
-void flush();
+/// automatically at exit once configure() has run. Returns false, after
+/// printing "[obs] error: <path>: write failed" on stderr, when the sink's
+/// file could not be written in full.
+bool flush();
 
 /// Registers a callback invoked at the start of every flush, before the
 /// snapshot sampler stops and the trace writer drains — the hook's last

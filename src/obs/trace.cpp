@@ -121,6 +121,7 @@ bool Tracer::start(const std::string& path) {
     return false;
   }
   file_ = file;
+  write_failed_ = false;
   buffer_.clear();
   stopping_ = false;
   epoch_ = std::chrono::steady_clock::now();
@@ -129,11 +130,11 @@ bool Tracer::start(const std::string& path) {
   return true;
 }
 
-void Tracer::stop(const std::vector<std::string>& trailer_lines) {
+bool Tracer::stop(const std::vector<std::string>& trailer_lines) {
   std::thread writer;
   {
     std::lock_guard lock(mutex_);
-    if (!enabled_.load(std::memory_order_relaxed)) return;
+    if (!enabled_.load(std::memory_order_relaxed)) return true;
     enabled_.store(false, std::memory_order_release);
     stopping_ = true;
     writer = std::move(writer_);
@@ -149,9 +150,11 @@ void Tracer::stop(const std::vector<std::string>& trailer_lines) {
     buffer_.clear();
     for (const std::string& line : trailer_lines) *file << line << '\n';
     file->flush();
+    write_failed_ = write_failed_ || !*file;
     delete file;
     file_ = nullptr;
   }
+  return !write_failed_;
 }
 
 void Tracer::emit(TraceEvent event) {
@@ -200,6 +203,7 @@ void Tracer::write_events(const std::vector<TraceEvent>& events) {
   out.reserve(events.size() * 96);
   for (const TraceEvent& e : events) append_event_json(out, e);
   *file << out;
+  write_failed_ = write_failed_ || !*file;
 }
 
 void Span::emit_begin() {

@@ -56,7 +56,9 @@ class Tracer {
   bool start(const std::string& path);
   /// Flushes pending events, writes `trailer_lines` (already-serialized
   /// JSON objects, e.g. the metrics snapshot), and closes the file.
-  void stop(const std::vector<std::string>& trailer_lines = {});
+  /// Returns false when a write to the file failed since start() (the
+  /// trace is then incomplete); true otherwise, also when not started.
+  bool stop(const std::vector<std::string>& trailer_lines = {});
 
   void emit(TraceEvent event);
   /// Convenience "C" event: one sample of a named time series.
@@ -85,6 +87,9 @@ class Tracer {
   bool stopping_ = false;
   std::thread writer_;
   void* file_ = nullptr;  // std::ofstream*, kept out of the header
+  /// A write to file_ failed; set by the writer, read by stop() after it
+  /// joined the writer.
+  bool write_failed_ = false;
 };
 
 /// RAII span: emits a begin event at construction and an end event (with

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -29,6 +30,18 @@ double number_or(const JsonValue* v, double fallback) {
   return (v && v->is_number()) ? v->as_number() : fallback;
 }
 
+/// `v` as an Int, saturated to Int's range (NaN reads 0): trace numbers
+/// come from a file, and an out-of-range conversion is undefined.
+template <typename Int>
+Int to_int(double v) {
+  constexpr double lo = static_cast<double>(std::numeric_limits<Int>::min());
+  constexpr double hi = static_cast<double>(std::numeric_limits<Int>::max());
+  if (std::isnan(v)) return 0;
+  if (v <= lo) return std::numeric_limits<Int>::min();
+  if (v >= hi) return std::numeric_limits<Int>::max();
+  return static_cast<Int>(v);
+}
+
 std::string string_or(const JsonValue* v, const std::string& fallback) {
   return (v && v->is_string()) ? v->as_string() : fallback;
 }
@@ -41,12 +54,8 @@ void parse_net_event(const std::string& name, const JsonValue* args,
   auto n = [&](const char* key) {
     return args ? number_or(args->find(key), 0.0) : 0.0;
   };
-  auto u32 = [&](const char* key) {
-    return static_cast<std::uint32_t>(n(key));
-  };
-  auto u64 = [&](const char* key) {
-    return static_cast<std::uint64_t>(n(key));
-  };
+  auto u32 = [&](const char* key) { return to_int<std::uint32_t>(n(key)); };
+  auto u64 = [&](const char* key) { return to_int<std::uint64_t>(n(key)); };
   if (name == "net.flow") {
     NetFlow f;
     f.phase = u64("phase");
@@ -71,7 +80,7 @@ void parse_net_event(const std::string& name, const JsonValue* args,
   } else if (name == "net.link") {
     NetLink l;
     l.phase = u64("phase");
-    l.step = static_cast<std::int64_t>(n("step"));
+    l.step = to_int<std::int64_t>(n("step"));
     l.link = u32("link");
     l.t0_s = n("t0_s");
     l.t1_s = n("t1_s");
@@ -120,6 +129,10 @@ bool parse_line(const std::string& line, Event& out, bool* is_metric,
   if (!doc.is_object()) return false;
   if (doc.find("kind") != nullptr) {
     *is_metric = true;
+    if (string_or(doc.find("kind"), "") == "counter" &&
+        string_or(doc.find("name"), "") == "sim.rounds.replayed") {
+      net.rounds_replayed = to_int<std::uint64_t>(number_or(doc.find("value"), 0.0));
+    }
     return true;
   }
   const JsonValue* ph = doc.find("ph");
@@ -128,10 +141,10 @@ bool parse_line(const std::string& line, Event& out, bool* is_metric,
   const JsonValue* ts = doc.find("ts");
   if (!ts || !ts->is_number()) return false;
   out.ts = ts->as_number();
-  out.tid = static_cast<std::int64_t>(number_or(doc.find("tid"), 0.0));
+  out.tid = to_int<std::int64_t>(number_or(doc.find("tid"), 0.0));
   out.category = string_or(doc.find("cat"), "");
   out.name = string_or(doc.find("name"), "");
-  out.flow = static_cast<std::uint64_t>(number_or(doc.find("id"), 0.0));
+  out.flow = to_int<std::uint64_t>(number_or(doc.find("id"), 0.0));
   const JsonValue* args = doc.find("args");
   if (args) out.value = number_or(args->find("value"), 0.0);
   if (out.phase == 'i' && out.category == "net") {
@@ -223,7 +236,7 @@ Convergence analyze_convergence(const std::map<Key, CounterAccum>& counters,
   conv.last_improvement_us = last_improvement_ts;
   if (iteration && !iteration->empty()) {
     conv.last_improvement_iter =
-        static_cast<std::int64_t>(value_at(*iteration, last_improvement_ts));
+        to_int<std::int64_t>(value_at(*iteration, last_improvement_ts));
   }
   if (t1 > t0) conv.stall_fraction = (t1 - last_improvement_ts) / (t1 - t0);
   // Stall verdict needs enough samples to mean anything: a 4-window run
@@ -507,7 +520,7 @@ std::vector<LedgerEntry> read_ledger_file(const std::string& path) {
     e.git_sha = string_or(doc.find("git_sha"), "");
     e.compiler = string_or(doc.find("compiler"), "");
     e.wall_s = number_or(doc.find("wall_s"), 0.0);
-    e.peak_rss_kb = static_cast<std::int64_t>(number_or(doc.find("peak_rss_kb"), 0.0));
+    e.peak_rss_kb = to_int<std::int64_t>(number_or(doc.find("peak_rss_kb"), 0.0));
     if (const JsonValue* notes = doc.find("notes"); notes && notes->is_object()) {
       for (const auto& [key, value] : notes->members()) {
         std::string rendered;
@@ -640,6 +653,11 @@ std::string render_markdown(const TraceAnalysis& a,
     } else {
       os << "- coverage: complete (no reservoir drops)\n";
     }
+    if (net.rounds_replayed > 0) {
+      os << "- replayed rounds: " << net.rounds_replayed
+         << " repeated earlier calls and were not simulated again, so they "
+            "carry no net records (sim.rounds.replayed)\n";
+    }
 
     os << "\n### Latency attribution\n\n";
     {
@@ -695,8 +713,8 @@ std::string render_markdown(const TraceAnalysis& a,
       std::size_t shown = 0;
       for (const NetLinkStat& s : net.links) {
         if (++shown > options.net_top) break;
-        const int blocks = std::min(
-            8, static_cast<int>(std::ceil(s.util_max * 8.0 - 1e-12)));
+        const int blocks =
+            std::clamp(to_int<int>(std::ceil(s.util_max * 8.0 - 1e-12)), 0, 8);
         t.row()
             .add(static_cast<std::size_t>(s.link))
             .add(static_cast<std::size_t>(s.samples))
@@ -704,8 +722,7 @@ std::string render_markdown(const TraceAnalysis& a,
             .add(s.util_max, 4)
             .add(static_cast<std::size_t>(s.flows_max))
             .add(s.fair_min_bps / 1e6, 1)
-            .add(std::string(static_cast<std::size_t>(std::max(0, blocks)),
-                             '#'));
+            .add(std::string(static_cast<std::size_t>(blocks), '#'));
       }
       t.print_markdown(os);
     }

@@ -132,6 +132,9 @@ struct NetworkAnalysis {
   std::uint64_t flows_seen = 0, flows_kept = 0;
   std::uint64_t links_seen = 0, links_kept = 0;
   std::uint64_t phases_seen = 0, phases_kept = 0;
+  /// Rounds the simulator replayed instead of simulating (the trailer's
+  /// sim.rounds.replayed counter): the records above omit them.
+  std::uint64_t rounds_replayed = 0;
 };
 
 /// One parsed run-ledger record (src/obs/ledger.hpp schema).

@@ -6,11 +6,13 @@
 
 #include "common/require.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace orp {
 namespace {
 
 struct PhaseInstruments {
+  obs::Histogram& solve_ns;
   obs::Counter& phases;
   obs::Counter& flows;
   obs::Counter& fault_failures;
@@ -23,7 +25,8 @@ struct PhaseInstruments {
 
   static PhaseInstruments& get() {
     auto& registry = obs::Registry::global();
-    static PhaseInstruments instance{registry.counter("sim.phases"),
+    static PhaseInstruments instance{registry.histogram("sim.phase.solve_ns"),
+                                     registry.counter("sim.phases"),
                                      registry.counter("sim.flows"),
                                      registry.counter("sim.fault.failed_flows"),
                                      registry.counter("sim.fault.retried_flows"),
@@ -117,11 +120,17 @@ void FluidPhase::FinishQueue::compact(const std::vector<std::uint32_t>& stamps) 
   std::make_heap(heap_.begin(), heap_.end(), later);
 }
 
+void FluidPhase::open_telemetry(const std::vector<Message>& messages, NetRound& net) {
+  if (!net_recording()) return;
+  open_net_round(net, static_cast<std::size_t>(std::count_if(
+                          messages.begin(), messages.end(),
+                          [](const Message& m) { return m.src != m.dst; })));
+}
+
 FluidPhase::Round FluidPhase::run(const std::vector<Message>& messages,
                                   std::uint64_t index, const Network& network,
                                   double clock, FaultHook* faults,
-                                  NetPhaseCollector* telemetry,
-                                  FaultStats& fault_stats) {
+                                  FaultStats& fault_stats, NetRound& net) {
   const RoutingTable& routes = network.routes;
   const std::vector<std::uint8_t>& host_dead = network.host_dead;
   const SimParams& params = network.params;
@@ -139,6 +148,8 @@ FluidPhase::Round FluidPhase::run(const std::vector<Message>& messages,
   if (num_flows == 0) return round;
 
   PhaseInstruments& instruments = PhaseInstruments::get();
+  obs::Span span("sim.phase", "sim");
+  obs::ScopedTimer solve_timer(instruments.solve_ns);
   std::vector<std::uint64_t>& remaining = scratch_.remaining;
   std::vector<std::uint32_t>& hops = scratch_.hops;
   std::vector<HostId>& flow_src = scratch_.flow_src;
@@ -212,10 +223,10 @@ FluidPhase::Round FluidPhase::run(const std::vector<Message>& messages,
   std::size_t active_count = num_flows;
   std::size_t ended = 0;  // flows completed or failed so far
 
-  // Network telemetry (docs/telemetry.md): one load when no tracer is
-  // active; otherwise the collector snapshots raw per-flow/per-link data
-  // and defers all formatting to the sink flush.
-  const bool tele = telemetry && telemetry->begin_phase(clock, num_flows);
+  // Network telemetry (docs/telemetry.md): one branch per hook when the
+  // caller opened no round; otherwise the collector snapshots raw
+  // per-flow/per-link data and defers all formatting to the sink flush.
+  const bool tele = net_.begin_phase(net, num_flows);
   std::uint32_t fluid_steps = 0;
   const FastFairShareSolver::Stats solver_before = solver_.stats();
   std::uint64_t elided_links = 0;
@@ -300,10 +311,7 @@ FluidPhase::Round FluidPhase::run(const std::vector<Message>& messages,
       // Progress to the fault instant, then apply every event due there.
       const double event_t = std::max(fault_at - clock, t);
       ORP_ASSERT(event_t >= t);  // the clock is monotone (and not NaN)
-      if (tele) {
-        telemetry->on_segment(fluid_steps, clock + t, clock + event_t, paths_,
-                              active, rates_);
-      }
+      if (tele) net_.on_segment(fluid_steps, t, event_t, paths_, active, rates_);
       ++fluid_steps;
       t = event_t;
       if (!faults->apply_faults(clock + t)) continue;
@@ -328,7 +336,7 @@ FluidPhase::Round FluidPhase::run(const std::vector<Message>& messages,
           end_flow(f, t + params.retry_timeout);
           ++fault_stats.flows_failed;
           instruments.fault_failures.inc();
-          if (tele) telemetry->flow_done(f, rates_[f]);
+          if (tele) net_.flow_done(f, rates_[f]);
         } else if (hit) {
           // Rerouted mid-flight: delivered bytes are kept, the reroute
           // costs one transport backoff.
@@ -347,10 +355,7 @@ FluidPhase::Round FluidPhase::run(const std::vector<Message>& messages,
       continue;
     }
 
-    if (tele) {
-      telemetry->on_segment(fluid_steps, clock + t, clock + t + dt, paths_,
-                            active, rates_);
-    }
+    if (tele) net_.on_segment(fluid_steps, t, t + dt, paths_, active, rates_);
     ++fluid_steps;
     const double batch_window = dt * (1.0 + 1e-9) + 1e-15;
     const double slack = batch_window - dt;
@@ -380,7 +385,7 @@ FluidPhase::Round FluidPhase::run(const std::vector<Message>& messages,
                      rate[f] * (slack + t * 1e-15) + 1e-9);
       end_flow(f, t);
       solver_.deactivate(f);
-      if (tele) telemetry->flow_done(f, rates_[f]);
+      if (tele) net_.flow_done(f, rates_[f]);
     }
     for (const FinishQueue::Entry& e : deferred) queue.push(e);
   }
@@ -411,7 +416,8 @@ FluidPhase::Round FluidPhase::run(const std::vector<Message>& messages,
   for (const std::uint32_t h : hops) hop_sum += h;
   stats_.mean_hops = hop_sum / static_cast<double>(num_flows);
   transfer_s_ = t;
-  steps_ = fluid_steps;
+  num_links_ = routes.num_links();
+  loads_stale_ = true;
 
   instruments.phases.inc();
   instruments.flows.add(num_flows);
@@ -424,24 +430,49 @@ FluidPhase::Round FluidPhase::run(const std::vector<Message>& messages,
   instruments.fairshare_elided_links.add(elided_links);
   instruments.fluid_steps.add(fluid_steps);
 
+  if (tele) {
+    NetPhaseRecord& record = net.record;
+    record.flows = static_cast<std::uint32_t>(num_flows);
+    record.completed = static_cast<std::uint32_t>(stats_.completed);
+    record.failed = static_cast<std::uint32_t>(stats_.failed);
+    record.retried = static_cast<std::uint32_t>(stats_.retried);
+    record.steps = fluid_steps;
+    record.elapsed_s = elapsed;
+    net_.end_phase(link_loads(), params, [&](std::size_t f) {
+      return NetPhaseCollector::FlowEnd{flow_src[f], flow_dst[f], remaining[f], hops[f],
+                                        failed[f] != 0, finish[f], penalty[f]};
+    });
+  }
+  if (span.active()) {
+    span.arg("flows", stats_.flows);
+    span.arg("sim_elapsed_s", elapsed);
+    span.arg("mean_hops", stats_.mean_hops);
+    if (stats_.retried || stats_.failed) {
+      span.arg("flows_retried", stats_.retried);
+      span.arg("flows_failed", stats_.failed);
+      span.arg("retry_added_latency_s", stats_.retry_added_latency);
+    }
+  }
+
   round.elapsed = elapsed;
   round.moved = true;
-  round.traced = tele;
   return round;
 }
 
-void FluidPhase::account_link_loads(std::uint32_t num_links, double link_bandwidth,
-                                    LinkLoads& loads) const {
+const LinkLoads& FluidPhase::link_loads() const {
   // The one per-link byte pass of a round. Link ids are stable for the
   // routing table's lifetime, so flows that ended before a mid-round fault
   // and flows re-pathed after it share one numbering: each flow's bytes
   // land on the cables of its last route (a failed flow's route is empty).
-  loads.links.assign(num_links, {});
+  LinkLoads& loads = loads_;
+  if (!loads_stale_) return loads;
+  loads_stale_ = false;
+  loads.links.assign(num_links_, {});
   loads.used.clear();
   loads.window_s = transfer_s_;
-  loads.capacity_bytes = link_bandwidth * transfer_s_;
+  loads.capacity_bytes = link_bandwidth_ * transfer_s_;
   loads.max_utilization = 0.0;
-  if (transfer_s_ <= 0.0) return;
+  if (transfer_s_ <= 0.0) return loads;
   const std::vector<std::uint64_t>& bytes = scratch_.remaining;
   const std::vector<double>& finish = scratch_.finish;
   LinkLoads::Link* const account = loads.links.data();
@@ -468,22 +499,7 @@ void FluidPhase::account_link_loads(std::uint32_t num_links, double link_bandwid
   }
   loads.used.resize(used);
   loads.max_utilization = peak / loads.capacity_bytes;
-}
-
-NetPhaseCollector::PhaseEnd FluidPhase::phase_end() const {
-  NetPhaseCollector::PhaseEnd end;
-  end.elapsed_s = stats_.elapsed;
-  end.steps = steps_;
-  end.failed_flows = static_cast<std::uint32_t>(stats_.failed);
-  end.retried_flows = static_cast<std::uint32_t>(stats_.retried);
-  end.bytes = &scratch_.remaining;
-  end.finish = &scratch_.finish;
-  end.penalty = &scratch_.penalty;
-  end.hops = &scratch_.hops;
-  end.failed = &scratch_.failed;
-  end.src = &scratch_.flow_src;
-  end.dst = &scratch_.flow_dst;
-  return end;
+  return loads;
 }
 
 }  // namespace orp

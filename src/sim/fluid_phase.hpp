@@ -4,11 +4,14 @@
 // and keep the round's flow table for its statistics and link loads.
 //
 // The engine owns only per-round state: the fair-share solver, the path
-// store and the flow table. The topology, routing table, clock and fault
-// queue belong to its caller (Machine), which lends them for each run().
-// That split lets a Machine run the rounds of one collective on several
-// engines at once, one per pool participant (docs/sim.md, "Parallel
-// rounds"), while a faulted or traced run drives one engine serially.
+// store, the flow table, its link-load account and its telemetry
+// collector. The topology, routing table, clock and fault queue belong to
+// its caller (Machine), which lends them for each run(). That split lets a
+// Machine run the rounds of one collective on several engines at once,
+// one per pool participant (docs/sim.md, "Parallel rounds"), while a
+// faulted run drives one engine serially. Traced or not, a round runs the
+// same way: the caller opens its telemetry in round order, the engine
+// fills it, and the caller commits it in round order (docs/telemetry.md).
 
 #include <cstdint>
 #include <vector>
@@ -76,31 +79,32 @@ class FluidPhase {
   struct Round {
     double elapsed = 0.0;  ///< seconds until the slowest message landed
     bool moved = false;    ///< flows ran, so stats() and the flow table are this round's
-    bool traced = false;   ///< the collector took this round: finish it with phase_end()
   };
 
-  explicit FluidPhase(double link_bandwidth) : solver_(link_bandwidth) {}
+  explicit FluidPhase(double link_bandwidth)
+      : solver_(link_bandwidth), link_bandwidth_(link_bandwidth) {}
+
+  /// Opens `net` for a round of `messages` while telemetry records
+  /// (open_net_round); call on the caller, in round order.
+  static void open_telemetry(const std::vector<Message>& messages, NetRound& net);
 
   /// Runs `messages` as round `index` of the caller's phase sequence (the
   /// ECMP flow keys hash it), starting at absolute time `clock`. `faults`
-  /// may interrupt the round at its event instants; `telemetry` may record
-  /// it. Flow failures and retries are added to `fault_stats`. A round of
+  /// may interrupt the round at its event instants. Flow failures and
+  /// retries are added to `fault_stats`; an opened `net` receives the
+  /// round's records, times relative to its start. A round of
   /// self-messages only moves nothing and leaves the previous round's
   /// statistics and flow table in place.
   Round run(const std::vector<Message>& messages, std::uint64_t index,
             const Network& network, double clock, FaultHook* faults,
-            NetPhaseCollector* telemetry, FaultStats& fault_stats);
+            FaultStats& fault_stats, NetRound& net);
 
   /// Statistics of the last round that moved flows.
   const PhaseStats& stats() const noexcept { return stats_; }
 
-  /// Fills `loads` from the last round's final routes and flow table.
-  void account_link_loads(std::uint32_t num_links, double link_bandwidth,
-                          LinkLoads& loads) const;
-
-  /// The last round's flow table for NetPhaseCollector::end_phase(), with
-  /// `loads` and `params` left for the caller to set.
-  NetPhaseCollector::PhaseEnd phase_end() const;
+  /// Per-link load of the last round that moved flows, from its final
+  /// routes and flow table; built on the first call after the round.
+  const LinkLoads& link_loads() const;
 
  private:
   /// Hands solver_ the live flows' routes without the host links each holds
@@ -115,7 +119,11 @@ class FluidPhase {
   std::vector<double> rates_;  ///< per-flow rates, kept current by solver_
   PhaseStats stats_;
   double transfer_s_ = 0.0;  ///< fluid time the last round's last byte moved
-  std::uint32_t steps_ = 0;  ///< fluid segments the last round took
+  std::uint32_t num_links_ = 0;  ///< of the routing table the last round ran on
+  double link_bandwidth_;
+  mutable LinkLoads loads_;  ///< link_loads(), valid unless loads_stale_
+  mutable bool loads_stale_ = false;
+  NetPhaseCollector net_;
 
   /// Min-queue of projected flow finish times (phase time) that drives
   /// the fluid event loop. A cold solve re-keys every flow at once, so

@@ -16,7 +16,6 @@ namespace orp {
 namespace {
 
 struct SimInstruments {
-  obs::Histogram& solve_ns;
   obs::Counter& fault_events;
   obs::Counter& fault_rebuilds;
   obs::Counter& fault_repairs;
@@ -26,8 +25,7 @@ struct SimInstruments {
 
   static SimInstruments& get() {
     auto& registry = obs::Registry::global();
-    static SimInstruments instance{registry.histogram("sim.phase.solve_ns"),
-                                   registry.counter("sim.fault.events"),
+    static SimInstruments instance{registry.counter("sim.fault.events"),
                                    registry.counter("sim.fault.rebuilds"),
                                    registry.counter("sim.fault.repairs"),
                                    registry.counter("sim.rounds.parallel"),
@@ -52,6 +50,11 @@ const SimParams& validated(const SimParams& params) {
   ORP_REQUIRE(duration(params.retry_timeout), "retry_timeout must be finite and >= 0");
   return params;
 }
+
+/// The `op` arg of a `sim.replay` span, by Machine::Op.
+constexpr const char* kOpNames[] = {
+    "phase",  "barrier", "bcast",          "reduce",         "allreduce", "allgather",
+    "scatter", "gather", "reduce_scatter", "ring_allreduce", "alltoall",  "alltoallv"};
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t word) {
   h = (h ^ word) * 0x9e3779b97f4a7c15ULL;
@@ -236,65 +239,40 @@ double Machine::phase(const std::vector<Message>& messages) {
 }
 
 FluidPhase::Round Machine::run_round(const std::vector<Message>& messages) {
-  obs::Span span("sim.phase", "sim");
-  obs::ScopedTimer solve_timer(SimInstruments::get().solve_ns);
-
   // Faults that struck between phases (or before the run) land now, so
   // injection already routes on the degraded topology.
   apply_due_faults(clock_);
 
-  FluidPhase& engine = engines_[0];
-  const FluidPhase::Round round = engine.run(messages, ++phase_counter_, network(),
-                                             clock_, this, &net_, fault_stats_);
+  NetRound net;
+  FluidPhase::open_telemetry(messages, net);
+  const FluidPhase::Round round = engines_[0].run(messages, ++phase_counter_, network(),
+                                                  clock_, this, fault_stats_, net);
   if (!round.moved) return round;
   replayed_.reset();
-  link_loads_stale_ = true;
-  const PhaseStats& stats = engine.stats();
-  if (round.traced) {
-    NetPhaseCollector::PhaseEnd end = engine.phase_end();
-    end.loads = &link_loads();
-    end.params = &params_;
-    net_.end_phase(end);
-  }
-  if (span.active()) {
-    span.arg("flows", stats.flows);
-    span.arg("sim_elapsed_s", round.elapsed);
-    span.arg("mean_hops", stats.mean_hops);
-    if (stats.retried || stats.failed) {
-      span.arg("flows_retried", stats.retried);
-      span.arg("flows_failed", stats.failed);
-      span.arg("retry_added_latency_s", stats.retry_added_latency);
-    }
-  }
-
+  commit_net_round(net, clock_);
   clock_ += round.elapsed;
   return round;
 }
 
 const LinkLoads& Machine::link_loads() const {
   rerun_replayed();
-  if (link_loads_stale_) {
-    link_loads_stale_ = false;
-    engines_[0].account_link_loads(routes_.num_links(), params_.link_bandwidth,
-                                   link_loads_);
-  }
-  return link_loads_;
+  return engines_[0].link_loads();
 }
 
 void Machine::rerun_replayed() const {
   if (!replayed_) return;
   // Replays run under deterministic routing, where the phase index keys
-  // nothing, on the topology the call was recorded on.
+  // nothing, on the topology the call was recorded on. The re-run records
+  // no telemetry: a replayed call's rounds were traced, if at all, when it
+  // was first simulated.
   FaultStats unused;
+  NetRound untraced;
   engines_[0].run(replayed_->messages, phase_counter_, network(), clock_, nullptr,
-                  nullptr, unused);
+                  unused, untraced);
   replayed_.reset();
-  link_loads_stale_ = true;
 }
 
-bool Machine::quiet() const {
-  return next_event_ == pending_.size() && !obs::Tracer::global().enabled();
-}
+bool Machine::quiet() const { return next_event_ == pending_.size(); }
 
 bool Machine::replayable() const {
   return params_.routing == RoutingPolicy::kDeterministic && quiet();
@@ -302,8 +280,7 @@ bool Machine::replayable() const {
 
 ThreadPool* Machine::parallel_pool(std::uint32_t count) {
   // A fault event left to apply may strike mid-round and change the
-  // topology the later rounds route on, and the telemetry records phases
-  // in order: both keep the serial path.
+  // topology the later rounds route on: it keeps the serial path.
   if (count < 2 || !quiet()) return nullptr;
   if (global_pool_) {
     pool_ = &ThreadPool::global();
@@ -314,6 +291,7 @@ ThreadPool* Machine::parallel_pool(std::uint32_t count) {
 }
 
 double Machine::replay(const std::shared_ptr<const Replay>& call) {
+  obs::Span span("sim.replay", "sim");
   // The additions the simulated call made, in the same order.
   double elapsed = 0.0;
   for (const double d : call->durations) {
@@ -324,6 +302,11 @@ double Machine::replay(const std::shared_ptr<const Replay>& call) {
   fault_stats_.flows_failed += call->flows_failed;
   if (!call->durations.empty()) replayed_ = call;
   SimInstruments::get().rounds_replayed.add(call->durations.size());
+  if (span.active()) {
+    span.arg("op", kOpNames[static_cast<std::size_t>(call->op)]);
+    span.arg("rounds", std::uint64_t{call->durations.size()});
+    span.arg("sim_elapsed_s", elapsed);
+  }
   return elapsed;
 }
 
@@ -332,7 +315,7 @@ double Machine::run_rounds(const Call& call, std::uint32_t count,
   SimInstruments& instruments = SimInstruments::get();
   // Replayed calls (docs/sim.md): alltoallv's callback must see every call,
   // and outside replayable() a round also depends on the fault queue or the
-  // phase index, or feeds a tracer.
+  // phase index.
   const bool memo = call.op != Op::kAlltoallv && count > 0 && replayable();
   std::uint64_t key = 0;
   if (memo) {
@@ -404,12 +387,12 @@ double Machine::run_rounds(const Call& call, std::uint32_t count,
 std::uint32_t Machine::run_parallel(ThreadPool& pool, std::uint32_t begin,
                                     std::uint32_t count, const RoundBuilder& build,
                                     double& elapsed, std::vector<double>* durations) {
-  SimInstruments& instruments = SimInstruments::get();
   // Windows of rounds: built here in round order (so builders, and the
-  // alltoallv callback, never run concurrently), then claimed by the pool
-  // participants through an atomic cursor, each on its own engine. No fault
-  // can strike and no tracer records, so a round depends only on its
-  // messages and its phase index; the sums below run in round order.
+  // alltoallv callback, never run concurrently), with their phase indices
+  // and telemetry opened here too, then claimed by the pool participants
+  // through an atomic cursor, each on its own engine. No fault can strike,
+  // so a round depends only on its messages and its phase index; the sums
+  // and the telemetry commits below run in round order.
   const std::size_t participants = pool.size() + 1;
   engines_.resize(std::max(engines_.size(), participants),
                   FluidPhase(params_.link_bandwidth));
@@ -419,6 +402,7 @@ std::uint32_t Machine::run_parallel(ThreadPool& pool, std::uint32_t begin,
     std::uint64_t index = 0;  ///< phase index; 0 for an empty round
     FluidPhase::Round result;
     FaultStats faults;
+    NetRound net;
     std::size_t engine = 0;
   };
   std::vector<Slot> slots(rounds.size());
@@ -430,7 +414,9 @@ std::uint32_t Machine::run_parallel(ThreadPool& pool, std::uint32_t begin,
       rounds[i].clear();
       build(first + static_cast<std::uint32_t>(i), rounds[i]);
       slots[i] = Slot{};
-      if (!rounds[i].empty()) slots[i].index = ++phase_counter_;
+      if (rounds[i].empty()) continue;
+      slots[i].index = ++phase_counter_;
+      FluidPhase::open_telemetry(rounds[i], slots[i].net);
     }
     std::atomic<std::size_t> cursor{0};
     pool.parallel_for(participants, [&](std::size_t p) {
@@ -438,22 +424,22 @@ std::uint32_t Machine::run_parallel(ThreadPool& pool, std::uint32_t begin,
       for (std::size_t i; (i = cursor.fetch_add(1)) < size;) {
         Slot& slot = slots[i];
         if (slot.index == 0) continue;
-        obs::ScopedTimer solve_timer(instruments.solve_ns);
         slot.result = engine.run(rounds[i], slot.index, net, clock_, nullptr,
-                                 nullptr, slot.faults);
+                                 slot.faults, slot.net);
         slot.engine = p;
       }
     });
     std::size_t last = 0;
     bool moved = false;
     for (std::size_t i = 0; i < size; ++i) {
-      const Slot& slot = slots[i];
+      Slot& slot = slots[i];
       if (!slot.result.moved) continue;
       // Round order, as the serial path adds them. Without a fault hook
       // flows fail only at injection (a dead or partitioned endpoint).
       fault_stats_.flows_failed += slot.faults.flows_failed;
       fault_stats_.flows_retried += slot.faults.flows_retried;
       fault_stats_.retry_added_latency += slot.faults.retry_added_latency;
+      commit_net_round(slot.net, clock_);
       clock_ += slot.result.elapsed;
       elapsed += slot.result.elapsed;
       if (durations != nullptr) durations->push_back(slot.result.elapsed);
@@ -465,7 +451,6 @@ std::uint32_t Machine::run_parallel(ThreadPool& pool, std::uint32_t begin,
       // The engine of the last round that moved flows becomes the
       // Machine's own, so last_phase_stats() and link_loads() read it.
       if (last != 0) std::swap(engines_[0], engines_[last]);
-      link_loads_stale_ = true;
       replayed_.reset();
     }
     first += static_cast<std::uint32_t>(size);

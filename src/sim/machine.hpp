@@ -18,23 +18,28 @@
 //   barrier          zero-byte recursive doubling
 //
 // Parallel rounds (docs/sim.md). The Machine owns the topology, routing,
-// clock, fault queue and telemetry; a FluidPhase engine runs one round on
-// them. A collective of two or more rounds runs them on the Machine's
-// thread pool, one engine per participant, whenever no fault event is left
-// to apply, no tracer is recording, the pool has a worker and the caller is
-// not one of them; otherwise it runs them one by one on the calling thread,
-// and a faulted collective hands its remaining rounds to the pool once its
-// last event has applied. Durations, fault counters and the state read back
+// clock and fault queue; a FluidPhase engine runs one round on them. A
+// collective of two or more rounds runs them on the Machine's thread pool,
+// one engine per participant, whenever no fault event is left to apply,
+// the pool has a worker and the caller is not one of them; otherwise it
+// runs them one by one on the calling thread, and a faulted collective
+// hands its remaining rounds to the pool once its last event has applied.
+// Durations, fault counters, telemetry records and the state read back
 // afterwards (now(), last_phase_stats(), link_loads()) are added and kept
-// in round order, so every result is bit-identical for every pool size.
+// in round order, so every result, and every `net.*` record of a traced
+// run, is bit-identical for every pool size.
 //
 // Replayed calls (docs/sim.md). Under deterministic routing, with no fault
-// event pending and no tracer recording, a round is a pure function of its
-// messages, so the Machine remembers whole calls: phase() by its messages,
-// the other collectives except alltoallv() by (collective, bytes, root). A
-// repeated call adds the recorded round durations to the clock in round
-// order, as the first call did, instead of simulating again. The memo is cleared by reset() and by every fault that changes the
-// topology, so results never depend on it.
+// event pending, a round is a pure function of its messages, so the
+// Machine remembers whole calls: phase() by its messages, the other
+// collectives except alltoallv() by (collective, bytes, root). A repeated
+// call adds the recorded round durations to the clock in round order, as
+// the first call did, instead of simulating again; a traced run marks it
+// with one `sim.replay` span and no `net.*` records. The memo is cleared
+// by reset() and by every fault that changes the topology, so results
+// never depend on it.
+//
+// A tracer only observes: traced and untraced runs take the same paths.
 
 #include <cstdint>
 #include <functional>
@@ -143,7 +148,7 @@ class Machine : private FaultHook {
   /// Per-link load of the same phase: what each link carried over its
   /// transfer window. Traced phases build it anyway; otherwise the first
   /// call after a phase builds it (after a replayed call, by simulating
-  /// that call's last round once).
+  /// that call's last round once). Valid until the next step.
   const LinkLoads& link_loads() const;
 
   /// Bytes the replay memo holds at most (1 MiB, counted by
@@ -199,12 +204,13 @@ class Machine : private FaultHook {
   std::uint32_t run_parallel(ThreadPool& pool, std::uint32_t begin, std::uint32_t count,
                              const RoundBuilder& build, double& elapsed,
                              std::vector<double>* durations);
-  /// Runs one round on engine 0 with the fault queue as its hook.
+  /// Runs one round on engine 0 with the fault queue as its hook, and
+  /// commits its telemetry.
   FluidPhase::Round run_round(const std::vector<Message>& messages);
   /// The pool to run `count` rounds on now, or nullptr for the serial path.
   ThreadPool* parallel_pool(std::uint32_t count);
-  /// True while no fault event is left to apply and no tracer is recording:
-  /// a round then depends only on its messages and its phase index.
+  /// True while no fault event is left to apply: a round then depends only
+  /// on its messages and its phase index.
   bool quiet() const;
   /// True while a round is a pure function of its messages: quiet() under
   /// deterministic routing, which ignores the phase index.
@@ -235,12 +241,11 @@ class Machine : private FaultHook {
   std::vector<HostId> rank_to_host_;
   double clock_ = 0.0;
   std::uint64_t phase_counter_ = 0;  ///< decorrelates ECMP hashes across phases
-  mutable LinkLoads link_loads_;
-  mutable bool link_loads_stale_ = false;
 
   /// Round engines: [0] is the Machine's own, which ran the last round
-  /// that moved flows (or re-runs a replayed one for link_loads()); a
-  /// parallel collective also uses one per extra pool participant.
+  /// that moved flows (or re-runs a replayed one for link_loads()) and
+  /// holds its link loads; a parallel collective also uses one per extra
+  /// pool participant.
   mutable std::vector<FluidPhase> engines_;
   ThreadPool* pool_ = nullptr;
   bool global_pool_ = false;  ///< pool_ is ThreadPool::global(), not yet looked up
@@ -263,9 +268,6 @@ class Machine : private FaultHook {
   std::vector<FaultEvent> pending_;  ///< sorted by time
   std::size_t next_event_ = 0;       ///< first unapplied entry of pending_
   FaultStats fault_stats_;
-
-  // Network telemetry (no-op unless a JSONL tracer is active).
-  NetPhaseCollector net_;
 };
 
 }  // namespace orp

@@ -110,26 +110,29 @@ std::uint64_t splitmix64(std::uint64_t x) {
 template <typename T>
 class Reservoir {
  public:
-  static constexpr std::size_t kReject = ~std::size_t{0};
-
   void set_capacity(std::size_t capacity) { capacity_ = capacity; }
-  /// Admission decision for the next offered record without materializing
-  /// it: counts the record as seen and returns the slot it would occupy,
-  /// or kReject. The decision depends only on the record's ordinal, so
-  /// callers can skip building records the reservoir would drop anyway.
-  std::size_t admit() {
-    ++seen_;
+  /// Counts `n` more offers; returns the ordinal (from 1) of the first.
+  std::uint64_t reserve(std::uint64_t n) {
+    seen_ += n;
+    return seen_ - n + 1;
+  }
+  /// Whether the record of ordinal `o` gets a slot. The decision depends
+  /// only on the ordinal and the capacity, so callers can skip building
+  /// the records the reservoir would drop anyway.
+  static bool admits(std::uint64_t o, std::size_t capacity) {
+    return o <= capacity || splitmix64(o) % o < capacity;
+  }
+  /// Stores the record of an admitted ordinal `o`.
+  void store(std::uint64_t o, T record) {
     if (items_.size() < capacity_) {
-      items_.emplace_back();
-      return items_.size() - 1;
+      items_.push_back(std::move(record));
+    } else if (const std::uint64_t j = splitmix64(o) % o; j < items_.size()) {
+      items_[j] = std::move(record);
     }
-    if (capacity_ == 0) return kReject;
-    const std::uint64_t j = splitmix64(seen_) % seen_;
-    return j < capacity_ ? static_cast<std::size_t>(j) : kReject;
   }
   void offer(T record) {
-    const std::size_t slot = admit();
-    if (slot != kReject) items_[slot] = std::move(record);
+    const std::uint64_t o = reserve(1);
+    if (admits(o, capacity_)) store(o, std::move(record));
   }
   std::uint64_t seen() const { return seen_; }
   std::vector<T>& items() { return items_; }
@@ -143,6 +146,12 @@ class Reservoir {
   std::uint64_t seen_ = 0;
   std::vector<T> items_;
 };
+
+/// Flows of a round of `num_flows` that the stride samples: flow i *
+/// stride is the i-th; a zero stride samples none.
+std::size_t sampled_flows(std::size_t num_flows, std::uint32_t stride) {
+  return stride > 0 ? (num_flows + stride - 1) / stride : 0;
+}
 
 /// %.12g: round-trips every telemetry value (utilizations near 1e-9,
 /// rates near 5e9) without the fixed-decimal truncation of format_double.
@@ -186,41 +195,40 @@ class NetStore {
     return *instance;
   }
 
-  std::uint64_t open_phase(const NetTelemetryConfig& config) {
+  void open(NetRound& round, std::size_t sampled) {
     std::lock_guard lock(mutex_);
-    flows_.set_capacity(config.reservoir_flows);
-    links_.set_capacity(config.reservoir_links);
-    phases_.set_capacity(config.reservoir_phases);
-    return next_phase_++;
+    flows_.set_capacity(round.config.reservoir_flows);
+    links_.set_capacity(round.config.reservoir_links);
+    phases_.set_capacity(round.config.reservoir_phases);
+    round.phase = next_phase_++;
+    round.first_flow = flows_.reserve(sampled);
   }
 
-  /// Pushes one phase's records. Flow records are admitted by ordinal
-  /// first and only the accepted ones are built, via `build(i)` for the
-  /// i-th sampled flow of the phase — at reservoir caps the vast majority
-  /// of offers are rejected, so skipping construction for them keeps the
-  /// traced hot path near the untraced one (CI's telemetry-overhead gate).
-  /// Runs under the store lock so a concurrent drain can never observe a
-  /// half-admitted batch.
-  template <typename BuildFlow>
-  void push(std::size_t flow_count, BuildFlow&& build,
-            std::vector<NetLinkSample>& links, const NetPhaseRecord& phase) {
+  /// Pushes one round's records. Its flows were built only for the
+  /// ordinals the reservoir admits (NetPhaseCollector::end_phase): at
+  /// reservoir caps the vast majority of offers are rejected, so skipping
+  /// construction for them keeps the traced hot path near the untraced one
+  /// (CI's telemetry-overhead gate). Runs under the store lock so a
+  /// concurrent drain can never observe a half-pushed round.
+  void commit(NetRound& round) {
     std::lock_guard lock(mutex_);
-    for (std::size_t i = 0; i < flow_count; ++i) {
-      const std::size_t slot = flows_.admit();
-      if (slot != Reservoir<NetFlowRecord>::kReject) {
-        flows_.items()[slot] = build(i);
+    const std::size_t capacity = round.config.reservoir_flows;
+    std::size_t k = 0;
+    for (std::uint64_t o = round.first_flow; k < round.flows.size(); ++o) {
+      if (Reservoir<NetFlowRecord>::admits(o, capacity)) {
+        flows_.store(o, std::move(round.flows[k++]));
       }
     }
-    for (NetLinkSample& l : links) links_.offer(std::move(l));
-    phases_.offer(phase);
+    for (NetLinkSample& l : round.links) links_.offer(std::move(l));
+    phases_.offer(round.record);
   }
 
-  std::size_t drain_to_tracer() {
+  void drain_to_tracer() {
     std::lock_guard lock(mutex_);
     obs::Tracer& tracer = obs::Tracer::global();
     if (!tracer.enabled()) {
       clear_locked();
-      return 0;
+      return;
     }
     // Deterministic emission order regardless of reservoir churn.
     auto& phases = phases_.items();
@@ -321,12 +329,6 @@ class NetStore {
       ++emitted;
     }
     clear_locked();
-    return emitted;
-  }
-
-  void discard() {
-    std::lock_guard lock(mutex_);
-    clear_locked();
   }
 
   void reset() {
@@ -355,24 +357,40 @@ class NetStore {
 }  // namespace
 
 namespace net_detail {
-std::size_t drain_to_tracer() { return NetStore::global().drain_to_tracer(); }
-void discard_buffered() { NetStore::global().discard(); }
 void reset_for_tests() { NetStore::global().reset(); }
 }  // namespace net_detail
 
-bool NetPhaseCollector::begin_phase(double clock_s, std::size_t num_flows) {
-  active_ = obs::Tracer::global().enabled();
-  if (!active_) return false;
-  cfg_ = net_telemetry();
-  if (!cfg_.enabled) {
-    active_ = false;
-    return false;
+bool net_recording() {
+  return obs::Tracer::global().enabled() && net_telemetry().enabled;
+}
+
+void open_net_round(NetRound& round, std::size_t num_flows) {
+  round.config = net_telemetry();
+  round.active = true;
+  round.record = NetPhaseRecord{};
+  round.links.clear();
+  round.flows.clear();
+  NetStore::global().open(round, sampled_flows(num_flows, round.config.flow_sample));
+  round.record.phase = round.phase;
+}
+
+void commit_net_round(NetRound& round, double start_s) {
+  if (!round.active) return;
+  round.active = false;
+  round.record.start_s = start_s;
+  for (NetLinkSample& l : round.links) {
+    l.t0_s += start_s;
+    l.t1_s += start_s;
   }
-  phase_id_ = NetStore::global().open_phase(cfg_);
-  phase_start_s_ = clock_s;
+  for (NetFlowRecord& f : round.flows) f.start_s = start_s;
+  NetStore::global().commit(round);
+}
+
+bool NetPhaseCollector::begin_phase(NetRound& round, std::size_t num_flows) {
+  round_ = round.active ? &round : nullptr;
+  if (!round_) return false;
   rate_first_.assign(num_flows, 0.0);
   rate_last_.assign(num_flows, 0.0);
-  step_samples_.clear();
   return true;
 }
 
@@ -380,13 +398,14 @@ void NetPhaseCollector::on_segment(std::uint32_t step, double t0_s, double t1_s,
                                    const PathStore& paths,
                                    const std::vector<std::uint8_t>& active,
                                    const std::vector<double>& rates) {
-  if (!active_) return;
+  if (!round_) return;
   if (step == 0) {
     for (std::size_t f = 0; f < paths.size(); ++f) {
       if (active[f]) rate_first_[f] = rates[f];
     }
   }
-  if (step >= cfg_.link_steps || cfg_.link_top_k == 0) return;
+  const NetTelemetryConfig& config = round_->config;
+  if (step >= config.link_steps || config.link_top_k == 0) return;
 
   // Per-link accounting with a dense scratch + touched list: one pass over
   // (flow, link) incidences. Entries that re-pathed flows left in the store
@@ -413,12 +432,13 @@ void NetPhaseCollector::on_segment(std::uint32_t step, double t0_s, double t1_s,
 
   // Keep the segment's top-K links; utilization holds the rate sum until
   // end_phase scales it to a line-rate fraction.
-  const std::size_t base = step_samples_.size();
+  std::vector<NetLinkSample>& samples = round_->links;
+  const std::size_t base = samples.size();
   for (const std::uint32_t l : touched_) {
     LinkScratch& scratch = link_scratch_[l];
-    keep_top_k(step_samples_, base, cfg_.link_top_k, scratch.sum, l, [&] {
+    keep_top_k(samples, base, config.link_top_k, scratch.sum, l, [&] {
       NetLinkSample sample;
-      sample.phase = phase_id_;
+      sample.phase = round_->phase;
       sample.step = static_cast<std::int32_t>(step);
       sample.link = l;
       sample.t0_s = t0_s;
@@ -433,93 +453,34 @@ void NetPhaseCollector::on_segment(std::uint32_t step, double t0_s, double t1_s,
 }
 
 void NetPhaseCollector::flow_done(std::size_t f, double rate_bps) {
-  if (!active_) return;
+  if (!round_) return;
   rate_last_[f] = rate_bps;
 }
 
-void NetPhaseCollector::end_phase(const PhaseEnd& end) {
-  if (!active_) return;
-  active_ = false;
-  const SimParams& params = *end.params;
+void NetPhaseCollector::end_phase(const LinkLoads& loads, const SimParams& params,
+                                  const std::function<FlowEnd(std::size_t)>& flow) {
+  if (!round_) return;
+  NetRound& round = *round_;
+  round_ = nullptr;
+  const NetTelemetryConfig& config = round.config;
   const double bandwidth = params.link_bandwidth;
-  const LinkLoads& loads = *end.loads;
-  const std::size_t num_flows = end.bytes->size();
 
   // Per-step samples carried rate sums; scale to line-rate fractions now.
-  for (NetLinkSample& sample : step_samples_) {
-    sample.utilization /= bandwidth;
-  }
-
-  NetPhaseRecord phase;
-  phase.phase = phase_id_;
-  phase.flows = static_cast<std::uint32_t>(num_flows);
-  phase.completed = phase.flows - end.failed_flows;
-  phase.failed = end.failed_flows;
-  phase.retried = end.retried_flows;
-  phase.steps = end.steps;
-  phase.start_s = phase_start_s_;
-  phase.elapsed_s = end.elapsed_s;
-  phase.transfer_s = loads.window_s;
-  phase.max_utilization = loads.max_utilization;
-
-  // Flow records are built lazily inside NetStore::push, only for the
-  // ordinals the reservoir admits; the i-th sampled flow of the phase is
-  // flow i * flow_sample.
-  const std::size_t sampled_flows =
-      cfg_.flow_sample > 0 ? (num_flows + cfg_.flow_sample - 1) / cfg_.flow_sample
-                           : 0;
-  auto build_flow = [&](std::size_t i) {
-    const std::size_t f = i * cfg_.flow_sample;
-    const bool failed = (*end.failed)[f] != 0;
-    const double penalty = (*end.penalty)[f];
-
-    NetFlowRecord record;
-    record.phase = phase_id_;
-    record.src = (*end.src)[f];
-    record.dst = (*end.dst)[f];
-    record.bytes = (*end.bytes)[f];
-    record.hops = (*end.hops)[f];
-    record.failed = failed;
-    record.retries = static_cast<std::uint32_t>(
-        params.retry_backoff > 0.0 ? penalty / params.retry_backoff + 0.5
-                                   : 0.0);
-    record.start_s = phase_start_s_;
-    const double finish = (*end.finish)[f];
-    if (failed) {
-      // The sender's whole bounded give-up time is fault cost.
-      record.total_s = finish;
-      record.retry_s = finish;
-    } else {
-      record.total_s = finish + penalty + params.mpi_overhead +
-                       record.hops * params.hop_latency;
-      record.serialization_s = static_cast<double>(record.bytes) / bandwidth;
-      // Queueing is the transfer-time remainder, so the five terms sum to
-      // total_s exactly (the acceptance bound in docs/telemetry.md).
-      record.queue_s = finish - record.serialization_s;
-      record.hop_s = record.hops * params.hop_latency;
-      record.retry_s = penalty;
-      record.overhead_s = params.mpi_overhead;
-      if (finish > 0.0) {
-        record.rate_mean_bps = static_cast<double>(record.bytes) / finish;
-      }
-    }
-    record.rate_first_bps = rate_first_[f];
-    record.rate_last_bps = rate_last_[f];
-    return record;
-  };
+  for (NetLinkSample& sample : round.links) sample.utilization /= bandwidth;
+  round.record.transfer_s = loads.window_s;
+  round.record.max_utilization = loads.max_utilization;
 
   // Whole-phase link buckets (step -1), read off the phase's account.
-  const std::size_t base = step_samples_.size();
+  const std::size_t base = round.links.size();
   for (const LinkId l : loads.used) {
     const LinkLoads::Link& link = loads.links[l];
     const double utilization = loads.utilization(l);
-    keep_top_k(step_samples_, base, cfg_.link_top_k, utilization, l, [&] {
+    keep_top_k(round.links, base, config.link_top_k, utilization, l, [&] {
       NetLinkSample sample;
-      sample.phase = phase_id_;
+      sample.phase = round.phase;
       sample.step = -1;
       sample.link = l;
-      sample.t0_s = phase_start_s_;
-      sample.t1_s = phase_start_s_ + loads.window_s;
+      sample.t1_s = loads.window_s;
       sample.utilization = utilization;
       sample.flows = link.flows;
       sample.fair_bps = link.slowest_bps;
@@ -527,8 +488,46 @@ void NetPhaseCollector::end_phase(const PhaseEnd& end) {
     });
   }
 
-  NetStore::global().push(sampled_flows, build_flow, step_samples_, phase);
-  step_samples_.clear();
+  // Flow records only for the ordinals the reservoir admits (NetStore::
+  // commit); the i-th sampled flow of the phase is flow i * flow_sample.
+  const std::size_t sampled = sampled_flows(rate_first_.size(), config.flow_sample);
+  const std::size_t capacity = config.reservoir_flows;
+  for (std::size_t i = 0; i < sampled; ++i) {
+    if (!Reservoir<NetFlowRecord>::admits(round.first_flow + i, capacity)) continue;
+    const std::size_t f = i * config.flow_sample;
+    const FlowEnd end = flow(f);
+
+    NetFlowRecord& record = round.flows.emplace_back();
+    record.phase = round.phase;
+    record.src = end.src;
+    record.dst = end.dst;
+    record.bytes = end.bytes;
+    record.hops = end.hops;
+    record.failed = end.failed;
+    record.retries = static_cast<std::uint32_t>(
+        params.retry_backoff > 0.0 ? end.penalty_s / params.retry_backoff + 0.5
+                                   : 0.0);
+    if (end.failed) {
+      // The sender's whole bounded give-up time is fault cost.
+      record.total_s = end.finish_s;
+      record.retry_s = end.finish_s;
+    } else {
+      record.total_s = end.finish_s + end.penalty_s + params.mpi_overhead +
+                       record.hops * params.hop_latency;
+      record.serialization_s = static_cast<double>(record.bytes) / bandwidth;
+      // Queueing is the transfer-time remainder, so the five terms sum to
+      // total_s exactly (the acceptance bound in docs/telemetry.md).
+      record.queue_s = end.finish_s - record.serialization_s;
+      record.hop_s = record.hops * params.hop_latency;
+      record.retry_s = end.penalty_s;
+      record.overhead_s = params.mpi_overhead;
+      if (end.finish_s > 0.0) {
+        record.rate_mean_bps = static_cast<double>(record.bytes) / end.finish_s;
+      }
+    }
+    record.rate_first_bps = rate_first_[f];
+    record.rate_last_bps = rate_last_[f];
+  }
 }
 
 }  // namespace orp

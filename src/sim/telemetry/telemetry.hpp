@@ -3,12 +3,13 @@
 // records, per-link utilization samples, and end-to-end latency
 // attribution, emitted into the active JSONL trace (docs/telemetry.md).
 //
-// Collection is cheap by design: Machine::phase() hands the collector raw
-// POD snapshots (no string formatting on the hot path), the collector
-// caps volume with deterministic reservoir sampling, and the buffered
-// records are serialized as Chrome-trace instant events ("cat":"net")
-// only when the sink flushes. With no tracer active begin_phase() is one
-// load and the phase pays nothing.
+// Collection is cheap by design: each fluid engine's collector takes raw
+// POD snapshots of its round (no string formatting on the hot path), the
+// rounds are committed in round order into reservoirs that cap volume by
+// deterministic sampling, and the buffered records are serialized as
+// Chrome-trace instant events ("cat":"net") only when the sink flushes.
+// With no tracer active no round is opened, and an engine pays one branch
+// per hook.
 //
 // Latency attribution (per flow, seconds; terms sum to `total_s` exactly
 // by construction — queueing is defined as the remainder of the transfer
@@ -23,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string_view>
 #include <vector>
@@ -138,34 +140,57 @@ struct LinkLoads {
   double utilization(LinkId l) const { return links[l].bytes / capacity_bytes; }
 };
 
-/// Per-Machine collector. All methods are no-ops (one branch) until
-/// begin_phase() sees an active tracer and an enabled config.
+/// One round's records, from reservation to the reservoirs. The caller
+/// opens it in round order (open_net_round), the engine that runs the
+/// round fills it with phase-relative times (NetPhaseCollector), and the
+/// caller commits it in round order (commit_net_round). Phase ids and flow
+/// admission are fixed at open, so the records do not depend on which
+/// engine, or how many, ran the rounds.
+struct NetRound {
+  bool active = false;         ///< opened: the engine records this round
+  NetTelemetryConfig config;   ///< read when the round was opened
+  std::uint64_t phase = 0;     ///< global phase sequence number
+  std::uint64_t first_flow = 0;  ///< reservoir ordinal of the first sampled flow
+  NetPhaseRecord record;
+  std::vector<NetLinkSample> links;
+  /// The sampled flows the reservoir admits (and only those), in order.
+  std::vector<NetFlowRecord> flows;
+};
+
+/// True while a round opened now records: a JSONL tracer is active and
+/// the config is enabled.
+bool net_recording();
+
+/// Opens `round`, a round of `num_flows` flows (a JSONL tracer must be
+/// recording): takes the next global phase id and the reservoir ordinals
+/// of its sampled flows.
+void open_net_round(NetRound& round, std::size_t num_flows);
+
+/// Pushes an opened round's records into the global reservoirs (serialized
+/// to the trace at sink flush), with times re-anchored at the round's
+/// absolute start `start_s`, and closes the round. No-op when not opened.
+void commit_net_round(NetRound& round, double start_s);
+
+/// A fluid engine's collector: the scratch that turns one round's segments
+/// and flow table into the records of its NetRound. Each engine owns one.
 class NetPhaseCollector {
  public:
-  /// Everything end_phase() needs, borrowed from the round's FluidPhase.
-  /// Times are phase-relative seconds (the collector re-anchors them).
-  struct PhaseEnd {
-    double elapsed_s = 0.0;  ///< phase() return value
-    std::uint32_t steps = 0;
-    std::uint32_t failed_flows = 0;
-    std::uint32_t retried_flows = 0;
-    const LinkLoads* loads = nullptr;  ///< the phase's link-load account
-    const std::vector<std::uint64_t>* bytes = nullptr;
-    const std::vector<double>* finish = nullptr;   ///< phase-relative
-    const std::vector<double>* penalty = nullptr;  ///< summed backoff
-    const std::vector<std::uint32_t>* hops = nullptr;
-    const std::vector<std::uint8_t>* failed = nullptr;
-    const std::vector<HostId>* src = nullptr;
-    const std::vector<HostId>* dst = nullptr;
-    const SimParams* params = nullptr;
+  /// One flow as its round left it (times phase-relative).
+  struct FlowEnd {
+    HostId src = 0, dst = 0;
+    std::uint64_t bytes = 0;
+    std::uint32_t hops = 0;  ///< 0 = no surviving route
+    bool failed = false;
+    double finish_s = 0.0;
+    double penalty_s = 0.0;  ///< summed retry backoff
   };
 
-  /// Opens a phase at absolute simulated time `clock_s`. Returns true when
-  /// collection is active for this phase (callers gate the other hooks on
-  /// it; the result also reserves a global phase sequence number).
-  bool begin_phase(double clock_s, std::size_t num_flows);
+  /// Starts filling `round` (kept until end_phase) for a round of
+  /// `num_flows` flows. Returns round.active: callers gate the other hooks
+  /// on it.
+  bool begin_phase(NetRound& round, std::size_t num_flows);
 
-  /// Closes fluid segment `step` spanning absolute [t0_s, t1_s). Captures
+  /// Closes fluid segment `step` spanning phase time [t0_s, t1_s). Captures
   /// first-solve rates on step 0 and, for step < link_steps, per-step
   /// link samples. Call before deactivating the segment's finishers.
   void on_segment(std::uint32_t step, double t0_s, double t1_s,
@@ -176,17 +201,16 @@ class NetPhaseCollector {
   /// Records flow f's final fair-share rate (at completion or failure).
   void flow_done(std::size_t f, double rate_bps);
 
-  /// Builds the flow/link/phase records and pushes them into the global
-  /// reservoirs (serialized to the trace at sink flush).
-  void end_phase(const PhaseEnd& end);
+  /// Closes the round: scales its per-step samples, adds the whole-phase
+  /// link samples of `loads` and the phase's transfer window and peak to
+  /// round.record (whose counts the engine set), and builds the records of
+  /// the admitted sampled flows, reading flow f through `flow(f)`.
+  void end_phase(const LinkLoads& loads, const SimParams& params,
+                 const std::function<FlowEnd(std::size_t)>& flow);
 
  private:
-  bool active_ = false;
-  NetTelemetryConfig cfg_;
-  std::uint64_t phase_id_ = 0;
-  double phase_start_s_ = 0.0;
+  NetRound* round_ = nullptr;  ///< the round being filled
   std::vector<double> rate_first_, rate_last_;
-  std::vector<NetLinkSample> step_samples_;
   // Dense per-link scratch for one segment (sized on demand). One struct
   // per link rather than parallel arrays: the accumulation pass hits
   // links in random order, so keeping a link's three fields on one cache
@@ -201,14 +225,9 @@ class NetPhaseCollector {
 };
 
 namespace net_detail {
-/// Test hook: drains the global reservoirs into the active tracer now
-/// (normally done by the obs flush hook) and returns how many records
-/// were emitted. Also clears the reservoirs.
-std::size_t drain_to_tracer();
-/// Test hook: clears buffered records without emitting.
-void discard_buffered();
-/// Test hook: discard_buffered() plus a phase-id counter reset, so two
-/// identical runs inside one process produce byte-identical records.
+/// Test hook: clears buffered records without emitting and resets the
+/// phase-id counter, so two identical runs inside one process produce
+/// byte-identical records.
 void reset_for_tests();
 }  // namespace net_detail
 

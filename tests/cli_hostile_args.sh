@@ -47,4 +47,22 @@ expect_usage_error "$cluster_planner" --radix-max 65536
 expect_usage_error_naming torus "$mpi_simulation" --topology torus --hosts 64 --radix 6
 expect_usage_error_naming torus "$design_network" --hosts 100 --radix 6 --iters 100
 
+# A trace sink that cannot be written (a full disk) must fail the run with
+# exit status 1 and name the sink, not exit 0 with a truncated trace.
+expect_write_failure() {
+  local err rc
+  err=$(ORP_RUN_LEDGER=none timeout 20 "$@" 2>&1 >/dev/null)
+  rc=$?
+  if [[ $rc -ne 1 || $err != *"[obs] error: /dev/full: write failed"* ]]; then
+    echo "FAIL (exit $rc): $*"
+    echo "$err" | tail -n 3
+    failures=$((failures + 1))
+  fi
+}
+
+if [[ -e /dev/full ]]; then
+  expect_write_failure "$random_vs_sa" --iters 200 --random-trials 1 --obs-out /dev/full
+  expect_write_failure "$quickstart" --hosts 32 --radix 6 --iters 200 --obs-out /dev/full
+fi
+
 [[ $failures -eq 0 ]]

@@ -313,6 +313,16 @@ TEST(Json, RejectsMalformedDocuments) {
   }
 }
 
+TEST(Json, RejectsNestingPastTheDepthCap) {
+  // 512 levels parse; one more is an error, and a million levels must be
+  // rejected rather than recursed into (a stack overflow).
+  const std::string ok = std::string(512, '[') + std::string(512, ']');
+  EXPECT_NO_THROW(JsonValue::parse(ok));
+  EXPECT_THROW(JsonValue::parse("[" + ok + "]"), std::runtime_error);
+  EXPECT_THROW(JsonValue::parse(std::string(1 << 20, '[')), std::runtime_error);
+  EXPECT_THROW(JsonValue::parse(std::string(1 << 20, '{')), std::runtime_error);
+}
+
 TEST(Json, BuildsDocumentsProgrammatically) {
   JsonValue arr = JsonValue::make_array();
   arr.push_back(JsonValue::make_number(1.0));

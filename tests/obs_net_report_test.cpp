@@ -180,6 +180,23 @@ TEST(ObsNetReport, MetaCoverageReportsSampling) {
   EXPECT_NE(partial.find("3/100"), std::string::npos);
 }
 
+TEST(ObsNetReport, ReplayedRoundsAreReported) {
+  // Replayed rounds are not simulated again, so they carry no net records;
+  // the section says how many there were, from the metric trailer.
+  std::vector<std::string> lines = small_fixture();
+  lines.push_back("{\"kind\":\"counter\",\"name\":\"sim.rounds.serial\",\"value\":9}");
+  const std::string none = render_markdown(analyze_trace(lines));
+  EXPECT_EQ(none.find("replayed rounds"), std::string::npos);
+
+  lines.push_back("{\"kind\":\"counter\",\"name\":\"sim.rounds.replayed\",\"value\":1453}");
+  const TraceAnalysis a = analyze_trace(lines);
+  EXPECT_EQ(a.network.rounds_replayed, 1453u);
+  EXPECT_EQ(a.metric_lines, 2u);
+  const std::string md = render_markdown(a);
+  EXPECT_NE(md.find("- replayed rounds: 1453 "), std::string::npos) << md;
+  EXPECT_NE(md.find("carry no net records"), std::string::npos);
+}
+
 TEST(ObsNetReport, MarkdownSectionIsByteDeterministic) {
   const std::vector<std::string> lines = small_fixture();
   const std::string once = render_markdown(analyze_trace(lines));

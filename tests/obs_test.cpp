@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -520,6 +521,29 @@ TEST(ObsSink, CsvSinkEscapesDelimitersAndQuotes) {
     }
   }
   EXPECT_TRUE(found);
+  std::remove(path.c_str());
+}
+
+TEST(ObsSink, FlushReportsAFailedTraceWrite) {
+  // A JSONL sink on a full disk: the trace is truncated, so flush() must
+  // say so instead of returning as if the run had been recorded.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  obs::SinkConfig config = obs::parse_sink("/dev/full");
+  config.snapshot_ms = 0;
+  ASSERT_TRUE(obs::configure(config));
+  for (int i = 0; i < 100; ++i) obs::Span span("test.full", "test");
+  testing::internal::CaptureStderr();
+  const bool written = obs::flush();
+  const std::string err = testing::internal::GetCapturedStderr();
+  obs::configure(obs::SinkConfig{});
+  EXPECT_FALSE(written);
+  EXPECT_NE(err.find("[obs] error: /dev/full: write failed"), std::string::npos) << err;
+  // The next trace starts clean.
+  const std::string path = temp_path("obs_after_full.jsonl");
+  config = obs::parse_sink(path);
+  config.snapshot_ms = 0;
+  ASSERT_TRUE(obs::configure(config));
+  EXPECT_TRUE(obs::flush());
   std::remove(path.c_str());
 }
 

@@ -1,10 +1,12 @@
 // Parallel collective rounds: every collective must give bit-identical
-// results whether its rounds run serially or on a thread pool of any size,
-// and a traced (hence serial) run must equal an untraced one.
+// results whether its rounds run serially or on a thread pool of any size.
+// A tracer only observes: a traced run takes the same paths as an untraced
+// one, equals it, and records the same `net.*` lines at every pool size.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -216,26 +218,62 @@ TEST(ParallelRounds, CountersShowWhichPathEachCollectiveTook) {
   EXPECT_EQ(pending.fault_stats().events_applied, 0u);
 }
 
+/// The `net.*` lines of a trace, without the wall-clock "ts" and the "tid"
+/// of the thread that drained them.
+std::vector<std::string> net_lines(const std::string& path) {
+  std::vector<std::string> out;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"cat\":\"net\"") == std::string::npos) continue;
+    for (const char* key : {"\"ts\":", "\"tid\":"}) {
+      const std::size_t at = line.find(key);
+      if (at != std::string::npos) line.erase(at, line.find(',', at) + 1 - at);
+    }
+    out.push_back(line);
+  }
+  return out;
+}
+
 TEST(ParallelRounds, TracedRunEqualsUntraced) {
-  ThreadPool pool(3);
-  const HostSwitchGraph g = random_graph(48, 10, 5);
-  const Record untraced = run_all(g, RoutingPolicy::kEcmp, &pool);
-
+  ThreadPool one(1);
+  ThreadPool three(3);
   const std::string path = testing::TempDir() + "sim_parallel_rounds_traced.jsonl";
-  obs::SinkConfig config = obs::parse_sink(path);
-  config.snapshot_ms = 0;
-  ASSERT_TRUE(obs::configure(config));
-  set_net_telemetry(NetTelemetryConfig{});
-  net_detail::reset_for_tests();
-  const std::uint64_t parallel = counter("sim.rounds.parallel");
-  const Record traced = run_all(g, RoutingPolicy::kEcmp, &pool);
-  const std::uint64_t parallel_while_traced = counter("sim.rounds.parallel") - parallel;
-  obs::flush();
-  obs::configure(obs::SinkConfig{});
-  std::remove(path.c_str());
+  for (const Case& c : cases()) {
+    if (c.name != "np2_n48" && c.name != "early_fault_alltoall_n48") continue;
+    for (const RoutingPolicy routing : {RoutingPolicy::kDeterministic, RoutingPolicy::kEcmp}) {
+      const std::string label =
+          c.name + (routing == RoutingPolicy::kEcmp ? "/ecmp" : "/deterministic");
+      const Record untraced = run_all(c.graph, routing, nullptr, c.faults, c.tail_faults);
+      std::vector<std::string> serial_lines;
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &three}) {
+        const std::string run = label + "/pool" + std::to_string(pool ? pool->size() : 0);
+        obs::SinkConfig config = obs::parse_sink(path);
+        config.snapshot_ms = 0;
+        ASSERT_TRUE(obs::configure(config));
+        set_net_telemetry(NetTelemetryConfig{});
+        net_detail::reset_for_tests();
+        const std::uint64_t parallel = counter("sim.rounds.parallel");
+        const Record traced = run_all(c.graph, routing, pool, c.faults, c.tail_faults);
+        const std::uint64_t parallel_while_traced = counter("sim.rounds.parallel") - parallel;
+        obs::flush();
+        obs::configure(obs::SinkConfig{});
+        const std::vector<std::string> lines = net_lines(path);
+        std::remove(path.c_str());
 
-  EXPECT_EQ(parallel_while_traced, 0u);  // a tracer keeps every round serial
-  expect_identical(untraced, traced, "traced");
+        expect_identical(untraced, traced, run);
+        // The tracer leaves the pool to the rounds it would run untraced.
+        if (pool != nullptr) {
+          EXPECT_GT(parallel_while_traced, 0u) << run;
+        }
+        ASSERT_FALSE(lines.empty()) << run;
+        if (pool == nullptr) {
+          serial_lines = lines;
+        } else {
+          EXPECT_EQ(lines, serial_lines) << run;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
