@@ -13,8 +13,9 @@
 //                scaling (search.parallel.anneal_k{1,4,8}, fixed total
 //                move budget split across the ladder)
 //   sim        — Machine fluid-engine communication phases (collectives),
-//                serial, plus the paper-size alltoall at 1 and 4 threads
-//                and the paper-size LU and FT kernels (replayed repeats)
+//                serial, plus the paper-size alltoall at 1 and 4 threads,
+//                healthy and with links failing and coming back through
+//                it, and the paper-size LU and FT kernels (replayed repeats)
 //   partition  — multilevel partitioner stages: coarsening, FM refinement,
 //                and the end-to-end k-way host+switch cut
 //   fault      — resilience subsystem: seeded fault draws, degraded-graph
@@ -32,6 +33,7 @@
 
 #include "bench_util.hpp"
 #include "fault/degraded.hpp"
+#include "fault/events.hpp"
 #include "fault/model.hpp"
 #include "hsg/bounds.hpp"
 #include "obs/bench/microbench.hpp"
@@ -307,6 +309,42 @@ void register_sim(BenchRegistry& registry) {
           };
         },
         c.quick,
+    });
+  }
+  // The paper's alltoall with perfbench's fault schedule: ~2% of links fail
+  // spread over [0, 0.8 T) of the healthy collective's simulated duration T
+  // and each comes back 0.1 T later. Each op runs it on a copy of a healthy
+  // Machine, so every op starts with all events pending. On K threads:
+  // the caller plus a pool of K - 1 workers of its own.
+  for (const std::uint32_t threads : {1u, 4u}) {
+    registry.add({
+        "sim.alltoall_faulted.n1024_r16.t" + std::to_string(threads),
+        "sim",
+        [threads]() -> BenchOp {
+          const HostSwitchGraph graph = setup_graph(1024, 16);
+          std::shared_ptr<ThreadPool> pool;
+          if (threads > 1) pool = std::make_shared<ThreadPool>(threads - 1);
+          auto healthy = std::make_shared<Machine>(graph, SimParams{},
+                                                   dfs_host_order(graph), pool.get());
+          Machine probe = *healthy;
+          const double T = probe.alltoall(1024);
+          FaultSpec spec;
+          spec.link_failure_rate = 0.02;
+          spec.seed = kSetupSeed;
+          std::vector<FaultEvent> events =
+              schedule_fault_events(draw_faults(graph, spec), 0.0, 0.8 * T, kSetupSeed);
+          const std::size_t downs = events.size();
+          for (std::size_t e = 0; e < downs; ++e) {
+            events.push_back({events[e].time + 0.1 * T, FaultEvent::Kind::kLinkUp,
+                              events[e].a, events[e].b});
+          }
+          return [pool, healthy, events] {
+            Machine machine = *healthy;
+            machine.inject_faults(events);
+            do_not_optimize(machine.alltoall(1024));
+          };
+        },
+        true,
     });
   }
   // One RoutingTable build at the paper's instance (n = 1024, r = 16,

@@ -41,10 +41,7 @@ std::string utc_timestamp() {
   std::tm tm{};
   gmtime_r(&now, &tm);
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02dZ",
-                tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
-                tm.tm_min, tm.tm_sec);
-  return buf;
+  return {buf, std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm)};
 }
 
 std::string jquoted(std::string_view raw) {

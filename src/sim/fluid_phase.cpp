@@ -147,9 +147,9 @@ FluidPhase::Round FluidPhase::run(const std::vector<Message>& messages,
   }
   if (num_flows == 0) return round;
 
-  PhaseInstruments& instruments = PhaseInstruments::get();
   obs::Span span("sim.phase", "sim");
-  obs::ScopedTimer solve_timer(instruments.solve_ns);
+  const std::uint64_t start_ns = obs::detail::now_ns();
+  Work& work = round.work;
   std::vector<std::uint64_t>& remaining = scratch_.remaining;
   std::vector<std::uint32_t>& hops = scratch_.hops;
   std::vector<HostId>& flow_src = scratch_.flow_src;
@@ -246,7 +246,7 @@ FluidPhase::Round FluidPhase::run(const std::vector<Message>& messages,
       failed[f] = 1;
       end_flow(f, params.retry_timeout);
       ++fault_stats.flows_failed;
-      instruments.fault_failures.inc();
+      ++work.failed_flows;
     } else if (remaining[f] == 0) {
       end_flow(f, 0.0);  // zero-byte messages finish at once (latency only)
     }
@@ -335,7 +335,7 @@ FluidPhase::Round FluidPhase::run(const std::vector<Message>& messages,
           failed[f] = 1;
           end_flow(f, t + params.retry_timeout);
           ++fault_stats.flows_failed;
-          instruments.fault_failures.inc();
+          ++work.failed_flows;
           if (tele) net_.flow_done(f, rates_[f]);
         } else if (hit) {
           // Rerouted mid-flight: delivered bytes are kept, the reroute
@@ -344,7 +344,7 @@ FluidPhase::Round FluidPhase::run(const std::vector<Message>& messages,
           fault_stats.retry_added_latency += params.retry_backoff;
           retried[f] = 1;
           ++fault_stats.flows_retried;
-          instruments.fault_retries.inc();
+          ++work.retried_flows;
         }
       }
       // Every surviving flow was re-pathed, so the solver's tableau is
@@ -419,16 +419,13 @@ FluidPhase::Round FluidPhase::run(const std::vector<Message>& messages,
   num_links_ = routes.num_links();
   loads_stale_ = true;
 
-  instruments.phases.inc();
-  instruments.flows.add(num_flows);
+  work.flows = num_flows;
   const FastFairShareSolver::Stats& solver_after = solver_.stats();
-  instruments.fairshare_solves.add(solver_after.solves - solver_before.solves);
-  instruments.fairshare_warm_solves.add(solver_after.warm_solves -
-                                        solver_before.warm_solves);
-  instruments.fairshare_refilled_routes.add(solver_after.refilled_routes -
-                                            solver_before.refilled_routes);
-  instruments.fairshare_elided_links.add(elided_links);
-  instruments.fluid_steps.add(fluid_steps);
+  work.solves = solver_after.solves - solver_before.solves;
+  work.warm_solves = solver_after.warm_solves - solver_before.warm_solves;
+  work.refilled_routes = solver_after.refilled_routes - solver_before.refilled_routes;
+  work.elided_links = elided_links;
+  work.fluid_steps = fluid_steps;
 
   if (tele) {
     NetPhaseRecord& record = net.record;
@@ -455,8 +452,26 @@ FluidPhase::Round FluidPhase::run(const std::vector<Message>& messages,
   }
 
   round.elapsed = elapsed;
+  round.transfer = t;
   round.moved = true;
+  work.solve_ns = obs::detail::now_ns() - start_ns;
   return round;
+}
+
+void FluidPhase::count(const Round& round) {
+  if (!round.moved) return;
+  const Work& work = round.work;
+  PhaseInstruments& instruments = PhaseInstruments::get();
+  instruments.solve_ns.record(work.solve_ns);
+  instruments.phases.inc();
+  instruments.flows.add(work.flows);
+  instruments.fault_failures.add(work.failed_flows);
+  instruments.fault_retries.add(work.retried_flows);
+  instruments.fairshare_solves.add(work.solves);
+  instruments.fairshare_warm_solves.add(work.warm_solves);
+  instruments.fairshare_refilled_routes.add(work.refilled_routes);
+  instruments.fairshare_elided_links.add(work.elided_links);
+  instruments.fluid_steps.add(work.fluid_steps);
 }
 
 const LinkLoads& FluidPhase::link_loads() const {

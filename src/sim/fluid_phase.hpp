@@ -8,10 +8,11 @@
 // collector. The topology, routing table, clock and fault queue belong to
 // its caller (Machine), which lends them for each run(). That split lets a
 // Machine run the rounds of one collective on several engines at once,
-// one per pool participant (docs/sim.md, "Parallel rounds"), while a
-// faulted run drives one engine serially. Traced or not, a round runs the
-// same way: the caller opens its telemetry in round order, the engine
-// fills it, and the caller commits it in round order (docs/telemetry.md).
+// one per pool participant (docs/sim.md, "Parallel rounds"), and run a
+// round a fault event strikes on its own engine with the fault queue as
+// the hook. Traced or not, a round runs the same way: the caller opens its
+// telemetry in round order, the engine fills it, and the caller commits it
+// in round order (docs/telemetry.md).
 
 #include <cstdint>
 #include <vector>
@@ -75,10 +76,26 @@ class FluidPhase {
     const SimParams& params;
   };
 
+  /// The engine work of one round: what the `sim.*` metrics count once the
+  /// caller keeps the round (count()).
+  struct Work {
+    std::uint64_t flows = 0;
+    std::uint64_t failed_flows = 0;   ///< flow failures
+    std::uint64_t retried_flows = 0;  ///< mid-round reroutes
+    std::uint64_t solves = 0;
+    std::uint64_t warm_solves = 0;
+    std::uint64_t refilled_routes = 0;
+    std::uint64_t elided_links = 0;
+    std::uint64_t fluid_steps = 0;
+    std::uint64_t solve_ns = 0;  ///< wall-clock time of the run
+  };
+
   /// What run() reports besides stats().
   struct Round {
-    double elapsed = 0.0;  ///< seconds until the slowest message landed
-    bool moved = false;    ///< flows ran, so stats() and the flow table are this round's
+    double elapsed = 0.0;   ///< seconds until the slowest message landed
+    double transfer = 0.0;  ///< fluid time the last byte moved (<= elapsed)
+    bool moved = false;     ///< flows ran, so stats() and the flow table are this round's
+    Work work;              ///< zero unless moved
   };
 
   explicit FluidPhase(double link_bandwidth)
@@ -92,12 +109,17 @@ class FluidPhase {
   /// ECMP flow keys hash it), starting at absolute time `clock`. `faults`
   /// may interrupt the round at its event instants. Flow failures and
   /// retries are added to `fault_stats`; an opened `net` receives the
-  /// round's records, times relative to its start. A round of
-  /// self-messages only moves nothing and leaves the previous round's
-  /// statistics and flow table in place.
+  /// round's records, times relative to its start (a second run of the
+  /// same round replaces them). A round of self-messages only moves
+  /// nothing and leaves the previous round's statistics and flow table in
+  /// place. The `sim.*` metrics count nothing until count().
   Round run(const std::vector<Message>& messages, std::uint64_t index,
             const Network& network, double clock, FaultHook* faults,
             FaultStats& fault_stats, NetRound& net);
+
+  /// Adds a round's work to the `sim.*` metrics; the caller calls it for
+  /// each round it keeps, so a round run and thrown away counts nothing.
+  static void count(const Round& round);
 
   /// Statistics of the last round that moved flows.
   const PhaseStats& stats() const noexcept { return stats_; }

@@ -21,6 +21,7 @@ struct SimInstruments {
   obs::Counter& fault_repairs;
   obs::Counter& rounds_parallel;
   obs::Counter& rounds_serial;
+  obs::Counter& rounds_discarded;
   obs::Counter& rounds_replayed;
 
   static SimInstruments& get() {
@@ -30,15 +31,24 @@ struct SimInstruments {
                                    registry.counter("sim.fault.repairs"),
                                    registry.counter("sim.rounds.parallel"),
                                    registry.counter("sim.rounds.serial"),
+                                   registry.counter("sim.rounds.discarded"),
                                    registry.counter("sim.rounds.replayed")};
     return instance;
   }
 };
 
-/// Rounds built ahead per pool participant: enough to balance uneven
-/// rounds across the participants, few enough to keep the built messages
-/// small beside the engines.
+/// Rounds built ahead per pool participant while no fault event is
+/// pending: enough to balance uneven rounds across the participants, few
+/// enough to keep the built messages small beside the engines. A pending
+/// event shrinks the window towards the round it is expected to strike,
+/// to one round per participant at least, since an event throws away the
+/// rounds after the one it strikes.
 constexpr std::size_t kRoundsPerParticipant = 8;
+
+/// Relative margin between a round's end of transfer and the next fault
+/// event, far above the rounding of the engine's clock + t + dt sums: a
+/// round run without the fault hook is kept only past it.
+constexpr double kFaultMargin = 1e-12;
 
 const SimParams& validated(const SimParams& params) {
   const auto duration = [](double s) { return std::isfinite(s) && s >= 0.0; };
@@ -238,16 +248,16 @@ double Machine::phase(const std::vector<Message>& messages) {
   return run_rounds({Op::kPhase, 0, 0, &messages}, 1, nullptr);
 }
 
-FluidPhase::Round Machine::run_round(const std::vector<Message>& messages) {
+FluidPhase::Round Machine::run_round(const std::vector<Message>& messages,
+                                     std::uint64_t index, NetRound& net) {
   // Faults that struck between phases (or before the run) land now, so
   // injection already routes on the degraded topology.
   apply_due_faults(clock_);
 
-  NetRound net;
-  FluidPhase::open_telemetry(messages, net);
-  const FluidPhase::Round round = engines_[0].run(messages, ++phase_counter_, network(),
-                                                  clock_, this, fault_stats_, net);
+  const FluidPhase::Round round =
+      engines_[0].run(messages, index, network(), clock_, this, fault_stats_, net);
   if (!round.moved) return round;
+  FluidPhase::count(round);
   replayed_.reset();
   commit_net_round(net, clock_);
   clock_ += round.elapsed;
@@ -279,9 +289,7 @@ bool Machine::replayable() const {
 }
 
 ThreadPool* Machine::parallel_pool(std::uint32_t count) {
-  // A fault event left to apply may strike mid-round and change the
-  // topology the later rounds route on: it keeps the serial path.
-  if (count < 2 || !quiet()) return nullptr;
+  if (count < 2) return nullptr;
   if (global_pool_) {
     pool_ = &ThreadPool::global();
     global_pool_ = false;
@@ -338,29 +346,26 @@ double Machine::run_rounds(const Call& call, std::uint32_t count,
   std::vector<double> durations;
   std::vector<double>* record = memo ? &durations : nullptr;
 
-  // Serial rounds while parallel_pool() declines. A faulted collective asks
-  // again after every round, so the rounds after its last event run on the
-  // pool.
   double elapsed = 0.0;
   std::uint32_t last_moved = count;  // the last round that moved flows
-  std::vector<Message> round;
-  for (std::uint32_t r = 0; r < count; ++r) {
-    if (ThreadPool* pool = parallel_pool(count - r)) {
-      instruments.rounds_parallel.add(count - r);
-      const std::uint32_t last = run_parallel(*pool, r, count, build, elapsed, record);
-      if (last < count) last_moved = last;
-      break;
+  if (ThreadPool* pool = parallel_pool(count)) {
+    last_moved = run_parallel(*pool, count, build, elapsed, record);
+  } else {
+    std::vector<Message> round;
+    for (std::uint32_t r = 0; r < count; ++r) {
+      if (count >= 2) instruments.rounds_serial.inc();
+      round.clear();
+      if (call.messages == nullptr) build(r, round);
+      const std::vector<Message>& messages = call.messages ? *call.messages : round;
+      if (messages.empty()) continue;
+      NetRound net;
+      FluidPhase::open_telemetry(messages, net);
+      const FluidPhase::Round result = run_round(messages, ++phase_counter_, net);
+      if (!result.moved) continue;
+      elapsed += result.elapsed;
+      if (record != nullptr) record->push_back(result.elapsed);
+      last_moved = r;
     }
-    if (count >= 2) instruments.rounds_serial.inc();
-    round.clear();
-    if (call.messages == nullptr) build(r, round);
-    const std::vector<Message>& messages = call.messages ? *call.messages : round;
-    if (messages.empty()) continue;
-    const FluidPhase::Round result = run_round(messages);  // advances clock_
-    if (!result.moved) continue;
-    elapsed += result.elapsed;
-    if (record != nullptr) record->push_back(result.elapsed);
-    last_moved = r;
   }
   if (!memo) return elapsed;
 
@@ -384,76 +389,134 @@ double Machine::run_rounds(const Call& call, std::uint32_t count,
   return elapsed;
 }
 
-std::uint32_t Machine::run_parallel(ThreadPool& pool, std::uint32_t begin,
-                                    std::uint32_t count, const RoundBuilder& build,
-                                    double& elapsed, std::vector<double>* durations) {
-  // Windows of rounds: built here in round order (so builders, and the
-  // alltoallv callback, never run concurrently), with their phase indices
-  // and telemetry opened here too, then claimed by the pool participants
-  // through an atomic cursor, each on its own engine. No fault can strike,
-  // so a round depends only on its messages and its phase index; the sums
-  // and the telemetry commits below run in round order.
+std::uint32_t Machine::run_parallel(ThreadPool& pool, std::uint32_t count,
+                                    const RoundBuilder& build, double& elapsed,
+                                    std::vector<double>* durations) {
+  // Windows of rounds (docs/sim.md, "Parallel rounds"): built here in round
+  // order (so builders, and the alltoallv callback, never run
+  // concurrently), with their phase indices and telemetry opened here too,
+  // then claimed by the pool participants through an atomic cursor, each
+  // on its own engine, with no fault hook. Between two fault events the
+  // topology is fixed, so a round then depends only on its messages and
+  // its phase index. The rounds are kept in round order while the clock
+  // shows that no event was due at a round's start or lands before its
+  // last byte; the first round that fails the check runs again here as
+  // the serial loop runs it, and the rounds after it carry into the next
+  // window, already built and opened.
+  SimInstruments& instruments = SimInstruments::get();
   const std::size_t participants = pool.size() + 1;
   engines_.resize(std::max(engines_.size(), participants),
                   FluidPhase(params_.link_bandwidth));
-  const std::size_t window = kRoundsPerParticipant * participants;
-  std::vector<std::vector<Message>> rounds(std::min<std::size_t>(window, count - begin));
   struct Slot {
+    std::vector<Message> messages;
     std::uint64_t index = 0;  ///< phase index; 0 for an empty round
+    NetRound net;
     FluidPhase::Round result;
     FaultStats faults;
-    NetRound net;
     std::size_t engine = 0;
   };
-  std::vector<Slot> slots(rounds.size());
-  const FluidPhase::Network net = network();
+  // slots[0, size) hold rounds [first, first + size); the rest are spare
+  // buffers.
+  std::vector<Slot> slots(std::min<std::size_t>(kRoundsPerParticipant * participants, count));
+  std::size_t size = 0;
   std::uint32_t last_moved = count;
-  for (std::uint32_t first = begin; first < count;) {
-    const std::size_t size = std::min<std::size_t>(rounds.size(), count - first);
-    for (std::size_t i = 0; i < size; ++i) {
-      rounds[i].clear();
-      build(first + static_cast<std::uint32_t>(i), rounds[i]);
-      slots[i] = Slot{};
-      if (rounds[i].empty()) continue;
-      slots[i].index = ++phase_counter_;
-      FluidPhase::open_telemetry(rounds[i], slots[i].net);
+  for (std::uint32_t first = 0; first < count;) {
+    double window = static_cast<double>(slots.size());
+    if (!quiet()) {
+      // The rounds expected to start before the next event, at the mean
+      // round duration so far, plus the one it strikes: a longer window
+      // waits for its slowest round less often, a shorter one throws less
+      // away.
+      const double ahead = first > 0 && elapsed > 0.0
+                               ? (next_fault_time() - clock_) / elapsed * first + 1.0
+                               : 0.0;
+      window = std::min(std::max(ahead, static_cast<double>(participants)), window);
     }
+    const std::size_t end = std::min<std::size_t>(static_cast<std::size_t>(window), count - first);
+    for (; size < end; ++size) {
+      Slot& slot = slots[size];
+      slot.messages.clear();
+      build(first + static_cast<std::uint32_t>(size), slot.messages);
+      slot.index = 0;
+      if (slot.messages.empty()) continue;
+      slot.index = ++phase_counter_;
+      FluidPhase::open_telemetry(slot.messages, slot.net);
+    }
+    const FluidPhase::Network net = network();
     std::atomic<std::size_t> cursor{0};
     pool.parallel_for(participants, [&](std::size_t p) {
       FluidPhase& engine = engines_[p];
       for (std::size_t i; (i = cursor.fetch_add(1)) < size;) {
         Slot& slot = slots[i];
         if (slot.index == 0) continue;
-        slot.result = engine.run(rounds[i], slot.index, net, clock_, nullptr,
+        slot.faults = FaultStats{};
+        slot.result = engine.run(slot.messages, slot.index, net, clock_, nullptr,
                                  slot.faults, slot.net);
         slot.engine = p;
       }
     });
-    std::size_t last = 0;
-    bool moved = false;
-    for (std::size_t i = 0; i < size; ++i) {
-      Slot& slot = slots[i];
-      if (!slot.result.moved) continue;
-      // Round order, as the serial path adds them. Without a fault hook
+
+    std::size_t last = participants;  // engine of the last kept round that moved
+    std::size_t done = 0;
+    for (; done < size; ++done) {
+      Slot& slot = slots[done];
+      // An empty round runs nothing, so no event reaches it. Any other
+      // round is the serial loop's only when no event was due at its start
+      // (the serial loop would apply it first) and none lands before its
+      // last byte moved (it would strike mid-round).
+      if (slot.index != 0 &&
+          !(next_fault_time() > (clock_ + slot.result.transfer) * (1.0 + kFaultMargin))) {
+        break;
+      }
+      instruments.rounds_parallel.inc();
+      if (slot.index == 0) continue;
+      // Collective rounds hold no self-messages, so every non-empty round
+      // moves flows; the engine state below relies on it.
+      ORP_ASSERT(slot.result.moved);
+      // Round order, as the serial loop adds them. Without a fault hook
       // flows fail only at injection (a dead or partitioned endpoint).
       fault_stats_.flows_failed += slot.faults.flows_failed;
       fault_stats_.flows_retried += slot.faults.flows_retried;
       fault_stats_.retry_added_latency += slot.faults.retry_added_latency;
+      FluidPhase::count(slot.result);
       commit_net_round(slot.net, clock_);
       clock_ += slot.result.elapsed;
       elapsed += slot.result.elapsed;
       if (durations != nullptr) durations->push_back(slot.result.elapsed);
       last = slot.engine;
-      last_moved = first + static_cast<std::uint32_t>(i);
-      moved = true;
+      last_moved = first + static_cast<std::uint32_t>(done);
     }
-    if (moved) {
+    if (done < size) {
+      // An event is due: this round runs again on engine 0 with the fault
+      // hook, keeping its phase index and opened telemetry. The pool's
+      // runs of it and of the rounds after it are thrown away.
+      instruments.rounds_discarded.add(static_cast<std::uint64_t>(std::count_if(
+          slots.begin() + static_cast<std::ptrdiff_t>(done),
+          slots.begin() + static_cast<std::ptrdiff_t>(size),
+          [](const Slot& s) { return s.index != 0; })));
+      instruments.rounds_serial.inc();
+      Slot& slot = slots[done];
+      const FluidPhase::Round result = run_round(slot.messages, slot.index, slot.net);
+      ORP_ASSERT(result.moved);
+      elapsed += result.elapsed;
+      if (durations != nullptr) durations->push_back(result.elapsed);
+      last = 0;
+      last_moved = first + static_cast<std::uint32_t>(done);
+      ++done;
+    }
+    if (last < participants) {
       // The engine of the last round that moved flows becomes the
       // Machine's own, so last_phase_stats() and link_loads() read it.
+      // Any engine that ran a later, thrown-away round lost its state, but
+      // a re-run round is then the last one and ran on engine 0.
       if (last != 0) std::swap(engines_[0], engines_[last]);
       replayed_.reset();
     }
-    first += static_cast<std::uint32_t>(size);
+    // The rounds after a re-run carry over, built and opened.
+    std::rotate(slots.begin(), slots.begin() + static_cast<std::ptrdiff_t>(done),
+                slots.begin() + static_cast<std::ptrdiff_t>(size));
+    size -= done;
+    first += static_cast<std::uint32_t>(done);
   }
   return last_moved;
 }

@@ -20,14 +20,17 @@
 // Parallel rounds (docs/sim.md). The Machine owns the topology, routing,
 // clock and fault queue; a FluidPhase engine runs one round on them. A
 // collective of two or more rounds runs them on the Machine's thread pool,
-// one engine per participant, whenever no fault event is left to apply,
-// the pool has a worker and the caller is not one of them; otherwise it
-// runs them one by one on the calling thread, and a faulted collective
-// hands its remaining rounds to the pool once its last event has applied.
-// Durations, fault counters, telemetry records and the state read back
-// afterwards (now(), last_phase_stats(), link_loads()) are added and kept
-// in round order, so every result, and every `net.*` record of a traced
-// run, is bit-identical for every pool size.
+// one engine per participant, whenever the pool has a worker and the
+// caller is not one of them; otherwise it runs them one by one on the
+// calling thread. Pool rounds run without the fault queue, in windows:
+// a round is kept only when the clock shows that no fault event was due
+// at its start or lands before its last byte, and the first round an
+// event strikes runs again on the calling thread, with the fault queue,
+// as the serial loop runs it. Durations, fault counters, telemetry
+// records and the state read back afterwards (now(), last_phase_stats(),
+// link_loads()) are added and kept in round order, so every result, and
+// every `net.*` record of a traced run, is bit-identical for every pool
+// size.
 //
 // Replayed calls (docs/sim.md). Under deterministic routing, with no fault
 // event pending, a round is a pure function of its messages, so the
@@ -194,20 +197,23 @@ class Machine : private FaultHook {
   using RoundBuilder = std::function<void(std::uint32_t r, std::vector<Message>& out)>;
   /// Runs every call, collectives and phase() alike: replays `call` when
   /// the memo holds it; otherwise builds rounds [0, count) on the calling
-  /// thread in round order and runs them, in parallel from the first round
-  /// where parallel_pool() allows, and records the call when it may be
-  /// replayed. Returns the rounds' summed elapsed seconds.
+  /// thread in round order and runs them, on the pool when parallel_pool()
+  /// allows, and records the call when it may be replayed. Returns the
+  /// rounds' summed elapsed seconds.
   double run_rounds(const Call& call, std::uint32_t count, const RoundBuilder& build);
-  /// Runs rounds [begin, count) on `pool`, adding each round's duration to
+  /// Runs rounds [0, count) on `pool`, re-running on the calling thread
+  /// each round a fault event strikes, and adds each round's duration to
   /// clock_ and `elapsed` in round order (and to `durations` when given).
   /// Returns the last round that moved flows, or `count` when none did.
-  std::uint32_t run_parallel(ThreadPool& pool, std::uint32_t begin, std::uint32_t count,
+  std::uint32_t run_parallel(ThreadPool& pool, std::uint32_t count,
                              const RoundBuilder& build, double& elapsed,
                              std::vector<double>* durations);
-  /// Runs one round on engine 0 with the fault queue as its hook, and
-  /// commits its telemetry.
-  FluidPhase::Round run_round(const std::vector<Message>& messages);
-  /// The pool to run `count` rounds on now, or nullptr for the serial path.
+  /// Runs `messages` as round `index` on engine 0 with the fault queue as
+  /// its hook, after applying the events due now; when it moves flows,
+  /// counts its work, commits its opened telemetry and advances the clock.
+  FluidPhase::Round run_round(const std::vector<Message>& messages, std::uint64_t index,
+                              NetRound& net);
+  /// The pool to run `count` rounds on, or nullptr for the serial path.
   ThreadPool* parallel_pool(std::uint32_t count);
   /// True while no fault event is left to apply: a round then depends only
   /// on its messages and its phase index.

@@ -367,11 +367,7 @@ bool net_recording() {
 void open_net_round(NetRound& round, std::size_t num_flows) {
   round.config = net_telemetry();
   round.active = true;
-  round.record = NetPhaseRecord{};
-  round.links.clear();
-  round.flows.clear();
   NetStore::global().open(round, sampled_flows(num_flows, round.config.flow_sample));
-  round.record.phase = round.phase;
 }
 
 void commit_net_round(NetRound& round, double start_s) {
@@ -389,6 +385,12 @@ void commit_net_round(NetRound& round, double start_s) {
 bool NetPhaseCollector::begin_phase(NetRound& round, std::size_t num_flows) {
   round_ = round.active ? &round : nullptr;
   if (!round_) return false;
+  // Records of an earlier run of the same round are replaced; the ids
+  // taken at open are kept.
+  round.record = NetPhaseRecord{};
+  round.record.phase = round.phase;
+  round.links.clear();
+  round.flows.clear();
   rate_first_.assign(num_flows, 0.0);
   rate_last_.assign(num_flows, 0.0);
   return true;

@@ -186,8 +186,8 @@ class NetPhaseCollector {
   };
 
   /// Starts filling `round` (kept until end_phase) for a round of
-  /// `num_flows` flows. Returns round.active: callers gate the other hooks
-  /// on it.
+  /// `num_flows` flows, dropping the records of any earlier run of it.
+  /// Returns round.active: callers gate the other hooks on it.
   bool begin_phase(NetRound& round, std::size_t num_flows);
 
   /// Closes fluid segment `step` spanning phase time [t0_s, t1_s). Captures

@@ -77,13 +77,13 @@ TEST(ObsLedger, ConcurrentWritersNeverTearLines) {
   std::vector<int> seen(kThreads, 0);
   for (const std::string& line : lines) {
     const JsonValue doc = JsonValue::parse(line);  // throws on a torn line
-    const int writer = static_cast<int>(doc.at("writer").as_number());
+    const double writer = doc.at("writer").as_number();
     ASSERT_GE(writer, 0);
     ASSERT_LT(writer, kThreads);
     EXPECT_EQ(doc.at("pad").as_string(), payload);
-    ++seen[writer];
+    ++seen[static_cast<std::size_t>(writer)];
   }
-  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(seen[t], kPerThread);
+  for (const int count : seen) EXPECT_EQ(count, kPerThread);
   std::remove(path.c_str());
 }
 

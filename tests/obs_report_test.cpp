@@ -65,7 +65,7 @@ std::vector<std::string> stalled_fixture() {
     lines.push_back(counter("search", "annealer.best_haspl", ts, best[i]));
     lines.push_back(counter("search", "annealer.acceptance_rate", ts, 0.3));
     lines.push_back(counter("search", "annealer.temperature", ts, 1.0 - 0.1 * i));
-    lines.push_back(counter("search", "annealer.iteration", ts, 10.0 * ts));
+    lines.push_back(counter("search", "annealer.iteration", ts, 1000.0 * i));
   }
   return lines;
 }
