@@ -126,8 +126,9 @@ inline bool parse_cli_with_obs(CliParser& cli, int argc, const char* const* argv
   cli.option("swap-interval", "512",
              "moves between replica-exchange barriers (K > 1)");
   cli.option("net-telemetry", "",
-             "network telemetry spec: off, on, default, or knob=value list "
-             "(e.g. flow_sample=4,link_steps=64 — see docs/telemetry.md)");
+             "network telemetry spec: off, on, or link_steps=N (per-step "
+             "link samples for the first N fluid steps of each phase — see "
+             "docs/telemetry.md)");
   if (!cli.parse(argc, argv)) return false;
   obs::apply_cli(cli);
   if (const std::string spec = cli.get("net-telemetry"); !spec.empty()) {

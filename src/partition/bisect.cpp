@@ -14,8 +14,6 @@ namespace {
 constexpr double kImbalance = 0.05;
 // Greedy-growing trials for the initial partition at the coarsest level.
 constexpr int kInitTrials = 8;
-// FM passes per level.
-constexpr int kRefinePasses = 8;
 // Coarsening stops at this many vertices.
 constexpr std::uint32_t kCoarsestSize = 48;
 
@@ -71,7 +69,6 @@ std::vector<std::uint8_t> bisect(const CsrGraph& g, double fraction0,
       static_cast<std::uint64_t>(std::llround(fraction0 * static_cast<double>(total)));
 
   FmOptions fm_options;
-  fm_options.max_passes = kRefinePasses;
   const double over = 1.0 + kImbalance;
   // Caps never drop below the target plus the heaviest vertex, or a legal
   // partition might not exist at coarse levels where vertices are heavy.

@@ -21,6 +21,8 @@ std::uint64_t bisection_cut(const CsrGraph& g, const std::vector<std::uint8_t>& 
 
 namespace {
 
+// Refinement stops after this many passes even while passes still improve.
+constexpr int kMaxPasses = 8;
 // A pass stops after this many moves in a row that give no new best
 // balanced prefix (counted once the pass has a balanced prefix at all).
 constexpr std::uint32_t kMaxFruitlessMoves = 50;
@@ -99,7 +101,7 @@ std::uint64_t fm_refine(const CsrGraph& g, std::vector<std::uint8_t>& side,
   std::vector<std::uint8_t> locked(nv);
   std::uint64_t cut = bisection_cut(g, side);
 
-  for (int pass = 0; pass < options.max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     std::fill(locked.begin(), locked.end(), 0);
     for (std::uint32_t v = 0; v < nv; ++v) {
       std::int64_t external = 0, internal = 0;

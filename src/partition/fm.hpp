@@ -4,7 +4,8 @@
 // Classic FM with best-prefix rollback: vertices move one at a time to the
 // other side (highest gain first, each vertex at most once per pass); the
 // pass keeps the prefix of moves with the lowest cut that satisfies the
-// balance constraint, and passes repeat until one fails to improve.
+// balance constraint, and passes repeat (at most 8) until one fails to
+// improve.
 // Zero/negative-gain moves are allowed mid-pass, which lets the refinement
 // climb out of shallow local minima.
 //
@@ -22,7 +23,6 @@
 namespace orp {
 
 struct FmOptions {
-  int max_passes = 8;
   /// Per-side weight cap: side i must stay <= max_side_weight[i]. A move
   /// into a side above its cap is rejected unless it reduces overload.
   std::uint64_t max_side_weight[2] = {0, 0};

@@ -8,6 +8,10 @@
 namespace orp {
 namespace {
 
+// Full constructions tried before giving up when the spanning tree cannot
+// be grown within the port budget.
+constexpr int kBuildAttempts = 16;
+
 // Attaches hosts 0..n-1 according to per-switch counts.
 void attach_hosts(HostSwitchGraph& g, const std::vector<std::uint32_t>& counts) {
   HostId next = 0;
@@ -125,12 +129,11 @@ bool random_init_feasible(std::uint32_t n, std::uint32_t m, std::uint32_t r) {
 }
 
 HostSwitchGraph random_host_switch_graph(std::uint32_t n, std::uint32_t m,
-                                         std::uint32_t r, Xoshiro256& rng,
-                                         const RandomInitOptions& options) {
+                                         std::uint32_t r, Xoshiro256& rng) {
   ORP_REQUIRE(random_init_feasible(n, m, r),
               "no connected host-switch graph with these (n, m, r)");
   const auto counts = balanced_counts(n, m);
-  for (int attempt = 0; attempt < options.attempts; ++attempt) {
+  for (int attempt = 0; attempt < kBuildAttempts; ++attempt) {
     if (auto g = try_build(n, m, r, counts, rng)) return std::move(*g);
   }
   throw std::invalid_argument(
@@ -139,11 +142,10 @@ HostSwitchGraph random_host_switch_graph(std::uint32_t n, std::uint32_t m,
 }
 
 HostSwitchGraph random_regular_host_switch_graph(std::uint32_t n, std::uint32_t m,
-                                                 std::uint32_t r, Xoshiro256& rng,
-                                                 const RandomInitOptions& options) {
+                                                 std::uint32_t r, Xoshiro256& rng) {
   ORP_REQUIRE(m >= 1 && n % m == 0,
               "regular host-switch graphs need m to divide n");
-  return random_host_switch_graph(n, m, r, rng, options);
+  return random_host_switch_graph(n, m, r, rng);
 }
 
 }  // namespace orp

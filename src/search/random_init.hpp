@@ -16,12 +16,6 @@
 
 namespace orp {
 
-struct RandomInitOptions {
-  /// Retry full construction this many times before giving up when the
-  /// random matching stalls below full saturation.
-  int attempts = 16;
-};
-
 /// True when some connected host-switch graph with these parameters exists:
 /// hosts fit (n <= m * (r - 1) for m >= 2, n <= r for m == 1) and there are
 /// enough spare ports for a spanning tree (m*r >= n + 2*(m-1)).
@@ -33,14 +27,12 @@ bool random_init_feasible(std::uint32_t n, std::uint32_t m, std::uint32_t r);
 /// may remain free for parity reasons).
 /// Throws std::invalid_argument when the parameters are infeasible.
 HostSwitchGraph random_host_switch_graph(std::uint32_t n, std::uint32_t m,
-                                         std::uint32_t r, Xoshiro256& rng,
-                                         const RandomInitOptions& options = {});
+                                         std::uint32_t r, Xoshiro256& rng);
 
 /// Builds a *regular* host-switch graph: every switch carries exactly n/m
 /// hosts (requires m | n) and the switch subgraph is (r - n/m)-regular up
 /// to matching parity. Used by the swap-only baseline of §5.1.
 HostSwitchGraph random_regular_host_switch_graph(std::uint32_t n, std::uint32_t m,
-                                                 std::uint32_t r, Xoshiro256& rng,
-                                                 const RandomInitOptions& options = {});
+                                                 std::uint32_t r, Xoshiro256& rng);
 
 }  // namespace orp

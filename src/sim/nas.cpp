@@ -66,7 +66,8 @@ NasResult run_ep(Machine& m, const NasOptions&) {
 NasResult run_is(Machine& m, const NasOptions& o) {
   // Class A: N = 2^23 keys, 10 rank-and-bucket iterations. Per iteration:
   // an allreduce of the bucket histogram, a small alltoall of per-target
-  // counts, and the key redistribution alltoallv (~N*4 bytes total).
+  // counts, and the key redistribution as a uniform alltoall of N/p^2 keys
+  // per pair (~N*4 bytes total).
   const std::uint64_t total_keys = 1ull << 23;
   const KernelStats stats{2.4, 10};
   const std::uint32_t iters = scaled_iters(stats.iters, o.iteration_fraction);

@@ -10,7 +10,7 @@
 // depend on these patterns, not on the arithmetic itself:
 //
 //   EP  embarrassingly parallel      — a few tiny allreduces
-//   IS  integer bucket sort          — alltoall(counts) + alltoallv(keys)
+//   IS  integer bucket sort          — alltoall(counts) + alltoall(keys)
 //   FT  3-D FFT                      — full-volume transpose alltoall
 //   MG  multigrid V-cycles           — 3-D halos whose partners get *far*
 //                                      at coarse levels (long-distance)

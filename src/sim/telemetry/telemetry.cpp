@@ -25,28 +25,13 @@ NetTelemetryConfig& mutable_config() {
 /// digits up to UINT32_MAX.
 constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 
-/// An unset, empty or malformed variable keeps `fallback`; "0" is a value.
-std::uint32_t env_u32(const char* name, std::uint32_t fallback) {
-  const char* raw = std::getenv(name);
-  return raw ? static_cast<std::uint32_t>(parse_uint(raw, kMaxU32).value_or(fallback))
-             : fallback;
-}
-
 }  // namespace
 
 NetTelemetryConfig net_telemetry_from_env() {
   NetTelemetryConfig config;
-  config.enabled = env_u32("ORP_NET_TELEMETRY", 1) != 0;
-  config.flow_sample =
-      std::max(1u, env_u32("ORP_NET_FLOW_SAMPLE", config.flow_sample));
-  config.link_top_k = env_u32("ORP_NET_LINK_TOPK", config.link_top_k);
-  config.link_steps = env_u32("ORP_NET_LINK_STEPS", config.link_steps);
-  config.reservoir_flows =
-      env_u32("ORP_NET_RESERVOIR_FLOWS", config.reservoir_flows);
-  config.reservoir_links =
-      env_u32("ORP_NET_RESERVOIR_LINKS", config.reservoir_links);
-  config.reservoir_phases =
-      env_u32("ORP_NET_RESERVOIR_PHASES", config.reservoir_phases);
+  if (const char* raw = std::getenv("ORP_NET_TELEMETRY")) {
+    if (const auto value = parse_uint(raw, kMaxU32)) config.enabled = *value != 0;
+  }
   return config;
 }
 
@@ -59,36 +44,16 @@ const NetTelemetryConfig& net_telemetry() { return mutable_config(); }
 bool apply_net_telemetry_spec(std::string_view spec) {
   if (spec.empty()) return true;
   NetTelemetryConfig config = net_telemetry();
-  if (spec == "off") {
-    config.enabled = false;
-    set_net_telemetry(config);
-    return true;
-  }
-  if (spec == "on" || spec == "default") {
-    config.enabled = true;
-    set_net_telemetry(config);
-    return true;
-  }
-  // Comma-separated knob=value pairs; every knob must parse.
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string_view::npos) comma = spec.size();
-    const std::string_view pair = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    const std::size_t eq = pair.find('=');
-    if (eq == std::string_view::npos) return false;
-    const std::string_view key = pair.substr(0, eq);
-    const std::optional<std::uint64_t> parsed = parse_uint(pair.substr(eq + 1), kMaxU32);
-    if (!parsed) return false;
-    const auto value = static_cast<std::uint32_t>(*parsed);
-    if (key == "flow_sample") config.flow_sample = std::max(1u, value);
-    else if (key == "link_top_k") config.link_top_k = value;
-    else if (key == "link_steps") config.link_steps = value;
-    else if (key == "reservoir_flows") config.reservoir_flows = value;
-    else if (key == "reservoir_links") config.reservoir_links = value;
-    else if (key == "reservoir_phases") config.reservoir_phases = value;
-    else return false;
+  constexpr std::string_view kLinkSteps = "link_steps=";
+  if (spec == "off" || spec == "on") {
+    config.enabled = spec == "on";
+  } else if (spec.starts_with(kLinkSteps)) {
+    const std::optional<std::uint64_t> steps =
+        parse_uint(spec.substr(kLinkSteps.size()), kMaxU32);
+    if (!steps) return false;
+    config.link_steps = static_cast<std::uint32_t>(*steps);
+  } else {
+    return false;
   }
   set_net_telemetry(config);
   return true;
@@ -105,22 +70,32 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// The sampling caps: records buffered per process until the sink flushes,
+// and links kept per time bucket. They keep the n=256 r=12 all-to-all
+// microbenchmark within CI's 25% telemetry-overhead gate and a flush's net
+// records under ~5 MB (docs/telemetry.md "Sampling knobs").
+constexpr std::size_t kFlowRecords = 4096;
+constexpr std::size_t kLinkSamples = 16384;
+constexpr std::size_t kPhaseRecords = 2048;
+constexpr std::size_t kLinksPerBucket = 8;
+
+/// Whether a reservoir of `capacity` gives the record of ordinal `o` (from
+/// 1) a slot. The decision depends only on the ordinal and the capacity, so
+/// callers can skip building the records the reservoir would drop anyway.
+bool admits(std::uint64_t o, std::size_t capacity) {
+  return o <= capacity || splitmix64(o) % o < capacity;
+}
+
 /// Algorithm-R reservoir with a deterministic replacement stream. Keeps a
 /// uniform sample of everything offered once `capacity` is exceeded.
 template <typename T>
 class Reservoir {
  public:
-  void set_capacity(std::size_t capacity) { capacity_ = capacity; }
+  explicit Reservoir(std::size_t capacity) : capacity_(capacity) {}
   /// Counts `n` more offers; returns the ordinal (from 1) of the first.
   std::uint64_t reserve(std::uint64_t n) {
     seen_ += n;
     return seen_ - n + 1;
-  }
-  /// Whether the record of ordinal `o` gets a slot. The decision depends
-  /// only on the ordinal and the capacity, so callers can skip building
-  /// the records the reservoir would drop anyway.
-  static bool admits(std::uint64_t o, std::size_t capacity) {
-    return o <= capacity || splitmix64(o) % o < capacity;
   }
   /// Stores the record of an admitted ordinal `o`.
   void store(std::uint64_t o, T record) {
@@ -147,12 +122,6 @@ class Reservoir {
   std::vector<T> items_;
 };
 
-/// Flows of a round of `num_flows` that the stride samples: flow i *
-/// stride is the i-th; a zero stride samples none.
-std::size_t sampled_flows(std::size_t num_flows, std::uint32_t stride) {
-  return stride > 0 ? (num_flows + stride - 1) / stride : 0;
-}
-
 /// %.12g: round-trips every telemetry value (utilizations near 1e-9,
 /// rates near 5e9) without the fixed-decimal truncation of format_double.
 std::string num(double value) {
@@ -164,24 +133,23 @@ std::string num(double value) {
 std::string num(std::uint64_t value) { return std::to_string(value); }
 std::string num(std::int64_t value) { return std::to_string(value); }
 
-/// The one top-K select of link samples: keeps window[base, end) at the k
-/// offered links that come first in (utilization descending, link id
-/// ascending) order, in that order, so the kept set does not depend on the
-/// offer order. `make()` builds a link's sample only once it gets in.
+/// The one top-K select of link samples: keeps window[base, end) at the
+/// kLinksPerBucket offered links that come first in (utilization
+/// descending, link id ascending) order, in that order, so the kept set
+/// does not depend on the offer order. `make()` builds a link's sample only
+/// once it gets in.
 template <typename MakeSample>
 void keep_top_k(std::vector<NetLinkSample>& window, std::size_t base,
-                std::size_t k, double utilization, LinkId link,
-                MakeSample&& make) {
+                double utilization, LinkId link, MakeSample&& make) {
   const auto ahead_of = [&](const NetLinkSample& s) {
     return utilization > s.utilization ||
            (utilization == s.utilization && link < s.link);
   };
-  if (k == 0) return;
-  if (window.size() - base >= k && !ahead_of(window.back())) return;
+  if (window.size() - base >= kLinksPerBucket && !ahead_of(window.back())) return;
   window.insert(std::find_if(window.begin() + static_cast<std::ptrdiff_t>(base),
                              window.end(), ahead_of),
                 make());
-  if (window.size() - base > k) window.pop_back();
+  if (window.size() - base > kLinksPerBucket) window.pop_back();
 }
 
 /// Process-global record store: phases from every Machine accumulate here
@@ -195,13 +163,10 @@ class NetStore {
     return *instance;
   }
 
-  void open(NetRound& round, std::size_t sampled) {
+  void open(NetRound& round, std::size_t num_flows) {
     std::lock_guard lock(mutex_);
-    flows_.set_capacity(round.config.reservoir_flows);
-    links_.set_capacity(round.config.reservoir_links);
-    phases_.set_capacity(round.config.reservoir_phases);
     round.phase = next_phase_++;
-    round.first_flow = flows_.reserve(sampled);
+    round.first_flow = flows_.reserve(num_flows);
   }
 
   /// Pushes one round's records. Its flows were built only for the
@@ -212,10 +177,9 @@ class NetStore {
   /// concurrent drain can never observe a half-pushed round.
   void commit(NetRound& round) {
     std::lock_guard lock(mutex_);
-    const std::size_t capacity = round.config.reservoir_flows;
     std::size_t k = 0;
     for (std::uint64_t o = round.first_flow; k < round.flows.size(); ++o) {
-      if (Reservoir<NetFlowRecord>::admits(o, capacity)) {
+      if (admits(o, kFlowRecords)) {
         flows_.store(o, std::move(round.flows[k++]));
       }
     }
@@ -349,9 +313,9 @@ class NetStore {
 
   std::mutex mutex_;
   std::uint64_t next_phase_ = 0;
-  Reservoir<NetFlowRecord> flows_;
-  Reservoir<NetLinkSample> links_;
-  Reservoir<NetPhaseRecord> phases_;
+  Reservoir<NetFlowRecord> flows_{kFlowRecords};
+  Reservoir<NetLinkSample> links_{kLinkSamples};
+  Reservoir<NetPhaseRecord> phases_{kPhaseRecords};
 };
 
 }  // namespace
@@ -365,9 +329,9 @@ bool net_recording() {
 }
 
 void open_net_round(NetRound& round, std::size_t num_flows) {
-  round.config = net_telemetry();
+  round.link_steps = net_telemetry().link_steps;
   round.active = true;
-  NetStore::global().open(round, sampled_flows(num_flows, round.config.flow_sample));
+  NetStore::global().open(round, num_flows);
 }
 
 void commit_net_round(NetRound& round, double start_s) {
@@ -406,8 +370,7 @@ void NetPhaseCollector::on_segment(std::uint32_t step, double t0_s, double t1_s,
       if (active[f]) rate_first_[f] = rates[f];
     }
   }
-  const NetTelemetryConfig& config = round_->config;
-  if (step >= config.link_steps || config.link_top_k == 0) return;
+  if (step >= round_->link_steps) return;
 
   // Per-link accounting with a dense scratch + touched list: one pass over
   // (flow, link) incidences. Entries that re-pathed flows left in the store
@@ -438,7 +401,7 @@ void NetPhaseCollector::on_segment(std::uint32_t step, double t0_s, double t1_s,
   const std::size_t base = samples.size();
   for (const std::uint32_t l : touched_) {
     LinkScratch& scratch = link_scratch_[l];
-    keep_top_k(samples, base, config.link_top_k, scratch.sum, l, [&] {
+    keep_top_k(samples, base, scratch.sum, l, [&] {
       NetLinkSample sample;
       sample.phase = round_->phase;
       sample.step = static_cast<std::int32_t>(step);
@@ -464,7 +427,6 @@ void NetPhaseCollector::end_phase(const LinkLoads& loads, const SimParams& param
   if (!round_) return;
   NetRound& round = *round_;
   round_ = nullptr;
-  const NetTelemetryConfig& config = round.config;
   const double bandwidth = params.link_bandwidth;
 
   // Per-step samples carried rate sums; scale to line-rate fractions now.
@@ -477,7 +439,7 @@ void NetPhaseCollector::end_phase(const LinkLoads& loads, const SimParams& param
   for (const LinkId l : loads.used) {
     const LinkLoads::Link& link = loads.links[l];
     const double utilization = loads.utilization(l);
-    keep_top_k(round.links, base, config.link_top_k, utilization, l, [&] {
+    keep_top_k(round.links, base, utilization, l, [&] {
       NetLinkSample sample;
       sample.phase = round.phase;
       sample.step = -1;
@@ -491,12 +453,9 @@ void NetPhaseCollector::end_phase(const LinkLoads& loads, const SimParams& param
   }
 
   // Flow records only for the ordinals the reservoir admits (NetStore::
-  // commit); the i-th sampled flow of the phase is flow i * flow_sample.
-  const std::size_t sampled = sampled_flows(rate_first_.size(), config.flow_sample);
-  const std::size_t capacity = config.reservoir_flows;
-  for (std::size_t i = 0; i < sampled; ++i) {
-    if (!Reservoir<NetFlowRecord>::admits(round.first_flow + i, capacity)) continue;
-    const std::size_t f = i * config.flow_sample;
+  // commit).
+  for (std::size_t f = 0; f < rate_first_.size(); ++f) {
+    if (!admits(round.first_flow + f, kFlowRecords)) continue;
     const FlowEnd end = flow(f);
 
     NetFlowRecord& record = round.flows.emplace_back();

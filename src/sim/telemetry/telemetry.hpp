@@ -5,8 +5,8 @@
 //
 // Collection is cheap by design: each fluid engine's collector takes raw
 // POD snapshots of its round (no string formatting on the hot path), the
-// rounds are committed in round order into reservoirs that cap volume by
-// deterministic sampling, and the buffered records are serialized as
+// rounds are committed in round order into reservoirs whose fixed caps
+// bound volume by deterministic sampling, and the buffered records are serialized as
 // Chrome-trace instant events ("cat":"net") only when the sink flushes.
 // With no tracer active no round is opened, and an engine pays one branch
 // per hook.
@@ -34,30 +34,21 @@
 
 namespace orp {
 
-/// Sampling knobs, read once per phase. Defaults keep the n=256 r=12
-/// all-to-all microbenchmark within CI's 25% telemetry-overhead gate.
+/// The two settings a run may change. Everything else about sampling is
+/// fixed (the caps in telemetry.cpp, docs/telemetry.md "Sampling knobs").
 struct NetTelemetryConfig {
   /// Master switch (ORP_NET_TELEMETRY=0 disables). Collection further
   /// requires an active JSONL tracer.
   bool enabled = true;
-  /// Record every Nth flow (per machine, deterministic stride). 1 = all.
-  std::uint32_t flow_sample = 1;
-  /// Links kept per time bucket, most utilized first.
-  std::uint32_t link_top_k = 8;
   /// Fluid steps per phase that additionally emit per-step link samples
   /// (step >= 0 in the record). 0 = phase-level buckets only (step -1),
   /// which is the cheap default; raise for step-resolution forensics.
   std::uint32_t link_steps = 0;
-  /// Reservoir capacities: global caps on buffered records per process.
-  std::uint32_t reservoir_flows = 4096;
-  std::uint32_t reservoir_links = 16384;
-  std::uint32_t reservoir_phases = 2048;
 };
 
-/// Config from ORP_NET_TELEMETRY / ORP_NET_FLOW_SAMPLE / ORP_NET_LINK_TOPK
-/// / ORP_NET_LINK_STEPS / ORP_NET_RESERVOIR_{FLOWS,LINKS,PHASES}. Each is a
-/// decimal in [0, 2^32); 0 is a value, not "unset". An unset, empty or
-/// malformed variable (sign, whitespace, overflow) keeps the default.
+/// Config from ORP_NET_TELEMETRY, a decimal in [0, 2^32) where 0 disables.
+/// An unset, empty or malformed value (sign, whitespace, overflow) keeps
+/// telemetry on.
 NetTelemetryConfig net_telemetry_from_env();
 
 /// Process-wide override (CLI beats environment); pass the result of
@@ -69,9 +60,8 @@ void set_net_telemetry(const NetTelemetryConfig& config);
 const NetTelemetryConfig& net_telemetry();
 
 /// Applies a CLI spec on top of the active config: "" is a no-op, "off"
-/// disables, otherwise comma-separated knobs ("flow_sample=4,link_steps=2,
-/// link_top_k=8"), each value a decimal in [0, 2^32). Returns false (config
-/// untouched) on a malformed spec.
+/// disables, "on" enables, "link_steps=N" sets link_steps (N a decimal in
+/// [0, 2^32)). Returns false (config untouched) on anything else.
 bool apply_net_telemetry_spec(std::string_view spec);
 
 /// One flow lifecycle, buffered raw and emitted as a "net.flow" instant.
@@ -147,13 +137,13 @@ struct LinkLoads {
 /// admission are fixed at open, so the records do not depend on which
 /// engine, or how many, ran the rounds.
 struct NetRound {
-  bool active = false;         ///< opened: the engine records this round
-  NetTelemetryConfig config;   ///< read when the round was opened
-  std::uint64_t phase = 0;     ///< global phase sequence number
-  std::uint64_t first_flow = 0;  ///< reservoir ordinal of the first sampled flow
+  bool active = false;           ///< opened: the engine records this round
+  std::uint32_t link_steps = 0;  ///< the config's, read when the round was opened
+  std::uint64_t phase = 0;       ///< global phase sequence number
+  std::uint64_t first_flow = 0;  ///< reservoir ordinal of the round's first flow
   NetPhaseRecord record;
   std::vector<NetLinkSample> links;
-  /// The sampled flows the reservoir admits (and only those), in order.
+  /// The flows the reservoir admits (and only those), in order.
   std::vector<NetFlowRecord> flows;
 };
 
@@ -163,7 +153,7 @@ bool net_recording();
 
 /// Opens `round`, a round of `num_flows` flows (a JSONL tracer must be
 /// recording): takes the next global phase id and the reservoir ordinals
-/// of its sampled flows.
+/// of its flows.
 void open_net_round(NetRound& round, std::size_t num_flows);
 
 /// Pushes an opened round's records into the global reservoirs (serialized
@@ -204,7 +194,7 @@ class NetPhaseCollector {
   /// Closes the round: scales its per-step samples, adds the whole-phase
   /// link samples of `loads` and the phase's transfer window and peak to
   /// round.record (whose counts the engine set), and builds the records of
-  /// the admitted sampled flows, reading flow f through `flow(f)`.
+  /// the admitted flows, reading flow f through `flow(f)`.
   void end_phase(const LinkLoads& loads, const SimParams& params,
                  const std::function<FlowEnd(std::size_t)>& flow);
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Feeds command-line programs malformed and out-of-range numeric options.
+# Feeds command-line programs malformed and out-of-range options.
 # Each run must end within seconds with exit status 2 and an "error: "
 # line naming the problem: not abort, hang, or run on a wrapped value.
 #
@@ -40,6 +40,10 @@ expect_usage_error "$random_vs_sa" --replicas 99999999999999999999
 expect_usage_error "$random_vs_sa" --replicas abc
 expect_usage_error "$random_vs_sa" --replicas 4294967297
 expect_usage_error "$random_vs_sa" --random-trials -1
+# The telemetry sampling caps are fixed; their old spec keys are unknown.
+expect_usage_error "$random_vs_sa" --net-telemetry flow_sample=4
+expect_usage_error "$random_vs_sa" --net-telemetry link_top_k=8
+expect_usage_error "$random_vs_sa" --net-telemetry default
 expect_usage_error "$cluster_planner" --radix-step 0
 expect_usage_error "$cluster_planner" --radix-max 65536
 # Radix 6 leaves no host port on a 3-D torus of base >= 3, and base 2

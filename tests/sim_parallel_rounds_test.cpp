@@ -9,7 +9,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -436,22 +435,6 @@ TEST(ParallelRounds, CountersShowWhichPathEachCollectiveTook) {
   pending.alltoall(1024);
   expect_delta(before, {31, 0, 0});
   EXPECT_EQ(pending.fault_stats().events_applied, 0u);
-}
-
-/// The `net.*` lines of a trace, without the wall-clock "ts" and the "tid"
-/// of the thread that drained them.
-std::vector<std::string> net_lines(const std::string& path) {
-  std::vector<std::string> out;
-  std::ifstream in(path);
-  for (std::string line; std::getline(in, line);) {
-    if (line.find("\"cat\":\"net\"") == std::string::npos) continue;
-    for (const char* key : {"\"ts\":", "\"tid\":"}) {
-      const std::size_t at = line.find(key);
-      if (at != std::string::npos) line.erase(at, line.find(',', at) + 1 - at);
-    }
-    out.push_back(line);
-  }
-  return out;
 }
 
 /// Traces `run` with no pool and on pools of 1 and 3 workers: each traced

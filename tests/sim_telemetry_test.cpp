@@ -7,6 +7,7 @@
 // byte-deterministic across identical runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -14,11 +15,14 @@
 #include <vector>
 
 #include "common/prng.hpp"
+#include "common/thread_pool.hpp"
+#include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "obs/trace_analysis.hpp"
 #include "search/random_init.hpp"
 #include "sim/machine.hpp"
 #include "sim/telemetry/telemetry.hpp"
+#include "sim_record.hpp"
 
 namespace orp {
 namespace {
@@ -28,15 +32,14 @@ namespace {
 TEST(NetTelemetrySpec, KnobListOverridesFields) {
   NetTelemetryConfig base;  // defaults
   set_net_telemetry(base);
-  ASSERT_TRUE(apply_net_telemetry_spec("flow_sample=4,link_steps=2"));
-  EXPECT_TRUE(net_telemetry().enabled);
-  EXPECT_EQ(net_telemetry().flow_sample, 4u);
+  ASSERT_TRUE(apply_net_telemetry_spec("link_steps=2"));
+  EXPECT_TRUE(net_telemetry().enabled);  // untouched
   EXPECT_EQ(net_telemetry().link_steps, 2u);
-  EXPECT_EQ(net_telemetry().link_top_k, base.link_top_k);  // untouched
   // Values span the whole unsigned 32-bit range, 0 included.
-  ASSERT_TRUE(apply_net_telemetry_spec("link_top_k=0,reservoir_links=4294967295"));
-  EXPECT_EQ(net_telemetry().link_top_k, 0u);
-  EXPECT_EQ(net_telemetry().reservoir_links, 4294967295u);
+  ASSERT_TRUE(apply_net_telemetry_spec("link_steps=4294967295"));
+  EXPECT_EQ(net_telemetry().link_steps, 4294967295u);
+  ASSERT_TRUE(apply_net_telemetry_spec("link_steps=0"));
+  EXPECT_EQ(net_telemetry().link_steps, 0u);
   set_net_telemetry(base);
 }
 
@@ -52,49 +55,52 @@ TEST(NetTelemetrySpec, OffAndOnToggle) {
 
 TEST(NetTelemetrySpec, MalformedSpecIsRejectedAndConfigKept) {
   NetTelemetryConfig base;
-  base.flow_sample = 7;
+  base.link_steps = 7;
   set_net_telemetry(base);
-  EXPECT_FALSE(apply_net_telemetry_spec("flow_sample"));       // no '='
+  EXPECT_FALSE(apply_net_telemetry_spec("link_steps"));        // no '='
   EXPECT_FALSE(apply_net_telemetry_spec("no_such_knob=1"));    // unknown
-  EXPECT_FALSE(apply_net_telemetry_spec("flow_sample=abc"));   // not a number
-  EXPECT_FALSE(apply_net_telemetry_spec("flow_sample="));      // no digits
-  EXPECT_FALSE(apply_net_telemetry_spec("reservoir_flows=-1"));  // sign
-  EXPECT_FALSE(apply_net_telemetry_spec("link_top_k=+4"));
-  EXPECT_FALSE(apply_net_telemetry_spec("link_top_k= 4"));     // whitespace
-  EXPECT_FALSE(apply_net_telemetry_spec("link_top_k=4 "));
-  EXPECT_FALSE(apply_net_telemetry_spec("link_top_k=4294967296"));  // > u32
-  EXPECT_FALSE(apply_net_telemetry_spec("link_top_k=99999999999"));
-  EXPECT_EQ(net_telemetry().flow_sample, 7u);  // untouched by failures
+  EXPECT_FALSE(apply_net_telemetry_spec("link_steps=abc"));    // not a number
+  EXPECT_FALSE(apply_net_telemetry_spec("link_steps="));       // no digits
+  EXPECT_FALSE(apply_net_telemetry_spec("link_steps=-1"));     // sign
+  EXPECT_FALSE(apply_net_telemetry_spec("link_steps=+4"));
+  EXPECT_FALSE(apply_net_telemetry_spec("link_steps= 4"));     // whitespace
+  EXPECT_FALSE(apply_net_telemetry_spec("link_steps=4 "));
+  EXPECT_FALSE(apply_net_telemetry_spec("link_steps=4294967296"));  // > u32
+  EXPECT_FALSE(apply_net_telemetry_spec("link_steps=99999999999"));
+  EXPECT_FALSE(apply_net_telemetry_spec("link_steps=2,link_steps=3"));  // one knob
+  EXPECT_FALSE(apply_net_telemetry_spec("OFF"));
+  // The sampling caps are constants, so no spec names them.
+  for (const char* gone : {"default", "flow_sample=4", "link_top_k=8",
+                           "reservoir_flows=1", "reservoir_links=1",
+                           "reservoir_phases=1"}) {
+    EXPECT_FALSE(apply_net_telemetry_spec(gone)) << gone;
+  }
+  EXPECT_EQ(net_telemetry().link_steps, 7u);  // untouched by failures
+  EXPECT_TRUE(net_telemetry().enabled);
   set_net_telemetry(NetTelemetryConfig{});
 }
 
 TEST(NetTelemetryEnv, ZeroIsAValueAndMalformedKeepsTheDefault) {
-  const NetTelemetryConfig defaults;
-  const char* const names[] = {"ORP_NET_TELEMETRY", "ORP_NET_LINK_TOPK",
-                               "ORP_NET_RESERVOIR_FLOWS"};
-  for (const char* name : names) ::setenv(name, "0", 1);
-  NetTelemetryConfig config = net_telemetry_from_env();
-  EXPECT_FALSE(config.enabled);
-  EXPECT_EQ(config.link_top_k, 0u);
-  EXPECT_EQ(config.reservoir_flows, 0u);
-
-  ::setenv("ORP_NET_TELEMETRY", "1", 1);
-  ::setenv("ORP_NET_LINK_TOPK", "4294967295", 1);
-  config = net_telemetry_from_env();
-  EXPECT_TRUE(config.enabled);
-  EXPECT_EQ(config.link_top_k, 4294967295u);
-
-  // Out of range, signed, padded or trailing junk: the default, never a
-  // truncated or wrapped value.
-  for (const char* bad : {"99999999999", "4294967296", "-1", "+4", " 4", "4 ",
-                          "4k", ""}) {
-    for (const char* name : names) ::setenv(name, bad, 1);
-    config = net_telemetry_from_env();
-    EXPECT_EQ(config.enabled, defaults.enabled) << "'" << bad << "'";
-    EXPECT_EQ(config.link_top_k, defaults.link_top_k) << "'" << bad << "'";
-    EXPECT_EQ(config.reservoir_flows, defaults.reservoir_flows) << "'" << bad << "'";
+  ::setenv("ORP_NET_TELEMETRY", "0", 1);
+  EXPECT_FALSE(net_telemetry_from_env().enabled);
+  for (const char* on : {"1", "4294967295"}) {
+    ::setenv("ORP_NET_TELEMETRY", on, 1);
+    EXPECT_TRUE(net_telemetry_from_env().enabled) << on;
   }
-  for (const char* name : names) ::unsetenv(name);
+
+  // Out of range, signed, padded or trailing junk: the default (on), never
+  // a truncated or wrapped 0.
+  for (const char* bad : {"4294967296", "18446744073709551616", "99999999999",
+                          "-0", "+0", " 0", "0 ", "0k", ""}) {
+    ::setenv("ORP_NET_TELEMETRY", bad, 1);
+    EXPECT_TRUE(net_telemetry_from_env().enabled) << "'" << bad << "'";
+  }
+  ::unsetenv("ORP_NET_TELEMETRY");
+
+  // Per-step link samples are a CLI setting only.
+  ::setenv("ORP_NET_LINK_STEPS", "16", 1);
+  EXPECT_EQ(net_telemetry_from_env().link_steps, 0u);
+  ::unsetenv("ORP_NET_LINK_STEPS");
 }
 
 // ---- end-to-end: traced sim -> flush -> analyzer -------------------------
@@ -232,27 +238,6 @@ TEST(SimTelemetryEndToEnd, DisabledConfigSuppressesRecords) {
   set_net_telemetry(NetTelemetryConfig{});
 }
 
-TEST(SimTelemetryEndToEnd, FlowSamplingKeepsEveryNthFlowButAllPhases) {
-  NetTelemetryConfig sampled;
-  sampled.flow_sample = 4;
-  set_net_telemetry(sampled);
-  const std::string path = trace_workload("sim_telemetry_sampled.jsonl");
-  const obs::report::TraceAnalysis a = obs::report::analyze_trace_file(path);
-  std::remove(path.c_str());
-  set_net_telemetry(NetTelemetryConfig{});
-
-  const obs::report::NetworkAnalysis& net = a.network;
-  ASSERT_TRUE(net.present);
-  EXPECT_EQ(net.phases.size(), 10u);  // phase records are never sampled
-  // Every phase keeps ceil(flows/4) of its flows: the three 1-flow
-  // triangle phases keep their only flow, the 8-flow rounds keep 2.
-  EXPECT_EQ(net.flows.size(), 3u + 7u * 2u);
-  // Phase-level degradation counters still cover ALL flows.
-  std::uint64_t phase_flows = 0;
-  for (const obs::report::NetPhase& p : net.phases) phase_flows += p.flows;
-  EXPECT_EQ(phase_flows, 3u + 7u * 8u);
-}
-
 // ---- fast-solver aggregation vs reference records ------------------------
 
 // Traced workload built to exercise the fast solver's route aggregation:
@@ -358,9 +343,7 @@ std::string trace_faulted_alltoallv(const char* stem) {
   obs::SinkConfig config = obs::parse_sink(path);
   config.snapshot_ms = 0;
   if (!obs::configure(config)) ADD_FAILURE() << "cannot open " << path;
-  NetTelemetryConfig telemetry;
-  telemetry.link_top_k = 4;
-  set_net_telemetry(telemetry);
+  set_net_telemetry(NetTelemetryConfig{});
   net_detail::reset_for_tests();
   Machine m(g);
   m.inject_faults({{0.3 * healthy_s, FaultEvent::Kind::kLinkDown, a, b},
@@ -369,7 +352,6 @@ std::string trace_faulted_alltoallv(const char* stem) {
   m.alltoallv(bytes);
   obs::flush();
   obs::configure(obs::SinkConfig{});
-  set_net_telemetry(NetTelemetryConfig{});
   return path;
 }
 
@@ -414,6 +396,39 @@ TEST(SimTelemetryGolden, FaultedAlltoallvLinkLoadsHoldBitForBit) {
       {6, 20, 0.5, 2, 2500000000},
       {6, 23, 1, 2, 2500000000},
   };
+  // The collector keeps 8 links per phase. The rows above are each phase's
+  // first four in the select's (utilization descending, link ascending)
+  // order; these are its other four, recorded with the same 8-link select.
+  const Row golden_more_rows[] = {
+      {0, 1, 0.66666666666700003, 1, 5000000000},
+      {0, 6, 0.83333333333299997, 1, 5000000000},
+      {0, 8, 0.66666666666700003, 1, 5000000000},
+      {0, 15, 0.83333333333299997, 1, 5000000000},
+      {1, 1, 0.555555555556, 1, 2777777777.7800002},
+      {1, 7, 0.555555555556, 1, 2777777777.7800002},
+      {1, 8, 0.77777777777799995, 1, 4375000000},
+      {1, 11, 0.555555555556, 1, 2777777777.7800002},
+      {2, 10, 0.69999999999999996, 1, 3888888888.8899999},
+      {2, 12, 0.69999999999999996, 1, 3888888888.8899999},
+      {2, 17, 0.69999999999999996, 1, 3888888888.8899999},
+      {2, 23, 0.69999999999999996, 1, 3888888888.8899999},
+      {3, 4, 0.46153846153799999, 1, 2500000000},
+      {3, 8, 0.46153846153799999, 1, 2500000000},
+      {3, 9, 0.53846153846199996, 1, 2692307692.3099999},
+      {3, 12, 0.53846153846199996, 1, 4375000000},
+      {4, 6, 0.5, 1, 3000000000},
+      {4, 11, 0.5, 1, 3000000000},
+      {4, 15, 0.58333333333299997, 1, 2916666666.6700001},
+      {4, 22, 0.5, 2, 2500000000},
+      {5, 1, 0.30769230769200001, 1, 2857142857.1399999},
+      {5, 2, 0.46153846153799999, 1, 2500000000},
+      {5, 12, 0.46153846153799999, 1, 2500000000},
+      {5, 23, 0.384615384615, 2, 2500000000},
+      {6, 2, 0.33333333333300003, 1, 3333333333.3299999},
+      {6, 5, 0.41666666666699997, 1, 2500000000},
+      {6, 10, 0.41666666666699997, 1, 2500000000},
+      {6, 13, 0.33333333333300003, 1, 3333333333.3299999},
+  };
   const std::string path = trace_faulted_alltoallv("sim_tel_golden.jsonl");
   const obs::report::TraceAnalysis a = obs::report::analyze_trace_file(path);
   std::remove(path.c_str());
@@ -425,18 +440,84 @@ TEST(SimTelemetryGolden, FaultedAlltoallvLinkLoadsHoldBitForBit) {
   for (std::size_t i = 0; i < net.phases.size(); ++i) {
     EXPECT_EQ(net.phases[i].max_utilization, golden_max_util[i]) << "phase " << i;
   }
-  std::vector<obs::report::NetLink> rows;
-  for (const obs::report::NetLink& l : net.link_samples) {
-    if (l.step == -1) rows.push_back(l);
+  const auto by_link = [](const obs::report::NetLink& x, const obs::report::NetLink& y) {
+    return x.link < y.link;
+  };
+  std::vector<obs::report::NetLink> top, rest;
+  for (std::uint64_t phase = 0; phase < net.phases.size(); ++phase) {
+    std::vector<obs::report::NetLink> ranked;
+    for (const obs::report::NetLink& l : net.link_samples) {
+      if (l.step == -1 && l.phase == phase) ranked.push_back(l);
+    }
+    ASSERT_EQ(ranked.size(), 8u) << "phase " << phase;
+    std::sort(ranked.begin(), ranked.end(),
+              [](const obs::report::NetLink& x, const obs::report::NetLink& y) {
+                return x.utilization != y.utilization ? x.utilization > y.utilization
+                                                      : x.link < y.link;
+              });
+    std::sort(ranked.begin(), ranked.begin() + 4, by_link);
+    std::sort(ranked.begin() + 4, ranked.end(), by_link);
+    top.insert(top.end(), ranked.begin(), ranked.begin() + 4);
+    rest.insert(rest.end(), ranked.begin() + 4, ranked.end());
   }
-  ASSERT_EQ(rows.size(), std::size(golden_rows));
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& want = golden_rows[i];
-    EXPECT_EQ(rows[i].phase, want.phase) << "row " << i;
-    EXPECT_EQ(rows[i].link, want.link) << "row " << i;
-    EXPECT_EQ(rows[i].utilization, want.utilization) << "row " << i;
-    EXPECT_EQ(rows[i].flows, want.flows) << "row " << i;
-    EXPECT_EQ(rows[i].fair_bps, want.fair_bps) << "row " << i;
+  const auto expect_rows = [](const std::vector<obs::report::NetLink>& rows,
+                              const Row* golden, std::size_t count) {
+    ASSERT_EQ(rows.size(), count);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const Row& want = golden[i];
+      EXPECT_EQ(rows[i].phase, want.phase) << "row " << i;
+      EXPECT_EQ(rows[i].link, want.link) << "row " << i;
+      EXPECT_EQ(rows[i].utilization, want.utilization) << "row " << i;
+      EXPECT_EQ(rows[i].flows, want.flows) << "row " << i;
+      EXPECT_EQ(rows[i].fair_bps, want.fair_bps) << "row " << i;
+    }
+  };
+  expect_rows(top, golden_rows, std::size(golden_rows));
+  expect_rows(rest, golden_more_rows, std::size(golden_more_rows));
+}
+
+// ---- reservoirs at their caps ---------------------------------------------
+
+TEST(SimTelemetryReservoir, FullFlowReservoirKeepsOneSampleOnAnyPool) {
+  // An alltoall at n = 128 offers 128 * 127 = 16256 flow records, about
+  // four times the 4096 a process buffers, so the flow reservoir replaces
+  // records. Which ones it keeps depends only on the flow ordinals: a run
+  // on the calling thread, one on a pool and a repeat trace the same lines.
+  Xoshiro256 rng(31);
+  const HostSwitchGraph g = random_host_switch_graph(128, 32, 8, rng);
+  ThreadPool three(3);
+  const std::string path = testing::TempDir() + "sim_tel_reservoir.jsonl";
+  std::vector<std::string> first;
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &three,
+                           static_cast<ThreadPool*>(nullptr)}) {
+    const std::string name = pool ? "pool3" : "serial";
+    obs::SinkConfig config = obs::parse_sink(path);
+    config.snapshot_ms = 0;
+    ASSERT_TRUE(obs::configure(config));
+    set_net_telemetry(NetTelemetryConfig{});
+    net_detail::reset_for_tests();
+    obs::Counter& parallel = obs::Registry::global().counter("sim.rounds.parallel");
+    const std::uint64_t parallel_before = parallel.value();
+    Machine(g, SimParams{}, {}, pool).alltoall(1 << 10);
+    const std::uint64_t parallel_rounds = parallel.value() - parallel_before;
+    obs::flush();
+    obs::configure(obs::SinkConfig{});
+    const obs::report::TraceAnalysis a = obs::report::analyze_trace_file(path);
+    const std::vector<std::string> lines = net_lines(path);
+    std::remove(path.c_str());
+
+    const obs::report::NetworkAnalysis& net = a.network;
+    ASSERT_TRUE(net.present) << name;
+    EXPECT_EQ(net.flows_seen, 128u * 127u) << name;
+    EXPECT_EQ(net.flows_kept, 4096u) << name;
+    EXPECT_EQ(net.flows.size(), 4096u) << name;
+    EXPECT_EQ(net.phases_seen, net.phases_kept) << name;
+    EXPECT_EQ(parallel_rounds > 0, pool != nullptr) << name;
+    if (first.empty()) {
+      first = lines;
+    } else {
+      EXPECT_EQ(lines, first) << name;
+    }
   }
 }
 
