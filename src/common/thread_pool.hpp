@@ -1,11 +1,11 @@
 #pragma once
 // A small fixed-size thread pool with a blocking parallel_for.
 //
-// The metric kernels (all-pairs BFS over source blocks) and multi-start
-// annealing are embarrassingly parallel over coarse chunks, so a simple
+// Its two users, the rounds of a `Machine` collective and the rungs of the
+// replica-exchange ladder, hand it coarse independent chunks, so a simple
 // mutex-protected queue is sufficient; there is no work stealing. The pool
 // is created once and reused — creating threads per call would dominate the
-// millisecond-scale kernels it serves.
+// millisecond-scale rounds it serves.
 //
 // Trace-context propagation: when work is enqueued from inside an active
 // obs::Span, each queued task captures a flow id at enqueue (emitting a

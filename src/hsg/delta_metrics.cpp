@@ -316,13 +316,6 @@ void DeltaHasplEvaluator::repair_removal(std::uint32_t s, SwitchId far) {
     return;
   }
 
-  // When the affected region is most of the graph a plain BFS beats the
-  // two-phase repair.
-  if (affected_.size() > m_ / 2) {
-    ++stats_.row_bfs_repairs;
-    recompute_row_scalar(s);
-    return;
-  }
   ++stats_.two_phase_repairs;
 
   // Phase 2 — re-relax the affected region from its unaffected boundary
@@ -372,25 +365,25 @@ void DeltaHasplEvaluator::repair_removal(std::uint32_t s, SwitchId far) {
   }
 }
 
-void DeltaHasplEvaluator::recompute_row_scalar(std::uint32_t s) {
-  std::fill(tentative_.begin(), tentative_.end(), kNoDistance);
-  queue_.clear();
-  queue_.push_back(s);
-  tentative_[s] = 0;
-  for (std::size_t head = 0; head < queue_.size(); ++head) {
-    const std::uint32_t x = queue_[head];
-    const std::uint32_t dx = tentative_[x];
-    const SwitchId* nb = adj_.data() + std::size_t{x} * adj_stride_;
-    const std::uint32_t deg = degree_[x];
-    for (std::uint32_t i = 0; i < deg; ++i) {
-      const SwitchId y = nb[i];
-      if (tentative_[y] == kNoDistance) {
-        tentative_[y] = static_cast<std::uint16_t>(dx + 1);
-        queue_.push_back(y);
-      }
-    }
+void DeltaHasplEvaluator::repair_endpoint_row(std::uint32_t s) {
+  ++stats_.endpoint_rows;
+  // Every other row already holds its post-removal value, and D is
+  // symmetric, so each entry is one Bellman step over final rows:
+  // D'[s][x] = 1 + min over surviving neighbors z of D'[z][x].
+  std::uint16_t* next = tentative_.data();
+  std::fill(next, next + m_, kNoDistance);
+  const SwitchId* nb = adj_.data() + std::size_t{s} * adj_stride_;
+  const std::uint32_t deg = degree_[s];
+  for (std::uint32_t i = 0; i < deg; ++i) {
+    const std::uint16_t* rz = row(nb[i]);
+    for (std::uint32_t x = 0; x < m_; ++x) next[x] = std::min(next[x], rz[x]);
   }
-  for (std::uint32_t v = 0; v < m_; ++v) write_entry(s, v, tentative_[v]);
+  const std::uint16_t* rs = row(s);
+  for (std::uint32_t x = 0; x < m_; ++x) {
+    // The +1 saturates at the unreachable sentinel; D[s][s] stays 0.
+    const auto d = static_cast<std::uint16_t>(next[x] + (next[x] != kNoDistance));
+    if (d != rs[x] && x != s) write_entry(s, x, d);
+  }
 }
 
 void DeltaHasplEvaluator::rebuild_all_rows() {
@@ -475,6 +468,19 @@ DeltaHasplEvaluator::RemovalOutcome DeltaHasplEvaluator::apply_edge_removal(
   stats_.dirty_sources += dirty_sources_.size();
   if (dirty_sources_.size() > fallback_limit) return RemovalOutcome::kFellBack;
   stats_.scalar_repairs += dirty_sources_.size();
+  // The removed edge's own endpoint rows go last, where every row they read
+  // is final (repair_endpoint_row). The order moves checkpoints, never the
+  // final bound, so it changes no decision.
+  std::size_t others = 0;
+  bool u_dirty = false, v_dirty = false;
+  for (const std::uint32_t s : dirty_sources_) {
+    u_dirty |= s == u;
+    v_dirty |= s == v;
+    if (s != u && s != v) dirty_sources_[others++] = s;
+  }
+  dirty_sources_.resize(others);
+  if (u_dirty) dirty_sources_.push_back(u);
+  if (v_dirty) dirty_sources_.push_back(v);
   // Each repaired source is a checkpoint: the bound now counts every pair
   // with an endpoint among the repaired rows at its full change.
   ++removal_epoch_;
@@ -484,8 +490,12 @@ DeltaHasplEvaluator::RemovalOutcome DeltaHasplEvaluator::apply_edge_removal(
 #endif
   for (std::size_t i = 0; i < dirty_sources_.size(); ++i) {
     const std::uint32_t s = dirty_sources_[i];
-    const bool v_far = std::uint32_t{row(v)[s]} > std::uint32_t{row(u)[s]};
-    repair_removal(s, v_far ? v : u);
+    if (s == u || s == v) {
+      repair_endpoint_row(s);
+    } else {
+      const bool v_far = std::uint32_t{row(v)[s]} > std::uint32_t{row(u)[s]};
+      repair_removal(s, v_far ? v : u);
+    }
     if (!test) continue;
     repaired_epoch_[s] = removal_epoch_;
 #ifndef NDEBUG

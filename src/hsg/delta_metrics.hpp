@@ -34,8 +34,11 @@
 //    has no surviving predecessor on an adjacent BFS level (surviving-
 //    predecessor masks built by vectorizable row-vs-row sweeps, one per
 //    endpoint neighbor); repaired Ramalingam–Reps style (level-ordered
-//    affected-set discovery, then a bucketed re-relaxation of the affected
-//    region only).
+//    affected-set discovery, then a direct min for a single affected
+//    vertex or a bucketed re-relaxation of the affected region only).
+//    The endpoint rows u and v are repaired last, each as one saturating
+//    uint16 min over its surviving neighbors' rows, which by then are all
+//    final (D is symmetric, and u and v are no longer neighbors).
 // Each entry write updates its row's weighted sum, unreachable weight and
 // max count in place; only a row whose count of targets at the max drops to
 // zero is queued for a single deferred rescan at the end of apply(), and is
@@ -186,7 +189,7 @@ class DeltaHasplEvaluator {
   /// Cumulative behaviour counters (several also exported via obs as
   /// delta_eval.*); `fallback_rebuilds` counts applies that gave up on
   /// incremental repair. Each removal repair takes exactly one of the
-  /// single_affected / two_phase_repairs / row_bfs_repairs branches.
+  /// single_affected / two_phase_repairs / endpoint_rows branches.
   struct Stats {
     std::uint64_t applies = 0;
     std::uint64_t reverts = 0;           ///< revert_last() calls
@@ -195,7 +198,7 @@ class DeltaHasplEvaluator {
     std::uint64_t scalar_repairs = 0;    ///< repaired per-source (RR / cascade)
     std::uint64_t single_affected = 0;   ///< removals fixed by a direct min
     std::uint64_t two_phase_repairs = 0; ///< removals re-relaxed by buckets
-    std::uint64_t row_bfs_repairs = 0;   ///< removals fixed by a full-row BFS
+    std::uint64_t endpoint_rows = 0;     ///< removed edges' endpoint rows
     std::uint64_t row_rescans = 0;       ///< rows whose max count reached 0
     std::uint64_t fallback_rebuilds = 0; ///< full from-scratch rebuilds
     std::uint64_t early_rejects = 0;     ///< applies a RejectTest stopped
@@ -268,9 +271,9 @@ class DeltaHasplEvaluator {
   // Ramalingam–Reps repair for row s after removing an edge whose deeper
   // endpoint `far` lost its last surviving predecessor.
   void repair_removal(std::uint32_t s, SwitchId far);
-  // Full scalar BFS for row s (per-source fallback when the affected
-  // region is most of the graph); diffs against the old row.
-  void recompute_row_scalar(std::uint32_t s);
+  // Row s of a removed edge's endpoint, from its surviving neighbors' rows;
+  // called once every other dirty row of the removal is repaired.
+  void repair_endpoint_row(std::uint32_t s);
   // From-scratch distance matrix (the shared kernel, hsg/distance.hpp) and
   // aggregates (constructor / fallback).
   void rebuild_all_rows();

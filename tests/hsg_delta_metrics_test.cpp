@@ -104,7 +104,7 @@ class ScriptedTest final : public DeltaHasplEvaluator::RejectTest {
 enum RepairPath : std::uint32_t {
   kSingleAffected = 1,  // removal fixed by a direct min
   kTwoPhase = 2,        // removal re-relaxed by the bucket queue
-  kRowBfs = 4,          // removal fixed by a full-row BFS
+  kEndpointRow = 4,     // a removed edge's endpoint row, from its neighbors
   kFallback = 8,        // apply rebuilt everything from scratch
   kRowRescan = 16,      // a row's max count reached 0
   kIncremental = kSingleAffected | kTwoPhase | kRowRescan,
@@ -257,7 +257,7 @@ void drive(const DriveCase& tc) {
   };
   reached(kSingleAffected, stats.single_affected);
   reached(kTwoPhase, stats.two_phase_repairs);
-  reached(kRowBfs, stats.row_bfs_repairs);
+  reached(kEndpointRow, stats.endpoint_rows);
   reached(kFallback, stats.fallback_rebuilds);
   reached(kRowRescan, stats.row_rescans);
   EXPECT_EQ(stats.early_rejects, early_stops);
@@ -270,36 +270,41 @@ class DeltaDifferential : public ::testing::TestWithParam<DriveCase> {};
 
 TEST_P(DeltaDifferential, MatchesFromScratchRecompute) { drive(GetParam()); }
 
-// ~1.2k landed moves across the grid n in {16,64,128,1024}, r in
-// {4,8,12,16}, with fallback fractions that pin both tiers (per-source
+// ~4.1k landed moves across the grid n in {16,48,64,128,1024}, r in
+// {4,5,8,12,16}, with fallback fractions that pin both tiers (per-source
 // repair only, always rebuild, and mixes of the two), plus the paper's
 // headline size (n=1024, m_opt=183, r=16). Together the cases reach every
-// repair path.
+// repair path. On the dense {128, 24, 12} graphs a source other than the
+// removed edge's endpoints rarely loses more than one vertex, so those
+// drives run longer to reach the two-phase repair; the {48, 24, 5} case
+// (three switch ports per switch) reaches it often.
 INSTANTIATE_TEST_SUITE_P(
     RandomizedMoves, DeltaDifferential,
     ::testing::Values(
-        DriveCase{16, 8, 4, 1, 120, {}, kIncremental | kRowBfs | kFallback},
+        DriveCase{16, 8, 4, 1, 120, {}, kIncremental | kEndpointRow | kFallback},
         DriveCase{64, 16, 8, 2, 120, {}, kIncremental},
-        DriveCase{128, 24, 12, 3, 120, {}, kIncremental},
+        DriveCase{128, 24, 12, 3, 2400, {}, kIncremental | kEndpointRow},
         DriveCase{64, 16, 8, 4, 120, DeltaEvalOptions{1.0}, kIncremental},
         DriveCase{64, 16, 8, 5, 120, DeltaEvalOptions{0.0}, kFallback},
-        DriveCase{128, 24, 12, 6, 120, DeltaEvalOptions{0.3}, kIncremental},
+        DriveCase{128, 24, 12, 6, 600, DeltaEvalOptions{0.3}, kIncremental | kEndpointRow},
         DriveCase{16, 8, 4, 7, 120, DeltaEvalOptions{0.5}, kIncremental | kFallback},
-        DriveCase{100, 40, 6, 8, 120, {}, kIncremental | kRowBfs},
+        DriveCase{100, 40, 6, 8, 120, {}, kIncremental | kEndpointRow},
         DriveCase{128, 70, 6, 9, 100, {}, kIncremental},
-        DriveCase{1024, 183, 16, 10, 150, {}, kIncremental}));
+        DriveCase{1024, 183, 16, 10, 150, {}, kIncremental},
+        DriveCase{48, 24, 5, 11, 120, {}, kIncremental | kEndpointRow}));
 
 // The same grid with early exits: swaps, swings and completion swings may
 // stop at a random checkpoint, and a stopped apply is always reverted.
 INSTANTIATE_TEST_SUITE_P(
     EarlyExitMoves, DeltaDifferential,
     ::testing::Values(
-        DriveCase{16, 8, 4, 1, 120, {}, kIncremental | kRowBfs | kFallback, true},
+        DriveCase{16, 8, 4, 1, 120, {}, kIncremental | kEndpointRow | kFallback, true},
         DriveCase{64, 16, 8, 2, 120, {}, kIncremental, true},
-        DriveCase{128, 24, 12, 3, 120, {}, kIncremental, true},
+        DriveCase{128, 24, 12, 3, 2400, {}, kIncremental | kEndpointRow, true},
         DriveCase{16, 8, 4, 7, 120, DeltaEvalOptions{0.5}, kIncremental | kFallback, true},
-        DriveCase{100, 40, 6, 8, 120, {}, kIncremental | kRowBfs, true},
-        DriveCase{1024, 183, 16, 10, 150, {}, kIncremental, true}));
+        DriveCase{100, 40, 6, 8, 120, {}, kIncremental | kEndpointRow, true},
+        DriveCase{1024, 183, 16, 10, 150, {}, kIncremental, true},
+        DriveCase{48, 24, 5, 12, 120, {}, kIncremental | kEndpointRow, true}));
 
 // ---- early exit ---------------------------------------------------------
 
@@ -331,7 +336,7 @@ void expect_same_state(const DeltaHasplEvaluator& eval, const EvalState& want,
 
 // What the moves checked by stop_at_every_checkpoint() exercised.
 struct Coverage {
-  std::uint64_t single_affected = 0, two_phase = 0, row_bfs = 0;
+  std::uint64_t single_affected = 0, two_phase = 0, endpoint_rows = 0;
   std::uint64_t second_removal_stops = 0;  // stops inside a swap's 2nd removal
   std::uint64_t zero_crossings = 0;        // host moves emptying / filling a switch
   std::uint64_t stops = 0;
@@ -372,7 +377,7 @@ void stop_at_every_checkpoint(DeltaHasplEvaluator& eval, const HostSwitchGraph& 
     // A checkpoint follows every removal repair of this apply.
     coverage.single_affected += s1.single_affected - s0.single_affected;
     coverage.two_phase += s1.two_phase_repairs - s0.two_phase_repairs;
-    coverage.row_bfs += s1.row_bfs_repairs - s0.row_bfs_repairs;
+    coverage.endpoint_rows += s1.endpoint_rows - s0.endpoint_rows;
   }
   // A swap's checkpoints up to the end of its first removal are those of
   // the same delta without the second removal.
@@ -446,7 +451,7 @@ TEST(EarlyExit, StopsAtEveryCheckpointAndRevertsExactly) {
   EXPECT_GT(coverage.stops, 0u);
   EXPECT_GT(coverage.single_affected, 0u);
   EXPECT_GT(coverage.two_phase, 0u);
-  EXPECT_GT(coverage.row_bfs, 0u);
+  EXPECT_GT(coverage.endpoint_rows, 0u);
   EXPECT_GT(coverage.zero_crossings, 0u);
   EXPECT_GT(coverage.second_removal_stops, 0u);
 }
@@ -550,6 +555,56 @@ TEST(EarlyExit, OnlyCertifiedRemovalsReachTheTest) {
       EXPECT_EQ(test.bounds.back(), got->total_length);
     }
   }
+}
+
+// The endpoint rows of a removed edge are rebuilt from their neighbors'
+// rows. Removing {0,1} from an 8-ring leaves each endpoint three affected
+// vertices; removing the bridge {1,2} (the hostless tail 2-3 falls off)
+// turns entries of both endpoint rows into the unreachable sentinel, which
+// the saturating +1 must keep. Every entry must match a fresh evaluator,
+// and revert_last() must restore the matrix bit for bit. Most sources of
+// these small graphs are dirty, so the rebuild fallback is switched off.
+TEST(DeltaEvaluator, EndpointRowsMatchFreshEvaluatorAndRevertExactly) {
+  const auto check = [](HostSwitchGraph g, SwitchId a, SwitchId b,
+                        const auto& inspect) {
+    DeltaHasplEvaluator eval(g, DeltaEvalOptions{1.0});
+    const EvalState pre = capture(eval);
+    const HostSwitchGraph before = g;
+    GraphDelta cut;
+    cut.remove_edge(a, b);
+    g.remove_switch_edge(a, b);
+    const std::uint64_t endpoint_rows = eval.stats().endpoint_rows;
+    expect_metrics_equal(eval.apply(cut), compute_host_metrics(g), "cut");
+    EXPECT_EQ(eval.stats().endpoint_rows, endpoint_rows + 2);
+    expect_state_exact(eval, g);
+    inspect(eval);
+    eval.revert_last(before);
+    expect_same_state(eval, pre, "revert-cut");
+  };
+
+  HostSwitchGraph ring(8, 8, 4);
+  for (SwitchId s = 0; s < 8; ++s) {
+    ring.attach_host(s, s);
+    ring.add_switch_edge(s, (s + 1) % 8);
+  }
+  check(ring, 0, 1, [](const DeltaHasplEvaluator& eval) {
+    EXPECT_EQ(eval.distance(0, 1), 7u);
+    EXPECT_EQ(eval.distance(1, 4), 3u);
+  });
+
+  // Triangle 0-1-4 with one host each, and the tail 1-2-3.
+  HostSwitchGraph tail(3, 5, 4);
+  tail.attach_host(0, 0);
+  tail.attach_host(1, 1);
+  tail.attach_host(2, 4);
+  for (const auto& [a, b] : EdgeList{{0, 1}, {1, 4}, {0, 4}, {1, 2}, {2, 3}}) {
+    tail.add_switch_edge(a, b);
+  }
+  check(tail, 1, 2, [](const DeltaHasplEvaluator& eval) {
+    EXPECT_EQ(eval.distance(1, 3), HostMetrics::kUnreachable);
+    EXPECT_EQ(eval.distance(2, 0), HostMetrics::kUnreachable);
+    EXPECT_EQ(eval.distance(2, 3), 1u);
+  });
 }
 
 TEST(DeltaEvaluator, MatchesInitialMetricsExactly) {
