@@ -584,7 +584,7 @@ int main(int argc, char** argv) try {
   const BenchReport report = registry.run(options);
 
   Table table({"benchmark", "family", "op/rep", "min ns/op", "median ns/op",
-               "mad ns/op", "ops/s", "cycles/op", "ipc"});
+               "mad ns/op", "ops/s"});
   for (const BenchEntry& e : report.entries) {
     table.row()
         .add(e.name)
@@ -593,13 +593,10 @@ int main(int argc, char** argv) try {
         .add(e.wall.min_ns, 1)
         .add(e.wall.median_ns, 1)
         .add(e.wall.mad_ns, 1)
-        .add(e.wall.ops_per_sec, 2)
-        .add(e.hw.valid ? format_double(e.hw.cycles, 0) : "-")
-        .add(e.hw.valid ? format_double(e.hw.ipc, 2) : "-");
+        .add(e.wall.ops_per_sec, 2);
   }
   orp::bench::emit_table(table, "microbench");
-  std::cout << "counters: " << report.counters_source
-            << "  peak rss: " << report.peak_rss_kb << " kB\n";
+  std::cout << "peak rss: " << report.peak_rss_kb << " kB\n";
 
   const std::string out = cli.get("out");
   std::ofstream file(out);
@@ -616,7 +613,6 @@ int main(int argc, char** argv) try {
   orp::obs::ledger_note("suite", options.quick ? "quick" : "full");
   orp::obs::ledger_note("series",
                         static_cast<std::int64_t>(report.entries.size()));
-  orp::obs::ledger_note("counters_source", report.counters_source);
   orp::obs::ledger_artifact(out);
 
   finish_obs(cli);

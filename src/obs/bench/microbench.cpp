@@ -1,11 +1,13 @@
 #include "obs/bench/microbench.hpp"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <ostream>
 
-#include "obs/bench/hw_counters.hpp"
+#include "obs/ledger.hpp"
 
 namespace orp::obs::bench {
 
@@ -27,12 +29,24 @@ std::uint64_t timed_loop(const BenchOp& op, std::uint64_t iters) {
 
 struct RepSample {
   double ns_per_op = 0.0;
-  HwCounterValues hw;
   double cpu_user_ns = 0.0;  // per op
   double cpu_sys_ns = 0.0;   // per op
 };
 
 }  // namespace
+
+CpuTimes process_cpu_times() noexcept {
+  rusage usage{};
+  CpuTimes out;
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return out;
+  const auto to_ns = [](const timeval& tv) {
+    return static_cast<std::uint64_t>(tv.tv_sec) * 1'000'000'000ULL +
+           static_cast<std::uint64_t>(tv.tv_usec) * 1'000ULL;
+  };
+  out.user_ns = to_ns(usage.ru_utime);
+  out.system_ns = to_ns(usage.ru_stime);
+  return out;
+}
 
 BenchRegistry& BenchRegistry::global() {
   static BenchRegistry instance;
@@ -45,9 +59,6 @@ BenchReport BenchRegistry::run(const RunOptions& options) const {
   BenchReport report;
   report.provenance = collect_provenance();
   report.quick = options.quick;
-
-  HwCounterGroup counters;
-  report.counters_source = counters.available() ? "perf_event" : "rusage";
 
   for (const BenchmarkDef& def : defs_) {
     if (options.quick && !def.quick) continue;
@@ -75,15 +86,12 @@ BenchReport BenchRegistry::run(const RunOptions& options) const {
     reps.reserve(static_cast<std::size_t>(options.repetitions));
     for (int r = 0; r < options.repetitions; ++r) {
       const CpuTimes cpu_before = process_cpu_times();
-      counters.start();
       const std::uint64_t elapsed = timed_loop(op, iters);
-      const HwCounterValues hw = counters.stop();
       const CpuTimes cpu_after = process_cpu_times();
 
       RepSample sample;
       const double ops = static_cast<double>(iters);
       sample.ns_per_op = static_cast<double>(elapsed) / ops;
-      sample.hw = hw;
       sample.cpu_user_ns =
           static_cast<double>(cpu_after.user_ns - cpu_before.user_ns) / ops;
       sample.cpu_sys_ns =
@@ -114,21 +122,6 @@ BenchReport BenchRegistry::run(const RunOptions& options) const {
     };
     entry.cpu_user_ns = median_of([](const RepSample& s) { return s.cpu_user_ns; });
     entry.cpu_sys_ns = median_of([](const RepSample& s) { return s.cpu_sys_ns; });
-
-    if (counters.available()) {
-      const double ops = static_cast<double>(iters);
-      entry.hw.valid = true;
-      entry.hw.cycles =
-          median_of([&](const RepSample& s) { return s.hw.cycles / ops; });
-      entry.hw.instructions =
-          median_of([&](const RepSample& s) { return s.hw.instructions / ops; });
-      entry.hw.cache_misses =
-          median_of([&](const RepSample& s) { return s.hw.cache_misses / ops; });
-      entry.hw.branch_misses =
-          median_of([&](const RepSample& s) { return s.hw.branch_misses / ops; });
-      entry.hw.ipc =
-          entry.hw.cycles > 0.0 ? entry.hw.instructions / entry.hw.cycles : 0.0;
-    }
 
     if (options.progress) {
       *options.progress << "  " << entry.name << ": median "

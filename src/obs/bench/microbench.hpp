@@ -6,8 +6,8 @@
 // returns the operation closure; the runner then
 //   1. calibrates how many ops fill one repetition (>= min_rep_seconds),
 //   2. runs discarded warmup repetitions,
-//   3. runs measured repetitions, each wrapped in hardware counters
-//      (perf_event_open when the kernel allows it, getrusage otherwise),
+//   3. runs measured repetitions, each also charged its process CPU time
+//      (getrusage),
 //   4. reduces repetitions to robust stats (min / median / scaled MAD).
 // Results land in a BenchReport (report.hpp) for JSON emission and the
 // bench_diff regression gate.
@@ -57,12 +57,19 @@ class BenchRegistry {
   const std::vector<BenchmarkDef>& benchmarks() const noexcept { return defs_; }
 
   /// Runs every matching benchmark and returns the filled report
-  /// (provenance, counters source, RSS high-watermark included).
+  /// (provenance and RSS high-watermark included).
   BenchReport run(const RunOptions& options) const;
 
  private:
   std::vector<BenchmarkDef> defs_;
 };
+
+/// CPU time consumed by this process so far (getrusage), nanoseconds.
+struct CpuTimes {
+  std::uint64_t user_ns = 0;
+  std::uint64_t system_ns = 0;
+};
+CpuTimes process_cpu_times() noexcept;
 
 /// Compiler barrier: keeps `value`'s computation observable so the
 /// measured loop is not optimized away.

@@ -56,7 +56,6 @@ std::string report_to_json(const BenchReport& report) {
   os << "    \"obs_disabled\": " << (report.provenance.obs_disabled ? "true" : "false")
      << "\n";
   os << "  },\n";
-  os << "  \"counters_source\": " << quoted(report.counters_source) << ",\n";
   os << "  \"quick\": " << (report.quick ? "true" : "false") << ",\n";
   os << "  \"peak_rss_kb\": " << report.peak_rss_kb << ",\n";
   os << "  \"benchmarks\": [";
@@ -72,13 +71,6 @@ std::string report_to_json(const BenchReport& report) {
        << ", \"median\": " << num(e.wall.median_ns)
        << ", \"mad\": " << num(e.wall.mad_ns) << "},\n";
     os << "      \"ops_per_sec\": " << num(e.wall.ops_per_sec) << ",\n";
-    if (e.hw.valid) {
-      os << "      \"counters_per_op\": {\"cycles\": " << num(e.hw.cycles)
-         << ", \"instructions\": " << num(e.hw.instructions)
-         << ", \"ipc\": " << num(e.hw.ipc)
-         << ", \"cache_misses\": " << num(e.hw.cache_misses)
-         << ", \"branch_misses\": " << num(e.hw.branch_misses) << "},\n";
-    }
     os << "      \"cpu_per_op\": {\"user_ns\": " << num(e.cpu_user_ns)
        << ", \"sys_ns\": " << num(e.cpu_sys_ns) << "}\n";
     os << "    }";
@@ -104,7 +96,6 @@ BenchReport report_from_json(const std::string& text) {
   report.provenance.hardware_threads =
       static_cast<int>(get_num(prov, "hardware_threads"));
   report.provenance.obs_disabled = prov.at("obs_disabled").as_bool();
-  report.counters_source = doc.at("counters_source").as_string();
   report.quick = doc.at("quick").as_bool();
   report.peak_rss_kb = static_cast<std::int64_t>(get_num(doc, "peak_rss_kb"));
   for (const JsonValue& b : doc.at("benchmarks").items()) {
@@ -118,14 +109,6 @@ BenchReport report_from_json(const std::string& text) {
     e.wall.median_ns = get_num(wall, "median");
     e.wall.mad_ns = get_num(wall, "mad");
     e.wall.ops_per_sec = get_num(b, "ops_per_sec");
-    if (const JsonValue* hw = b.find("counters_per_op")) {
-      e.hw.valid = true;
-      e.hw.cycles = get_num(*hw, "cycles");
-      e.hw.instructions = get_num(*hw, "instructions");
-      e.hw.ipc = get_num(*hw, "ipc");
-      e.hw.cache_misses = get_num(*hw, "cache_misses");
-      e.hw.branch_misses = get_num(*hw, "branch_misses");
-    }
     if (const JsonValue* cpu = b.find("cpu_per_op")) {
       e.cpu_user_ns = get_num(*cpu, "user_ns");
       e.cpu_sys_ns = get_num(*cpu, "sys_ns");
@@ -167,7 +150,6 @@ DiffResult diff_reports(const BenchReport& baseline, const BenchReport& current,
                         const DiffOptions& options) {
   DiffResult out;
   out.mode_mismatch = baseline.quick != current.quick;
-  out.counters_mismatch = baseline.counters_source != current.counters_source;
   for (const BenchEntry& b : baseline.entries) {
     const BenchEntry* c = current.find(b.name);
     if (!c) {
@@ -187,13 +169,6 @@ DiffResult diff_reports(const BenchReport& baseline, const BenchReport& current,
                     delta > noise_floor;
     row.improved = b.wall.median_ns > c->wall.median_ns * (1.0 + options.tolerance) &&
                    -delta > noise_floor;
-    if (b.hw.valid && c->hw.valid) {
-      row.hw_valid = true;
-      row.old_cycles = b.hw.cycles;
-      row.new_cycles = c->hw.cycles;
-      row.old_ipc = b.hw.ipc;
-      row.new_ipc = c->hw.ipc;
-    }
     out.any_regression = out.any_regression || row.regressed;
     out.rows.push_back(std::move(row));
   }
@@ -203,14 +178,8 @@ DiffResult diff_reports(const BenchReport& baseline, const BenchReport& current,
   return out;
 }
 
-Table diff_table(const DiffResult& diff, bool include_hw) {
-  std::vector<std::string> header = {"benchmark", "old ns/op", "new ns/op",
-                                     "ratio", "verdict"};
-  if (include_hw) {
-    header.insert(header.end(),
-                  {"old cyc/op", "new cyc/op", "old IPC", "new IPC"});
-  }
-  Table table(std::move(header));
+Table diff_table(const DiffResult& diff) {
+  Table table({"benchmark", "old ns/op", "new ns/op", "ratio", "verdict"});
   for (const DiffRow& row : diff.rows) {
     table.row()
         .add(row.name)
@@ -218,16 +187,6 @@ Table diff_table(const DiffResult& diff, bool include_hw) {
         .add(row.new_median_ns, 1)
         .add(row.ratio, 3)
         .add(row.regressed ? "REGRESSED" : (row.improved ? "improved" : "ok"));
-    if (include_hw) {
-      if (row.hw_valid) {
-        table.add(row.old_cycles, 1)
-            .add(row.new_cycles, 1)
-            .add(row.old_ipc, 3)
-            .add(row.new_ipc, 3);
-      } else {
-        table.add("-").add("-").add("-").add("-");
-      }
-    }
   }
   return table;
 }

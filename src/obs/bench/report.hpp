@@ -32,24 +32,12 @@ struct WallStats {
   double ops_per_sec = 0.0;
 };
 
-/// Per-op hardware-counter medians across repetitions (perf_event source
-/// only; absent from the JSON when `valid` is false).
-struct HwStats {
-  bool valid = false;
-  double cycles = 0.0;
-  double instructions = 0.0;
-  double ipc = 0.0;
-  double cache_misses = 0.0;
-  double branch_misses = 0.0;
-};
-
 struct BenchEntry {
   std::string name;    ///< e.g. "aspl.bit_parallel.n256_r12"
   std::string family;  ///< e.g. "aspl"
   int repetitions = 0;
   std::uint64_t iters_per_rep = 0;
   WallStats wall;
-  HwStats hw;
   double cpu_user_ns = 0.0;  ///< getrusage user time per op (median)
   double cpu_sys_ns = 0.0;   ///< getrusage system time per op (median)
 };
@@ -57,7 +45,6 @@ struct BenchEntry {
 struct BenchReport {
   std::string schema = kBenchSchema;
   Provenance provenance;
-  std::string counters_source;  ///< "perf_event" or "rusage"
   bool quick = false;
   std::int64_t peak_rss_kb = 0;
   std::vector<BenchEntry> entries;
@@ -70,6 +57,8 @@ std::string report_to_json(const BenchReport& report);
 
 /// Parses and validates a BENCH_*.json document. Throws std::runtime_error
 /// on malformed JSON, a wrong schema tag, or missing required fields.
+/// Unknown fields, such as the hardware-counter fields older builds wrote,
+/// are ignored, so older reports still parse.
 BenchReport report_from_json(const std::string& text);
 
 /// Convenience: report_from_json over a file. Throws on unreadable paths.
@@ -104,11 +93,6 @@ struct DiffRow {
   double ratio = 1.0;  ///< new / old
   bool regressed = false;
   bool improved = false;
-  /// Hardware-counter medians when BOTH reports carry valid perf_event
-  /// data for the series (informational — never part of the verdict).
-  bool hw_valid = false;
-  double old_cycles = 0.0, new_cycles = 0.0;
-  double old_ipc = 0.0, new_ipc = 0.0;
 };
 
 struct DiffResult {
@@ -116,10 +100,6 @@ struct DiffResult {
   std::vector<std::string> only_baseline;  ///< disappeared series (warned)
   std::vector<std::string> only_current;   ///< new series (informational)
   bool mode_mismatch = false;              ///< quick vs full comparison
-  /// The reports disagree on counters_source (perf_event vs rusage), so
-  /// hardware-counter columns would compare different instruments —
-  /// bench_diff warns and renders the table without them.
-  bool counters_mismatch = false;
   bool any_regression = false;
 };
 
@@ -127,9 +107,6 @@ DiffResult diff_reports(const BenchReport& baseline, const BenchReport& current,
                         const DiffOptions& options = {});
 
 /// Renders the diff as an aligned table (name, old, new, ratio, verdict).
-/// With `include_hw`, appends cycle/IPC columns ("-" for rows lacking
-/// valid counters on either side); callers should pass false when
-/// DiffResult::counters_mismatch is set.
-Table diff_table(const DiffResult& diff, bool include_hw = false);
+Table diff_table(const DiffResult& diff);
 
 }  // namespace orp::obs::bench

@@ -56,12 +56,6 @@ std::string format_number(double value) {
   return os.str();
 }
 
-std::int64_t peak_rss_kb() {
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-  return static_cast<std::int64_t>(usage.ru_maxrss);  // kB on Linux
-}
-
 void upsert_note(std::string_view key, std::string value_json) {
   LedgerState& s = state();
   std::lock_guard lock(s.mutex);
@@ -110,6 +104,12 @@ void ledger_artifact(std::string_view path) {
   LedgerState& s = state();
   std::lock_guard lock(s.mutex);
   s.artifacts.emplace_back(path);
+}
+
+std::int64_t peak_rss_kb() noexcept {
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+  return static_cast<std::int64_t>(usage.ru_maxrss);  // kB on Linux
 }
 
 bool ledger_append_line(const std::string& path, const std::string& line) {

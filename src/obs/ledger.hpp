@@ -47,6 +47,10 @@ void ledger_artifact(std::string_view path);
 /// and an exit hook cannot double-record a run.
 bool append_run_ledger();
 
+/// Resident-set high-watermark of this process in kilobytes (ru_maxrss):
+/// the record's peak_rss_kb, and the one BENCH reports carry.
+std::int64_t peak_rss_kb() noexcept;
+
 /// Appends `line` + '\n' to `path` with a single O_APPEND write, creating
 /// parent directories as needed. Exposed for tests and external tooling.
 bool ledger_append_line(const std::string& path, const std::string& line);

@@ -7,8 +7,8 @@
 #include <sstream>
 
 #include "common/cli.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
-#include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 
 namespace orp::obs {
@@ -70,13 +70,10 @@ bool flush_locked(SinkState& s) {
       }
       break;
     case SinkKind::kJsonl:
-      // Stop and drain the snapshot sampler FIRST: its final tail sample
-      // must be in the tracer's buffer before the trailer is appended, so
-      // the end-of-run metric records are never interleaved with a partial
-      // snapshot. Then stop the trace writer and append the records; if
-      // the tracer was already stopped (repeated flush) write nothing more.
-      stop_snapshot_sampler();
-      if (!Tracer::global().stop(snapshot_jsonl(Registry::global().snapshot()))) {
+      // Stop the trace writer and append the end-of-run metric records
+      // (the one channel for each instrument's total); if the tracer was
+      // already stopped (repeated flush) write nothing more.
+      if (!Tracer::global().stop(snapshot_jsonl(snapshot))) {
         std::cerr << "[obs] error: " << s.config.path << ": write failed\n";
         return false;
       }
@@ -103,9 +100,7 @@ SinkConfig parse_sink(std::string_view spec) {
 
 SinkConfig sink_from_env() {
   const char* raw = std::getenv("ORP_OBS_OUT");
-  SinkConfig config = parse_sink(raw ? std::string_view(raw) : std::string_view());
-  config.snapshot_ms = snapshot_interval_from_env();
-  return config;
+  return parse_sink(raw ? std::string_view(raw) : std::string_view());
 }
 
 bool install_env_sink() {
@@ -129,7 +124,6 @@ bool configure(const SinkConfig& config) {
       s.config = SinkConfig{};
       return false;
     }
-    if (config.snapshot_ms > 0) start_snapshot_sampler(config.snapshot_ms);
   }
   return true;
 }
@@ -189,16 +183,17 @@ std::vector<std::string> snapshot_jsonl(const MetricsSnapshot& snapshot) {
   lines.reserve(snapshot.counters.size() + snapshot.gauges.size() +
                 snapshot.histograms.size());
   for (const CounterSample& c : snapshot.counters) {
-    lines.push_back("{\"kind\":\"counter\",\"name\":\"" + json_escape(c.name) +
+    lines.push_back("{\"kind\":\"counter\",\"name\":\"" + json_escape_string(c.name) +
                     "\",\"value\":" + std::to_string(c.value) + "}");
   }
   for (const GaugeSample& g : snapshot.gauges) {
-    lines.push_back("{\"kind\":\"gauge\",\"name\":\"" + json_escape(g.name) +
+    lines.push_back("{\"kind\":\"gauge\",\"name\":\"" + json_escape_string(g.name) +
                     "\",\"value\":" + std::to_string(g.value) +
                     ",\"max\":" + std::to_string(g.max) + "}");
   }
   for (const HistogramSample& h : snapshot.histograms) {
-    std::string line = "{\"kind\":\"histogram\",\"name\":\"" + json_escape(h.name) +
+    std::string line = "{\"kind\":\"histogram\",\"name\":\"" +
+                       json_escape_string(h.name) +
                        "\",\"count\":" + std::to_string(h.count) +
                        ",\"sum\":" + std::to_string(h.sum) +
                        ",\"min\":" + std::to_string(h.min) +
@@ -237,19 +232,11 @@ void add_cli_options(CliParser& cli) {
              "telemetry sink: 'stderr', a .csv path, or a .jsonl trace path "
              "(default: $ORP_OBS_OUT)");
   cli.flag("obs-summary", "print the end-of-run metrics table on stdout");
-  cli.option("obs-snapshot-ms", "",
-             "metric snapshot interval for JSONL traces in ms, 0 disables "
-             "(default: $ORP_OBS_SNAPSHOT_MS or 250)");
 }
 
 bool apply_cli(const CliParser& cli) {
   const std::string spec = cli.get("obs-out");
-  SinkConfig config = spec.empty() ? sink_from_env() : parse_sink(spec);
-  const std::string interval = cli.get("obs-snapshot-ms");
-  config.snapshot_ms = interval.empty()
-                           ? snapshot_interval_from_env()
-                           : cli.get_uint<std::uint32_t>("obs-snapshot-ms");
-  return configure(config);
+  return configure(spec.empty() ? sink_from_env() : parse_sink(spec));
 }
 
 bool cli_wants_summary(const CliParser& cli) {

@@ -30,10 +30,6 @@ enum class SinkKind { kNone, kStderrSummary, kCsv, kJsonl };
 struct SinkConfig {
   SinkKind kind = SinkKind::kNone;
   std::string path;  ///< output file for kCsv / kJsonl
-  /// Metric-snapshot sampling interval for JSONL traces (ms); every
-  /// interval the background sampler emits per-instrument deltas as "C"
-  /// events (src/obs/snapshot.hpp). 0 disables sampling.
-  std::uint32_t snapshot_ms = 250;
 };
 
 /// Maps a spec string to a config: "" → none, "stderr" → summary,
@@ -62,10 +58,10 @@ bool configure(const SinkConfig& config);
 bool flush();
 
 /// Registers a callback invoked at the start of every flush, before the
-/// snapshot sampler stops and the trace writer drains — the hook's last
-/// chance to emit buffered trace events (the sim telemetry reservoirs use
-/// this). Hooks run in registration order, live for the process, and must
-/// not call flush()/configure() themselves (the sink lock is held).
+/// trace writer drains — the hook's last chance to emit buffered trace
+/// events (the sim telemetry reservoirs use this). Hooks run in
+/// registration order, live for the process, and must not call
+/// flush()/configure() themselves (the sink lock is held).
 void register_flush_hook(std::function<void()> hook);
 
 /// The currently active sink.
@@ -87,7 +83,7 @@ std::vector<std::string> snapshot_jsonl(const MetricsSnapshot& snapshot);
 /// emit series like SA convergence traces next to the metrics CSV).
 bool write_csv(const Table& table, const std::string& path);
 
-/// Registers --obs-out, --obs-summary, and --obs-snapshot-ms on a parser.
+/// Registers --obs-out and --obs-summary on a parser.
 void add_cli_options(CliParser& cli);
 
 /// Applies --obs-out (falling back to ORP_OBS_OUT) after parse(). Returns

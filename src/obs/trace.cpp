@@ -4,6 +4,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace orp::obs {
 namespace {
 
@@ -19,9 +21,9 @@ void append_ts_us(std::string& out, std::uint64_t ts_ns) {
 
 void append_event_json(std::string& out, const TraceEvent& e) {
   out += "{\"name\":\"";
-  out += json_escape(e.name);
+  out += json_escape_string(e.name);
   out += "\",\"cat\":\"";
-  out += e.category.empty() ? "orp" : json_escape(e.category);
+  out += e.category.empty() ? "orp" : json_escape_string(e.category);
   out += "\",\"ph\":\"";
   out += static_cast<char>(e.phase);
   out += "\",\"ts\":";
@@ -42,7 +44,7 @@ void append_event_json(std::string& out, const TraceEvent& e) {
       if (!first) out += ',';
       first = false;
       out += '"';
-      out += json_escape(key);
+      out += json_escape_string(key);
       out += "\":";
       out += value;
     }
@@ -67,29 +69,6 @@ std::string format_double_json(double value) {
 }
 
 }  // namespace
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 Tracer& Tracer::global() {
   static Tracer* instance = new Tracer();  // leaked: outlives static spans
@@ -277,7 +256,7 @@ void Span::arg(std::string_view key, std::uint64_t value) {
 
 void Span::arg(std::string_view key, std::string_view value) {
   if (active_) {
-    args_.emplace_back(std::string(key), '"' + json_escape(value) + '"');
+    args_.emplace_back(std::string(key), '"' + json_escape_string(value) + '"');
   }
 }
 

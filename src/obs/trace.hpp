@@ -19,6 +19,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hpp"
+
 namespace orp::obs {
 
 struct TraceEvent {
@@ -128,9 +130,9 @@ class Span {
   std::vector<std::pair<std::string, std::string>> args_;
 };
 
-/// Escapes a string for embedding inside a JSON string literal (quotes not
-/// included). Exposed for the sink layer and tests.
-std::string json_escape(std::string_view text);
+/// Forwards to orp::json_escape_string, the one JSON string escaper. Kept
+/// only because perfbench/orp_perfbench.cpp calls it under this name.
+inline std::string json_escape(std::string_view text) { return json_escape_string(text); }
 
 // ---- trace-context propagation (flow events) ----------------------------
 //

@@ -117,8 +117,10 @@ void parse_net_event(const std::string& name, const JsonValue* args,
 /// Parses one JSONL line into `out`. Returns false when the line is not a
 /// well-formed event (the caller counts it as malformed). Lines carrying a
 /// "kind" key are the trailer metric records — valid, but not events; they
-/// set `*is_metric` instead. "cat":"net" instants additionally feed `net`.
+/// set `*is_metric` instead, and counter records land in `totals`.
+/// "cat":"net" instants additionally feed `net`.
 bool parse_line(const std::string& line, Event& out, bool* is_metric,
+                std::map<std::string, std::uint64_t>& totals,
                 NetworkAnalysis& net) {
   JsonValue doc;
   try {
@@ -129,9 +131,10 @@ bool parse_line(const std::string& line, Event& out, bool* is_metric,
   if (!doc.is_object()) return false;
   if (doc.find("kind") != nullptr) {
     *is_metric = true;
-    if (string_or(doc.find("kind"), "") == "counter" &&
-        string_or(doc.find("name"), "") == "sim.rounds.replayed") {
-      net.rounds_replayed = to_int<std::uint64_t>(number_or(doc.find("value"), 0.0));
+    const JsonValue* name = doc.find("name");
+    if (string_or(doc.find("kind"), "") == "counter" && name && name->is_string()) {
+      totals[name->as_string()] =
+          to_int<std::uint64_t>(number_or(doc.find("value"), 0.0));
     }
     return true;
   }
@@ -358,17 +361,6 @@ void finalize_network(NetworkAnalysis& net) {
   }
 }
 
-std::string csv_cell(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char ch : cell) {
-    if (ch == '"') out += '"';
-    out += ch;
-  }
-  out += '"';
-  return out;
-}
-
 }  // namespace
 
 TraceAnalysis analyze_trace(const std::vector<std::string>& lines,
@@ -376,12 +368,13 @@ TraceAnalysis analyze_trace(const std::vector<std::string>& lines,
   TraceAnalysis result;
   std::vector<Event> events;
   events.reserve(lines.size());
+  std::map<std::string, std::uint64_t> totals;
   for (const std::string& line : lines) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     ++result.total_lines;
     Event e;
     bool is_metric = false;
-    if (!parse_line(line, e, &is_metric, result.network)) {
+    if (!parse_line(line, e, &is_metric, totals, result.network)) {
       ++result.malformed_lines;
       continue;
     }
@@ -391,6 +384,10 @@ TraceAnalysis analyze_trace(const std::vector<std::string>& lines,
     }
     ++result.event_lines;
     events.push_back(std::move(e));
+  }
+  for (const auto& [name, value] : totals) result.counter_totals.push_back({name, value});
+  if (const auto it = totals.find("sim.rounds.replayed"); it != totals.end()) {
+    result.network.rounds_replayed = it->second;
   }
   finalize_network(result.network);
   if (events.empty()) return result;
@@ -479,9 +476,7 @@ TraceAnalysis analyze_trace(const std::vector<std::string>& lines,
     for (const auto& [ts, value] : a.samples) {
       c.min = std::min(c.min, value);
       c.max = std::max(c.max, value);
-      c.sum += value;
     }
-    c.is_delta = key.first == "snapshot";
     result.counters.push_back(std::move(c));
   }
 
@@ -591,34 +586,26 @@ std::string render_markdown(const TraceAnalysis& a,
   }
 
   os << "\n## Counters\n\n";
-  const bool any_delta =
-      std::any_of(a.counters.begin(), a.counters.end(),
-                  [](const CounterStat& c) { return c.is_delta; });
-  const bool any_level =
-      std::any_of(a.counters.begin(), a.counters.end(),
-                  [](const CounterStat& c) { return !c.is_delta; });
-  if (!any_delta && !any_level) os << "No counter series recorded.\n";
-  if (any_delta) {
-    os << "### Snapshot deltas (rates)\n\n";
-    Table t({"name", "samples", "total", "rate /s", "max delta"});
+  if (a.counter_totals.empty() && a.counters.empty()) {
+    os << "No counter series recorded.\n";
+  }
+  if (!a.counter_totals.empty()) {
+    os << "### Totals (end-of-run counters)\n\n";
+    Table t({"name", "total", "rate /s"});
     const double dur_s = a.duration_us / 1e6;
-    for (const CounterStat& c : a.counters) {
-      if (!c.is_delta) continue;
+    for (const CounterTotal& c : a.counter_totals) {
       t.row()
           .add(c.name)
-          .add(static_cast<std::size_t>(c.samples))
-          .add(c.sum, 3)
-          .add(dur_s > 0 ? c.sum / dur_s : 0.0, 1)
-          .add(c.max, 3);
+          .add(static_cast<std::size_t>(c.value))
+          .add(dur_s > 0 ? static_cast<double>(c.value) / dur_s : 0.0, 1);
     }
     t.print_markdown(os);
     os << '\n';
   }
-  if (any_level) {
+  if (!a.counters.empty()) {
     os << "### Sampled levels\n\n";
     Table t({"category", "name", "samples", "first", "last", "min", "max"});
     for (const CounterStat& c : a.counters) {
-      if (c.is_delta) continue;
       t.row()
           .add(c.category)
           .add(c.name)
@@ -809,83 +796,6 @@ std::string render_markdown(const TraceAnalysis& a,
           .add(static_cast<long long>(e.peak_rss_kb));
     }
     t.print_markdown(os);
-  }
-  return os.str();
-}
-
-std::string render_csv(const TraceAnalysis& a, const ReportOptions& options) {
-  std::ostringstream os;
-  os << "section,category,name,count,x1,x2,x3,x4\n";
-  auto emit = [&](const std::string& section, const std::string& category,
-                  const std::string& name, std::uint64_t count, double x1,
-                  double x2, double x3, double x4) {
-    os << csv_cell(section) << ',' << csv_cell(category) << ','
-       << csv_cell(name) << ',' << count << ',' << format_double(x1, 6) << ','
-       << format_double(x2, 6) << ',' << format_double(x3, 6) << ','
-       << format_double(x4, 6) << '\n';
-  };
-  emit("summary", "", "lines", a.total_lines, static_cast<double>(a.event_lines),
-       static_cast<double>(a.metric_lines), static_cast<double>(a.malformed_lines),
-       a.duration_us);
-  emit("summary", "", "flows", a.flow_starts, static_cast<double>(a.flow_finishes),
-       static_cast<double>(a.flow_matched), static_cast<double>(a.unclosed_spans),
-       static_cast<double>(a.stray_ends));
-  std::string current_cat;
-  std::size_t shown_in_cat = 0;
-  for (const SpanStat& s : a.spans) {
-    if (s.category != current_cat) {
-      current_cat = s.category;
-      shown_in_cat = 0;
-    }
-    if (++shown_in_cat > options.top_k) continue;
-    emit("span", s.category, s.name, s.count, s.total_us, s.self_us, s.max_us,
-         s.count ? s.total_us / static_cast<double>(s.count) : 0.0);
-  }
-  for (const CounterStat& c : a.counters) {
-    emit(c.is_delta ? "counter_delta" : "counter_level", c.category, c.name,
-         c.samples, c.is_delta ? c.sum : c.first, c.is_delta ? c.max : c.last,
-         c.min, c.max);
-  }
-  if (a.convergence.present) {
-    const Convergence& conv = a.convergence;
-    emit("convergence", "search", "best_haspl", conv.samples, conv.initial_best,
-         conv.final_best, conv.improvement_per_s, conv.stall_fraction);
-    for (std::size_t w = 0; w < conv.windows.size(); ++w) {
-      const ConvergenceWindow& win = conv.windows[w];
-      emit("convergence_window", "search", "window" + std::to_string(w + 1),
-           win.samples, win.t_end_us, win.acceptance, win.temperature,
-           win.best_haspl);
-    }
-  }
-  if (a.network.present) {
-    const NetworkAnalysis& net = a.network;
-    emit("net_summary", "net", "flows", net.flows.size(),
-         static_cast<double>(net.completed), static_cast<double>(net.failed),
-         static_cast<double>(net.retried), net.max_residual_s);
-    emit("net_attribution", "net", "serialization", net.flows.size(),
-         net.sum_ser_s, 0.0, 0.0, 0.0);
-    emit("net_attribution", "net", "queueing", net.flows.size(),
-         net.sum_queue_s, 0.0, 0.0, 0.0);
-    emit("net_attribution", "net", "hop_propagation", net.flows.size(),
-         net.sum_hop_s, 0.0, 0.0, 0.0);
-    emit("net_attribution", "net", "retry_backoff", net.flows.size(),
-         net.sum_retry_s, 0.0, 0.0, 0.0);
-    emit("net_attribution", "net", "software_overhead", net.flows.size(),
-         net.sum_overhead_s, 0.0, 0.0, 0.0);
-    emit("net_attribution", "net", "total", net.flows.size(), net.sum_total_s,
-         net.max_total_s, 0.0, 0.0);
-    std::size_t shown = 0;
-    for (const NetLinkStat& s : net.links) {
-      if (++shown > options.net_top) break;
-      emit("net_link", "net", "link" + std::to_string(s.link), s.samples,
-           s.util_mean, s.util_max, static_cast<double>(s.flows_max),
-           s.fair_min_bps);
-    }
-    for (const NetPhase& p : net.phases) {
-      emit("net_phase", "net", "phase" + std::to_string(p.phase), p.flows,
-           p.start_s, p.elapsed_s, p.max_utilization,
-           static_cast<double>(p.bottleneck_links.size()));
-    }
   }
   return os.str();
 }

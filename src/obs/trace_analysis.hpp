@@ -6,9 +6,10 @@
 //   * a flamegraph-style span profile: per (category, name) count, total
 //     time, and SELF time (total minus enclosed children), from the B/E
 //     pairing per tid,
-//   * counter-series summaries: the snapshot sampler's delta streams
-//     (category "snapshot") become totals and rates; sampled level series
-//     (annealer temperature, gauges) report first/last/min/max,
+//   * counter totals: the trailer's {"kind":"counter"} records give each
+//     counter's end-of-run total and its rate over the trace; sampled
+//     level series ("C" events, e.g. annealer temperature) report
+//     first/last/min/max,
 //   * flow-event accounting: s/f id pairing across threads,
 //   * annealer convergence diagnostics: windowed acceptance rate vs
 //     temperature, h-ASPL improvement per second, and stall detection,
@@ -35,15 +36,19 @@ struct SpanStat {
   double max_us = 0.0;    ///< longest single instance (total time)
 };
 
+/// One "C" event series (a sampled level).
 struct CounterStat {
   std::string category;
   std::string name;
   std::uint64_t samples = 0;
   double first = 0.0, last = 0.0;
   double min = 0.0, max = 0.0;
-  double sum = 0.0;       ///< sum of sample values
-  bool is_delta = false;  ///< snapshot-sampler stream: values are deltas,
-                          ///< so sum is a total and sum/duration is a rate
+};
+
+/// One trailer counter record ({"kind":"counter"}): the run's final total.
+struct CounterTotal {
+  std::string name;
+  std::uint64_t value = 0;
 };
 
 struct ConvergenceWindow {
@@ -133,7 +138,7 @@ struct NetworkAnalysis {
   std::uint64_t links_seen = 0, links_kept = 0;
   std::uint64_t phases_seen = 0, phases_kept = 0;
   /// Rounds the simulator replayed instead of simulating (the trailer's
-  /// sim.rounds.replayed counter): the records above omit them.
+  /// sim.rounds.replayed total): the records above omit them.
   std::uint64_t rounds_replayed = 0;
 };
 
@@ -157,6 +162,8 @@ struct TraceAnalysis {
   std::uint64_t flow_starts = 0, flow_finishes = 0, flow_matched = 0;
   std::vector<SpanStat> spans;        ///< sorted: category, self time desc
   std::vector<CounterStat> counters;  ///< sorted: category, name
+  /// Trailer counters, sorted by name (a repeated name keeps its last value).
+  std::vector<CounterTotal> counter_totals;
   Convergence convergence;
   NetworkAnalysis network;
 };
@@ -185,10 +192,5 @@ std::vector<LedgerEntry> read_ledger_file(const std::string& path);
 std::string render_markdown(const TraceAnalysis& analysis,
                             const std::vector<LedgerEntry>& ledger = {},
                             const ReportOptions& options = {});
-
-/// Renders the analysis as one flat CSV (section,category,name,count,
-/// x1..x4; column meaning depends on section — see docs/obs.md).
-std::string render_csv(const TraceAnalysis& analysis,
-                       const ReportOptions& options = {});
 
 }  // namespace orp::obs::report

@@ -44,6 +44,8 @@ expect_usage_error "$random_vs_sa" --random-trials -1
 expect_usage_error "$random_vs_sa" --net-telemetry flow_sample=4
 expect_usage_error "$random_vs_sa" --net-telemetry link_top_k=8
 expect_usage_error "$random_vs_sa" --net-telemetry default
+# The snapshot sampler and its interval option are gone.
+expect_usage_error "$random_vs_sa" --obs-snapshot-ms 25
 expect_usage_error "$cluster_planner" --radix-step 0
 expect_usage_error "$cluster_planner" --radix-max 65536
 # Radix 6 leaves no host port on a 3-D torus of base >= 3, and base 2

@@ -1,5 +1,5 @@
 // Fuzz-replay harness for the trace reader behind orp_report
-// (obs::report::analyze_trace, render_markdown, render_csv).
+// (obs::report::analyze_trace, render_markdown).
 //
 //   fuzz_trace_report <corpus-dir>
 //
@@ -7,10 +7,10 @@
 // seeded byte-level mutations of them (tests/fuzz/fuzz.hpp), and one line
 // of arrays nested far past the JSON parser's depth cap. The reader counts
 // a line it cannot use as malformed and never throws on one, so every
-// input must give an analysis that renders as markdown and CSV. An
-// exception (the harness names its message), a crash, a sanitizer report
-// or an allocation past the cap fails the run. Runs as a ctest entry, so
-// the ASan/UBSan job covers it.
+// input must give an analysis that renders as markdown. An exception (the
+// harness names its message), a crash, a sanitizer report or an allocation
+// past the cap fails the run. Runs as a ctest entry, so the ASan/UBSan job
+// covers it.
 
 #include <exception>
 #include <iostream>
@@ -53,7 +53,6 @@ bool fuzz_one(const std::string& input, Tally& tally) {
     tally.lines += analysis.total_lines;
     tally.malformed += analysis.malformed_lines;
     orp::obs::report::render_markdown(analysis);
-    orp::obs::report::render_csv(analysis);
     return true;
   } catch (const std::exception& e) {
     std::cerr << "analyze_trace threw " << e.what() << " on input:\n"

@@ -13,10 +13,10 @@
 
 #include "common/json.hpp"
 #include "common/table.hpp"
-#include "obs/bench/hw_counters.hpp"
 #include "obs/bench/microbench.hpp"
 #include "obs/bench/provenance.hpp"
 #include "obs/bench/report.hpp"
+#include "obs/ledger.hpp"
 
 namespace orp::obs::bench {
 namespace {
@@ -80,8 +80,6 @@ TEST(BenchRunner, RunsRegisteredBenchmarkAndFillsStats) {
   EXPECT_LE(entry.wall.min_ns, entry.wall.median_ns);
   EXPECT_NEAR(entry.wall.ops_per_sec, 1e9 / entry.wall.median_ns,
               entry.wall.ops_per_sec * 1e-9);
-  EXPECT_TRUE(report.counters_source == "perf_event" ||
-              report.counters_source == "rusage");
   EXPECT_GT(report.peak_rss_kb, 0);
   EXPECT_FALSE(report.provenance.compiler.empty());
   EXPECT_GE(report.provenance.hardware_threads, 1);
@@ -126,7 +124,6 @@ BenchReport sample_report() {
   report.provenance.cpu_model = "Test CPU \"quoted\"";
   report.provenance.hardware_threads = 4;
   report.provenance.obs_disabled = false;
-  report.counters_source = "rusage";
   report.quick = true;
   report.peak_rss_kb = 12345;
   BenchEntry entry;
@@ -135,51 +132,78 @@ BenchReport sample_report() {
   entry.repetitions = 5;
   entry.iters_per_rep = 7;
   entry.wall = {100.0, 125.5, 3.25, 1e9 / 125.5};
-  entry.hw = {true, 400.0, 900.0, 2.25, 10.0, 2.0};
   entry.cpu_user_ns = 120.0;
   entry.cpu_sys_ns = 1.0;
   report.entries.push_back(entry);
   return report;
 }
 
-TEST(BenchReport, JsonRoundTripPreservesEveryField) {
-  const BenchReport original = sample_report();
-  const BenchReport parsed = report_from_json(report_to_json(original));
-
-  EXPECT_EQ(parsed.schema, kBenchSchema);
-  EXPECT_EQ(parsed.provenance.git_sha, original.provenance.git_sha);
-  EXPECT_EQ(parsed.provenance.compiler, original.provenance.compiler);
-  EXPECT_EQ(parsed.provenance.flags, original.provenance.flags);
-  EXPECT_EQ(parsed.provenance.build_type, original.provenance.build_type);
-  EXPECT_EQ(parsed.provenance.cpu_model, original.provenance.cpu_model);
-  EXPECT_EQ(parsed.provenance.hardware_threads,
-            original.provenance.hardware_threads);
-  EXPECT_EQ(parsed.provenance.obs_disabled, original.provenance.obs_disabled);
-  EXPECT_EQ(parsed.counters_source, "rusage");
-  EXPECT_TRUE(parsed.quick);
-  EXPECT_EQ(parsed.peak_rss_kb, 12345);
-  ASSERT_EQ(parsed.entries.size(), 1u);
-  const BenchEntry& entry = parsed.entries[0];
-  EXPECT_EQ(entry.name, "aspl.scalar_bfs.n256_r12");
-  EXPECT_EQ(entry.family, "aspl");
-  EXPECT_EQ(entry.repetitions, 5);
-  EXPECT_EQ(entry.iters_per_rep, 7u);
-  EXPECT_DOUBLE_EQ(entry.wall.min_ns, 100.0);
-  EXPECT_DOUBLE_EQ(entry.wall.median_ns, 125.5);
-  EXPECT_DOUBLE_EQ(entry.wall.mad_ns, 3.25);
-  ASSERT_TRUE(entry.hw.valid);
-  EXPECT_DOUBLE_EQ(entry.hw.cycles, 400.0);
-  EXPECT_DOUBLE_EQ(entry.hw.ipc, 2.25);
-  EXPECT_DOUBLE_EQ(entry.cpu_user_ns, 120.0);
-  EXPECT_DOUBLE_EQ(entry.cpu_sys_ns, 1.0);
+// A document as the writer produced it before the hardware-counter fields
+// were dropped (bench/baseline/BENCH_baseline.json is one): the reader
+// ignores the counter source and the per-op counter block.
+std::string legacy_json() {
+  return R"({
+  "schema": "orp-bench/1",
+  "provenance": {
+    "git_sha": "abc1234",
+    "compiler": "gcc 12.2.0",
+    "flags": "-O3 -DNDEBUG",
+    "build_type": "Release",
+    "cpu_model": "Test CPU \"quoted\"",
+    "hardware_threads": 4,
+    "obs_disabled": false
+  },
+  "counters_source": "perf_event",
+  "quick": true,
+  "peak_rss_kb": 12345,
+  "benchmarks": [
+    {
+      "name": "aspl.scalar_bfs.n256_r12",
+      "family": "aspl",
+      "repetitions": 5,
+      "iters_per_rep": 7,
+      "ns_per_op": {"min": 100, "median": 125.5, "mad": 3.25},
+      "ops_per_sec": 7968127.49004,
+      "counters_per_op": {"cycles": 400, "instructions": 900, "ipc": 2.25,
+                          "cache_misses": 10, "branch_misses": 2},
+      "cpu_per_op": {"user_ns": 120, "sys_ns": 1}
+    }
+  ]
+}
+)";
 }
 
-TEST(BenchReport, CountersBlockIsOmittedWhenInvalid) {
-  BenchReport report = sample_report();
-  report.entries[0].hw.valid = false;
-  const std::string json = report_to_json(report);
-  EXPECT_EQ(json.find("counters_per_op"), std::string::npos);
-  EXPECT_FALSE(report_from_json(json).entries[0].hw.valid);
+TEST(BenchReport, JsonRoundTripPreservesEveryField) {
+  const BenchReport original = sample_report();
+  const std::string written = report_to_json(original);
+  // Neither legacy hardware-counter field is written.
+  EXPECT_EQ(written.find("\"counters_"), std::string::npos);
+  // The writer's output and a legacy document parse to the same report.
+  for (const std::string& json : {written, legacy_json()}) {
+    const BenchReport parsed = report_from_json(json);
+    EXPECT_EQ(parsed.schema, kBenchSchema);
+    EXPECT_EQ(parsed.provenance.git_sha, original.provenance.git_sha);
+    EXPECT_EQ(parsed.provenance.compiler, original.provenance.compiler);
+    EXPECT_EQ(parsed.provenance.flags, original.provenance.flags);
+    EXPECT_EQ(parsed.provenance.build_type, original.provenance.build_type);
+    EXPECT_EQ(parsed.provenance.cpu_model, original.provenance.cpu_model);
+    EXPECT_EQ(parsed.provenance.hardware_threads,
+              original.provenance.hardware_threads);
+    EXPECT_EQ(parsed.provenance.obs_disabled, original.provenance.obs_disabled);
+    EXPECT_TRUE(parsed.quick);
+    EXPECT_EQ(parsed.peak_rss_kb, 12345);
+    ASSERT_EQ(parsed.entries.size(), 1u);
+    const BenchEntry& entry = parsed.entries[0];
+    EXPECT_EQ(entry.name, "aspl.scalar_bfs.n256_r12");
+    EXPECT_EQ(entry.family, "aspl");
+    EXPECT_EQ(entry.repetitions, 5);
+    EXPECT_EQ(entry.iters_per_rep, 7u);
+    EXPECT_DOUBLE_EQ(entry.wall.min_ns, 100.0);
+    EXPECT_DOUBLE_EQ(entry.wall.median_ns, 125.5);
+    EXPECT_DOUBLE_EQ(entry.wall.mad_ns, 3.25);
+    EXPECT_DOUBLE_EQ(entry.cpu_user_ns, 120.0);
+    EXPECT_DOUBLE_EQ(entry.cpu_sys_ns, 1.0);
+  }
 }
 
 TEST(BenchReport, RejectsWrongSchemaTagAndMalformedInput) {
@@ -202,7 +226,6 @@ TEST(BenchReport, FindLocatesEntriesByName) {
 BenchReport one_series(const std::string& name, double median_ns,
                        double mad_ns) {
   BenchReport report;
-  report.counters_source = "rusage";
   BenchEntry entry;
   entry.name = name;
   entry.family = "unit";
@@ -274,66 +297,6 @@ TEST(BenchDiff, DisjointSeriesArePartitioned) {
   EXPECT_FALSE(diff.any_regression);
 }
 
-TEST(BenchDiff, CountersSourceMismatchIsFlagged) {
-  BenchReport baseline = one_series("unit.x", 1000.0, 5.0);
-  BenchReport current = one_series("unit.x", 1000.0, 5.0);
-  baseline.counters_source = "perf_event";
-  current.counters_source = "rusage";
-  const DiffResult diff = diff_reports(baseline, current);
-  EXPECT_TRUE(diff.counters_mismatch);
-  EXPECT_FALSE(diff.any_regression);  // informational, never a verdict
-  EXPECT_FALSE(diff_reports(baseline, baseline).counters_mismatch);
-}
-
-TEST(BenchDiff, HwColumnsNeedBothSidesValid) {
-  BenchReport baseline = one_series("unit.x", 1000.0, 5.0);
-  BenchReport current = one_series("unit.x", 1000.0, 5.0);
-  baseline.counters_source = "perf_event";
-  current.counters_source = "perf_event";
-  baseline.entries[0].hw = {true, 3000.0, 6000.0, 2.0, 10.0, 1.0};
-  // current side has no valid counters: the row must not claim hw data.
-  const DiffResult half = diff_reports(baseline, current);
-  ASSERT_EQ(half.rows.size(), 1u);
-  EXPECT_FALSE(half.rows[0].hw_valid);
-
-  current.entries[0].hw = {true, 3300.0, 6000.0, 1.8, 12.0, 1.5};
-  const DiffResult both = diff_reports(baseline, current);
-  ASSERT_EQ(both.rows.size(), 1u);
-  EXPECT_TRUE(both.rows[0].hw_valid);
-  EXPECT_DOUBLE_EQ(both.rows[0].old_cycles, 3000.0);
-  EXPECT_DOUBLE_EQ(both.rows[0].new_cycles, 3300.0);
-  EXPECT_DOUBLE_EQ(both.rows[0].old_ipc, 2.0);
-  EXPECT_DOUBLE_EQ(both.rows[0].new_ipc, 1.8);
-}
-
-TEST(BenchDiff, TableSkipsHwColumnsUnlessAsked) {
-  BenchReport baseline = one_series("unit.x", 1000.0, 5.0);
-  BenchReport current = one_series("unit.x", 1000.0, 5.0);
-  baseline.entries[0].hw = {true, 3000.0, 6000.0, 2.0, 10.0, 1.0};
-  current.entries[0].hw = {true, 3300.0, 6000.0, 1.8, 12.0, 1.5};
-  const DiffResult diff = diff_reports(baseline, current);
-
-  const Table plain = diff_table(diff);
-  EXPECT_EQ(plain.columns(), 5u);  // wall-clock columns only
-  const Table hw = diff_table(diff, /*include_hw=*/true);
-  EXPECT_EQ(hw.columns(), 9u);
-  std::ostringstream os;
-  hw.print(os);
-  EXPECT_NE(os.str().find("cyc/op"), std::string::npos);
-  EXPECT_NE(os.str().find("3300"), std::string::npos);
-
-  // Rows without counters render as "-" placeholders, not zeros.
-  BenchEntry extra = baseline.entries[0];
-  extra.name = "unit.y";
-  extra.hw = HwStats{};
-  baseline.entries.push_back(extra);
-  current.entries.push_back(extra);
-  const Table mixed = diff_table(diff_reports(baseline, current), true);
-  std::ostringstream mos;
-  mixed.print_markdown(mos);
-  EXPECT_NE(mos.str().find("| - | - | - | - |"), std::string::npos);
-}
-
 TEST(BenchDiff, TableHasOneRowPerSharedSeries) {
   BenchReport baseline = one_series("unit.x", 1000.0, 5.0);
   BenchReport current = one_series("unit.x", 2000.0, 5.0);
@@ -348,26 +311,7 @@ TEST(BenchDiff, TableHasOneRowPerSharedSeries) {
   EXPECT_NE(os.str().find("REGRESSED"), std::string::npos);
 }
 
-// ---- hardware counters ---------------------------------------------------
-
-TEST(BenchCounters, GroupDegradesGracefully) {
-  // perf_event_open is usually denied in containers; either outcome is
-  // valid, but an available group must produce non-zero scaled cycles.
-  HwCounterGroup group;
-  if (!group.available()) {
-    const HwCounterValues values = group.stop();
-    EXPECT_FALSE(values.valid);
-    return;
-  }
-  group.start();
-  volatile std::uint64_t acc = 0;
-  for (std::uint64_t i = 0; i < 100000; ++i) acc = acc + i;
-  const HwCounterValues values = group.stop();
-  EXPECT_TRUE(values.valid);
-  EXPECT_GT(values.cycles, 0u);
-  EXPECT_GT(values.instructions, 0u);
-  EXPECT_GT(values.multiplex_scale, 0.0);
-}
+// ---- process counters ----------------------------------------------------
 
 TEST(BenchCounters, RusageFallbackAdvances) {
   const CpuTimes before = process_cpu_times();

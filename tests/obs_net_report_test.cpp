@@ -210,23 +210,11 @@ TEST(ObsNetReport, MarkdownSectionIsByteDeterministic) {
   EXPECT_NE(once.find("serialization"), std::string::npos);
 }
 
-TEST(ObsNetReport, CsvCarriesNetworkSections) {
-  const std::vector<std::string> lines = small_fixture();
-  const std::string once = render_csv(analyze_trace(lines));
-  const std::string twice = render_csv(analyze_trace(lines));
-  EXPECT_EQ(once, twice);
-  EXPECT_NE(once.find("net_summary"), std::string::npos);
-  EXPECT_NE(once.find("net_attribution"), std::string::npos);
-  EXPECT_NE(once.find("net_link"), std::string::npos);
-  EXPECT_NE(once.find("net_phase"), std::string::npos);
-}
-
 TEST(ObsNetReport, TracesWithoutTelemetrySaySo) {
   const TraceAnalysis a = analyze_trace(phase_span());
   EXPECT_FALSE(a.network.present);
   const std::string md = render_markdown(a);
   EXPECT_NE(md.find("No network telemetry in this trace."), std::string::npos);
-  EXPECT_EQ(render_csv(a).find("net_attribution"), std::string::npos);
 }
 
 TEST(ObsNetReport, NetTopCapsEveryTable) {

@@ -179,23 +179,45 @@ TEST(ObsReportConvergence, StrictImprovementIsNotAStall) {
   EXPECT_EQ(a.convergence.last_improvement_iter, -1);
 }
 
-TEST(ObsReportCounters, SnapshotCategoryMeansDeltas) {
-  std::vector<std::string> lines;
-  lines.push_back(counter("snapshot", "annealer.moves", 100, 10.0));
-  lines.push_back(counter("snapshot", "annealer.moves", 200, 30.0));
+std::string trailer_counter(const char* name, std::uint64_t value) {
+  return "{\"kind\":\"counter\",\"name\":\"" + std::string(name) +
+         "\",\"value\":" + std::to_string(value) + "}";
+}
+
+TEST(ObsReportCounters, TrailerCountersGiveTotalsAndRates) {
+  // The nested-span fixture spans 1000us, so a total of 4000 is a rate of
+  // 4e6 per second. A repeated record keeps its last value; gauges and
+  // histograms are not counter totals.
+  std::vector<std::string> lines = nested_span_fixture();
   lines.push_back(counter("search", "annealer.temperature", 100, 2.0));
   lines.push_back(counter("search", "annealer.temperature", 200, 1.0));
+  lines.push_back(trailer_counter("sim.rounds.replayed", 12));
+  lines.push_back(trailer_counter("annealer.moves", 10));
+  lines.push_back(trailer_counter("annealer.moves", 4000));
+  lines.push_back("{\"kind\":\"gauge\",\"name\":\"pool.depth\",\"value\":3,\"max\":5}");
   const TraceAnalysis a = analyze_trace(lines);
-  ASSERT_EQ(a.counters.size(), 2u);
-  // Counters sort by (category, name): "search" precedes "snapshot".
-  const CounterStat& deltas = a.counters[1];
-  EXPECT_EQ(deltas.name, "annealer.moves");
-  EXPECT_TRUE(deltas.is_delta);
-  EXPECT_DOUBLE_EQ(deltas.sum, 40.0);  // deltas accumulate to a total
-  const CounterStat& level = a.counters[0];
-  EXPECT_FALSE(level.is_delta);
-  EXPECT_DOUBLE_EQ(level.first, 2.0);
-  EXPECT_DOUBLE_EQ(level.last, 1.0);
+  EXPECT_EQ(a.metric_lines, 4u);
+
+  ASSERT_EQ(a.counter_totals.size(), 2u);  // sorted by name
+  EXPECT_EQ(a.counter_totals[0].name, "annealer.moves");
+  EXPECT_EQ(a.counter_totals[0].value, 4000u);
+  EXPECT_EQ(a.counter_totals[1].name, "sim.rounds.replayed");
+  EXPECT_EQ(a.counter_totals[1].value, 12u);
+  EXPECT_EQ(a.network.rounds_replayed, 12u);
+
+  // "C" events stay sampled levels.
+  ASSERT_EQ(a.counters.size(), 1u);
+  EXPECT_EQ(a.counters[0].name, "annealer.temperature");
+  EXPECT_DOUBLE_EQ(a.counters[0].first, 2.0);
+  EXPECT_DOUBLE_EQ(a.counters[0].last, 1.0);
+
+  const std::string md = render_markdown(a);
+  EXPECT_NE(md.find("| name | total | rate /s |"), std::string::npos) << md;
+  EXPECT_NE(md.find("| annealer.moves | 4000 | 4000000 |"), std::string::npos) << md;
+  EXPECT_NE(md.find("| sim.rounds.replayed | 12 | 12000 |"), std::string::npos) << md;
+  EXPECT_NE(md.find("### Sampled levels"), std::string::npos);
+  EXPECT_EQ(md.find("pool.depth"), std::string::npos);
+  EXPECT_EQ(md.find("Snapshot deltas"), std::string::npos);
 }
 
 TEST(ObsReportRender, MarkdownIsByteDeterministic) {
@@ -206,21 +228,10 @@ TEST(ObsReportRender, MarkdownIsByteDeterministic) {
   const std::string md1 = render_markdown(a1);
   const std::string md2 = render_markdown(a2);
   EXPECT_EQ(md1, md2);
-  EXPECT_EQ(render_csv(a1), render_csv(a2));
   // The sections a reader greps for are present.
   EXPECT_NE(md1.find("## Span profile"), std::string::npos);
   EXPECT_NE(md1.find("## Annealer convergence"), std::string::npos);
   EXPECT_NE(md1.find("STALLED"), std::string::npos);
-}
-
-TEST(ObsReportRender, CsvHasHeaderAndSections) {
-  std::vector<std::string> lines = nested_span_fixture();
-  for (const std::string& extra : stalled_fixture()) lines.push_back(extra);
-  const std::string csv = render_csv(analyze_trace(lines));
-  EXPECT_EQ(csv.rfind("section,category,name,count,x1,x2,x3,x4\n", 0), 0u);
-  EXPECT_NE(csv.find("span,search,root,1"), std::string::npos);
-  EXPECT_NE(csv.find("convergence,search,best_haspl"), std::string::npos);
-  EXPECT_NE(csv.find("convergence_window,search,window1"), std::string::npos);
 }
 
 TEST(ObsReportFiles, TraceAndLedgerRoundTripThroughDisk) {

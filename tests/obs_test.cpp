@@ -6,14 +6,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/json.hpp"
@@ -21,7 +19,6 @@
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
-#include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 
 namespace orp {
@@ -528,9 +525,7 @@ TEST(ObsSink, FlushReportsAFailedTraceWrite) {
   // A JSONL sink on a full disk: the trace is truncated, so flush() must
   // say so instead of returning as if the run had been recorded.
   if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
-  obs::SinkConfig config = obs::parse_sink("/dev/full");
-  config.snapshot_ms = 0;
-  ASSERT_TRUE(obs::configure(config));
+  ASSERT_TRUE(obs::configure(obs::parse_sink("/dev/full")));
   for (int i = 0; i < 100; ++i) obs::Span span("test.full", "test");
   testing::internal::CaptureStderr();
   const bool written = obs::flush();
@@ -540,132 +535,44 @@ TEST(ObsSink, FlushReportsAFailedTraceWrite) {
   EXPECT_NE(err.find("[obs] error: /dev/full: write failed"), std::string::npos) << err;
   // The next trace starts clean.
   const std::string path = temp_path("obs_after_full.jsonl");
-  config = obs::parse_sink(path);
-  config.snapshot_ms = 0;
-  ASSERT_TRUE(obs::configure(config));
+  ASSERT_TRUE(obs::configure(obs::parse_sink(path)));
   EXPECT_TRUE(obs::flush());
   std::remove(path.c_str());
 }
 
-// ---- snapshot sampler ---------------------------------------------------
-
-TEST(ObsSnapshot, IntervalFromEnvIsDigitsOnlyAndFitsInU32) {
-  ::unsetenv("ORP_OBS_SNAPSHOT_MS");
-  EXPECT_EQ(obs::snapshot_interval_from_env(), obs::kDefaultSnapshotMs);
-  ::setenv("ORP_OBS_SNAPSHOT_MS", "100", 1);
-  EXPECT_EQ(obs::snapshot_interval_from_env(), 100u);
-  ::setenv("ORP_OBS_SNAPSHOT_MS", "0", 1);
-  EXPECT_EQ(obs::snapshot_interval_from_env(), 0u);  // sampling off
-  // A sign, whitespace, junk or a value past UINT32_MAX keeps the default
-  // rather than wrapping: "-1" is not 4294967295 ms, and 2^32 + 100 is not
-  // 100 ms.
-  for (const char* bad : {"", "-1", " 100", "+100", "100ms", "4294967396",
-                          "99999999999999999999"}) {
-    ::setenv("ORP_OBS_SNAPSHOT_MS", bad, 1);
-    EXPECT_EQ(obs::snapshot_interval_from_env(), obs::kDefaultSnapshotMs)
-        << "ORP_OBS_SNAPSHOT_MS=\"" << bad << "\"";
+TEST(ObsSink, TrailerCarriesEachCounterTotalAndNoSnapshotEvents) {
+  // The end-of-run trailer is the one channel for a counter's total: a
+  // trace written through configure() carries no periodic "snapshot"
+  // samples, and its {"kind":"counter"} records hold the final values.
+  const std::string path = temp_path("obs_trailer_totals.jsonl");
+  ASSERT_TRUE(obs::configure(obs::parse_sink(path)));
+  obs::Counter& moves = obs::Registry::global().counter("test.trailer.moves");
+  obs::Counter& evals = obs::Registry::global().counter("test.trailer.evals");
+  for (int i = 0; i < 20; ++i) {
+    moves.add(1);
+    evals.add(3);
   }
-  ::unsetenv("ORP_OBS_SNAPSHOT_MS");
-}
+  ASSERT_TRUE(obs::flush());
 
-TEST(ObsSnapshot, SamplerEmitsCounterDeltasThatSumToTheTotal) {
-  const std::string path = temp_path("obs_snapshot.jsonl");
-  obs::SinkConfig config = obs::parse_sink(path);
-  config.snapshot_ms = 2;
-  ASSERT_TRUE(obs::configure(config));
-  EXPECT_TRUE(obs::snapshot_sampler_running());
-
-  obs::Counter& counter =
-      obs::Registry::global().counter("test.sampler.delta_counter");
-  obs::Histogram& histogram =
-      obs::Registry::global().histogram("test.sampler.delta_ns");
-  constexpr std::uint64_t kTotal = 40;
-  for (std::uint64_t i = 0; i < kTotal; ++i) {
-    counter.add(1);
-    histogram.record(i + 1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  obs::flush();
-  EXPECT_FALSE(obs::snapshot_sampler_running());
-
-  // The per-interval deltas (several ticks plus the drained tail sample)
-  // must sum back to exactly what was recorded — nothing lost, nothing
-  // double-counted.
-  double counter_sum = 0.0, hist_count_sum = 0.0;
-  std::size_t counter_samples = 0;
+  std::size_t totals_seen = 0;
   for (const std::string& line : read_lines(path)) {
     ASSERT_TRUE(is_json_object_line(line)) << line;
-    if (line.find("\"cat\":\"snapshot\"") == std::string::npos) continue;
+    EXPECT_EQ(line.find("\"cat\":\"snapshot"), std::string::npos) << line;
     const JsonValue doc = JsonValue::parse(line);
-    const double value = doc.at("args").at("value").as_number();
+    const JsonValue* kind = doc.find("kind");
+    if (!kind || kind->as_string() != "counter") continue;
     const std::string& name = doc.at("name").as_string();
-    if (name == "test.sampler.delta_counter") {
-      counter_sum += value;
-      ++counter_samples;
+    const double value = doc.at("value").as_number();
+    if (name == "test.trailer.moves") {
+      EXPECT_DOUBLE_EQ(value, static_cast<double>(moves.value()));
+      ++totals_seen;
     }
-    if (name == "test.sampler.delta_ns.count") hist_count_sum += value;
-  }
-  EXPECT_DOUBLE_EQ(counter_sum, static_cast<double>(kTotal));
-  EXPECT_DOUBLE_EQ(hist_count_sum, static_cast<double>(kTotal));
-  // Sampling actually happened periodically: the total arrived in more
-  // than one delta (40ms of activity vs a 2ms interval).
-  EXPECT_GT(counter_samples, 1u);
-  std::remove(path.c_str());
-}
-
-TEST(ObsSnapshot, ConcurrentUpdatesWhileSamplingStayWellFormed) {
-  // TSan target (see .github/workflows/ci.yml): four threads hammer a
-  // counter and a histogram while the 1ms sampler reads them.
-  const std::string path = temp_path("obs_snapshot_concurrent.jsonl");
-  obs::SinkConfig config = obs::parse_sink(path);
-  config.snapshot_ms = 1;
-  ASSERT_TRUE(obs::configure(config));
-  obs::Counter& counter =
-      obs::Registry::global().counter("test.sampler.hammer_counter");
-  obs::Histogram& histogram =
-      obs::Registry::global().histogram("test.sampler.hammer_ns");
-  ThreadPool pool(4);
-  constexpr std::size_t kIterations = 200000;
-  pool.parallel_for(kIterations, [&](std::size_t i) {
-    counter.add(1);
-    histogram.record(i & 1023);
-  });
-  obs::flush();
-  EXPECT_EQ(counter.value(), kIterations);
-  for (const std::string& line : read_lines(path)) {
-    ASSERT_TRUE(is_json_object_line(line)) << "torn line: " << line;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ObsSnapshot, FlushStopsSamplerBeforeTrailerRecords) {
-  // Regression test for the flush ordering: the sampler is stopped and its
-  // tail sample drained before the end-of-run metric records, so no
-  // snapshot C event may appear after the first "kind" trailer line.
-  const std::string path = temp_path("obs_snapshot_order.jsonl");
-  obs::SinkConfig config = obs::parse_sink(path);
-  config.snapshot_ms = 1;
-  ASSERT_TRUE(obs::configure(config));
-  obs::Counter& counter =
-      obs::Registry::global().counter("test.sampler.order_counter");
-  for (int i = 0; i < 20; ++i) {
-    counter.add(1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  obs::flush();
-  const std::vector<std::string> lines = read_lines(path);
-  bool saw_trailer = false;
-  bool saw_snapshot = false;
-  for (const std::string& line : lines) {
-    if (line.find("\"kind\":") != std::string::npos) saw_trailer = true;
-    if (line.find("\"cat\":\"snapshot\"") != std::string::npos) {
-      saw_snapshot = true;
-      EXPECT_FALSE(saw_trailer)
-          << "snapshot C event after the metric trailer: " << line;
+    if (name == "test.trailer.evals") {
+      EXPECT_DOUBLE_EQ(value, static_cast<double>(evals.value()));
+      ++totals_seen;
     }
   }
-  EXPECT_TRUE(saw_trailer);
-  EXPECT_TRUE(saw_snapshot);
+  EXPECT_EQ(totals_seen, 2u);  // one record per counter
   std::remove(path.c_str());
 }
 
@@ -673,9 +580,7 @@ TEST(ObsSnapshot, FlushStopsSamplerBeforeTrailerRecords) {
 
 TEST(ObsFlow, ParallelForTasksCarryFlowEvents) {
   const std::string path = temp_path("obs_flow.jsonl");
-  obs::SinkConfig config = obs::parse_sink(path);
-  config.snapshot_ms = 0;  // keep the trace to spans + flows
-  ASSERT_TRUE(obs::configure(config));
+  ASSERT_TRUE(obs::configure(obs::parse_sink(path)));
   ThreadPool pool(4);
   {
     obs::Span span("submit", "test");

@@ -206,9 +206,7 @@ TEST(MachineFaults, FlowStrandedMidPhaseReportsZeroHops) {
   const double t_healthy = healthy.phase(messages);
 
   const std::string path = testing::TempDir() + "sim_fault_stranded.jsonl";
-  obs::SinkConfig config = obs::parse_sink(path);
-  config.snapshot_ms = 0;
-  ASSERT_TRUE(obs::configure(config));
+  ASSERT_TRUE(obs::configure(obs::parse_sink(path)));
   set_net_telemetry(NetTelemetryConfig{});
   net_detail::reset_for_tests();
   Machine m(g);
@@ -256,9 +254,7 @@ TEST(MachineFaults, LinkLoadsNameTheCablesFlowsCrossedAcrossAMidPhaseFault) {
   const double t_healthy = healthy.phase(messages);
 
   const std::string path = testing::TempDir() + "sim_fault_link_loads.jsonl";
-  obs::SinkConfig config = obs::parse_sink(path);
-  config.snapshot_ms = 0;
-  ASSERT_TRUE(obs::configure(config));
+  ASSERT_TRUE(obs::configure(obs::parse_sink(path)));
   set_net_telemetry(NetTelemetryConfig{});
   net_detail::reset_for_tests();
   Machine m(g);

@@ -451,9 +451,7 @@ void expect_traced_equals_untraced(const std::string& label, const Record& untra
   std::vector<std::string> serial_lines;
   for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &three}) {
     const std::string name = label + "/pool" + std::to_string(pool ? pool->size() : 0);
-    obs::SinkConfig config = obs::parse_sink(path);
-    config.snapshot_ms = 0;
-    ASSERT_TRUE(obs::configure(config));
+    ASSERT_TRUE(obs::configure(obs::parse_sink(path)));
     set_net_telemetry(NetTelemetryConfig{});
     net_detail::reset_for_tests();
     const std::uint64_t parallel = counter("sim.rounds.parallel");

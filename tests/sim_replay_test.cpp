@@ -212,9 +212,7 @@ TEST(Replay, NasKernelsUntracedEqualTraced) {
     EXPECT_GT(replayed_untraced, 0u) << label;
 
     const std::string path = testing::TempDir() + "sim_replay_traced.jsonl";
-    obs::SinkConfig config = obs::parse_sink(path);
-    config.snapshot_ms = 0;
-    ASSERT_TRUE(obs::configure(config));
+    ASSERT_TRUE(obs::configure(obs::parse_sink(path)));
     NetTelemetryConfig telemetry;
     telemetry.enabled = false;  // the trace stays small; spans suffice
     set_net_telemetry(telemetry);

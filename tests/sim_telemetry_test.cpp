@@ -147,9 +147,7 @@ std::vector<double> run_workload() {
 
 std::string trace_workload(const char* stem) {
   const std::string path = testing::TempDir() + stem;
-  obs::SinkConfig config = obs::parse_sink(path);
-  config.snapshot_ms = 0;  // keep the trace free of sampler noise
-  if (!obs::configure(config)) ADD_FAILURE() << "cannot open " << path;
+  if (!obs::configure(obs::parse_sink(path))) ADD_FAILURE() << "cannot open " << path;
   net_detail::reset_for_tests();
   run_workload();
   obs::flush();
@@ -247,9 +245,7 @@ TEST(SimTelemetryEndToEnd, DisabledConfigSuppressesRecords) {
 // de-aggregated per-flow rates, not the per-route aggregate.
 std::string trace_aggregation_workload(const char* stem) {
   const std::string path = testing::TempDir() + stem;
-  obs::SinkConfig config = obs::parse_sink(path);
-  config.snapshot_ms = 0;
-  if (!obs::configure(config)) ADD_FAILURE() << "cannot open " << path;
+  if (!obs::configure(obs::parse_sink(path))) ADD_FAILURE() << "cannot open " << path;
   net_detail::reset_for_tests();
   {
     Xoshiro256 rng(17);
@@ -340,9 +336,7 @@ std::string trace_faulted_alltoallv(const char* stem) {
   const SwitchId a = 0;
   const SwitchId b = g.neighbors(0).front();
   const std::string path = testing::TempDir() + stem;
-  obs::SinkConfig config = obs::parse_sink(path);
-  config.snapshot_ms = 0;
-  if (!obs::configure(config)) ADD_FAILURE() << "cannot open " << path;
+  if (!obs::configure(obs::parse_sink(path))) ADD_FAILURE() << "cannot open " << path;
   set_net_telemetry(NetTelemetryConfig{});
   net_detail::reset_for_tests();
   Machine m(g);
@@ -491,9 +485,7 @@ TEST(SimTelemetryReservoir, FullFlowReservoirKeepsOneSampleOnAnyPool) {
   for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &three,
                            static_cast<ThreadPool*>(nullptr)}) {
     const std::string name = pool ? "pool3" : "serial";
-    obs::SinkConfig config = obs::parse_sink(path);
-    config.snapshot_ms = 0;
-    ASSERT_TRUE(obs::configure(config));
+    ASSERT_TRUE(obs::configure(obs::parse_sink(path)));
     set_net_telemetry(NetTelemetryConfig{});
     net_detail::reset_for_tests();
     obs::Counter& parallel = obs::Registry::global().counter("sim.rounds.parallel");

@@ -67,16 +67,7 @@ int main(int argc, char** argv) try {
     std::cerr << "warning: comparing a quick report against a full report; "
                  "overlapping series only\n";
   }
-  if (diff.counters_mismatch) {
-    std::cerr << "warning: counter sources differ (baseline: "
-              << baseline.counters_source << ", current: "
-              << current.counters_source
-              << "); skipping hardware-counter columns\n";
-  }
-  bool any_hw = false;
-  for (const DiffRow& row : diff.rows) any_hw = any_hw || row.hw_valid;
-  const bool include_hw = any_hw && !diff.counters_mismatch;
-  diff_table(diff, include_hw).print(std::cout);
+  diff_table(diff).print(std::cout);
   for (const std::string& name : diff.only_baseline) {
     std::cerr << "warning: series \"" << name
               << "\" is in the baseline but missing from the current report\n";
@@ -112,7 +103,7 @@ int main(int argc, char** argv) try {
                : "OK — no series regressed")
        << " beyond tolerance " << format_double(options.tolerance, 2)
        << "\n\n";
-    diff_table(diff, include_hw).print_markdown(md);
+    diff_table(diff).print_markdown(md);
   }
 
   if (diff.any_regression) {

@@ -1,10 +1,10 @@
 // orp_report: offline analyzer for the JSONL traces written by --obs-out.
 //
-// Reads one trace (and optionally the run ledger), prints a markdown or
-// CSV report: span self-time profile, counter rates from the snapshot
-// sampler stream, flow-event accounting, annealer convergence
-// diagnostics (windowed acceptance rate vs temperature, stall verdict),
-// and the simulator's network telemetry (per-flow latency attribution,
+// Reads one trace (and optionally the run ledger), prints a markdown
+// report: span self-time profile, counter totals and rates from the
+// trace's end-of-run metric records, flow-event accounting, annealer
+// convergence diagnostics (windowed acceptance rate vs temperature, stall
+// verdict), and the simulator's network telemetry (per-flow latency attribution,
 // link heatmap, per-phase bottleneck links — see docs/telemetry.md).
 //
 // Exit codes: 0 ok, 1 diagnostic failure (malformed trace lines unless
@@ -28,10 +28,9 @@ int run(int argc, const char* const* argv) {
 
   orp::CliParser cli(
       "orp_report",
-      "Analyze an --obs-out JSONL trace: span profile, counter rates, "
+      "Analyze an --obs-out JSONL trace: span profile, counter totals, "
       "annealer convergence. Pass the trace path as the positional arg.");
   cli.option("ledger", "", "run-ledger JSONL to append to the report");
-  cli.option("format", "md", "output format: md or csv");
   cli.option("out", "", "write the report here instead of stdout");
   cli.option("top", "20", "spans listed per category in the profile");
   cli.option("windows", "8", "convergence windows");
@@ -42,12 +41,6 @@ int run(int argc, const char* const* argv) {
   if (cli.positional().size() != 1) {
     std::cerr << "orp_report: expected exactly one trace path\n";
     cli.print_usage();
-    return 2;
-  }
-  const std::string format = cli.get("format");
-  if (format != "md" && format != "csv") {
-    std::cerr << "orp_report: --format must be md or csv, got '" << format
-              << "'\n";
     return 2;
   }
 
@@ -63,9 +56,7 @@ int run(int argc, const char* const* argv) {
     ledger = read_ledger_file(cli.get("ledger"));
   }
 
-  const std::string report = format == "csv"
-                                 ? render_csv(analysis, options)
-                                 : render_markdown(analysis, ledger, options);
+  const std::string report = render_markdown(analysis, ledger, options);
   if (cli.has("out") && !cli.get("out").empty()) {
     std::ofstream out(cli.get("out"));
     if (!out) {
