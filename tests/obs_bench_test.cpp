@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -312,6 +313,71 @@ TEST(BenchDiff, TableHasOneRowPerSharedSeries) {
 }
 
 // ---- process counters ----------------------------------------------------
+
+TEST(BenchDiff, LegacyBaselineDiffsAgainstTheCurrentWriter) {
+  // A baseline written with the old counter fields still gates a report
+  // from today's writer: same series, no regression, wall-clock columns.
+  const BenchReport baseline = report_from_json(legacy_json());
+  const BenchReport current = report_from_json(report_to_json(sample_report()));
+  const DiffResult diff = diff_reports(baseline, current);
+  ASSERT_EQ(diff.rows.size(), 1u);
+  EXPECT_EQ(diff.rows[0].name, "aspl.scalar_bfs.n256_r12");
+  EXPECT_TRUE(diff.only_baseline.empty());
+  EXPECT_TRUE(diff.only_current.empty());
+  EXPECT_FALSE(diff.mode_mismatch);
+  EXPECT_FALSE(diff.any_regression);
+  const Table table = diff_table(diff);
+  EXPECT_EQ(table.columns(), 5u);
+  std::ostringstream os;
+  table.print(os);
+  EXPECT_EQ(os.str().find("cyc"), std::string::npos);
+  EXPECT_EQ(os.str().find("IPC"), std::string::npos);
+}
+
+TEST(BenchReport, CommittedBaselineParsesUnedited) {
+  const std::string path =
+      std::string(ORP_SOURCE_DIR) + "/bench/baseline/BENCH_baseline.json";
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  const BenchReport baseline = report_from_json(text.str());
+  EXPECT_EQ(baseline.schema, kBenchSchema);
+  ASSERT_FALSE(baseline.entries.empty());
+  for (const BenchEntry& entry : baseline.entries) {
+    EXPECT_FALSE(entry.name.empty());
+    EXPECT_GT(entry.wall.median_ns, 0.0) << entry.name;
+  }
+  // Written back, it parses to the same series and diffs clean against
+  // itself.
+  const BenchReport again = report_from_json(report_to_json(baseline));
+  const DiffResult diff = diff_reports(baseline, again);
+  EXPECT_EQ(diff.rows.size(), baseline.entries.size());
+  EXPECT_FALSE(diff.any_regression);
+}
+
+TEST(BenchRunner, ReportPeakRssIsTheLedgerReading) {
+  // One reader of the resident-set high-watermark serves the run ledger
+  // and BENCH reports; a watermark never goes down.
+  BenchRegistry registry;
+  registry.add({"unit.touch", "unit",
+                []() -> BenchOp {
+                  return [] {
+                    std::vector<char> block(1 << 16, 1);
+                    do_not_optimize(block.data());
+                  };
+                },
+                true});
+  RunOptions options;
+  options.repetitions = 1;
+  options.warmup = 0;
+  options.min_rep_seconds = 1e-4;
+  const std::int64_t before = peak_rss_kb();
+  const BenchReport report = registry.run(options);
+  EXPECT_GT(before, 0);
+  EXPECT_GE(report.peak_rss_kb, before);
+  EXPECT_LE(report.peak_rss_kb, peak_rss_kb());
+}
 
 TEST(BenchCounters, RusageFallbackAdvances) {
   const CpuTimes before = process_cpu_times();

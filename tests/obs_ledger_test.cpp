@@ -87,6 +87,19 @@ TEST(ObsLedger, ConcurrentWritersNeverTearLines) {
   std::remove(path.c_str());
 }
 
+TEST(ObsLedger, PeakRssIsPositiveAndNeverShrinks) {
+  // ru_maxrss is a high-watermark: touching then freeing 16 MB may raise
+  // it, and nothing lowers it again.
+  const std::int64_t before = obs::peak_rss_kb();
+  EXPECT_GT(before, 0);
+  {
+    std::vector<char> block(16u << 20);
+    for (std::size_t i = 0; i < block.size(); i += 4096) block[i] = 1;
+    EXPECT_GE(obs::peak_rss_kb(), before);
+  }
+  EXPECT_GE(obs::peak_rss_kb(), before);
+}
+
 TEST(ObsLedger, AppendRunLedgerWritesOneParsableRecord) {
   const std::string path = testing::TempDir() + "ledger_run.jsonl";
   std::remove(path.c_str());

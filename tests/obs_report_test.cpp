@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -217,6 +219,76 @@ TEST(ObsReportCounters, TrailerCountersGiveTotalsAndRates) {
   EXPECT_NE(md.find("| sim.rounds.replayed | 12 | 12000 |"), std::string::npos) << md;
   EXPECT_NE(md.find("### Sampled levels"), std::string::npos);
   EXPECT_EQ(md.find("pool.depth"), std::string::npos);
+  EXPECT_EQ(md.find("Snapshot deltas"), std::string::npos);
+}
+
+TEST(ObsReportCounters, TraceWithoutCountersSaysSo) {
+  const TraceAnalysis a = analyze_trace(nested_span_fixture());
+  EXPECT_TRUE(a.counter_totals.empty());
+  EXPECT_TRUE(a.counters.empty());
+  const std::string md = render_markdown(a);
+  EXPECT_NE(md.find("No counter series recorded."), std::string::npos) << md;
+  EXPECT_EQ(md.find("### Totals"), std::string::npos);
+  EXPECT_EQ(md.find("### Sampled levels"), std::string::npos);
+}
+
+TEST(ObsReportCounters, TotalsWithoutEventsHaveZeroRate) {
+  // A trace holding only its trailer has no duration to divide by: the
+  // totals are still listed, each at rate 0 rather than inf or NaN.
+  const std::vector<std::string> lines = {trailer_counter("annealer.moves", 5),
+                                          trailer_counter("annealer.evals", 7)};
+  const TraceAnalysis a = analyze_trace(lines);
+  EXPECT_EQ(a.event_lines, 0u);
+  EXPECT_EQ(a.metric_lines, 2u);
+  EXPECT_DOUBLE_EQ(a.duration_us, 0.0);
+  ASSERT_EQ(a.counter_totals.size(), 2u);
+  const std::string md = render_markdown(a);
+  EXPECT_NE(md.find("| annealer.evals | 7 | 0 |"), std::string::npos) << md;
+  EXPECT_NE(md.find("| annealer.moves | 5 | 0 |"), std::string::npos) << md;
+  EXPECT_EQ(md.find("inf"), std::string::npos) << md;
+  EXPECT_EQ(md.find("nan"), std::string::npos) << md;
+}
+
+TEST(ObsReportCounters, OnlyNamedCounterRecordsBecomeTotals) {
+  // Every "kind" line is a metric record, but only a counter with a string
+  // name yields a total. A missing value reads 0; values outside uint64
+  // clamp to its range instead of wrapping.
+  std::vector<std::string> lines = nested_span_fixture();
+  lines.push_back("{\"kind\":\"counter\",\"value\":3}");
+  lines.push_back("{\"kind\":\"counter\",\"name\":42,\"value\":3}");
+  lines.push_back("{\"kind\":\"counter\",\"name\":\"no.value\"}");
+  lines.push_back("{\"kind\":\"counter\",\"name\":\"negative\",\"value\":-5}");
+  lines.push_back("{\"kind\":\"counter\",\"name\":\"huge\",\"value\":1e30}");
+  lines.push_back("{\"kind\":\"histogram\",\"name\":\"h\",\"count\":2,\"sum\":9}");
+  const TraceAnalysis a = analyze_trace(lines);
+  EXPECT_EQ(a.metric_lines, 6u);
+  EXPECT_EQ(a.malformed_lines, 0u);
+  ASSERT_EQ(a.counter_totals.size(), 3u);
+  EXPECT_EQ(a.counter_totals[0].name, "huge");
+  EXPECT_EQ(a.counter_totals[0].value, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(a.counter_totals[1].name, "negative");
+  EXPECT_EQ(a.counter_totals[1].value, 0u);
+  EXPECT_EQ(a.counter_totals[2].name, "no.value");
+  EXPECT_EQ(a.counter_totals[2].value, 0u);
+}
+
+TEST(ObsReportCounters, LegacySnapshotSeriesAreLevelsNotTotals) {
+  // Traces written while a periodic sampler still ran carry "snapshot" C
+  // events (per-interval deltas). They stay readable as sampled levels;
+  // the counter's total comes from the trailer alone, not from their sum.
+  std::vector<std::string> lines = nested_span_fixture();
+  lines.push_back(counter("snapshot", "annealer.restored", 250, 15.0));
+  lines.push_back(counter("snapshot", "annealer.restored", 500, 40.0));
+  lines.push_back(trailer_counter("annealer.restored", 667));
+  const TraceAnalysis a = analyze_trace(lines);
+  ASSERT_EQ(a.counter_totals.size(), 1u);
+  EXPECT_EQ(a.counter_totals[0].value, 667u);
+  ASSERT_EQ(a.counters.size(), 1u);
+  EXPECT_EQ(a.counters[0].category, "snapshot");
+  EXPECT_EQ(a.counters[0].samples, 2u);
+  EXPECT_DOUBLE_EQ(a.counters[0].last, 40.0);
+  const std::string md = render_markdown(a);
+  EXPECT_NE(md.find("| annealer.restored | 667 | 667000 |"), std::string::npos) << md;
   EXPECT_EQ(md.find("Snapshot deltas"), std::string::npos);
 }
 

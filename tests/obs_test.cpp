@@ -6,14 +6,18 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
@@ -574,6 +578,84 @@ TEST(ObsSink, TrailerCarriesEachCounterTotalAndNoSnapshotEvents) {
   }
   EXPECT_EQ(totals_seen, 2u);  // one record per counter
   std::remove(path.c_str());
+}
+
+TEST(ObsSink, SnapshotIntervalVariableStartsNoSampler) {
+  // ORP_OBS_SNAPSHOT_MS once switched on a periodic sampler; a sink read
+  // from the environment now ignores it, however short the interval.
+  const std::string path = temp_path("obs_env_no_sampler.jsonl");
+  ::setenv("ORP_OBS_OUT", path.c_str(), 1);
+  ::setenv("ORP_OBS_SNAPSHOT_MS", "1", 1);
+  const obs::SinkConfig config = obs::sink_from_env();
+  ::unsetenv("ORP_OBS_SNAPSHOT_MS");
+  ::unsetenv("ORP_OBS_OUT");
+  EXPECT_EQ(config.kind, obs::SinkKind::kJsonl);
+  EXPECT_EQ(config.path, path);
+  ASSERT_TRUE(obs::configure(config));
+  obs::Counter& ticks = obs::Registry::global().counter("test.env.ticks");
+  for (int i = 0; i < 10; ++i) {
+    ticks.add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_TRUE(obs::flush());
+  bool total_seen = false;
+  for (const std::string& line : read_lines(path)) {
+    EXPECT_EQ(line.find("\"cat\":\"snapshot"), std::string::npos) << line;
+    if (line.find("\"kind\":\"counter\",\"name\":\"test.env.ticks\"") !=
+        std::string::npos) {
+      total_seen = true;
+    }
+  }
+  EXPECT_TRUE(total_seen);
+  std::remove(path.c_str());
+}
+
+TEST(ObsSink, CliRejectsTheRemovedSnapshotOption) {
+  auto parser = [] {
+    CliParser cli("obs_test", "sink options");
+    obs::add_cli_options(cli);
+    return cli;
+  };
+  const char* removed[] = {"obs_test", "--obs-snapshot-ms", "25"};
+  CliParser with_removed = parser();
+  EXPECT_THROW(with_removed.parse(3, removed), std::invalid_argument);
+
+  const char* kept[] = {"obs_test", "--obs-out", "stderr", "--obs-summary"};
+  CliParser with_kept = parser();
+  ASSERT_TRUE(with_kept.parse(4, kept));
+  EXPECT_EQ(with_kept.get("obs-out"), "stderr");
+  EXPECT_TRUE(obs::cli_wants_summary(with_kept));
+}
+
+TEST(ObsSink, TrailerRecordsRoundTripArbitraryNames) {
+  // Instrument names are arbitrary strings: each trailer record must stay
+  // one parseable line that gives the name back unchanged.
+  const std::string tricky = "test.trailer.\"quoted\"\\back\nline\ttab\x01";
+  obs::Registry::global().counter(tricky).add(5);
+  obs::Registry::global().gauge(tricky + ".gauge").set(2);
+  obs::Registry::global().histogram(tricky + ".hist").record(7);
+  const std::vector<std::string> lines =
+      obs::snapshot_jsonl(obs::Registry::global().snapshot());
+  std::size_t found = 0;
+  for (const std::string& line : lines) {
+    ASSERT_EQ(line.find('\n'), std::string::npos);
+    ASSERT_TRUE(is_json_object_line(line)) << line;
+    const JsonValue doc = JsonValue::parse(line);
+    const std::string& name = doc.at("name").as_string();
+    if (name.rfind(tricky, 0) == 0) ++found;
+  }
+  EXPECT_EQ(found, 3u);
+}
+
+TEST(ObsTrace, JsonEscapeForwardsToTheCommonEscaper) {
+  // obs::json_escape is a name kept for callers outside src/; it must be
+  // the same escaper as orp::json_escape_string on every byte.
+  for (int byte = 0; byte < 256; ++byte) {
+    const std::string one(1, static_cast<char>(byte));
+    EXPECT_EQ(obs::json_escape(one), json_escape_string(one)) << byte;
+  }
+  EXPECT_EQ(obs::json_escape("a\"b\\c\n\x01"), "a\\\"b\\\\c\\n\\u0001");
+  EXPECT_EQ(obs::json_escape(""), "");
 }
 
 // ---- flow events through the thread pool --------------------------------
