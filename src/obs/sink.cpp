@@ -219,14 +219,6 @@ std::vector<std::string> snapshot_jsonl(const MetricsSnapshot& snapshot) {
   return lines;
 }
 
-bool write_csv(const Table& table, const std::string& path) {
-  if (!table.write_csv_file(path)) {
-    std::cerr << "[obs] warning: could not write " << path << "\n";
-    return false;
-  }
-  return true;
-}
-
 void add_cli_options(CliParser& cli) {
   cli.option("obs-out", "",
              "telemetry sink: 'stderr', a .csv path, or a .jsonl trace path "

@@ -79,10 +79,6 @@ void print_summary(std::ostream& os);
 /// appended to JSONL traces and reused by tests.
 std::vector<std::string> snapshot_jsonl(const MetricsSnapshot& snapshot);
 
-/// Writes any Table through the CSV sink machinery (used by benches to
-/// emit series like SA convergence traces next to the metrics CSV).
-bool write_csv(const Table& table, const std::string& path);
-
 /// Registers --obs-out and --obs-summary on a parser.
 void add_cli_options(CliParser& cli);
 

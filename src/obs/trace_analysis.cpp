@@ -1,6 +1,7 @@
 #include "obs/trace_analysis.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -172,8 +173,10 @@ struct SpanAccum {
   double max_us = 0.0;
 };
 
+using Series = std::vector<std::pair<double, double>>;  // (ts, value)
+
 struct CounterAccum {
-  std::vector<std::pair<double, double>> samples;  // (ts, value)
+  Series samples;
 };
 
 using Key = std::pair<std::string, std::string>;  // (category, name)
@@ -194,7 +197,7 @@ void close_span(std::map<Key, SpanAccum>& accum, std::vector<OpenSpan>& stack,
 
 /// Best-so-far value of a (ts, value) series at time `t` (last sample with
 /// ts <= t); the first sample when `t` precedes the series.
-double value_at(const std::vector<std::pair<double, double>>& series, double t) {
+double value_at(const Series& series, double t) {
   double v = series.empty() ? 0.0 : series.front().second;
   for (const auto& [ts, value] : series) {
     if (ts > t) break;
@@ -203,77 +206,107 @@ double value_at(const std::vector<std::pair<double, double>>& series, double t) 
   return v;
 }
 
-Convergence analyze_convergence(const std::map<Key, CounterAccum>& counters,
-                                std::size_t window_count) {
+// The annealer series one run's diagnostics read, indexed by the enum.
+enum RunSeriesIndex { kBest, kAcceptance, kTemperature, kIteration };
+constexpr const char* kRunSeriesNames[] = {"annealer.best_haspl", "annealer.acceptance_rate",
+                                           "annealer.temperature", "annealer.iteration"};
+using RunSeries = std::array<Series, 4>;
+
+/// Diagnostics of one run; `run[kBest]` is not empty.
+Convergence analyze_run(const RunSeries& run, std::size_t window_count) {
+  const Series& best = run[kBest];
+  const Series& iteration = run[kIteration];
   Convergence conv;
-  auto series = [&](const char* name) -> const std::vector<std::pair<double, double>>* {
-    auto it = counters.find(Key{"search", name});
-    return it == counters.end() ? nullptr : &it->second.samples;
-  };
-  const auto* best = series("annealer.best_haspl");
-  if (!best || best->empty()) return conv;
-  const auto* acceptance = series("annealer.acceptance_rate");
-  const auto* temperature = series("annealer.temperature");
-  const auto* iteration = series("annealer.iteration");
+  conv.samples = best.size();
+  conv.initial_best = best.front().second;
+  conv.final_best = best.back().second;
 
-  conv.present = true;
-  conv.samples = best->size();
-  conv.initial_best = best->front().second;
-  conv.final_best = best->back().second;
-
-  const double t0 = best->front().first;
-  const double t1 = best->back().first;
+  const double t0 = best.front().first;
+  const double t1 = best.back().first;
   const double span_s = (t1 - t0) / 1e6;
   if (span_s > 0) conv.improvement_per_s = (conv.initial_best - conv.final_best) / span_s;
 
   // Last strict improvement of the best-so-far series. h-ASPL is minimized,
   // so progress means the value went DOWN.
   double last_improvement_ts = t0;
-  double prev = best->front().second;
-  for (const auto& [ts, value] : *best) {
+  double prev = best.front().second;
+  for (const auto& [ts, value] : best) {
     if (value < prev - 1e-12) {
       last_improvement_ts = ts;
       prev = value;
     }
   }
   conv.last_improvement_us = last_improvement_ts;
-  if (iteration && !iteration->empty()) {
+  if (!iteration.empty()) {
     conv.last_improvement_iter =
-        to_int<std::int64_t>(value_at(*iteration, last_improvement_ts));
+        to_int<std::int64_t>(value_at(iteration, last_improvement_ts));
   }
   if (t1 > t0) conv.stall_fraction = (t1 - last_improvement_ts) / (t1 - t0);
   // Stall verdict needs enough samples to mean anything: a 4-window run
   // trivially has a large trailing gap.
   conv.stalled = conv.samples >= 8 && conv.stall_fraction > 0.5;
 
-  // Equal time windows over the annealer's own span.
+  // Equal time windows over the run's own span.
   const std::size_t k = std::max<std::size_t>(1, window_count);
   for (std::size_t w = 0; w < k; ++w) {
     const double lo = t0 + (t1 - t0) * static_cast<double>(w) / static_cast<double>(k);
     const double hi = t0 + (t1 - t0) * static_cast<double>(w + 1) / static_cast<double>(k);
     ConvergenceWindow win;
     win.t_end_us = hi;
-    auto mean_in = [&](const std::vector<std::pair<double, double>>* s) {
-      if (!s) return 0.0;
+    auto mean_in = [&](const Series& s, std::uint64_t* count = nullptr) {
       double sum = 0.0;
       std::uint64_t n = 0;
-      for (const auto& [ts, value] : *s) {
+      for (const auto& [ts, value] : s) {
         // Half-open [lo, hi), closed at the final window so the last
         // sample lands somewhere.
         if (ts < lo || (ts >= hi && w + 1 != k) || ts > hi) continue;
         sum += value;
         ++n;
       }
-      if (s == best) win.samples = n;
+      if (count) *count = n;
       return n ? sum / static_cast<double>(n) : 0.0;
     };
-    mean_in(best);  // populates win.samples
-    win.acceptance = mean_in(acceptance);
-    win.temperature = mean_in(temperature);
-    win.best_haspl = value_at(*best, hi);
+    mean_in(best, &win.samples);
+    win.acceptance = mean_in(run[kAcceptance]);
+    win.temperature = mean_in(run[kTemperature]);
+    win.best_haspl = value_at(best, hi);
     conv.windows.push_back(win);
   }
   return conv;
+}
+
+/// One Convergence per anneal run, in trace order. A run starts at each
+/// annealer.iteration sample of 0 (each chain's first window) and holds
+/// every annealer sample from that timestamp up to the next run's start;
+/// samples before the first start form a run of their own. Runs without
+/// a best_haspl sample are dropped.
+std::vector<Convergence> analyze_convergence(const std::map<Key, CounterAccum>& counters,
+                                             std::size_t window_count) {
+  auto series = [&](const char* name) -> const Series* {
+    auto it = counters.find(Key{"search", name});
+    return it == counters.end() ? nullptr : &it->second.samples;
+  };
+  std::vector<double> starts;  // ascending: the samples are sorted by ts
+  if (const Series* iteration = series(kRunSeriesNames[kIteration])) {
+    for (const auto& [ts, value] : *iteration) {
+      if (value == 0.0) starts.push_back(ts);
+    }
+  }
+  std::vector<RunSeries> runs(starts.size() + 1);
+  for (std::size_t i = 0; i < runs.front().size(); ++i) {
+    const Series* s = series(kRunSeriesNames[i]);
+    if (!s) continue;
+    for (const auto& sample : *s) {
+      const auto run = std::upper_bound(starts.begin(), starts.end(), sample.first) -
+                       starts.begin();
+      runs[static_cast<std::size_t>(run)][i].push_back(sample);
+    }
+  }
+  std::vector<Convergence> out;
+  for (const RunSeries& run : runs) {
+    if (!run[kBest].empty()) out.push_back(analyze_run(run, window_count));
+  }
+  return out;
 }
 
 /// Sorts, aggregates, and derives the per-phase bottleneck sets once every
@@ -748,10 +781,10 @@ std::string render_markdown(const TraceAnalysis& a,
   }
 
   os << "\n## Annealer convergence\n\n";
-  const Convergence& conv = a.convergence;
-  if (!conv.present) {
-    os << "No annealer telemetry in this trace.\n";
-  } else {
+  if (a.convergence.empty()) os << "No annealer telemetry in this trace.\n";
+  for (std::size_t run = 0; run < a.convergence.size(); ++run) {
+    const Convergence& conv = a.convergence[run];
+    os << (run ? "\n" : "") << "### Run " << run + 1 << "\n\n";
     os << "- samples: " << conv.samples << "\n";
     os << "- h-ASPL: " << format_double(conv.initial_best, 6) << " -> "
        << format_double(conv.final_best, 6) << " (improvement "

@@ -11,8 +11,9 @@
 //     level series ("C" events, e.g. annealer temperature) report
 //     first/last/min/max,
 //   * flow-event accounting: s/f id pairing across threads,
-//   * annealer convergence diagnostics: windowed acceptance rate vs
-//     temperature, h-ASPL improvement per second, and stall detection,
+//   * annealer convergence diagnostics per anneal run: windowed acceptance
+//     rate vs temperature, h-ASPL improvement per second, and stall
+//     detection,
 //   * network telemetry (the sim's "cat":"net" instants, docs/telemetry.md):
 //     per-flow latency attribution with a term-sum residual check, per-link
 //     utilization aggregates, and the bottleneck link set per phase.
@@ -59,8 +60,8 @@ struct ConvergenceWindow {
   double best_haspl = 0.0;     ///< best-so-far h-ASPL at window end
 };
 
+/// One anneal run's convergence, from its annealer.* series.
 struct Convergence {
-  bool present = false;  ///< annealer.* series were found in the trace
   std::uint64_t samples = 0;
   double initial_best = 0.0, final_best = 0.0;
   double improvement_per_s = 0.0;  ///< h-ASPL drop per wall second (>0 improving)
@@ -164,7 +165,10 @@ struct TraceAnalysis {
   std::vector<CounterStat> counters;  ///< sorted: category, name
   /// Trailer counters, sorted by name (a repeated name keeps its last value).
   std::vector<CounterTotal> counter_totals;
-  Convergence convergence;
+  /// One entry per anneal run, in trace order. A run starts at each
+  /// annealer.iteration sample of 0; a trace without that series is one
+  /// run. Empty when the trace has no annealer.best_haspl series.
+  std::vector<Convergence> convergence;
   NetworkAnalysis network;
 };
 

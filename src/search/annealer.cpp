@@ -33,6 +33,11 @@ struct ReplicaInstruments {
   }
 };
 
+// Barriers without improvement of a rung's own best after which a rung
+// that does not own the global best, and whose current state trails it,
+// restarts from the global best.
+constexpr std::uint32_t kStallRounds = 3;
+
 }  // namespace
 
 // K SaChains on a temperature ladder, run in swap_interval chunks with an
@@ -68,8 +73,7 @@ AnnealResult anneal(const HostSwitchGraph& initial, const AnnealOptions& options
   // One calibration, shared by every rung (rung k scales it by ladder[k]).
   SaChain::Config config;
   config.schedule = calibrate_schedule(initial, initial_metrics, options);
-  const std::vector<double> ladder =
-      temperature_ladder(replica_count, options.ladder_ratio);
+  const std::vector<double> ladder = temperature_ladder(replica_count);
 
   std::vector<SaChain> chains;
   chains.reserve(replica_count);
@@ -155,7 +159,7 @@ AnnealResult anneal(const HostSwitchGraph& initial, const AnnealOptions& options
     }
 
     // Stall bookkeeping + broadcast: a rung that has not improved its own
-    // best in `stall_rounds` barriers and whose walk trails the global
+    // best in kStallRounds barriers and whose walk trails the global
     // best restarts from the owner's best (fresh evaluator, own PRNG
     // stream and temperature). k != best_owner, so the source is never
     // the chain being reset.
@@ -167,9 +171,9 @@ AnnealResult anneal(const HostSwitchGraph& initial, const AnnealOptions& options
       }
       prev_best_key[k] = chains[k].best_key();
     }
-    if (more_rounds && options.stall_rounds > 0) {
+    if (more_rounds) {
       for (std::uint32_t k = 0; k < replica_count; ++k) {
-        if (k == best_owner || stalled_rounds[k] < options.stall_rounds ||
+        if (k == best_owner || stalled_rounds[k] < kStallRounds ||
             chains[k].current_key() <= global_best_key) {
           continue;
         }

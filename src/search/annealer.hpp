@@ -15,7 +15,13 @@
 // `replicas` SaChains (search/annealer_core.hpp) in `swap_interval`-sized
 // chunks and exchanges configurations between adjacent rungs at the
 // barriers (search/parallel.hpp). The default K = 1 is the paper's serial
-// chain (§5.3): one rung, no exchanges.
+// chain (§5.3): one rung, no exchanges. The ladder is fixed: the hottest
+// rung runs at 4x the base temperature, and a rung that trails the global
+// best after 3 barriers without improving its own restarts from it.
+//
+// The convergence curve is rung 0's windowed annealer.* tracer series
+// (docs/obs.md), written only when a JSONL sink is active; orp_report
+// summarizes it per run.
 
 #include <cstdint>
 #include <functional>
@@ -56,32 +62,12 @@ struct AnnealOptions {
   /// else runs on the calling thread, so the result never depends on the
   /// pool (a null pool runs the rungs one after another).
   ThreadPool* pool = nullptr;
-  /// If nonzero, record a convergence sample every `trace_every` iterations.
-  std::uint64_t trace_every = 0;
   /// Ladder size K. 1 is the paper's single chain.
   std::uint32_t replicas = 1;
   /// Moves each rung runs between exchange barriers. The barriers do not
   /// change a rung's own walk, so with K = 1 any interval gives the same
   /// result.
   std::uint64_t swap_interval = 512;
-  /// Adjacent-rung temperature ratio of the geometric ladder (> 1 spreads
-  /// the rungs). 0 auto-picks so the hottest rung runs at 4x the base
-  /// temperature regardless of K.
-  double ladder_ratio = 0.0;
-  /// Barriers without improvement of a rung's own best after which a rung
-  /// that does not own the global best, and whose current state trails
-  /// it, restarts from the global best. 0 disables broadcasting.
-  std::uint32_t stall_rounds = 3;
-};
-
-/// One convergence sample (recorded every `trace_every` iterations), enough
-/// to re-plot an SA run: where the walk is, the best seen so far, and the
-/// temperature that produced the acceptance behaviour.
-struct AnnealTracePoint {
-  std::uint64_t iteration = 0;
-  double current_haspl = 0.0;
-  double best_haspl = 0.0;
-  double temperature = 0.0;
 };
 
 struct AnnealResult {
@@ -89,7 +75,6 @@ struct AnnealResult {
   HostMetrics best_metrics;
   std::uint64_t evaluations = 0;        ///< metric evaluations, all rungs
   std::uint64_t accepted = 0;           ///< accepted moves, all rungs
-  std::vector<AnnealTracePoint> trace;  ///< the winning rung's samples
   /// True when the run stopped early on shutdown_requested() (SIGINT/
   /// SIGTERM); `best` is still the best solution seen up to that point.
   bool interrupted = false;

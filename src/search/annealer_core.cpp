@@ -170,10 +170,9 @@ SaChain::SaChain(const HostSwitchGraph& initial, const HostMetrics& initial_metr
   evaluations_ = 1;  // the initial evaluation the caller performed
 
   // Windowed telemetry cadence: one acceptance/temperature/h-ASPL sample
-  // per `window_` iterations (only when a JSONL sink is active).
-  window_ = options_.trace_every
-                ? options_.trace_every
-                : std::max<std::uint64_t>(1, options_.iterations / 64);
+  // per `window_` iterations (only when a JSONL sink is active), plus the
+  // final flush.
+  window_ = std::max<std::uint64_t>(1, options_.iterations / 64);
 }
 
 std::uint64_t SaChain::key_of(const HostMetrics& metrics) const noexcept {
@@ -303,10 +302,6 @@ void SaChain::emit_window(std::uint64_t at_iter) {
 
 void SaChain::run_one_iteration() {
   AnnealerInstruments& instruments = AnnealerInstruments::get();
-  if (options_.trace_every && iteration_ % options_.trace_every == 0) {
-    trace_.push_back({iteration_, current_metrics_.h_aspl,
-                      best_metrics_.h_aspl, temperature()});
-  }
   if (iteration_ % window_ == 0) {
     emit_window(iteration_);
     window_moves_ = 0;
@@ -421,7 +416,6 @@ AnnealResult SaChain::take_result() {
           .best_metrics = best_metrics_,
           .evaluations = evaluations_,
           .accepted = accepted_,
-          .trace = std::move(trace_),
           .interrupted = interrupted_,
           .replicas = {},
           .round_best_haspl = {}};

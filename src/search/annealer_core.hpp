@@ -14,8 +14,8 @@
 // Determinism contract: a chain's trajectory is a pure function of
 // (initial graph, options, schedule, temperature_scale). run(count) in any
 // chunking produces the same walk as one run(total) — the iteration
-// counter, cooling, windowed telemetry, and trace sampling all key off the
-// chain-global iteration index, never off wall clock or chunk boundaries.
+// counter, cooling and the windowed telemetry all key off the chain-global
+// iteration index, never off wall clock or chunk boundaries.
 
 #include <cstdint>
 #include <optional>
@@ -169,7 +169,6 @@ class SaChain {
   double draw_ = 0.0;
   // An audit whose evaluation stopped early waits for the next complete one.
   bool audit_due_ = false;
-  std::vector<AnnealTracePoint> trace_;
 
   std::uint64_t window_ = 1;
   std::uint64_t window_moves_ = 0;

@@ -6,18 +6,13 @@
 
 namespace orp {
 
-std::vector<double> temperature_ladder(std::uint32_t replicas, double ratio) {
+std::vector<double> temperature_ladder(std::uint32_t replicas) {
   ORP_REQUIRE(replicas >= 1, "need at least one replica");
-  ORP_REQUIRE(ratio == 0.0 || ratio >= 1.0,
-              "ladder ratio must be >= 1 (or 0 = auto)");
-  if (ratio <= 0.0) {
-    // Hottest rung at 4x the base temperature regardless of K: wide enough
-    // to hop basins the cold rung cannot, close enough that adjacent-rung
-    // energy distributions overlap and exchanges actually land.
-    ratio = replicas > 1
-                ? std::pow(4.0, 1.0 / static_cast<double>(replicas - 1))
-                : 1.0;
-  }
+  // Hottest rung at 4x the base temperature regardless of K: wide enough
+  // to hop basins the cold rung cannot, close enough that adjacent-rung
+  // energy distributions overlap and exchanges actually land.
+  const double ratio =
+      replicas > 1 ? std::pow(4.0, 1.0 / static_cast<double>(replicas - 1)) : 1.0;
   std::vector<double> scales(replicas);
   double scale = 1.0;
   for (std::uint32_t k = 0; k < replicas; ++k, scale *= ratio) scales[k] = scale;

@@ -44,9 +44,9 @@ struct ReplicaStats {
 };
 
 /// The geometric temperature-scale ladder: K ascending multipliers
-/// starting at exactly 1.0 (rung k = ratio^k). `ratio` 0 auto-picks
-/// 4^(1/(K-1)) (hottest rung 4x); K = 1 always yields {1.0}.
-std::vector<double> temperature_ladder(std::uint32_t replicas, double ratio);
+/// starting at exactly 1.0 (rung k = ratio^k with ratio 4^(1/(K-1)), so the
+/// hottest rung runs at 4x); K = 1 yields {1.0}.
+std::vector<double> temperature_ladder(std::uint32_t replicas);
 
 /// The fixed swap schedule of one barrier: adjacent pairs (i, i+1) with
 /// i matching the round's parity. Pairs are disjoint (each rung appears

@@ -62,8 +62,7 @@ SolveResult solve_orp(std::uint32_t n, std::uint32_t r, const SolveOptions& opti
                          .haspl_lower_bound = haspl_lower_bound(n, r),
                          .continuous_moore_bound =
                              continuous_haspl_moore_bound(n, m_clique, r),
-                         .used_clique = true,
-                         .sa_trace = {}};
+                         .used_clique = true};
       solve_span.arg("method", "clique");
       check_paper_bounds(result, n, r);
       return result;
@@ -95,7 +94,6 @@ SolveResult solve_orp(std::uint32_t n, std::uint32_t r, const SolveOptions& opti
   anneal_options.seed = rng();
   anneal_options.mode = options.mode;
   anneal_options.pool = options.pool;
-  anneal_options.trace_every = options.trace_every;
   anneal_options.replicas = options.replicas;
   anneal_options.swap_interval = options.swap_interval;
   AnnealResult annealed = anneal(initial, anneal_options);
@@ -107,8 +105,7 @@ SolveResult solve_orp(std::uint32_t n, std::uint32_t r, const SolveOptions& opti
                      .haspl_lower_bound = haspl_lower_bound(n, r),
                      .continuous_moore_bound = continuous_haspl_moore_bound(n, m, r),
                      .used_clique = false,
-                     .interrupted = annealed.interrupted,
-                     .sa_trace = std::move(annealed.trace)};
+                     .interrupted = annealed.interrupted};
   solve_span.arg("method", "sa");
   solve_span.arg("haspl", result.metrics.h_aspl);
   check_paper_bounds(result, n, r);

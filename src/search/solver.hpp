@@ -44,9 +44,6 @@ struct SolveOptions {
   /// Use the regular initializer (balanced hosts; needed for kSwap mode
   /// which cannot change the host distribution).
   bool regular_start = false;
-  /// If nonzero, the SA run records a convergence sample every
-  /// `trace_every` iterations, returned in SolveResult::sa_trace.
-  std::uint64_t trace_every = 0;
 };
 
 struct SolveResult {
@@ -61,8 +58,6 @@ struct SolveResult {
   /// down); the returned graph is still the best found before the
   /// interruption.
   bool interrupted = false;
-  /// Convergence samples of the winning rung (when trace_every > 0).
-  std::vector<AnnealTracePoint> sa_trace;
 };
 
 /// Solves ORP(n, r). Throws std::invalid_argument on infeasible inputs

@@ -46,6 +46,10 @@ expect_usage_error "$random_vs_sa" --net-telemetry link_top_k=8
 expect_usage_error "$random_vs_sa" --net-telemetry default
 # The snapshot sampler and its interval option are gone.
 expect_usage_error "$random_vs_sa" --obs-snapshot-ms 25
+# So are the in-memory convergence trace's options: the curve is in the
+# --obs-out trace's annealer.* series.
+expect_usage_error "$random_vs_sa" --trace-csv x
+expect_usage_error "$random_vs_sa" --trace-every 5
 expect_usage_error "$cluster_planner" --radix-step 0
 expect_usage_error "$cluster_planner" --radix-max 65536
 # Radix 6 leaves no host port on a 3-D torus of base >= 3, and base 2

@@ -1,7 +1,8 @@
 // Tests for the orp_report analysis engine (src/obs/trace_analysis) on
 // hand-written fixture traces: span self-time accounting, flow-event s/f
 // pairing, malformed-line rejection, annealer convergence diagnostics, and
-// byte-deterministic rendering. trace_analysis is a pure file reader.
+// byte-deterministic rendering. trace_analysis is a pure file reader; one
+// test feeds it the trace of real solve_orp calls.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/sink.hpp"
 #include "obs/trace_analysis.hpp"
+#include "search/solver.hpp"
 
 namespace orp::obs::report {
 namespace {
@@ -148,8 +151,8 @@ TEST(ObsReportConvergence, DetectsStallAndLocatesLastImprovement) {
   ReportOptions options;
   options.windows = 2;
   const TraceAnalysis a = analyze_trace(stalled_fixture(), options);
-  const Convergence& conv = a.convergence;
-  ASSERT_TRUE(conv.present);
+  ASSERT_EQ(a.convergence.size(), 1u);
+  const Convergence& conv = a.convergence[0];
   EXPECT_EQ(conv.samples, 10u);
   EXPECT_DOUBLE_EQ(conv.initial_best, 5.0);
   EXPECT_DOUBLE_EQ(conv.final_best, 4.6);
@@ -174,11 +177,117 @@ TEST(ObsReportConvergence, StrictImprovementIsNotAStall) {
         counter("search", "annealer.best_haspl", 100LL * i, 5.0 - 0.1 * i));
   }
   const TraceAnalysis a = analyze_trace(lines);
-  ASSERT_TRUE(a.convergence.present);
-  EXPECT_DOUBLE_EQ(a.convergence.stall_fraction, 0.0);
-  EXPECT_FALSE(a.convergence.stalled);
-  // No iteration series in this trace: the iter marker stays unset.
-  EXPECT_EQ(a.convergence.last_improvement_iter, -1);
+  // No iteration series in this trace: it is one run, and the iter marker
+  // stays unset.
+  ASSERT_EQ(a.convergence.size(), 1u);
+  EXPECT_DOUBLE_EQ(a.convergence[0].stall_fraction, 0.0);
+  EXPECT_FALSE(a.convergence[0].stalled);
+  EXPECT_EQ(a.convergence[0].last_improvement_iter, -1);
+}
+
+// Two anneal runs in one trace, the second at a larger (n, r) and so
+// starting from a higher h-ASPL than the first one ends at. Each run starts
+// at its annealer.iteration sample of 0 and gets its own diagnostics; no
+// best-so-far column may rise inside a run.
+std::vector<std::string> two_run_fixture() {
+  std::vector<std::string> lines;
+  const double first[5] = {4.2, 4.1, 4.0, 3.95, 3.9};
+  const double second[5] = {4.9, 4.8, 4.8, 4.7, 4.6};
+  for (int i = 0; i < 5; ++i) {
+    const long long ts = 100LL * i;
+    lines.push_back(counter("search", "annealer.iteration", ts, 250.0 * i));
+    lines.push_back(counter("search", "annealer.temperature", ts, 0.5 - 0.1 * i));
+    lines.push_back(counter("search", "annealer.best_haspl", ts, first[i]));
+  }
+  for (int i = 0; i < 5; ++i) {
+    const long long ts = 1000 + 100LL * i;
+    lines.push_back(counter("search", "annealer.iteration", ts, 500.0 * i));
+    lines.push_back(counter("search", "annealer.temperature", ts, 0.9 - 0.2 * i));
+    lines.push_back(counter("search", "annealer.best_haspl", ts, second[i]));
+  }
+  return lines;
+}
+
+TEST(ObsReportConvergence, EachRunHasItsOwnBlock) {
+  ReportOptions options;
+  options.windows = 4;
+  const TraceAnalysis a = analyze_trace(two_run_fixture(), options);
+  ASSERT_EQ(a.convergence.size(), 2u);
+  const Convergence& first = a.convergence[0];
+  const Convergence& second = a.convergence[1];
+  EXPECT_EQ(first.samples, 5u);
+  EXPECT_DOUBLE_EQ(first.initial_best, 4.2);
+  EXPECT_DOUBLE_EQ(first.final_best, 3.9);
+  EXPECT_EQ(first.last_improvement_iter, 1000);
+  EXPECT_EQ(second.samples, 5u);
+  EXPECT_DOUBLE_EQ(second.initial_best, 4.9);
+  EXPECT_DOUBLE_EQ(second.final_best, 4.6);
+  EXPECT_DOUBLE_EQ(second.last_improvement_us, 1400.0);
+  EXPECT_EQ(second.last_improvement_iter, 2000);
+  for (const Convergence& conv : a.convergence) {
+    ASSERT_EQ(conv.windows.size(), 4u);
+    for (std::size_t w = 1; w < conv.windows.size(); ++w) {
+      EXPECT_LE(conv.windows[w].best_haspl, conv.windows[w - 1].best_haspl);
+    }
+    EXPECT_DOUBLE_EQ(conv.windows.back().best_haspl, conv.final_best);
+  }
+  const std::string md = render_markdown(a, {}, options);
+  const std::size_t run1 = md.find("### Run 1\n");
+  const std::size_t run2 = md.find("### Run 2\n");
+  ASSERT_NE(run1, std::string::npos) << md;
+  ASSERT_NE(run2, std::string::npos) << md;
+  EXPECT_LT(run1, run2);
+  EXPECT_EQ(md.find("### Run 3"), std::string::npos) << md;
+  EXPECT_NE(md.find("- h-ASPL: 4.2 -> 3.9 "), std::string::npos) << md;
+  EXPECT_NE(md.find("- h-ASPL: 4.9 -> 4.6 "), std::string::npos) << md;
+}
+
+TEST(ObsReportConvergence, SamplesBeforeTheFirstRunStartFormTheirOwnRun) {
+  // A trace cut at its head: samples before the first iteration-0 sample
+  // are a run of their own, and a run without best_haspl samples is
+  // dropped.
+  std::vector<std::string> lines = {
+      counter("search", "annealer.best_haspl", 10, 5.0),
+      counter("search", "annealer.iteration", 10, 640.0),
+      counter("search", "annealer.iteration", 20, 0.0),
+      counter("search", "annealer.iteration", 30, 0.0),
+      counter("search", "annealer.best_haspl", 30, 4.0),
+  };
+  const TraceAnalysis a = analyze_trace(lines);
+  ASSERT_EQ(a.convergence.size(), 2u);
+  EXPECT_DOUBLE_EQ(a.convergence[0].final_best, 5.0);
+  EXPECT_EQ(a.convergence[0].last_improvement_iter, 640);
+  EXPECT_EQ(a.convergence[1].samples, 1u);
+  EXPECT_DOUBLE_EQ(a.convergence[1].initial_best, 4.0);
+  EXPECT_EQ(a.convergence[1].last_improvement_iter, 0);
+}
+
+// A real trace of two solve_orp calls at different (n, r): each anneal run
+// is its own block, ending at the h-ASPL that call returned.
+TEST(ObsReportConvergence, TwoSolvesGiveTwoRunsEndingAtTheirResults) {
+  const std::string path = testing::TempDir() + "report_two_solves.jsonl";
+  ASSERT_TRUE(obs::configure(obs::parse_sink(path)));
+  SolveOptions options;
+  options.iterations = 1500;
+  options.seed = 3;
+  const SolveResult small = solve_orp(64, 8, options);
+  const SolveResult large = solve_orp(128, 10, options);
+  obs::flush();
+  obs::configure(obs::SinkConfig{});
+  const TraceAnalysis a = analyze_trace_file(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(small.used_clique);
+  ASSERT_FALSE(large.used_clique);
+  ASSERT_EQ(a.convergence.size(), 2u);
+  // The trace writes 9 significant digits.
+  EXPECT_NEAR(a.convergence[0].final_best, small.metrics.h_aspl, 1e-8 * small.metrics.h_aspl);
+  EXPECT_NEAR(a.convergence[1].final_best, large.metrics.h_aspl, 1e-8 * large.metrics.h_aspl);
+  for (const Convergence& conv : a.convergence) {
+    EXPECT_GE(conv.initial_best, conv.final_best);
+    for (std::size_t w = 1; w < conv.windows.size(); ++w) {
+      EXPECT_LE(conv.windows[w].best_haspl, conv.windows[w - 1].best_haspl);
+    }
+  }
 }
 
 std::string trailer_counter(const char* name, std::uint64_t value) {

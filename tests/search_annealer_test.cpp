@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/prng.hpp"
 #include "hsg/bounds.hpp"
 #include "obs/metrics.hpp"
@@ -15,6 +17,7 @@
 #include "search/operations.hpp"
 #include "search/random_init.hpp"
 #include "search/solver.hpp"
+#include "trace_lines.hpp"
 
 namespace orp {
 namespace {
@@ -140,7 +143,7 @@ TEST(Annealer, FullAndDeltaAgree) {
 // empty, and no restart can fire (the only rung always owns the global
 // best) — so K = 1 with exchange barriers every 100 moves must reproduce
 // the uninterrupted chain (the whole budget in one chunk) bit for bit, in
-// every move mode, including the step-by-step trace.
+// every move mode, including the trace's annealer.* lines.
 TEST(Annealer, PoolBackendWithOneReplicaMatchesSerialExactly) {
   for (const MoveMode mode :
        {MoveMode::kSwap, MoveMode::kSwing, MoveMode::kTwoNeighborSwing}) {
@@ -150,15 +153,16 @@ TEST(Annealer, PoolBackendWithOneReplicaMatchesSerialExactly) {
     ASSERT_TRUE(init_serial == init_pool);
 
     auto options = quick(mode, 1200, 57);
-    options.trace_every = 1;
     options.swap_interval = options.iterations;  // no barrier before the end
-    const auto serial = anneal(init_serial, options);
+    const auto [serial, serial_lines] =
+        run_traced("annealer.", [&] { return anneal(init_serial, options); });
     EXPECT_EQ(serial.round_best_haspl.size(), 1u);
 
     auto pool_options = options;
     pool_options.replicas = 1;
     pool_options.swap_interval = 100;  // chunking must not matter
-    const auto pool = anneal(init_pool, pool_options);
+    const auto [pool, pool_lines] =
+        run_traced("annealer.", [&] { return anneal(init_pool, pool_options); });
 
     EXPECT_EQ(serial.best_replica, 0u);
     EXPECT_EQ(pool.best_replica, 0u);
@@ -168,15 +172,10 @@ TEST(Annealer, PoolBackendWithOneReplicaMatchesSerialExactly) {
     EXPECT_EQ(serial.best_metrics.total_length,
               pool.best_metrics.total_length);
     EXPECT_DOUBLE_EQ(serial.best_metrics.h_aspl, pool.best_metrics.h_aspl);
-    ASSERT_EQ(serial.trace.size(), pool.trace.size());
-    for (std::size_t i = 0; i < serial.trace.size(); ++i) {
-      EXPECT_EQ(serial.trace[i].iteration, pool.trace[i].iteration);
-      EXPECT_DOUBLE_EQ(serial.trace[i].current_haspl,
-                       pool.trace[i].current_haspl);
-      EXPECT_DOUBLE_EQ(serial.trace[i].best_haspl, pool.trace[i].best_haspl);
-      EXPECT_DOUBLE_EQ(serial.trace[i].temperature,
-                       pool.trace[i].temperature);
-    }
+    // Windows at iterations 0, 18, ..., 1188 and the final flush at 1200:
+    // 68 samples of five series each.
+    EXPECT_EQ(serial_lines.size(), 5u * 68u);
+    EXPECT_EQ(serial_lines, pool_lines);
   }
 }
 
@@ -335,26 +334,54 @@ TEST(Annealer, PreservesEdgeAndPortBudget) {
   EXPECT_TRUE(result.best.fully_attached());
 }
 
+// The convergence curve of a real anneal() run, read back from its trace:
+// one window sample every iterations / 64 moves from iteration 0, plus the
+// final flush, each a group of five annealer.* series.
 TEST(Annealer, TraceRecordsSamples) {
   Xoshiro256 rng(8);
   const auto initial = random_host_switch_graph(48, 12, 8, rng);
-  auto options = quick(MoveMode::kTwoNeighborSwing, 1000);
-  options.trace_every = 100;
-  const auto result = anneal(initial, options);
-  EXPECT_EQ(result.trace.size(), 10u);
-  for (std::size_t i = 0; i < result.trace.size(); ++i) {
-    const AnnealTracePoint& sample = result.trace[i];
-    EXPECT_EQ(sample.iteration, i * 100);
-    EXPECT_GT(sample.current_haspl, 2.0);
-    EXPECT_GT(sample.best_haspl, 2.0);
+  const auto options = quick(MoveMode::kTwoNeighborSwing, 1000);
+  const auto [result, lines] =
+      run_traced("annealer.", [&] { return anneal(initial, options); });
+  std::map<std::string, std::vector<double>> series;
+  for (const std::string& line : lines) {
+    const JsonValue event = JsonValue::parse(line);
+    EXPECT_EQ(event.at("ph").as_string(), "C") << line;
+    series[event.at("name").as_string()].push_back(
+        event.at("args").at("value").as_number());
+  }
+  const std::vector<double>& iteration = series["annealer.iteration"];
+  const std::vector<double>& acceptance = series["annealer.acceptance_rate"];
+  const std::vector<double>& temperature = series["annealer.temperature"];
+  const std::vector<double>& current = series["annealer.current_haspl"];
+  const std::vector<double>& best = series["annealer.best_haspl"];
+  EXPECT_EQ(series.size(), 5u);
+
+  const std::uint64_t window = options.iterations / 64;  // 15
+  ASSERT_EQ(iteration.size(), (options.iterations - 1) / window + 2);
+  EXPECT_EQ(std::count(iteration.begin(), iteration.end(), 0.0), 1);
+  for (std::size_t i = 0; i + 1 < iteration.size(); ++i) {
+    EXPECT_EQ(iteration[i], static_cast<double>(i * window));
+  }
+  EXPECT_EQ(iteration.back(), static_cast<double>(options.iterations));
+  for (const auto* s : {&acceptance, &temperature, &current, &best}) {
+    ASSERT_EQ(s->size(), iteration.size());
+  }
+  for (std::size_t i = 0; i < iteration.size(); ++i) {
+    EXPECT_GT(current[i], 2.0);
+    EXPECT_GT(best[i], 2.0);
     // The best seen so far can never trail the current solution.
-    EXPECT_LE(sample.best_haspl, sample.current_haspl);
-    EXPECT_GT(sample.temperature, 0.0);
+    EXPECT_LE(best[i], current[i]);
+    EXPECT_GE(acceptance[i], 0.0);
+    EXPECT_LE(acceptance[i], 1.0);
+    EXPECT_GT(temperature[i], 0.0);
     // Geometric cooling: temperatures are non-increasing along the trace.
     if (i > 0) {
-      EXPECT_LE(sample.temperature, result.trace[i - 1].temperature);
+      EXPECT_LE(temperature[i], temperature[i - 1]);
     }
   }
+  // The trace writes 9 significant digits.
+  EXPECT_NEAR(best.back(), result.best_metrics.h_aspl, 1e-8 * result.best_metrics.h_aspl);
 }
 
 TEST(Annealer, RejectsDisconnectedInitial) {

@@ -25,6 +25,7 @@
 #include "sim/machine.hpp"
 #include "sim/telemetry/telemetry.hpp"
 #include "sim_record.hpp"
+#include "trace_lines.hpp"
 
 namespace orp {
 namespace {
@@ -459,7 +460,7 @@ void expect_traced_equals_untraced(const std::string& label, const Record& untra
     const std::uint64_t parallel_while_traced = counter("sim.rounds.parallel") - parallel;
     obs::flush();
     obs::configure(obs::SinkConfig{});
-    const std::vector<std::string> lines = net_lines(path);
+    const std::vector<std::string> lines = trace_lines(path, "net.");
     std::remove(path.c_str());
 
     expect_identical(untraced, traced, name);

@@ -1,13 +1,12 @@
 #pragma once
 // Every observable of a Machine after a step, as exact bit patterns: the
 // record the bit-identity batteries (parallel rounds, replayed calls)
-// compare run against run; and the `net.*` lines of a trace, which they
-// compare likewise.
+// compare run against run. They compare the trace's `net.*` lines likewise
+// (trace_lines.hpp).
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -67,22 +66,6 @@ inline void expect_identical(const Record& want, const Record& got, const std::s
                                          << std::bit_cast<double>(want.bits[i]) << " vs "
                                          << std::bit_cast<double>(got.bits[i]);
   }
-}
-
-/// The `net.*` lines of a trace, without the wall-clock "ts" and the "tid"
-/// of the thread that drained them.
-inline std::vector<std::string> net_lines(const std::string& path) {
-  std::vector<std::string> out;
-  std::ifstream in(path);
-  for (std::string line; std::getline(in, line);) {
-    if (line.find("\"cat\":\"net\"") == std::string::npos) continue;
-    for (const char* key : {"\"ts\":", "\"tid\":"}) {
-      const std::size_t at = line.find(key);
-      if (at != std::string::npos) line.erase(at, line.find(',', at) + 1 - at);
-    }
-    out.push_back(line);
-  }
-  return out;
 }
 
 }  // namespace orp

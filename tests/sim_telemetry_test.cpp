@@ -22,7 +22,7 @@
 #include "search/random_init.hpp"
 #include "sim/machine.hpp"
 #include "sim/telemetry/telemetry.hpp"
-#include "sim_record.hpp"
+#include "trace_lines.hpp"
 
 namespace orp {
 namespace {
@@ -495,7 +495,7 @@ TEST(SimTelemetryReservoir, FullFlowReservoirKeepsOneSampleOnAnyPool) {
     obs::flush();
     obs::configure(obs::SinkConfig{});
     const obs::report::TraceAnalysis a = obs::report::analyze_trace_file(path);
-    const std::vector<std::string> lines = net_lines(path);
+    const std::vector<std::string> lines = trace_lines(path, "net.");
     std::remove(path.c_str());
 
     const obs::report::NetworkAnalysis& net = a.network;
