@@ -199,27 +199,27 @@ void register_search_delta(BenchRegistry& registry) {
             std::to_string(c.r),
         "search",
         [c]() -> BenchOp {
-          auto graph = std::make_shared<HostSwitchGraph>(setup_graph(c.n, c.r));
+          const HostSwitchGraph graph = setup_graph(c.n, c.r);
           std::vector<std::pair<SwitchId, SwitchId>> edges;
-          for (SwitchId s = 0; s < graph->num_switches(); ++s) {
-            for (SwitchId t : graph->neighbors(s)) {
+          for (SwitchId s = 0; s < graph.num_switches(); ++s) {
+            for (SwitchId t : graph.neighbors(s)) {
               if (s < t) edges.emplace_back(s, t);
             }
           }
           Xoshiro256 rng(kSetupSeed);
           auto deltas = std::make_shared<std::vector<GraphDelta>>();
           for (int i = 0; i < 512; ++i) {
-            if (const auto move = propose_swap(*graph, edges, rng)) {
+            if (const auto move = propose_swap(graph, edges, rng)) {
               deltas->push_back(delta_of(*move));
             }
           }
-          auto eval = std::make_shared<DeltaHasplEvaluator>(*graph);
+          auto eval = std::make_shared<DeltaHasplEvaluator>(graph);
           auto next = std::make_shared<std::size_t>(0);
-          return [graph, eval, deltas, next] {
+          return [eval, deltas, next] {
             const GraphDelta& delta = (*deltas)[*next];
             *next = (*next + 1) % deltas->size();
             do_not_optimize(eval->apply(delta).total_length);
-            eval->revert_last(*graph);
+            eval->revert_last();
           };
         },
         true,

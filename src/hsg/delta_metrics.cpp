@@ -8,16 +8,11 @@
 namespace orp {
 namespace {
 
-// Per-process delta-eval counters: hit/fallback ratio and repair volume.
-// An "incremental" apply repaired in place; a "fallback" apply rebuilt the
-// whole distance state from scratch.
+// Per-process delta-eval counters: apply volume and repair mix.
 struct DeltaInstruments {
   obs::Counter& applies;
   obs::Counter& reverts;
-  obs::Counter& incremental;
-  obs::Counter& fallback;
   obs::Counter& dirty_sources;
-  obs::Counter& scalar_repairs;
   obs::Counter& single_affected;
   obs::Counter& row_rescans;
   obs::Counter& early_rejects;
@@ -28,10 +23,7 @@ struct DeltaInstruments {
     static DeltaInstruments instance{
         registry.counter("delta_eval.applies"),
         registry.counter("delta_eval.reverts"),
-        registry.counter("delta_eval.incremental"),
-        registry.counter("delta_eval.fallback"),
         registry.counter("delta_eval.dirty_sources"),
-        registry.counter("delta_eval.scalar_repairs"),
         registry.counter("delta_eval.single_affected"),
         registry.counter("delta_eval.row_rescans"),
         registry.counter("delta_eval.early_rejects"),
@@ -42,11 +34,7 @@ struct DeltaInstruments {
 
 }  // namespace
 
-DeltaHasplEvaluator::DeltaHasplEvaluator(const HostSwitchGraph& g,
-                                         DeltaEvalOptions options)
-    : options_(options) {
-  rebuild(g);
-}
+DeltaHasplEvaluator::DeltaHasplEvaluator(const HostSwitchGraph& g) { rebuild(g); }
 
 void DeltaHasplEvaluator::rebuild(const HostSwitchGraph& g) {
   ORP_REQUIRE(g.fully_attached(),
@@ -421,7 +409,6 @@ void DeltaHasplEvaluator::apply_edge_addition(SwitchId u, SwitchId v) {
     if (gap >= 2) dirty_sources_.push_back(s);
   }
   stats_.dirty_sources += dirty_sources_.size();
-  stats_.scalar_repairs += dirty_sources_.size();
   for (std::uint32_t s : dirty_sources_) {
     const std::uint16_t* base_u = row(u);  // row u may have been repaired (s == u)
     const std::uint16_t* base_v = row(v);
@@ -430,8 +417,7 @@ void DeltaHasplEvaluator::apply_edge_addition(SwitchId u, SwitchId v) {
   }
 }
 
-DeltaHasplEvaluator::RemovalOutcome DeltaHasplEvaluator::apply_edge_removal(
-    SwitchId u, SwitchId v, std::size_t fallback_limit, RejectTest* test) {
+bool DeltaHasplEvaluator::apply_edge_removal(SwitchId u, SwitchId v, RejectTest* test) {
   // Dirty filter: row s changes iff the endpoints sat on different BFS
   // levels AND the deeper endpoint has no surviving neighbor one level
   // closer (the adjacency already excludes the removed edge, so only
@@ -466,8 +452,6 @@ DeltaHasplEvaluator::RemovalOutcome DeltaHasplEvaluator::apply_edge_removal(
     if (!(du > dv ? alt_u_[s] : alt_v_[s])) dirty_sources_.push_back(s);
   }
   stats_.dirty_sources += dirty_sources_.size();
-  if (dirty_sources_.size() > fallback_limit) return RemovalOutcome::kFellBack;
-  stats_.scalar_repairs += dirty_sources_.size();
   // The removed edge's own endpoint rows go last, where every row they read
   // is final (repair_endpoint_row). The order moves checkpoints, never the
   // final bound, so it changes no decision.
@@ -504,10 +488,10 @@ DeltaHasplEvaluator::RemovalOutcome DeltaHasplEvaluator::apply_edge_removal(
 #endif
     if (test->rejects(total_length_of(bound_))) {
       stats_.sources_skipped += dirty_sources_.size() - i - 1;
-      return RemovalOutcome::kRejected;
+      return false;
     }
   }
-  return RemovalOutcome::kRepaired;
+  return true;
 }
 
 void DeltaHasplEvaluator::apply_host_move(SwitchId from, SwitchId to) {
@@ -571,7 +555,6 @@ bool DeltaHasplEvaluator::apply_frame(const GraphDelta& delta, RejectTest* test)
   const Stats before = stats_;
   const auto count_repairs = [&] {
     instruments.dirty_sources.add(stats_.dirty_sources - before.dirty_sources);
-    instruments.scalar_repairs.add(stats_.scalar_repairs - before.scalar_repairs);
     instruments.single_affected.add(stats_.single_affected - before.single_affected);
     instruments.row_rescans.add(stats_.row_rescans - before.row_rescans);
   };
@@ -601,10 +584,6 @@ bool DeltaHasplEvaluator::apply_frame(const GraphDelta& delta, RejectTest* test)
   frame.delta = delta;
   frames_.push_back(std::move(frame));
 
-  const auto fallback_limit = static_cast<std::size_t>(
-      options_.fallback_fraction * static_cast<double>(m_));
-  bool fell_back = false;
-
   // Host moves first, so every entry write below sees the final weights.
   for (std::uint8_t i = 0; i < delta.num_host_moves; ++i) {
     apply_host_move(delta.host_moves[i].from, delta.host_moves[i].to);
@@ -633,19 +612,9 @@ bool DeltaHasplEvaluator::apply_frame(const GraphDelta& delta, RejectTest* test)
   bool rejected = bound_on_ && test->rejects(total_length_of(bound_));
   for (std::uint8_t i = 0; i < delta.num_removed; ++i) {
     adj_remove(delta.removed[i].first, delta.removed[i].second);
-    if (fell_back || rejected) continue;
-    switch (apply_edge_removal(delta.removed[i].first, delta.removed[i].second,
-                               fallback_limit, bound_on_ ? test : nullptr)) {
-      case RemovalOutcome::kRepaired:
-        break;
-      case RemovalOutcome::kFellBack:
-        fell_back = true;
-        bound_on_ = false;
-        break;
-      case RemovalOutcome::kRejected:
-        rejected = true;
-        break;
-    }
+    if (rejected) continue;
+    rejected = !apply_edge_removal(delta.removed[i].first, delta.removed[i].second,
+                                   bound_on_ ? test : nullptr);
   }
   if (rejected) {
     // The adjacency mirrors the whole delta; the rescans and the metrics
@@ -657,43 +626,22 @@ bool DeltaHasplEvaluator::apply_frame(const GraphDelta& delta, RejectTest* test)
     return false;
   }
 
-  if (fell_back) {
-    frames_.back().was_rebuild = true;
-    ++stats_.fallback_rebuilds;
-    instruments.fallback.inc();
-    rebuild_all_rows();
-    rebuild_aggregates();
-  } else {
-    // write_entry kept sum/unreach exact; rows left with no target at their
-    // max were queued once each. Rescan those still empty.
-    for (std::uint32_t s : rescan_rows_) {
-      if (row_max_[s].count == 0) rescan_row_max(s);
-    }
-    instruments.incremental.inc();
+  // write_entry kept sum/unreach exact; rows left with no target at their
+  // max were queued once each. Rescan those still empty.
+  for (std::uint32_t s : rescan_rows_) {
+    if (row_max_[s].count == 0) rescan_row_max(s);
   }
   if (bound_on_) ORP_ASSERT(bound_ == ordered_length());
   count_repairs();
   return true;
 }
 
-void DeltaHasplEvaluator::revert_last(const HostSwitchGraph& restored) {
+void DeltaHasplEvaluator::revert_last() {
   ORP_REQUIRE(!frames_.empty(), "revert_last() without a pending apply()");
   ++stats_.reverts;
   DeltaInstruments::get().reverts.inc();
   UndoFrame frame = std::move(frames_.back());
   frames_.pop_back();
-
-  if (frame.was_rebuild) {
-    // The apply rebuilt from scratch, so there is nothing to replay;
-    // resync from the caller's restored graph. Deeper frames stay valid:
-    // the rebuilt arrays are exact functions of that graph state.
-    undo_entries_.resize(frame.entries_begin);
-    undo_rows_.resize(frame.rows_begin);
-    sync_graph(restored);
-    rebuild_all_rows();
-    rebuild_aggregates();
-    return;
-  }
 
   // Exact inverse of apply(), step by step in reverse order. A stopped
   // apply_or_reject() frame replays the same way: its log holds exactly

@@ -61,11 +61,9 @@
 // test is only consulted once the move is shown to keep every host pair
 // connected (docs/search.md, "Early rejection").
 //
-// Every dirty source is repaired on its own. Only when a removal dirties
-// more than `fallback_fraction * m` sources does the evaluator give up on
-// incremental repair and rebuild the whole state from scratch (counted by
-// the delta_eval.fallback obs counter). That rebuild, like the constructor's,
-// runs the shared bit-parallel distance kernel (hsg/distance.hpp).
+// Every dirty source is repaired on its own, however many a change dirties.
+// Only the constructor and rebuild() compute the whole state, with the
+// shared bit-parallel distance kernel (hsg/distance.hpp).
 
 #include <cstdint>
 #include <optional>
@@ -122,19 +120,12 @@ struct GraphDelta {
   }
 };
 
-struct DeltaEvalOptions {
-  /// Dirty fraction of all m sources above which apply() abandons
-  /// incremental repair and rebuilds the whole state from scratch.
-  double fallback_fraction = 0.75;
-};
-
 class DeltaHasplEvaluator {
  public:
   /// Snapshots `g` (which must be fully attached) and computes the full
   /// distance matrix. The evaluator keeps its own copy of the switch
   /// adjacency; `g` is not referenced after construction.
-  explicit DeltaHasplEvaluator(const HostSwitchGraph& g,
-                               DeltaEvalOptions options = {});
+  explicit DeltaHasplEvaluator(const HostSwitchGraph& g);
 
   /// Re-synchronizes with `g` and recomputes everything from scratch.
   /// Drops any pending undo frames.
@@ -172,10 +163,9 @@ class DeltaHasplEvaluator {
   /// Exactly undoes the most recent un-reverted apply(). Applies nest:
   /// after apply(a); apply(b); two revert_last() calls undo b then a. The
   /// undo stack keeps the 4 most recent frames (accepted moves leave theirs
-  /// behind; older ones are forgotten). `restored` must be the graph as it
-  /// was before that apply (the caller reverts its graph first); it is only
-  /// consulted when the apply being undone fell back to a full rebuild.
-  void revert_last(const HostSwitchGraph& restored);
+  /// behind; older ones are forgotten). Replays the frame's undo log, so
+  /// it reads nothing of the caller's graph.
+  void revert_last();
 
   /// Metrics of the currently mirrored state, assembled in O(m).
   HostMetrics metrics() const;
@@ -187,20 +177,18 @@ class DeltaHasplEvaluator {
   std::uint32_t num_switches() const noexcept { return m_; }
 
   /// Cumulative behaviour counters (several also exported via obs as
-  /// delta_eval.*); `fallback_rebuilds` counts applies that gave up on
-  /// incremental repair. Each removal repair takes exactly one of the
+  /// delta_eval.*). Every dirty source an apply repairs is counted in
+  /// dirty_sources; each removal repair takes exactly one of the
   /// single_affected / two_phase_repairs / endpoint_rows branches.
   struct Stats {
     std::uint64_t applies = 0;
     std::uint64_t reverts = 0;           ///< revert_last() calls
     std::uint64_t edge_changes = 0;
     std::uint64_t dirty_sources = 0;     ///< sources the filters flagged
-    std::uint64_t scalar_repairs = 0;    ///< repaired per-source (RR / cascade)
     std::uint64_t single_affected = 0;   ///< removals fixed by a direct min
     std::uint64_t two_phase_repairs = 0; ///< removals re-relaxed by buckets
     std::uint64_t endpoint_rows = 0;     ///< removed edges' endpoint rows
     std::uint64_t row_rescans = 0;       ///< rows whose max count reached 0
-    std::uint64_t fallback_rebuilds = 0; ///< full from-scratch rebuilds
     std::uint64_t early_rejects = 0;     ///< applies a RejectTest stopped
     std::uint64_t sources_skipped = 0;   ///< dirty sources they left unrepaired
   };
@@ -245,12 +233,9 @@ class DeltaHasplEvaluator {
   // complete apply) stopped it.
   bool apply_frame(const GraphDelta& delta, RejectTest* test);
   void apply_edge_addition(SwitchId u, SwitchId v);
-  enum class RemovalOutcome { kRepaired, kFellBack, kRejected };
-  // kFellBack leaves the rows unrepaired when the removal dirties more than
-  // `fallback_limit` sources (apply() then rebuilds everything); kRejected
-  // when `test` (non-null only while the bound is on) stopped the repair.
-  RemovalOutcome apply_edge_removal(SwitchId u, SwitchId v,
-                                    std::size_t fallback_limit, RejectTest* test);
+  // Returns false when `test` (non-null only while the bound is on)
+  // stopped the repair.
+  bool apply_edge_removal(SwitchId u, SwitchId v, RejectTest* test);
   void apply_host_move(SwitchId from, SwitchId to);
 
   // Σ_s w_s·S_w[s] (twice the summed switch distance over host pairs), or
@@ -275,11 +260,10 @@ class DeltaHasplEvaluator {
   // called once every other dirty row of the removal is repaired.
   void repair_endpoint_row(std::uint32_t s);
   // From-scratch distance matrix (the shared kernel, hsg/distance.hpp) and
-  // aggregates (constructor / fallback).
+  // aggregates (constructor / rebuild()).
   void rebuild_all_rows();
   void rebuild_aggregates();
 
-  DeltaEvalOptions options_;
   std::uint32_t n_ = 0;
   std::uint32_t m_ = 0;
 
@@ -329,7 +313,6 @@ class DeltaHasplEvaluator {
     std::size_t entries_begin = 0;
     std::size_t rows_begin = 0;
     GraphDelta delta;
-    bool was_rebuild = false;
     // Full row-max snapshot (values and counts), taken only when a host
     // move crosses zero hosts on a switch (the one case where reverting a
     // row max is not arithmetic).

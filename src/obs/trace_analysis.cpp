@@ -246,11 +246,19 @@ Convergence analyze_run(const RunSeries& run, std::size_t window_count) {
   // trivially has a large trailing gap.
   conv.stalled = conv.samples >= 8 && conv.stall_fraction > 0.5;
 
-  // Equal time windows over the run's own span.
+  // Equal time windows from the run's earliest sample to its latest, over
+  // every series read: a window's iteration, acceptance and temperature
+  // samples are written just before its best_haspl one.
+  double w0 = t0, w1 = t1;
+  for (const Series& s : run) {
+    if (s.empty()) continue;
+    w0 = std::min(w0, s.front().first);
+    w1 = std::max(w1, s.back().first);
+  }
   const std::size_t k = std::max<std::size_t>(1, window_count);
   for (std::size_t w = 0; w < k; ++w) {
-    const double lo = t0 + (t1 - t0) * static_cast<double>(w) / static_cast<double>(k);
-    const double hi = t0 + (t1 - t0) * static_cast<double>(w + 1) / static_cast<double>(k);
+    const double lo = w0 + (w1 - w0) * static_cast<double>(w) / static_cast<double>(k);
+    const double hi = w0 + (w1 - w0) * static_cast<double>(w + 1) / static_cast<double>(k);
     ConvergenceWindow win;
     win.t_end_us = hi;
     auto mean_in = [&](const Series& s, std::uint64_t* count = nullptr) {

@@ -278,10 +278,10 @@ void SaChain::audit_evaluator() const {
               "delta evaluator disagrees with a from-scratch recompute");
 }
 
-// Called after `current_` has been restored: rejecting a move replays the
-// evaluator's undo log (revert_last), which is much cheaper than an
-// inverse repair. Frames nest, covering the 2-neighbor completion chain.
-void SaChain::revert_move() { delta_eval_.revert_last(current_); }
+// Rejecting a move replays the evaluator's undo log (revert_last), which
+// is much cheaper than an inverse repair and reads nothing of `current_`.
+// Frames nest, covering the 2-neighbor completion chain.
+void SaChain::revert_move() { delta_eval_.revert_last(); }
 
 void SaChain::emit_window(std::uint64_t at_iter) {
   if (!config_.emit_obs_window) return;

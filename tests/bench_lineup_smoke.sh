@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # Runs the comparison benches and examples that size conventional
-# baselines (torus, dragonfly, fat-tree) at small host counts. Each run
-# must exit 0 and print the labels of the topologies it compares.
+# baselines (torus, dragonfly, fat-tree) at small host counts, and the
+# Fig. 5 switch-count sweep, whose small-m points make the delta evaluator
+# repair moves that dirty most sources. Each run must exit 0 and print the
+# labels of the topologies or panels it covers.
 #
 # Usage: bench_lineup_smoke.sh ABL_DEADLOCK_FREE ABL_TRAFFIC ABL_ROUTING
 #          ABL_FLUID_VS_PACKET ABL_FAULT_RESILIENCE FIG10_VS_DRAGONFLY
 #          FIG11_VS_FATTREE DESIGN_NETWORK MPI_SIMULATION
+#          FIG05_HASPL_VS_SWITCHES
 set -u
 deadlock_free=$1
 traffic=$2
@@ -16,6 +19,7 @@ fig10=$6
 fig11=$7
 design_network=$8
 mpi_simulation=$9
+fig05=${10}
 failures=0
 
 export ORP_SA_ITERS=200 ORP_SIM_FRAC=1 ORP_RUN_LEDGER=none
@@ -58,5 +62,7 @@ expect_labels "topology: dragonfly  hosts=64  switches=36" \
   "$mpi_simulation" --topology dragonfly --hosts 64 --kernels CG
 expect_labels "topology: fattree  hosts=64  switches=80" \
   "$mpi_simulation" --topology fattree --hosts 64 --kernels CG
+expect_labels "Fig. 5 panel: n=128, r=24|Fig. 5 panel: n=256, r=12|Fig. 5 panel: n=1024, r=12|Fig. 5 panel: n=1024, r=24|<- m_opt" \
+  "$fig05"
 
 [[ $failures -eq 0 ]]

@@ -1,10 +1,10 @@
 // Differential test for the incremental h-ASPL evaluator: long randomized
 // swap/swing/2n-swing move sequences (accepted AND reverted, including
 // disconnect-and-reject paths) must match a from-scratch metrics.cpp
-// recompute after every single move, on every escalation tier. Rejections
+// recompute after every single move, on every repair path. Rejections
 // alternate randomly between the two supported mechanisms — applying the
 // inverse delta and revert_last() — so both stay exact, including nested
-// (2n-swing) frames and reverts of fallback rebuilds. The early-exit
+// (2n-swing) frames and applies that dirty most sources. The early-exit
 // cases stop apply_or_reject() at every checkpoint and check that the
 // partial frame reverts exactly.
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstring>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -105,37 +106,32 @@ enum RepairPath : std::uint32_t {
   kSingleAffected = 1,  // removal fixed by a direct min
   kTwoPhase = 2,        // removal re-relaxed by the bucket queue
   kEndpointRow = 4,     // a removed edge's endpoint row, from its neighbors
-  kFallback = 8,        // apply rebuilt everything from scratch
+  kLargeRepair = 8,     // one apply repaired more than 3m/4 dirty sources
   kRowRescan = 16,      // a row's max count reached 0
   kIncremental = kSingleAffected | kTwoPhase | kRowRescan,
+  kEveryPath = kIncremental | kEndpointRow | kLargeRepair,
 };
 
-// gtest names each case by the raw bytes of its parameter, so the bytes an
-// aggregate would leave as padding are zeroed members: the case names stay
-// the same from build to build. The double in DeltaEvalOptions rules out
-// std::has_unique_object_representations, so the pin below sums the
-// members instead.
+// gtest names each case by the raw bytes of its parameter, so the members
+// leave no padding (the trailing bytes are zeroed members): the case names
+// stay the same from build to build.
 struct DriveCase {
   constexpr DriveCase(std::uint32_t n_, std::uint32_t m_, std::uint32_t r_,
-                      std::uint64_t seed_, int moves_, DeltaEvalOptions eval_options_,
-                      std::uint32_t must_reach_, bool early_exit_ = false)
-      : n(n_), m(m_), r(r_), seed(seed_), moves(moves_), eval_options(eval_options_),
-        must_reach(must_reach_), early_exit(early_exit_) {}
+                      std::uint64_t seed_, int moves_, std::uint32_t must_reach_,
+                      bool early_exit_ = false)
+      : n(n_), m(m_), r(r_), moves(moves_), seed(seed_), must_reach(must_reach_),
+        early_exit(early_exit_) {}
   std::uint32_t n, m, r;
-  std::uint32_t zero0 = 0;
-  std::uint64_t seed;
   int moves;
-  std::uint32_t zero1 = 0;
-  DeltaEvalOptions eval_options;
+  std::uint64_t seed;
   std::uint32_t must_reach;
   // Evaluate swaps, swings and completion swings (not the 2n-swing's first
   // swing, as in the annealer) with apply_or_reject(), under a test that
   // rejects at a random checkpoint or never.
   bool early_exit;
-  std::array<std::uint8_t, 3> zero2{};
+  std::array<std::uint8_t, 3> zero{};
 };
-static_assert(sizeof(DeltaEvalOptions) == sizeof(double));
-static_assert(sizeof(DriveCase) == 4 * 4 + 8 + 4 + 4 + sizeof(DeltaEvalOptions) + 4 + 1 + 3);
+static_assert(std::has_unique_object_representations_v<DriveCase>);
 
 // Applies random moves until `moves` of them landed; after every apply and
 // every revert the evaluator must agree with compute_host_metrics on the
@@ -146,22 +142,30 @@ static_assert(sizeof(DriveCase) == 4 * 4 + 8 + 4 + 4 + sizeof(DeltaEvalOptions) 
 void drive(const DriveCase& tc) {
   Xoshiro256 rng(tc.seed);
   HostSwitchGraph g = random_host_switch_graph(tc.n, tc.m, tc.r, rng);
-  DeltaHasplEvaluator eval(g, tc.eval_options);
+  DeltaHasplEvaluator eval(g);
   EdgeList edges = collect_edges(g);
   expect_metrics_equal(eval.metrics(), compute_host_metrics(g), "initial");
+
+  // Applies that dirtied more than 3m/4 sources, counted from the
+  // dirty_sources deltas around each apply.
+  std::uint64_t large_repairs = 0;
+  const auto count_dirty = [&](const auto& apply) {
+    const std::uint64_t dirty = eval.stats().dirty_sources;
+    auto result = apply();
+    if ((eval.stats().dirty_sources - dirty) * 4 > std::uint64_t{3} * tc.m) ++large_repairs;
+    return result;
+  };
 
   // Undo the most recent apply. The mechanism is drawn once per proposal
   // chain: within a nested 2n-swing rejection the two undos must match,
   // because an inverse-apply pushes its own frame and a subsequent
-  // revert_last() would undo that instead of the original move. Called
-  // after `g` has been restored (revert_last needs the pre-apply graph when
-  // the apply fell back to a rebuild).
+  // revert_last() would undo that instead of the original move.
   bool use_revert = false;
   const auto undo = [&](const GraphDelta& delta) {
     if (use_revert) {
-      eval.revert_last(g);
+      eval.revert_last();
     } else {
-      eval.apply(delta.inverse());
+      count_dirty([&] { return eval.apply(delta.inverse()); });
     }
   };
 
@@ -172,9 +176,10 @@ void drive(const DriveCase& tc) {
   std::uint64_t early_stops = 0;
   const auto evaluate = [&](const GraphDelta& delta,
                             bool may_stop) -> std::optional<HostMetrics> {
-    if (!tc.early_exit || !may_stop) return eval.apply(delta);
+    if (!tc.early_exit || !may_stop) return count_dirty([&] { return eval.apply(delta); });
     ScriptedTest test(early_rng.below(8));  // 0 = never reject
-    const std::optional<HostMetrics> got = eval.apply_or_reject(delta, test);
+    const std::optional<HostMetrics> got =
+        count_dirty([&] { return eval.apply_or_reject(delta, test); });
     if (!got) {
       ++early_stops;
       EXPECT_FALSE(test.bounds.empty());
@@ -198,7 +203,7 @@ void drive(const DriveCase& tc) {
         sync_delta(edges, delta);
       } else {
         apply_swap(g, move->inverse());
-        got ? undo(delta) : eval.revert_last(g);
+        got ? undo(delta) : eval.revert_last();
         expect_metrics_equal(eval.metrics(), compute_host_metrics(g),
                              "revert-swap");
       }
@@ -230,7 +235,7 @@ void drive(const DriveCase& tc) {
               completed = true;
             } else {
               apply_swing(g, completion->inverse());
-              two ? undo(completion_delta) : eval.revert_last(g);
+              two ? undo(completion_delta) : eval.revert_last();
               expect_metrics_equal(eval.metrics(), compute_host_metrics(g),
                                    "revert-completion");
             }
@@ -238,7 +243,7 @@ void drive(const DriveCase& tc) {
         }
         if (!completed) {
           apply_swing(g, first->inverse());
-          one ? undo(first_delta) : eval.revert_last(g);
+          one ? undo(first_delta) : eval.revert_last();
           expect_metrics_equal(eval.metrics(), compute_host_metrics(g),
                                "revert-swing");
         }
@@ -258,7 +263,7 @@ void drive(const DriveCase& tc) {
   reached(kSingleAffected, stats.single_affected);
   reached(kTwoPhase, stats.two_phase_repairs);
   reached(kEndpointRow, stats.endpoint_rows);
-  reached(kFallback, stats.fallback_rebuilds);
+  reached(kLargeRepair, large_repairs);
   reached(kRowRescan, stats.row_rescans);
   EXPECT_EQ(stats.early_rejects, early_stops);
   if (tc.early_exit) {
@@ -271,40 +276,40 @@ class DeltaDifferential : public ::testing::TestWithParam<DriveCase> {};
 TEST_P(DeltaDifferential, MatchesFromScratchRecompute) { drive(GetParam()); }
 
 // ~4.1k landed moves across the grid n in {16,48,64,128,1024}, r in
-// {4,5,8,12,16}, with fallback fractions that pin both tiers (per-source
-// repair only, always rebuild, and mixes of the two), plus the paper's
-// headline size (n=1024, m_opt=183, r=16). Together the cases reach every
-// repair path. On the dense {128, 24, 12} graphs a source other than the
-// removed edge's endpoints rarely loses more than one vertex, so those
-// drives run longer to reach the two-phase repair; the {48, 24, 5} case
-// (three switch ports per switch) reaches it often.
+// {4,5,8,12,16}, plus the paper's headline size (n=1024, m_opt=183, r=16).
+// Every case but the headline one reaches every repair path, including
+// applies that dirty more than 3m/4 sources, where most rows of the matrix
+// are repaired one by one. On the dense {128, 24, 12} graphs a source other
+// than the removed edge's endpoints rarely loses more than one vertex, so
+// those drives run longer to reach the two-phase repair; the {48, 24, 5}
+// case (three switch ports per switch) reaches it often.
 INSTANTIATE_TEST_SUITE_P(
     RandomizedMoves, DeltaDifferential,
     ::testing::Values(
-        DriveCase{16, 8, 4, 1, 120, {}, kIncremental | kEndpointRow | kFallback},
-        DriveCase{64, 16, 8, 2, 120, {}, kIncremental},
-        DriveCase{128, 24, 12, 3, 2400, {}, kIncremental | kEndpointRow},
-        DriveCase{64, 16, 8, 4, 120, DeltaEvalOptions{1.0}, kIncremental},
-        DriveCase{64, 16, 8, 5, 120, DeltaEvalOptions{0.0}, kFallback},
-        DriveCase{128, 24, 12, 6, 600, DeltaEvalOptions{0.3}, kIncremental | kEndpointRow},
-        DriveCase{16, 8, 4, 7, 120, DeltaEvalOptions{0.5}, kIncremental | kFallback},
-        DriveCase{100, 40, 6, 8, 120, {}, kIncremental | kEndpointRow},
-        DriveCase{128, 70, 6, 9, 100, {}, kIncremental},
-        DriveCase{1024, 183, 16, 10, 150, {}, kIncremental},
-        DriveCase{48, 24, 5, 11, 120, {}, kIncremental | kEndpointRow}));
+        DriveCase{16, 8, 4, 1, 120, kEveryPath},
+        DriveCase{64, 16, 8, 2, 120, kEveryPath},
+        DriveCase{128, 24, 12, 3, 2400, kEveryPath},
+        DriveCase{64, 16, 8, 4, 120, kEveryPath},
+        DriveCase{64, 16, 8, 5, 120, kEveryPath},
+        DriveCase{128, 24, 12, 6, 600, kEveryPath},
+        DriveCase{16, 8, 4, 7, 120, kEveryPath},
+        DriveCase{100, 40, 6, 8, 120, kEveryPath},
+        DriveCase{128, 70, 6, 9, 100, kEveryPath},
+        DriveCase{1024, 183, 16, 10, 150, kIncremental | kEndpointRow},
+        DriveCase{48, 24, 5, 11, 120, kEveryPath}));
 
 // The same grid with early exits: swaps, swings and completion swings may
 // stop at a random checkpoint, and a stopped apply is always reverted.
 INSTANTIATE_TEST_SUITE_P(
     EarlyExitMoves, DeltaDifferential,
     ::testing::Values(
-        DriveCase{16, 8, 4, 1, 120, {}, kIncremental | kEndpointRow | kFallback, true},
-        DriveCase{64, 16, 8, 2, 120, {}, kIncremental, true},
-        DriveCase{128, 24, 12, 3, 2400, {}, kIncremental | kEndpointRow, true},
-        DriveCase{16, 8, 4, 7, 120, DeltaEvalOptions{0.5}, kIncremental | kFallback, true},
-        DriveCase{100, 40, 6, 8, 120, {}, kIncremental | kEndpointRow, true},
-        DriveCase{1024, 183, 16, 10, 150, {}, kIncremental, true},
-        DriveCase{48, 24, 5, 12, 120, {}, kIncremental | kEndpointRow, true}));
+        DriveCase{16, 8, 4, 1, 120, kEveryPath, true},
+        DriveCase{64, 16, 8, 2, 120, kEveryPath, true},
+        DriveCase{128, 24, 12, 3, 2400, kEveryPath, true},
+        DriveCase{16, 8, 4, 7, 120, kEveryPath, true},
+        DriveCase{100, 40, 6, 8, 120, kEveryPath, true},
+        DriveCase{1024, 183, 16, 10, 150, kIncremental | kEndpointRow, true},
+        DriveCase{48, 24, 5, 12, 120, kEveryPath, true}));
 
 // ---- early exit ---------------------------------------------------------
 
@@ -342,15 +347,14 @@ struct Coverage {
   std::uint64_t stops = 0;
 };
 
-// `delta` takes `before` to `after`. Applies it once with a test that never
+// `delta` takes the evaluator's state to the graph `after`. Applies it once with a test that never
 // rejects, checking the bounds it is shown (never above the final
 // total_length, never falling, equal to it at the last checkpoint), then
 // once per checkpoint k with a test that rejects at the k-th: each stopped
 // apply must show the same bounds, and revert_last() must bring back the
 // pre-apply matrix and metrics bit for bit.
-void stop_at_every_checkpoint(DeltaHasplEvaluator& eval, const HostSwitchGraph& before,
-                              const HostSwitchGraph& after, const GraphDelta& delta,
-                              Coverage& coverage) {
+void stop_at_every_checkpoint(DeltaHasplEvaluator& eval, const HostSwitchGraph& after,
+                              const GraphDelta& delta, Coverage& coverage) {
   const EvalState pre = capture(eval);
   const DeltaHasplEvaluator::Stats s0 = eval.stats();
   ScriptedTest full;
@@ -359,7 +363,7 @@ void stop_at_every_checkpoint(DeltaHasplEvaluator& eval, const HostSwitchGraph& 
   const HostMetrics want = compute_host_metrics(after);
   expect_metrics_equal(*done, want, "complete");
   const DeltaHasplEvaluator::Stats s1 = eval.stats();
-  eval.revert_last(before);
+  eval.revert_last();
   expect_same_state(eval, pre, "revert-complete");
   if (full.bounds.empty()) return;  // not certified connected
 
@@ -370,9 +374,7 @@ void stop_at_every_checkpoint(DeltaHasplEvaluator& eval, const HostSwitchGraph& 
       EXPECT_GE(full.bounds[i], full.bounds[i - 1]) << "checkpoint " << i;
     }
   }
-  if (s1.fallback_rebuilds == s0.fallback_rebuilds) {
-    EXPECT_EQ(full.bounds.back(), want.total_length);
-  }
+  EXPECT_EQ(full.bounds.back(), want.total_length);
   if (full.bounds.size() > 1) {
     // A checkpoint follows every removal repair of this apply.
     coverage.single_affected += s1.single_affected - s0.single_affected;
@@ -387,7 +389,7 @@ void stop_at_every_checkpoint(DeltaHasplEvaluator& eval, const HostSwitchGraph& 
     first_only.num_removed = 1;
     ScriptedTest probe;
     ASSERT_TRUE(eval.apply_or_reject(first_only, probe).has_value());
-    eval.revert_last(before);
+    eval.revert_last();
     ASSERT_LE(probe.bounds.size(), full.bounds.size());
     EXPECT_TRUE(std::equal(probe.bounds.begin(), probe.bounds.end(), full.bounds.begin()));
     first_removal_end = probe.bounds.size();
@@ -401,7 +403,7 @@ void stop_at_every_checkpoint(DeltaHasplEvaluator& eval, const HostSwitchGraph& 
     ASSERT_EQ(stop.bounds.size(), k);
     EXPECT_TRUE(std::equal(stop.bounds.begin(), stop.bounds.end(), full.bounds.begin()));
     if (k > first_removal_end) ++coverage.second_removal_stops;
-    eval.revert_last(before);
+    eval.revert_last();
     expect_same_state(eval, pre, "revert-stopped");
     ++coverage.stops;
   }
@@ -436,14 +438,14 @@ TEST(EarlyExit, StopsAtEveryCheckpointAndRevertsExactly) {
         delta = delta_of(*move);
         apply_swing(g, *move);
       }
-      stop_at_every_checkpoint(eval, before, g, delta, coverage);
+      stop_at_every_checkpoint(eval, g, delta, coverage);
       // Keep a connected move now and then so the walk moves on.
       const HostMetrics now = eval.apply(delta);
       if (now.connected && rng.bernoulli(0.5)) {
         sync_delta(edges, delta);
       } else {
         g = before;
-        eval.revert_last(g);
+        eval.revert_last();
       }
     }
     expect_state_exact(eval, g);
@@ -477,12 +479,12 @@ TEST(EarlyExit, StopsOverAPendingFrame) {
     if (completion) {
       const HostSwitchGraph middle = g;
       apply_swing(g, *completion);
-      stop_at_every_checkpoint(eval, middle, g, delta_of(*completion), coverage);
+      stop_at_every_checkpoint(eval, g, delta_of(*completion), coverage);
       g = middle;
       ++nested;
     }
     g = before;
-    eval.revert_last(g);
+    eval.revert_last();
     expect_same_state(eval, start, "pop-first");
   }
   EXPECT_GT(nested, 0);
@@ -523,9 +525,9 @@ TEST(EarlyExit, OnlyCertifiedRemovalsReachTheTest) {
     ASSERT_TRUE(healed.has_value());
     expect_metrics_equal(*healed, compute_host_metrics(g), "healed");
     g.remove_switch_edge(1, 3);
-    eval.revert_last(g);
+    eval.revert_last();
     g = before;
-    eval.revert_last(g);
+    eval.revert_last();
     expect_same_state(eval, pre, "bridge-reverted");
   }
   for (const std::uint32_t ring : {8u, 6u}) {
@@ -562,14 +564,12 @@ TEST(EarlyExit, OnlyCertifiedRemovalsReachTheTest) {
 // vertices; removing the bridge {1,2} (the hostless tail 2-3 falls off)
 // turns entries of both endpoint rows into the unreachable sentinel, which
 // the saturating +1 must keep. Every entry must match a fresh evaluator,
-// and revert_last() must restore the matrix bit for bit. Most sources of
-// these small graphs are dirty, so the rebuild fallback is switched off.
+// and revert_last() must restore the matrix bit for bit.
 TEST(DeltaEvaluator, EndpointRowsMatchFreshEvaluatorAndRevertExactly) {
   const auto check = [](HostSwitchGraph g, SwitchId a, SwitchId b,
                         const auto& inspect) {
-    DeltaHasplEvaluator eval(g, DeltaEvalOptions{1.0});
+    DeltaHasplEvaluator eval(g);
     const EvalState pre = capture(eval);
-    const HostSwitchGraph before = g;
     GraphDelta cut;
     cut.remove_edge(a, b);
     g.remove_switch_edge(a, b);
@@ -578,7 +578,7 @@ TEST(DeltaEvaluator, EndpointRowsMatchFreshEvaluatorAndRevertExactly) {
     EXPECT_EQ(eval.stats().endpoint_rows, endpoint_rows + 2);
     expect_state_exact(eval, g);
     inspect(eval);
-    eval.revert_last(before);
+    eval.revert_last();
     expect_same_state(eval, pre, "revert-cut");
   };
 
@@ -728,7 +728,7 @@ TEST(DeltaEvaluator, HostMoveZeroCrossingsKeepMaxCountsAcrossRevert) {
   g.move_host(1, 4);
   expect_metrics_equal(eval.apply(spread), compute_host_metrics(g), "spread");
   g.move_host(1, 1);
-  eval.revert_last(g);
+  eval.revert_last();
   expect_metrics_equal(eval.metrics(), compute_host_metrics(g), "spread-reverted");
 
   const std::uint64_t rescans = eval.stats().row_rescans;
@@ -741,55 +741,8 @@ TEST(DeltaEvaluator, HostMoveZeroCrossingsKeepMaxCountsAcrossRevert) {
   EXPECT_GT(eval.stats().row_rescans, rescans);
 
   g.move_host(2, 3);
-  eval.revert_last(g);
+  eval.revert_last();
   expect_metrics_equal(eval.metrics(), compute_host_metrics(g), "gathered-reverted");
-  expect_state_exact(eval, g);
-}
-
-TEST(DeltaEvaluator, FallbackTierIsExercisedAndCounted) {
-  Xoshiro256 rng(13);
-  auto g = random_host_switch_graph(64, 16, 8, rng);
-  DeltaHasplEvaluator eval(g, DeltaEvalOptions{0.0});  // always rebuild
-  EdgeList edges = collect_edges(g);
-  std::uint64_t landed = 0;
-  for (int i = 0; i < 50; ++i) {
-    const auto move = propose_swap(g, edges, rng);
-    if (!move) continue;
-    apply_swap(g, *move);
-    expect_metrics_equal(eval.apply(delta_of(*move)), compute_host_metrics(g),
-                         "fallback-apply");
-    sync_delta(edges, delta_of(*move));
-    ++landed;
-  }
-  ASSERT_GT(landed, 0u);
-  // fallback_fraction = 0 forces a rebuild on every apply with a dirty
-  // removal; random swaps essentially always dirty at least one source.
-  EXPECT_GT(eval.stats().fallback_rebuilds, 0u);
-  EXPECT_EQ(eval.stats().applies, landed);
-}
-
-TEST(DeltaEvaluator, RevertLastUndoesFallbackRebuild) {
-  // fallback_fraction = 0 turns every apply with a dirty removal into a
-  // full rebuild; revert_last() must then resync from the restored graph.
-  Xoshiro256 rng(19);
-  auto g = random_host_switch_graph(64, 16, 8, rng);
-  DeltaHasplEvaluator eval(g, DeltaEvalOptions{0.0});
-  EdgeList edges = collect_edges(g);
-  std::uint64_t reverted = 0;
-  for (int i = 0; i < 20; ++i) {
-    const auto move = propose_swap(g, edges, rng);
-    if (!move) continue;
-    apply_swap(g, *move);
-    eval.apply(delta_of(*move));
-    apply_swap(g, move->inverse());
-    eval.revert_last(g);
-    expect_metrics_equal(eval.metrics(), compute_host_metrics(g),
-                         "fallback-revert");
-    ++reverted;
-  }
-  ASSERT_GT(reverted, 0u);
-  EXPECT_GT(eval.stats().fallback_rebuilds, 0u);
-  EXPECT_EQ(eval.stats().reverts, reverted);
   expect_state_exact(eval, g);
 }
 
@@ -813,11 +766,11 @@ TEST(DeltaEvaluator, RevertLastPopsNestedFramesInLifoOrder) {
   eval.apply(delta_of(*second));
 
   apply_swing(g, second->inverse());
-  eval.revert_last(g);
+  eval.revert_last();
   expect_metrics_equal(eval.metrics(), compute_host_metrics(g), "pop-second");
 
   apply_swing(g, first->inverse());
-  eval.revert_last(g);
+  eval.revert_last();
   expect_metrics_equal(eval.metrics(), compute_host_metrics(g), "pop-first");
   expect_state_exact(eval, g);
 }
@@ -826,7 +779,7 @@ TEST(DeltaEvaluator, RevertLastWithoutPendingApplyThrows) {
   Xoshiro256 rng(29);
   const auto g = random_host_switch_graph(32, 8, 8, rng);
   DeltaHasplEvaluator eval(g);
-  EXPECT_THROW(eval.revert_last(g), std::invalid_argument);
+  EXPECT_THROW(eval.revert_last(), std::invalid_argument);
 }
 
 TEST(DeltaEvaluator, RebuildResynchronizesAfterExternalEdits) {

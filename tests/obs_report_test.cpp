@@ -262,6 +262,28 @@ TEST(ObsReportConvergence, SamplesBeforeTheFirstRunStartFormTheirOwnRun) {
   EXPECT_EQ(a.convergence[1].last_improvement_iter, 0);
 }
 
+// The committed fuzz seed anneal_runs.jsonl writes each window's iteration,
+// acceptance and temperature samples 0.5-2 us before its best_haspl sample,
+// as the annealer does. The windows start at a run's earliest sample, so
+// Run 2's first window averages the samples written at its start
+// (acceptance 0 and 0.7, temperature 0.003 and 0.0018); the h-ASPL rate
+// still reads best_haspl's own span, 1003 to 1163 us.
+TEST(ObsReportConvergence, WindowsCoverSamplesWrittenBeforeBestHaspl) {
+  ReportOptions options;
+  options.windows = 3;
+  const TraceAnalysis a = analyze_trace_file(
+      std::string(ORP_SOURCE_DIR) + "/tests/fuzz/corpus/trace_report/anneal_runs.jsonl",
+      options);
+  ASSERT_GE(a.convergence.size(), 2u);
+  const Convergence& run2 = a.convergence[1];
+  ASSERT_EQ(run2.windows.size(), 3u);
+  EXPECT_NEAR(run2.windows[0].acceptance, 0.35, 1e-12);
+  EXPECT_NEAR(run2.windows[0].temperature, 0.0024, 1e-12);
+  EXPECT_DOUBLE_EQ(run2.windows[0].t_end_us, 1055.0);
+  EXPECT_DOUBLE_EQ(run2.windows[2].t_end_us, 1163.0);
+  EXPECT_NEAR(run2.improvement_per_s, (4.14258578 - 4.0966) / 160e-6, 1e-6);
+}
+
 // A real trace of two solve_orp calls at different (n, r): each anneal run
 // is its own block, ending at the h-ASPL that call returned.
 TEST(ObsReportConvergence, TwoSolvesGiveTwoRunsEndingAtTheirResults) {
