@@ -746,6 +746,69 @@ TEST(DeltaEvaluator, HostMoveZeroCrossingsKeepMaxCountsAcrossRevert) {
   expect_state_exact(eval, g);
 }
 
+// Applies that dirty more than 3m/4 sources repair most rows of the matrix
+// one source at a time. On (16, 8, 4) graphs random swaps often do; each
+// such apply must leave every entry equal to a fresh evaluator's.
+// Disconnecting swaps are reverted, as the annealer rejects them.
+TEST(DeltaEvaluator, LargeRepairsMatchFreshEvaluatorEntryForEntry) {
+  Xoshiro256 rng(1);
+  auto g = random_host_switch_graph(16, 8, 4, rng);
+  DeltaHasplEvaluator eval(g);
+  EdgeList edges = collect_edges(g);
+  std::uint64_t large = 0;
+  for (int i = 0; i < 200; ++i) {
+    const auto move = propose_swap(g, edges, rng);
+    if (!move) continue;
+    apply_swap(g, *move);
+    const std::uint64_t dirty = eval.stats().dirty_sources;
+    const HostMetrics got = eval.apply(delta_of(*move));
+    expect_metrics_equal(got, compute_host_metrics(g), "large-apply");
+    if (!got.connected) {
+      apply_swap(g, move->inverse());
+      eval.revert_last();
+      continue;
+    }
+    sync_delta(edges, delta_of(*move));
+    if ((eval.stats().dirty_sources - dirty) * 4 > std::uint64_t{3} * g.num_switches()) {
+      ++large;
+      expect_state_exact(eval, g);
+    }
+  }
+  EXPECT_GT(large, 0u);
+}
+
+// revert_last() after an apply that dirtied more than 3m/4 sources brings
+// back the pre-apply matrix and metrics bit for bit.
+TEST(DeltaEvaluator, RevertLastUndoesLargeRepairBitForBit) {
+  Xoshiro256 rng(7);
+  auto g = random_host_switch_graph(16, 8, 4, rng);
+  DeltaHasplEvaluator eval(g);
+  EdgeList edges = collect_edges(g);
+  std::uint64_t large = 0;
+  std::uint64_t reverted = 0;
+  for (int i = 0; i < 200; ++i) {
+    const auto move = propose_swap(g, edges, rng);
+    if (!move) continue;
+    const EvalState pre = capture(eval);
+    const std::uint64_t dirty = eval.stats().dirty_sources;
+    const HostMetrics got = eval.apply(delta_of(*move));
+    if ((eval.stats().dirty_sources - dirty) * 4 > std::uint64_t{3} * g.num_switches()) ++large;
+    eval.revert_last();
+    ++reverted;
+    expect_same_state(eval, pre, "large-revert");
+    // Land every other connected move, so the reverts start from varied
+    // graphs.
+    if (got.connected && i % 2 == 0) {
+      apply_swap(g, *move);
+      eval.apply(delta_of(*move));
+      sync_delta(edges, delta_of(*move));
+    }
+  }
+  EXPECT_GT(large, 0u);
+  EXPECT_EQ(eval.stats().reverts, reverted);
+  expect_state_exact(eval, g);
+}
+
 TEST(DeltaEvaluator, RevertLastPopsNestedFramesInLifoOrder) {
   // Mirrors the annealer's 2-neighbor chain: two stacked applies, undone
   // newest-first. After both reverts the state must be entry-exact.
